@@ -10,7 +10,7 @@ use classilink_datagen::scenario::{generate, ScenarioConfig};
 use classilink_eval::blocking_eval::default_key;
 use classilink_eval::blocking_eval::{compare_blockers, render, stores_and_truth};
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
+    collect_pairs, BigramBlocker, RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::{CartesianBlocker, LinkagePipeline, RecordComparator, SimilarityMeasure};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -40,19 +40,19 @@ fn bench_blocking(c: &mut Criterion) {
     group.bench_function("store_build", |b| b.iter(|| scenario.local_store()));
     group.bench_function("standard_blocking", |b| {
         let blocker = StandardBlocker::new(default_key(4));
-        b.iter(|| blocker.candidate_pairs(&external, &local))
+        b.iter(|| collect_pairs(&blocker, &external, &local))
     });
     group.bench_function("sorted_neighborhood", |b| {
         let blocker = SortedNeighborhoodBlocker::new(default_key(0), 7);
-        b.iter(|| blocker.candidate_pairs(&external, &local))
+        b.iter(|| collect_pairs(&blocker, &external, &local))
     });
     group.bench_function("bigram_indexing", |b| {
         let blocker = BigramBlocker::new(default_key(0), 0.7);
-        b.iter(|| blocker.candidate_pairs(&external, &local))
+        b.iter(|| collect_pairs(&blocker, &external, &local))
     });
     group.bench_function("classification_rules", |b| {
         let blocker = RuleBasedBlocker::new(&classifier, &scenario.instances, &scenario.ontology);
-        b.iter(|| blocker.candidate_pairs(&external, &local))
+        b.iter(|| collect_pairs(&blocker, &external, &local))
     });
     // End-to-end blocking + comparison phase on the store: id-resolved
     // attribute rules, precomputed full-text fallback, index-sorted links.
@@ -66,11 +66,11 @@ fn bench_blocking(c: &mut Criterion) {
         let blocker = RuleBasedBlocker::new(&classifier, &scenario.instances, &scenario.ontology)
             .with_fallback(true);
         let pipeline = LinkagePipeline::new(&blocker, &comparator);
-        b.iter(|| pipeline.run_stores(&external, &local))
+        b.iter(|| pipeline.run_sharded(&external, &local))
     });
     group.bench_function("pipeline_cartesian_comparison_phase", |b| {
         let pipeline = LinkagePipeline::new(&CartesianBlocker, &comparator);
-        b.iter(|| pipeline.run_stores(&external, &local))
+        b.iter(|| pipeline.run_sharded(&external, &local))
     });
     group.finish();
 }

@@ -6,8 +6,8 @@
 //! behaviour), `scratch_pairs/*` threads one reusable [`SimScratch`]
 //! through the kernel variants (the comparison hot path; for the
 //! edit/Jaro family this is the allocation-free path, the set measures
-//! additionally need the store-level token index benched in
-//! `paper_scale`).
+//! additionally need the store-level token index, measured end to end
+//! by `linkbench`).
 
 use classilink_bench::part_number_corpus;
 use classilink_linking::{SimScratch, SimilarityMeasure};

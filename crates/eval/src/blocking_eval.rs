@@ -14,8 +14,8 @@ use classilink_core::{LearnerConfig, RuleClassifier, RuleLearner};
 use classilink_datagen::vocab;
 use classilink_datagen::GeneratedScenario;
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, BlockingStats, CartesianBlocker, RuleBasedBlocker,
-    SortedNeighborhoodBlocker, StandardBlocker,
+    collect_pairs, BigramBlocker, Blocker, BlockingKey, BlockingStats, CartesianBlocker,
+    RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::{RecordStore, ShardedStore};
 use serde::{Deserialize, Serialize};
@@ -113,7 +113,7 @@ pub fn compare_blockers(
 
     let mut rows = Vec::with_capacity(blockers.len());
     for (name, blocker) in blockers {
-        let pairs = blocker.candidate_pairs(&external, &local);
+        let pairs = collect_pairs(blocker.as_ref(), &external, &local);
         let stats = BlockingStats::evaluate(&pairs, &truth, external.len(), local.len());
         rows.push(BlockingComparisonRow {
             method: name.to_string(),
@@ -200,7 +200,6 @@ mod tests {
 
     #[test]
     fn sharded_truth_and_stats_match_single_store() {
-        use classilink_linking::blocking::Blocker;
         let scenario = generate(&ScenarioConfig::tiny());
         let (external, local, truth) = stores_and_truth(&scenario);
         let (sharded_external, sharded_local, sharded_truth) =
@@ -212,8 +211,9 @@ mod tests {
         // And a blocker evaluated against either representation yields
         // identical statistics.
         let blocker = StandardBlocker::new(default_key(4));
-        let single_pairs = blocker.candidate_pairs(&external, &local);
-        let sharded_pairs = blocker.candidate_pairs_sharded(&sharded_external, &sharded_local);
+        let single_pairs = collect_pairs(&blocker, &external, &local);
+        let sharded_pairs = collect_pairs(&blocker, &sharded_external, &sharded_local);
+        assert_eq!(single_pairs, sharded_pairs);
         let single_stats =
             BlockingStats::evaluate(&single_pairs, &truth, external.len(), local.len());
         let sharded_stats = BlockingStats::evaluate(

@@ -38,8 +38,8 @@
 //! equivalence suite in `tests/bigram_filter.rs`).
 
 use super::key::BlockingKey;
-use super::{BigramFilterStats, Blocker, CandidatePair, CandidateRuns, ProbeGram, RunScratch};
-use crate::shard::{LocalShards, ShardedStore};
+use super::{BigramFilterStats, Blocker, CandidateRuns, ProbeGram, RunScratch};
+use crate::shard::LocalShards;
 use crate::store::RecordStore;
 use crate::token_index::PREFIX_ORDER;
 
@@ -197,28 +197,6 @@ fn overlap_reaches(df_set: &[u32], marks: &[u32], epoch: u32, needed: usize) -> 
 impl Blocker for BigramBlocker {
     fn name(&self) -> &'static str {
         "bigram-indexing"
-    }
-
-    /// The materialising adapter: stream into a single-shard sink, then
-    /// sort (the legacy path sorted its output too).
-    fn candidate_pairs(&self, external: &RecordStore, local: &RecordStore) -> Vec<CandidatePair> {
-        let mut runs = CandidateRuns::new();
-        self.stream_candidates(external, LocalShards::single(local), &mut runs);
-        let mut pairs = runs.take_shard(0);
-        pairs.sort_unstable();
-        pairs
-    }
-
-    /// The sharded materialising adapter: unlike the trait default this
-    /// bigram-ises the external side **once**, not once per shard.
-    fn candidate_pairs_sharded(
-        &self,
-        external: &RecordStore,
-        local: &ShardedStore,
-    ) -> Vec<CandidatePair> {
-        let mut runs = CandidateRuns::new();
-        self.stream_candidates(external, local.into(), &mut runs);
-        runs.into_global_pairs(local.into())
     }
 
     /// Native streaming: a **prefix/length/positional-filtered overlap
@@ -461,7 +439,7 @@ impl Blocker for BigramBlocker {
 mod tests {
     use super::*;
     use crate::blocking::test_support::*;
-    use crate::blocking::BlockingStats;
+    use crate::blocking::{collect_pairs, BlockingStats};
     use crate::store::RecordStore;
     use std::collections::HashSet;
 
@@ -472,7 +450,7 @@ mod tests {
     #[test]
     fn identical_values_are_always_candidates() {
         let (external, local) = small_stores();
-        let pairs = BigramBlocker::new(key(), 1.0).candidate_pairs(&external, &local);
+        let pairs = collect_pairs(&BigramBlocker::new(key(), 1.0), &external, &local);
         let set: HashSet<_> = pairs.iter().copied().collect();
         for i in 0..4 {
             assert!(set.contains(&(i, i)));
@@ -482,8 +460,8 @@ mod tests {
     #[test]
     fn lower_threshold_yields_more_candidates() {
         let (external, local) = small_stores();
-        let strict = BigramBlocker::new(key(), 0.9).candidate_pairs(&external, &local);
-        let loose = BigramBlocker::new(key(), 0.2).candidate_pairs(&external, &local);
+        let strict = collect_pairs(&BigramBlocker::new(key(), 0.9), &external, &local);
+        let loose = collect_pairs(&BigramBlocker::new(key(), 0.2), &external, &local);
         assert!(loose.len() >= strict.len());
         let strict_set: HashSet<_> = strict.into_iter().collect();
         let loose_set: HashSet<_> = loose.into_iter().collect();
@@ -497,7 +475,7 @@ mod tests {
             loc_record(0, "CRCW0805-10K"),
             loc_record(1, "LM317-TO220"),
         ]);
-        let pairs = BigramBlocker::new(key(), 0.6).candidate_pairs(&external, &local);
+        let pairs = collect_pairs(&BigramBlocker::new(key(), 0.6), &external, &local);
         let set: HashSet<_> = pairs.into_iter().collect();
         assert!(set.contains(&(0, 0)));
         assert!(!set.contains(&(0, 1)));
@@ -506,7 +484,7 @@ mod tests {
     #[test]
     fn completeness_and_reduction_on_small_dataset() {
         let (external, local) = small_stores();
-        let pairs = BigramBlocker::new(key(), 0.8).candidate_pairs(&external, &local);
+        let pairs = collect_pairs(&BigramBlocker::new(key(), 0.8), &external, &local);
         let true_pairs: HashSet<_> = (0..4).map(|i| (i, i)).collect();
         let stats = BlockingStats::evaluate(&pairs, &true_pairs, external.len(), local.len());
         assert_eq!(stats.pairs_completeness, 1.0);
@@ -521,13 +499,11 @@ mod tests {
         let external = RecordStore::from_records(&external_records);
         let local = RecordStore::from_records(&local_records);
         let blocker = BigramBlocker::new(key(), 0.6);
-        let mut single = blocker.candidate_pairs(&external, &local);
-        single.sort_unstable();
+        let single = collect_pairs(&blocker, &external, &local);
         for shard_count in [2, 3, 9] {
             let sharded_store =
                 crate::shard::ShardedStore::from_records(&local_records, shard_count);
-            let mut sharded = blocker.candidate_pairs_sharded(&external, &sharded_store);
-            sharded.sort_unstable();
+            let sharded = collect_pairs(&blocker, &external, &sharded_store);
             assert_eq!(sharded, single, "{shard_count} shards");
         }
     }
@@ -538,12 +514,12 @@ mod tests {
         assert_eq!(blocker.threshold, 1.0);
         assert_eq!(blocker.name(), "bigram-indexing");
         let (e, l) = empty_stores();
-        assert!(blocker.candidate_pairs(&e, &l).is_empty());
+        assert!(collect_pairs(&blocker, &e, &l).is_empty());
         // Record without the key property produces no candidates.
         let external = RecordStore::from_records(&[crate::record::Record::new(
             classilink_rdf::Term::iri("http://provider.e.org/item/9"),
         )]);
         let (_, local) = small_stores();
-        assert!(blocker.candidate_pairs(&external, &local).is_empty());
+        assert!(collect_pairs(&blocker, &external, &local).is_empty());
     }
 }

@@ -9,7 +9,7 @@
 //! are unknown, which is exactly the gap the classification rules fill — the
 //! benchmarks use this filter only in the oracle ablation.
 
-use super::{CandidatePair, CandidateRuns};
+use super::CandidateRuns;
 use crate::shard::LocalShards;
 use classilink_ontology::{ClassId, Ontology};
 
@@ -40,10 +40,11 @@ impl<'a> DisjointnessFilter<'a> {
         true
     }
 
-    /// The streaming counterpart of [`filter`](Self::filter): drop the
-    /// incompatible pairs from a [`CandidateRuns`] sink in place,
-    /// per-shard local ids offset to the **global** ids that index
-    /// `local_classes`. Every candidate block is decoded, filtered, and
+    /// Drop the incompatible pairs from a [`CandidateRuns`] sink in
+    /// place. `external_classes[e]` gives the classes of external record
+    /// `e`; per-shard local ids are offset to the **global** ids that
+    /// index `local_classes`. A record outside either table has unknown
+    /// classes. Every candidate block is decoded, filtered, and
     /// the survivors re-encoded as explicit runs (a filtered span or
     /// key range is no longer contiguous); the sink's comparison total
     /// is updated, so the filtered runs can feed the pipeline's task
@@ -62,32 +63,17 @@ impl<'a> DisjointnessFilter<'a> {
             self.compatible(ext, loc)
         });
     }
-
-    /// Filter a candidate-pair list given per-record class assignments.
-    /// `external_classes[e]` / `local_classes[l]` give the classes of the
-    /// records at those indexes.
-    pub fn filter(
-        &self,
-        candidates: &[CandidatePair],
-        external_classes: &[Vec<ClassId>],
-        local_classes: &[Vec<ClassId>],
-    ) -> Vec<CandidatePair> {
-        candidates
-            .iter()
-            .copied()
-            .filter(|(e, l)| {
-                let ext = external_classes.get(*e).map(Vec::as_slice).unwrap_or(&[]);
-                let loc = local_classes.get(*l).map(Vec::as_slice).unwrap_or(&[]);
-                self.compatible(ext, loc)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocking::{collect_pairs, Blocker, CandidatePair, CartesianBlocker};
+    use crate::record::Record;
+    use crate::shard::ShardedStore;
+    use crate::store::RecordStore;
     use classilink_ontology::OntologyBuilder;
+    use classilink_rdf::Term;
 
     fn ontology() -> (Ontology, ClassId, ClassId, ClassId) {
         let mut b = OntologyBuilder::new("http://e.org/c#");
@@ -98,6 +84,25 @@ mod tests {
         (b.build(), component, resistor, capacitor)
     }
 
+    /// `candidates` pushed into a one-shard sink (shard-local ids are
+    /// global ids), filtered, and decoded again.
+    fn retained(
+        filter: &DisjointnessFilter<'_>,
+        candidates: &[CandidatePair],
+        external_classes: &[Vec<ClassId>],
+        local_classes: &[Vec<ClassId>],
+    ) -> Vec<CandidatePair> {
+        let store = RecordStore::from_records(&[]);
+        let mut runs = CandidateRuns::new();
+        runs.reset(1);
+        for &(e, l) in candidates {
+            runs.push(0, e, l);
+        }
+        filter.retain_runs(&mut runs, (&store).into(), external_classes, local_classes);
+        assert_eq!(runs.total(), runs.pairs(0).count() as u64);
+        runs.pairs(0).collect()
+    }
+
     #[test]
     fn disjoint_pairs_are_removed() {
         let (onto, _, resistor, capacitor) = ontology();
@@ -105,7 +110,7 @@ mod tests {
         let candidates = vec![(0, 0), (0, 1), (1, 0), (1, 1)];
         let external_classes = vec![vec![resistor], vec![capacitor]];
         let local_classes = vec![vec![resistor], vec![capacitor]];
-        let kept = filter.filter(&candidates, &external_classes, &local_classes);
+        let kept = retained(&filter, &candidates, &external_classes, &local_classes);
         assert_eq!(kept, vec![(0, 0), (1, 1)]);
     }
 
@@ -116,7 +121,7 @@ mod tests {
         let candidates = vec![(0, 0), (0, 1)];
         let external_classes = vec![vec![]];
         let local_classes = vec![vec![resistor], vec![]];
-        let kept = filter.filter(&candidates, &external_classes, &local_classes);
+        let kept = retained(&filter, &candidates, &external_classes, &local_classes);
         assert_eq!(kept, candidates);
         assert!(filter.compatible(&[], &[resistor]));
     }
@@ -130,13 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn retain_runs_matches_filter_on_global_ids() {
-        use crate::blocking::{Blocker, CandidateRuns, CartesianBlocker};
-        use crate::record::Record;
-        use crate::shard::ShardedStore;
-        use crate::store::RecordStore;
-        use classilink_rdf::Term;
-
+    fn retain_runs_indexes_local_classes_by_global_id() {
         let (onto, _, resistor, capacitor) = ontology();
         let filter = DisjointnessFilter::new(&onto);
         let records: Vec<Record> = (0..5)
@@ -157,13 +156,17 @@ mod tests {
             &external_classes,
             &local_classes,
         );
-        let streamed = runs.into_global_pairs((&sharded).into());
+        let mut streamed: Vec<CandidatePair> = Vec::new();
+        for s in 0..sharded.shard_count() {
+            streamed.extend(runs.pairs(s).map(|(e, l)| (e, sharded.global(s, l))));
+        }
+        streamed.sort_unstable();
+        assert_eq!(runs.total(), streamed.len() as u64);
 
-        let all = CartesianBlocker.candidate_pairs_sharded(&external, &sharded);
-        let expected = filter.filter(&all, &external_classes, &local_classes);
-        assert_eq!(streamed.len(), expected.len());
-        let streamed: std::collections::HashSet<_> = streamed.into_iter().collect();
-        let expected: std::collections::HashSet<_> = expected.into_iter().collect();
+        let expected: Vec<CandidatePair> = collect_pairs(&CartesianBlocker, &external, &sharded)
+            .into_iter()
+            .filter(|&(e, l)| filter.compatible(&external_classes[e], &local_classes[l]))
+            .collect();
         assert_eq!(streamed, expected);
     }
 
@@ -172,7 +175,7 @@ mod tests {
         let (onto, _, resistor, capacitor) = ontology();
         let filter = DisjointnessFilter::new(&onto);
         let candidates = vec![(5, 7)];
-        let kept = filter.filter(&candidates, &[vec![resistor]], &[vec![capacitor]]);
+        let kept = retained(&filter, &candidates, &[vec![resistor]], &[vec![capacitor]]);
         assert_eq!(kept, candidates);
     }
 }

@@ -20,9 +20,8 @@
 //! artifacts (key tables, bigram postings, rule classifications) once
 //! per run and read per-record keys and bigrams from the store-level
 //! [`KeyIndex`] cache, making steady-state
-//! blocking allocation-free. The materialising
-//! [`Blocker::candidate_pairs`] / [`Blocker::candidate_pairs_sharded`]
-//! APIs remain as thin adapters for external callers.
+//! blocking allocation-free. Callers that want a flat pair list (tests,
+//! evaluation reports) decode the sink with [`collect_pairs`].
 
 pub mod bigram;
 pub mod disjointness;
@@ -38,7 +37,7 @@ pub use rule_based::RuleBasedBlocker;
 pub use sorted_neighborhood::SortedNeighborhoodBlocker;
 pub use standard::StandardBlocker;
 
-use crate::shard::{LocalShards, ShardedStore};
+use crate::shard::LocalShards;
 use crate::store::RecordStore;
 use crate::token_index::KeyIndex;
 use std::sync::Arc;
@@ -327,10 +326,9 @@ impl ShardRun {
 /// The streaming blocking sink: per-shard **run-length candidate
 /// blocks** over **shard-local** ids, produced by
 /// [`Blocker::stream_candidates`] and consumed directly as the
-/// work-stealing comparison scheduler's task queues — the global pair
-/// vector, its sort, and the route-back binary search of the old
-/// materialising path never exist, and dense blockers no longer pay one
-/// sink entry per pair.
+/// work-stealing comparison scheduler's task queues — no global pair
+/// vector is built or sorted, no global id is routed back to a shard,
+/// and dense blockers do not pay one sink entry per pair.
 ///
 /// Every block pairs **one external record** with a [`LocalRun`]:
 ///
@@ -352,9 +350,10 @@ impl ShardRun {
 /// sparse producers keep their pushes per external consecutive (bigram
 /// emits per probe, sorted neighbourhood anchors its window walk on
 /// the external entries), so even they coalesce into one block per
-/// (shard, external) and stay below the flat encoding — the bench
-/// validator asserts `queue_bytes ≤ pair_bytes` for every
-/// non-cartesian blocker.
+/// (shard, external) and stay below the flat encoding as long as runs
+/// hold more than a record or two (`tests/streaming_blocking.rs`
+/// asserts `queue_bytes ≤ pair_bytes` for the standard,
+/// sorted-neighbourhood and bigram blockers).
 ///
 /// The sink is reusable: [`stream_candidates`](Blocker::stream_candidates)
 /// clears it (capacity retained) before producing, so a long-lived sink
@@ -640,9 +639,8 @@ impl CandidateRuns {
         (block.external as usize, run.local_run(block))
     }
 
-    /// Decode one shard's candidates as explicit pairs, in block
-    /// emission order (the materialising adapters' and tests' view of
-    /// the compressed runs).
+    /// Decode one shard's candidates as explicit shard-local pairs, in
+    /// block emission order.
     pub fn pairs(&self, shard: usize) -> impl Iterator<Item = CandidatePair> + '_ {
         let run = &self.per_shard[shard];
         run.blocks.iter().flat_map(move |block| {
@@ -682,9 +680,9 @@ impl CandidateRuns {
             .sum()
     }
 
-    /// Bytes the same candidates would occupy in the flat
-    /// one-`(usize, usize)`-per-pair encoding this sink replaced —
-    /// O(candidates), the denominator of the run-length saving.
+    /// Bytes the same candidates would occupy as one flat
+    /// `(usize, usize)` per pair — O(candidates), the denominator of
+    /// the run-length saving.
     pub fn pair_bytes(&self) -> u64 {
         self.total * std::mem::size_of::<CandidatePair>() as u64
     }
@@ -734,34 +732,6 @@ impl CandidateRuns {
         }
         self.total = total;
     }
-
-    /// Decode one shard's candidates into a fresh pair vector and clear
-    /// the shard (the single-store adapter path).
-    pub fn take_shard(&mut self, shard: usize) -> Vec<CandidatePair> {
-        let pairs: Vec<CandidatePair> = self.pairs(shard).collect();
-        self.total -= self.per_shard[shard].count;
-        self.per_shard[shard].clear();
-        pairs
-    }
-
-    /// Flatten into one **global**-id pair vector in the legacy
-    /// materialised layout: each shard's decoded run sorted by index
-    /// pair, shards concatenated in catalog order (exactly what the
-    /// default per-shard [`Blocker::candidate_pairs_sharded`] used to
-    /// produce for blockers whose per-shard output is sorted).
-    pub fn into_global_pairs(self, local: LocalShards<'_>) -> Vec<CandidatePair> {
-        let mut pairs = Vec::with_capacity(self.total as usize);
-        for s in 0..self.per_shard.len() {
-            let start = pairs.len();
-            pairs.extend(self.pairs(s));
-            pairs[start..].sort_unstable();
-            let base = local.offset(s);
-            for pair in &mut pairs[start..] {
-                pair.1 += base;
-            }
-        }
-        pairs
-    }
 }
 
 /// A strategy that selects which (external, local) record pairs are worth
@@ -770,83 +740,26 @@ pub trait Blocker {
     /// A short stable name for reports and benchmarks.
     fn name(&self) -> &'static str;
 
-    /// Produce candidate pairs as indexes into `external` and `local`.
-    /// Implementations must not return duplicates.
-    fn candidate_pairs(&self, external: &RecordStore, local: &RecordStore) -> Vec<CandidatePair>;
-
-    /// Produce candidate pairs against a sharded catalog, with the local
-    /// side given as **global** record ids.
-    ///
-    /// The default implementation runs [`candidate_pairs`](Self::candidate_pairs)
-    /// per shard and offsets the shard-local ids back to global ids. For
-    /// blockers whose decision for a pair depends only on the two records
-    /// themselves (cartesian, standard key blocking, bigram indexing,
-    /// rule-based), the per-shard union is **exactly** the single-store
-    /// candidate set. Blockers with cross-record state spanning the whole
-    /// catalog must override this to preserve that equivalence — see
-    /// [`SortedNeighborhoodBlocker`], whose sliding window crosses shard
-    /// boundaries.
-    ///
-    /// This is the **materialising** API, kept for external callers and
-    /// as the equivalence reference; the pipeline itself consumes
-    /// [`stream_candidates`](Self::stream_candidates).
-    fn candidate_pairs_sharded(
-        &self,
-        external: &RecordStore,
-        local: &ShardedStore,
-    ) -> Vec<CandidatePair> {
-        let mut pairs = Vec::new();
-        for s in 0..local.shard_count() {
-            let base = local.offset(s);
-            pairs.extend(
-                self.candidate_pairs(external, local.shard(s))
-                    .into_iter()
-                    .map(|(e, l)| (e, base + l)),
-            );
-        }
-        pairs
-    }
-
     /// Stream candidate pairs as **per-shard runs of shard-local ids**
-    /// into `out` — the pipeline's blocking entry point. The runs feed
-    /// the work-stealing scheduler's per-shard task queues directly, so
-    /// no global pair vector is materialised, nothing is sorted, and no
+    /// into `out` — the one blocking entry point. The runs feed the
+    /// work-stealing scheduler's per-shard task queues directly, so no
+    /// global pair vector is materialised, nothing is sorted, and no
     /// global id is ever routed back to a shard; the sum of run lengths
     /// is the comparison count.
     ///
     /// Implementations must clear `out` (via [`CandidateRuns::reset`])
-    /// and then produce, across all shards, exactly the candidate set of
-    /// the materialising APIs: the built-in blockers stream natively
-    /// (external-side artifacts computed once and shared across shards,
-    /// keys and bigrams served by the store-level
-    /// [`KeyIndex`]); the default
-    /// implementation adapts the materialising path — per-shard
-    /// [`candidate_pairs`](Self::candidate_pairs) for a single-store
-    /// view, a routed [`candidate_pairs_sharded`](Self::candidate_pairs_sharded)
-    /// call otherwise — so external `Blocker` impls (including ones that
-    /// override the sharded method with cross-shard semantics) stay
-    /// correct unchanged.
+    /// and then emit every candidate pair exactly once (no duplicates),
+    /// skipping shards the sink is not
+    /// [active](CandidateRuns::shard_active) for where their per-shard
+    /// work is independent. The built-in blockers compute external-side
+    /// artifacts once and share them across shards, with keys and
+    /// bigrams served by the store-level [`KeyIndex`].
     fn stream_candidates(
         &self,
         external: &RecordStore,
         local: LocalShards<'_>,
         out: &mut CandidateRuns,
-    ) {
-        out.reset(local.shard_count());
-        match local.sharded() {
-            Some(store) => {
-                for (e, global) in self.candidate_pairs_sharded(external, store) {
-                    let (shard, shard_local) = store.locate(global);
-                    out.push(shard, e, shard_local);
-                }
-            }
-            None => {
-                for (e, l) in self.candidate_pairs(external, local.shard(0)) {
-                    out.push(0, e, l);
-                }
-            }
-        }
-    }
+    );
 
     /// Eagerly build the **local-side artifacts** this blocker reads
     /// while streaming — key indexes, sort ladders, bigram postings and
@@ -854,11 +767,33 @@ pub trait Blocker {
     /// ([`Linker`](crate::serve::Linker)) calls this once per published
     /// catalog epoch so no probe ever pays a first-call index build;
     /// batch callers never need it (the same builds happen lazily on
-    /// first stream). The default does nothing (cartesian and external
-    /// impls keep no local-side state).
+    /// first stream). The default does nothing (cartesian keeps no
+    /// local-side state).
     fn warm(&self, local: LocalShards<'_>) {
         let _ = local;
     }
+}
+
+/// Run `blocker` and decode the sink into one flat pair list: every
+/// candidate as `(external id, **global** local id)`, sorted ascending
+/// by that pair — the same list for a [`RecordStore`] and for any
+/// sharding of it. For tests, evaluation and reports; the pipeline
+/// consumes the sink directly and never builds this vector.
+pub fn collect_pairs<'a>(
+    blocker: &dyn Blocker,
+    external: &RecordStore,
+    local: impl Into<LocalShards<'a>>,
+) -> Vec<CandidatePair> {
+    let local = local.into();
+    let mut runs = CandidateRuns::new();
+    blocker.stream_candidates(external, local, &mut runs);
+    let mut pairs = Vec::with_capacity(runs.total() as usize);
+    for s in 0..runs.shard_count() {
+        let base = local.offset(s);
+        pairs.extend(runs.pairs(s).map(|(e, l)| (e, base + l)));
+    }
+    pairs.sort_unstable();
+    pairs
 }
 
 /// The exhaustive baseline: every external record is compared with every
@@ -872,17 +807,7 @@ impl Blocker for CartesianBlocker {
         "cartesian"
     }
 
-    fn candidate_pairs(&self, external: &RecordStore, local: &RecordStore) -> Vec<CandidatePair> {
-        let mut pairs = Vec::with_capacity(external.len() * local.len());
-        for e in 0..external.len() {
-            for l in 0..local.len() {
-                pairs.push((e, l));
-            }
-        }
-        pairs
-    }
-
-    /// Native streaming: every external × every shard record, as **one
+    /// Every external × every shard record, as **one
     /// span block per external per shard** — O(externals × shards)
     /// blocks for O(externals × records) candidates, the densest
     /// possible run-length compression.
@@ -1029,7 +954,7 @@ mod tests {
     #[test]
     fn cartesian_produces_all_pairs() {
         let (external, local) = small_stores();
-        let pairs = CartesianBlocker.candidate_pairs(&external, &local);
+        let pairs = collect_pairs(&CartesianBlocker, &external, &local);
         assert_eq!(pairs.len(), 20);
         assert_eq!(CartesianBlocker.name(), "cartesian");
         let unique: HashSet<_> = pairs.iter().collect();
@@ -1042,12 +967,8 @@ mod tests {
             let (e, _) = small_stores();
             (e, RecordStore::from_records(&[]))
         };
-        assert!(CartesianBlocker
-            .candidate_pairs(&external, &empty)
-            .is_empty());
-        assert!(CartesianBlocker
-            .candidate_pairs(&empty, &external)
-            .is_empty());
+        assert!(collect_pairs(&CartesianBlocker, &external, &empty).is_empty());
+        assert!(collect_pairs(&CartesianBlocker, &empty, &external).is_empty());
     }
 
     #[test]
@@ -1067,7 +988,7 @@ mod tests {
     fn stats_for_cartesian_blocking() {
         let (external, local) = small_stores();
         let true_pairs: HashSet<CandidatePair> = (0..4).map(|i| (i, i)).collect();
-        let candidates = CartesianBlocker.candidate_pairs(&external, &local);
+        let candidates = collect_pairs(&CartesianBlocker, &external, &local);
         let stats = BlockingStats::evaluate(&candidates, &true_pairs, 4, 5);
         assert_eq!(stats.reduction_ratio, 0.0);
         assert_eq!(stats.pairs_completeness, 1.0);
@@ -1103,10 +1024,6 @@ mod tests {
         runs.retain(|shard, e, _l| shard == 2 && e > 0);
         assert_eq!(runs.total(), 1);
         assert_eq!(shard_pairs(&runs, 2), vec![(4, 1)]);
-        // take_shard moves a run out.
-        let run = runs.take_shard(2);
-        assert_eq!(run, vec![(4, 1)]);
-        assert_eq!(runs.total(), 0);
         // Reset re-sizes (down and up) and clears.
         runs.push(1, 9, 9);
         runs.reset(1);
@@ -1186,77 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_runs_globalise_in_legacy_order() {
-        let records: Vec<_> = (0..6).map(|i| loc_record(i, "PN")).collect();
-        let sharded = crate::shard::ShardedStore::from_records(&records, 3); // shards of 2
-        let mut runs = CandidateRuns::new();
-        runs.reset(3);
-        runs.push(0, 1, 1); // global (1, 1)
-        runs.push(0, 0, 0); // global (0, 0) — sorted within the shard
-        runs.push(1, 0, 1); // global (0, 3)
-        runs.push(2, 2, 0); // global (2, 4)
-        let pairs = runs.into_global_pairs((&sharded).into());
-        assert_eq!(pairs, vec![(0, 0), (1, 1), (0, 3), (2, 4)]);
-    }
-
-    /// A blocker that only overrides the materialising sharded API (the
-    /// pre-streaming extension point, e.g. with cross-shard semantics):
-    /// the default `stream_candidates` must route its global pairs back
-    /// to shard-local runs unchanged.
-    struct LegacySharded;
-
-    impl Blocker for LegacySharded {
-        fn name(&self) -> &'static str {
-            "legacy-sharded"
-        }
-
-        fn candidate_pairs(
-            &self,
-            external: &RecordStore,
-            local: &RecordStore,
-        ) -> Vec<CandidatePair> {
-            // Pair record i with record i (what the sharded override
-            // below would NOT produce per shard — the test relies on the
-            // two APIs disagreeing to prove which one streaming adapts).
-            (0..external.len().min(local.len()))
-                .map(|i| (i, i))
-                .collect()
-        }
-
-        fn candidate_pairs_sharded(
-            &self,
-            external: &RecordStore,
-            local: &ShardedStore,
-        ) -> Vec<CandidatePair> {
-            // Cross-shard semantics: every external with the *last* record.
-            (0..external.len()).map(|e| (e, local.len() - 1)).collect()
-        }
-    }
-
-    #[test]
-    fn default_stream_adapts_the_materialising_apis() {
-        let (external, _) = small_stores();
-        let local_records: Vec<_> = (0..5).map(|i| loc_record(i, "PN")).collect();
-        let sharded = crate::shard::ShardedStore::from_records(&local_records, 2);
-        let mut runs = CandidateRuns::new();
-        // Sharded view → routed candidate_pairs_sharded (last record is
-        // shard 1, local id 1 with shards of 3 + 2).
-        LegacySharded.stream_candidates(&external, (&sharded).into(), &mut runs);
-        assert_eq!(runs.total(), 4);
-        assert!(shard_pairs(&runs, 0).is_empty());
-        assert_eq!(shard_pairs(&runs, 1), vec![(0, 1), (1, 1), (2, 1), (3, 1)]);
-        // Single-store view → candidate_pairs.
-        let local = RecordStore::from_records(&local_records);
-        LegacySharded.stream_candidates(
-            &external,
-            crate::shard::LocalShards::single(&local),
-            &mut runs,
-        );
-        assert_eq!(runs.shard_count(), 1);
-        assert_eq!(shard_pairs(&runs, 0), vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
-    }
-
-    #[test]
     fn cartesian_stream_covers_every_shard_pair() {
         let (external, _) = small_stores();
         let local_records: Vec<_> = (0..5).map(|i| loc_record(i, "PN")).collect();
@@ -1264,15 +1110,19 @@ mod tests {
         let mut runs = CandidateRuns::new();
         CartesianBlocker.stream_candidates(&external, (&sharded).into(), &mut runs);
         assert_eq!(runs.total(), 20);
-        let globalised: HashSet<_> = runs
-            .into_global_pairs((&sharded).into())
-            .into_iter()
+        // `collect_pairs` offsets shard-local ids to global ids and
+        // sorts: one list, however the local side is sharded.
+        let expected: Vec<CandidatePair> = (0..external.len())
+            .flat_map(|e| (0..local_records.len()).map(move |l| (e, l)))
             .collect();
+        assert_eq!(
+            collect_pairs(&CartesianBlocker, &external, &sharded),
+            expected
+        );
         let local = RecordStore::from_records(&local_records);
-        let expected: HashSet<_> = CartesianBlocker
-            .candidate_pairs(&external, &local)
-            .into_iter()
-            .collect();
-        assert_eq!(globalised, expected);
+        assert_eq!(
+            collect_pairs(&CartesianBlocker, &external, &local),
+            expected
+        );
     }
 }

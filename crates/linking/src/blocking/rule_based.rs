@@ -6,8 +6,8 @@
 //! This adapter lets the paper's approach be compared head-to-head with the
 //! classic blocking baselines on exactly the same interface (experiment E5).
 
-use super::{Blocker, CandidatePair, CandidateRuns};
-use crate::shard::{LocalShards, ShardedStore};
+use super::{Blocker, CandidateRuns};
+use crate::shard::LocalShards;
 use crate::store::RecordStore;
 use classilink_core::RuleClassifier;
 use classilink_ontology::{InstanceStore, Ontology};
@@ -51,33 +51,11 @@ impl Blocker for RuleBasedBlocker<'_> {
         "classification-rules"
     }
 
-    /// The materialising adapter: stream into a single-shard sink and
-    /// sort (the legacy path sorted its output too).
-    fn candidate_pairs(&self, external: &RecordStore, local: &RecordStore) -> Vec<CandidatePair> {
-        let mut runs = CandidateRuns::new();
-        self.stream_candidates(external, LocalShards::single(local), &mut runs);
-        let mut pairs = runs.take_shard(0);
-        pairs.sort_unstable();
-        pairs
-    }
-
-    /// The sharded materialising adapter: unlike the trait default this
-    /// classifies every external record **once**, not once per shard.
-    fn candidate_pairs_sharded(
-        &self,
-        external: &RecordStore,
-        local: &ShardedStore,
-    ) -> Vec<CandidatePair> {
-        let mut runs = CandidateRuns::new();
-        self.stream_candidates(external, local.into(), &mut runs);
-        runs.into_global_pairs(local.into())
-    }
-
     /// Native streaming: each external record is classified **once**
-    /// and each predicted class's extent enumerated **once** (the
-    /// per-shard legacy default re-did both per shard); extent items are
-    /// looked up in every shard's id index and deduplicated across
-    /// overlapping predictions with epoch-stamped marks over global ids.
+    /// and each predicted class's extent enumerated **once**, not once
+    /// per shard; extent items are looked up in every shard's id index
+    /// and deduplicated across overlapping predictions with
+    /// epoch-stamped marks over global ids.
     /// Unclassified externals under the fallback pair with each whole
     /// shard as **one span block** (O(1), not O(shard)); extent hits
     /// accumulate into per-(external, shard) explicit runs.
@@ -129,7 +107,7 @@ impl Blocker for RuleBasedBlocker<'_> {
 mod tests {
     use super::*;
     use crate::blocking::test_support::*;
-    use crate::blocking::BlockingStats;
+    use crate::blocking::{collect_pairs, BlockingStats};
     use classilink_core::{ClassificationRule, Contingency};
     use classilink_ontology::{ClassId, OntologyBuilder};
     use classilink_rdf::Term;
@@ -174,7 +152,7 @@ mod tests {
         let (onto, store, classifier) = setup();
         let (external, local) = small_stores();
         let blocker = RuleBasedBlocker::new(&classifier, &store, &onto);
-        let pairs = blocker.candidate_pairs(&external, &local);
+        let pairs = collect_pairs(&blocker, &external, &local);
         let set: HashSet<_> = pairs.iter().copied().collect();
         // External 0 and 1 are classified as resistors → locals 0 and 1.
         assert!(set.contains(&(0, 0)) && set.contains(&(0, 1)));
@@ -191,8 +169,11 @@ mod tests {
     fn true_pairs_covered_for_classified_records() {
         let (onto, store, classifier) = setup();
         let (external, local) = small_stores();
-        let pairs =
-            RuleBasedBlocker::new(&classifier, &store, &onto).candidate_pairs(&external, &local);
+        let pairs = collect_pairs(
+            &RuleBasedBlocker::new(&classifier, &store, &onto),
+            &external,
+            &local,
+        );
         // True pairs for the classified externals (0,0), (1,1), (2,2).
         let true_pairs: HashSet<_> = (0..3).map(|i| (i, i)).collect();
         let stats = BlockingStats::evaluate(&pairs, &true_pairs, external.len(), local.len());
@@ -204,9 +185,11 @@ mod tests {
     fn fallback_pairs_unclassified_records_with_everything() {
         let (onto, store, classifier) = setup();
         let (external, local) = small_stores();
-        let pairs = RuleBasedBlocker::new(&classifier, &store, &onto)
-            .with_fallback(true)
-            .candidate_pairs(&external, &local);
+        let pairs = collect_pairs(
+            &RuleBasedBlocker::new(&classifier, &store, &onto).with_fallback(true),
+            &external,
+            &local,
+        );
         let set: HashSet<_> = pairs.iter().copied().collect();
         for l in 0..local.len() {
             assert!(set.contains(&(3, l)));
@@ -237,8 +220,11 @@ mod tests {
             true,
         );
         let (external, local) = small_stores();
-        let pairs =
-            RuleBasedBlocker::new(&classifier, &store, &onto).candidate_pairs(&external, &local);
+        let pairs = collect_pairs(
+            &RuleBasedBlocker::new(&classifier, &store, &onto),
+            &external,
+            &local,
+        );
         let set: HashSet<_> = pairs.iter().copied().collect();
         assert_eq!(set.len(), pairs.len());
     }
@@ -254,13 +240,11 @@ mod tests {
         let local = crate::store::RecordStore::from_records(&local_records);
         for fallback in [false, true] {
             let blocker = RuleBasedBlocker::new(&classifier, &store, &onto).with_fallback(fallback);
-            let mut single = blocker.candidate_pairs(&external, &local);
-            single.sort_unstable();
+            let single = collect_pairs(&blocker, &external, &local);
             for shard_count in [2, 4, 8] {
                 let sharded_store =
                     crate::shard::ShardedStore::from_records(&local_records, shard_count);
-                let mut sharded = blocker.candidate_pairs_sharded(&external, &sharded_store);
-                sharded.sort_unstable();
+                let sharded = collect_pairs(&blocker, &external, &sharded_store);
                 assert_eq!(sharded, single, "{shard_count} shards, fallback {fallback}");
             }
         }
@@ -271,6 +255,6 @@ mod tests {
         let (onto, store, classifier) = setup();
         let blocker = RuleBasedBlocker::new(&classifier, &store, &onto);
         let (e, l) = empty_stores();
-        assert!(blocker.candidate_pairs(&e, &l).is_empty());
+        assert!(collect_pairs(&blocker, &e, &l).is_empty());
     }
 }

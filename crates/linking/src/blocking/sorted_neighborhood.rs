@@ -25,7 +25,8 @@
 //!   them into one explicit block per (shard, external).
 //! * **Shard counts are invisible.** The walk merges the per-shard
 //!   ladders by (sort value, global id) with one cursor per shard, so
-//!   the candidate set over a [`ShardedStore`] is byte-identical to
+//!   the candidate set over a
+//!   [`ShardedStore`](crate::shard::ShardedStore) is byte-identical to
 //!   the single-store run even when a window straddles shards.
 //!
 //! Ties replicate the classic merged-list convention: an external with
@@ -34,8 +35,8 @@
 //! locals order by global id.
 
 use super::key::BlockingKey;
-use super::{Blocker, CandidatePair, CandidateRuns};
-use crate::shard::{LocalShards, ShardedStore};
+use super::{Blocker, CandidateRuns};
+use crate::shard::LocalShards;
 use crate::store::RecordStore;
 use crate::token_index::KeyIndex;
 use std::sync::Arc;
@@ -64,30 +65,6 @@ impl SortedNeighborhoodBlocker {
 impl Blocker for SortedNeighborhoodBlocker {
     fn name(&self) -> &'static str {
         "sorted-neighborhood"
-    }
-
-    /// The materialising adapter: stream into a single-shard sink, then
-    /// sort (the legacy path sorted its window runs the same way).
-    fn candidate_pairs(&self, external: &RecordStore, local: &RecordStore) -> Vec<CandidatePair> {
-        let mut runs = CandidateRuns::new();
-        self.stream_candidates(external, LocalShards::single(local), &mut runs);
-        let mut pairs = runs.take_shard(0);
-        pairs.sort_unstable();
-        pairs
-    }
-
-    /// The shard-aware materialising adapter: the streamed per-shard
-    /// runs are offset back to global ids and index-sorted.
-    fn candidate_pairs_sharded(
-        &self,
-        external: &RecordStore,
-        local: &ShardedStore,
-    ) -> Vec<CandidatePair> {
-        let mut runs = CandidateRuns::new();
-        self.stream_candidates(external, local.into(), &mut runs);
-        let mut pairs = runs.into_global_pairs(local.into());
-        pairs.sort_unstable();
-        pairs
     }
 
     /// Native streaming. Per external record: two binary searches per
@@ -192,7 +169,7 @@ impl Blocker for SortedNeighborhoodBlocker {
 mod tests {
     use super::*;
     use crate::blocking::test_support::*;
-    use crate::blocking::{BlockingStats, CartesianBlocker};
+    use crate::blocking::{collect_pairs, BlockingStats, CandidatePair, CartesianBlocker};
     use std::collections::HashSet;
 
     fn key() -> BlockingKey {
@@ -203,7 +180,7 @@ mod tests {
     fn window_covers_adjacent_records() {
         let (external, local) = small_stores();
         let blocker = SortedNeighborhoodBlocker::new(key(), 3);
-        let pairs = blocker.candidate_pairs(&external, &local);
+        let pairs = collect_pairs(&blocker, &external, &local);
         let set: HashSet<_> = pairs.iter().copied().collect();
         // Identical part numbers sort adjacently, so every true pair is found.
         for i in 0..4 {
@@ -215,14 +192,14 @@ mod tests {
     #[test]
     fn larger_window_finds_superset_of_pairs() {
         let (external, local) = small_stores();
-        let small: HashSet<_> = SortedNeighborhoodBlocker::new(key(), 2)
-            .candidate_pairs(&external, &local)
-            .into_iter()
-            .collect();
-        let large: HashSet<_> = SortedNeighborhoodBlocker::new(key(), 5)
-            .candidate_pairs(&external, &local)
-            .into_iter()
-            .collect();
+        let small: HashSet<_> =
+            collect_pairs(&SortedNeighborhoodBlocker::new(key(), 2), &external, &local)
+                .into_iter()
+                .collect();
+        let large: HashSet<_> =
+            collect_pairs(&SortedNeighborhoodBlocker::new(key(), 5), &external, &local)
+                .into_iter()
+                .collect();
         assert!(small.is_subset(&large));
         assert!(large.len() >= small.len());
     }
@@ -231,12 +208,14 @@ mod tests {
     fn full_window_equals_cartesian_coverage() {
         let (external, local) = small_stores();
         let total = external.len() + local.len();
-        let all: HashSet<_> = SortedNeighborhoodBlocker::new(key(), total)
-            .candidate_pairs(&external, &local)
-            .into_iter()
-            .collect();
-        let cartesian: HashSet<_> = CartesianBlocker
-            .candidate_pairs(&external, &local)
+        let all: HashSet<_> = collect_pairs(
+            &SortedNeighborhoodBlocker::new(key(), total),
+            &external,
+            &local,
+        )
+        .into_iter()
+        .collect();
+        let cartesian: HashSet<_> = collect_pairs(&CartesianBlocker, &external, &local)
             .into_iter()
             .collect();
         assert_eq!(all, cartesian);
@@ -245,7 +224,7 @@ mod tests {
     #[test]
     fn produces_fewer_pairs_than_cartesian_but_complete() {
         let (external, local) = small_stores();
-        let pairs = SortedNeighborhoodBlocker::new(key(), 3).candidate_pairs(&external, &local);
+        let pairs = collect_pairs(&SortedNeighborhoodBlocker::new(key(), 3), &external, &local);
         let true_pairs: HashSet<_> = (0..4).map(|i| (i, i)).collect();
         let stats = BlockingStats::evaluate(&pairs, &true_pairs, external.len(), local.len());
         assert_eq!(stats.pairs_completeness, 1.0);
@@ -257,7 +236,7 @@ mod tests {
         let blocker = SortedNeighborhoodBlocker::new(key(), 0);
         assert_eq!(blocker.window, 2);
         let (external, local) = empty_stores();
-        assert!(blocker.candidate_pairs(&external, &local).is_empty());
+        assert!(collect_pairs(&blocker, &external, &local).is_empty());
     }
 
     #[test]
@@ -268,7 +247,7 @@ mod tests {
         for window in [0, 1] {
             let blocker = SortedNeighborhoodBlocker { key: key(), window };
             assert!(
-                blocker.candidate_pairs(&external, &local).is_empty(),
+                collect_pairs(&blocker, &external, &local).is_empty(),
                 "window {window}"
             );
         }
@@ -280,8 +259,11 @@ mod tests {
         // emitted list must already be duplicate-free.
         let (external, local) = small_stores();
         for window in 2..8 {
-            let pairs =
-                SortedNeighborhoodBlocker::new(key(), window).candidate_pairs(&external, &local);
+            let pairs = collect_pairs(
+                &SortedNeighborhoodBlocker::new(key(), window),
+                &external,
+                &local,
+            );
             let set: HashSet<_> = pairs.iter().copied().collect();
             assert_eq!(set.len(), pairs.len(), "window {window}");
             // And the list is sorted: the per-window runs were merged.
@@ -315,8 +297,11 @@ mod tests {
             }
             expected.sort_unstable();
             expected.dedup();
-            let pairs =
-                SortedNeighborhoodBlocker::new(key(), window).candidate_pairs(&external, &local);
+            let pairs = collect_pairs(
+                &SortedNeighborhoodBlocker::new(key(), window),
+                &external,
+                &local,
+            );
             assert_eq!(pairs, expected, "window {window}");
         }
     }
@@ -339,11 +324,11 @@ mod tests {
         let local = crate::store::RecordStore::from_records(&local_records);
         for window in [2, 4, 9] {
             let blocker = SortedNeighborhoodBlocker::new(key(), window);
-            let single = blocker.candidate_pairs(&external, &local);
+            let single = collect_pairs(&blocker, &external, &local);
             for shard_count in [1, 2, 5, 13] {
                 let sharded_store =
                     crate::shard::ShardedStore::from_records(&local_records, shard_count);
-                let sharded = blocker.candidate_pairs_sharded(&external, &sharded_store);
+                let sharded = collect_pairs(&blocker, &external, &sharded_store);
                 assert_eq!(sharded, single, "window {window}, {shard_count} shards");
             }
         }
@@ -367,15 +352,13 @@ mod tests {
                 window: 1,
             };
             assert!(
-                degenerate
-                    .candidate_pairs_sharded(&external, &sharded)
-                    .is_empty(),
+                collect_pairs(&degenerate, &external, &sharded).is_empty(),
                 "{shard_count} shards, window 1"
             );
             // Window larger than the catalog: every local, from every
             // shard, exactly once.
             let all = SortedNeighborhoodBlocker::new(key(), local_records.len() + 5);
-            let pairs = all.candidate_pairs_sharded(&external, &sharded);
+            let pairs = collect_pairs(&all, &external, &sharded);
             let expected: Vec<CandidatePair> = (0..local_records.len()).map(|l| (0, l)).collect();
             assert_eq!(pairs, expected, "{shard_count} shards, full window");
             // An intermediate window takes the nearest locals on both
@@ -383,7 +366,7 @@ mod tests {
             // after PN-000..PN-008 (locals 0..=4) and before
             // PN-010..PN-016 (locals 5..=8).
             let nearest = SortedNeighborhoodBlocker::new(key(), 3);
-            let pairs = nearest.candidate_pairs_sharded(&external, &sharded);
+            let pairs = collect_pairs(&nearest, &external, &sharded);
             assert_eq!(
                 pairs,
                 vec![(0, 3), (0, 4), (0, 5), (0, 6)],

@@ -7,8 +7,8 @@
 //! belong to the same block."
 
 use super::key::BlockingKey;
-use super::{Blocker, CandidatePair, CandidateRuns};
-use crate::shard::{LocalShards, ShardedStore};
+use super::{Blocker, CandidateRuns};
+use crate::shard::LocalShards;
 use crate::store::RecordStore;
 
 /// Key-equality blocking.
@@ -36,30 +36,6 @@ impl Blocker for StandardBlocker {
         "standard-blocking"
     }
 
-    /// The materialising adapter: stream into a single-shard sink and
-    /// sort (the legacy external-major emission order was index-sorted,
-    /// so the output is byte-identical).
-    fn candidate_pairs(&self, external: &RecordStore, local: &RecordStore) -> Vec<CandidatePair> {
-        let mut runs = CandidateRuns::new();
-        self.stream_candidates(external, LocalShards::single(local), &mut runs);
-        let mut pairs = runs.take_shard(0);
-        pairs.sort_unstable();
-        pairs
-    }
-
-    /// The sharded materialising adapter: unlike the trait default this
-    /// extracts the external keys **once**, not once per shard, before
-    /// flattening back to the legacy global-id layout.
-    fn candidate_pairs_sharded(
-        &self,
-        external: &RecordStore,
-        local: &ShardedStore,
-    ) -> Vec<CandidatePair> {
-        let mut runs = CandidateRuns::new();
-        self.stream_candidates(external, local.into(), &mut runs);
-        runs.into_global_pairs(local.into())
-    }
-
     /// Native streaming: the external side's [`KeyIndex`] is built or
     /// fetched **once**; each shard is then probed per external record
     /// (equal-range lookup in the shard's sorted key table), emitting
@@ -68,10 +44,8 @@ impl Blocker for StandardBlocker {
     /// table instead of `len` pairs, so the sink stays O(blocks)
     /// however large the key blocks are. No per-record `String`, no
     /// hash map, no allocation at all once the store-level indexes are
-    /// warm. Probing external-major keeps each run's decoded order
-    /// identical to the legacy per-shard path, which also keeps the
-    /// comparison phase's access pattern (long same-left-record runs)
-    /// cache-friendly.
+    /// warm. Probing external-major keeps the comparison phase's access
+    /// pattern (long same-left-record runs) cache-friendly.
     ///
     /// [`KeyIndex`]: crate::token_index::KeyIndex
     fn stream_candidates(
@@ -117,7 +91,7 @@ impl Blocker for StandardBlocker {
 mod tests {
     use super::*;
     use crate::blocking::test_support::*;
-    use crate::blocking::BlockingStats;
+    use crate::blocking::{collect_pairs, BlockingStats};
     use std::collections::HashSet;
 
     fn key(prefix: usize) -> BlockingKey {
@@ -128,7 +102,7 @@ mod tests {
     fn same_prefix_lands_in_same_block() {
         let (external, local) = small_stores();
         let blocker = StandardBlocker::new(key(4));
-        let pairs = blocker.candidate_pairs(&external, &local);
+        let pairs = collect_pairs(&blocker, &external, &local);
         // ext0 (crcw…) matches loc0 and loc1 shares only "crcw" prefix of length 4:
         // crcw0805 vs crcw0603 → both keys "crcw" → ext0 pairs with loc0, loc1;
         // ext1 idem; ext2 (t83a) with loc2; ext3 (lm31) with loc3.
@@ -146,8 +120,8 @@ mod tests {
     #[test]
     fn longer_prefix_gives_fewer_candidates() {
         let (external, local) = small_stores();
-        let loose = StandardBlocker::new(key(2)).candidate_pairs(&external, &local);
-        let tight = StandardBlocker::new(key(8)).candidate_pairs(&external, &local);
+        let loose = collect_pairs(&StandardBlocker::new(key(2)), &external, &local);
+        let tight = collect_pairs(&StandardBlocker::new(key(8)), &external, &local);
         assert!(tight.len() <= loose.len());
         // With the full 8-char prefix every true pair is still found.
         let true_pairs: HashSet<_> = (0..4).map(|i| (i, i)).collect();
@@ -164,7 +138,7 @@ mod tests {
         )));
         let external = crate::store::RecordStore::from_records(&external);
         let local = crate::store::RecordStore::from_records(&local);
-        let pairs = StandardBlocker::new(key(4)).candidate_pairs(&external, &local);
+        let pairs = collect_pairs(&StandardBlocker::new(key(4)), &external, &local);
         assert!(pairs.iter().all(|(e, _)| *e != 4));
     }
 
@@ -172,24 +146,22 @@ mod tests {
     fn empty_inputs() {
         let (external, local) = empty_stores();
         let blocker = StandardBlocker::new(key(4));
-        assert!(blocker.candidate_pairs(&external, &local).is_empty());
+        assert!(collect_pairs(&blocker, &external, &local).is_empty());
     }
 
     #[test]
     fn sharded_candidates_equal_single_store() {
-        // Key equality is a per-record predicate, so the default
-        // per-shard route must reproduce the single-store set exactly.
+        // Key equality is a per-record predicate, so every sharding must
+        // reproduce the single-store list exactly.
         let (external_records, local_records) = small_dataset();
         let external = crate::store::RecordStore::from_records(&external_records);
         let local = crate::store::RecordStore::from_records(&local_records);
         let blocker = StandardBlocker::new(key(4));
-        let mut single = blocker.candidate_pairs(&external, &local);
-        single.sort_unstable();
+        let single = collect_pairs(&blocker, &external, &local);
         for shard_count in [1, 2, 3, 7] {
             let sharded_store =
                 crate::shard::ShardedStore::from_records(&local_records, shard_count);
-            let mut sharded = blocker.candidate_pairs_sharded(&external, &sharded_store);
-            sharded.sort_unstable();
+            let sharded = collect_pairs(&blocker, &external, &sharded_store);
             assert_eq!(sharded, single, "{shard_count} shards");
         }
     }

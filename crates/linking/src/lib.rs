@@ -10,8 +10,8 @@
 //! head-to-head:
 //!
 //! * [`similarity`] — string similarity measures (Levenshtein,
-//!   Damerau-Levenshtein, Jaro, Jaro-Winkler, Jaccard, Dice, Monge-Elkan,
-//!   TF-IDF cosine), each with an allocation-free scratch-buffer kernel
+//!   Damerau-Levenshtein, Jaro, Jaro-Winkler, Jaccard, Dice,
+//!   Monge-Elkan), each with an allocation-free scratch-buffer kernel
 //!   variant (`*_with(scratch, a, b)`, see [`similarity::SimScratch`]).
 //! * [`token_index`] — store-level token/bigram precomputation: each
 //!   attribute value is tokenised once, so the set-based measures run as
@@ -32,21 +32,20 @@
 //!   class-disjointness filtering and the rule-based blocker that wraps the
 //!   paper's classifier. All of them stream per-shard candidate runs
 //!   ([`blocking::Blocker::stream_candidates`])
-//!   straight into the pipeline's task queues; the materialising
-//!   `candidate_pairs*` APIs remain as thin adapters.
-//! * [`index`] — a small generic inverted index (kept for external
-//!   consumers; bigram blocking now probes the packed posting lists of
-//!   the [`token_index::KeyIndex`]).
+//!   straight into the pipeline's task queues;
+//!   [`blocking::collect_pairs`] decodes them into one sorted
+//!   global-id pair list for tests and reports.
 //! * [`ingest`] — streaming ingestion: the incremental RDF parsers feed
 //!   a subject-grouping adapter that columnarises straight into shard
 //!   builders with bounded transient memory; every `from_graph`
 //!   constructor is a thin wrapper over the same adapter.
 //! * [`shard`] — the sharded catalog: per-shard stores on a shared
-//!   [`intern::SchemaInterner`] with a router mapping
-//!   shard-local ids to global record ids and back.
+//!   [`intern::SchemaInterner`], shard-local ids offsetting to global
+//!   record ids and back.
 //! * [`pipeline`] — blocking → comparison → links, with comparison
 //!   accounting; the comparison phase runs serially, or on a
-//!   work-stealing block scheduler over one store or over all shards.
+//!   work-stealing block scheduler over all shards (a single store is
+//!   one shard).
 //! * [`serve`] — link-as-a-service: a pre-warmed [`serve::Linker`]
 //!   handle answering single-record probes through the batch code path
 //!   (bit-identical links), over a catalog swapped atomically by epoch
@@ -64,6 +63,7 @@
 //! use classilink_linking::pipeline::LinkagePipeline;
 //! use classilink_linking::record::Record;
 //! use classilink_linking::similarity::SimilarityMeasure;
+//! use classilink_linking::store::RecordStore;
 //! use classilink_rdf::Term;
 //!
 //! let pn = "http://example.org/vocab#partNumber";
@@ -74,7 +74,9 @@
 //!
 //! let blocker = StandardBlocker::new(BlockingKey::shared(pn, 4));
 //! let comparator = RecordComparator::single(pn, pn, SimilarityMeasure::JaroWinkler);
-//! let result = LinkagePipeline::new(&blocker, &comparator).run(&[external], &[local]);
+//! let external = RecordStore::from_records(&[external]);
+//! let local = RecordStore::from_records(&[local]);
+//! let result = LinkagePipeline::new(&blocker, &comparator).run_sharded(&external, &local);
 //! assert_eq!(result.matches.len(), 1);
 //! ```
 
@@ -83,7 +85,6 @@
 pub mod blocking;
 pub mod comparator;
 pub mod error;
-pub mod index;
 pub mod ingest;
 pub mod intern;
 pub mod persist;
@@ -104,7 +105,6 @@ pub use comparator::{
     AttributeRule, Comparison, CompiledComparator, LeftHoist, MatchDecision, RecordComparator,
 };
 pub use error::{LinkError, LinkResult};
-pub use index::InvertedIndex;
 pub use ingest::{FeedFormat, FeedIngest, RecordSink, SubjectGrouper};
 pub use intern::{PropertyId, PropertyInterner, SchemaInterner};
 pub use persist::{CatalogSnapshot, PersistError, RecoveryReport, SnapshotReceipt};

@@ -9,7 +9,7 @@
 //! The comparison phase runs on the columnar [`RecordStore`]: the
 //! comparator is compiled once (property IRIs → interned ids), and the
 //! candidates are scored by a **work-stealing run-block scheduler** —
-//! every store (or every shard of a [`ShardedStore`], see
+//! every shard of the catalog (a single store is one shard, see
 //! [`LinkagePipeline::run_sharded`]) contributes a task queue of
 //! run-length [`CandidateBlock`]s with a comparison-count prefix sum;
 //! workers claim the next `STEAL_BLOCK` **comparisons** with one atomic
@@ -35,8 +35,7 @@
 use crate::blocking::{Blocker, CandidateBlock, CandidateRuns, LocalRun};
 use crate::comparator::{CompiledComparator, LeftHoist, MatchDecision, RecordComparator};
 use crate::error::{panic_payload, LinkError, LinkResult};
-use crate::record::Record;
-use crate::shard::{LocalShards, ShardedStore};
+use crate::shard::LocalShards;
 use crate::similarity::SimScratch;
 use crate::store::RecordStore;
 use classilink_rdf::Term;
@@ -115,64 +114,10 @@ impl<'a> LinkagePipeline<'a> {
         self
     }
 
-    /// Columnarise two record slices and run the pipeline (the mechanical
-    /// migration path for `&[Record]` call sites; store-holding callers
-    /// should use [`run_stores`](Self::run_stores)).
-    pub fn run(&self, external: &[Record], local: &[Record]) -> LinkageResult {
-        self.run_stores(
-            &RecordStore::from_records(external),
-            &RecordStore::from_records(local),
-        )
-    }
-
-    /// Run blocking and comparison over two record stores.
-    ///
-    /// Blocking streams (see [`Blocker::stream_candidates`]): the
-    /// monolithic store is a single-shard view whose candidate run *is*
-    /// the comparison task queue.
-    ///
-    /// Panics on a contained fault — the fault-tolerant entry point is
-    /// [`try_run_stores`](Self::try_run_stores).
-    pub fn run_stores(&self, external: &RecordStore, local: &RecordStore) -> LinkageResult {
-        self.try_run_stores(external, local)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`run_stores`](Self::run_stores): a panic inside the
-    /// blocking or comparison phase is caught at the phase boundary and
-    /// returned as a [`LinkError`] instead of unwinding into the caller.
-    /// The stores and their lazily built indexes stay valid — a clean
-    /// retry is bit-identical to a never-faulted run.
-    pub fn try_run_stores(
-        &self,
-        external: &RecordStore,
-        local: &RecordStore,
-    ) -> LinkResult<LinkageResult> {
-        let mut runs = CandidateRuns::new();
-        self.stream_blocking(external, LocalShards::single(local), &mut runs)?;
-        let naive_pairs = external.len() as u64 * local.len() as u64;
-        let compiled = self.comparator.compile(external, local);
-        if compiled.uses_token_index() {
-            // Build the token indexes before the workers start, so the
-            // per-pair loop only ever sees the cached index.
-            external.token_index();
-            local.token_index();
-        }
-        // A monolithic store is one task queue; workers still steal
-        // comparison ranges from it instead of folding fixed
-        // `len / threads` chunks, so stragglers no longer serialise the
-        // join.
-        let comparisons = runs.total() as usize;
-        let queues = [TaskQueue::new(local, 0, &runs, 0, external.len())];
-        let (matches, possible) = self.score(&compiled, external, &queues, comparisons)?;
-        Ok(
-            self.finish(matches, possible, comparisons, naive_pairs, external, |l| {
-                local.id(l)
-            }),
-        )
-    }
-
-    /// Run blocking and comparison against a sharded catalog.
+    /// Run blocking and comparison against a catalog — a
+    /// [`ShardedStore`](crate::shard::ShardedStore), or a single
+    /// [`RecordStore`] viewed as one shard (both convert into
+    /// [`LocalShards`]).
     ///
     /// Blocking **streams per-shard candidate runs** (shard-local ids,
     /// see [`Blocker::stream_candidates`]) straight into the
@@ -181,52 +126,39 @@ impl<'a> LinkagePipeline<'a> {
     /// id is routed back through the offset table's binary search — the
     /// sum of run lengths is the comparison count. The comparator is
     /// compiled **once** against the shared schema and reused by every
-    /// worker on every shard. Output is byte-identical to
-    /// [`run_stores`](Self::run_stores) on the equivalent single store.
+    /// worker on every shard. Output is byte-identical however the
+    /// catalog is sharded.
     ///
     /// Panics on a contained fault — the fault-tolerant entry point is
     /// [`try_run_sharded`](Self::try_run_sharded).
-    pub fn run_sharded(&self, external: &RecordStore, local: &ShardedStore) -> LinkageResult {
+    pub fn run_sharded<'s>(
+        &self,
+        external: &RecordStore,
+        local: impl Into<LocalShards<'s>>,
+    ) -> LinkageResult {
         self.try_run_sharded(external, local)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`run_sharded`](Self::run_sharded): see
-    /// [`try_run_stores`](Self::try_run_stores) for the containment
-    /// contract.
-    pub fn try_run_sharded(
+    /// Fallible [`run_sharded`](Self::run_sharded): a panic inside the
+    /// blocking or comparison phase is caught at the phase boundary and
+    /// returned as a [`LinkError`] instead of unwinding into the caller.
+    /// The stores and their lazily built indexes stay valid — a clean
+    /// retry is bit-identical to a never-faulted run.
+    pub fn try_run_sharded<'s>(
         &self,
         external: &RecordStore,
-        local: &ShardedStore,
+        local: impl Into<LocalShards<'s>>,
     ) -> LinkResult<LinkageResult> {
-        let mut runs = CandidateRuns::new();
-        self.stream_blocking(external, local.into(), &mut runs)?;
-        let naive_pairs = external.len() as u64 * local.len() as u64;
-        let compiled = self
-            .comparator
-            .compile_schemas(external.interner(), local.schema());
-        if compiled.uses_token_index() {
-            external.token_index();
-            for shard in local.shards() {
-                shard.token_index();
-            }
-        }
-        let comparisons = runs.total() as usize;
-        let queues: Vec<TaskQueue<'_>> = (0..local.shard_count())
-            .map(|s| TaskQueue::new(local.shard(s), local.offset(s), &runs, s, external.len()))
-            .collect();
-        let (matches, possible) = self.score(&compiled, external, &queues, comparisons)?;
-        Ok(
-            self.finish(matches, possible, comparisons, naive_pairs, external, |l| {
-                local.id(l)
-            }),
-        )
+        self.try_run_sharded_delta(external, local, 0)
     }
 
     /// Incremental linking against an appended catalog: link `external`
     /// only against the records of shards `first_new_shard..` (the
-    /// shards a [`ShardedStore::append_shards`] just added), reusing the
-    /// cached key/bigram/token artifacts of the untouched shards.
+    /// shards a
+    /// [`ShardedStore::append_shards`](crate::shard::ShardedStore::append_shards)
+    /// just added), reusing the cached key/bigram/token artifacts of the
+    /// untouched shards.
     ///
     /// The result is **bit-identical to the new-shard slice of a full
     /// re-run**: the same `(external, local, score)` links
@@ -241,10 +173,10 @@ impl<'a> LinkagePipeline<'a> {
     ///
     /// Panics on a contained fault — the fault-tolerant entry point is
     /// [`try_run_sharded_delta`](Self::try_run_sharded_delta).
-    pub fn run_sharded_delta(
+    pub fn run_sharded_delta<'s>(
         &self,
         external: &RecordStore,
-        local: &ShardedStore,
+        local: impl Into<LocalShards<'s>>,
         first_new_shard: usize,
     ) -> LinkageResult {
         self.try_run_sharded_delta(external, local, first_new_shard)
@@ -252,19 +184,21 @@ impl<'a> LinkagePipeline<'a> {
     }
 
     /// Fallible [`run_sharded_delta`](Self::run_sharded_delta): see
-    /// [`try_run_stores`](Self::try_run_stores) for the containment
-    /// contract. A `first_new_shard` at or past the shard count is an
-    /// empty delta (zero comparisons), not an error.
-    pub fn try_run_sharded_delta(
+    /// [`try_run_sharded`](Self::try_run_sharded) for the containment
+    /// contract. A `first_new_shard` of 0 is the full run; one at or
+    /// past the shard count is an empty delta (zero comparisons), not an
+    /// error.
+    pub fn try_run_sharded_delta<'s>(
         &self,
         external: &RecordStore,
-        local: &ShardedStore,
+        local: impl Into<LocalShards<'s>>,
         first_new_shard: usize,
     ) -> LinkResult<LinkageResult> {
+        let local = local.into();
         let first = first_new_shard.min(local.shard_count());
         let mut runs = CandidateRuns::new();
         runs.restrict_to_shards_from(first);
-        self.stream_blocking(external, local.into(), &mut runs)?;
+        self.stream_blocking(external, local, &mut runs)?;
         let delta_len = if first == local.shard_count() {
             0
         } else {
@@ -275,11 +209,13 @@ impl<'a> LinkagePipeline<'a> {
             .comparator
             .compile_schemas(external.interner(), local.schema());
         if compiled.uses_token_index() {
+            // Build the token indexes before the workers start, so the
+            // per-pair loop only ever sees the cached index. Only the
+            // shards from `first` on can be cold; an old shard's index
+            // was built by the full run (or a previous delta).
             external.token_index();
-            // Only the new shards can be cold; an old shard's index was
-            // built by the full run (or a previous delta) and is cached.
-            for shard in &local.shards()[first..] {
-                shard.token_index();
+            for s in first..local.shard_count() {
+                local.shard(s).token_index();
             }
         }
         let comparisons = runs.total() as usize;
@@ -287,11 +223,7 @@ impl<'a> LinkagePipeline<'a> {
             .map(|s| TaskQueue::new(local.shard(s), local.offset(s), &runs, s, external.len()))
             .collect();
         let (matches, possible) = self.score(&compiled, external, &queues, comparisons)?;
-        Ok(
-            self.finish(matches, possible, comparisons, naive_pairs, external, |l| {
-                local.id(l)
-            }),
-        )
+        Ok(self.finish(matches, possible, comparisons, naive_pairs, external, local))
     }
 
     /// The blocking failure domain: stream candidates into `runs`,
@@ -358,16 +290,15 @@ impl<'a> LinkagePipeline<'a> {
         }
     }
 
-    /// Sort, account and materialise the result (shared tail of the
-    /// store and sharded paths).
-    fn finish<'t>(
+    /// Sort, account and materialise the result.
+    fn finish(
         &self,
         mut matches: Vec<ScoredPair>,
         mut possible: Vec<ScoredPair>,
         comparisons: usize,
         naive_pairs: u64,
         external: &RecordStore,
-        local_id: impl Fn(usize) -> &'t Term,
+        local: LocalShards<'_>,
     ) -> LinkageResult {
         // Deterministic output regardless of blocker emission order or
         // steal interleaving: sort by index pair, not by cloned terms.
@@ -380,8 +311,8 @@ impl<'a> LinkagePipeline<'a> {
             1.0 - comparisons as f64 / naive_pairs as f64
         };
         LinkageResult {
-            matches: materialise(&matches, external, &local_id),
-            possible: materialise(&possible, external, &local_id),
+            matches: materialise(&matches, external, local),
+            possible: materialise(&possible, external, local),
             comparisons,
             naive_pairs,
             reduction_ratio,
@@ -722,16 +653,12 @@ fn score_one(
 }
 
 /// Clone terms only for the pairs that became links.
-fn materialise<'t>(
-    pairs: &[ScoredPair],
-    external: &RecordStore,
-    local_id: impl Fn(usize) -> &'t Term,
-) -> Vec<Link> {
+fn materialise(pairs: &[ScoredPair], external: &RecordStore, local: LocalShards<'_>) -> Vec<Link> {
     pairs
         .iter()
         .map(|&(e, l, score)| Link {
             external: external.id(e).clone(),
-            local: local_id(l).clone(),
+            local: local.id(l).clone(),
             score,
         })
         .collect()
@@ -742,6 +669,7 @@ mod tests {
     use super::*;
     use crate::blocking::test_support::*;
     use crate::blocking::{BlockingKey, CartesianBlocker, StandardBlocker};
+    use crate::record::Record;
     use crate::similarity::SimilarityMeasure;
 
     fn comparator() -> RecordComparator {
@@ -749,11 +677,23 @@ mod tests {
             .with_thresholds(0.95, 0.7)
     }
 
+    /// Columnarise both sides and link them as one shard.
+    fn run(pipeline: &LinkagePipeline<'_>, external: &[Record], local: &[Record]) -> LinkageResult {
+        pipeline.run_sharded(
+            &RecordStore::from_records(external),
+            &RecordStore::from_records(local),
+        )
+    }
+
     #[test]
     fn cartesian_pipeline_finds_all_true_links() {
         let (external, local) = small_dataset();
         let cmp = comparator();
-        let result = LinkagePipeline::new(&CartesianBlocker, &cmp).run(&external, &local);
+        let result = run(
+            &LinkagePipeline::new(&CartesianBlocker, &cmp),
+            &external,
+            &local,
+        );
         assert_eq!(result.comparisons, 20);
         assert_eq!(result.naive_pairs, 20);
         assert_eq!(result.reduction_ratio, 0.0);
@@ -770,23 +710,10 @@ mod tests {
         let (external, local) = small_dataset();
         let cmp = comparator();
         let blocker = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
-        let result = LinkagePipeline::new(&blocker, &cmp).run(&external, &local);
+        let result = run(&LinkagePipeline::new(&blocker, &cmp), &external, &local);
         assert!(result.comparisons < 20);
         assert!(result.reduction_ratio > 0.0);
         assert_eq!(result.matches.len(), 4);
-    }
-
-    #[test]
-    fn run_on_stores_matches_run_on_records() {
-        let (external, local) = small_dataset();
-        let cmp = comparator();
-        let pipeline = LinkagePipeline::new(&CartesianBlocker, &cmp);
-        let from_records = pipeline.run(&external, &local);
-        let from_stores = pipeline.run_stores(
-            &RecordStore::from_records(&external),
-            &RecordStore::from_records(&local),
-        );
-        assert_eq!(from_records, from_stores);
     }
 
     #[test]
@@ -795,7 +722,11 @@ mod tests {
         external.push(ext_record(4, "CRCW0805-10X")); // near-miss of local 0
         let cmp = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::JaroWinkler)
             .with_thresholds(0.99, 0.9);
-        let result = LinkagePipeline::new(&CartesianBlocker, &cmp).run(&external, &local);
+        let result = run(
+            &LinkagePipeline::new(&CartesianBlocker, &cmp),
+            &external,
+            &local,
+        );
         assert!(!result.possible.is_empty());
         assert!(result
             .possible
@@ -814,10 +745,16 @@ mod tests {
             .collect();
         let cmp = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::Levenshtein)
             .with_thresholds(0.99, 0.5);
-        let serial = LinkagePipeline::new(&CartesianBlocker, &cmp).run(&external, &local);
-        let parallel = LinkagePipeline::new(&CartesianBlocker, &cmp)
-            .with_threads(4)
-            .run(&external, &local);
+        let serial = run(
+            &LinkagePipeline::new(&CartesianBlocker, &cmp),
+            &external,
+            &local,
+        );
+        let parallel = run(
+            &LinkagePipeline::new(&CartesianBlocker, &cmp).with_threads(4),
+            &external,
+            &local,
+        );
         // Index-sorted output makes the two runs byte-identical.
         assert_eq!(serial, parallel);
     }
@@ -825,7 +762,7 @@ mod tests {
     #[test]
     fn empty_inputs_give_empty_result() {
         let cmp = comparator();
-        let result = LinkagePipeline::new(&CartesianBlocker, &cmp).run(&[], &[]);
+        let result = run(&LinkagePipeline::new(&CartesianBlocker, &cmp), &[], &[]);
         assert_eq!(result.comparisons, 0);
         assert!(result.matches.is_empty());
         assert_eq!(result.reduction_ratio, 0.0);
@@ -849,18 +786,26 @@ mod tests {
         let cmp = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::Levenshtein)
             .with_thresholds(0.99, 0.5);
         let external_store = RecordStore::from_records(&external);
+        let local_store = RecordStore::from_records(&local);
         let serial = LinkagePipeline::new(&CartesianBlocker, &cmp)
-            .run_stores(&external_store, &RecordStore::from_records(&local));
-        // Shard counts chosen to cover even, uneven and empty shards,
-        // serial and work-stealing comparison phases.
-        for shard_count in [1, 3, 7, 41] {
-            for threads in [1, 4] {
+            .run_sharded(&external_store, &local_store);
+        assert_eq!(serial.comparisons, 1600);
+        assert_eq!(serial.matches.len(), 40);
+        for threads in [1, 4] {
+            let pipeline = LinkagePipeline::new(&CartesianBlocker, &cmp).with_threads(threads);
+            // A single store is a one-shard view through the same entry
+            // point, serial or work-stealing.
+            assert_eq!(
+                serial,
+                pipeline.run_sharded(&external_store, &local_store),
+                "single store, {threads} threads mismatch"
+            );
+            // Shard counts chosen to cover even, uneven and empty shards.
+            for shard_count in [1, 3, 7, 41] {
                 let sharded = crate::shard::ShardedStore::from_records(&local, shard_count);
-                let result = LinkagePipeline::new(&CartesianBlocker, &cmp)
-                    .with_threads(threads)
-                    .run_sharded(&external_store, &sharded);
                 assert_eq!(
-                    serial, result,
+                    serial,
+                    pipeline.run_sharded(&external_store, &sharded),
                     "{shard_count} shards, {threads} threads mismatch"
                 );
             }

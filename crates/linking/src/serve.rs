@@ -52,7 +52,7 @@ use crate::intern::{PropertyId, SchemaInterner};
 use crate::persist::{CatalogSnapshot, RecoveryReport, SnapshotReceipt};
 use crate::pipeline::{score_range, Link, ScoredPair, TaskQueue};
 use crate::record::Record;
-use crate::shard::{LocalShards, ShardedStore, ShardedStoreBuilder};
+use crate::shard::{ShardedStore, ShardedStoreBuilder};
 use crate::similarity::SimScratch;
 use crate::store::RecordStore;
 use std::cell::RefCell;
@@ -335,7 +335,7 @@ impl<'a> Linker<'a> {
             // equivalent to warming the whole catalog — minus the
             // old-shard probes, which are already warm.
             for s in first_new..appended.shard_count() {
-                self.blocker.warm(LocalShards::single(appended.shard(s)));
+                self.blocker.warm(appended.shard(s).into());
             }
             Ok(CatalogEpoch {
                 sequence: 0, // provisional; `publish` assigns the real one

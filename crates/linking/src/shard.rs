@@ -11,25 +11,22 @@
 //! * **Global ids are stable.** Shard `s` holds the records
 //!   `offsets[s] .. offsets[s + 1]` of the logical catalog, so the global
 //!   id of shard-local record `i` is simply `offsets[s] + i` — the same
-//!   index the record would have in the equivalent single store. Blockers
-//!   run per shard and their `(external, local)` pairs are offset back to
-//!   global ids by the router; results stay byte-identical to the
-//!   single-store run.
+//!   index the record would have in the equivalent single store.
+//!   Blockers emit shard-local ids and links are offset back to global
+//!   ids; results stay byte-identical to the single-store run.
 //! * **One schema, one compile.** Because every shard shares the schema,
 //!   a [`CompiledComparator`](crate::comparator::CompiledComparator) or a
 //!   resolved [`KeySide`](crate::blocking::KeySide) is compiled **once**
 //!   and is valid against every shard (and against sibling stores of the
 //!   same scenario batch).
-//! * **Routing is a binary search.** [`ShardedStore::locate`] maps a
-//!   global id back to `(shard, local)` by binary-searching the offset
-//!   table; [`ShardedStore::route`] splits a global candidate list into
-//!   per-shard lists the same way. The pipeline itself no longer routes:
-//!   blockers **stream** per-shard runs of shard-local pairs directly
-//!   into the work-stealing task queues (see
+//! * **No routing on the hot path.** Blockers **stream** per-shard runs
+//!   of shard-local pairs directly into the work-stealing task queues
+//!   (see
 //!   [`Blocker::stream_candidates`](crate::blocking::Blocker::stream_candidates)
 //!   and
 //!   [`LinkagePipeline::run_sharded`](crate::pipeline::LinkagePipeline::run_sharded));
-//!   routing remains for legacy materialised candidate lists.
+//!   [`ShardedStore::locate`] maps a global id back to `(shard, local)`
+//!   by binary-searching the offset table, once per surviving link.
 //!
 //! Each shard, being a plain [`RecordStore`], also owns its lazily-built
 //! [`TokenIndex`](crate::token_index::TokenIndex); when the compiled
@@ -46,11 +43,9 @@
 //!  offsets = [0, 5, 9, 10]
 //!
 //!  blocker on (external, shard 1) emits (e, 2)
-//!  router offsets it to            (e, offsets[1] + 2) = (e, 7)
-//!  route() sends (e, 7) back to shard 1 as (e, 7 - offsets[1])
+//!  a link on it reports global id  (e, offsets[1] + 2) = (e, 7)
 //! ```
 
-use crate::blocking::CandidatePair;
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
@@ -236,19 +231,6 @@ impl ShardedStore {
             .find_map(|(shard, offset)| Some(offset + shard.index_of(id)?))
     }
 
-    /// Split a global candidate list into per-shard lists of
-    /// **shard-local** pairs — the task queues of the work-stealing
-    /// comparison phase. `route(pairs)[s]` preserves the relative order
-    /// of `pairs` within shard `s`.
-    pub fn route(&self, pairs: &[CandidatePair]) -> Vec<Vec<CandidatePair>> {
-        let mut routed = vec![Vec::new(); self.shard_count()];
-        for &(e, l) in pairs {
-            let (shard, local) = self.locate(l);
-            routed[shard].push((e, local));
-        }
-        routed
-    }
-
     /// Concatenate the shards back into one monolithic store (global ids
     /// become plain indexes). Mostly useful for tests and for feeding
     /// APIs that predate sharding; costs a full re-columnarisation.
@@ -362,10 +344,9 @@ impl ShardedStore {
 /// [`Blocker::stream_candidates`](crate::blocking::Blocker::stream_candidates)
 /// API.
 ///
-/// The two constructors cover both pipeline entry points: a monolithic
-/// [`RecordStore`] is *one* shard at offset 0
-/// ([`LocalShards::single`]), and a [`ShardedStore`] contributes its
-/// shard list, offset table and shared schema (`From<&ShardedStore>`).
+/// A monolithic [`RecordStore`] is *one* shard at offset 0
+/// (`From<&RecordStore>`), and a [`ShardedStore`] contributes its shard
+/// list, offset table and shared schema (`From<&ShardedStore>`).
 /// Blockers iterate [`iter`](Self::iter) and emit **shard-local**
 /// ids; [`offset`](Self::offset) recovers global ids when a blocker
 /// (sorted neighbourhood) needs the global ordering during blocking.
@@ -379,11 +360,6 @@ enum ShardsInner<'a> {
 }
 
 impl<'a> LocalShards<'a> {
-    /// View a monolithic store as a single shard at offset 0.
-    pub fn single(store: &'a RecordStore) -> Self {
-        LocalShards(ShardsInner::Single(store))
-    }
-
     /// Number of shards (≥ 1).
     pub fn shard_count(&self) -> usize {
         match self.0 {
@@ -438,14 +414,19 @@ impl<'a> LocalShards<'a> {
         }
     }
 
-    /// The backing [`ShardedStore`], when this view was built from one.
-    /// The default [`Blocker::stream_candidates`](crate::blocking::Blocker::stream_candidates)
-    /// uses it to adapt legacy `candidate_pairs_sharded` overrides.
-    pub fn sharded(&self) -> Option<&'a ShardedStore> {
+    /// The item identifier of the record with this global id.
+    pub(crate) fn id(&self, global: usize) -> &'a Term {
         match self.0 {
-            ShardsInner::Single(_) => None,
-            ShardsInner::Sharded(s) => Some(s),
+            ShardsInner::Single(store) => store.id(global),
+            ShardsInner::Sharded(s) => s.id(global),
         }
+    }
+}
+
+impl<'a> From<&'a RecordStore> for LocalShards<'a> {
+    /// View a monolithic store as a single shard at offset 0.
+    fn from(store: &'a RecordStore) -> Self {
+        LocalShards(ShardsInner::Single(store))
     }
 }
 
@@ -754,16 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn route_splits_and_localises_pairs() {
-        let sharded = ShardedStore::from_records(&records(6), 3); // shards of 2
-        let pairs = vec![(0, 0), (1, 3), (2, 5), (3, 1)];
-        let routed = sharded.route(&pairs);
-        assert_eq!(routed[0], vec![(0, 0), (3, 1)]);
-        assert_eq!(routed[1], vec![(1, 1)]);
-        assert_eq!(routed[2], vec![(2, 1)]);
-    }
-
-    #[test]
     fn from_graph_matches_single_store_order() {
         let mut g = Graph::new();
         for i in 0..5 {
@@ -804,14 +775,13 @@ mod tests {
     fn local_shards_views_agree_with_their_backing() {
         let records = records(7);
         let single_store = RecordStore::from_records(&records);
-        let single = LocalShards::single(&single_store);
+        let single = LocalShards::from(&single_store);
         assert_eq!(single.shard_count(), 1);
         assert_eq!(single.len(), 7);
         assert!(!single.is_empty());
         assert_eq!(single.offset(0), 0);
         assert!(std::ptr::eq(single.shard(0), &single_store));
         assert!(std::ptr::eq(single.schema(), single_store.interner()));
-        assert!(single.sharded().is_none());
 
         let sharded_store = ShardedStore::from_records(&records, 3);
         let sharded = LocalShards::from(&sharded_store);
@@ -823,10 +793,9 @@ mod tests {
             assert!(std::ptr::eq(sharded.shard(s), sharded_store.shard(s)));
         }
         assert!(std::ptr::eq(sharded.schema(), sharded_store.schema()));
-        assert!(sharded.sharded().is_some());
 
         let empty_store = RecordStore::from_records(&[]);
-        assert!(LocalShards::single(&empty_store).is_empty());
+        assert!(LocalShards::from(&empty_store).is_empty());
     }
 
     #[test]
@@ -949,7 +918,6 @@ mod tests {
         let store = ShardedStore::builder().build();
         assert_eq!(store.shard_count(), 1);
         assert!(store.is_empty());
-        assert!(store.route(&[]).iter().all(Vec::is_empty));
     }
 
     #[test]

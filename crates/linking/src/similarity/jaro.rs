@@ -232,21 +232,6 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     jaro_winkler_with(&mut SimScratch::new(), a, b)
 }
 
-/// Jaro-Winkler with an explicit prefix scaling factor and maximum prefix
-/// length. The scaling factor is clamped to `[0, 0.25]` so the result stays
-/// within `[0, 1]`.
-pub fn jaro_winkler_params(a: &str, b: &str, prefix_scale: f64, max_prefix: usize) -> f64 {
-    let base = jaro(a, b);
-    let scale = prefix_scale.clamp(0.0, 0.25);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(max_prefix)
-        .take_while(|(x, y)| x == y)
-        .count() as f64;
-    base + prefix * scale * (1.0 - base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,14 +267,6 @@ mod tests {
         assert!(jw > j);
         // No shared prefix → no boost.
         assert_eq!(jaro("XDELTA", "DELTAX"), jaro_winkler("XDELTA", "DELTAX"));
-    }
-
-    #[test]
-    fn custom_prefix_scale_is_clamped() {
-        let huge = jaro_winkler_params("prefix-match", "prefix-xxxxx", 5.0, 4);
-        assert!(huge <= 1.0);
-        let none = jaro_winkler_params("prefix-match", "prefix-xxxxx", 0.0, 4);
-        assert!(close(none, jaro("prefix-match", "prefix-xxxxx")));
     }
 
     #[test]

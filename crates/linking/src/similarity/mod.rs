@@ -26,12 +26,9 @@ pub use edit::{
     damerau_levenshtein_with, levenshtein, levenshtein_similarity, levenshtein_similarity_with,
     levenshtein_with,
 };
-pub use jaro::{jaro, jaro_winkler, jaro_winkler_params, jaro_winkler_with, jaro_with};
+pub use jaro::{jaro, jaro_winkler, jaro_winkler_with, jaro_with};
 pub use scratch::SimScratch;
-pub use token::{
-    cosine_tfidf, dice_bigrams, jaccard_chars, jaccard_tokens, monge_elkan, overlap_tokens,
-    TfIdfModel,
-};
+pub use token::{dice_bigrams, jaccard_chars, jaccard_tokens, monge_elkan};
 
 use serde::{Deserialize, Serialize};
 

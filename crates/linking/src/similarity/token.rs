@@ -1,5 +1,4 @@
-//! Token- and set-based similarities: Jaccard, Dice, overlap, Monge-Elkan and
-//! TF-IDF cosine.
+//! Token- and set-based similarities: Jaccard, Dice and Monge-Elkan.
 //!
 //! # Tokenisation and bigram conventions
 //!
@@ -18,7 +17,7 @@
 //! [`crate::token_index`].
 
 use super::jaro::jaro_winkler;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The shared tokenisation: lowercased alphanumeric runs, in order of
 /// appearance (duplicates preserved).
@@ -108,20 +107,6 @@ pub fn dice_bigrams(a: &str, b: &str) -> f64 {
     2.0 * intersection / (sa.len() + sb.len()) as f64
 }
 
-/// Overlap coefficient over tokens: `|A∩B| / min(|A|, |B|)`.
-pub fn overlap_tokens(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = tokens(a).into_iter().collect();
-    let sb: HashSet<String> = tokens(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let min = sa.len().min(sb.len()) as f64;
-    if min == 0.0 {
-        return 0.0;
-    }
-    sa.intersection(&sb).count() as f64 / min
-}
-
 /// Monge-Elkan similarity: for each token of `a`, take its best
 /// Jaro-Winkler match among the tokens of `b`, then average; symmetrised by
 /// taking the mean of both directions.
@@ -141,82 +126,6 @@ pub fn monge_elkan(a: &str, b: &str) -> f64 {
             / xs.len() as f64
     };
     (directed(&ta, &tb) + directed(&tb, &ta)) / 2.0
-}
-
-/// A TF-IDF vector-space model built over a corpus of strings, used to
-/// compute soft cosine similarities that down-weight ubiquitous tokens
-/// (e.g. a manufacturer name appearing in every part description).
-#[derive(Debug, Clone, Default)]
-pub struct TfIdfModel {
-    document_count: usize,
-    document_frequency: HashMap<String, usize>,
-}
-
-impl TfIdfModel {
-    /// Build the model from a corpus of documents.
-    pub fn fit<'a>(corpus: impl IntoIterator<Item = &'a str>) -> Self {
-        let mut document_frequency: HashMap<String, usize> = HashMap::new();
-        let mut document_count = 0usize;
-        for doc in corpus {
-            document_count += 1;
-            let unique: HashSet<String> = tokens(doc).into_iter().collect();
-            for t in unique {
-                *document_frequency.entry(t).or_insert(0) += 1;
-            }
-        }
-        TfIdfModel {
-            document_count,
-            document_frequency,
-        }
-    }
-
-    /// Number of documents the model was fitted on.
-    pub fn document_count(&self) -> usize {
-        self.document_count
-    }
-
-    /// The smoothed inverse document frequency of a token.
-    pub fn idf(&self, token: &str) -> f64 {
-        let df = self.document_frequency.get(token).copied().unwrap_or(0);
-        (((self.document_count + 1) as f64) / ((df + 1) as f64)).ln() + 1.0
-    }
-
-    fn vector(&self, s: &str) -> HashMap<String, f64> {
-        let mut tf: HashMap<String, f64> = HashMap::new();
-        for t in tokens(s) {
-            *tf.entry(t).or_insert(0.0) += 1.0;
-        }
-        for (token, value) in tf.iter_mut() {
-            *value *= self.idf(token);
-        }
-        tf
-    }
-
-    /// TF-IDF cosine similarity between two strings under this model.
-    pub fn cosine(&self, a: &str, b: &str) -> f64 {
-        let va = self.vector(a);
-        let vb = self.vector(b);
-        if va.is_empty() && vb.is_empty() {
-            return 1.0;
-        }
-        let dot: f64 = va
-            .iter()
-            .filter_map(|(t, x)| vb.get(t).map(|y| x * y))
-            .sum();
-        let norm_a: f64 = va.values().map(|x| x * x).sum::<f64>().sqrt();
-        let norm_b: f64 = vb.values().map(|x| x * x).sum::<f64>().sqrt();
-        if norm_a == 0.0 || norm_b == 0.0 {
-            return 0.0;
-        }
-        (dot / (norm_a * norm_b)).clamp(0.0, 1.0)
-    }
-}
-
-/// TF-IDF cosine with a degenerate model (every token has equal weight).
-/// Convenient when no corpus is available; equivalent to plain cosine over
-/// token counts.
-pub fn cosine_tfidf(a: &str, b: &str) -> f64 {
-    TfIdfModel::default().cosine(a, b)
 }
 
 #[cfg(test)]
@@ -263,14 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_is_one_for_subset() {
-        assert_eq!(overlap_tokens("fixed film resistor 10k", "fixed film"), 1.0);
-        assert_eq!(overlap_tokens("abc", "xyz"), 0.0);
-        assert_eq!(overlap_tokens("", ""), 1.0);
-        assert_eq!(overlap_tokens("abc", ""), 0.0);
-    }
-
-    #[test]
     fn monge_elkan_tolerates_token_typos() {
         let a = "vishay fixed film resistor";
         let b = "vishai fixd film resistor";
@@ -280,37 +181,11 @@ mod tests {
         assert!(monge_elkan("abc def", "abc def") > 0.999);
     }
 
-    #[test]
-    fn tfidf_downweights_common_tokens() {
-        let corpus = [
-            "ACME fixed film resistor 10k",
-            "ACME tantalum capacitor 22uF",
-            "ACME wirewound resistor 5W",
-            "ACME ceramic capacitor 100nF",
-        ];
-        let model = TfIdfModel::fit(corpus.iter().copied());
-        assert_eq!(model.document_count(), 4);
-        // "acme" appears everywhere → low idf; "tantalum" is rare → high idf.
-        assert!(model.idf("acme") < model.idf("tantalum"));
-        // Sharing only the ubiquitous token scores lower than sharing a rare one.
-        let common_only = model.cosine("ACME bolt", "ACME nut");
-        let rare_shared = model.cosine("tantalum capacitor", "tantalum 22uF");
-        assert!(rare_shared > common_only);
-    }
-
-    #[test]
-    fn plain_cosine_behaviour() {
-        assert_eq!(cosine_tfidf("a b c", "a b c"), 1.0);
-        assert_eq!(cosine_tfidf("", ""), 1.0);
-        assert_eq!(cosine_tfidf("abc", ""), 0.0);
-        assert!(cosine_tfidf("a b", "b c") > 0.0);
-    }
-
     proptest! {
         /// Set-based measures stay within [0,1], are symmetric and reflexive.
         #[test]
         fn prop_token_measures(a in "[a-z0-9 ]{0,25}", b in "[a-z0-9 ]{0,25}") {
-            for f in [jaccard_tokens, jaccard_chars, dice_bigrams, overlap_tokens, monge_elkan, cosine_tfidf] {
+            for f in [jaccard_tokens, jaccard_chars, dice_bigrams, monge_elkan] {
                 let ab = f(&a, &b);
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&ab));
                 prop_assert!((ab - f(&b, &a)).abs() < 1e-9);

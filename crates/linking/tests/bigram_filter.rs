@@ -119,7 +119,7 @@ proptest! {
                 let mut runs = CandidateRuns::new();
                 blocker.stream_candidates(&external, (&sharded).into(), &mut runs);
                 for s in 0..shards {
-                    let mut streamed = runs.take_shard(s);
+                    let mut streamed: Vec<(usize, usize)> = runs.pairs(s).collect();
                     streamed.sort_unstable();
                     let expected = reference_pairs(&key, threshold, &external, sharded.shard(s));
                     prop_assert_eq!(

@@ -156,7 +156,7 @@ fn watchdog_run(kind: BlockerKind, threads: usize) -> Result<LinkageResult, Link
         let cmp = comparator();
         let result = LinkagePipeline::new(blocker.as_ref(), &cmp)
             .with_threads(threads)
-            .try_run_sharded(&external, &local);
+            .try_run_sharded(&external, &*local);
         let _ = tx.send(result);
     });
     rx.recv_timeout(WATCHDOG)
@@ -247,8 +247,8 @@ fn batch_sites_contain_panics_and_heal() {
     }
 }
 
-/// Single-store entry point: same containment contract as the sharded
-/// path (the two share the scoring machinery but not the entry code).
+/// A single store linked as a one-shard view: same containment contract
+/// as a sharded catalog.
 #[test]
 fn single_store_runs_contain_panics_and_heal() {
     let _serial = serial();
@@ -261,17 +261,17 @@ fn single_store_runs_contain_panics_and_heal() {
     let cmp = comparator();
     let pipeline = LinkagePipeline::new(blocker.as_ref(), &cmp).with_threads(4);
     let baseline = pipeline
-        .try_run_stores(&external, &local)
+        .try_run_sharded(&external, &local)
         .expect("unfaulted baseline");
     let armed = Armed::new("pipeline::score_range", "1*off->panic(chaos single)->off");
-    let error = pipeline.try_run_stores(&external, &local).unwrap_err();
+    let error = pipeline.try_run_sharded(&external, &local).unwrap_err();
     assert!(
         matches!(error, LinkError::WorkerPanicked { .. }),
         "{error:?}"
     );
     drop(armed);
     let healed = pipeline
-        .try_run_stores(&external, &local)
+        .try_run_sharded(&external, &local)
         .expect("clean re-run");
     assert_bit_identical(&healed, &baseline, "single store after score fault");
 }
@@ -488,7 +488,7 @@ fn infallible_wrappers_panic_with_structured_messages() {
     let cmp = comparator();
     let _armed = Armed::new("blocking::standard", "panic(chaos wrapper)");
     let wrapped = catch_unwind(AssertUnwindSafe(|| {
-        LinkagePipeline::new(blocker.as_ref(), &cmp).run_sharded(&external, &local)
+        LinkagePipeline::new(blocker.as_ref(), &cmp).run_sharded(&external, &*local)
     }))
     .unwrap_err();
     let message = wrapped
@@ -524,16 +524,18 @@ fn remaining_sites_all_contain() {
     for (site, blocker) in blockers {
         let pipeline = LinkagePipeline::new(blocker, &cmp);
         let baseline = pipeline
-            .try_run_sharded(&external, &local)
+            .try_run_sharded(&external, &*local)
             .expect("baseline");
         let armed = Armed::new(site, "panic(chaos sweep)");
-        let error = pipeline.try_run_sharded(&external, &local).unwrap_err();
+        let error = pipeline.try_run_sharded(&external, &*local).unwrap_err();
         assert!(
             matches!(error, LinkError::BlockingPanicked { .. }),
             "{site}: {error:?}"
         );
         drop(armed);
-        let healed = pipeline.try_run_sharded(&external, &local).expect("healed");
+        let healed = pipeline
+            .try_run_sharded(&external, &*local)
+            .expect("healed");
         assert_bit_identical(&healed, &baseline, site);
     }
 }

@@ -89,7 +89,7 @@ fn assert_sharded_byte_identical(
     let cmp = comparator();
     let external = RecordStore::from_records(external_records);
     let local = RecordStore::from_records(local_records);
-    let serial = LinkagePipeline::new(blocker, &cmp).run_stores(&external, &local);
+    let serial = LinkagePipeline::new(blocker, &cmp).run_sharded(&external, &local);
     for &shard_count in shard_counts {
         let sharded = ShardedStore::from_records(local_records, shard_count);
         for threads in [1, 4] {
@@ -191,8 +191,8 @@ fn compiled_comparator_is_reusable_across_shards() {
 /// Monge-Elkan), the pipeline's results — **scores included, not just
 /// decisions** — are
 ///
-/// 1. identical between `run_stores` and `run_sharded` at several shard
-///    and thread counts, and
+/// 1. identical between the single store and the sharded catalog at
+///    several shard and thread counts, and
 /// 2. bit-identical to a reference scorer built from the naive
 ///    (pre-kernel-swap) measure implementations in `similarity::naive`.
 #[test]
@@ -252,7 +252,7 @@ fn generated_scenario_scores_survive_the_kernel_swap() {
         vocab::LOCAL_PART_NUMBER,
         2,
     ));
-    let serial = LinkagePipeline::new(&blocker, &cmp).run_stores(&external, &local);
+    let serial = LinkagePipeline::new(&blocker, &cmp).run_sharded(&external, &local);
     assert!(
         !serial.matches.is_empty(),
         "guard scenario produced no links — the assertions below would be vacuous"
@@ -363,7 +363,7 @@ proptest! {
         );
         let blockers: [&dyn Blocker; 3] = [&CartesianBlocker, &standard, &sorted];
         for blocker in blockers {
-            let serial = LinkagePipeline::new(blocker, &cmp).run_stores(&external, &local);
+            let serial = LinkagePipeline::new(blocker, &cmp).run_sharded(&external, &local);
             let result = LinkagePipeline::new(blocker, &cmp)
                 .with_threads(threads)
                 .run_sharded(&external, &sharded);

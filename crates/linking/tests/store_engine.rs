@@ -6,11 +6,11 @@
 
 use classilink_core::{ClassificationRule, Contingency, RuleClassifier};
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, DisjointnessFilter, RuleBasedBlocker,
-    SortedNeighborhoodBlocker, StandardBlocker,
+    collect_pairs, BigramBlocker, Blocker, BlockingKey, CartesianBlocker, DisjointnessFilter,
+    RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::{
-    LinkagePipeline, Record, RecordComparator, RecordStore, SimilarityMeasure,
+    CandidateRuns, LinkagePipeline, Record, RecordComparator, RecordStore, SimilarityMeasure,
 };
 use classilink_ontology::{ClassId, InstanceStore, Ontology, OntologyBuilder};
 use classilink_rdf::Term;
@@ -83,17 +83,17 @@ fn assert_serial_parallel_agree(
     local: &RecordStore,
 ) {
     let cmp = comparator();
-    let candidates = blocker.candidate_pairs(external, local);
+    let candidates = collect_pairs(blocker, external, local);
     assert!(
         candidates.len() >= 1024,
         "{}: only {} candidates — parallel path not exercised",
         blocker.name(),
         candidates.len()
     );
-    let serial = LinkagePipeline::new(blocker, &cmp).run_stores(external, local);
+    let serial = LinkagePipeline::new(blocker, &cmp).run_sharded(external, local);
     let parallel = LinkagePipeline::new(blocker, &cmp)
         .with_threads(4)
-        .run_stores(external, local);
+        .run_sharded(external, local);
     assert_eq!(
         serial,
         parallel,
@@ -170,17 +170,17 @@ fn every_blocker_handles_empty_stores() {
     let (populated, _) = large_stores();
     for blocker in &blockers {
         assert!(
-            blocker.candidate_pairs(&empty(), &empty()).is_empty(),
+            collect_pairs(blocker.as_ref(), &empty(), &empty()).is_empty(),
             "{} emitted pairs on empty × empty",
             blocker.name()
         );
         assert!(
-            blocker.candidate_pairs(&populated, &empty()).is_empty(),
+            collect_pairs(blocker.as_ref(), &populated, &empty()).is_empty(),
             "{} emitted pairs on populated × empty",
             blocker.name()
         );
         assert!(
-            blocker.candidate_pairs(&empty(), &populated).is_empty(),
+            collect_pairs(blocker.as_ref(), &empty(), &populated).is_empty(),
             "{} emitted pairs on empty × populated",
             blocker.name()
         );
@@ -192,12 +192,8 @@ fn key_based_blockers_skip_attributeless_records() {
     let (_, local) = large_stores();
     let bare = attributeless(5);
     let key = BlockingKey::per_side(EXT_PN, LOC_PN, 4);
-    assert!(StandardBlocker::new(key.clone())
-        .candidate_pairs(&bare, &local)
-        .is_empty());
-    assert!(BigramBlocker::new(key, 0.7)
-        .candidate_pairs(&bare, &local)
-        .is_empty());
+    assert!(collect_pairs(&StandardBlocker::new(key.clone()), &bare, &local).is_empty());
+    assert!(collect_pairs(&BigramBlocker::new(key, 0.7), &bare, &local).is_empty());
 }
 
 #[test]
@@ -206,7 +202,7 @@ fn pipeline_on_empty_stores_is_empty() {
     for threads in [1, 4] {
         let result = LinkagePipeline::new(&CartesianBlocker, &cmp)
             .with_threads(threads)
-            .run_stores(&empty(), &empty());
+            .run_sharded(&empty(), &empty());
         assert_eq!(result.comparisons, 0);
         assert_eq!(result.naive_pairs, 0);
         assert!(result.matches.is_empty() && result.possible.is_empty());
@@ -244,10 +240,16 @@ fn disjointness_filter_passes_through_on_empty_classes() {
     b.disjoint(a, c);
     let onto = b.build();
     let filter = DisjointnessFilter::new(&onto);
-    let candidates = vec![(0, 0), (1, 2)];
+    let (external, local) = (attributeless(2), attributeless(3));
+    let mut runs = CandidateRuns::new();
+    CartesianBlocker.stream_candidates(&external, (&local).into(), &mut runs);
     // No class information on either side: nothing can be pruned.
-    let kept = filter.filter(&candidates, &[], &[]);
-    assert_eq!(kept, candidates);
+    filter.retain_runs(&mut runs, (&local).into(), &[], &[]);
+    assert_eq!(runs.total(), 6);
+    assert_eq!(
+        runs.pairs(0).collect::<Vec<_>>(),
+        collect_pairs(&CartesianBlocker, &external, &local)
+    );
 }
 
 #[test]

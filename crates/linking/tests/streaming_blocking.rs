@@ -17,7 +17,7 @@ use classilink_core::{LearnerConfig, PropertySelection, RuleClassifier, RuleLear
 use classilink_datagen::scenario::{generate, GeneratedScenario, ScenarioConfig};
 use classilink_datagen::vocab;
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
+    collect_pairs, BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
     SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::pipeline::{Link, LinkageResult};
@@ -308,14 +308,10 @@ fn assert_streaming_matches_reference(
         blocker.name()
     );
 
-    // Single-store streaming (run_stores path), decoded **through the
+    // Single-store streaming (a one-shard view), decoded **through the
     // block representation**.
     let mut runs = CandidateRuns::new();
-    blocker.stream_candidates(
-        &external,
-        classilink_linking::LocalShards::single(&local),
-        &mut runs,
-    );
+    blocker.stream_candidates(&external, (&local).into(), &mut runs);
     assert_eq!(
         runs.total() as usize,
         reference.len(),
@@ -343,24 +339,32 @@ fn assert_streaming_matches_reference(
             blocker.name()
         );
         assert_block_invariants(&runs, blocker.name());
-        let globalised = runs.into_global_pairs((&sharded_local).into());
-        assert_eq!(globalised.len(), reference.len());
-        let streamed: BTreeSet<(usize, usize)> = globalised.into_iter().collect();
-        assert_eq!(
-            &streamed,
-            reference,
+        // The key-driven blockers coalesce one block per (shard,
+        // external), so while runs hold several records their run-block
+        // encoding never exceeds the flat one-pair-per-candidate
+        // encoding. (Eight shards cut this tiny catalog down to about
+        // one local per run, where a 16-byte block plus a 4-byte id
+        // legitimately outweighs a 16-byte pair.)
+        if shard_count <= 3
+            && matches!(
+                blocker.name(),
+                "standard-blocking" | "sorted-neighborhood" | "bigram-indexing"
+            )
+        {
+            assert!(
+                runs.queue_bytes() <= runs.pair_bytes(),
+                "{}: {shard_count} shards: {} queue bytes exceed {} pair bytes",
+                blocker.name(),
+                runs.queue_bytes(),
+                runs.pair_bytes()
+            );
+        }
+        // `collect_pairs` is sorted and duplicate-free, like the
+        // reference set's iteration order.
+        let globalised = collect_pairs(blocker, &sharded_external, &sharded_local);
+        assert!(
+            globalised.iter().eq(reference.iter()),
             "{}: {shard_count} shards candidate set",
-            blocker.name()
-        );
-        // And the legacy materialising API agrees too.
-        let materialised: BTreeSet<(usize, usize)> = blocker
-            .candidate_pairs_sharded(&sharded_external, &sharded_local)
-            .into_iter()
-            .collect();
-        assert_eq!(
-            &materialised,
-            reference,
-            "{}: {shard_count} shards materialised candidate set",
             blocker.name()
         );
 
@@ -378,9 +382,14 @@ fn assert_streaming_matches_reference(
         }
     }
 
-    // run_stores agrees with the reference as well.
-    let result = LinkagePipeline::new(blocker, &cmp).run_stores(&external, &local);
-    assert_eq!(expected, result, "{}: run_stores diverged", blocker.name());
+    // The single store, as one shard, agrees with the reference as well.
+    let result = LinkagePipeline::new(blocker, &cmp).run_sharded(&external, &local);
+    assert_eq!(
+        expected,
+        result,
+        "{}: single store diverged",
+        blocker.name()
+    );
 }
 
 #[test]

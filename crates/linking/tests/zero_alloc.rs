@@ -216,23 +216,13 @@ fn steady_state_blocking_never_allocates() {
     // shard index: the warm call must find it without allocating.
     let bigram_high = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.7);
     let mut runs = CandidateRuns::new();
-    // Single-store view: the run_stores blocking path. Standard emits
+    // Single-store (one-shard) view. Standard emits
     // keyed blocks, bigram explicit runs, cartesian span blocks — all
     // three encodings of the block sink stay allocation-free warm.
-    assert_blocking_steady_state(&standard, &external, LocalShards::single(&local), &mut runs);
-    assert_blocking_steady_state(&bigram, &external, LocalShards::single(&local), &mut runs);
-    assert_blocking_steady_state(
-        &bigram_high,
-        &external,
-        LocalShards::single(&local),
-        &mut runs,
-    );
-    assert_blocking_steady_state(
-        &CartesianBlocker,
-        &external,
-        LocalShards::single(&local),
-        &mut runs,
-    );
+    assert_blocking_steady_state(&standard, &external, (&local).into(), &mut runs);
+    assert_blocking_steady_state(&bigram, &external, (&local).into(), &mut runs);
+    assert_blocking_steady_state(&bigram_high, &external, (&local).into(), &mut runs);
+    assert_blocking_steady_state(&CartesianBlocker, &external, (&local).into(), &mut runs);
     // Sharded view: the run_sharded blocking path (per-shard key
     // indexes, external-side artifacts shared across shards).
     let sharded = ShardedStore::from_records(

@@ -18,7 +18,7 @@
 //! * `CLASSILINK_BENCH_JSON=<path>` — append one JSON line per
 //!   benchmark (`label`, `mean_ns`, iterations, optional throughput
 //!   rate) to `<path>`, so runs can be committed as snapshots (e.g. the
-//!   `BENCH_pr*.json` series in the repository root).
+//!   `BENCH_pr*.json` series under `crates/bench/history/`).
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

@@ -134,7 +134,7 @@ fn rule_based_blocking_beats_cartesian_and_feeds_the_linker() {
     )
     .with_thresholds(0.9, 0.75);
     let (external, local, truth) = stores_and_truth(&scenario);
-    let result = LinkagePipeline::new(&blocker, &comparator).run_stores(&external, &local);
+    let result = LinkagePipeline::new(&blocker, &comparator).run_sharded(&external, &local);
     assert!(result.comparisons < result.naive_pairs);
 
     let truth_terms: std::collections::HashSet<_> = truth
