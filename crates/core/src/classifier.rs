@@ -96,16 +96,6 @@ impl RuleClassifier {
         Self::new(rules, self.segmenter.clone(), self.normalize)
     }
 
-    /// Segment the value of one fact exactly as the learner did.
-    fn segments_of(&self, value: &str) -> Vec<String> {
-        let segmenter = self.segmenter.build();
-        if self.normalize {
-            segmenter.split_distinct(&Normalizer::default().apply(value))
-        } else {
-            segmenter.split_distinct(value)
-        }
-    }
-
     /// Classify an external item given as `(property IRI, value)` facts.
     ///
     /// Returns one prediction per class that at least one rule concluded,
@@ -121,13 +111,21 @@ impl RuleClassifier {
         &self,
         facts: impl IntoIterator<Item = (&'f str, &'f str)>,
     ) -> Vec<Prediction> {
+        // Segment each value exactly as the learner did; the segmenter and
+        // normalizer are built once per call, not once per fact.
+        let segmenter = self.segmenter.build();
+        let normalizer = self.normalize.then(Normalizer::default);
+        let segments_of = |value: &str| match &normalizer {
+            Some(norm) => segmenter.split_distinct(&norm.apply(value)),
+            None => segmenter.split_distinct(value),
+        };
         // class → (best rule index, evidence)
         let mut per_class: HashMap<ClassId, (usize, Vec<(String, String)>)> = HashMap::new();
         for (property, value) in facts {
             let Some(segment_index) = self.index.get(property) else {
                 continue;
             };
-            for segment in self.segments_of(value) {
+            for segment in segments_of(value) {
                 let Some(rule_indexes) = segment_index.get(segment.as_str()) else {
                     continue;
                 };

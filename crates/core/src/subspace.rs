@@ -89,22 +89,35 @@ impl<'a> SubspaceBuilder<'a> {
         }
     }
 
+    /// The union of the predicted classes' extents, **borrowed**, in `Term`
+    /// order: one prediction is its extent as enumerated, several go through
+    /// a set because their extents may overlap.
+    fn candidate_refs(&self, predictions: &[Prediction]) -> Vec<&'a Term> {
+        match predictions {
+            [only] => self.instances.extent_refs(only.class, self.ontology),
+            many => many
+                .iter()
+                .flat_map(|p| self.instances.extent_refs(p.class, self.ontology))
+                .collect::<BTreeSet<&Term>>()
+                .into_iter()
+                .collect(),
+        }
+    }
+
     /// The subspace determined by a set of predictions for `item`.
     pub fn subspace_for_predictions(
         &self,
         item: &Term,
         predictions: &[Prediction],
     ) -> LinkingSubspace {
-        let mut candidates: BTreeSet<Term> = BTreeSet::new();
-        let mut classes = Vec::with_capacity(predictions.len());
-        for p in predictions {
-            classes.push(p.class);
-            candidates.extend(self.instances.extent(p.class, self.ontology));
-        }
         LinkingSubspace {
             external_item: item.clone(),
-            classes,
-            candidates: candidates.into_iter().collect(),
+            classes: predictions.iter().map(|p| p.class).collect(),
+            candidates: self
+                .candidate_refs(predictions)
+                .into_iter()
+                .cloned()
+                .collect(),
         }
     }
 
@@ -126,16 +139,19 @@ impl<'a> SubspaceBuilder<'a> {
         let mut reduced_pairs = 0u64;
         let mut reduced_classified = 0u64;
         let mut factor_sum = 0.0f64;
-        for (item, facts) in batch {
-            let subspace = self.subspace(item, facts);
-            if subspace.is_unclassified() {
+        for (_, facts) in batch {
+            let predictions = self.classifier.classify_facts(facts);
+            if predictions.is_empty() {
                 reduced_pairs += local_size as u64;
             } else {
+                // Only the subspace's size is needed: count the borrowed
+                // members, clone none.
+                let size = self.candidate_refs(&predictions).len();
                 classified += 1;
-                reduced_pairs += subspace.size() as u64;
-                reduced_classified += subspace.size() as u64;
-                if subspace.size() > 0 {
-                    factor_sum += local_size as f64 / subspace.size() as f64;
+                reduced_pairs += size as u64;
+                reduced_classified += size as u64;
+                if size > 0 {
+                    factor_sum += local_size as f64 / size as f64;
                 } else {
                     // An empty extent removes every comparison for this item.
                     factor_sum += local_size as f64;
@@ -291,6 +307,32 @@ mod tests {
         assert!((stats.reduction_ratio - (1.0 - 20.0 / 30.0)).abs() < 1e-12);
         // factors: 10/8 and 10/2 → mean 3.125
         assert!((stats.mean_reduction_factor - 3.125).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reduction_stats_count_overlapping_extents_once() {
+        // A class and its superclass predicted together: the 8 resistors
+        // are in both extents and must be counted once, exactly as the
+        // materialised subspace holds them once.
+        let (onto, store, resistor, _) = setup();
+        let root = onto.class("http://e.org/c#Component").unwrap();
+        let classifier = RuleClassifier::new(
+            vec![
+                rule("ohm", resistor, "FixedFilmResistor", 100),
+                rule("part", root, "Component", 60),
+            ],
+            SegmenterKind::Separator,
+            true,
+        );
+        let builder = SubspaceBuilder::new(&classifier, &store, &onto);
+        let item = Term::iri("http://p.e.org/1");
+        let sub = builder.subspace(&item, &facts("part-10K-ohm"));
+        assert_eq!(sub.classes.len(), 2);
+        assert_eq!(sub.size(), 10);
+        assert!(sub.candidates.windows(2).all(|w| w[0] < w[1]));
+        let stats = builder.reduction_stats(&[(item, facts("part-10K-ohm"))], 10);
+        assert_eq!(stats.reduced_pairs, 10);
+        assert_eq!(stats.reduced_pairs_classified_only, 10);
     }
 
     #[test]

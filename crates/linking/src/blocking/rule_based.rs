@@ -6,11 +6,12 @@
 //! This adapter lets the paper's approach be compared head-to-head with the
 //! classic blocking baselines on exactly the same interface (experiment E5).
 
-use super::{Blocker, CandidateRuns};
+use super::{run_u32, Blocker, CandidateRuns};
 use crate::shard::LocalShards;
 use crate::store::RecordStore;
 use classilink_core::RuleClassifier;
-use classilink_ontology::{InstanceStore, Ontology};
+use classilink_ontology::{ClassId, InstanceStore, Ontology};
+use std::collections::HashMap;
 
 /// Blocking through learnt classification rules.
 pub struct RuleBasedBlocker<'a> {
@@ -44,6 +45,33 @@ impl<'a> RuleBasedBlocker<'a> {
         self.fallback_to_all = fallback_to_all;
         self
     }
+
+    /// Resolve `class`'s extent to shard-local record ids: one list per
+    /// shard, in the extent's `Term` order, empty for shards the sink is
+    /// not active for (a delta run never hashes the extent into the
+    /// untouched base shards).
+    fn resolve_extent(
+        &self,
+        class: ClassId,
+        local: LocalShards<'_>,
+        out: &CandidateRuns,
+    ) -> Vec<Vec<u32>> {
+        let extent = self.instances.extent_refs(class, self.ontology);
+        local
+            .iter()
+            .enumerate()
+            .map(|(s, shard)| {
+                if !out.shard_active(s) {
+                    return Vec::new();
+                }
+                extent
+                    .iter()
+                    .filter_map(|item| shard.index_of(item))
+                    .map(run_u32)
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 impl Blocker for RuleBasedBlocker<'_> {
@@ -51,11 +79,16 @@ impl Blocker for RuleBasedBlocker<'_> {
         "classification-rules"
     }
 
-    /// Native streaming: each external record is classified **once**
-    /// and each predicted class's extent enumerated **once**, not once
-    /// per shard; extent items are looked up in every shard's id index
-    /// and deduplicated across overlapping predictions with
-    /// epoch-stamped marks over global ids.
+    /// Native streaming: each external record is classified **once**, and
+    /// each predicted class's extent is resolved **once per call** — the
+    /// first external predicted into a class enumerates its extent
+    /// borrowed ([`InstanceStore::extent_refs`]) and looks every member
+    /// up in each active shard's id index; every later external of that
+    /// class replays the resolved id lists. The lists are a local of this
+    /// call, so there is nothing to size or invalidate, and a one-record
+    /// probe resolves exactly the classes it predicts. Overlapping
+    /// predictions are deduplicated with epoch-stamped marks over global
+    /// ids; per shard, pushes arrive in (prediction rank, `Term` order).
     /// Unclassified externals under the fallback pair with each whole
     /// shard as **one span block** (O(1), not O(shard)); extent hits
     /// accumulate into per-(external, shard) explicit runs.
@@ -67,6 +100,7 @@ impl Blocker for RuleBasedBlocker<'_> {
     ) {
         out.reset(local.shard_count());
         fail::fail_point!("blocking::rule_based");
+        let mut resolved: HashMap<ClassId, Vec<Vec<u32>>> = HashMap::new();
         for e in 0..external.len() {
             // The store's facts iterator feeds the classifier borrowed
             // `(&str, &str)` pairs — no per-record fact cloning.
@@ -84,17 +118,16 @@ impl Blocker for RuleBasedBlocker<'_> {
             }
             let epoch = out.scratch.next_epoch(local.len());
             for prediction in predictions {
-                for item in self.instances.extent(prediction.class, self.ontology) {
-                    for (s, shard) in local.iter().enumerate() {
-                        if !out.shard_active(s) {
-                            continue;
-                        }
-                        if let Some(l) = shard.index_of(&item) {
-                            let global = local.offset(s) + l;
-                            if out.scratch.marks[global] != epoch {
-                                out.scratch.marks[global] = epoch;
-                                out.push(s, e, l);
-                            }
+                let per_shard = resolved
+                    .entry(prediction.class)
+                    .or_insert_with(|| self.resolve_extent(prediction.class, local, out));
+                for (s, ids) in per_shard.iter().enumerate() {
+                    let offset = local.offset(s);
+                    for &l in ids {
+                        let l = l as usize;
+                        if out.scratch.marks[offset + l] != epoch {
+                            out.scratch.marks[offset + l] = epoch;
+                            out.push(s, e, l);
                         }
                     }
                 }
@@ -109,7 +142,7 @@ mod tests {
     use crate::blocking::test_support::*;
     use crate::blocking::{collect_pairs, BlockingStats};
     use classilink_core::{ClassificationRule, Contingency};
-    use classilink_ontology::{ClassId, OntologyBuilder};
+    use classilink_ontology::OntologyBuilder;
     use classilink_rdf::Term;
     use classilink_segment::SegmenterKind;
     use std::collections::HashSet;

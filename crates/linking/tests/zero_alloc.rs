@@ -10,31 +10,54 @@
 //! `BigramBlocker` performs zero allocations — not just per record pair,
 //! but for the entire run.
 //!
+//! The rule-based blocker allocates by design (classification builds
+//! its predictions), so its guard is a **difference**: what a streaming
+//! call allocates beyond classifying its externals must not depend on
+//! how many of them share a predicted class's extent.
+//!
 //! This test binary installs a counting global allocator and asserts
 //! the allocation counter does not move across a post-warmup scoring
-//! sweep. It lives in its own integration-test binary so no concurrent
-//! test can pollute the counter.
+//! sweep. The counter is **per thread**: every measured window runs on
+//! its test's own thread, so neither a concurrent test nor libtest's
+//! own threads can move it.
 
+use classilink_core::{ClassificationRule, Contingency, RuleClassifier};
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, StandardBlocker,
+    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker, StandardBlocker,
 };
 use classilink_linking::record::Record;
 use classilink_linking::{
     CandidateRuns, Linker, LocalShards, ProbeScratch, RecordComparator, RecordStore, ShardedStore,
     SimScratch, SimilarityMeasure,
 };
+use classilink_ontology::{InstanceStore, OntologyBuilder};
 use classilink_rdf::Term;
+use classilink_segment::SegmenterKind;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// `System`, with every allocation counted.
+/// `System`, with every allocation counted against the allocating thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it from inside
+    // the allocator never allocates and is valid for the thread's whole
+    // life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations (and reallocations) the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -43,18 +66,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// The allocation counter is process-global, so the tests serialise on
-/// this mutex: a concurrent test's warmup must not allocate inside
-/// another test's measurement window.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const EXT_PN: &str = "http://provider.e.org/v#ref";
 const EXT_MFR: &str = "http://provider.e.org/v#maker";
@@ -93,7 +111,6 @@ fn stores() -> (RecordStore, RecordStore) {
 
 #[test]
 fn steady_state_score_never_allocates() {
-    let _serial = SERIAL.lock().unwrap();
     let (external, local) = stores();
     let mut scratch = SimScratch::new();
     for &measure in SimilarityMeasure::all() {
@@ -119,14 +136,14 @@ fn steady_state_score_never_allocates() {
         assert!(warmup.is_finite());
 
         // Steady state: the same sweep must not allocate at all.
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         let mut total = 0.0;
         for e in 0..external.len() {
             for l in 0..local.len() {
                 total += compiled.score(&external, e, &local, l, &mut scratch).0;
             }
         }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = allocations();
         assert!(total.is_finite());
         assert_eq!(
             after - before,
@@ -143,7 +160,6 @@ fn steady_state_score_never_allocates() {
 fn steady_state_fallback_score_never_allocates() {
     // A rule whose property exists on neither store forces the
     // full-text fallback (Monge-Elkan — a set kernel) on every pair.
-    let _serial = SERIAL.lock().unwrap();
     let (external, local) = stores();
     let mut scratch = SimScratch::new();
     let comparator = RecordComparator::single(
@@ -161,11 +177,11 @@ fn steady_state_fallback_score_never_allocates() {
         "fallback should produce non-zero similarities"
     );
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for e in 0..external.len() {
         compiled.score(&external, e, &local, e, &mut scratch);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(after - before, 0, "fallback path allocated in steady state");
 }
 
@@ -182,9 +198,9 @@ fn assert_blocking_steady_state(
 ) {
     blocker.stream_candidates(external, local, runs);
     let warm_total = runs.total();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     blocker.stream_candidates(external, local, runs);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         runs.total(),
         warm_total,
@@ -208,7 +224,6 @@ fn assert_blocking_steady_state(
 
 #[test]
 fn steady_state_blocking_never_allocates() {
-    let _serial = SERIAL.lock().unwrap();
     let (external, local) = stores();
     let standard = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
     let bigram = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.3);
@@ -239,6 +254,85 @@ fn steady_state_blocking_never_allocates() {
     assert_blocking_steady_state(&bigram, &external, (&sharded).into(), &mut runs);
     assert_blocking_steady_state(&bigram_high, &external, (&sharded).into(), &mut runs);
     assert_blocking_steady_state(&CartesianBlocker, &external, (&sharded).into(), &mut runs);
+}
+
+/// What one warm rule-blocker streaming call allocates **beyond**
+/// classifying its externals, when all `externals` records predict the
+/// same class of extent 512 spread over 3 shards.
+fn rule_stream_allocations_beyond_classification(externals: usize) -> u64 {
+    const EXTENT: usize = 512;
+    let mut builder = OntologyBuilder::new("http://e.org/c#");
+    let resistor = builder.class("FixedFilmResistor", None);
+    let ontology = builder.build();
+    let mut instances = InstanceStore::new();
+    let locals: Vec<Record> = (0..EXTENT)
+        .map(|i| {
+            let id = Term::iri(format!("http://local.e.org/prod/{i}"));
+            instances.assert_type(&id, resistor);
+            let mut r = Record::new(id);
+            r.add(LOC_PN, format!("CRCW0805-{i:05}"));
+            r
+        })
+        .collect();
+    let local = ShardedStore::from_records(&locals, 3);
+    let classifier = RuleClassifier::new(
+        vec![ClassificationRule {
+            property: EXT_PN.to_string(),
+            segment: "crcw0805".to_string(),
+            class: resistor,
+            class_iri: "http://e.org/c#FixedFilmResistor".to_string(),
+            class_label: "FixedFilmResistor".to_string(),
+            quality: Contingency::new(100, 10, 20, 10).quality(),
+        }],
+        SegmenterKind::Separator,
+        true,
+    );
+    let external = RecordStore::from_records(
+        &(0..externals)
+            .map(|i| {
+                let mut r = Record::new(Term::iri(format!("http://provider.e.org/item/{i}")));
+                r.add(EXT_PN, format!("CRCW0805-{i:05}"));
+                r
+            })
+            .collect::<Vec<_>>(),
+    );
+    let blocker = RuleBasedBlocker::new(&classifier, &instances, &ontology);
+    let mut runs = CandidateRuns::new();
+    // Warm-up: the sink grows its blocks, arenas and marks once.
+    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    assert_eq!(runs.total(), (externals * EXTENT) as u64);
+
+    let before = allocations();
+    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    let streamed = allocations() - before;
+    assert_eq!(runs.total(), (externals * EXTENT) as u64);
+
+    let before = allocations();
+    for e in 0..external.len() {
+        assert_eq!(classifier.classify_fact_refs(external.facts(e)).len(), 1);
+    }
+    let classified = allocations() - before;
+    streamed - classified
+}
+
+#[test]
+fn rule_blocker_resolves_a_shared_extent_once_per_call() {
+    // The extent is enumerated and looked up for the first external that
+    // predicts the class; the other 3 — or 31 — replay the resolved ids
+    // into the warm sink. Resolution inside the per-record loop would
+    // grow the remainder by the extent's work per external.
+    let few = rule_stream_allocations_beyond_classification(4);
+    let many = rule_stream_allocations_beyond_classification(32);
+    assert_eq!(
+        few, many,
+        "streaming allocated {few} times beyond classification for 4 extent-sharing \
+         externals but {many} times for 32"
+    );
+    // And the one resolution borrows: nowhere near one clone per member.
+    assert!(
+        few < 64,
+        "{few} allocations to resolve one class: extent members are being cloned"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -284,13 +378,13 @@ fn measure_probe_sweep(
         comparisons > 0,
         "no candidates — the probe assertion would be vacuous"
     );
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut links = 0;
     for probe in probes {
         let hits = linker.probe_with(probe, scratch);
         links += hits.matches.len() + hits.possible.len();
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     (after - before, links)
 }
 
@@ -300,7 +394,6 @@ fn warm_probe_never_allocates() {
     // link materialises, so a warm probe must be *fully* allocation-free
     // — refill, blocking, queueing, scoring and the cleared result
     // buffers included — for both blockers, single-store and sharded.
-    let _serial = SERIAL.lock().unwrap();
     let (external, _) = stores();
     let probes: Vec<Record> = (0..6).map(|e| external.record(e)).collect();
     let cmp = probe_comparator(2.0, 2.0);
@@ -328,7 +421,6 @@ fn warm_probe_allocates_exactly_the_link_terms() {
     // Thresholds every score clears: each link costs exactly two
     // allocations — the external and local `Term` IRI clones — and
     // nothing else (the `Vec<Link>` itself reuses its capacity).
-    let _serial = SERIAL.lock().unwrap();
     let (external, _) = stores();
     let probes: Vec<Record> = (0..6).map(|e| external.record(e)).collect();
     let cmp = probe_comparator(0.0, 0.0);

@@ -3,7 +3,10 @@
 //! The paper needs, for the local source `SL`, the set of instances of each
 //! class appearing in the training set (to compute class frequencies and the
 //! linking subspaces). [`InstanceStore`] records `rdf:type` assertions and
-//! answers extent queries both directly and under subsumption.
+//! answers extent queries both directly and under subsumption. Extents under
+//! subsumption all go through one borrowed enumerator,
+//! [`InstanceStore::extent_refs`]; the owned and counting forms are one-line
+//! views of it.
 
 use crate::model::ClassId;
 use crate::ontology::Ontology;
@@ -74,36 +77,43 @@ impl InstanceStore {
             .unwrap_or_default()
     }
 
-    /// Instances of `class` including those of its subclasses.
-    pub fn extent(&self, class: ClassId, ontology: &Ontology) -> Vec<Term> {
-        let mut out: BTreeSet<Term> = self
-            .extent
-            .get(&class)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        for sub in ontology.descendants(class) {
-            if let Some(items) = self.extent.get(&sub) {
-                out.extend(items.iter().cloned());
+    /// Instances of `class` including those of its subclasses, **borrowed**:
+    /// sorted in `Term` order, each item once however many of the classes it
+    /// is asserted in. The one body that unions a class's extent with its
+    /// descendants'; nothing is cloned, so callers that only count the
+    /// members or resolve them to record ids (the rule-based blocker) pay one
+    /// pointer per member.
+    pub fn extent_refs(&self, class: ClassId, ontology: &Ontology) -> Vec<&Term> {
+        let mut out: Vec<&Term> = Vec::new();
+        let mut sources = 0usize;
+        for c in std::iter::once(class).chain(ontology.descendants(class)) {
+            if let Some(items) = self.extent.get(&c) {
+                out.extend(items);
+                sources += 1;
             }
         }
-        out.into_iter().collect()
+        // One direct extent is already a sorted set; several may interleave
+        // and share multi-asserted items.
+        if sources > 1 {
+            out.sort_unstable();
+            out.dedup();
+        }
+        out
+    }
+
+    /// Instances of `class` including those of its subclasses, as owned
+    /// terms (see [`extent_refs`](Self::extent_refs) for the borrowed form).
+    pub fn extent(&self, class: ClassId, ontology: &Ontology) -> Vec<Term> {
+        self.extent_refs(class, ontology)
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
     /// Size of the inferred extent of `class` (instances of it or any
-    /// subclass) without materialising the term list.
+    /// subclass).
     pub fn extent_size(&self, class: ClassId, ontology: &Ontology) -> usize {
-        // Items may be asserted in several subclasses, so a set is needed.
-        let mut seen: BTreeSet<&Term> = self
-            .extent
-            .get(&class)
-            .map(|s| s.iter().collect())
-            .unwrap_or_default();
-        for sub in ontology.descendants(class) {
-            if let Some(items) = self.extent.get(&sub) {
-                seen.extend(items.iter());
-            }
-        }
-        seen.len()
+        self.extent_refs(class, ontology).len()
     }
 
     /// Number of items with at least one type assertion.
@@ -212,6 +222,65 @@ mod tests {
         store.assert_type(&item(1), resistor);
         assert_eq!(store.extent_size(component, &onto), 1);
         assert_eq!(store.extent(component, &onto).len(), 1);
+    }
+
+    /// The union written the obvious way: clone every member of the class
+    /// and of each descendant into one ordered set.
+    fn obvious_extent(store: &InstanceStore, class: ClassId, onto: &Ontology) -> Vec<Term> {
+        let mut all: BTreeSet<Term> = store.direct_extent(class).into_iter().collect();
+        for sub in onto.descendants(class) {
+            all.extend(store.direct_extent(sub));
+        }
+        all.into_iter().collect()
+    }
+
+    #[test]
+    fn borrowed_extent_is_sorted_deduplicated_and_equals_the_owned_one() {
+        let (onto, classes @ [component, resistor, fixed, capacitor]) = setup();
+        let mut store = InstanceStore::new();
+        // Asserted out of `Term` order, interleaved across sibling classes,
+        // with items 3 and 7 asserted in a class and in its ancestor.
+        for (n, class) in [
+            (9, fixed),
+            (3, resistor),
+            (7, capacitor),
+            (1, fixed),
+            (3, fixed),
+            (8, resistor),
+            (7, component),
+            (2, capacitor),
+        ] {
+            store.assert_type(&item(n), class);
+        }
+        for class in classes {
+            let refs = store.extent_refs(class, &onto);
+            assert!(
+                refs.windows(2).all(|w| w[0] < w[1]),
+                "strictly ascending `Term` order"
+            );
+            let owned: Vec<Term> = refs.into_iter().cloned().collect();
+            assert_eq!(owned, obvious_extent(&store, class, &onto));
+            assert_eq!(owned, store.extent(class, &onto));
+            assert_eq!(owned.len(), store.extent_size(class, &onto));
+        }
+        // Multi-asserted items appear once.
+        assert_eq!(
+            store.extent_refs(component, &onto),
+            [1, 2, 3, 7, 8, 9].map(item).iter().collect::<Vec<_>>()
+        );
+        assert_eq!(store.extent_refs(resistor, &onto).len(), 4);
+    }
+
+    #[test]
+    fn borrowed_extent_of_an_empty_class_is_empty() {
+        let (onto, [component, resistor, fixed, capacitor]) = setup();
+        let mut store = InstanceStore::new();
+        assert!(store.extent_refs(component, &onto).is_empty());
+        store.assert_type(&item(1), capacitor);
+        // Neither `resistor` nor its subclass has a member.
+        assert!(store.extent_refs(resistor, &onto).is_empty());
+        assert!(store.extent_refs(fixed, &onto).is_empty());
+        assert_eq!(store.extent_refs(component, &onto), vec![&item(1)]);
     }
 
     #[test]
