@@ -14,21 +14,52 @@
 //! (see [`SimScratch`]) or a precomputed-token-set kernel (see
 //! [`crate::token_index`]).
 //!
-//! Two per-pair entry points share one evaluation core:
+//! Two per-pair entry points share one evaluation core and always compute
+//! the exact score:
 //!
-//! * [`CompiledComparator::score`] — the pipeline's hot path: returns
-//!   only `(score, decision)` and performs **zero heap allocations** in
-//!   steady state (the caller owns the [`SimScratch`]; token sets come
-//!   from the stores' [`TokenIndex`]).
+//! * [`CompiledComparator::score`] — returns only `(score, decision)` and
+//!   performs **zero heap allocations** in steady state (the caller owns
+//!   the [`SimScratch`]; token sets come from the stores'
+//!   [`TokenIndex`]). The oracle the hoisted path is tested against.
 //! * [`CompiledComparator::compare`] — the eval/report path: same
 //!   arithmetic, but also materialises the per-rule
 //!   [`details`](Comparison::details) vector.
+//!
+//! The pipeline and the serving layer score a candidate *block* instead —
+//! [`CompiledComparator::hoist_left`] once per external record, then
+//! [`CompiledComparator::score_hoisted`] per local — and that path is
+//! **threshold-aware**: what a linker consumes of a rejected pair is the
+//! rejection, not its similarity, so no kernel runs that cannot lift its
+//! pair to "possible".
+//!
+//! * **Needed similarity.** Before rule `r`, with `S` the weighted sum and
+//!   `W` the weight of the rules fired so far, `w` the rule's weight and
+//!   `L` the weight of the later rules that can still fire, the pair's
+//!   score is at most `(S + s·w + L) / (W + w + L)` — every later rule at
+//!   1.0. It can only reach `non_match_threshold = T` if
+//!   `s·w ≥ T·(W + w + L) − S − L`.
+//! * **Bound.** The multiset intersection `m` of two strings' symbols
+//!   bounds the four string kernels from above (Jaro ≤ `(m/|a| + m/|b| +
+//!   1)/3`, Jaro-Winkler its own prefix boost on that, edit similarities
+//!   ≤ `m / max(|a|, |b|)`; see [`crate::similarity::symbols`]). The hoist
+//!   builds each left value's per-symbol position masks once per block
+//!   (ASCII values of at most 64 bytes; anything else has no bound), so
+//!   `m` is one branch-free pass over the right value. A value pair whose
+//!   bound misses the needed similarity skips its kernel; a rule whose
+//!   best pairing misses it ends the pair as `NonMatch`.
+//! * **What stays exact.** Every `Match`/`Possible` pair keeps its score
+//!   bit for bit (a skipped value pair could not have been the best
+//!   pairing of a pair that reaches the threshold); a filtered `NonMatch`
+//!   reports `0.0`. Tests are strict by a margin (`BOUND_SLACK`) far above
+//!   any rounding error. There is no switch: at a zero threshold nothing
+//!   can be below it, and nothing is skipped.
 
 use crate::intern::PropertyId;
 use crate::similarity::scratch::SimScratch;
+use crate::similarity::symbols::{shared_symbols, symbol_masks, SymbolTable};
 use crate::similarity::{
-    damerau_levenshtein_similarity_with, jaro_winkler_with, jaro_with, levenshtein_similarity_with,
-    SimilarityMeasure,
+    damerau_levenshtein_similarity_with, edit_similarity_bound, jaro_bound, jaro_winkler_bound,
+    jaro_winkler_with, jaro_with, levenshtein_similarity_with, SimilarityMeasure,
 };
 use crate::store::{RecordStore, ValueList};
 use crate::token_index::{
@@ -143,6 +174,21 @@ impl RecordComparator {
         let kernels: Vec<Kernel> = self.rules.iter().map(|r| Kernel::of(r.measure)).collect();
         let fallback_kernel = self.fallback.map(Kernel::of);
         let rules_use_sets = kernels.iter().any(|k| matches!(k, Kernel::Set(_)));
+        // `NonMatch` is "below both thresholds" (the fields are public, so
+        // they may be unordered). The filter's arithmetic assumes positive
+        // finite weights; a NaN anywhere fails these comparisons and
+        // leaves it off.
+        let reject_below = self.non_match_threshold.min(self.match_threshold);
+        let filter = (self.non_match_threshold > 0.0
+            && reject_below > 0.0
+            && self
+                .rules
+                .iter()
+                .all(|r| r.weight > 0.0 && r.weight.is_finite()))
+        .then(|| NonMatchFilter {
+            reject_below,
+            slack: BOUND_SLACK * self.rules.iter().map(|r| r.weight).sum::<f64>(),
+        });
         CompiledComparator {
             comparator: self,
             properties: self
@@ -158,6 +204,7 @@ impl RecordComparator {
             kernels,
             fallback_kernel,
             rules_use_sets,
+            filter,
         }
     }
 
@@ -180,8 +227,12 @@ impl RecordComparator {
 /// compile time.
 #[derive(Debug, Clone, Copy)]
 enum Kernel {
-    /// A scratch-buffer string kernel (edit/Jaro family).
-    Str(fn(&mut SimScratch, &str, &str) -> f64),
+    /// A scratch-buffer string kernel (edit/Jaro family) and its upper
+    /// bound given the symbols the two (ASCII) values share.
+    Str {
+        eval: fn(&mut SimScratch, &str, &str) -> f64,
+        bound: fn(u32, &str, &str) -> f64,
+    },
     /// A precomputed-token-set kernel (Jaccard/Dice/Monge-Elkan family).
     Set(SetKernel),
 }
@@ -202,12 +253,22 @@ enum SetKernel {
 impl Kernel {
     fn of(measure: SimilarityMeasure) -> Kernel {
         match measure {
-            SimilarityMeasure::Levenshtein => Kernel::Str(levenshtein_similarity_with),
-            SimilarityMeasure::DamerauLevenshtein => {
-                Kernel::Str(damerau_levenshtein_similarity_with)
-            }
-            SimilarityMeasure::Jaro => Kernel::Str(jaro_with),
-            SimilarityMeasure::JaroWinkler => Kernel::Str(jaro_winkler_with),
+            SimilarityMeasure::Levenshtein => Kernel::Str {
+                eval: levenshtein_similarity_with,
+                bound: edit_similarity_bound,
+            },
+            SimilarityMeasure::DamerauLevenshtein => Kernel::Str {
+                eval: damerau_levenshtein_similarity_with,
+                bound: edit_similarity_bound,
+            },
+            SimilarityMeasure::Jaro => Kernel::Str {
+                eval: jaro_with,
+                bound: jaro_bound,
+            },
+            SimilarityMeasure::JaroWinkler => Kernel::Str {
+                eval: jaro_winkler_with,
+                bound: jaro_winkler_bound,
+            },
             SimilarityMeasure::JaccardTokens => Kernel::Set(SetKernel::JaccardTokens),
             SimilarityMeasure::JaccardChars => Kernel::Set(SetKernel::JaccardBigrams),
             SimilarityMeasure::DiceBigrams => Kernel::Set(SetKernel::DiceBigrams),
@@ -248,7 +309,37 @@ pub struct CompiledComparator<'a> {
     /// `true` when any *rule* kernel needs the stores' token indexes
     /// (the fallback builds lazily instead — it may never fire).
     rules_use_sets: bool,
+    /// The constants of [`score_hoisted`](Self::score_hoisted)'s
+    /// non-match filter; `None` when no pair can be a `NonMatch` (a zero
+    /// threshold) or the weights are not all positive and finite.
+    filter: Option<NonMatchFilter>,
 }
+
+/// What the non-match filter of
+/// [`score_hoisted`](CompiledComparator::score_hoisted) compares against.
+#[derive(Debug, Clone, Copy)]
+struct NonMatchFilter {
+    /// A score below this is a [`MatchDecision::NonMatch`].
+    reject_below: f64,
+    /// [`BOUND_SLACK`] scaled to the weighted-sum domain (× Σ weights).
+    slack: f64,
+}
+
+/// The margin, as a fraction of the rules' total weight, by which a pair
+/// must *provably* miss the non-match threshold before
+/// [`score_hoisted`](CompiledComparator::score_hoisted) skips work on it.
+///
+/// The filter compares an upper bound on the pair's weighted sum with the
+/// sum the threshold requires. Both sides, and the kernels and bounds
+/// under them, are a handful of `f64` operations on values no larger than
+/// the total weight, so each is within ~1e-15 × total weight of its exact
+/// value; a bound is only ever *mathematically* ≥ its kernel, not
+/// operation by operation. Demanding a 1e-9 margin makes the rounding
+/// irrelevant in both directions: nothing within 1e-9 of the threshold is
+/// ever skipped (it runs the exact kernels, as before), and every pair
+/// that ends `Match`/`Possible` beats each value pair skipped on its way
+/// by ~1e-9, so its per-rule maxima — hence its score — are bit-identical.
+const BOUND_SLACK: f64 = 1e-9;
 
 /// Reusable hoisted left-side scoring state: one external record's
 /// per-rule resolved value lists and token views, extracted **once per
@@ -275,6 +366,15 @@ pub struct LeftHoist<'e> {
     tokens: Vec<ValueTokens<'e>>,
     /// Per-rule boundaries into `tokens`; `len = rules + 1`.
     token_offsets: Vec<u32>,
+    /// One entry per left value of a string-kernel rule, in rule-then-value
+    /// order: its shared-symbol mask table, or `None` when it has none (not
+    /// ASCII, over 64 bytes, or the comparator filters nothing).
+    masks: Vec<Option<SymbolTable>>,
+    /// Per rule, the index in `masks` of its first left value.
+    mask_offsets: Vec<u32>,
+    /// The summed weight of the rules that can fire for this record (left
+    /// values present, right property resolved).
+    open_weight: f64,
 }
 
 impl LeftHoist<'_> {
@@ -297,6 +397,11 @@ impl LeftHoist<'_> {
             lists: recycle_vec(self.lists),
             tokens: recycle_vec(self.tokens),
             token_offsets: self.token_offsets,
+            // The mask buffers borrow nothing: they move across as they
+            // are (the next hoist clears them).
+            masks: self.masks,
+            mask_offsets: self.mask_offsets,
+            open_weight: 0.0,
         }
     }
 }
@@ -331,17 +436,26 @@ impl CompiledComparator<'_> {
     }
 
     /// Resolve the external record `left`'s per-rule value lists (and,
-    /// for set-kernel rules, its token views) **once**, into the
-    /// reusable `out` — the per-block half of the hoisted scoring path;
-    /// [`score_hoisted`](Self::score_hoisted) runs the per-pair half.
+    /// for set-kernel rules, its token views; for string-kernel rules
+    /// under a non-match filter, its values' shared-symbol mask tables)
+    /// **once**, into the reusable `out` — the per-block half of the
+    /// hoisted scoring path; [`score_hoisted`](Self::score_hoisted) runs
+    /// the per-pair half.
     pub fn hoist_left<'e>(&self, external: &'e RecordStore, left: usize, out: &mut LeftHoist<'e>) {
         out.left = left;
         out.lists.clear();
         out.tokens.clear();
         out.token_offsets.clear();
         out.token_offsets.push(0);
+        out.masks.clear();
+        out.mask_offsets.clear();
+        out.open_weight = 0.0;
         let token_index = self.rules_use_sets.then(|| external.token_index());
-        for (&(left_property, right_property), kernel) in self.properties.iter().zip(&self.kernels)
+        for ((&(left_property, right_property), kernel), rule) in self
+            .properties
+            .iter()
+            .zip(&self.kernels)
+            .zip(&self.comparator.rules)
         {
             // A rule with either side unresolved can never fire
             // ([`score_hoisted`](Self::score_hoisted) skips it), so
@@ -361,19 +475,44 @@ impl CompiledComparator<'_> {
             }
             out.token_offsets
                 .push(u32::try_from(out.tokens.len()).expect("hoisted more than u32::MAX views"));
+            out.mask_offsets
+                .push(u32::try_from(out.masks.len()).expect("hoisted more than u32::MAX values"));
+            if let Kernel::Str { .. } = kernel {
+                for i in 0..list.len() {
+                    out.masks
+                        .push(self.filter.and_then(|_| symbol_masks(list.get(i))));
+                }
+            }
+            if !list.is_empty() {
+                out.open_weight += rule.weight;
+            }
             out.lists.push(list);
         }
     }
 
     /// Score the hoisted external record (see
-    /// [`hoist_left`](Self::hoist_left)) against local record `right`:
-    /// same arithmetic as [`score`](Self::score) — the per-rule best
-    /// pairing walks values and token views in identical order and the
-    /// aggregation shares `finish_score` — so the
-    /// result is **bit-identical**, only the left-side resolution work
-    /// is amortised across the block
-    /// (`crates/linking/tests/streaming_blocking.rs` pins the
-    /// equivalence end-to-end).
+    /// [`hoist_left`](Self::hoist_left)) against local record `right`.
+    ///
+    /// For a pair decided [`Match`](MatchDecision::Match) or
+    /// [`Possible`](MatchDecision::Possible) this is the arithmetic of
+    /// [`score`](Self::score) — the per-rule best pairing walks values and
+    /// token views in identical order and the aggregation shares
+    /// `finish_score` — so score and decision are **bit-identical**, only
+    /// the left-side resolution work is amortised across the block
+    /// (`crates/linking/tests/streaming_blocking.rs` pins the equivalence
+    /// end-to-end).
+    ///
+    /// A [`NonMatch`](MatchDecision::NonMatch) is decided as early as it
+    /// can be **proved** (the needed-similarity rule and the shared-symbol
+    /// bound of the [module docs](self)): value pairs that cannot matter
+    /// skip their kernel, and a rule whose best pairing falls short ends
+    /// the pair at once. **The score returned with such a `NonMatch` is
+    /// `0.0`, not the pair's similarity**; all a caller may rely on for a
+    /// `NonMatch` is that its score is below the non-match threshold.
+    /// `score`/`compare` never skip and stay the exact reference.
+    ///
+    /// `scratch`'s `kernel_calls` / `bound_exits` count the value pairs
+    /// that ran their kernel / were skipped by the bound.
     pub fn score_hoisted(
         &self,
         hoist: &LeftHoist<'_>,
@@ -385,6 +524,8 @@ impl CompiledComparator<'_> {
         let local_index = self.rules_use_sets.then(|| local.token_index());
         let mut weighted_sum = 0.0;
         let mut weight_total = 0.0;
+        // The weight of this and every later rule that can still fire.
+        let mut open_weight = hoist.open_weight;
         for (rule_index, ((rule, &(_, right_property)), kernel)) in self
             .comparator
             .rules
@@ -400,17 +541,52 @@ impl CompiledComparator<'_> {
             if left_values.is_empty() {
                 continue;
             }
+            let later_weight = open_weight - rule.weight;
+            open_weight = later_weight;
             let right_values = local.value_list(right, rp);
             if right_values.is_empty() {
                 continue;
             }
+            // The least `similarity × weight` of this rule that still lets
+            // the pair reach the threshold: with every later open rule at
+            // 1.0 — the most they can add, and since no similarity exceeds
+            // 1.0 the final quotient only grows with the weight that
+            // fires at 1.0 — the score is at most
+            //   (weighted_sum + s·w + later) / (weight_total + w + later),
+            // which is below `reject_below` exactly when `s·w` is below
+            // this. `slack` keeps the test strict by a margin that dwarfs
+            // every rounding error involved (see `BOUND_SLACK`); without a
+            // filter nothing is below −∞.
+            let needed = match self.filter {
+                Some(filter) => {
+                    filter.reject_below * (weight_total + rule.weight + later_weight)
+                        - weighted_sum
+                        - later_weight
+                        - filter.slack
+                }
+                None => f64::NEG_INFINITY,
+            };
             let mut best = 0.0f64;
             match *kernel {
-                Kernel::Str(kernel) => {
-                    for i in 0..left_values.len() {
+                Kernel::Str { eval, bound } => {
+                    let tables = &hoist.masks[hoist.mask_offsets[rule_index] as usize..]
+                        [..left_values.len()];
+                    for (i, table) in tables.iter().enumerate() {
                         let lv = left_values.get(i);
+                        // No similarity is negative: only a positive need
+                        // can be missed, so only then is the bound worth
+                        // its pass over the right value.
+                        let table = table.as_ref().filter(|_| needed > 0.0);
                         for j in 0..right_values.len() {
-                            best = best.max(kernel(scratch, lv, right_values.get(j)));
+                            let rv = right_values.get(j);
+                            if let Some(shared) = table.and_then(|t| shared_symbols(t, rv)) {
+                                if bound(shared, lv, rv) * rule.weight < needed {
+                                    scratch.bound_exits += 1;
+                                    continue;
+                                }
+                            }
+                            scratch.kernel_calls += 1;
+                            best = best.max(eval(scratch, lv, rv));
                         }
                     }
                 }
@@ -425,12 +601,17 @@ impl CompiledComparator<'_> {
                                 right_values.value_index(j),
                                 right_values.get(j),
                             );
+                            scratch.kernel_calls += 1;
                             best = best.max(kernel.eval(lv, &rv, scratch));
                         }
                     }
                 }
             }
-            weighted_sum += best * rule.weight;
+            let contribution = best * rule.weight;
+            if contribution < needed {
+                return (0.0, MatchDecision::NonMatch);
+            }
+            weighted_sum += contribution;
             weight_total += rule.weight;
         }
         self.finish_score(
@@ -525,11 +706,11 @@ impl CompiledComparator<'_> {
             // column slices directly (no per-left iterator clone).
             let mut best = 0.0f64;
             match *kernel {
-                Kernel::Str(kernel) => {
+                Kernel::Str { eval, .. } => {
                     for i in 0..left_values.len() {
                         let lv = left_values.get(i);
                         for j in 0..right_values.len() {
-                            best = best.max(kernel(scratch, lv, right_values.get(j)));
+                            best = best.max(eval(scratch, lv, right_values.get(j)));
                         }
                     }
                 }
@@ -590,8 +771,8 @@ impl CompiledComparator<'_> {
             weighted_sum / weight_total
         } else {
             match self.fallback_kernel {
-                Some(Kernel::Str(kernel)) => {
-                    kernel(scratch, external.full_text(left), local.full_text(right))
+                Some(Kernel::Str { eval, .. }) => {
+                    eval(scratch, external.full_text(left), local.full_text(right))
                 }
                 Some(Kernel::Set(kernel)) => {
                     // The fallback rarely fires; the dedicated full-text
@@ -806,6 +987,133 @@ mod tests {
                 assert_eq!(full.decision, decision, "{}", measure.name());
             }
         }
+    }
+
+    /// A left record with two part numbers (one of them non-ASCII) against
+    /// locals from identical to unrelated, under a string + set rule pair.
+    fn filter_fixture() -> (RecordStore, RecordStore) {
+        let mut left = Record::new(Term::iri("http://provider.e.org/item/1"));
+        left.add(EXT_PN, "CRCW0805-10K");
+        left.add(EXT_PN, "CRCW0805-10Ω");
+        let locals: Vec<Record> = [
+            ("CRCW0805-10K", "CRCW0805-10K"),
+            ("CRCW0805-10Ω", "thick film"),
+            ("CRCW0806-10K", "CRCW0805 10K"),
+            ("CRCW0812-22K", "CRCW0805-10K"),
+            ("T83A225K", "CRCW0805-10K"),
+            ("K01-5080WCRC", "unrelated"),
+            ("", "CRCW0805-10K"),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, (pn, label))| {
+            let mut r = Record::new(Term::iri(format!("http://local.e.org/prod/{i}")));
+            r.add(LOC_PN, *pn);
+            r.add(LOC_LABEL, *label);
+            r
+        })
+        .collect();
+        (
+            RecordStore::from_records(&[left]),
+            RecordStore::from_records(&locals),
+        )
+    }
+
+    fn two_rules(measure: SimilarityMeasure, weights: (f64, f64)) -> RecordComparator {
+        RecordComparator::new(vec![
+            AttributeRule {
+                left_property: EXT_PN.to_string(),
+                right_property: LOC_PN.to_string(),
+                measure,
+                weight: weights.0,
+            },
+            AttributeRule {
+                left_property: EXT_PN.to_string(),
+                right_property: LOC_LABEL.to_string(),
+                measure: SimilarityMeasure::JaccardTokens,
+                weight: weights.1,
+            },
+        ])
+    }
+
+    /// Score every local through the hoisted path and check it against
+    /// `score`: same decision; same bits unless `NonMatch`, whose score
+    /// need only be below the threshold. Returns the scratch (counters).
+    fn assert_hoisted_agrees(
+        cmp: &RecordComparator,
+        e: &RecordStore,
+        l: &RecordStore,
+    ) -> SimScratch {
+        let compiled = cmp.compile(e, l);
+        let (mut exact, mut scratch) = (SimScratch::new(), SimScratch::new());
+        let mut hoist = LeftHoist::new();
+        compiled.hoist_left(e, 0, &mut hoist);
+        for right in 0..l.len() {
+            let (want, decision) = compiled.score(e, 0, l, right, &mut exact);
+            let (got, hoisted) = compiled.score_hoisted(&hoist, e, l, right, &mut scratch);
+            assert_eq!(decision, hoisted, "local {right}: {cmp:?}");
+            if decision == MatchDecision::NonMatch {
+                assert!(got < cmp.non_match_threshold, "local {right}: {cmp:?}");
+            } else {
+                assert_eq!(want.to_bits(), got.to_bits(), "local {right}: {cmp:?}");
+            }
+        }
+        scratch
+    }
+
+    #[test]
+    fn hoisted_filter_never_changes_a_decision_or_a_link_score() {
+        let (e, l) = filter_fixture();
+        let mut exits = 0;
+        for measure in [
+            SimilarityMeasure::Levenshtein,
+            SimilarityMeasure::DamerauLevenshtein,
+            SimilarityMeasure::Jaro,
+            SimilarityMeasure::JaroWinkler,
+        ] {
+            for weights in [(1.0, 1.0), (0.8, 0.2), (1e-6, 1e6), (3e9, 1e-9)] {
+                for (m, n) in [(0.95, 0.9), (0.85, 0.6), (1.0, 1.0), (0.3, 0.1), (0.5, 0.0)] {
+                    let cmp = two_rules(measure, weights).with_thresholds(m, n);
+                    let scratch = assert_hoisted_agrees(&cmp, &e, &l);
+                    exits += scratch.bound_exits;
+                    if n == 0.0 {
+                        assert_eq!(scratch.bound_exits, 0, "nothing is below a zero threshold");
+                    }
+                }
+            }
+        }
+        assert!(
+            exits > 0,
+            "the bound never fired — the guard would be vacuous"
+        );
+    }
+
+    #[test]
+    fn filter_is_off_for_weights_and_thresholds_it_cannot_reason_about() {
+        let (e, l) = filter_fixture();
+        for weights in [
+            (1.0, -1.0),
+            (1.0, 0.0),
+            (f64::NAN, 1.0),
+            (f64::INFINITY, 1.0),
+        ] {
+            let cmp = two_rules(SimilarityMeasure::JaroWinkler, weights).with_thresholds(0.95, 0.9);
+            assert!(cmp.compile(&e, &l).filter.is_none(), "{weights:?}");
+        }
+        // Public fields can be set past `with_thresholds`' clamping: a pair
+        // is a `NonMatch` only below *both* thresholds, never below NaN.
+        let mut cmp = two_rules(SimilarityMeasure::JaroWinkler, (1.0, 1.0));
+        (cmp.match_threshold, cmp.non_match_threshold) = (0.2, 0.9);
+        assert_eq!(cmp.compile(&e, &l).filter.unwrap().reject_below, 0.2);
+        assert_hoisted_agrees(&cmp, &e, &l);
+        cmp.non_match_threshold = f64::NAN;
+        assert!(cmp.compile(&e, &l).filter.is_none());
+        let compiled = {
+            cmp.non_match_threshold = 0.9;
+            cmp.match_threshold = f64::NAN;
+            cmp.compile(&e, &l)
+        };
+        assert_eq!(compiled.filter.unwrap().reject_below, 0.9);
     }
 
     #[test]

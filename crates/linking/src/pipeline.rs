@@ -63,9 +63,12 @@ pub struct LinkageResult {
     /// Pairs decided as possible matches (for clerical review), sorted by
     /// (external, local) record index.
     pub possible: Vec<Link>,
-    /// Number of pairwise comparisons performed — by construction every
-    /// candidate pair the blocker emits is compared exactly once, so this
-    /// is also the candidate count.
+    /// Number of **candidate pairs** the blocker emitted — each is decided
+    /// exactly once, so this is the linkage-space size the reduction ratio
+    /// is about. It is *not* a count of similarity-kernel runs: the
+    /// hoisted scoring path decides most non-matches on a cheap bound
+    /// ([`CompiledComparator::score_hoisted`]; kernel runs are
+    /// [`SimScratch::kernel_calls`]).
     pub comparisons: u64,
     /// Size of the naive linking space `|SE| × |SL|`.
     pub naive_pairs: u64,

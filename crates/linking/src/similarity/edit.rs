@@ -176,6 +176,26 @@ pub fn damerau_levenshtein_similarity_with(scratch: &mut SimScratch, a: &str, b:
     1.0 - damerau_levenshtein_with(scratch, a, b) as f64 / max_len as f64
 }
 
+/// An upper bound on [`levenshtein_similarity_with`] **and**
+/// [`damerau_levenshtein_similarity_with`] for two ASCII strings sharing
+/// `shared` symbols (their multiset intersection, see
+/// [`shared_symbols`](super::symbols::shared_symbols)).
+///
+/// An edit script leaves some symbols of the longer string untouched (or,
+/// for Damerau, swaps them with a neighbour); those are paired one to one
+/// with equal symbols of the other string, so there are at most `shared`
+/// of them, and every other symbol of the longer string costs at least
+/// one edit (a transposition costs one and accounts for two): the distance
+/// is at least `max(|a|, |b|) − shared`. The bound is the kernels' own
+/// formula at that distance, so it is exactly `1.0` for equal strings.
+pub fn edit_similarity_bound(shared: u32, a: &str, b: &str) -> f64 {
+    let max_len = a.len().max(b.len());
+    if max_len == 0 {
+        return 1.0;
+    }
+    1.0 - (max_len - shared as usize) as f64 / max_len as f64
+}
+
 /// The Levenshtein edit distance between two strings (insertions, deletions,
 /// substitutions each cost 1), computed over Unicode scalar values.
 pub fn levenshtein(a: &str, b: &str) -> usize {

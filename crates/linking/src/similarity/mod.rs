@@ -9,7 +9,11 @@
 //! The comparison hot path uses the **scratch-buffer kernels** — the
 //! `*_with(scratch, a, b)` variants threading a [`SimScratch`] through
 //! [`edit`] and [`mod@jaro`] — and the precomputed token-index kernels of
-//! [`crate::token_index`] for the set measures. The plain functions
+//! [`crate::token_index`] for the set measures. Each string kernel has a
+//! cheap **upper bound** beside it (`*_bound`, a function of the symbols
+//! the two strings share — see [`symbols`]), which lets the comparator
+//! skip a kernel that cannot lift its pair over the non-match threshold.
+//! The plain functions
 //! re-exported here keep the classic one-call API (each allocates a
 //! fresh scratch); [`naive`] holds the reference implementations the
 //! kernels are equivalence-tested against.
@@ -19,14 +23,15 @@ pub mod jaro;
 #[doc(hidden)]
 pub mod naive;
 pub mod scratch;
+pub mod symbols;
 pub mod token;
 
 pub use edit::{
     damerau_levenshtein, damerau_levenshtein_similarity, damerau_levenshtein_similarity_with,
-    damerau_levenshtein_with, levenshtein, levenshtein_similarity, levenshtein_similarity_with,
-    levenshtein_with,
+    damerau_levenshtein_with, edit_similarity_bound, levenshtein, levenshtein_similarity,
+    levenshtein_similarity_with, levenshtein_with,
 };
-pub use jaro::{jaro, jaro_winkler, jaro_winkler_with, jaro_with};
+pub use jaro::{jaro, jaro_bound, jaro_winkler, jaro_winkler_bound, jaro_winkler_with, jaro_with};
 pub use scratch::SimScratch;
 pub use token::{dice_bigrams, jaccard_chars, jaccard_tokens, monge_elkan};
 

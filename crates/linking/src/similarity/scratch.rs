@@ -11,7 +11,8 @@
 //!
 //! A `SimScratch` carries no result state between calls: every kernel
 //! fully re-initialises the prefix of each buffer it reads, so reusing
-//! one scratch across measures, pairs and stores is always safe.
+//! one scratch across measures, pairs and stores is always safe. (Its two
+//! public counters only ever count; nothing reads them back.)
 
 /// Reusable working memory for the scratch-buffer similarity kernels.
 ///
@@ -40,6 +41,15 @@ pub struct SimScratch {
     /// Invariant: zeroed between calls (each kernel invocation clears
     /// exactly the entries it set).
     pub(crate) positions: Vec<u64>,
+    /// Attribute-value pairs whose similarity kernel
+    /// [`CompiledComparator::score_hoisted`](crate::comparator::CompiledComparator::score_hoisted)
+    /// ran through this scratch (a running total; plain, per-worker).
+    pub kernel_calls: u64,
+    /// Attribute-value pairs `score_hoisted` visited **without** running
+    /// their kernel, because the shared-symbol bound showed the pair could
+    /// not reach the non-match threshold. `kernel_calls + bound_exits` is
+    /// the number of value pairs visited.
+    pub bound_exits: u64,
 }
 
 impl SimScratch {

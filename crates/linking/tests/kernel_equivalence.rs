@@ -10,6 +10,7 @@
 
 use classilink_linking::record::Record;
 use classilink_linking::similarity::scratch::SimScratch;
+use classilink_linking::similarity::symbols::{shared_symbols, symbol_masks};
 use classilink_linking::similarity::{edit, jaro, naive, SimilarityMeasure};
 use classilink_linking::{RecordComparator, RecordStore};
 use classilink_rdf::Term;
@@ -93,6 +94,109 @@ fn assert_score_matches_naive(scratch: &mut SimScratch, a: &str, b: &str) {
     }
 }
 
+/// The shared-symbol count of `a` (as the hoisted left value) and `b`, the
+/// way `score_hoisted` obtains it; `None` when the pair has no bound.
+fn shared(a: &str, b: &str) -> Option<u32> {
+    shared_symbols(&symbol_masks(a)?, b)
+}
+
+/// Assert that, wherever the pair has a bound, no string kernel exceeds
+/// its own: a kernel the comparator skips on the bound's word can never
+/// have scored higher. Returns whether the pair had a bound.
+fn assert_bounds_hold(scratch: &mut SimScratch, a: &str, b: &str) -> bool {
+    let Some(m) = shared(a, b) else {
+        return false;
+    };
+    // Against an independent count of the multiset intersection.
+    let count = |s: &str, c: char| s.chars().filter(|&x| x == c).count();
+    let mut distinct: Vec<char> = a.chars().collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let expected: usize = distinct.iter().map(|&c| count(a, c).min(count(b, c))).sum();
+    assert_eq!(m as usize, expected, "shared_symbols({a:?}, {b:?})");
+    let bounds: [(&str, f64, f64); 4] = [
+        (
+            "levenshtein",
+            edit::edit_similarity_bound(m, a, b),
+            edit::levenshtein_similarity_with(scratch, a, b),
+        ),
+        (
+            "damerau-levenshtein",
+            edit::edit_similarity_bound(m, a, b),
+            edit::damerau_levenshtein_similarity_with(scratch, a, b),
+        ),
+        (
+            "jaro",
+            jaro::jaro_bound(m, a, b),
+            jaro::jaro_with(scratch, a, b),
+        ),
+        (
+            "jaro-winkler",
+            jaro::jaro_winkler_bound(m, a, b),
+            jaro::jaro_winkler_with(scratch, a, b),
+        ),
+    ];
+    for (name, bound, kernel) in bounds {
+        assert!(
+            bound >= kernel,
+            "{name}: bound {bound} undercuts kernel {kernel} on ({a:?}, {b:?})"
+        );
+        assert!(bound <= 1.0, "{name}: bound {bound} on ({a:?}, {b:?})");
+    }
+    true
+}
+
+#[test]
+fn bounds_hold_at_the_mask_boundary_and_on_repeats() {
+    let mut scratch = SimScratch::new();
+    let ascii: String = ('a'..='z').cycle().take(101).collect();
+    // Left values of 63/64 bytes have a table, 65 does not; the right
+    // value may be any length.
+    for len_a in [0usize, 1, 12, 63, 64, 65] {
+        for len_b in [0usize, 1, 12, 63, 64, 65, 100] {
+            for skew in [0usize, 1] {
+                let (a, b) = (&ascii[..len_a], &ascii[skew..skew + len_b]);
+                assert_eq!(assert_bounds_hold(&mut scratch, a, b), len_a <= 64);
+            }
+        }
+    }
+    for (a, b) in [
+        ("AAAA", "AA"),
+        ("AA", "AAAA"),
+        ("AAAA", "AAAA"),
+        ("ABAB", "BABA"),
+        ("MARTHA", "MARHTA"),
+        ("CRCW0805-10K", "CRCW0806-10K"),
+        ("CRCW0805-10K", "K01-5080WCRC"),
+        ("ca", "ac"),
+        ("abc", "xyz"),
+        ("", ""),
+        ("", "x"),
+        ("x", ""),
+    ] {
+        assert!(assert_bounds_hold(&mut scratch, a, b), "({a:?}, {b:?})");
+    }
+    // Equal values must never be skippable: their bounds are exactly 1.0.
+    for a in ["", "x", "CRCW0805-10K", &ascii[..64]] {
+        let m = shared(a, a).expect("ASCII, at most 64 bytes");
+        assert_eq!(edit::edit_similarity_bound(m, a, a), 1.0);
+        assert_eq!(jaro::jaro_bound(m, a, a), 1.0);
+        assert_eq!(jaro::jaro_winkler_bound(m, a, a), 1.0);
+    }
+    // Non-ASCII on either side, combining marks included: no bound at all
+    // (the kernels count scalar values, the tables bytes).
+    for (a, b) in [
+        ("café", "cafe"),
+        ("cafe", "café"),
+        ("e\u{301}tude", "etude"),
+        ("etude", "e\u{301}tude"),
+        ("C)", "é"),
+        ("😀", "😀"),
+    ] {
+        assert!(!assert_bounds_hold(&mut scratch, a, b), "({a:?}, {b:?})");
+    }
+}
+
 #[test]
 fn non_ascii_regression_cases() {
     // Emoji (4-byte scalars), combining marks vs precomposed chars,
@@ -170,6 +274,26 @@ proptest! {
     fn prop_scratch_kernels_bit_identical(a in "\\PC{0,18}", b in "\\PC{0,18}") {
         let mut scratch = SimScratch::new();
         assert_kernels_match(&mut scratch, &a, &b);
+    }
+
+    /// No string kernel exceeds its shared-symbol bound, on arbitrary
+    /// printable input (pairs with a non-ASCII side have no bound) and on
+    /// ASCII-only input (every pair has one).
+    #[test]
+    fn prop_bounds_never_undercut_their_kernels(
+        a in "\\PC{0,18}",
+        b in "\\PC{0,18}",
+        c in "[ -~]{0,18}",
+        d in "[ -~]{0,18}",
+    ) {
+        let mut scratch = SimScratch::new();
+        assert_bounds_hold(&mut scratch, &a, &b);
+        prop_assert!(assert_bounds_hold(&mut scratch, &c, &d));
+        // A small alphabet makes repeats and transpositions the rule.
+        let fold = |s: &str| -> String {
+            s.bytes().map(|x| char::from(b'A' + x % 3)).collect()
+        };
+        prop_assert!(assert_bounds_hold(&mut scratch, &fold(&c), &fold(&d)));
     }
 
     /// The token-indexed score path ≡ a naive scorer on arbitrary

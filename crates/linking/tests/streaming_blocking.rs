@@ -6,7 +6,10 @@
 //! **materialised reference** implementation of the same strategy, and
 //! the pipeline results built on those runs (scores included, bit for
 //! bit) match a from-scratch reference scorer over the reference
-//! candidate set, across {1, 3, 8} shards × {1, 4} threads.
+//! candidate set, across {1, 3, 8} shards × {1, 4} threads — under three
+//! comparators, two of them at the thresholds where the hoisted scoring
+//! path's non-match filter does most of the work (the reference scorer is
+//! the exact, never-skipping `CompiledComparator::score`).
 //!
 //! The reference implementations below are deliberately string- and
 //! hash-based and do not touch `stream_candidates`, `CandidateRuns` or
@@ -24,8 +27,8 @@ use classilink_linking::blocking::{
 };
 use classilink_linking::pipeline::{Link, LinkageResult};
 use classilink_linking::{
-    CandidateRuns, LinkagePipeline, MatchDecision, RecordComparator, RecordStore, ShardedStore,
-    SimScratch, SimilarityMeasure,
+    AttributeRule, CandidateRuns, LeftHoist, LinkagePipeline, MatchDecision, RecordComparator,
+    RecordStore, ShardedStore, SimScratch, SimilarityMeasure,
 };
 use classilink_segment::{CharNGramSegmenter, Segmenter};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -41,13 +44,18 @@ fn key(prefix: usize) -> BlockingKey {
     )
 }
 
-fn comparator() -> RecordComparator {
-    let rule = |left: &str, right: &str, measure, weight| classilink_linking::AttributeRule {
+fn rule(left: &str, right: &str, measure: SimilarityMeasure, weight: f64) -> AttributeRule {
+    AttributeRule {
         left_property: left.to_string(),
         right_property: right.to_string(),
         measure,
         weight,
-    };
+    }
+}
+
+/// Three rules, non-match below 0.6: most candidates end up links, so the
+/// non-match filter almost never fires.
+fn comparator() -> RecordComparator {
     RecordComparator::new(vec![
         rule(
             vocab::PROVIDER_PART_NUMBER,
@@ -69,6 +77,46 @@ fn comparator() -> RecordComparator {
         ),
     ])
     .with_thresholds(0.92, 0.6)
+}
+
+/// `linkbench`'s `jw95`: one Jaro-Winkler rule, match ≥ 0.95, possible ≥
+/// 0.90 — the filter rejects most candidates on the bound alone.
+fn jw95() -> RecordComparator {
+    RecordComparator::single(
+        vocab::PROVIDER_PART_NUMBER,
+        vocab::LOCAL_PART_NUMBER,
+        SimilarityMeasure::JaroWinkler,
+    )
+    .with_thresholds(0.95, 0.90)
+}
+
+/// A string rule and a set rule (0.8 Jaro-Winkler + 0.2 token Jaccard):
+/// what the first rule needs depends on what the second could still add.
+fn jw_jaccard() -> RecordComparator {
+    RecordComparator::new(vec![
+        rule(
+            vocab::PROVIDER_PART_NUMBER,
+            vocab::LOCAL_PART_NUMBER,
+            SimilarityMeasure::JaroWinkler,
+            0.8,
+        ),
+        rule(
+            vocab::PROVIDER_MANUFACTURER,
+            vocab::LOCAL_MANUFACTURER,
+            SimilarityMeasure::JaccardTokens,
+            0.2,
+        ),
+    ])
+    .with_thresholds(0.95, 0.90)
+}
+
+/// The comparators every blocker's reference matrix runs under.
+fn comparators() -> [(&'static str, RecordComparator); 3] {
+    [
+        ("three-rule", comparator()),
+        ("jw95", jw95()),
+        ("jw+jaccard", jw_jaccard()),
+    ]
 }
 
 /// Learn rules on the provider part number and keep those of confidence
@@ -400,13 +448,19 @@ fn assert_streaming_matches_reference(
 ) {
     let external = scenario.external_store();
     let local = scenario.local_store();
-    let cmp = comparator();
-    let expected = reference_result(&cmp, &external, &local, reference);
-    assert!(
-        !expected.matches.is_empty(),
-        "{}: reference produced no links — the guard would be vacuous",
-        blocker.name()
-    );
+    let expected: Vec<(&str, RecordComparator, LinkageResult)> = comparators()
+        .into_iter()
+        .map(|(label, cmp)| {
+            let result = reference_result(&cmp, &external, &local, reference);
+            assert!(
+                !result.matches.is_empty() && !result.possible.is_empty(),
+                "{} / {label}: the reference lacks matches or possibles — the guard \
+                 would be vacuous",
+                blocker.name()
+            );
+            (label, cmp, result)
+        })
+        .collect();
 
     // Single-store streaming (a one-shard view), decoded **through the
     // block representation**.
@@ -468,28 +522,32 @@ fn assert_streaming_matches_reference(
             blocker.name()
         );
 
-        for threads in THREAD_COUNTS {
-            let result = LinkagePipeline::new(blocker, &cmp)
-                .with_threads(threads)
-                .run_sharded(&sharded_external, &sharded_local);
-            assert_eq!(
-                expected,
-                result,
-                "{}: {shard_count} shards / {threads} threads diverged from the \
-                 reference scorer (scores compared bit for bit)",
-                blocker.name()
-            );
+        for (label, cmp, expected) in &expected {
+            for threads in THREAD_COUNTS {
+                let result = LinkagePipeline::new(blocker, cmp)
+                    .with_threads(threads)
+                    .run_sharded(&sharded_external, &sharded_local);
+                assert_eq!(
+                    expected,
+                    &result,
+                    "{} / {label}: {shard_count} shards / {threads} threads diverged from \
+                     the reference scorer (scores compared bit for bit)",
+                    blocker.name()
+                );
+            }
         }
     }
 
     // The single store, as one shard, agrees with the reference as well.
-    let result = LinkagePipeline::new(blocker, &cmp).run_sharded(&external, &local);
-    assert_eq!(
-        expected,
-        result,
-        "{}: single store diverged",
-        blocker.name()
-    );
+    for (label, cmp, expected) in &expected {
+        let result = LinkagePipeline::new(blocker, cmp).run_sharded(&external, &local);
+        assert_eq!(
+            expected,
+            &result,
+            "{} / {label}: single store diverged",
+            blocker.name()
+        );
+    }
 }
 
 #[test]
@@ -532,6 +590,116 @@ fn bigram_streaming_matches_reference() {
         &scenario.local_store(),
     );
     assert_streaming_matches_reference(&scenario, &blocker, &reference);
+}
+
+/// The `≥` boundary of the non-match filter: with `non_match_threshold`
+/// set **exactly** to a score some candidate achieves, that candidate is a
+/// link (its score is not *below* the threshold) and the hoisted path must
+/// neither skip it on its bound nor perturb its score — and the pairs a
+/// hair below stay out.
+#[test]
+fn non_match_threshold_on_an_achieved_score_keeps_the_pair() {
+    let scenario = generate(&ScenarioConfig::tiny());
+    let (external, local) = (scenario.external_store(), scenario.local_store());
+    let blocker = StandardBlocker::new(key(4));
+    let reference = reference_standard(&key(4), &external, &local);
+    for (label, base) in [("jw95", jw95()), ("jw+jaccard", jw_jaccard())] {
+        // Every distinct score the candidates achieve, ascending.
+        let compiled = base.compile(&external, &local);
+        let mut scratch = SimScratch::new();
+        let mut achieved: Vec<f64> = reference
+            .iter()
+            .map(|&(e, l)| compiled.score(&external, e, &local, l, &mut scratch).0)
+            .filter(|&score| score > 0.0 && score < 1.0)
+            .collect();
+        achieved.sort_by(f64::total_cmp);
+        achieved.dedup();
+        assert!(
+            achieved.len() > 20,
+            "{label}: only {} scores",
+            achieved.len()
+        );
+        // Thresholds across the whole achieved range, dense near the top
+        // (where the bound and the kernel are closest).
+        let picks = (0..8)
+            .map(|i| achieved[achieved.len() * i / 8])
+            .chain(achieved.iter().rev().take(8).copied());
+        for threshold in picks {
+            let cmp = base.clone().with_thresholds(1.0, threshold);
+            assert_eq!(cmp.non_match_threshold.to_bits(), threshold.to_bits());
+            let expected = reference_result(&cmp, &external, &local, &reference);
+            assert!(
+                expected
+                    .possible
+                    .iter()
+                    .any(|link| link.score.to_bits() == threshold.to_bits()),
+                "{label}: no link sits exactly on the threshold {threshold}"
+            );
+            for shard_count in [1, 3] {
+                let (sharded_external, sharded_local) = scenario.sharded_stores(shard_count);
+                for threads in THREAD_COUNTS {
+                    let result = LinkagePipeline::new(&blocker, &cmp)
+                        .with_threads(threads)
+                        .run_sharded(&sharded_external, &sharded_local);
+                    assert_eq!(
+                        expected, result,
+                        "{label}: threshold {threshold}, {shard_count} shards / {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// What the filter did, counted: on standard blocks under `jw95` the bound
+/// rejects more value pairs than reach the kernel, every visited value
+/// pair is one or the other, and the decisions are those of the exact
+/// scorer. `LinkageResult::comparisons` keeps counting candidate pairs.
+#[test]
+fn bound_exits_outnumber_kernel_calls_and_cover_every_value_pair() {
+    let scenario = generate(&ScenarioConfig::tiny());
+    let (external, local) = (scenario.external_store(), scenario.local_store());
+    let blocker = StandardBlocker::new(key(4));
+    let cmp = jw95();
+    let compiled = cmp.compile(&external, &local);
+    let left = external.property(vocab::PROVIDER_PART_NUMBER).unwrap();
+    let right = local.property(vocab::LOCAL_PART_NUMBER).unwrap();
+    let mut runs = CandidateRuns::new();
+    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    let (mut scratch, mut exact) = (SimScratch::new(), SimScratch::new());
+    let mut hoist = LeftHoist::new();
+    let (mut value_pairs, mut links) = (0u64, 0u64);
+    for block in 0..runs.blocks(0).len() {
+        let (e, run) = runs.run(0, block);
+        compiled.hoist_left(&external, e, &mut hoist);
+        for l in run.iter() {
+            value_pairs +=
+                (external.values(e, left).count() * local.values(l, right).count()) as u64;
+            let (score, decision) =
+                compiled.score_hoisted(&hoist, &external, &local, l, &mut scratch);
+            let (exact_score, exact_decision) = compiled.score(&external, e, &local, l, &mut exact);
+            assert_eq!(decision, exact_decision, "pair ({e}, {l})");
+            if decision == MatchDecision::NonMatch {
+                assert!(score < cmp.non_match_threshold, "pair ({e}, {l})");
+            } else {
+                assert_eq!(score.to_bits(), exact_score.to_bits(), "pair ({e}, {l})");
+                links += 1;
+            }
+        }
+    }
+    assert_eq!(scratch.kernel_calls + scratch.bound_exits, value_pairs);
+    assert!(
+        scratch.bound_exits > scratch.kernel_calls,
+        "{} bound exits against {} kernel calls",
+        scratch.bound_exits,
+        scratch.kernel_calls
+    );
+    assert!(scratch.kernel_calls >= links, "every link ran its kernel");
+    // `score`, the oracle, never counts: it never skips.
+    assert_eq!((exact.kernel_calls, exact.bound_exits), (0, 0));
+    let result = LinkagePipeline::new(&blocker, &cmp).run_sharded(&external, &local);
+    assert_eq!(result.comparisons, runs.total());
+    assert_eq!((result.matches.len() + result.possible.len()) as u64, links);
 }
 
 mod local_run_decode {
@@ -738,6 +906,41 @@ fn rule_based_emission_sequence_matches_the_obvious_reference() {
                     first_active,
                 );
             }
+        }
+    }
+}
+
+/// Paper scale (`linkbench`'s `batch_standard` link: 5.03 M standard-block
+/// candidates, 4 shards) under `jw95`, where the non-match filter rejects
+/// 94 % of the pairs on the bound, and under the string + set comparator:
+/// links, scores and counts are those of the exact scorer. Run in release
+/// by CI (`-- --ignored`).
+#[test]
+#[ignore = "paper scale: run with --release -- --ignored"]
+fn filtered_scoring_matches_the_exact_scorer_at_paper_scale() {
+    let scenario = generate(&ScenarioConfig::paper());
+    let (external, local) = (scenario.external_store(), scenario.local_store());
+    let blocker = StandardBlocker::new(key(4));
+    let reference = reference_standard(&key(4), &external, &local);
+    assert!(
+        reference.len() > 1_000_000,
+        "{} candidates",
+        reference.len()
+    );
+    let (sharded_external, sharded_local) = scenario.sharded_stores(4);
+    for (label, cmp) in [("jw95", jw95()), ("jw+jaccard", jw_jaccard())] {
+        let expected = reference_result(&cmp, &external, &local, &reference);
+        assert!(
+            expected.matches.len() > 500 && expected.possible.len() > 5_000,
+            "{label}: {} matches, {} possible",
+            expected.matches.len(),
+            expected.possible.len()
+        );
+        for threads in THREAD_COUNTS {
+            let result = LinkagePipeline::new(&blocker, &cmp)
+                .with_threads(threads)
+                .run_sharded(&sharded_external, &sharded_local);
+            assert_eq!(expected, result, "{label}: {threads} threads");
         }
     }
 }

@@ -396,6 +396,20 @@ fn warm_probe_never_allocates() {
     // buffers included — for both blockers, single-store and sharded.
     let (external, _) = stores();
     let probes: Vec<Record> = (0..6).map(|e| external.record(e)).collect();
+    let varied: Vec<Record> = [3usize, 0, 1, 2, 3, 1]
+        .iter()
+        .enumerate()
+        .map(|(i, &values)| {
+            let mut r = Record::new(Term::iri(format!("http://provider.e.org/varied/{i}")));
+            for v in 0..values {
+                r.add(
+                    EXT_PN,
+                    format!("CRCW0805-{}", "0123456789".repeat(v + i % 2)),
+                );
+            }
+            r
+        })
+        .collect();
     let cmp = probe_comparator(2.0, 2.0);
     let standard = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
     let bigram = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.3);
@@ -410,6 +424,18 @@ fn warm_probe_never_allocates() {
                 allocations,
                 0,
                 "{} / {shard_count} shards: warm probes allocated {allocations} times",
+                blocker.name()
+            );
+            // The hoist's shared-symbol mask tables borrow nothing, so
+            // `LeftHoist::recycle` parks them as they are: consecutive
+            // probes whose part numbers differ in count and length (three
+            // tables, none, one, two) still find their capacity.
+            let (allocations, _) = measure_probe_sweep(&linker, &mut scratch, &varied);
+            assert_eq!(
+                allocations,
+                0,
+                "{} / {shard_count} shards: warm probes with varying value counts \
+                 allocated {allocations} times",
                 blocker.name()
             );
         }
