@@ -17,31 +17,32 @@
 //! precomputation**: both sides' padded key bigrams live in the store's
 //! cached [`KeyIndex`](crate::token_index::KeyIndex) as packed `u64`s
 //! (the [`TokenIndex`](crate::token_index::TokenIndex) bigram
-//! representation), so the probe loop counts shared grams with pure
-//! integer posting walks — no per-record `String` bigrams, no hash maps,
-//! and zero allocations once the indexes are warm.
+//! representation) — no per-record `String` bigrams, no hash maps, and
+//! zero allocations once the indexes are warm.
 //!
-//! The probe itself is a **filtered overlap join** in the
-//! AllPairs/PPJoin style rather than an exhaustive count-all sweep:
-//! grams are walked in ascending-document-frequency order, posting
-//! lists are cut to a maximum-set-size window (**length filter**), the
-//! walk stops once no unseen local could still reach its threshold
-//! (**prefix filter**), a first touch is dropped when the two records'
-//! remaining df-ordered grams cannot close the gap (**positional
-//! filter**), and touched locals whose walked count stays below the
-//! generalised-prefix floor `min(K, threshold)` are rejected from the
-//! count alone; only the rare survivors are finished by an exact
-//! verification scan that probes the walk's epoch-stamped gram marks
-//! with one load per local gram. Every
-//! filter is candidate-set-preserving: the emitted set is identical to
-//! the exhaustive probe's, pair for pair (proved by the proptest
-//! equivalence suite in `tests/bigram_filter.rs`).
+//! The probe **counts, it does not filter**: for one external record it
+//! computes the exact number of grams shared with *every* record of a
+//! shard, 64 records a machine word, in **bit-sliced** counters — plane
+//! `k` holds bit `k` of all the counts. Each of the external's grams is
+//! one ripple-carry addition of the gram's records (a bitmap row, or a
+//! short posting list below the dense cut-off — the shard's
+//! `GramCounter`, see [`token_index`](crate::token_index)), and the
+//! sharing rule is one bit-sliced `count ≥ required` comparison per run
+//! of records it treats alike. Every count is exact, so the candidate
+//! set is the definition's with nothing to prove —
+//! `tests/bigram_filter.rs` pins it against a string-based exhaustive
+//! reference all the same.
+//!
+//! The cost of a probe is `O(Σ_dense ⌈N/64⌉ · planes + Σ_sparse df)`
+//! over the external's grams, `planes = bits(|bigrams_e|)`: linear in
+//! the shard size `N`, with a constant of a few vector operations per
+//! 64 records and gram.
 
 use super::key::BlockingKey;
-use super::{BigramFilterStats, Blocker, CandidateRuns, ProbeGram, RunScratch};
+use super::{Blocker, CandidateRuns};
 use crate::shard::LocalShards;
 use crate::store::RecordStore;
-use crate::token_index::PREFIX_ORDER;
+use crate::token_index::GramPositions;
 
 /// Bi-gram inverted-index blocking.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,95 +104,77 @@ fn build_gram_map(map: &mut Vec<u32>, external: &[u64], shard: &[u64]) {
     }
 }
 
-/// Packed count-cell layout: the low [`COUNT_BITS`] bits hold the
-/// walked shared-gram count, the rest the probe's count epoch (see
-/// [`RunScratch::next_count_epoch`]).
-const COUNT_BITS: u32 = 5;
-/// Low-bits mask of a packed count cell.
-const COUNT_MASK: u32 = (1 << COUNT_BITS) - 1;
-/// The count value marking a record the positional filter dropped this
-/// epoch: re-touching it costs one compare instead of a re-derived
-/// bound (the bound only tightens at later touches, so a dropped
-/// record stays dropped).
-const DROPPED: u32 = COUNT_MASK;
-/// Counts saturate one below the sentinel; a saturated count is a
-/// *lower bound*, so `saturated ≥ needed` still accepts soundly and
-/// anything undecidable falls through to the exact verification scan.
-const SATURATED: u32 = COUNT_MASK - 1;
+/// Number of counter planes a count up to `max` needs: its bit length.
+fn planes_for(max: usize) -> usize {
+    (usize::BITS - max.leading_zeros()) as usize
+}
 
-/// One counting sweep over a cut posting window: count every posting
-/// once into the epoch-tagged cells, drop first touches whose two
-/// records' remaining df-ordered grams cannot close the threshold gap
-/// (the positional filter), and queue a record for the decide loop
-/// exactly when its count reaches the decision floor
-/// `min(PREFIX_ORDER, required)` — records that never get there are
-/// free rejections and are never visited again.
-fn scan_window(
-    (records, sizes, tails): (&[u32], &[u32], &[u32]),
-    remaining: usize,
-    a: usize,
-    epoch: u32,
-    scratch: &mut RunScratch,
-    stats: &mut BigramFilterStats,
-) {
-    let tag = epoch << COUNT_BITS;
-    for ((&record, &size), &tail) in records.iter().zip(sizes).zip(tails) {
-        let l = record as usize;
-        let cell = scratch.counts[l];
-        let count = if cell >> COUNT_BITS == epoch {
-            cell & COUNT_MASK
-        } else {
-            0
-        };
-        if count == DROPPED {
-            continue;
-        }
-        if count == 0 {
-            let need = required(&scratch.tceil, a.min(size as usize));
-            if remaining.min(tail as usize) < need {
-                scratch.counts[l] = tag | DROPPED;
-                stats.postings_skipped_position += 1;
-            } else {
-                scratch.counts[l] = tag | 1;
-                if need == 1 {
-                    scratch.touched.push(record);
-                }
-            }
-        } else {
-            let next = (count + 1).min(SATURATED);
-            scratch.counts[l] = tag | next;
-            if next <= PREFIX_ORDER as u32 {
-                let need = required(&scratch.tceil, a.min(size as usize));
-                if next == need.min(PREFIX_ORDER) as u32 {
-                    scratch.touched.push(record);
-                }
-            }
+/// Add one to the count of every position set in `row`: a ripple-carry
+/// addition across the planes, all words of a plane at once. `planes`
+/// holds the live planes only (a carry out of the last one cannot
+/// happen: no count exceeds the probe's gram count).
+fn add_row(planes: &mut [u64], carry: &mut [u64], row: &[u64]) {
+    carry.copy_from_slice(row);
+    for plane in planes.chunks_exact_mut(row.len()) {
+        for (count, carry) in plane.iter_mut().zip(carry.iter_mut()) {
+            let overflow = *count & *carry;
+            *count ^= *carry;
+            *carry = overflow;
         }
     }
 }
 
-/// `true` when at least `needed` of the local's df-ordered grams carry
-/// the probe's epoch stamp (every shard-present external gram was
-/// stamped before the walk): the verification scan for
-/// counted-but-undecided candidates. One load per local gram instead
-/// of a two-pointer merge over both packed-`u64` sets, with a
-/// remaining-grams early exit in both directions (accept as soon as
-/// the count is reached, reject as soon as the remainder cannot close
-/// the gap).
-fn overlap_reaches(df_set: &[u32], marks: &[u32], epoch: u32, needed: usize) -> bool {
-    let mut shared = 0usize;
-    for (idx, &id) in df_set.iter().enumerate() {
-        if shared + (df_set.len() - idx) < needed {
-            return false;
-        }
-        if marks[id as usize] == epoch {
-            shared += 1;
-            if shared >= needed {
-                return true;
-            }
+/// Add one to the count of each listed position: the single-bit ripple.
+fn add_list(planes: &mut [u64], words: usize, positions: &[u32]) {
+    for &position in positions {
+        let word = position as usize / 64;
+        let mut carry = 1u64 << (position % 64);
+        for plane in planes.chunks_exact_mut(words) {
+            let overflow = plane[word] & carry;
+            plane[word] ^= carry;
+            carry = overflow;
         }
     }
-    false
+}
+
+/// Call `emit` with every position of `range` whose count is at least
+/// `need` (`1 ..= 2^planes − 1`), ascending. `count ≥ need` exactly when
+/// `count + (2^planes − need)` carries out of the top plane, and the
+/// carry chain of adding a constant is one OR (constant bit set) or AND
+/// (clear) a plane — computed for the range's words in `reaching`, whose
+/// two end words are then masked to the range.
+fn for_each_reaching(
+    planes: &[u64],
+    reaching: &mut [u64],
+    need: usize,
+    range: std::ops::Range<usize>,
+    mut emit: impl FnMut(usize),
+) {
+    if range.is_empty() {
+        return;
+    }
+    let words = reaching.len();
+    let (first, last) = (range.start / 64, (range.end - 1) / 64);
+    let reaching = &mut reaching[first..=last];
+    reaching.fill(0);
+    let addend = (1usize << (planes.len() / words)) - need;
+    for (bit, plane) in planes.chunks_exact(words).enumerate() {
+        let plane = &plane[first..=last];
+        if addend >> bit & 1 == 1 {
+            reaching.iter_mut().zip(plane).for_each(|(r, p)| *r |= p);
+        } else {
+            reaching.iter_mut().zip(plane).for_each(|(r, p)| *r &= p);
+        }
+    }
+    reaching[0] &= !0 << (range.start % 64);
+    reaching[last - first] &= !0 >> (63 - (range.end - 1) % 64);
+    for (word, &bits) in reaching.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            emit((first + word) * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
 }
 
 impl Blocker for BigramBlocker {
@@ -199,54 +182,23 @@ impl Blocker for BigramBlocker {
         "bigram-indexing"
     }
 
-    /// Native streaming: a **prefix/length/positional-filtered overlap
-    /// join** (AllPairs/PPJoin style) that emits exactly the exhaustive
-    /// probe's candidate set.
+    /// Native streaming: an exact **bit-sliced count-all probe**.
     ///
     /// The external side's padded key bigrams come from the store-level
     /// [`KeyIndex`](crate::token_index::KeyIndex) (built or fetched
-    /// **once** for all shards). Per shard, the external's grams are
+    /// **once** for all shards). Per shard, the external gram ids are
     /// translated to the shard's gram table (one O(1)-lookup map built
-    /// by a sorted merge) and re-sorted into the shard's (document
-    /// frequency, gram id) order — the same total order every shard
-    /// record's [`df_set`] uses, which makes the filters sound:
+    /// by a sorted merge); per (external, shard) the counter planes in
+    /// the sink scratch are zeroed, every shard-present gram of the
+    /// external is added, and each run of set sizes with one sharing
+    /// rule `required(min(a, size))` — all sizes from `a` up are one
+    /// run — is compared against it.
     ///
-    /// * **prefix** — at walk position `i`, at most `n − i` of the
-    ///   external's `n` shard-present grams remain shared; the walk
-    ///   stops once even the smallest shard set's threshold exceeds
-    ///   that reach (plus the `PREFIX_ORDER − 1` slack), and positions
-    ///   past the external's *own* sharing rule only consult the
-    ///   small-set size window;
-    /// * **length** — at prefix positions, the shard's cached
-    ///   `ThresholdLayout` cuts
-    ///   each gram's postings to **exactly** the entries some
-    ///   still-decidable pair needs (`ekey ≥ a`, one `partition_point`
-    ///   on a precomputed key); at late positions, the (ascending set
-    ///   size)-ordered base list is cut to the sets whose own rule
-    ///   still fits the reach — usually a single first-size compare;
-    /// * **positional** — a first touch meeting gram `g` at external
-    ///   position `i` and local df-position `j` can share at most
-    ///   `min(n − i, |B| − j)` grams (every other shared gram follows
-    ///   `g` in *both* df orders), so touches below threshold are
-    ///   dropped — and stay dropped at later touches, where the bound
-    ///   only tightens.
-    ///
-    /// Locals whose walked count already reaches their threshold are
-    /// emitted directly; ones whose count stays below the
-    /// generalised-prefix floor `min(PREFIX_ORDER, threshold)`
-    /// are rejected from the count alone (the windows carry a
-    /// `PREFIX_ORDER − 1` slack exactly so that walked counts are
-    /// complete over each pair's order-K prefix); the remaining
-    /// undecided survivors are finished by the exact verification scan
-    /// over the probe's epoch-stamped gram marks
-    /// (`overlap_reaches`).
-    /// Emission stays one explicit run per (external, shard) in
-    /// deterministic first-floor-crossing order, and the whole probe
-    /// reuses sink scratch — allocation-free once warm (the shard's
-    /// per-threshold posting layout is built once, on the threshold's
-    /// first-ever probe, then cached in the index).
-    ///
-    /// [`df_set`]: crate::token_index::KeyIndex
+    /// Emission stays one explicit run per (external, shard), in
+    /// ascending (set size, record id) order — deterministic, and the
+    /// pipeline index-sorts its output — and the whole probe reuses
+    /// sink scratch: allocation-free once the shard's counter artifact
+    /// is built and the planes have grown.
     fn stream_candidates(
         &self,
         external: &RecordStore,
@@ -255,182 +207,88 @@ impl Blocker for BigramBlocker {
     ) {
         out.reset(local.shard_count());
         out.scratch.tceil.clear();
-        let mut stats = BigramFilterStats::default();
         let external_index = external.key_index(&self.key.external_side(external));
         let external_bigrams = external_index.bigram_index();
+        // No count exceeds the largest external set, whatever the shard.
+        let max_planes = planes_for(external_bigrams.max_set_len() as usize);
+        // One carry row, then the counter planes — out of the sink while
+        // the probe loop pushes into it.
+        let mut counts = std::mem::take(&mut out.scratch.planes);
         let local_side = self.key.local_side_of(local.schema());
         for (s, shard) in local.iter().enumerate() {
             // An inactive (delta-restricted) shard skips its whole probe
-            // loop — including the gram-map rebuild and threshold-layout
-            // touch, which is what makes a delta run O(new shards).
+            // loop — including the gram-map rebuild and the counter
+            // build, which is what makes a delta run O(new shards).
             if shard.is_empty() || !out.shard_active(s) {
                 continue;
             }
             let local_index = shard.key_index(&local_side);
             let local_bigrams = local_index.bigram_index();
+            let counter = local_bigrams.counter();
+            let max_size = local_bigrams.max_set_len() as usize;
             ensure_tceil(
                 &mut out.scratch.tceil,
                 self.threshold,
-                external_bigrams
-                    .max_set_len()
-                    .max(local_bigrams.max_set_len()) as usize,
+                max_size.max(external_bigrams.max_set_len() as usize),
             );
             build_gram_map(
                 &mut out.scratch.gram_map,
                 external_bigrams.gram_values(),
                 local_bigrams.gram_values(),
             );
-            let min_size = local_bigrams.min_set_len() as usize;
-            let gram_count = local_bigrams.gram_values().len();
-            // The per-threshold posting permutation: built on this
-            // threshold's first-ever probe of the shard, a cached `Arc`
-            // clone afterwards.
-            let layout = local_bigrams.threshold_layout(self.threshold);
+            let words = counter.words();
+            if counts.len() < (max_planes + 1) * words {
+                counts.resize((max_planes + 1) * words, 0);
+            }
             for e in 0..external.len() {
                 // Per-probe site: a counted trigger faults *mid-stream*,
                 // with the sink already partially filled.
                 fail::fail_point!("blocking::bigram");
-                let a = external_bigrams.set(e).len();
-                if a == 0 {
-                    continue;
+                let grams = external_bigrams.id_set(e);
+                let a = grams.len();
+                let (carry, planes) = counts.split_at_mut(words);
+                let planes = &mut planes[..planes_for(a) * words];
+                planes.fill(0);
+                let mut added = 0;
+                for &gram in grams {
+                    let shard_gram = out.scratch.gram_map[gram as usize];
+                    if shard_gram == u32::MAX {
+                        continue;
+                    }
+                    // No count exceeds the grams added so far: the
+                    // planes above its bit length are still zero and
+                    // no carry reaches them.
+                    added += 1;
+                    let live = &mut planes[..planes_for(added) * words];
+                    match counter.gram(shard_gram as usize) {
+                        GramPositions::Row(row) => add_row(live, carry, row),
+                        GramPositions::List(list) => add_list(live, words, list),
+                    }
                 }
-                out.scratch.probe.clear();
-                for &eid in external_bigrams.df_set(e) {
-                    let sid = out.scratch.gram_map[eid as usize];
-                    let df = if sid == u32::MAX {
-                        0
-                    } else {
-                        local_bigrams.df(sid as usize)
-                    };
-                    out.scratch.probe.push(ProbeGram {
-                        df,
-                        shard_gram: sid,
+                let mut size = 1;
+                while size <= max_size {
+                    let need = required(&out.scratch.tceil, a.min(size));
+                    let mut next = size + 1;
+                    while next <= max_size && required(&out.scratch.tceil, a.min(next)) == need {
+                        next += 1;
+                    }
+                    let range = counter.first_of_size(size)..counter.first_of_size(next);
+                    for_each_reaching(planes, carry, need, range, |position| {
+                        out.push(s, e, counter.record_of()[position] as usize)
                     });
+                    size = next;
                 }
-                out.scratch
-                    .probe
-                    .sort_unstable_by_key(|p| (p.df, p.shard_gram));
-                // Shard-absent grams (df 0) sort first and can never be
-                // shared; the walk covers the `n` present ones.
-                let absent = out.scratch.probe.partition_point(|p| p.df == 0);
-                let n = out.scratch.probe.len() - absent;
-                // Stamp the probe's shard grams so the verification
-                // scan can test "does the external contain this gram?"
-                // with one load per local gram.
-                let epoch = out.scratch.next_epoch(gram_count);
-                for p in &out.scratch.probe[absent..] {
-                    out.scratch.marks[p.shard_gram as usize] = epoch;
-                }
-                let cepoch = out.scratch.next_count_epoch(shard.len());
-                let scratch = &mut out.scratch;
-                // The weakest sharing rule any local can get against
-                // this external: even the smallest local set must share
-                // this many grams.
-                let weakest = required(&scratch.tceil, a.min(min_size));
-                let req_a = required(&scratch.tceil, a);
-                for i in 0..n {
-                    let remaining = n - i;
-                    // At walk position `i` a needed posting's sharing
-                    // rule must fit into the remaining probe grams plus
-                    // the prefix-order slack (its order-K prefix window
-                    // ends here otherwise).
-                    let reach = remaining + PREFIX_ORDER - 1;
-                    // Prefix filter: stop once even the weakest sharing
-                    // rule exceeds the reach. The slack keeps every
-                    // local's whole order-K prefix inside the walk, so
-                    // the count stays complete over it and a count
-                    // below `min(K, threshold)` rejects without a
-                    // verification scan.
-                    if weakest > reach {
-                        stats.grams_skipped_prefix += remaining as u64;
-                        break;
-                    }
-                    let sid = scratch.probe[absent + i].shard_gram as usize;
-                    if req_a <= reach {
-                        // Prefix position: the external's own order-K
-                        // window is still open. The threshold layout's
-                        // entry-key cut yields exactly the postings any
-                        // still-decidable pair needs here — one binary
-                        // search, one sweep, each posting counted once.
-                        let (ekeys, records, sizes, tails) = layout.window(sid);
-                        let end = ekeys.partition_point(|&k| k as usize >= a);
-                        stats.postings_skipped_length += (records.len() - end) as u64;
-                        scan_window(
-                            (&records[..end], &sizes[..end], &tails[..end]),
-                            remaining,
-                            a,
-                            cepoch,
-                            scratch,
-                            &mut stats,
-                        );
-                    } else {
-                        // Late position: only sets small enough that
-                        // their own sharing rule still fits the reach
-                        // can open (or extend) an order-K window here —
-                        // one size-ordered cut covers exactly those,
-                        // and the external's ubiquitous grams cost at
-                        // most a binary search instead of a posting
-                        // sweep (usually just the first-size probe).
-                        let capsize =
-                            scratch.tceil[1..].partition_point(|&c| (c.max(1) as usize) <= reach);
-                        let (records3, sizes3, tails3) = local_bigrams.posting_list(sid);
-                        if sizes3.first().is_some_and(|&b| (b as usize) <= capsize) {
-                            let end3 = sizes3.partition_point(|&b| (b as usize) <= capsize);
-                            stats.postings_skipped_length += (records3.len() - end3) as u64;
-                            scan_window(
-                                (&records3[..end3], &sizes3[..end3], &tails3[..end3]),
-                                remaining,
-                                a,
-                                cepoch,
-                                scratch,
-                                &mut stats,
-                            );
-                        } else {
-                            stats.postings_skipped_length += records3.len() as u64;
-                        }
-                    }
-                }
-                // Touched holds exactly the records whose count
-                // reached the decision floor `min(K, needed)` — the
-                // count is complete over each pair's order-K prefix
-                // windows (the slack above kept every such local in
-                // every relevant window), so records below the floor
-                // are proven non-candidates and were never queued.
-                // Touched order (first-floor-crossing order) is
-                // deterministic, and the pipeline index-sorts its
-                // output, so no sort is needed here.
-                for i in 0..out.scratch.touched.len() {
-                    let l = out.scratch.touched[i] as usize;
-                    let shared = (out.scratch.counts[l] & COUNT_MASK) as usize;
-                    let b_df = local_bigrams.df_set(l);
-                    let needed = required(&out.scratch.tceil, a.min(b_df.len()));
-                    if shared >= needed {
-                        out.push(s, e, l);
-                    } else {
-                        // Only genuine multi-collision survivors pay
-                        // the verification scan.
-                        stats.verify_merges += 1;
-                        if overlap_reaches(b_df, &out.scratch.marks, epoch, needed) {
-                            out.push(s, e, l);
-                        }
-                    }
-                }
-                out.scratch.touched.clear();
             }
         }
-        out.scratch.filter_stats = stats;
+        out.scratch.planes = counts;
     }
 
-    /// Build each shard's key index, bigram postings and this
-    /// threshold's posting-permutation layout (the local-side artifacts
-    /// the filtered probe walk reads).
+    /// Build each shard's key index, bigram postings and counter
+    /// artifact (everything a probe of the shard reads).
     fn warm(&self, local: LocalShards<'_>) {
         let local_side = self.key.local_side_of(local.schema());
         for shard in local.iter() {
-            shard
-                .key_index(&local_side)
-                .bigram_index()
-                .threshold_layout(self.threshold);
+            shard.key_index(&local_side).bigram_index().counter();
         }
     }
 }

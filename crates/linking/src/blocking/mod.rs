@@ -376,76 +376,41 @@ pub struct CandidateRuns {
     pub(crate) scratch: RunScratch,
 }
 
-/// Reusable per-sink scratch: intersection counters and epoch-stamped
-/// visit marks, grown once and reused across streaming calls.
+/// Reusable per-sink scratch: counter planes and epoch-stamped visit
+/// marks, grown once and reused across streaming calls.
 #[derive(Debug, Default)]
 pub(crate) struct RunScratch {
-    /// Per-local shared-gram counter cells (bigram blocking), packed
-    /// `(count_epoch << 5) | count` so the array stays `u32` (and
-    /// L1-sized on paper-scale shards): a new probe invalidates every
-    /// cell by bumping the epoch instead of resetting — cells tagged
-    /// with an older epoch read as count 0. The 5-bit count saturates
-    /// at 30 (the decide loop falls back to the exact verification scan
-    /// past that), and count 31 is the positional filter's *dropped*
-    /// sentinel: re-touching a dropped record is one compare instead of
-    /// a re-derived bound.
-    pub counts: Vec<u32>,
-    /// Locals whose count reached their decision floor
-    /// `min(PREFIX_ORDER, required)` — exactly the records the decide
-    /// loop must visit (free rejections never enter).
-    pub touched: Vec<u32>,
+    /// The bigram probe's bit-sliced shared-gram counters: one carry
+    /// row, then one plane per count bit, each `⌈shard records / 64⌉`
+    /// words. Zeroed per probe.
+    pub planes: Vec<u64>,
     /// Epoch-stamped marks (rule-based dedup): `marks[i] == epoch` means
     /// "seen in the current epoch".
     pub marks: Vec<u32>,
-    /// `tceil[m] = ceil(threshold · m)` — the integer overlap-threshold
-    /// table the filtered bigram probe replaces per-pair float math
-    /// with. Rebuilt per streaming call (the threshold is per-blocker),
+    /// `tceil[m] = ceil(threshold · m)` — the integer sharing-rule
+    /// table the bigram probe replaces per-pair float math with.
+    /// Rebuilt per streaming call (the threshold is per-blocker),
     /// within retained capacity.
     pub tceil: Vec<u32>,
     /// External gram id → shard gram id translation (`u32::MAX` =
     /// absent from the shard), rebuilt per shard by a sorted merge of
     /// the two gram tables.
     pub gram_map: Vec<u32>,
-    /// One external's grams resolved to the probed shard, re-sorted
-    /// into the shard's (df, gram id) order.
-    pub probe: Vec<ProbeGram>,
-    /// Filter effectiveness counters of the last bigram streaming call.
-    pub filter_stats: BigramFilterStats,
     epoch: u32,
-    /// Epoch of the packed [`counts`](Self::counts) cells — 27 usable
-    /// bits; the wrap clears the array.
-    count_epoch: u32,
 }
 
-/// One probe-side gram of the filtered bigram join: an external gram
-/// translated to the shard's gram table, carrying the shard document
-/// frequency it is ordered by (`df == 0` ⟺ absent from the shard).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ProbeGram {
-    /// Shard document frequency (0 when the shard lacks the gram).
-    pub df: u32,
-    /// Shard gram id, or `u32::MAX` when absent.
-    pub shard_gram: u32,
-}
-
-/// How hard the filtered bigram probe's pruning worked on one
-/// streaming call, summed over every (external, shard) probe — the
-/// `blocking/bigram/filter_stats` bench line tracks these across PRs.
+/// Filter counters of a bigram probe. The probe counts every shared
+/// gram exactly and filters nothing, so all four are always zero; the
+/// type remains because `linkbench` reports its fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BigramFilterStats {
-    /// Df-ordered probe grams never walked because no unseen local
-    /// could still reach its overlap threshold (prefix filter), plus
-    /// walked grams whose length-filtered window was empty.
+    /// Always zero.
     pub grams_skipped_prefix: u64,
-    /// Posting entries outside the per-gram maximum-set-size window
-    /// (length filter).
+    /// Always zero.
     pub postings_skipped_length: u64,
-    /// Posting entries whose first touch could no longer reach the
-    /// threshold given both records' remaining df-ordered grams
-    /// (positional filter).
+    /// Always zero.
     pub postings_skipped_position: u64,
-    /// Counted-but-undecided candidates finished by the exact
-    /// mark-probing verification scan.
+    /// Always zero.
     pub verify_merges: u64,
 }
 
@@ -464,22 +429,6 @@ impl RunScratch {
         }
         self.epoch += 1;
         self.epoch
-    }
-
-    /// Open a new epoch for the packed [`counts`](Self::counts) cells
-    /// over `len` slots and return its tag. The 27-bit wrap (once per
-    /// ~134 M probes) clears the array, so a fresh epoch can never
-    /// alias a stale cell.
-    pub(crate) fn next_count_epoch(&mut self, len: usize) -> u32 {
-        if self.counts.len() < len {
-            self.counts.resize(len, 0);
-        }
-        if self.count_epoch >= (1 << 27) - 1 {
-            self.counts.iter_mut().for_each(|c| *c = 0);
-            self.count_epoch = 0;
-        }
-        self.count_epoch += 1;
-        self.count_epoch
     }
 }
 
@@ -649,11 +598,9 @@ impl CandidateRuns {
         })
     }
 
-    /// Filter effectiveness counters of the last
-    /// [`BigramBlocker`] streaming call into this sink (all zero for
-    /// other producers — only the filtered bigram probe writes them).
+    /// All zero: no producer filters (see [`BigramFilterStats`]).
     pub fn bigram_filter_stats(&self) -> BigramFilterStats {
-        self.scratch.filter_stats
+        BigramFilterStats::default()
     }
 
     /// One shard's comparison count (the sum of its block lengths).
@@ -763,7 +710,7 @@ pub trait Blocker {
 
     /// Eagerly build the **local-side artifacts** this blocker reads
     /// while streaming — key indexes, sort ladders, bigram postings and
-    /// threshold layouts. The serving layer
+    /// counters. The serving layer
     /// ([`Linker`](crate::serve::Linker)) calls this once per published
     /// catalog epoch so no probe ever pays a first-call index build;
     /// batch callers never need it (the same builds happen lazily on

@@ -9,8 +9,8 @@
 //!
 //! * **Pre-warmed epochs.** A published catalog is a [`CatalogEpoch`]:
 //!   the [`ShardedStore`] with every blocker-side artifact built
-//!   eagerly (key indexes, sort ladders, bigram postings and threshold
-//!   layouts via [`Blocker::warm`]; token indexes when the comparator's
+//!   eagerly (key indexes, sort ladders, bigram postings and counters
+//!   via [`Blocker::warm`]; token indexes when the comparator's
 //!   kernels read them) and the comparator compiled once
 //!   ([`RecordComparator::compile_schemas`]). No probe ever pays a
 //!   first-call index build.
@@ -287,7 +287,7 @@ impl<'a> Linker<'a> {
     /// Unlike [`swap`](Self::swap), which warms every shard of the
     /// replacement catalog, the successor epoch `Arc`-shares the
     /// surviving shards — their key indexes, sort ladders, bigram
-    /// layouts and token indexes carry over already warm — and only the
+    /// counters and token indexes carry over already warm — and only the
     /// **appended** shards are built and warmed. Republishing therefore
     /// costs O(delta), not O(catalog). In-flight probes finish on the
     /// epoch they started with, exactly as for a swap.

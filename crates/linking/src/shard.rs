@@ -60,7 +60,7 @@ use std::sync::Arc;
 /// Shards are held as `Arc`s: cloning the catalog — and, crucially,
 /// **appending** to it ([`append_shards`](Self::append_shards)) —
 /// shares the surviving shards instead of copying them, so their
-/// lazily-built artifacts (token indexes, key indexes, bigram layouts)
+/// lazily-built artifacts (token indexes, key indexes, bigram counters)
 /// ride along warm. An append therefore costs O(delta), not O(catalog).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedStore {

@@ -35,7 +35,7 @@ use crate::similarity::scratch::SimScratch;
 use crate::similarity::token::{bigram_pairs, lowercase_eq, tokens};
 use crate::store::RecordStore;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Pack a character bigram into one `u64` — the shared scalar bigram
 /// representation of the [`TokenIndex`] set kernels and the
@@ -552,20 +552,6 @@ impl KeyIndex {
         });
     }
 
-    /// Eagerly build every artifact this index otherwise derives on
-    /// first use — the value-sorted ladder (sorted-neighbourhood
-    /// blocking), the padded key-bigram postings, and one cached
-    /// posting layout per requested bigram-blocking threshold — so a
-    /// long-lived catalog can pay the build cost when it is published
-    /// instead of on its first probe (see `crate::serve`).
-    pub fn warm(&self, thresholds: &[f64]) {
-        self.value_sorted();
-        let bigrams = self.bigram_index();
-        for &threshold in thresholds {
-            bigrams.threshold_layout(threshold);
-        }
-    }
-
     /// The padded key-bigram artifacts, built on first use and cached.
     pub(crate) fn bigram_index(&self) -> &KeyBigramIndex {
         self.bigrams.get_or_init(|| KeyBigramIndex::build(self))
@@ -579,129 +565,40 @@ impl KeyIndex {
 /// `"ab"` yields `{#a, ab, b#}`, the empty key yields `{##}` — so the
 /// candidate sets are byte-identical to the string-based reference.
 ///
-/// Beyond the plain sets, the index carries the set-similarity-join
-/// layout the filtered bigram probe
-/// ([`BigramBlocker`](crate::blocking::BigramBlocker)) walks:
-///
-/// * [`df_set`](Self::df_set) — each record's grams as *gram ids*,
-///   ordered by ascending document frequency (rare grams first; equal
-///   df breaks by gram id, i.e. gram value) — a total order shared by
-///   every record, which is what makes prefix and positional filtering
-///   sound;
-/// * each gram's posting list sorted by **ascending set size** (ties by
-///   record id), each posting carrying its record's set size (the
-///   positional filter's threshold input) and **tail length** — the
-///   number of grams from this one to the end of the record's
-///   df-ordered set, `tail = size − position`;
-/// * per-threshold [`ThresholdLayout`]s (built lazily, cached by
-///   threshold bits) that re-sort every gram's postings by the largest
-///   probe size still needing them, so a probe cuts each list to
-///   exactly its needed postings with one `partition_point` — the
-///   ubiquitous grams that sit at the tail of every record's df order
-///   are never even scanned.
+/// Both sides of a bigram probe read the same index: the external side
+/// its records' sets as *gram ids* ([`id_set`](Self::id_set)), the local
+/// side the [`GramCounter`] derived from the posting lists on first use
+/// ([`counter`](Self::counter)) — an index that is only ever probed
+/// *with* never builds one.
 #[derive(Debug, Default)]
 pub(crate) struct KeyBigramIndex {
-    /// Per-record bigram sets, flat, **value-sorted**; record `r` owns
+    /// Per-record bigram sets, flat, value-sorted; record `r` owns
     /// `sets[set_offsets[r] .. set_offsets[r + 1]]`.
     sets: Vec<u64>,
     set_offsets: Vec<u32>,
-    /// Per-record gram ids (indexes into `grams`), **df-sorted** (rare
-    /// first, ties by gram id); shares `set_offsets` with `sets`.
-    df_sets: Vec<u32>,
+    /// The same sets as gram ids (indexes into `grams`, so ascending
+    /// too); shares `set_offsets` with `sets`.
+    id_sets: Vec<u32>,
     /// Distinct grams over all records, sorted by value.
     grams: Vec<u64>,
-    /// Posting boundaries into the posting arrays, parallel to `grams`.
+    /// Posting boundaries into `postings`, parallel to `grams`.
     posting_offsets: Vec<u32>,
-    /// Record ids per gram, sorted by (ascending set size, record id)
-    /// within each gram — probe positions too late for same-or-larger
-    /// sets cut this list to the small sets whose own threshold is
-    /// still reachable with one `partition_point` over the size slice.
+    /// Record ids per gram, ascending within each gram.
     postings: Vec<u32>,
-    /// Set size of each posting's record, parallel to `postings` — the
-    /// positional filter's threshold input.
-    posting_sizes: Vec<u32>,
-    /// Tail length of each posting: grams from this one (inclusive) to
-    /// the end of its record's df-ordered set, parallel to `postings`.
-    posting_tails: Vec<u32>,
-    /// Per-threshold posting permutations ([`ThresholdLayout`]), built
-    /// on a threshold's first probe and cached for the index's
-    /// lifetime (keyed by the threshold's bit pattern).
-    layouts: Mutex<Vec<(u64, Arc<ThresholdLayout>)>>,
-    /// Smallest per-record set size (0 only when the index is empty).
-    min_set_len: u32,
     /// Largest per-record set size.
     max_set_len: u32,
+    /// The local-side counting artifact, built on first use.
+    counter: OnceLock<GramCounter>,
     /// Build scratch retained across [`rebuild`](Self::rebuild)s: the
     /// flat (gram, record) inversion pairs.
     scratch_pairs: Vec<(u64, u32)>,
-    /// Build scratch retained across rebuilds: the flat
-    /// (gram id, set size, record, tail) posting entries.
-    scratch_entries: Vec<(u32, u32, u32, u32)>,
-    /// Build scratch retained across rebuilds: document frequency per
-    /// distinct gram, parallel to `grams` during a build.
-    scratch_dfs: Vec<u32>,
-}
-
-/// One threshold's posting permutation: every gram's postings sorted by
-/// **descending entry key** `ekey` — the largest probe set size that
-/// still needs this posting.
-///
-/// A posting (record `B`, set size `b`, tail `t`) is *needed* by a
-/// probe of set size `a` exactly when the pair's sharing rule fits the
-/// posting's tail plus the prefix-order slack:
-/// `required(min(a, b)) ≤ t + K − 1  ⟺  min(a, b) ≤ maxa(t)`, where
-/// `maxa(t)` is the largest set size `m` with `required(m) ≤ t + K − 1`
-/// (`required` is non-decreasing, so the equivalence is exact). That
-/// makes the needed-entry test a pure threshold on one precomputed
-/// per-posting key,
-///
-/// `ekey = if b ≤ maxa(t) { u32::MAX } else { maxa(t) }`,
-///
-/// (`b ≤ maxa(t)` ⟹ needed by *every* probe), so a probe cuts each
-/// gram's list to **exactly** its needed postings with one binary
-/// search for `ekey ≥ a` — no second window, no dedup pass, every
-/// scanned entry counted at most once per walk position by
-/// construction.
-#[derive(Debug, Default)]
-pub(crate) struct ThresholdLayout {
-    /// Posting boundaries, parallel to the owning index's `grams`
-    /// (copied so the layout is self-contained).
-    offsets: Vec<u32>,
-    /// Entry keys per posting, descending within each gram.
-    ekeys: Vec<u32>,
-    /// Record ids parallel to `ekeys`.
-    records: Vec<u32>,
-    /// Set sizes parallel to `ekeys`.
-    sizes: Vec<u32>,
-    /// Tail lengths parallel to `ekeys`.
-    tails: Vec<u32>,
-}
-
-impl ThresholdLayout {
-    /// Gram id `id`'s postings as parallel slices
-    /// `(entry keys, records, set sizes, tail lengths)`, entry keys
-    /// descending.
-    pub(crate) fn window(&self, id: usize) -> (&[u32], &[u32], &[u32], &[u32]) {
-        let range = self.offsets[id] as usize..self.offsets[id + 1] as usize;
-        (
-            &self.ekeys[range.clone()],
-            &self.records[range.clone()],
-            &self.sizes[range.clone()],
-            &self.tails[range],
-        )
-    }
+    /// Build scratch retained across rebuilds: each record's write
+    /// cursor into `id_sets`.
+    scratch_cursors: Vec<u32>,
 }
 
 /// The padding character of the classic bigram-blocking convention.
 const PAD: char = '#';
-
-/// Prefix-filter order of the filtered bigram probe (see
-/// [`BigramBlocker`](crate::blocking::BigramBlocker)): walked counts
-/// are kept complete over every record's first `size − T + K`
-/// df-ordered grams, so a count below `min(K, T)` rejects without a
-/// verification scan. The constant lives here because it shapes the
-/// posting layout: every [`ThresholdLayout`] entry key bakes `K` in.
-pub(crate) const PREFIX_ORDER: usize = 3;
 
 impl KeyBigramIndex {
     fn build(keys: &KeyIndex) -> Self {
@@ -710,20 +607,21 @@ impl KeyBigramIndex {
         index
     }
 
-    /// Re-derive every posting structure from `keys` **in place**,
+    /// Re-derive the sets and posting lists from `keys` **in place**,
     /// retaining the capacity of every array (including the two build
-    /// scratch buffers and the threshold-layout cache vector), so a
-    /// warm index whose backing [`KeyIndex`] was
+    /// scratch buffers), so a warm index whose backing [`KeyIndex`] was
     /// [rebuilt](KeyIndex::rebuild) re-inverts without heap allocation
-    /// once its buffers fit the new contents. Cached threshold layouts
-    /// are invalidated (they describe the old postings).
+    /// once its buffers fit the new contents. A built [`GramCounter`]
+    /// is dropped (it describes the old postings).
     fn rebuild(&mut self, keys: &KeyIndex) {
         fn offset(n: usize) -> u32 {
             u32::try_from(n).expect("key bigram index exceeds u32::MAX entries")
         }
+        self.counter.take();
         self.sets.clear();
         self.set_offsets.clear();
         self.set_offsets.push(0);
+        self.max_set_len = 0;
         for record in 0..keys.len() {
             let start = self.sets.len();
             let key = keys.key(record);
@@ -752,10 +650,14 @@ impl KeyBigramIndex {
             };
             self.sets.truncate(deduped);
             self.set_offsets.push(offset(self.sets.len()));
+            self.max_set_len = self.max_set_len.max(offset(deduped - start));
         }
 
-        // Distinct grams and their document frequencies: one flat
-        // (gram, record) sort, as a plain inversion would do.
+        // One flat (gram, record) sort inverts the sets. Scanning it
+        // names the grams (a gram's id is its rank), yields every
+        // posting list already in record order, and scatters each id
+        // into its record's id set — ascending there too, because the
+        // scan meets a record's grams in value order.
         self.scratch_pairs.clear();
         for record in 0..keys.len() {
             let range = self.set_offsets[record] as usize..self.set_offsets[record + 1] as usize;
@@ -764,82 +666,25 @@ impl KeyBigramIndex {
                 .extend(sets[range].iter().map(|&g| (g, record as u32)));
         }
         self.scratch_pairs.sort_unstable();
+        self.scratch_cursors.clear();
+        self.scratch_cursors
+            .extend_from_slice(&self.set_offsets[..keys.len()]);
+        self.id_sets.clear();
+        self.id_sets.resize(self.sets.len(), 0);
         self.grams.clear();
-        self.scratch_dfs.clear();
-        for &(gram, _) in &self.scratch_pairs {
-            if self.grams.last() == Some(&gram) {
-                *self.scratch_dfs.last_mut().expect("df parallel to grams") += 1;
-            } else {
-                self.grams.push(gram);
-                self.scratch_dfs.push(1);
-            }
-        }
-        // Per-record df-ordered gram ids: rare grams first, equal df
-        // broken by gram id (= gram value) — one total order shared by
-        // every record, so prefix and positional filtering agree on it.
-        self.df_sets.clear();
-        for record in 0..keys.len() {
-            let start = self.df_sets.len();
-            let range = self.set_offsets[record] as usize..self.set_offsets[record + 1] as usize;
-            for i in range {
-                let id = self
-                    .grams
-                    .binary_search(&self.sets[i])
-                    .expect("set gram missing from the gram table");
-                self.df_sets.push(id as u32);
-            }
-            let dfs = &self.scratch_dfs;
-            self.df_sets[start..].sort_unstable_by_key(|&id| (dfs[id as usize], id));
-        }
-        // Postings: one (gram id, set size, record, tail length) entry
-        // per set element, sorted so each gram's list ascends by
-        // (set size, record id) — the late-position size cut's
-        // `partition_point` window — and carries the tail length (grams
-        // from this one to the record's df-order end), which the
-        // positional filter and the per-threshold layouts consume.
-        self.scratch_entries.clear();
-        let mut min_set_len = u32::MAX;
-        let mut max_set_len = 0u32;
-        for record in 0..keys.len() {
-            let range = self.set_offsets[record] as usize..self.set_offsets[record + 1] as usize;
-            let size = offset(range.len());
-            min_set_len = min_set_len.min(size);
-            max_set_len = max_set_len.max(size);
-            let df_sets = &self.df_sets;
-            self.scratch_entries
-                .extend(df_sets[range].iter().enumerate().map(|(position, &id)| {
-                    let tail = size - offset(position);
-                    (id, size, record as u32, tail)
-                }));
-        }
-        if keys.is_empty() {
-            min_set_len = 0;
-        }
-        self.scratch_entries.sort_unstable();
         self.posting_offsets.clear();
-        self.posting_offsets.push(0);
         self.postings.clear();
-        self.posting_sizes.clear();
-        self.posting_tails.clear();
-        let mut boundary = 0u32;
-        for &(id, size, record, tail) in &self.scratch_entries {
-            while boundary < id {
+        for &(gram, record) in &self.scratch_pairs {
+            if self.grams.last() != Some(&gram) {
+                self.grams.push(gram);
                 self.posting_offsets.push(offset(self.postings.len()));
-                boundary += 1;
             }
+            let cursor = &mut self.scratch_cursors[record as usize];
+            self.id_sets[*cursor as usize] = offset(self.grams.len() - 1);
+            *cursor += 1;
             self.postings.push(record);
-            self.posting_sizes.push(size);
-            self.posting_tails.push(tail);
         }
-        while self.posting_offsets.len() < self.grams.len() + 1 {
-            self.posting_offsets.push(offset(self.postings.len()));
-        }
-        self.layouts
-            .lock()
-            .expect("threshold layout cache poisoned")
-            .clear();
-        self.min_set_len = min_set_len;
-        self.max_set_len = max_set_len;
+        self.posting_offsets.push(offset(self.postings.len()));
     }
 
     /// Record `r`'s distinct padded key bigrams, sorted by value.
@@ -848,9 +693,9 @@ impl KeyBigramIndex {
     }
 
     /// Record `r`'s grams as ids into [`gram_values`](Self::gram_values),
-    /// ordered by (document frequency, gram id) — rarest first.
-    pub(crate) fn df_set(&self, record: usize) -> &[u32] {
-        &self.df_sets[self.set_offsets[record] as usize..self.set_offsets[record + 1] as usize]
+    /// ascending.
+    pub(crate) fn id_set(&self, record: usize) -> &[u32] {
+        &self.id_sets[self.set_offsets[record] as usize..self.set_offsets[record + 1] as usize]
     }
 
     /// The distinct grams over all records, sorted by packed value;
@@ -860,85 +705,10 @@ impl KeyBigramIndex {
         &self.grams
     }
 
-    /// Document frequency of gram id `id`.
-    pub(crate) fn df(&self, id: usize) -> u32 {
-        self.posting_offsets[id + 1] - self.posting_offsets[id]
-    }
-
-    /// Gram id `id`'s posting list as parallel slices
-    /// `(records, set sizes, tail lengths)`, sorted by (ascending set
-    /// size, record id) — a largest-viable-size cut is one
-    /// `partition_point` over the size slice, and the record's
-    /// df-order position of the gram recovers as `size − tail`.
-    pub(crate) fn posting_list(&self, id: usize) -> (&[u32], &[u32], &[u32]) {
-        let range = self.posting_offsets[id] as usize..self.posting_offsets[id + 1] as usize;
-        (
-            &self.postings[range.clone()],
-            &self.posting_sizes[range.clone()],
-            &self.posting_tails[range],
-        )
-    }
-
-    /// The cached [`ThresholdLayout`] for `threshold`, built on its
-    /// first request. The build is `O(postings log postings)` and runs
-    /// once per distinct threshold for the index's lifetime; warm
-    /// probes take the lock, find the entry, and clone the `Arc`
-    /// without allocating.
-    pub(crate) fn threshold_layout(&self, threshold: f64) -> Arc<ThresholdLayout> {
-        let bits = threshold.to_bits();
-        let mut cache = self
-            .layouts
-            .lock()
-            .expect("threshold layout cache poisoned");
-        if let Some((_, layout)) = cache.iter().find(|(key, _)| *key == bits) {
-            return Arc::clone(layout);
-        }
-        // `maxa[x]`: the largest set size `m ≤ max_set_len` whose
-        // sharing rule `required(m) = max(ceil(threshold · m), 1)` is at
-        // most `x` (0 when none is). `required` is non-decreasing, so
-        // one forward sweep fills the whole table.
-        let top = self.max_set_len as usize + PREFIX_ORDER - 1;
-        let required = |m: usize| ((threshold * m as f64).ceil() as usize).max(1);
-        let mut maxa = vec![0u32; top + 1];
-        let mut m = 0usize;
-        for (x, slot) in maxa.iter_mut().enumerate() {
-            while m < self.max_set_len as usize && required(m + 1) <= x {
-                m += 1;
-            }
-            *slot = m as u32;
-        }
-        let mut entries: Vec<(u32, std::cmp::Reverse<u32>, u32, u32, u32)> =
-            Vec::with_capacity(self.postings.len());
-        for id in 0..self.grams.len() {
-            let (records, sizes, tails) = self.posting_list(id);
-            for ((&record, &size), &tail) in records.iter().zip(sizes).zip(tails) {
-                let cap = maxa[(tail as usize + PREFIX_ORDER - 1).min(top)];
-                let ekey = if size <= cap { u32::MAX } else { cap };
-                entries.push((id as u32, std::cmp::Reverse(ekey), record, size, tail));
-            }
-        }
-        entries.sort_unstable();
-        let mut layout = ThresholdLayout {
-            offsets: self.posting_offsets.clone(),
-            ekeys: Vec::with_capacity(entries.len()),
-            records: Vec::with_capacity(entries.len()),
-            sizes: Vec::with_capacity(entries.len()),
-            tails: Vec::with_capacity(entries.len()),
-        };
-        for &(_, std::cmp::Reverse(ekey), record, size, tail) in &entries {
-            layout.ekeys.push(ekey);
-            layout.records.push(record);
-            layout.sizes.push(size);
-            layout.tails.push(tail);
-        }
-        let layout = Arc::new(layout);
-        cache.push((bits, Arc::clone(&layout)));
-        layout
-    }
-
-    /// Smallest per-record gram-set size (0 only on an empty index).
-    pub(crate) fn min_set_len(&self) -> u32 {
-        self.min_set_len
+    /// The ids of every record whose key contains gram id `id`,
+    /// ascending.
+    fn posting_list(&self, id: usize) -> &[u32] {
+        &self.postings[self.posting_offsets[id] as usize..self.posting_offsets[id + 1] as usize]
     }
 
     /// Largest per-record gram-set size.
@@ -946,15 +716,143 @@ impl KeyBigramIndex {
         self.max_set_len
     }
 
-    /// The ids of every record whose key contains `gram`, ordered by
-    /// (ascending set size, record id). The probe itself goes through
-    /// [`posting_list`](Self::posting_list) and [`ThresholdLayout`] by
-    /// gram id; this value-keyed view serves the inversion tests.
-    #[cfg(test)]
-    pub(crate) fn postings(&self, gram: u64) -> &[u32] {
-        match self.grams.binary_search(&gram) {
-            Ok(i) => self.posting_list(i).0,
-            Err(_) => &[],
+    /// The counting artifact a probe *of* this index adds up, built on
+    /// first use and cached until the next [`rebuild`](Self::rebuild).
+    pub(crate) fn counter(&self) -> &GramCounter {
+        self.counter.get_or_init(|| GramCounter::build(self))
+    }
+}
+
+/// Below this document frequency a gram stays a posting list however
+/// small the index: a bitmap row is one word at least.
+const MIN_DENSE_DF: usize = 8;
+
+/// The local side of the bigram probe
+/// ([`BigramBlocker`](crate::blocking::BigramBlocker)): everything a
+/// probe needs to count, for one external record, the grams it shares
+/// with **every** record of the index at once — 64 records a word.
+/// Independent of the blocker's threshold.
+///
+/// Records are renumbered into *positions*, ascending by (set size,
+/// record id), so the records a sharing rule `required(min(a, size))`
+/// treats alike are one contiguous position range. Each gram is then
+/// either a **bitmap row** over positions or, below the dense cut-off
+/// `max(⌈N/64⌉, 8)`, its position-sorted **posting list**. The cut-off
+/// is derived, not tuned: from there on a row averages at least one
+/// posting a word (adding the row touches no more words than walking
+/// the list touches postings) and its 8·⌈N/64⌉ bytes are at most 8 per
+/// posting.
+#[derive(Debug, Default)]
+pub(crate) struct GramCounter {
+    /// Words in a bitmap row (and in a probe's counter plane): `⌈N/64⌉`.
+    words: usize,
+    /// The record at each position.
+    record_of: Vec<u32>,
+    /// `size_start[m]`: the first position whose record has at least
+    /// `m` grams, for `m` in `0 ..= max_set_len + 1` (the last entry is
+    /// `N`).
+    size_start: Vec<u32>,
+    /// Where each gram id's positions live.
+    slots: Vec<GramSlot>,
+    /// Dense grams' bitmap rows, `words` words each.
+    rows: Vec<u64>,
+    /// Sparse grams' position lists, each ascending.
+    sparse: Vec<u32>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum GramSlot {
+    /// Row number in `rows`.
+    Row(u32),
+    /// Range of `sparse`.
+    List(u32, u32),
+}
+
+/// One gram's records, as [`GramCounter`] positions.
+pub(crate) enum GramPositions<'a> {
+    /// Bit `p % 64` of word `p / 64` is set for every position `p`.
+    Row(&'a [u64]),
+    /// The positions, ascending.
+    List(&'a [u32]),
+}
+
+impl GramCounter {
+    fn build(index: &KeyBigramIndex) -> Self {
+        let records = index.set_offsets.len() - 1;
+        let words = records.div_ceil(64);
+        // Counting sort by set size; equal sizes keep record order.
+        let mut size_start = vec![0u32; index.max_set_len as usize + 2];
+        for record in 0..records {
+            size_start[index.set(record).len() + 1] += 1;
+        }
+        for m in 1..size_start.len() {
+            size_start[m] += size_start[m - 1];
+        }
+        let mut next = size_start.clone();
+        let mut position_of = vec![0u32; records];
+        let mut record_of = vec![0u32; records];
+        for record in 0..records {
+            let slot = &mut next[index.set(record).len()];
+            position_of[record] = *slot;
+            record_of[*slot as usize] = record as u32;
+            *slot += 1;
+        }
+        let mut counter = GramCounter {
+            words,
+            record_of,
+            size_start,
+            ..GramCounter::default()
+        };
+        let cut_off = words.max(MIN_DENSE_DF);
+        for id in 0..index.grams.len() {
+            let positions = index
+                .posting_list(id)
+                .iter()
+                .map(|&record| position_of[record as usize]);
+            if positions.len() >= cut_off {
+                let row = counter.rows.len();
+                counter.rows.resize(row + words, 0);
+                for position in positions {
+                    counter.rows[row + position as usize / 64] |= 1 << (position % 64);
+                }
+                counter.slots.push(GramSlot::Row((row / words) as u32));
+            } else {
+                let start = counter.sparse.len();
+                counter.sparse.extend(positions);
+                counter.sparse[start..].sort_unstable();
+                counter
+                    .slots
+                    .push(GramSlot::List(start as u32, counter.sparse.len() as u32));
+            }
+        }
+        counter
+    }
+
+    /// Words in a bitmap row: `⌈N/64⌉`.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The record id at each position.
+    pub(crate) fn record_of(&self) -> &[u32] {
+        &self.record_of
+    }
+
+    /// The first position whose record has at least `size` grams (`N`
+    /// when none has).
+    pub(crate) fn first_of_size(&self, size: usize) -> usize {
+        self.size_start[size.min(self.size_start.len() - 1)] as usize
+    }
+
+    /// Gram id `id`'s records.
+    pub(crate) fn gram(&self, id: usize) -> GramPositions<'_> {
+        match self.slots[id] {
+            GramSlot::Row(row) => {
+                GramPositions::Row(&self.rows[row as usize * self.words..][..self.words])
+            }
+            GramSlot::List(start, end) => {
+                GramPositions::List(&self.sparse[start as usize..end as usize])
+            }
         }
     }
 }
@@ -1168,126 +1066,85 @@ mod tests {
             }
         }
 
+        /// The gram table, the id sets and the posting lists are three
+        /// views of one inversion.
         #[test]
         fn postings_invert_the_sets() {
             let store = store_of(VALUES);
             let side = BlockingKey::shared(PN, 0).external_side(&store);
             let index = KeyIndex::build(&store, &side);
             let bigrams = index.bigram_index();
+            let grams = bigrams.gram_values();
+            assert!(grams.windows(2).all(|w| w[0] < w[1]));
+            let mut max_seen = 0;
             for r in 0..store.len() {
-                for &gram in bigrams.set(r) {
-                    let postings = bigrams.postings(gram);
-                    assert!(postings.contains(&(r as u32)), "record {r} gram {gram:#x}");
-                }
-            }
-            // Posting lists are (ascending set size, record id)-sorted:
-            // the late-position size cut's partition_point window.
-            for id in 0..bigrams.gram_values().len() {
-                let (records, sizes, tails) = bigrams.posting_list(id);
-                assert_eq!(records.len(), bigrams.df(id) as usize, "gram id {id}");
-                let by_size: Vec<(u32, u32)> =
-                    sizes.iter().copied().zip(records.iter().copied()).collect();
-                assert!(by_size.windows(2).all(|w| w[0] < w[1]), "gram id {id}");
-                for ((&record, &size), &tail) in records.iter().zip(sizes).zip(tails) {
-                    let record = record as usize;
-                    assert_eq!(size as usize, bigrams.set(record).len(), "gram id {id}");
-                    assert!(tail >= 1 && tail <= size, "gram id {id}");
-                    assert_eq!(
-                        bigrams.df_set(record)[(size - tail) as usize] as usize,
-                        id,
-                        "size − tail must point back at the gram"
-                    );
-                }
-            }
-            assert!(bigrams.postings(pack_bigram('\u{10FFFF}', 'q')).is_empty());
-        }
-
-        /// Every [`ThresholdLayout`] is an exact per-gram permutation of
-        /// the base postings under the documented entry-key formula:
-        /// `ekey` descending, `ekey = u32::MAX` when the record's own
-        /// sharing rule fits its tail plus prefix slack, the largest
-        /// fitting probe size otherwise — and the cache returns the
-        /// same layout on a repeat request.
-        #[test]
-        fn threshold_layouts_permute_the_postings() {
-            let store = store_of(VALUES);
-            let side = BlockingKey::shared(PN, 0).external_side(&store);
-            let index = KeyIndex::build(&store, &side);
-            let bigrams = index.bigram_index();
-            for threshold in [0.0, 0.3, 0.7, 1.0] {
-                let layout = bigrams.threshold_layout(threshold);
-                let required = |m: u32| ((threshold * m as f64).ceil() as u32).max(1);
-                let maxa = |tail: u32| {
-                    (1..=bigrams.max_set_len())
-                        .take_while(|&m| (required(m) as usize) < tail as usize + PREFIX_ORDER)
-                        .last()
-                        .unwrap_or(0)
-                };
-                for id in 0..bigrams.gram_values().len() {
-                    let (records, sizes, tails) = bigrams.posting_list(id);
-                    let (ekeys, records2, sizes2, tails2) = layout.window(id);
-                    assert!(
-                        ekeys.windows(2).all(|w| w[0] >= w[1]),
-                        "gram id {id}: entry keys must descend"
-                    );
-                    for ((&ekey, &size), &tail) in ekeys.iter().zip(sizes2).zip(tails2) {
-                        let cap = maxa(tail);
-                        let expect = if size <= cap { u32::MAX } else { cap };
-                        assert_eq!(ekey, expect, "gram id {id} t={threshold}");
-                    }
-                    let entry_set = |r: &[u32], s: &[u32], t: &[u32]| {
-                        let mut e: Vec<(u32, u32, u32)> = r
-                            .iter()
-                            .zip(s)
-                            .zip(t)
-                            .map(|((&r, &s), &t)| (r, s, t))
-                            .collect();
-                        e.sort_unstable();
-                        e
-                    };
-                    assert_eq!(
-                        entry_set(records, sizes, tails),
-                        entry_set(records2, sizes2, tails2),
-                        "gram id {id} t={threshold}: layout must permute the postings"
-                    );
-                }
-                assert!(
-                    Arc::ptr_eq(&layout, &bigrams.threshold_layout(threshold)),
-                    "t={threshold}: repeat request must hit the cache"
-                );
-            }
-        }
-
-        /// The df-ordered per-record gram lists are a permutation of
-        /// the value-sorted sets under one shared (df, gram id) order.
-        #[test]
-        fn df_sets_are_df_ordered_permutations() {
-            let store = store_of(VALUES);
-            let side = BlockingKey::shared(PN, 0).external_side(&store);
-            let index = KeyIndex::build(&store, &side);
-            let bigrams = index.bigram_index();
-            let (mut min_seen, mut max_seen) = (u32::MAX, 0u32);
-            for r in 0..store.len() {
-                let df_set = bigrams.df_set(r);
-                assert_eq!(df_set.len(), bigrams.set(r).len(), "record {r}");
-                min_seen = min_seen.min(df_set.len() as u32);
-                max_seen = max_seen.max(df_set.len() as u32);
-                let mut values: Vec<u64> = df_set
+                let values: Vec<u64> = bigrams
+                    .id_set(r)
                     .iter()
-                    .map(|&id| bigrams.gram_values()[id as usize])
+                    .map(|&id| grams[id as usize])
                     .collect();
-                values.sort_unstable();
-                assert_eq!(values, bigrams.set(r), "record {r}: not a permutation");
-                assert!(
-                    df_set
-                        .windows(2)
-                        .all(|w| (bigrams.df(w[0] as usize), w[0])
-                            < (bigrams.df(w[1] as usize), w[1])),
-                    "record {r}: df order violated"
+                assert_eq!(values, bigrams.set(r), "record {r}");
+                max_seen = max_seen.max(values.len() as u32);
+            }
+            assert_eq!(bigrams.max_set_len(), max_seen);
+            for (id, gram) in grams.iter().enumerate() {
+                let expected: Vec<u32> = (0..store.len() as u32)
+                    .filter(|&r| bigrams.set(r as usize).contains(gram))
+                    .collect();
+                assert_eq!(bigrams.posting_list(id), expected, "gram id {id}");
+            }
+        }
+
+        /// Positions ascend by (set size, record id), and every gram's
+        /// row or list holds exactly its posting list's positions —
+        /// rows from the dense cut-off on, lists below it.
+        #[test]
+        fn counter_renumbers_the_postings_by_set_size() {
+            // 70 records (two words): "ab" is in all of them, "b0" in
+            // the 7 keys "ab0", "ab0x0", ….
+            let values: Vec<String> = (0..70)
+                .map(|i| format!("ab{}{}", i % 10, "x0".repeat(i % 4)))
+                .collect();
+            let store = store_of(&values.iter().map(String::as_str).collect::<Vec<_>>());
+            let side = BlockingKey::shared(PN, 0).external_side(&store);
+            let index = KeyIndex::build(&store, &side);
+            let bigrams = index.bigram_index();
+            let counter = bigrams.counter();
+            assert_eq!(counter.words(), 2);
+            let size = |r: u32| bigrams.set(r as usize).len();
+            let record_of = counter.record_of();
+            assert!(record_of
+                .windows(2)
+                .all(|w| (size(w[0]), w[0]) < (size(w[1]), w[1])));
+            for m in 0..=bigrams.max_set_len() as usize + 3 {
+                assert_eq!(
+                    counter.first_of_size(m),
+                    record_of.iter().filter(|&&r| size(r) < m).count(),
+                    "size {m}"
                 );
             }
-            assert_eq!(bigrams.min_set_len(), min_seen);
-            assert_eq!(bigrams.max_set_len(), max_seen);
+            let (mut rows, mut lists) = (0, 0);
+            for id in 0..bigrams.gram_values().len() {
+                let mut records: Vec<u32> = match counter.gram(id) {
+                    GramPositions::Row(row) => {
+                        rows += 1;
+                        assert!(bigrams.posting_list(id).len() >= MIN_DENSE_DF);
+                        (0..record_of.len())
+                            .filter(|p| row[p / 64] >> (p % 64) & 1 == 1)
+                            .map(|p| record_of[p])
+                            .collect()
+                    }
+                    GramPositions::List(list) => {
+                        lists += 1;
+                        assert!(bigrams.posting_list(id).len() < MIN_DENSE_DF);
+                        assert!(list.windows(2).all(|w| w[0] < w[1]));
+                        list.iter().map(|&p| record_of[p as usize]).collect()
+                    }
+                };
+                records.sort_unstable();
+                assert_eq!(records, bigrams.posting_list(id), "gram id {id}");
+            }
+            assert!(rows > 0 && lists > 0, "{rows} rows, {lists} lists");
         }
     }
 

@@ -1,17 +1,20 @@
-//! Proptest equivalence suite for the **filtered bigram probe**: on
-//! arbitrary generated key sets — including empty keys (the padded
-//! `{##}` singleton set) and a heavily skewed gram distribution where
-//! ~90% of characters come from a three-letter alphabet, so almost
-//! every record shares a handful of ubiquitous grams — the
-//! prefix/length/positional-filtered overlap join emits **exactly** the
-//! candidate set of an independent string-based exhaustive reference,
-//! per `(external, shard)` pair, across thresholds spanning the whole
-//! `[0, 1]` range and both the single-store and sharded probe paths.
+//! Equivalence suite for the **bigram probe**: on arbitrary generated
+//! key sets — including empty keys (the padded `{##}` singleton set),
+//! keys of up to 40 characters (six counter planes) and a gram
+//! distribution that runs from "almost every record shares a handful of
+//! ubiquitous grams" to "every gram is rare" — the bit-sliced counter
+//! emits **exactly** the candidate set of an independent string-based
+//! exhaustive reference, per `(external, shard)` pair, across thresholds
+//! spanning the whole `[0, 1]` range and both the single-store and
+//! sharded probe paths. Pinned cases sit on the counter's own edges:
+//! shards ending on, before and after a word boundary, keys needing nine
+//! planes, all-empty keys, and grams on either side of the dense
+//! cut-off.
 //!
 //! The reference below intersects per-record `HashSet<String>` padded
 //! bigram sets and never touches `stream_candidates`, `CandidateRuns`,
-//! the `KeyIndex` or any posting layout, so a filter bug cannot cancel
-//! out of both sides.
+//! the `KeyIndex` or any posting structure, so a counting bug cannot
+//! cancel out of both sides.
 
 use classilink_linking::blocking::{BigramBlocker, Blocker, BlockingKey};
 use classilink_linking::record::Record;
@@ -30,12 +33,13 @@ const LOC_PN: &str = "http://local.e.org/v#partNumber";
 /// operating-range interior points.
 const THRESHOLDS: [f64; 5] = [0.0, 0.2, 0.6, 0.9, 1.0];
 
-/// Decode one key from a seed with the gram distribution the filters
-/// care about: ~90% of characters from a three-letter alphabet (the
-/// resulting bigrams are shared by almost every record — exactly the
-/// ubiquitous grams the length filter must cut without scanning) and
-/// the rest from a wider alphabet (the rare, discriminating grams);
-/// about one key in thirteen is empty.
+/// Decode one key of up to 40 characters from a seed. Each key draws
+/// its own share of characters from a three-letter alphabet (the
+/// resulting bigrams are shared by almost every record — the dense
+/// bitmap rows) against a 36-letter one (the rare grams — the sparse
+/// posting lists), so set sizes spread over 1 ..= 41 and the size runs
+/// of one sharing rule start and end anywhere in a word; about one key
+/// in thirteen is empty.
 fn key_of(seed: u64) -> String {
     let mut state = seed | 1;
     let mut next = move || {
@@ -44,26 +48,29 @@ fn key_of(seed: u64) -> String {
         state ^= state << 17;
         state
     };
-    let len = (next() % 13) as usize;
+    if next() % 13 == 0 {
+        return String::new();
+    }
+    let len = 1 + (next() % 40) as usize;
+    let common_share = next() % 11;
     (0..len)
         .map(|_| {
             let roll = next();
-            if roll % 10 < 9 {
+            if roll % 10 < common_share {
                 b"abc"[(roll >> 8) as usize % 3] as char
             } else {
-                (b'0' + ((roll >> 8) % 36) as u8).min(b'z') as char
+                char::from_digit(((roll >> 8) % 36) as u32, 36).expect("radix 36")
             }
         })
         .collect()
 }
 
-fn store_of(property: &str, prefix: &str, seeds: &[u64]) -> Vec<Record> {
-    seeds
-        .iter()
+fn records_of(property: &str, prefix: &str, keys: &[String]) -> Vec<Record> {
+    keys.iter()
         .enumerate()
-        .map(|(i, &seed)| {
+        .map(|(i, key)| {
             let mut record = Record::new(Term::iri(format!("{prefix}/{i}")));
-            record.add(property, key_of(seed));
+            record.add(property, key.as_str());
             record
         })
         .collect()
@@ -100,38 +107,148 @@ fn reference_pairs(
     pairs
 }
 
-proptest! {
-    /// For every threshold and shard count, the streamed per-shard
-    /// candidate runs decode to exactly the reference pair set of that
-    /// shard — the filters are candidate-set-preserving, pair for pair.
-    #[test]
-    fn filtered_probe_matches_exhaustive_reference(
-        external_seeds in vec(0u64..u64::MAX, 1..24),
-        local_seeds in vec(0u64..u64::MAX, 1..32),
-    ) {
-        let key = BlockingKey::per_side(EXT_PN, LOC_PN, 0);
-        let external = RecordStore::from_records(&store_of(EXT_PN, "http://provider.e.org/item", &external_seeds));
-        let local_records = store_of(LOC_PN, "http://local.e.org/prod", &local_seeds);
-        for &threshold in &THRESHOLDS {
+/// For every listed threshold and shard count, the streamed per-shard
+/// candidate runs decode to exactly the reference pair set of that
+/// shard.
+fn assert_probe_matches_reference(
+    external_keys: &[String],
+    local_keys: &[String],
+    thresholds: &[f64],
+    shard_counts: &[usize],
+) {
+    let key = BlockingKey::per_side(EXT_PN, LOC_PN, 0);
+    let external = RecordStore::from_records(&records_of(
+        EXT_PN,
+        "http://provider.e.org/item",
+        external_keys,
+    ));
+    let local_records = records_of(LOC_PN, "http://local.e.org/prod", local_keys);
+    let mut runs = CandidateRuns::new();
+    for &shards in shard_counts {
+        let sharded = ShardedStore::from_records(&local_records, shards);
+        for &threshold in thresholds {
             let blocker = BigramBlocker::new(key.clone(), threshold);
-            for shards in [1usize, 3] {
-                let sharded = ShardedStore::from_records(&local_records, shards);
-                let mut runs = CandidateRuns::new();
-                blocker.stream_candidates(&external, (&sharded).into(), &mut runs);
-                for s in 0..shards {
-                    let mut streamed: Vec<(usize, usize)> = runs.pairs(s).collect();
-                    streamed.sort_unstable();
-                    let expected = reference_pairs(&key, threshold, &external, sharded.shard(s));
-                    prop_assert_eq!(
-                        &streamed,
-                        &expected,
-                        "threshold {} shard {}/{} diverged",
-                        threshold,
-                        s,
-                        shards
-                    );
-                }
+            blocker.stream_candidates(&external, (&sharded).into(), &mut runs);
+            for s in 0..shards {
+                let mut streamed: Vec<(usize, usize)> = runs.pairs(s).collect();
+                streamed.sort_unstable();
+                let expected = reference_pairs(&key, threshold, &external, sharded.shard(s));
+                assert_eq!(
+                    streamed,
+                    expected,
+                    "threshold {threshold} shard {s}/{shards} ({} records) diverged",
+                    sharded.shard(s).len()
+                );
             }
         }
+    }
+}
+
+fn keys_of(seeds: impl IntoIterator<Item = u64>) -> Vec<String> {
+    seeds.into_iter().map(key_of).collect()
+}
+
+/// `count` deterministic seeds, different for every `salt`.
+fn seeds(salt: u64, count: usize) -> impl Iterator<Item = u64> {
+    (1..=count as u64).map(move |i| (i + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+proptest! {
+    /// Up to 200 locals (bitmap rows of up to four words, one to three
+    /// per shard when split) against up to 24 externals.
+    #[test]
+    fn probe_matches_exhaustive_reference(
+        external_seeds in vec(0u64..u64::MAX, 1..24),
+        local_seeds in vec(0u64..u64::MAX, 1..200),
+    ) {
+        assert_probe_matches_reference(
+            &keys_of(external_seeds),
+            &keys_of(local_seeds),
+            &THRESHOLDS,
+            &[1, 3],
+        );
+    }
+}
+
+/// The last word of a row is full, one bit short, or holds one bit: the
+/// final size run's end mask must keep exactly the shard's positions.
+#[test]
+fn shard_sizes_around_a_word_boundary() {
+    let external = keys_of(seeds(7, 20));
+    for records in [63, 64, 65, 128, 129] {
+        let local = keys_of(seeds(records as u64, records));
+        assert_probe_matches_reference(&external, &local, &THRESHOLDS, &[1]);
+    }
+}
+
+/// A run of `count` distinct alphanumeric characters (lowercasing
+/// leaves them alone): a key of `count + 1` distinct padded bigrams.
+fn distinct_chars(first: u32, count: u32) -> String {
+    (first..first + count)
+        .map(|c| char::from_u32(c).expect("CJK ideograph"))
+        .collect()
+}
+
+/// Keys of 256 and of 301 distinct bigrams — counts that need a ninth
+/// plane, one of them a power of two — on either side, against their
+/// own copies, their halves and short keys.
+#[test]
+fn more_than_255_distinct_bigrams_on_either_side() {
+    let exact = distinct_chars(0x4E00, 255);
+    let long = distinct_chars(0x4E00, 300);
+    let mut half = distinct_chars(0x4E00, 150);
+    half.push_str("abc");
+    let mut keys = vec![exact, long, half, "abc".to_string(), String::new()];
+    keys.extend(keys_of(seeds(3, 70)));
+    let short = keys_of(seeds(4, 12));
+    assert_probe_matches_reference(&keys, &short, &THRESHOLDS, &[1]);
+    assert_probe_matches_reference(&short, &keys, &THRESHOLDS, &[1, 2]);
+    assert_probe_matches_reference(&keys, &keys, &THRESHOLDS, &[1, 2]);
+}
+
+/// Every key empty: every set is `{##}`, every pair shares it, and
+/// every threshold demands exactly that one gram.
+#[test]
+fn all_empty_keys_pair_everything() {
+    let external = vec![String::new(); 5];
+    let local = vec![String::new(); 70];
+    assert_probe_matches_reference(&external, &local, &[0.0, 0.5, 1.0], &[1, 2]);
+    let key = BlockingKey::per_side(EXT_PN, LOC_PN, 0);
+    let mut runs = CandidateRuns::new();
+    BigramBlocker::new(key, 1.0).stream_candidates(
+        &RecordStore::from_records(&records_of(EXT_PN, "http://provider.e.org/item", &external)),
+        (&RecordStore::from_records(&records_of(LOC_PN, "http://local.e.org/prod", &local))).into(),
+        &mut runs,
+    );
+    assert_eq!(runs.total(), 5 * 70);
+}
+
+/// Three marker grams whose document frequencies are the dense cut-off
+/// `max(⌈N/64⌉, 8)` minus one, exactly, and plus one — a posting list,
+/// the shortest bitmap row and the next — in a shard where the cut-off
+/// is the floor (200 records) and one where it is `⌈N/64⌉` (700
+/// records, 11): the counts must not depend on which side of the cut a
+/// gram falls.
+#[test]
+fn grams_on_either_side_of_the_dense_cut_off() {
+    for (records, cut_off) in [(200usize, 8usize), (700, 11)] {
+        assert_eq!(records.div_ceil(64).max(8), cut_off);
+        let mut local = keys_of(seeds(records as u64, records));
+        // No generated key keeps a `z`, so each marker gram occurs in
+        // exactly the records it is appended to.
+        for key in &mut local {
+            key.retain(|c| c != 'z');
+        }
+        let markers = [("qz", cut_off - 1), ("wz", cut_off), ("yz", cut_off + 1)];
+        for (offset, (marker, df)) in markers.into_iter().enumerate() {
+            for key in local.iter_mut().skip(offset).step_by(7).take(df) {
+                key.push_str(marker);
+            }
+        }
+        let mut external: Vec<String> = ["qz", "wz", "yz", "qzwz", "wzyz", "qzwzyz", "aqzb"]
+            .map(String::from)
+            .to_vec();
+        external.extend(keys_of(seeds(11, 8)));
+        assert_probe_matches_reference(&external, &local, &THRESHOLDS, &[1]);
     }
 }

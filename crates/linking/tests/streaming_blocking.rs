@@ -962,3 +962,61 @@ fn rule_based_emission_sequence_matches_at_paper_scale() {
         "only {total} candidates — not the paper-scale extent sharing this test is for"
     );
 }
+
+/// Paper scale (`linkbench`'s `batch_bigram` link: seed 20120326, 30 000
+/// locals, threshold 0.7) as one store and as 4 shards: rows of 118 and
+/// 469 words, hundreds of dense grams, size runs across many words. The
+/// bit-sliced counter's per-shard candidate sets are those of the obvious
+/// count-all probe — one `u8` per local, one increment per posting of a
+/// string-keyed inverted index. Run in release by CI (`-- --ignored`).
+#[test]
+#[ignore = "paper scale: run with --release -- --ignored"]
+fn bigram_counter_matches_count_all_reference_at_paper_scale() {
+    const THRESHOLD: f64 = 0.7;
+    let scenario = generate(&ScenarioConfig::paper());
+    let blocker = BigramBlocker::new(key(0), THRESHOLD);
+    let segmenter = CharNGramSegmenter::padded_bigrams();
+    for shard_count in [1, 4] {
+        let (external, local) = scenario.sharded_stores(shard_count);
+        let external_side = key(0).external_side(&external);
+        let external_grams: Vec<Vec<String>> = (0..external.len())
+            .map(|e| segmenter.split_distinct(&external_side.key(&external, e)))
+            .collect();
+        let mut runs = CandidateRuns::new();
+        blocker.stream_candidates(&external, (&local).into(), &mut runs);
+        assert_eq!(runs.total(), 84_255, "{shard_count} shards");
+        for s in 0..shard_count {
+            let shard = local.shard(s);
+            let local_side = key(0).local_side(shard);
+            let mut postings: HashMap<String, Vec<usize>> = HashMap::new();
+            let mut sizes = Vec::with_capacity(shard.len());
+            for l in 0..shard.len() {
+                let grams = segmenter.split_distinct(&local_side.key(shard, l));
+                sizes.push(grams.len());
+                for gram in grams {
+                    postings.entry(gram).or_default().push(l);
+                }
+            }
+            let mut expected = Vec::new();
+            let mut counts = vec![0u8; shard.len()];
+            for (e, grams) in external_grams.iter().enumerate() {
+                counts.fill(0);
+                for gram in grams {
+                    for &l in postings.get(gram).map(Vec::as_slice).unwrap_or(&[]) {
+                        counts[l] += 1;
+                    }
+                }
+                for (l, &shared) in counts.iter().enumerate() {
+                    let smaller = grams.len().min(sizes[l]);
+                    let required = ((THRESHOLD * smaller as f64).ceil() as usize).max(1);
+                    if shared as usize >= required {
+                        expected.push((e, l));
+                    }
+                }
+            }
+            let mut streamed: Vec<(usize, usize)> = runs.pairs(s).collect();
+            streamed.sort_unstable();
+            assert_eq!(streamed, expected, "shard {s}/{shard_count}");
+        }
+    }
+}

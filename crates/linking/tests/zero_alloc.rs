@@ -227,8 +227,9 @@ fn steady_state_blocking_never_allocates() {
     let (external, local) = stores();
     let standard = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
     let bigram = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.3);
-    // A second threshold forces a second cached `ThresholdLayout` per
-    // shard index: the warm call must find it without allocating.
+    // A second threshold reads the same per-shard counter artifact
+    // (nothing about it depends on the threshold) through its own
+    // sharing-rule table.
     let bigram_high = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.7);
     let mut runs = CandidateRuns::new();
     // Single-store (one-shard) view. Standard emits
@@ -254,6 +255,23 @@ fn steady_state_blocking_never_allocates() {
     assert_blocking_steady_state(&bigram, &external, (&sharded).into(), &mut runs);
     assert_blocking_steady_state(&bigram_high, &external, (&sharded).into(), &mut runs);
     assert_blocking_steady_state(&CartesianBlocker, &external, (&sharded).into(), &mut runs);
+    // Consecutive externals of 7, 8 and 16 padded bigrams count in 3, 4
+    // and 5 planes: the plane count grows from probe to probe inside
+    // the warm sink, past what the externals above (under 16 bigrams
+    // each) ever needed.
+    let growing = RecordStore::from_records(
+        &["CRCW08", "CRCW080", "CRCW0805-1N4148X"]
+            .iter()
+            .enumerate()
+            .map(|(i, pn)| {
+                let mut r = Record::new(Term::iri(format!("http://provider.e.org/grow/{i}")));
+                r.add(EXT_PN, *pn);
+                r
+            })
+            .collect::<Vec<_>>(),
+    );
+    assert_blocking_steady_state(&bigram, &growing, (&local).into(), &mut runs);
+    assert_blocking_steady_state(&bigram_high, &growing, (&sharded).into(), &mut runs);
 }
 
 /// What one warm rule-blocker streaming call allocates **beyond**
