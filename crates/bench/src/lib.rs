@@ -1,54 +1,23 @@
 //! # classilink-bench
 //!
-//! Criterion benchmark targets regenerating every table and figure of the
-//! paper's evaluation (see DESIGN.md §4 for the experiment index). Each bench
-//! prints the regenerated table/series once before timing the pipeline that
-//! produces it, so `cargo bench` doubles as the experiment runner.
-//!
-//! Shared helpers used by several bench targets live here.
+//! The learner configuration `linkbench/` (the repository's one timing
+//! harness, see `BENCHMARK.json`) imports by path, and
+//! `history/BENCH_pr*.json`, a retired mean-only series kept as a record.
+//! The experiments live in `classilink-eval` (see the experiment index in
+//! its crate docs).
 
 use classilink_core::{LearnerConfig, PropertySelection};
 use classilink_datagen::vocab;
 
-/// The learner configuration shared by the experiment benches: the paper's
-/// `th = 0.002`, restricted to the provider part-number property (the
-/// expert's choice in the paper).
+/// The paper's learner configuration: `th = 0.002`, restricted to the
+/// provider part-number property (the expert's choice in the paper).
 pub fn paper_learner() -> LearnerConfig {
     LearnerConfig::paper().with_properties(PropertySelection::single(vocab::PROVIDER_PART_NUMBER))
-}
-
-/// A corpus of realistic part numbers used by the micro-benchmarks
-/// (segmentation, similarity).
-pub fn part_number_corpus(n: usize) -> Vec<String> {
-    let series = [
-        "CRCW0805", "ERJ6", "T83", "TAJ", "1N4148", "BC547", "LM317", "GRM188",
-    ];
-    let units = ["ohm", "uF", "63V", "25V", "5%", "X7R", "TO220", "SOD123"];
-    (0..n)
-        .map(|i| {
-            format!(
-                "{}-{:05X}-{}-{}",
-                series[i % series.len()],
-                i * 2654435761 % 0xFFFFF,
-                units[i % units.len()],
-                units[(i * 7 + 3) % units.len()],
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn corpus_is_deterministic_and_sized() {
-        let a = part_number_corpus(10);
-        let b = part_number_corpus(10);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 10);
-        assert!(a.iter().all(|pn| pn.contains('-')));
-    }
 
     #[test]
     fn paper_learner_uses_the_provider_part_number() {

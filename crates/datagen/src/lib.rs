@@ -8,7 +8,8 @@
 //! electronic-products catalog and 10 265 expert reconciliations). That data
 //! is not available, so this crate generates the closest synthetic
 //! equivalent, preserving the statistical shape the learning algorithm
-//! depends on (see DESIGN.md §2 for the substitution argument):
+//! depends on (the experiments run on it are indexed in the
+//! `classilink-eval` crate docs):
 //!
 //! * [`taxonomy`] — a 566-class / 226-leaf electronic-components ontology
 //!   built from ten realistic component families, plus per-leaf part-number

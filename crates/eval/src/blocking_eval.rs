@@ -1,5 +1,5 @@
 //! Comparing the rule-based reduction with the classic blocking baselines
-//! (experiment E5 of DESIGN.md).
+//! (experiment E5 of the [experiment index](crate#experiment-index)).
 //!
 //! The related-work section of the paper positions the approach against
 //! blocking, sorted neighbourhood and bi-gram indexing. This module runs all

@@ -4,8 +4,25 @@
 //! *"Classification Rule Learning for Data Linking"*, Pernelle & Saïs,
 //! LWDM @ EDBT 2012).
 //!
-//! Every table and figure of the paper's evaluation (and the additional
-//! experiments listed in DESIGN.md) is regenerated through this crate:
+//! Every table and figure of the paper's evaluation, and the ablations this
+//! reproduction adds, is computed by this crate, printed by an example and
+//! timed by `linkbench/` (the one timing harness, see `BENCHMARK.json`).
+//!
+//! ## Experiment index
+//!
+//! | id | what | computed by | printed by | `linkbench` lines |
+//! |---|---|---|---|---|
+//! | E1 | Table 1: rules by confidence tier | [`Table1Experiment`] | `electronics_catalog` | `eval.table1.*`, `learn_ms` |
+//! | E3/E4 | linking-space reduction and lift vs confidence | [`reduction_sweep`] | `electronics_catalog` | `reduction_ratio`, `blocking.rules.*` on `rule_link` |
+//! | E5 | rules vs the blocking baselines | [`compare_blockers`] | `blocking_comparison` | `blocking.*`, `pair_precision`, `pair_recall` |
+//! | A1 | segmenter (`split`) ablation | [`segmenter_ablation`] | `electronics_catalog` | `segment.split_ms` |
+//! | A2 | support threshold `th` sweep | [`support_sweep`] | `electronics_catalog` | `learn_ms`, `core.learn_x10_ms` |
+//! | A3 | subsumption-generalised rules | [`generalization_ablation`] | `rule_generalization` | `core.generalize_ms` |
+//!
+//! `linkbench` times the paper's configuration only (`th = 0.002`, separator
+//! segmentation); the other points of a sweep are computed, not timed.
+//!
+//! ## Modules
 //!
 //! * [`metrics`] — decisions, precision, recall, F1 for rule-based
 //!   classification.

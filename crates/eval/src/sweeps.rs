@@ -1,5 +1,5 @@
-//! Parameter sweeps and ablations (experiments E3, E4, A1, A2, A3 of
-//! DESIGN.md).
+//! Parameter sweeps and ablations (experiments E3, E4, A1, A2, A3 of the
+//! [experiment index](crate#experiment-index)).
 //!
 //! * [`reduction_sweep`] — linking-space reduction as a function of the
 //!   confidence threshold (the paper's motivation and its in-text claims
@@ -10,8 +10,11 @@
 //!   segmentation strategies (ablation A1).
 //! * [`generalization_ablation`] — recall gained by subsumption-generalised
 //!   rules (extension A3).
+//!
+//! The `*_table` functions render the point lists for the terminal / CSV.
 
 use crate::metrics::ClassificationOutcome;
+use crate::report::{float, Table};
 use crate::table1::EvaluationItem;
 use classilink_core::{
     generalize, GeneralizeConfig, LearnerConfig, RuleClassifier, RuleLearner, SubspaceBuilder,
@@ -80,6 +83,32 @@ pub fn reduction_sweep(
         .collect()
 }
 
+/// Render the reduction sweep (E3/E4), one row per confidence threshold.
+pub fn reduction_table(points: &[ReductionPoint]) -> Table {
+    let mut table = Table::new(
+        "E3/E4: linking-space reduction vs rule confidence",
+        &[
+            "conf.",
+            "rules",
+            "classified",
+            "remaining",
+            "mean-factor",
+            "avg-lift",
+        ],
+    );
+    for p in points {
+        table.row(&[
+            p.confidence_threshold.to_string(),
+            p.rules.to_string(),
+            float(p.classified_fraction, 3),
+            float(p.remaining_fraction, 3),
+            float(p.mean_reduction_factor, 1),
+            float(p.avg_lift, 1),
+        ]);
+    }
+    table
+}
+
 /// One point of the support-threshold sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SupportPoint {
@@ -123,6 +152,24 @@ pub fn support_sweep(
     Ok(points)
 }
 
+/// Render the support sweep (A2), one row per threshold `th`.
+pub fn support_table(points: &[SupportPoint]) -> Table {
+    let mut table = Table::new(
+        "A2: support threshold th",
+        &["th", "pairs", "rules", "precision", "recall"],
+    );
+    for p in points {
+        table.row(&[
+            p.support_threshold.to_string(),
+            p.frequent_pairs.to_string(),
+            p.rules.to_string(),
+            float(p.precision, 3),
+            float(p.recall, 3),
+        ]);
+    }
+    table
+}
+
 /// One row of the segmenter ablation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SegmenterPoint {
@@ -164,6 +211,24 @@ pub fn segmenter_ablation(
         });
     }
     Ok(points)
+}
+
+/// Render the segmenter ablation (A1), one row per strategy.
+pub fn segmenter_table(points: &[SegmenterPoint]) -> Table {
+    let mut table = Table::new(
+        "A1: segmentation strategy",
+        &["segmenter", "segments", "rules", "precision", "recall"],
+    );
+    for p in points {
+        table.row(&[
+            p.segmenter.clone(),
+            p.distinct_segments.to_string(),
+            p.rules.to_string(),
+            float(p.precision, 3),
+            float(p.recall, 3),
+        ]);
+    }
+    table
 }
 
 /// The result of the generalisation ablation.
@@ -326,19 +391,66 @@ mod tests {
                 SegmenterKind::Separator,
                 SegmenterKind::AlphaNumTransition,
                 SegmenterKind::CharNGram(3),
+                SegmenterKind::PaddedBigram,
             ],
         )
         .unwrap();
-        assert_eq!(points.len(), 3);
+        assert_eq!(points.len(), 4);
         let names: std::collections::HashSet<&str> =
             points.iter().map(|p| p.segmenter.as_str()).collect();
-        assert_eq!(names.len(), 3);
+        assert_eq!(names.len(), 4);
         // Finer segmentations observe at least as many distinct segments.
         assert!(points[1].distinct_segments >= points[0].distinct_segments);
         for p in &points {
             assert!(p.precision >= 0.0 && p.precision <= 1.0);
             assert!(p.recall >= 0.0 && p.recall <= 1.0);
         }
+    }
+
+    #[test]
+    fn reduction_table_has_one_row_per_point() {
+        let point = ReductionPoint {
+            confidence_threshold: 0.8,
+            rules: 53,
+            classified_fraction: 0.4444,
+            remaining_fraction: 0.5911,
+            mean_reduction_factor: 51.23,
+            avg_lift: 89.56,
+        };
+        let table = reduction_table(&[point.clone(), point]);
+        let row = "0.8,53,0.444,0.591,51.2,89.6";
+        let headers = "conf.,rules,classified,remaining,mean-factor,avg-lift";
+        assert_eq!(table.to_csv(), format!("{headers}\n{row}\n{row}\n"));
+    }
+
+    #[test]
+    fn support_table_has_one_row_per_point() {
+        let point = SupportPoint {
+            support_threshold: 0.002,
+            rules: 266,
+            frequent_pairs: 120,
+            precision: 0.7,
+            recall: 0.6451,
+        };
+        let table = support_table(&[point.clone(), point]);
+        let row = "0.002,120,266,0.700,0.645";
+        let headers = "th,pairs,rules,precision,recall";
+        assert_eq!(table.to_csv(), format!("{headers}\n{row}\n{row}\n"));
+    }
+
+    #[test]
+    fn segmenter_table_has_one_row_per_point() {
+        let point = SegmenterPoint {
+            segmenter: SegmenterKind::CharNGram(3).name(),
+            distinct_segments: 2568,
+            rules: 1523,
+            precision: 0.628,
+            recall: 0.6274,
+        };
+        let table = segmenter_table(&[point.clone(), point]);
+        let row = "char-3gram,2568,1523,0.628,0.627";
+        let headers = "segmenter,segments,rules,precision,recall";
+        assert_eq!(table.to_csv(), format!("{headers}\n{row}\n{row}\n"));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! sorted neighbourhood, bi-gram indexing — and the paper's own contribution
 //! is an alternative based on learnt classification rules. This module
 //! implements all of them behind one [`Blocker`] trait so that the
-//! benchmarks can compare them on the same data (experiment E5 of
-//! DESIGN.md).
+//! experiments can compare them on the same data (experiment E5 of the
+//! experiment index in the `classilink-eval` crate docs).
 //!
 //! Blockers run on the columnar [`RecordStore`]: they resolve property
 //! IRIs to interned ids once per call, emit candidate pairs as record

@@ -5,7 +5,7 @@ use std::fmt;
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, RdfError>;
 
-/// Errors raised while parsing, building or querying RDF data.
+/// Errors raised while parsing or building RDF data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RdfError {
     /// A syntax error encountered while parsing a serialisation format.
@@ -24,8 +24,6 @@ pub enum RdfError {
     UnknownPrefix(String),
     /// A term id was not present in the dictionary it was resolved against.
     UnknownTermId(u64),
-    /// A query used a variable in a position where it is not supported.
-    InvalidQuery(String),
 }
 
 impl fmt::Display for RdfError {
@@ -38,7 +36,6 @@ impl fmt::Display for RdfError {
             RdfError::InvalidLiteral(lit) => write!(f, "invalid literal: {lit}"),
             RdfError::UnknownPrefix(p) => write!(f, "unknown prefix: {p}"),
             RdfError::UnknownTermId(id) => write!(f, "unknown term id: {id}"),
-            RdfError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
         }
     }
 }
@@ -80,9 +77,6 @@ mod tests {
             .to_string()
             .contains("unknown prefix"));
         assert!(RdfError::UnknownTermId(7).to_string().contains("7"));
-        assert!(RdfError::InvalidQuery("bad".into())
-            .to_string()
-            .contains("bad"));
     }
 
     #[test]

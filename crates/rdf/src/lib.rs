@@ -18,8 +18,6 @@
 //!   linked pairs "with their provenance information (external or local)").
 //! * [`ntriples`] / [`turtle`] — parsers and serialisers for N-Triples and a
 //!   pragmatic Turtle subset.
-//! * [`query`] — basic-graph-pattern matching with variable bindings, enough
-//!   to evaluate rule premises such as `p(X, Y)`.
 //!
 //! ## Quick example
 //!
@@ -43,7 +41,6 @@ pub mod error;
 pub mod graph;
 pub mod namespace;
 pub mod ntriples;
-pub mod query;
 pub mod term;
 pub mod triple;
 pub mod turtle;
@@ -54,7 +51,6 @@ pub use error::{RdfError, Result};
 pub use graph::Graph;
 pub use namespace::{Namespaces, OWL, RDF, RDFS, XSD};
 pub use ntriples::NTriplesStreamer;
-pub use query::{Binding, Pattern, PatternTerm, Query, Variable};
 pub use term::{Literal, Term};
 pub use triple::Triple;
 pub use turtle::TurtleStreamer;

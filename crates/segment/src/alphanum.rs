@@ -4,8 +4,8 @@
 //! pieces into one token: a series prefix (`CRCW`), a package size (`0805`),
 //! a value and a unit (`63` + `V`). The separator segmenter of the paper
 //! keeps these fused; [`AlphaNumSegmenter`] additionally splits at every
-//! letter↔digit boundary, which is one of the ablations studied in the
-//! benchmarks (experiment A1 in DESIGN.md).
+//! letter↔digit boundary, which is one of the ablations studied (experiment
+//! A1 of the experiment index in the `classilink-eval` crate docs).
 
 use crate::pipeline::Segmenter;
 use serde::{Deserialize, Serialize};

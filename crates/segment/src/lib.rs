@@ -16,7 +16,7 @@
 //!   splits part numbers "using non-alphabetical and non-numerical
 //!   characters").
 //! * [`alphanum`] — additionally split at letter/digit transitions (ablation
-//!   A1 of DESIGN.md).
+//!   A1 of the experiment index in the `classilink-eval` crate docs).
 //! * [`ngram`] — character and word n-grams, padded bigrams.
 //! * [`normalize`] — case folding, whitespace collapsing, accent stripping.
 //! * [`pipeline`] — the [`Segmenter`] trait, the serialisable

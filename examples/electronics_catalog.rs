@@ -1,6 +1,8 @@
 //! The paper's evaluation, end to end: generate a Thales-scale synthetic
 //! electronic-products catalog, learn classification rules with `th = 0.002`,
-//! and regenerate Table 1 plus the dataset statistics the paper reports.
+//! and regenerate Table 1 plus the dataset statistics the paper reports, the
+//! linking-space reduction sweep (E3/E4) and the segmenter / support
+//! ablations (A1 / A2).
 //!
 //! Run with (the paper-scale run takes a little while in debug mode):
 //!
@@ -9,14 +11,15 @@
 //! cargo run --release --example electronics_catalog -- small   # quicker run
 //! ```
 
-use classilink::core::{
-    LearnerConfig, PropertySelection, RuleClassifier, RuleLearner, SubspaceBuilder,
-};
+use classilink::core::{LearnerConfig, PropertySelection};
 use classilink::datagen::scenario::{generate, ScenarioConfig};
 use classilink::datagen::vocab;
-use classilink::eval::table1::Table1Experiment;
+use classilink::eval::sweeps::{reduction_table, segmenter_table, support_table};
+use classilink::eval::table1::{EvaluationItem, Table1Experiment};
+use classilink::eval::{reduction_sweep, segmenter_ablation, support_sweep};
 use classilink::ontology::OntologyStats;
 use classilink::rdf::Term;
+use classilink::segment::SegmenterKind;
 
 fn main() {
     let scale = std::env::args()
@@ -93,45 +96,57 @@ fn main() {
         println!("  {rule}");
     }
 
-    // Linking-space reduction: how many catalog products an external item is
-    // compared with once it has been classified.
-    let classifier = RuleClassifier::from_outcome(&outcome, &learner).with_min_confidence(1.0);
-    let builder = SubspaceBuilder::new(&classifier, &scenario.instances, &scenario.ontology);
-    let sample: Vec<(Term, Vec<(String, String)>)> = scenario
+    // E3/E4: how many catalog products an external item is still compared
+    // with once it has been classified, per rule-confidence threshold.
+    let batch: Vec<(Term, Vec<(String, String)>)> = scenario
         .training
         .examples()
         .iter()
-        .take(500)
         .map(|e| (e.external_item.clone(), e.facts.clone()))
         .collect();
-    let stats = builder.reduction_stats(&sample, scenario.catalog_size());
-    println!(
-        "\nLinking-space reduction with confidence-1 rules (sample of {} items):",
-        sample.len()
+    let reduction = reduction_sweep(
+        &outcome,
+        &learner,
+        &scenario.instances,
+        &scenario.ontology,
+        &batch,
+        scenario.catalog_size(),
+        &[1.0, 0.8, 0.6, 0.4, 0.2],
     );
     println!(
-        "  classified items: {} / {}",
-        stats.classified_items, stats.external_items
-    );
-    println!(
-        "  mean reduction factor for classified items: ÷{:.1} (paper: ≥ 5 even for a class holding 20% of the catalog)",
-        stats.mean_reduction_factor
-    );
-    println!(
-        "  overall space: {} of {} naive pairs remain ({:.1}% reduction)",
-        stats.reduced_pairs,
-        stats.naive_pairs,
-        stats.reduction_ratio * 100.0
+        "\n{}(paper: mean factor ≥ 5 even for a class holding 20% of the catalog, lift > 20 at every tier)",
+        reduction_table(&reduction).to_ascii()
     );
 
-    // Re-learn with `th` swept, as a quick sanity check of the threshold the
-    // paper chose.
-    println!("\nRules at other support thresholds:");
-    for th in [0.0005, 0.002, 0.01] {
-        let cfg = learner.clone().with_support_threshold(th);
-        let o = RuleLearner::new(cfg)
-            .learn(&scenario.training, &scenario.ontology)
-            .unwrap();
-        println!("  th = {th:<7} → {} rules", o.rules.len());
-    }
+    // A1 / A2: the expert's other two choices, the `split` function and `th`.
+    let items: Vec<EvaluationItem> = scenario
+        .training
+        .examples()
+        .iter()
+        .map(|e| (e.classes.first().copied(), e.facts.clone()))
+        .collect();
+    let segmenters = [
+        SegmenterKind::Separator,
+        SegmenterKind::AlphaNumTransition,
+        SegmenterKind::CharNGram(3),
+        SegmenterKind::PaddedBigram,
+    ];
+    let a1 = segmenter_ablation(
+        &scenario.training,
+        &scenario.ontology,
+        &items,
+        &learner,
+        &segmenters,
+    )
+    .expect("learning succeeds");
+    println!("\n{}", segmenter_table(&a1).to_ascii());
+    let a2 = support_sweep(
+        &scenario.training,
+        &scenario.ontology,
+        &items,
+        &learner,
+        &[0.0005, 0.001, 0.002, 0.005, 0.01, 0.02],
+    )
+    .expect("learning succeeds");
+    print!("{}", support_table(&a2).to_ascii());
 }

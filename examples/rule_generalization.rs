@@ -57,7 +57,8 @@ fn main() {
         println!("  {rule}");
     }
 
-    // Quantify the effect on coverage (ablation A3 of DESIGN.md).
+    // Quantify the effect on coverage (ablation A3 of the experiment index
+    // in the `classilink-eval` crate docs).
     let items: Vec<EvaluationItem> = scenario
         .training
         .examples()
