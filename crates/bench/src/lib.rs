@@ -6,6 +6,8 @@
 //! The experiments live in `classilink-eval` (see the experiment index in
 //! its crate docs).
 
+#![forbid(unsafe_code)]
+
 use classilink_core::{LearnerConfig, PropertySelection};
 use classilink_datagen::vocab;
 

@@ -73,6 +73,8 @@
 //! assert_eq!(decision.class, resistor);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod classifier;
 pub mod config;
 pub mod error;

@@ -37,6 +37,8 @@
 //! assert!(scenario.ontology.class_count() >= 30);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod geo;
 pub mod partnumber;
 pub mod perturb;

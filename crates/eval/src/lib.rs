@@ -56,6 +56,8 @@
 //! println!("{}", report.to_table().to_ascii());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod blocking_eval;
 pub mod metrics;
 pub mod report;

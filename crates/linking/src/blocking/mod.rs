@@ -24,14 +24,12 @@
 //! evaluation reports) decode the sink with [`collect_pairs`].
 
 pub mod bigram;
-pub mod disjointness;
 pub mod key;
 pub mod rule_based;
 pub mod sorted_neighborhood;
 pub mod standard;
 
 pub use bigram::BigramBlocker;
-pub use disjointness::DisjointnessFilter;
 pub use key::{BlockingKey, KeySide};
 pub use rule_based::RuleBasedBlocker;
 pub use sorted_neighborhood::SortedNeighborhoodBlocker;
@@ -293,13 +291,19 @@ impl ShardRun {
     /// the block's range exceeds its backing table/arena — both are
     /// sink-API misuse, impossible through the built-in blockers.
     fn local_run(&self, block: &CandidateBlock) -> LocalRun<'_> {
-        block.decode(&self.locals, block_table(block, self.key_table.as_ref()))
+        let table = match block.kind {
+            RunKind::Keyed => self
+                .key_table
+                .as_ref()
+                .expect("keyed candidate block without a key table")
+                .sorted_records(),
+            _ => &[],
+        };
+        block.decode(&self.locals, table)
     }
 
     /// Append one explicit pair, coalescing with the last block when it
-    /// is the explicit run of the same external ending at the arena tip
-    /// — the single owner of the explicit-encoding invariant, shared by
-    /// [`CandidateRuns::push`] and [`CandidateRuns::retain`].
+    /// is the explicit run of the same external ending at the arena tip.
     #[inline]
     fn push_explicit(&mut self, external: u32, local: u32) {
         self.explicit_max = self.explicit_max.max(local);
@@ -438,23 +442,6 @@ impl RunScratch {
 #[inline]
 fn run_u32(n: usize) -> u32 {
     u32::try_from(n).expect("candidate block field exceeds u32::MAX; shard the store")
-}
-
-/// The arena a block's decode reads besides the explicit locals: the
-/// shard key table's sorted records for keyed blocks, nothing
-/// otherwise — the single owner of the keyed-decode rule, shared by
-/// [`ShardRun::local_run`] and [`CandidateRuns::retain`].
-///
-/// # Panics
-/// Panics on a keyed block with no attached key table (sink API
-/// misuse).
-fn block_table<'a>(block: &CandidateBlock, key_table: Option<&'a Arc<KeyIndex>>) -> &'a [u32] {
-    match block.kind {
-        RunKind::Keyed => key_table
-            .expect("keyed candidate block without a key table")
-            .sorted_records(),
-        _ => &[],
-    }
 }
 
 impl CandidateRuns {
@@ -649,35 +636,6 @@ impl CandidateRuns {
     /// the one bound the scheduler checks instead of a per-pair check.
     pub(crate) fn shard_explicit_max(&self, shard: usize) -> u32 {
         self.per_shard[shard].explicit_max
-    }
-
-    /// Keep only the pairs `keep(shard, external, local)` accepts,
-    /// updating the total (see
-    /// [`DisjointnessFilter::retain_runs`](crate::blocking::DisjointnessFilter::retain_runs)).
-    ///
-    /// Surviving pairs are re-encoded as explicit runs (a filtered span
-    /// or key range is no longer contiguous), so this is the one sink
-    /// operation that is O(retained candidates) rather than O(runs).
-    pub fn retain(&mut self, mut keep: impl FnMut(usize, usize, usize) -> bool) {
-        let mut total = 0u64;
-        for (shard, run) in self.per_shard.iter_mut().enumerate() {
-            let old_blocks = std::mem::take(&mut run.blocks);
-            let old_locals = std::mem::take(&mut run.locals);
-            let key_table = run.key_table.take();
-            let mut rebuilt = ShardRun::default();
-            rebuilt.locals.reserve(old_locals.len());
-            for block in &old_blocks {
-                let table = block_table(block, key_table.as_ref());
-                for local in block.decode(&old_locals, table).iter() {
-                    if keep(shard, block.external as usize, local) {
-                        rebuilt.push_explicit(block.external, run_u32(local));
-                    }
-                }
-            }
-            total += rebuilt.count;
-            *run = rebuilt;
-        }
-        self.total = total;
     }
 }
 
@@ -967,10 +925,6 @@ mod tests {
         assert!(shard_pairs(&runs, 1).is_empty());
         assert_eq!(shard_pairs(&runs, 2), vec![(0, 0), (4, 1)]);
         assert_eq!(runs.shard_total(2), 2);
-        // Retain drops pairs and keeps the total honest.
-        runs.retain(|shard, e, _l| shard == 2 && e > 0);
-        assert_eq!(runs.total(), 1);
-        assert_eq!(shard_pairs(&runs, 2), vec![(4, 1)]);
         // Reset re-sizes (down and up) and clears.
         runs.push(1, 9, 9);
         runs.reset(1);
@@ -1017,10 +971,6 @@ mod tests {
         dense.reset(1);
         dense.push_span(0, 0, 0, 1000);
         assert!(dense.queue_bytes() * 10 < dense.pair_bytes());
-        // Retain re-encodes the surviving span tail as an explicit run.
-        runs.retain(|_, _, l| l >= 4);
-        assert_eq!(runs.total(), 2);
-        assert_eq!(shard_pairs(&runs, 0), vec![(3, 4), (3, 5)]);
     }
 
     #[test]

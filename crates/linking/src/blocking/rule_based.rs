@@ -134,6 +134,14 @@ impl Blocker for RuleBasedBlocker<'_> {
             }
         }
     }
+
+    /// Build each shard's id index (the only local-side artifact extent
+    /// resolution reads).
+    fn warm(&self, local: LocalShards<'_>) {
+        for shard in local.iter() {
+            shard.id_index();
+        }
+    }
 }
 
 #[cfg(test)]

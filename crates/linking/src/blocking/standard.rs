@@ -14,20 +14,15 @@ use crate::store::RecordStore;
 /// Key-equality blocking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StandardBlocker {
-    /// The blocking key recipe.
+    /// The blocking key recipe. Records with an empty key are skipped
+    /// (they would otherwise all land in one giant block).
     pub key: BlockingKey,
-    /// Records with an empty key are skipped (they would otherwise all land
-    /// in one giant block).
-    pub skip_empty_keys: bool,
 }
 
 impl StandardBlocker {
     /// Standard blocking with the given key.
     pub fn new(key: BlockingKey) -> Self {
-        StandardBlocker {
-            key,
-            skip_empty_keys: true,
-        }
+        StandardBlocker { key }
     }
 }
 
@@ -68,7 +63,7 @@ impl Blocker for StandardBlocker {
                 // with the sink already partially filled.
                 fail::fail_point!("blocking::standard");
                 let key = external_index.key(e);
-                if key.is_empty() && self.skip_empty_keys {
+                if key.is_empty() {
                     continue;
                 }
                 let range = local_index.key_range(key);

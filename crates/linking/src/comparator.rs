@@ -388,8 +388,7 @@ impl LeftHoist<'_> {
     /// **keeping the buffers' capacity**. The serving layer parks a
     /// `LeftHoist<'static>` in its per-caller scratch between probes and
     /// re-borrows it for each call, so a warm probe never re-allocates
-    /// the hoist. Sound because every element is removed first: an empty
-    /// `Vec<ValueList<'a>>` holds no `'a` data, only capacity.
+    /// the hoist.
     pub fn recycle<'b>(mut self) -> LeftHoist<'b> {
         self.token_offsets.clear();
         LeftHoist {
@@ -406,24 +405,17 @@ impl LeftHoist<'_> {
     }
 }
 
-/// Convert an emptied `Vec<A>` into a `Vec<B>` of the same capacity
-/// without reallocating. `A` and `B` must be layout-identical (asserted)
-/// — in practice two instantiations of one generic type differing only
-/// in lifetime.
+/// Convert an emptied `Vec<A>` into a `Vec<B>` keeping its allocation:
+/// collecting a `vec::IntoIter` into a `Vec` of equal element size and
+/// alignment reuses the source buffer (the standard library's in-place
+/// collect). `A` and `B` are in practice two instantiations of one
+/// generic type differing only in lifetime;
+/// `zero_alloc::warm_probe_never_allocates` holds the reuse.
 fn recycle_vec<A, B>(mut v: Vec<A>) -> Vec<B> {
-    const {
-        assert!(std::mem::size_of::<A>() == std::mem::size_of::<B>());
-        assert!(std::mem::align_of::<A>() == std::mem::align_of::<B>());
-    }
     v.clear();
-    let mut v = std::mem::ManuallyDrop::new(v);
-    let (ptr, capacity) = (v.as_mut_ptr(), v.capacity());
-    // SAFETY: the vector is empty, so no `A` value is ever read as `B`;
-    // size and alignment match (checked at compile time), so the
-    // allocation's layout for `capacity` elements is identical under
-    // either type; `ManuallyDrop` transfers sole ownership of the
-    // buffer to the new vector.
-    unsafe { Vec::from_raw_parts(ptr.cast::<B>(), 0, capacity) }
+    v.into_iter()
+        .map(|_| unreachable!("the vector was just cleared"))
+        .collect()
 }
 
 impl CompiledComparator<'_> {

@@ -22,15 +22,17 @@
 //!   (the builder-side representation).
 //! * [`intern`] / [`store`] — the execution-side representation: property
 //!   IRIs interned to dense ids, attribute values in contiguous
-//!   per-property columns, records as plain indexes. Everything below
+//!   per-property columns, records as plain indexes; full text, the id
+//!   index and the token/key indexes are lazily derived caches, never
+//!   persisted. Everything below
 //!   runs on [`RecordStore`], so the per-pair hot path never hashes an
 //!   IRI string or clones a term.
 //! * [`comparator`] — weighted record comparison with Match / Possible /
 //!   NonMatch decisions, compiled to property ids per store pair.
 //! * [`blocking`] — the candidate-pair generation strategies: cartesian,
-//!   standard key blocking, sorted neighbourhood, bi-gram indexing,
-//!   class-disjointness filtering and the rule-based blocker that wraps the
-//!   paper's classifier. All of them stream per-shard candidate runs
+//!   standard key blocking, sorted neighbourhood, bi-gram indexing and
+//!   the rule-based blocker that wraps the paper's classifier. All of
+//!   them stream per-shard candidate runs
 //!   ([`blocking::Blocker::stream_candidates`])
 //!   straight into the pipeline's task queues;
 //!   [`blocking::collect_pairs`] decodes them into one sorted
@@ -80,6 +82,7 @@
 //! assert_eq!(result.matches.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocking;
@@ -98,8 +101,8 @@ pub mod token_index;
 
 pub use blocking::{
     BigramBlocker, BigramFilterStats, Blocker, BlockingKey, BlockingStats, CandidateBlock,
-    CandidatePair, CandidateRuns, CartesianBlocker, DisjointnessFilter, KeySide, LocalRun,
-    RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
+    CandidatePair, CandidateRuns, CartesianBlocker, KeySide, LocalRun, RuleBasedBlocker,
+    SortedNeighborhoodBlocker, StandardBlocker,
 };
 pub use comparator::{
     AttributeRule, Comparison, CompiledComparator, LeftHoist, MatchDecision, RecordComparator,

@@ -3,14 +3,16 @@
 //!
 //! A [`ShardedStore`] is already flat — per-property text arenas plus
 //! `u32` offset arrays — so the on-disk format is a direct dump of those
-//! extents, not a re-encoding:
+//! extents, not a re-encoding. Only ids and columns are written; what a
+//! store derives from them is re-derived on first use after a restart,
+//! so no file can hold a derived copy that disagrees with its columns:
 //!
 //! ```text
 //!  <dir>/
 //!    MANIFEST-00000002          ← commit point (newest generation)
 //!    MANIFEST-00000001          ← previous generation (retained for fallback)
 //!    schema-4f1c….clschema      ← interner snapshot (property IRIs in id order)
-//!    shard-a90b….clshard        ← shard 0 (ids + columns + full text)
+//!    shard-a90b….clshard        ← shard 0 (ids + columns)
 //!    shard-77de….clshard        ← shard 1
 //!
 //!  shard/schema file:  magic ─ version ─ section count ─ sections…
@@ -57,7 +59,7 @@ use twox_hash::XxHash64;
 
 const SHARD_MAGIC: &[u8; 8] = b"CLSHRD01";
 const SCHEMA_MAGIC: &[u8; 8] = b"CLSCHM01";
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 const MANIFEST_HEADER: &str = "classilink-manifest v1";
 const MANIFEST_PREFIX: &str = "MANIFEST-";
 const TMP_SUFFIX: &str = ".tmp";
@@ -70,7 +72,6 @@ const RETAINED_GENERATIONS: usize = 2;
 
 const SECTION_IDS: u32 = 1;
 const SECTION_COLUMNS: u32 = 2;
-const SECTION_FULL_TEXT: u32 = 3;
 const SECTION_SCHEMA: u32 = 4;
 
 fn xxh64(seed: u64, bytes: &[u8]) -> u64 {
@@ -323,40 +324,41 @@ fn put_term(out: &mut Vec<u8>, term: &Term) {
     }
 }
 
-/// Serialize one shard store: magic, version, then the three checksummed
-/// sections (ids, columns, full text).
+/// Serialize one shard store (see [`frame_shard`]).
 fn serialize_shard(store: &RecordStore) -> Vec<u8> {
     // Models a fault while flattening one shard (e.g. an OOM mid-spill):
     // the manifest is never reached, so the previous generation stays
     // the restart point.
     fail::fail_point!("persist::serialize_shard");
-    let mut ids = Vec::new();
-    put_u64(&mut ids, store.len() as u64);
-    for term in store.persist_ids() {
-        put_term(&mut ids, term);
+    let columns: Vec<_> = (0..store.column_count())
+        .map(|c| store.persist_column(c))
+        .collect();
+    frame_shard(store.persist_ids(), &columns)
+}
+
+/// Frame a shard file: magic, version, then the two checksummed sections
+/// — the ids, and each column's `(text, bounds, offsets)`.
+fn frame_shard(ids: &[Term], columns: &[(&str, &[u32], &[u32])]) -> Vec<u8> {
+    let mut id_section = Vec::new();
+    put_u64(&mut id_section, ids.len() as u64);
+    for term in ids {
+        put_term(&mut id_section, term);
     }
 
-    let mut columns = Vec::new();
-    put_u64(&mut columns, store.column_count() as u64);
-    for c in 0..store.column_count() {
-        let (text, bounds, offsets) = store.persist_column(c);
-        put_str(&mut columns, text);
-        put_u32_slice(&mut columns, bounds);
-        put_u32_slice(&mut columns, offsets);
+    let mut column_section = Vec::new();
+    put_u64(&mut column_section, columns.len() as u64);
+    for (text, bounds, offsets) in columns {
+        put_str(&mut column_section, text);
+        put_u32_slice(&mut column_section, bounds);
+        put_u32_slice(&mut column_section, offsets);
     }
 
-    let mut full_text = Vec::new();
-    let (text, bounds) = store.persist_full_text();
-    put_str(&mut full_text, text);
-    put_u32_slice(&mut full_text, bounds);
-
-    let mut out = Vec::with_capacity(ids.len() + columns.len() + full_text.len() + 64);
+    let mut out = Vec::with_capacity(id_section.len() + column_section.len() + 56);
     out.extend_from_slice(SHARD_MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, 3);
-    put_section(&mut out, SECTION_IDS, &ids);
-    put_section(&mut out, SECTION_COLUMNS, &columns);
-    put_section(&mut out, SECTION_FULL_TEXT, &full_text);
+    put_u32(&mut out, 2);
+    put_section(&mut out, SECTION_IDS, &id_section);
+    put_section(&mut out, SECTION_COLUMNS, &column_section);
     out
 }
 
@@ -559,11 +561,7 @@ fn decode_shard(
         ))
     });
     let mut reader = Reader::new(bytes, path);
-    let sections = read_sections(
-        &mut reader,
-        SHARD_MAGIC,
-        &[SECTION_IDS, SECTION_COLUMNS, SECTION_FULL_TEXT],
-    )?;
+    let sections = read_sections(&mut reader, SHARD_MAGIC, &[SECTION_IDS, SECTION_COLUMNS])?;
 
     let mut ids_reader = Reader::new(sections[0], path);
     let record_count = ids_reader.count(2)?;
@@ -584,19 +582,8 @@ fn decode_shard(
     }
     columns_reader.expect_done()?;
 
-    let mut full_text_reader = Reader::new(sections[2], path);
-    let full_text = full_text_reader.string()?;
-    let full_text_bounds = full_text_reader.u32_vec()?;
-    full_text_reader.expect_done()?;
-
-    RecordStore::from_persisted_parts(
-        Arc::clone(schema),
-        ids,
-        columns,
-        full_text,
-        full_text_bounds,
-    )
-    .map_err(|detail| PersistError::corrupt(path, detail))
+    RecordStore::from_persisted_parts(Arc::clone(schema), ids, columns)
+        .map_err(|detail| PersistError::corrupt(path, detail))
 }
 
 fn decode_schema(path: &Path, bytes: &[u8]) -> Result<PropertyInterner, PersistError> {
@@ -1229,6 +1216,45 @@ mod tests {
         }
     }
 
+    /// The bit-flip and truncation sweeps above never get past the
+    /// section checksums; these files carry valid ones, so each case
+    /// lands on the structural check it names.
+    #[test]
+    fn malformed_structure_behind_valid_checksums_is_corrupt_not_a_panic() {
+        let schema = Arc::new(PropertyInterner::from_names(vec!["p".to_string()]).unwrap());
+        let ids = [Term::iri("http://e.org/a"), Term::iri("http://e.org/b")];
+        let decode = |columns: &[(&str, &[u32], &[u32])]| {
+            decode_shard(Path::new("m.clshard"), &frame_shard(&ids, columns), &schema)
+        };
+        let assert_corrupt =
+            |columns: &[(&str, &[u32], &[u32])], expected: &str| match decode(columns) {
+                Err(PersistError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(expected), "{expected}: got {detail:?}")
+                }
+                other => panic!("{expected}: expected Corrupt, got {other:?}"),
+            };
+        // Two records, one value each: "x" and the two-byte "é".
+        let (bounds, offsets): (&[u32], &[u32]) = (&[0, 1, 3], &[0, 1, 2]);
+        let good = ("xé", bounds, offsets);
+        assert!(decode(&[good]).is_ok());
+        let cases: &[(&str, &[u32], &[u32])] = &[
+            ("bounds must start at 0", &[], offsets),
+            ("bounds must start at 0", &[1, 1, 3], offsets),
+            ("bounds are not monotonic", &[0, 3, 1], offsets),
+            ("bounds end at 4", &[0, 1, 4], offsets),
+            ("splits a character", &[0, 2, 3], offsets),
+            ("2 offsets for 2 records", bounds, &[0, 1]),
+            ("4 offsets for 2 records", bounds, &[0, 1, 2, 2]),
+            ("offsets must start at 0", bounds, &[1, 1, 2]),
+            ("offsets are not monotonic", bounds, &[0, 2, 1]),
+            ("offsets end at 1", bounds, &[0, 1, 1]),
+        ];
+        for &(expected, bounds, offsets) in cases {
+            assert_corrupt(&[("xé", bounds, offsets)], expected);
+        }
+        assert_corrupt(&[good, good], "2 columns but the schema has only 1");
+    }
+
     #[test]
     fn manifest_round_trips_and_rejects_tampering() {
         let manifest = Manifest {
@@ -1302,6 +1328,45 @@ mod tests {
         assert_eq!(report.generation, 1);
         assert!(!report.recovered_from_fallback);
         assert_eq!(report.records, store.len());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v1_layout_shard_is_discarded_for_the_previous_generation() {
+        let dir = temp_dir("v1_layout");
+        let store = catalog();
+        CatalogSnapshot::write(&dir, &store).expect("write");
+        let gen1_path = dir.join(manifest_name(1));
+        let gen1 = parse_manifest(&gen1_path, 1, &fs::read(&gen1_path).unwrap()).unwrap();
+
+        // Generation 2, by hand: an (empty) shard in the retired layout —
+        // version 1, three sections, the third the full-text arena.
+        let (mut ids, mut columns, mut full_text) = (Vec::new(), Vec::new(), Vec::new());
+        put_u64(&mut ids, 0);
+        put_u64(&mut columns, 0);
+        put_str(&mut full_text, "");
+        put_u32_slice(&mut full_text, &[0]);
+        let mut v1 = SHARD_MAGIC.to_vec();
+        put_u32(&mut v1, 1);
+        put_u32(&mut v1, 3);
+        put_section(&mut v1, SECTION_IDS, &ids);
+        put_section(&mut v1, SECTION_COLUMNS, &columns);
+        put_section(&mut v1, 3, &full_text);
+        let (shard, _) = write_data_file(&dir, "shard", SHARD_EXT, &v1).unwrap();
+        let gen2 = Manifest {
+            generation: 2,
+            schema: gen1.schema,
+            shards: vec![shard],
+        };
+        fs::write(dir.join(manifest_name(2)), render_manifest(&gen2)).unwrap();
+
+        let (loaded, report) = CatalogSnapshot::open(&dir).expect("open");
+        assert_eq!(loaded, store);
+        assert_eq!(report.generation, 1);
+        assert!(report.recovered_from_fallback);
+        let (name, reason) = &report.discarded[0];
+        assert_eq!(name, &manifest_name(2));
+        assert!(reason.contains("unsupported format version 1"), "{reason}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -48,7 +48,7 @@
 use crate::blocking::{Blocker, CandidateRuns};
 use crate::comparator::{CompiledComparator, LeftHoist, RecordComparator};
 use crate::error::{panic_payload, LinkError, LinkResult};
-use crate::intern::{PropertyId, SchemaInterner};
+use crate::intern::SchemaInterner;
 use crate::persist::{CatalogSnapshot, RecoveryReport, SnapshotReceipt};
 use crate::pipeline::{score_range, Link, ScoredPair, TaskQueue};
 use crate::record::Record;
@@ -392,12 +392,9 @@ impl<'a> Linker<'a> {
             // another): the probe store must intern into *this*
             // linker's schema.
             scratch.store = RecordStore::builder_with_schema(self.probe_schema.clone()).build();
-            scratch.sorted_properties.clear();
             scratch.tag = self.tag;
         }
-        scratch
-            .store
-            .refill_single(&self.probe_schema, record, &mut scratch.sorted_properties);
+        scratch.store.refill_single(&self.probe_schema, record);
         // One consistent epoch end-to-end: blocking, scoring and link
         // materialisation all read this Arc, regardless of swaps.
         let epoch = self.catalog.load();
@@ -539,8 +536,6 @@ pub struct ProbeScratch {
     tag: u64,
     /// The reusable one-record external store.
     store: RecordStore,
-    /// IRI-sorted probe-schema ids (the refill scratch).
-    sorted_properties: Vec<PropertyId>,
     /// The streaming blocking sink.
     runs: CandidateRuns,
     /// Similarity kernel scratch.

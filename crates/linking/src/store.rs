@@ -15,9 +15,10 @@
 //!   slices into the arena,
 //! * records are plain indexes (`usize`) into the store; candidate pairs
 //!   are `(usize, usize)` and never clone a [`Term`],
-//! * the whole-record `full_text` used by fallback similarity and
-//!   cross-attribute blocking keys is **precomputed per record** at build
-//!   time instead of being re-joined per pair.
+//! * everything else a store can answer — the whole-record `full_text`
+//!   the fallback similarity reads, the id → record map, the token and
+//!   key indexes — is **derived** from those two: built once on first
+//!   use, ignored by equality, never persisted (see `Derived`).
 //!
 //! Stores are immutable once built. Build one with
 //! [`RecordStore::from_records`], [`Record::into_store`], or directly
@@ -36,8 +37,10 @@ use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
 use crate::token_index::{KeyIndex, TokenIndex};
 use classilink_rdf::{Graph, Term};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::hash::BuildHasher;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One property's column: all values of that property over all records,
 /// concatenated into a single text arena.
@@ -63,9 +66,116 @@ impl Column {
     }
 }
 
+/// Id → record lookup over a store's `ids`: one `(hash of the id, record)`
+/// entry per record, sorted and bisected. The keys stay in `ids`, so a
+/// build clones no [`Term`]: 30 000 small long-lived allocations made
+/// lazily, mid-run, slowed every later allocation (`linkbench`
+/// `rule_link/learn_ms` +30 % with a `HashMap<Term, u32>`); bisecting the
+/// `Term`s themselves cost the rule blocker +70 % `blocking.stream_s`.
+#[derive(Debug, Clone)]
+pub(crate) struct IdIndex {
+    /// Randomly keyed: ids come from outside the program.
+    hasher: RandomState,
+    entries: Vec<(u64, u32)>,
+}
+
+impl IdIndex {
+    fn build(ids: &[Term]) -> Self {
+        let hasher = RandomState::new();
+        let mut entries: Vec<(u64, u32)> = (ids.iter().zip(0..))
+            .map(|(id, record)| (hasher.hash_one(id), record))
+            .collect();
+        entries.sort_unstable();
+        IdIndex { hasher, entries }
+    }
+
+    /// The last record of `ids` holding `id` (equal ids hash alike, and
+    /// equal hashes sort by record).
+    fn get(&self, ids: &[Term], id: &Term) -> Option<usize> {
+        let hash = self.hasher.hash_one(id);
+        let start = self.entries.partition_point(|&(h, _)| h < hash);
+        (self.entries[start..].iter())
+            .take_while(|&&(h, _)| h == hash)
+            .filter(|&&(_, record)| ids[record as usize] == *id)
+            .last()
+            .map(|&(_, record)| record as usize)
+    }
+}
+
+/// Everything a store can re-derive from its ids and columns. Each slot
+/// is built on first use and lives until the contents change, which
+/// only [`RecordStore::refill_single`] does — through [`Derived::reset`].
+#[derive(Debug, Default)]
+struct Derived {
+    /// Every record's [`RecordStore::full_text`], concatenated, and the
+    /// byte bounds: record `r` owns `text[bounds[r] .. bounds[r + 1]]`.
+    full_text: OnceLock<(String, Vec<u32>)>,
+    /// Record index per item identifier (see [`RecordStore::index_of`]).
+    id_index: OnceLock<IdIndex>,
+    /// See [`RecordStore::token_index`].
+    token_index: OnceLock<TokenIndex>,
+    /// See [`RecordStore::full_token_index`].
+    full_token_index: OnceLock<TokenIndex>,
+    /// One [`KeyIndex`] per key recipe (see [`RecordStore::key_index`]).
+    key_indexes: Mutex<HashMap<KeyRecipe, Arc<KeyIndex>>>,
+}
+
+impl Derived {
+    /// The key-index map. Poison recovery: the map is a reconstructible
+    /// memo. If a build panicked under the lock (`or_insert_with`
+    /// inserts only on success), it still holds only completed indexes —
+    /// keep serving and rebuild on demand instead of cascading.
+    fn key_indexes(&self) -> MutexGuard<'_, HashMap<KeyRecipe, Arc<KeyIndex>>> {
+        self.key_indexes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Follow `store`'s new contents: every slot goes back to unbuilt
+    /// except the key indexes, each rebuilt **in place**, so a warm probe
+    /// refill allocates nothing (`Arc::get_mut` succeeds because blockers
+    /// drop their external-side handle when streaming returns; a handle
+    /// held across refills forces a fresh build instead).
+    fn reset(&mut self, store: &RecordStore) {
+        let mut key_indexes = std::mem::take(&mut *self.key_indexes());
+        for (recipe, index) in &mut key_indexes {
+            let side = KeySide::from_recipe(*recipe);
+            match Arc::get_mut(index) {
+                Some(index) => index.rebuild(store, &side),
+                None => *index = Arc::new(KeyIndex::build(store, &side)),
+            }
+        }
+        *self = Derived {
+            key_indexes: Mutex::new(key_indexes),
+            ..Derived::default()
+        };
+    }
+}
+
+impl PartialEq for Derived {
+    /// Equal ids and columns are equal stores, whatever each has built.
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Clone for Derived {
+    /// A clone keeps what was built; key indexes are immutable, so it
+    /// shares them by `Arc`.
+    fn clone(&self) -> Self {
+        Derived {
+            full_text: self.full_text.clone(),
+            id_index: self.id_index.clone(),
+            token_index: self.token_index.clone(),
+            full_token_index: self.full_token_index.clone(),
+            key_indexes: Mutex::new(self.key_indexes().clone()),
+        }
+    }
+}
+
 /// Immutable, columnar store of flat records. See the [module
 /// docs](self) for the layout.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecordStore {
     /// The property symbol table this store was frozen with. Shared (via
     /// `Arc`) between every shard of a [`ShardedStore`](crate::shard::ShardedStore)
@@ -73,64 +183,10 @@ pub struct RecordStore {
     interner: Arc<PropertyInterner>,
     /// Item identifier per record index.
     ids: Vec<Term>,
-    /// Record index per item identifier.
-    id_index: HashMap<Term, u32>,
     /// One column per interned property, indexed by `PropertyId`.
     columns: Vec<Column>,
-    /// All records' full text, concatenated.
-    full_text: String,
-    /// Byte boundaries of `full_text`: record `r`'s text is
-    /// `full_text[full_text_bounds[r] .. full_text_bounds[r + 1]]`.
-    full_text_bounds: Vec<u32>,
-    /// Lazily-built per-value token/bigram precomputation (see
-    /// [`RecordStore::token_index`]); a cache, excluded from equality.
-    token_index: OnceLock<TokenIndex>,
-    /// Lazily-built full-text token/bigram precomputation (see
-    /// [`RecordStore::full_token_index`]); a cache, excluded from
-    /// equality.
-    full_token_index: OnceLock<TokenIndex>,
-    /// Lazily-built blocking-key precomputation, one [`KeyIndex`] per
-    /// key recipe (see [`RecordStore::key_index`]); a cache, excluded
-    /// from equality.
-    key_indexes: Mutex<HashMap<KeyRecipe, Arc<KeyIndex>>>,
-}
-
-impl PartialEq for RecordStore {
-    /// Structural equality over the stored data; the lazily-built
-    /// [`TokenIndex`] and [`KeyIndex`] caches are derived state and
-    /// deliberately ignored.
-    fn eq(&self, other: &Self) -> bool {
-        self.interner == other.interner
-            && self.ids == other.ids
-            && self.id_index == other.id_index
-            && self.columns == other.columns
-            && self.full_text == other.full_text
-            && self.full_text_bounds == other.full_text_bounds
-    }
-}
-
-impl Clone for RecordStore {
-    /// Clones the stored data and the token-index caches; the key-index
-    /// cache is carried over as shared [`Arc`]s (indexes are immutable,
-    /// so the clone and the original can serve the same entries).
-    fn clone(&self) -> Self {
-        RecordStore {
-            interner: self.interner.clone(),
-            ids: self.ids.clone(),
-            id_index: self.id_index.clone(),
-            columns: self.columns.clone(),
-            full_text: self.full_text.clone(),
-            full_text_bounds: self.full_text_bounds.clone(),
-            token_index: self.token_index.clone(),
-            full_token_index: self.full_token_index.clone(),
-            key_indexes: Mutex::new(
-                self.key_indexes
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .clone(),
-            ),
-        }
-    }
+    /// Lazily built caches over the fields above.
+    derived: Derived,
 }
 
 impl RecordStore {
@@ -185,9 +241,20 @@ impl RecordStore {
         &self.ids[record]
     }
 
-    /// The record index of item `id`, if present.
+    /// The record index of item `id`, if present (the last such record
+    /// when several share the id).
     pub fn index_of(&self, id: &Term) -> Option<usize> {
-        self.id_index.get(id).map(|&i| i as usize)
+        self.id_index().get(&self.ids, id)
+    }
+
+    /// The lazily-built index behind [`index_of`](Self::index_of). First
+    /// call costs `O(store)` (one hash per record and a sort of the
+    /// hashes); the rule-based blocker's `warm` pays it up front for a
+    /// served catalog.
+    pub(crate) fn id_index(&self) -> &IdIndex {
+        self.derived
+            .id_index
+            .get_or_init(|| IdIndex::build(&self.ids))
     }
 
     /// The interned id of a property IRI, if this store's schema knows it.
@@ -215,19 +282,7 @@ impl RecordStore {
     /// The values of `property` on `record` (empty iterator when the
     /// record, or this whole store, has no values for it).
     pub fn values(&self, record: usize, property: PropertyId) -> Values<'_> {
-        // Under a shared schema an id may exceed this store's column
-        // count (property interned by a sibling store, or after this
-        // store was frozen) — such properties are simply absent here.
-        match self.columns.get(property.index()) {
-            Some(column) => Values {
-                column: Some(column),
-                range: column.range(record),
-            },
-            None => Values {
-                column: None,
-                range: 0..0,
-            },
-        }
+        self.value_list(record, property).iter()
     }
 
     /// The values of `property` on `record` as a random-access list —
@@ -236,6 +291,9 @@ impl RecordStore {
     /// loop) and the list addresses the matching [`TokenIndex`]
     /// entries by column-global value index.
     pub fn value_list(&self, record: usize, property: PropertyId) -> ValueList<'_> {
+        // Under a shared schema an id may exceed this store's column
+        // count (property interned by a sibling store, or after this
+        // store was frozen) — such properties are simply absent here.
         match self.columns.get(property.index()) {
             Some(column) => {
                 let range = column.range(record);
@@ -245,11 +303,7 @@ impl RecordStore {
                     len: range.len(),
                 }
             }
-            None => ValueList {
-                column: None,
-                start: 0,
-                len: 0,
-            },
+            None => ValueList::empty(),
         }
     }
 
@@ -268,7 +322,9 @@ impl RecordStore {
     /// set-measure [`compare`](crate::comparator::CompiledComparator::compare)
     /// calls on a large store pay it too.
     pub fn token_index(&self) -> &TokenIndex {
-        self.token_index.get_or_init(|| TokenIndex::build(self))
+        self.derived
+            .token_index
+            .get_or_init(|| TokenIndex::build(self))
     }
 
     /// The lazily-built full-text token/bigram precomputation (the
@@ -276,7 +332,8 @@ impl RecordStore {
     /// [`token_index`](Self::token_index) so a fallback that never
     /// fires never tokenises the full texts.
     pub fn full_token_index(&self) -> &TokenIndex {
-        self.full_token_index
+        self.derived
+            .full_token_index
             .get_or_init(|| TokenIndex::build_full(self))
     }
 
@@ -287,13 +344,8 @@ impl RecordStore {
     /// have been resolved against this store's schema. First call per
     /// recipe costs `O(store)`; later calls are a map lookup.
     pub fn key_index(&self, side: &KeySide) -> Arc<KeyIndex> {
-        // Poison recovery: the cache is a reconstructible memo. If a
-        // build panicked under the lock (`or_insert_with` inserts only
-        // on success), the map still holds only completed indexes —
-        // keep serving and rebuild on demand instead of cascading.
-        self.key_indexes
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.derived
+            .key_indexes()
             .entry(side.recipe())
             .or_insert_with(|| Arc::new(KeyIndex::build(self, side)))
             .clone()
@@ -313,7 +365,7 @@ impl RecordStore {
     }
 
     /// The raw item identifiers, in record order — the persistence
-    /// layer's view (`id_index` is derived state and never serialized).
+    /// layer's view.
     pub(crate) fn persist_ids(&self) -> &[Term] {
         &self.ids
     }
@@ -325,53 +377,21 @@ impl RecordStore {
         (&column.text, &column.bounds, &column.offsets)
     }
 
-    /// The precomputed full-text arena `(text, bounds)` — serialized
-    /// rather than recomputed on load so a restored store is
-    /// byte-identical without re-deriving the sorted property order.
-    pub(crate) fn persist_full_text(&self) -> (&str, &[u32]) {
-        (&self.full_text, &self.full_text_bounds)
-    }
-
     /// Reassemble a store from persisted parts, validating every
     /// structural invariant the accessors above rely on — a snapshot
     /// file that passed its checksums can still be adversarially
-    /// malformed, and indexing must never panic on it. `id_index` is
-    /// rebuilt and the token/key caches start cold (they are derived
-    /// state). Errors are human-readable descriptions of the violated
-    /// invariant; the caller wraps them into a
-    /// [`PersistError`](crate::persist::PersistError).
+    /// malformed, and indexing must never panic on it. Errors are
+    /// human-readable descriptions of the violated invariant; the caller
+    /// wraps them into a [`PersistError`](crate::persist::PersistError).
     pub(crate) fn from_persisted_parts(
         interner: Arc<PropertyInterner>,
         ids: Vec<Term>,
         columns: Vec<(String, Vec<u32>, Vec<u32>)>,
-        full_text: String,
-        full_text_bounds: Vec<u32>,
     ) -> Result<RecordStore, String> {
-        // `bounds` must tile `text` exactly, on character boundaries,
-        // monotonically — `Column::value` slices without checking.
-        fn check_arena(text: &str, bounds: &[u32], what: &str) -> Result<(), String> {
-            if bounds.first() != Some(&0) {
-                return Err(format!("{what}: bounds must start at 0"));
-            }
-            if bounds.windows(2).any(|w| w[0] > w[1]) {
-                return Err(format!("{what}: bounds are not monotonic"));
-            }
-            if *bounds.last().unwrap() as usize != text.len() {
-                return Err(format!(
-                    "{what}: bounds end at {} but the arena holds {} bytes",
-                    bounds.last().unwrap(),
-                    text.len()
-                ));
-            }
-            if let Some(b) = bounds.iter().find(|&&b| !text.is_char_boundary(b as usize)) {
-                return Err(format!("{what}: bound {b} splits a character"));
-            }
-            Ok(())
-        }
         let record_count = ids.len();
-        let count_u32 =
-            |n: usize, what: &str| u32::try_from(n).map_err(|_| format!("{what} exceeds u32::MAX"));
-        count_u32(record_count, "record count")?;
+        if u32::try_from(record_count).is_err() {
+            return Err("record count exceeds u32::MAX".to_string());
+        }
         if columns.len() > interner.len() {
             return Err(format!(
                 "{} columns but the schema has only {} properties",
@@ -379,60 +399,35 @@ impl RecordStore {
                 interner.len()
             ));
         }
-        if full_text_bounds.len() != record_count + 1 {
-            return Err(format!(
-                "full text has {} bounds for {record_count} records",
-                full_text_bounds.len()
-            ));
-        }
-        check_arena(&full_text, &full_text_bounds, "full text")?;
         let mut built = Vec::with_capacity(columns.len());
         for (c, (text, bounds, offsets)) in columns.into_iter().enumerate() {
-            let what = format!("column {c}");
-            if bounds.is_empty() {
-                return Err(format!("{what}: empty bounds"));
+            // `bounds` must tile `text` on character boundaries, `offsets`
+            // the values — `Column::value` and `range` slice unchecked.
+            check_tiling(&format!("column {c}: bounds"), &bounds, text.len())?;
+            if let Some(b) = bounds.iter().find(|&&b| !text.is_char_boundary(b as usize)) {
+                return Err(format!("column {c}: bound {b} splits a character"));
             }
-            check_arena(&text, &bounds, &what)?;
-            let value_count = count_u32(bounds.len() - 1, &what)?;
             if offsets.len() != record_count + 1 {
                 return Err(format!(
-                    "{what}: {} offsets for {record_count} records",
+                    "column {c}: {} offsets for {record_count} records",
                     offsets.len()
                 ));
             }
-            if offsets.first() != Some(&0) {
-                return Err(format!("{what}: offsets must start at 0"));
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(format!("{what}: offsets are not monotonic"));
-            }
-            if *offsets.last().unwrap() != value_count {
-                return Err(format!(
-                    "{what}: offsets end at {} but the column holds {value_count} values",
-                    offsets.last().unwrap()
-                ));
-            }
+            check_tiling(&format!("column {c}: offsets"), &offsets, bounds.len() - 1)?;
             built.push(Column {
                 text,
                 bounds,
                 offsets,
             });
         }
-        let id_index = ids
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.clone(), i as u32))
-            .collect();
+        if !full_text_fits(&built) {
+            return Err("full text exceeds u32::MAX bytes".to_string());
+        }
         Ok(RecordStore {
             interner,
             ids,
-            id_index,
             columns: built,
-            full_text,
-            full_text_bounds,
-            token_index: OnceLock::new(),
-            full_token_index: OnceLock::new(),
-            key_indexes: Mutex::new(HashMap::new()),
+            derived: Derived::default(),
         })
     }
 
@@ -442,11 +437,43 @@ impl RecordStore {
     }
 
     /// Every value of every attribute of `record`, space-joined in sorted
-    /// property order — precomputed at build time, so this is a slice
-    /// borrow, not an allocation.
+    /// property order (what [`Record::full_text`] returns). The first
+    /// call joins every record of the store once; after that this is a
+    /// slice borrow, not an allocation.
     pub fn full_text(&self, record: usize) -> &str {
-        &self.full_text
-            [self.full_text_bounds[record] as usize..self.full_text_bounds[record + 1] as usize]
+        let (text, bounds) = self
+            .derived
+            .full_text
+            .get_or_init(|| self.derive_full_text());
+        &text[bounds[record] as usize..bounds[record + 1] as usize]
+    }
+
+    /// Join every record's values in property-IRI order (mirrors
+    /// [`Record::full_text`], which iterates a `BTreeMap`). Only columns
+    /// and their IRIs enter, so a shard frozen with a prefix of the
+    /// catalog schema and its restored twin on the full schema agree.
+    fn derive_full_text(&self) -> (String, Vec<u32>) {
+        let mut sorted: Vec<(&str, &Column)> = (self.interner.iter())
+            .filter_map(|(id, iri)| Some((iri, self.columns.get(id.index())?)))
+            .collect();
+        sorted.sort_unstable_by_key(|&(iri, _)| iri);
+        let mut text = String::new();
+        let mut bounds = Vec::with_capacity(self.len() + 1);
+        bounds.push(0);
+        for record in 0..self.len() {
+            let mut first = true;
+            for (_, column) in &sorted {
+                for value in column.range(record) {
+                    if !first {
+                        text.push(' ');
+                    }
+                    first = false;
+                    text.push_str(column.value(value));
+                }
+            }
+            bounds.push(u32::try_from(text.len()).expect("full text exceeds u32::MAX bytes"));
+        }
+        (text, bounds)
     }
 
     /// `(property IRI, value)` facts of `record`, in interning order.
@@ -471,30 +498,15 @@ impl RecordStore {
     }
 
     /// Replace this store's contents **in place** with one record — the
-    /// serving layer's probe store. Every arena (`ids`, columns,
-    /// `full_text`) is cleared and refilled retaining its capacity, and
-    /// every cached [`KeyIndex`] is rebuilt in place, so a warm refill
-    /// performs no allocation. `schema` must be the shared
-    /// [`SchemaInterner`] this store was built on; properties the record
-    /// introduces are interned into it (append-only, so ids compiled
-    /// against it elsewhere stay valid). `sorted_properties` is a
-    /// caller-owned scratch holding the schema's ids in IRI order; it is
-    /// re-derived only when the schema grows.
-    ///
-    /// Two deliberate departures from a frozen store: `index_of` always
-    /// misses (the id→index map is kept empty to avoid a per-refill
-    /// [`Term`] clone), and the token-index caches are discarded rather
-    /// than rebuilt (set-measure kernels re-tokenise the single record
-    /// lazily).
-    pub(crate) fn refill_single(
-        &mut self,
-        schema: &SchemaInterner,
-        record: &Record,
-        sorted_properties: &mut Vec<PropertyId>,
-    ) {
-        fn offset(n: usize) -> u32 {
-            u32::try_from(n).expect("record exceeds u32::MAX bytes/values")
-        }
+    /// serving layer's probe store. `ids` and every column are cleared
+    /// and refilled retaining their capacity, and every cached
+    /// [`KeyIndex`] is rebuilt in place, so a warm refill performs no
+    /// allocation; the other derived state is dropped and re-derived for
+    /// the one record by whoever reads it (see [`Derived::reset`]).
+    /// `schema` must be the shared [`SchemaInterner`] this store was
+    /// built on; properties the record introduces are interned into it
+    /// (append-only, so ids compiled against it elsewhere stay valid).
+    pub(crate) fn refill_single(&mut self, schema: &SchemaInterner, record: &Record) {
         // Models a malformed record failing mid-refill; every stage below
         // clears its buffers at the start of the *next* call, so a probe
         // store abandoned here heals on retry.
@@ -502,17 +514,10 @@ impl RecordStore {
         for property in record.attributes.keys() {
             schema.intern(property);
         }
-        if self.interner.len() != schema.len() || sorted_properties.len() != self.interner.len() {
+        if self.interner.len() != schema.len() {
             // Cold path: first refill, or the record introduced a new
-            // property. Re-snapshot and re-derive the IRI-sorted order;
-            // warm refills skip both.
-            if self.interner.len() != schema.len() {
-                self.interner = Arc::new(schema.snapshot());
-            }
-            sorted_properties.clear();
-            sorted_properties.extend(self.interner.iter().map(|(id, _)| id));
-            let interner = &self.interner;
-            sorted_properties.sort_by(|a, b| interner.resolve(*a).cmp(interner.resolve(*b)));
+            // property. Warm refills skip the re-snapshot.
+            self.interner = Arc::new(schema.snapshot());
         }
 
         if self.ids.len() == 1 {
@@ -521,7 +526,6 @@ impl RecordStore {
             self.ids.clear();
             self.ids.push(record.id.clone());
         }
-        self.id_index.clear();
 
         for column in &mut self.columns {
             column.text.clear();
@@ -553,51 +557,40 @@ impl RecordStore {
             column.offsets.push(offset(column.bounds.len() - 1));
         }
 
-        // Full text joins the record's values in sorted property order,
-        // mirroring `RecordStoreBuilder::finish`.
-        self.full_text.clear();
-        self.full_text_bounds.clear();
-        self.full_text_bounds.push(0);
-        let mut first = true;
-        for &pid in sorted_properties.iter() {
-            let Some(column) = self.columns.get(pid.index()) else {
-                continue;
-            };
-            for value_index in column.range(0) {
-                if !first {
-                    self.full_text.push(' ');
-                }
-                first = false;
-                self.full_text.push_str(column.value(value_index));
-            }
-        }
-        self.full_text_bounds.push(offset(self.full_text.len()));
-
-        let _ = self.token_index.take();
-        let _ = self.full_token_index.take();
-
-        // Rebuild every cached key index in place against the new
-        // contents. `Arc::get_mut` succeeds on the warm path (blockers
-        // drop their external-side handle when streaming returns); a
-        // handle held across refills forces a fresh build instead.
-        let mut key_indexes = std::mem::take(
-            &mut *self
-                .key_indexes
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        );
-        for (recipe, index) in key_indexes.iter_mut() {
-            let side = KeySide::from_recipe(*recipe);
-            match Arc::get_mut(index) {
-                Some(index) => index.rebuild(self, &side),
-                None => *index = Arc::new(KeyIndex::build(self, &side)),
-            }
-        }
-        *self
-            .key_indexes
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = key_indexes;
+        let mut derived = std::mem::take(&mut self.derived);
+        derived.reset(self);
+        self.derived = derived;
     }
+}
+
+/// Offsets are `u32` to halve the index footprint; overflow must fail
+/// loudly, not wrap into corrupt column slices.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("column exceeds u32::MAX bytes/values; shard the store")
+}
+
+/// `index` starts at 0, never decreases and ends at `end`.
+fn check_tiling(what: &str, index: &[u32], end: usize) -> Result<(), String> {
+    if index.first() != Some(&0) {
+        return Err(format!("{what} must start at 0"));
+    }
+    if index.windows(2).any(|w| w[0] > w[1]) {
+        return Err(format!("{what} are not monotonic"));
+    }
+    match index[index.len() - 1] as usize {
+        last if last == end => Ok(()),
+        last => Err(format!("{what} end at {last}, not at {end}")),
+    }
+}
+
+/// `true` when the full text of these columns — every value plus a
+/// separator each — fits `u32` bounds. Checked where a store is built or
+/// loaded, so the lazy [`RecordStore::full_text`] never fails on one.
+fn full_text_fits(columns: &[Column]) -> bool {
+    let bytes = columns
+        .iter()
+        .map(|c| (c.text.len() + c.bounds.len()) as u64);
+    bytes.sum::<u64>() <= u64::from(u32::MAX)
 }
 
 /// Overwrite `dest` with `src`, reusing `dest`'s string allocation when
@@ -788,11 +781,6 @@ impl RecordStoreBuilder {
     /// snapshotted) schema — the shard path, where every shard of a
     /// [`ShardedStore`](crate::shard::ShardedStore) must share one `Arc`.
     pub(crate) fn finish(self, interner: Arc<PropertyInterner>) -> RecordStore {
-        // Offsets are u32 to halve the index footprint; overflow must
-        // fail loudly, not wrap into corrupt column slices.
-        fn offset(n: usize) -> u32 {
-            u32::try_from(n).expect("column exceeds u32::MAX bytes/values; shard the store")
-        }
         let record_count = self.ids.len();
         let mut columns = Vec::with_capacity(self.raw_columns.len());
         for raw in &self.raw_columns {
@@ -822,49 +810,13 @@ impl RecordStoreBuilder {
             debug_assert_eq!(column.offsets.len(), record_count + 1);
             columns.push(column);
         }
+        assert!(full_text_fits(&columns), "full text exceeds u32::MAX bytes");
 
-        // Precompute full text per record, joining values in sorted
-        // property order (mirrors `Record::full_text`, which iterates a
-        // BTreeMap). Schema properties this builder never saw have no
-        // column and contribute nothing.
-        let mut sorted_properties: Vec<PropertyId> = interner.iter().map(|(id, _)| id).collect();
-        sorted_properties.sort_by(|a, b| interner.resolve(*a).cmp(interner.resolve(*b)));
-        let mut full_text = String::new();
-        let mut full_text_bounds = Vec::with_capacity(record_count + 1);
-        full_text_bounds.push(0u32);
-        for record in 0..record_count {
-            let mut first = true;
-            for &pid in &sorted_properties {
-                let Some(column) = columns.get(pid.index()) else {
-                    continue;
-                };
-                for value_index in column.range(record) {
-                    if !first {
-                        full_text.push(' ');
-                    }
-                    first = false;
-                    full_text.push_str(column.value(value_index));
-                }
-            }
-            full_text_bounds.push(offset(full_text.len()));
-        }
-
-        let id_index = self
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.clone(), offset(i)))
-            .collect();
         RecordStore {
             interner,
             ids: self.ids,
-            id_index,
             columns,
-            full_text,
-            full_text_bounds,
-            token_index: OnceLock::new(),
-            full_token_index: OnceLock::new(),
-            key_indexes: Mutex::new(HashMap::new()),
+            derived: Derived::default(),
         }
     }
 }
@@ -931,10 +883,19 @@ mod tests {
             assert_eq!(store.index_of(store.id(i)), Some(i));
         }
         assert_eq!(store.index_of(&Term::iri("http://e.org/p9")), None);
+        assert_eq!(RecordStore::default().index_of(store.id(0)), None);
+        // A repeated id answers with its last record: 300 records over
+        // 100 ids, so every hit scans an equal-hash run of the index.
+        let id = |i: usize| Term::iri(format!("http://e.org/p{i}"));
+        let store: RecordStore = (0..300).map(|i| Record::new(id(i % 100))).collect();
+        for i in 0..100 {
+            assert_eq!(store.index_of(&id(i)), Some(200 + i));
+        }
+        assert_eq!(store.index_of(&id(100)), None);
     }
 
     #[test]
-    fn full_text_is_precomputed_and_matches_record() {
+    fn full_text_matches_record() {
         let records = sample_records();
         let store = RecordStore::from_records(&records);
         for (i, record) in records.iter().enumerate() {
@@ -1079,20 +1040,23 @@ mod tests {
         use crate::blocking::BlockingKey;
         let schema = SchemaInterner::new();
         let mut store = RecordStore::builder_with_schema(schema.clone()).build();
-        let mut sorted = Vec::new();
         let key = BlockingKey::shared(PN, 4);
         let mut extra = Record::new(Term::iri("http://e.org/p4"));
         extra.add("http://e.org/v#zz", "late").add(PN, "X1");
         let mut probes = sample_records();
         probes.push(extra);
         for record in &probes {
-            store.refill_single(&schema, record, &mut sorted);
+            store.refill_single(&schema, record);
             assert_eq!(store.len(), 1);
             assert_eq!(store.id(0), &record.id);
             assert_eq!(store.full_text(0), record.full_text());
             assert_eq!(store.to_records(), vec![record.clone()]);
-            // The probe store deliberately never serves index_of.
-            assert_eq!(store.index_of(&record.id), None);
+            // Derived state follows the contents: this probe's id
+            // resolves, every other probe's misses.
+            for other in &probes {
+                let expected = (other.id == record.id).then_some(0);
+                assert_eq!(store.index_of(&other.id), expected);
+            }
             // Cached key indexes are rebuilt against the new contents.
             let side = key.external_side(&store);
             assert_eq!(store.key_index(&side).key(0), side.key(&store, 0));
@@ -1101,7 +1065,7 @@ mod tests {
         // an in-place rebuild — contents must still agree.
         let side = key.external_side(&store);
         let held = store.key_index(&side);
-        store.refill_single(&schema, &probes[0], &mut sorted);
+        store.refill_single(&schema, &probes[0]);
         let side = key.external_side(&store);
         assert_eq!(held.key(0), "x1");
         assert_eq!(store.key_index(&side).key(0), "crcw");

@@ -262,6 +262,20 @@ fn build_catalog(shards: &[Vec<GenRecord>]) -> ShardedStore {
     builder.build()
 }
 
+/// Derived state is never written, so a restored shard re-derives it:
+/// every record's full text must come out the same on both catalogs,
+/// and equal to the record-side join.
+fn assert_full_text_identity(original: &ShardedStore, restored: &ShardedStore) {
+    assert_eq!(original.shard_count(), restored.shard_count());
+    for (a, b) in original.shards().iter().zip(restored.shards()) {
+        for r in 0..a.len() {
+            let expected = a.record(r).full_text();
+            assert_eq!(a.full_text(r), expected);
+            assert_eq!(b.full_text(r), expected);
+        }
+    }
+}
+
 proptest! {
     /// Spill → load restores an equal catalog; re-spilling the restored
     /// catalog produces a byte-identical snapshot directory.
@@ -278,9 +292,64 @@ proptest! {
         prop_assert_eq!(report.records, store.len());
         CatalogSnapshot::write(&dir2, &loaded).expect("re-spill");
         prop_assert_eq!(dir_files(&dir1), dir_files(&dir2));
+        assert_full_text_identity(&store, &loaded);
+        // An append that grows the schema (by an IRI sorting before the
+        // whole pool): the old shards keep their prefix schema `Arc`,
+        // their restored twins share the grown one.
+        let mut delta = store.delta_builder();
+        delta.begin_shard();
+        let mut late = Record::new(Term::iri("http://e.org/item/late"));
+        late.add("http://e.org/v#a-late", "late").add(PROP_POOL[0], "PN-1");
+        delta.push(&late);
+        let appended = store.append_shards(delta);
+        CatalogSnapshot::write(&dir1, &appended).expect("spill appended");
+        let (reloaded, _) = CatalogSnapshot::open(&dir1).expect("load appended");
+        assert_full_text_identity(&appended, &reloaded);
         let _ = fs::remove_dir_all(&dir1);
         let _ = fs::remove_dir_all(&dir2);
     }
+}
+
+/// Several records under one subject id: `index_of` answers with the
+/// last of them in the first shard holding the id — whether the id index
+/// is derived on a built, a restored or an appended catalog.
+#[test]
+fn duplicate_ids_resolve_to_the_last_record_built_restored_and_appended() {
+    let duplicate = |id: &Term, pn: &str| {
+        let mut record = Record::new(id.clone());
+        record.add(LOC_PN, pn);
+        record
+    };
+    let twice = Term::iri("http://catalog.example.org/prod/twice");
+    let built = ShardedStore::from_records(
+        &[
+            duplicate(&twice, "A"),
+            local_record(1),
+            duplicate(&twice, "B"),
+        ],
+        1,
+    );
+    assert_eq!(built.index_of(&twice), Some(2));
+
+    let dir = fresh_dir("duplicate_ids");
+    CatalogSnapshot::write(&dir, &built).expect("spill");
+    let (restored, _) = CatalogSnapshot::open(&dir).expect("load");
+    assert_eq!(restored.index_of(&twice), Some(2));
+
+    let late = Term::iri("http://catalog.example.org/prod/late");
+    let mut delta = restored.delta_builder();
+    delta.begin_shard();
+    for record in [
+        duplicate(&late, "C"),
+        duplicate(&twice, "D"),
+        duplicate(&late, "E"),
+    ] {
+        delta.push(&record);
+    }
+    let appended = restored.append_shards(delta);
+    assert_eq!(appended.index_of(&late), Some(5));
+    assert_eq!(appended.index_of(&twice), Some(2));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // =====================================================================

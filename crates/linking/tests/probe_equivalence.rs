@@ -246,6 +246,66 @@ fn probe_record_without_the_key_property_matches_batch() {
     assert_eq!(batch.comparisons, 0);
 }
 
+#[test]
+fn probe_whose_rules_cannot_fire_falls_back_like_batch() {
+    // Externals without the compared attribute are scored on full text
+    // (derived on first use, on both the one-record probe store and the
+    // catalog shards) — for a string-measure and a set-measure fallback.
+    let locals: Vec<Record> = (0..9)
+        .map(|i| {
+            let mut r = Record::new(Term::iri(format!("http://local.example.org/prod/{i}")));
+            r.add(vocab::LOCAL_PART_NUMBER, format!("PN-{i:04}"))
+                .add(vocab::LOCAL_LABEL, format!("résistance couche {i}"));
+            r
+        })
+        .collect();
+    let described = |n: usize, text: &str| {
+        let mut r = Record::new(Term::iri(format!("http://probe.example.org/item/{n}")));
+        r.add("http://probe.example.org/vocab#description", text);
+        r
+    };
+    let mut keyed = Record::new(Term::iri("http://probe.example.org/item/0"));
+    keyed.add(vocab::PROVIDER_PART_NUMBER, "PN-0004");
+    let externals = vec![
+        keyed,
+        // A local's full text: label before part number (IRI order).
+        described(1, "résistance couche 3 PN-0003"),
+        described(2, "resistance couche 7 PN0007"),
+        described(3, "nothing alike"),
+    ];
+    let external = RecordStore::from_records(&externals);
+    for fallback in [
+        SimilarityMeasure::JaroWinkler,
+        SimilarityMeasure::MongeElkan,
+    ] {
+        let mut cmp = RecordComparator::single(
+            vocab::PROVIDER_PART_NUMBER,
+            vocab::LOCAL_PART_NUMBER,
+            SimilarityMeasure::JaroWinkler,
+        )
+        .with_thresholds(0.97, 0.5);
+        cmp.fallback = Some(fallback);
+        for shard_count in [1, 3] {
+            let catalog = ShardedStore::from_records(&locals, shard_count);
+            let batch =
+                LinkagePipeline::new(&CartesianBlocker, &cmp).run_sharded(&external, &catalog);
+            for (links, id) in [(&batch.matches, 1), (&batch.possible, 2)] {
+                assert!(
+                    !slice_of(links, &externals[id].id).is_empty(),
+                    "{fallback:?}: record {id} has no fallback link — the guard would be vacuous"
+                );
+            }
+            assert_probe_equals_batch(
+                &CartesianBlocker,
+                &cmp,
+                &external,
+                &catalog,
+                &format!("{fallback:?} fallback / {shard_count} shards"),
+            );
+        }
+    }
+}
+
 mod properties {
     //! Property test: on random catalogs and probe sets, a probe equals
     //! its batch slice for the standard and sorted-neighbourhood

@@ -6,11 +6,11 @@
 
 use classilink_core::{ClassificationRule, Contingency, RuleClassifier};
 use classilink_linking::blocking::{
-    collect_pairs, BigramBlocker, Blocker, BlockingKey, CartesianBlocker, DisjointnessFilter,
-    RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
+    collect_pairs, BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
+    SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::{
-    CandidateRuns, LinkagePipeline, Record, RecordComparator, RecordStore, SimilarityMeasure,
+    LinkagePipeline, Record, RecordComparator, RecordStore, SimilarityMeasure,
 };
 use classilink_ontology::{ClassId, InstanceStore, Ontology, OntologyBuilder};
 use classilink_rdf::Term;
@@ -229,27 +229,6 @@ fn comparator_against_attributeless_side_uses_fallback_or_zero() {
         .compile(&external, &bare)
         .compare(&external, 0, &bare, 0);
     assert_eq!(comparison.score, 0.0);
-}
-
-#[test]
-fn disjointness_filter_passes_through_on_empty_classes() {
-    let mut b = OntologyBuilder::new("http://e.org/c#");
-    let root = b.class("Component", None);
-    let a = b.class("A", Some(root));
-    let c = b.class("C", Some(root));
-    b.disjoint(a, c);
-    let onto = b.build();
-    let filter = DisjointnessFilter::new(&onto);
-    let (external, local) = (attributeless(2), attributeless(3));
-    let mut runs = CandidateRuns::new();
-    CartesianBlocker.stream_candidates(&external, (&local).into(), &mut runs);
-    // No class information on either side: nothing can be pruned.
-    filter.retain_runs(&mut runs, (&local).into(), &[], &[]);
-    assert_eq!(runs.total(), 6);
-    assert_eq!(
-        runs.pairs(0).collect::<Vec<_>>(),
-        collect_pairs(&CartesianBlocker, &external, &local)
-    );
 }
 
 #[test]

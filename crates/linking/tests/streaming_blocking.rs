@@ -793,22 +793,6 @@ mod local_run_decode {
                 }
                 prop_assert_eq!(cursor, shard_expected.len());
             }
-            // Retain keeps exactly the accepted pairs, re-encoded.
-            let kept: Vec<Vec<(usize, usize)>> = expected
-                .iter()
-                .map(|pairs| {
-                    pairs.iter().copied().filter(|&(e, l)| (e + l) % 2 == 0).collect()
-                })
-                .collect();
-            runs.retain(|_, e, l| (e + l) % 2 == 0);
-            for (shard, shard_kept) in kept.iter().enumerate() {
-                let decoded: Vec<(usize, usize)> = runs.pairs(shard).collect();
-                prop_assert_eq!(&decoded, shard_kept, "retained shard {}", shard);
-            }
-            prop_assert_eq!(
-                runs.total() as usize,
-                kept.iter().map(Vec::len).sum::<usize>()
-            );
         }
 
         #[test]

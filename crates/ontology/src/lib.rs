@@ -42,6 +42,8 @@
 //! assert_eq!(onto.leaves().len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod error;
 pub mod instances;

@@ -35,6 +35,8 @@
 //! assert_eq!(found.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod dictionary;
 pub mod error;

@@ -36,6 +36,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alphanum;
 pub mod dictionary;
 pub mod ngram;
