@@ -44,9 +44,9 @@ pub enum LinkError {
         /// Links (matches + possibles) scored by the surviving workers.
         partial_links: usize,
     },
-    /// Parallel shard columnarisation panicked while building one shard.
+    /// Freezing one shard of a sharded build panicked.
     ShardBuildPanicked {
-        /// Index of the shard whose columnarisation failed.
+        /// Index of the shard that failed to freeze.
         shard: usize,
         /// Stringified panic payload.
         payload: String,

@@ -8,8 +8,8 @@
 //! chunk, groups the emitted triples by subject with a [`SubjectGrouper`],
 //! and pushes each completed record into a [`ShardedStoreBuilder`] —
 //! opening a fresh shard every `records_per_shard` records, so a
-//! multi-GB feed columnarises into parallel shards while the transient
-//! state is bounded by one statement plus one record.
+//! multi-GB feed columnarises into shards as it arrives while the
+//! transient state is bounded by one statement plus one record.
 //!
 //! The same grouping adapter is the *only* graph-walk columnariser:
 //! [`RecordStore::from_graph`](crate::store::RecordStore::from_graph),
@@ -101,20 +101,6 @@ impl SubjectGrouper {
         flushed
     }
 
-    /// Feed one fact of `subject` (beginning its record if needed).
-    /// Returns the index of the record flushed by a subject change.
-    pub fn push_fact<S: RecordSink>(
-        &mut self,
-        sink: &mut S,
-        subject: &Term,
-        property: &str,
-        value: &str,
-    ) -> Option<usize> {
-        let flushed = self.begin_subject(sink, subject);
-        self.buffer_fact(property, value);
-        flushed
-    }
-
     /// Feed one parsed triple: the subject begins/continues its record,
     /// and IRI-predicate + literal-object triples contribute a fact
     /// (other triples only mark the subject, mirroring
@@ -170,11 +156,6 @@ impl SubjectGrouper {
     pub fn records(&self) -> usize {
         self.records
     }
-
-    /// The subject of the buffered (not yet emitted) record, if any.
-    pub fn pending_subject(&self) -> Option<&Term> {
-        self.subject.as_ref()
-    }
 }
 
 /// Columnarise the given graph subjects (in order) into `sink`, one
@@ -215,7 +196,7 @@ enum FeedStreamer {
 /// statements are parsed, subject-grouped and pushed into shard
 /// builders immediately, with a fresh shard opened every
 /// `records_per_shard` records. [`finish`](Self::finish) flushes the
-/// tail and freezes the shards (parallel columnarisation). At no point
+/// tail and freezes the shards (their columns are already filled). At no point
 /// does a full-document `Graph` — or any other input-sized intermediate
 /// — exist; transient state is one incomplete statement plus one
 /// record's facts plus the store under construction.
@@ -366,8 +347,8 @@ impl FeedIngest {
         Ok(self.builder)
     }
 
-    /// Flush the tail and freeze the shards (parallel columnarisation);
-    /// see [`into_builder`](Self::into_builder) for the delta path.
+    /// Flush the tail and freeze the shards; see
+    /// [`into_builder`](Self::into_builder) for the delta path.
     pub fn try_finish(self) -> LinkResult<ShardedStore> {
         self.into_builder()?.try_build()
     }
@@ -478,19 +459,20 @@ mod tests {
     fn grouper_reuses_fact_buffers_and_counts_records() {
         let mut builder = RecordStore::builder();
         let mut grouper = SubjectGrouper::new();
-        let a = Term::iri("http://e.org/a");
-        let b = Term::iri("http://e.org/b");
-        assert_eq!(grouper.push_fact(&mut builder, &a, PN, "X-1"), None);
-        assert_eq!(grouper.pending_subject(), Some(&a));
-        assert_eq!(grouper.push_fact(&mut builder, &a, MFR, "Vishay"), None);
+        let (a, b) = ("http://e.org/a", "http://e.org/b");
+        let mut push = |subject, property, value| {
+            grouper.push_triple(&mut builder, &Triple::literal(subject, property, value))
+        };
+        assert_eq!(push(a, PN, "X-1"), None);
+        assert_eq!(push(a, MFR, "Vishay"), None);
         // Subject change flushes the previous record.
-        assert_eq!(grouper.push_fact(&mut builder, &b, PN, "X-2"), Some(0));
+        assert_eq!(push(b, PN, "X-2"), Some(0));
         assert_eq!(grouper.flush(&mut builder), Some(1));
         assert_eq!(grouper.records(), 2);
         assert_eq!(grouper.flush(&mut builder), None);
         let store = builder.build();
         assert_eq!(store.len(), 2);
-        let mut expected = Record::new(a);
+        let mut expected = Record::new(Term::iri(a));
         expected.add(PN, "X-1").add(MFR, "Vishay");
         assert_eq!(store.record(0), expected);
     }

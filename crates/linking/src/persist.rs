@@ -1131,7 +1131,7 @@ impl CatalogSnapshot {
             };
             shards.push(store);
         }
-        Ok(ShardedStore::from_persisted_shards(shards, schema))
+        Ok(ShardedStore::from_shards(shards, schema))
     }
 }
 

@@ -244,17 +244,17 @@ impl ShardedStore {
         builder.build()
     }
 
-    /// Reassemble a catalog from already-built shards — the snapshot
+    /// A catalog of already-built shards — the builder's and the snapshot
     /// loader's constructor. Every shard must have been built on (a
-    /// clone of) `schema`; the offset table is re-derived from the shard
-    /// lengths, so the result is structurally identical to the catalog
+    /// clone of) `schema`; the offset table follows from the shard
+    /// lengths, so a loaded catalog is structurally identical to the one
     /// that was persisted.
     ///
     /// # Panics
     /// Panics when `shards` is empty (a catalog always has at least one
     /// shard — the loader rejects a zero-shard manifest as corrupt
     /// before calling this).
-    pub(crate) fn from_persisted_shards(
+    pub(crate) fn from_shards(
         shards: Vec<Arc<RecordStore>>,
         schema: Arc<PropertyInterner>,
     ) -> ShardedStore {
@@ -509,43 +509,32 @@ impl ShardedStoreBuilder {
 
     /// Freeze every shard, all sharing one schema snapshot.
     ///
-    /// Shards columnarise **concurrently**: interning is already done
-    /// (the mutex-guarded [`SchemaInterner`] was only needed while
-    /// records were pushed), so each shard's `finish` — column
-    /// assembly, full-text precompute, id index — is independent work,
-    /// fanned out under `std::thread::scope` across the machine's
-    /// cores. Per-shard construction is deterministic, so the result is
-    /// byte-identical to a sequential build (asserted by
-    /// `parallel_build_is_byte_identical_to_sequential`).
+    /// Pushing already filled every shard's columns, so freezing only seals
+    /// them, shard by shard on the calling thread: there is no per-value
+    /// work left that threads could share.
     pub fn build(self) -> ShardedStore {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`build`](Self::build): a panic while columnarising one
-    /// shard is contained to that shard's worker and reported as
-    /// [`LinkError::ShardBuildPanicked`]; the remaining workers drain
-    /// the other shards before the build is abandoned.
-    pub fn try_build(self) -> LinkResult<ShardedStore> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.try_build_with_workers(workers)
-    }
-
-    /// [`build`](Self::build) with an explicit worker-thread cap
-    /// (`1` = sequential; the cap is also clamped to the shard count).
-    /// Panics on a contained fault — the fault-tolerant entry point is
-    /// [`try_build_with_workers`](Self::try_build_with_workers).
+    /// [`build`](Self::build); `workers` has no effect (see
+    /// [`try_build_with_workers`](Self::try_build_with_workers)).
     pub fn build_with_workers(self, workers: usize) -> ShardedStore {
         self.try_build_with_workers(workers)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`build_with_workers`](Self::build_with_workers); see
-    /// [`try_build`](Self::try_build) for the containment contract. On
-    /// `Err` the error names the **lowest** faulted shard index,
-    /// regardless of worker scheduling.
-    pub fn try_build_with_workers(mut self, workers: usize) -> LinkResult<ShardedStore> {
+    /// [`try_build`](Self::try_build); `workers` has no effect, a build
+    /// having nothing to spread over threads. The argument stays for
+    /// `linkbench` until ROADMAP item 1's benchmark PR moves it to
+    /// `try_build`.
+    pub fn try_build_with_workers(self, _workers: usize) -> LinkResult<ShardedStore> {
+        self.try_build()
+    }
+
+    /// Fallible [`build`](Self::build): a panic while sealing a shard is
+    /// reported as [`LinkError::ShardBuildPanicked`] naming that shard, and
+    /// the build is abandoned.
+    pub fn try_build(mut self) -> LinkResult<ShardedStore> {
         if self.shards.is_empty() {
             self.begin_shard();
         }
@@ -553,98 +542,19 @@ impl ShardedStoreBuilder {
         // shard sees the full schema regardless of which shard interned
         // a property first.
         let schema = Arc::new(self.schema.snapshot());
-        let shard_count = self.shards.len();
-        let workers = workers.clamp(1, shard_count);
-        let columnarise = |shard: usize, builder: RecordStoreBuilder| {
-            catch_unwind(AssertUnwindSafe(|| {
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for (shard, builder) in self.shards.into_iter().enumerate() {
+            let store = catch_unwind(AssertUnwindSafe(|| {
                 fail::fail_point!("shard::columnarise");
                 builder.finish(schema.clone())
             }))
             .map_err(|payload| LinkError::ShardBuildPanicked {
                 shard,
                 payload: panic_payload(payload),
-            })
-        };
-        let shards: Vec<Arc<RecordStore>> = if workers <= 1 {
-            let mut built = Vec::with_capacity(shard_count);
-            for (shard, builder) in self.shards.into_iter().enumerate() {
-                built.push(Arc::new(columnarise(shard, builder)?));
-            }
-            built
-        } else {
-            // Claim shards off one atomic counter: big and small shards
-            // interleave across workers without any up-front partition.
-            let slots: Vec<std::sync::Mutex<Option<RecordStoreBuilder>>> = self
-                .shards
-                .into_iter()
-                .map(|builder| std::sync::Mutex::new(Some(builder)))
-                .collect();
-            let results: Vec<std::sync::OnceLock<RecordStore>> = (0..shard_count)
-                .map(|_| std::sync::OnceLock::new())
-                .collect();
-            // The lowest faulted shard (deterministic regardless of
-            // which worker hit it, or when).
-            let fault: std::sync::Mutex<Option<LinkError>> = std::sync::Mutex::new(None);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let shard = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if shard >= shard_count {
-                            break;
-                        }
-                        let builder = slots[shard]
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .take()
-                            .expect("every shard slot is claimed exactly once");
-                        // A faulted shard doesn't stop this worker: keep
-                        // claiming so every other shard still finishes,
-                        // then report the fault after the scope joins.
-                        match columnarise(shard, builder) {
-                            Ok(store) => {
-                                let built = results[shard].set(store);
-                                assert!(built.is_ok(), "shard {shard} built twice");
-                            }
-                            Err(error) => {
-                                let mut fault = fault
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                                let replace = match &*fault {
-                                    Some(LinkError::ShardBuildPanicked {
-                                        shard: recorded, ..
-                                    }) => shard < *recorded,
-                                    _ => true,
-                                };
-                                if replace {
-                                    *fault = Some(error);
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            if let Some(error) = fault
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-            {
-                return Err(error);
-            }
-            results
-                .into_iter()
-                .map(|slot| Arc::new(slot.into_inner().expect("every claimed shard was built")))
-                .collect()
-        };
-        let mut offsets = Vec::with_capacity(shard_count + 1);
-        offsets.push(0);
-        for store in &shards {
-            offsets.push(offsets.last().expect("non-empty") + store.len());
+            })?;
+            shards.push(Arc::new(store));
         }
-        Ok(ShardedStore {
-            shards,
-            offsets,
-            schema,
-        })
+        Ok(ShardedStore::from_shards(shards, schema))
     }
 }
 
@@ -799,33 +709,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_byte_identical_to_sequential() {
-        // Uneven shard sizes, a property present in only some shards,
-        // multi-valued attributes — the parallel columnarisation must
-        // reproduce the sequential build exactly (PartialEq on
-        // ShardedStore is structural over all stored data).
+    fn every_worker_count_builds_the_same_store() {
+        // Uneven shard sizes, a property present in only some shards.
         let records = records(23);
-        let mut sequential = ShardedStore::builder();
-        let mut parallel = ShardedStore::builder();
+        let mut builder = ShardedStore::builder();
         for (i, record) in records.iter().enumerate() {
             if i % 5 == 0 {
-                sequential.begin_shard();
-                parallel.begin_shard();
+                builder.begin_shard();
             }
-            sequential.push(record);
-            parallel.push(record);
+            builder.push(record);
         }
-        let sequential = sequential.build_with_workers(1);
-        for workers in [2, 4, 16] {
-            let built = parallel.clone().build_with_workers(workers);
-            assert_eq!(sequential, built, "{workers} workers");
+        let built = builder.clone().build();
+        for workers in [0, 1, 2, 16] {
+            let with_workers = builder.clone().build_with_workers(workers);
+            assert_eq!(built, with_workers, "{workers} workers");
         }
-        // The default build (auto worker count) agrees too, and so do
-        // the global ids.
-        let default_build = parallel.build();
-        assert_eq!(sequential, default_build);
         for (i, record) in records.iter().enumerate() {
-            assert_eq!(default_build.id(i), &record.id);
+            assert_eq!(built.id(i), &record.id);
         }
     }
 

@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One property's column: all values of that property over all records,
 /// concatenated into a single text arena.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Column {
     /// Every value of this property, concatenated.
     text: String,
@@ -57,6 +57,32 @@ struct Column {
 }
 
 impl Column {
+    /// A column with no values, for a store with no records yet.
+    fn new() -> Self {
+        Column {
+            text: String::new(),
+            bounds: vec![0],
+            offsets: Vec::new(),
+        }
+    }
+
+    /// Append `value` to `record`'s values. Records come in non-decreasing
+    /// order; the ones skipped since the last push own no value here.
+    fn push(&mut self, record: usize, value: &str) {
+        self.seal(record);
+        self.text.push_str(value);
+        self.bounds.push(offset(self.text.len()));
+    }
+
+    /// Give every record up to `records` that has none yet the start of
+    /// its range: the current value count, which also ends the range before
+    /// it. Sealing at the record count completes the column.
+    fn seal(&mut self, records: usize) {
+        let values = offset(self.bounds.len() - 1);
+        let sealed = self.offsets.len().max(records + 1);
+        self.offsets.resize(sealed, values);
+    }
+
     fn value(&self, i: usize) -> &str {
         &self.text[self.bounds[i] as usize..self.bounds[i + 1] as usize]
     }
@@ -203,7 +229,7 @@ impl RecordStore {
         RecordStoreBuilder {
             schema,
             ids: Vec::new(),
-            raw_columns: Vec::new(),
+            columns: Vec::new(),
         }
     }
 
@@ -529,38 +555,38 @@ impl RecordStore {
 
         for column in &mut self.columns {
             column.text.clear();
-            column.bounds.clear();
-            column.bounds.push(0);
+            column.bounds.truncate(1);
             column.offsets.clear();
-            column.offsets.push(0);
         }
         for (property, values) in &record.attributes {
             let pid = self
                 .interner
                 .get(property)
                 .expect("probe property interned above");
-            while self.columns.len() <= pid.index() {
-                // First sight of this property on the probe side: grow
-                // the column table. Later refills reuse the slot.
-                let mut column = Column::default();
-                column.bounds.push(0);
-                column.offsets.push(0);
-                self.columns.push(column);
-            }
-            let column = &mut self.columns[pid.index()];
+            // First sight of this property on the probe side grows the
+            // column table; later refills reuse the slot.
+            let column = column_mut(&mut self.columns, pid);
             for value in values {
-                column.text.push_str(value);
-                column.bounds.push(offset(column.text.len()));
+                column.push(0, value);
             }
         }
         for column in &mut self.columns {
-            column.offsets.push(offset(column.bounds.len() - 1));
+            column.seal(1);
         }
 
         let mut derived = std::mem::take(&mut self.derived);
         derived.reset(self);
         self.derived = derived;
     }
+}
+
+/// The column of `property`. Under a shared schema sibling builders
+/// advance the id sequence, so ids may skip: pad with empty columns.
+fn column_mut(columns: &mut Vec<Column>, property: PropertyId) -> &mut Column {
+    while columns.len() <= property.index() {
+        columns.push(Column::new());
+    }
+    &mut columns[property.index()]
 }
 
 /// Offsets are `u32` to halve the index footprint; overflow must fail
@@ -706,8 +732,9 @@ impl<'a> IntoIterator for &ValueList<'a> {
 pub struct RecordStoreBuilder {
     schema: SchemaInterner,
     ids: Vec<Term>,
-    /// Per property: `(record, value)` in non-decreasing record order.
-    raw_columns: Vec<Vec<(u32, String)>>,
+    /// One column per property seen so far, sealed up to the last record
+    /// that has a value in it.
+    columns: Vec<Column>,
 }
 
 impl RecordStoreBuilder {
@@ -720,16 +747,11 @@ impl RecordStoreBuilder {
         F: FnOnce() -> I,
     {
         let record = self.ids.len();
-        let record_u32 = u32::try_from(record).expect("more than u32::MAX records");
+        assert!(u32::try_from(record).is_ok(), "more than u32::MAX records");
         self.ids.push(id);
         for (property, value) in facts() {
             let pid = self.schema.intern(property);
-            // Under a shared schema sibling builders advance the id
-            // sequence, so ids may skip: pad with empty columns.
-            while self.raw_columns.len() <= pid.index() {
-                self.raw_columns.push(Vec::new());
-            }
-            self.raw_columns[pid.index()].push((record_u32, value.to_string()));
+            column_mut(&mut self.columns, pid).push(record, value);
         }
         record
     }
@@ -780,42 +802,23 @@ impl RecordStoreBuilder {
     /// Freeze into an immutable store carrying the given (already
     /// snapshotted) schema — the shard path, where every shard of a
     /// [`ShardedStore`](crate::shard::ShardedStore) must share one `Arc`.
-    pub(crate) fn finish(self, interner: Arc<PropertyInterner>) -> RecordStore {
-        let record_count = self.ids.len();
-        let mut columns = Vec::with_capacity(self.raw_columns.len());
-        for raw in &self.raw_columns {
-            let mut column = Column {
-                text: String::with_capacity(raw.iter().map(|(_, v)| v.len()).sum()),
-                bounds: Vec::with_capacity(raw.len() + 1),
-                offsets: Vec::with_capacity(record_count + 1),
-            };
-            column.bounds.push(0);
-            // offsets[r] is the index of record r's first value; records
-            // without values in this column get an empty range.
-            column.offsets.push(0);
-            let mut next_record = 1usize;
-            for (value_index, (record, value)) in raw.iter().enumerate() {
-                let record = *record as usize;
-                while next_record <= record {
-                    column.offsets.push(offset(value_index));
-                    next_record += 1;
-                }
-                column.text.push_str(value);
-                column.bounds.push(offset(column.text.len()));
-            }
-            while next_record <= record_count {
-                column.offsets.push(offset(raw.len()));
-                next_record += 1;
-            }
-            debug_assert_eq!(column.offsets.len(), record_count + 1);
-            columns.push(column);
+    pub(crate) fn finish(mut self, interner: Arc<PropertyInterner>) -> RecordStore {
+        for column in &mut self.columns {
+            column.seal(self.ids.len());
+            // The store lives long and grows no more: hand back what the
+            // doubling left over.
+            column.text.shrink_to_fit();
+            column.bounds.shrink_to_fit();
+            column.offsets.shrink_to_fit();
         }
-        assert!(full_text_fits(&columns), "full text exceeds u32::MAX bytes");
-
+        assert!(
+            full_text_fits(&self.columns),
+            "full text exceeds u32::MAX bytes"
+        );
         RecordStore {
             interner,
             ids: self.ids,
-            columns,
+            columns: self.columns,
             derived: Derived::default(),
         }
     }
@@ -945,6 +948,58 @@ mod tests {
         assert!(store.to_records().is_empty());
         let built = RecordStore::builder().build();
         assert_eq!(built, store);
+    }
+
+    #[test]
+    fn incremental_column_fill_seals_every_shape() {
+        // One inner slice per record: its facts.
+        type Shape = &'static [&'static [(&'static str, &'static str)]];
+        const P: &str = PN;
+        const M: &str = MFR;
+        let shapes: [(&str, Shape); 5] = [
+            ("the empty builder", &[]),
+            ("records without facts only", &[&[], &[]]),
+            (
+                "a property first seen at a late record",
+                &[&[(P, "a")], &[(P, "b")], &[(M, "late")]],
+            ),
+            (
+                "no facts at the start, in the middle, at the end",
+                &[&[], &[(P, "a")], &[], &[], &[(M, "b")], &[]],
+            ),
+            (
+                "multi-valued properties",
+                &[&[(M, "x"), (M, "y"), (P, "a")], &[], &[(M, "w"), (M, "Ω")]],
+            ),
+        ];
+        // With a property a sibling interned first, the builder's own ids
+        // skip 0 and its column 0 is padding.
+        for ((what, shape), sibling) in shapes.into_iter().flat_map(|s| [(s, false), (s, true)]) {
+            let schema = SchemaInterner::new();
+            if sibling {
+                schema.intern("http://e.org/v#sibling");
+            }
+            let mut builder = RecordStore::builder_with_schema(schema);
+            let mut records = Vec::new();
+            for (i, facts) in shape.iter().enumerate() {
+                let mut record = Record::new(Term::iri(format!("http://e.org/r{i}")));
+                for (property, value) in *facts {
+                    record.add(*property, *value);
+                }
+                builder.push(&record);
+                records.push(record);
+            }
+            let store = builder.build();
+            assert_eq!(store.to_records(), records, "{what}");
+            // `from_persisted_parts` checks every bound and offset.
+            let columns = (0..store.column_count())
+                .map(|c| store.persist_column(c))
+                .map(|(text, bounds, offsets)| (text.into(), bounds.into(), offsets.into()))
+                .collect();
+            let ids = store.persist_ids().to_vec();
+            let rebuilt = RecordStore::from_persisted_parts(store.interner.clone(), ids, columns);
+            assert_eq!(rebuilt.as_ref(), Ok(&store), "{what}");
+        }
     }
 
     #[test]

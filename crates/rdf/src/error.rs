@@ -18,8 +18,6 @@ pub enum RdfError {
     /// An IRI did not have the expected shape (e.g. empty, unbalanced angle
     /// brackets).
     InvalidIri(String),
-    /// A literal was malformed (e.g. missing closing quote).
-    InvalidLiteral(String),
     /// A prefixed name used an undeclared prefix.
     UnknownPrefix(String),
     /// A term id was not present in the dictionary it was resolved against.
@@ -33,7 +31,6 @@ impl fmt::Display for RdfError {
                 write!(f, "parse error at line {line}: {message}")
             }
             RdfError::InvalidIri(iri) => write!(f, "invalid IRI: {iri}"),
-            RdfError::InvalidLiteral(lit) => write!(f, "invalid literal: {lit}"),
             RdfError::UnknownPrefix(p) => write!(f, "unknown prefix: {p}"),
             RdfError::UnknownTermId(id) => write!(f, "unknown term id: {id}"),
         }
@@ -70,9 +67,6 @@ mod tests {
         assert!(RdfError::InvalidIri("x".into())
             .to_string()
             .contains("invalid IRI"));
-        assert!(RdfError::InvalidLiteral("x".into())
-            .to_string()
-            .contains("invalid literal"));
         assert!(RdfError::UnknownPrefix("ex".into())
             .to_string()
             .contains("unknown prefix"));

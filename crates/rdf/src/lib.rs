@@ -41,6 +41,7 @@ pub mod dataset;
 pub mod dictionary;
 pub mod error;
 pub mod graph;
+mod lex;
 pub mod namespace;
 pub mod ntriples;
 pub mod term;

@@ -7,11 +7,14 @@
 //! Two reading modes share one code path: [`NTriplesStreamer`] consumes the
 //! input as byte chunks (a multi-GB feed is parsed with memory bounded by
 //! one line plus one chunk), and the batch [`parse`] is a thin wrapper that
-//! feeds the whole document through the same streamer.
+//! feeds the whole document through the same streamer. The terms of a line
+//! are read by the lexer the Turtle reader uses too (`lex.rs`), so a term
+//! means the same in both syntaxes.
 
-use crate::error::{RdfError, Result};
+use crate::error::Result;
 use crate::graph::Graph;
-use crate::term::{escape_literal, unescape_literal, Literal, Term};
+use crate::lex::{ChunkBuffer, Lexer};
+use crate::term::{escape_literal, Term};
 use crate::triple::Triple;
 
 /// Parse a complete N-Triples document into a [`Graph`].
@@ -35,7 +38,7 @@ pub fn parse(input: &str) -> Result<Graph> {
 /// multi-byte UTF-8 sequence — because a line is only decoded once its
 /// terminating `\n` (a byte that never occurs inside a UTF-8 continuation)
 /// has arrived. Internal buffering is bounded by the longest input line plus
-/// the last fed chunk; completed lines are drained as soon as they are
+/// the last fed chunk; completed lines are released as soon as they are
 /// emitted, so a feed of any size parses in O(line) memory.
 ///
 /// ```
@@ -55,12 +58,11 @@ pub fn parse(input: &str) -> Result<Graph> {
 /// ```
 #[derive(Debug, Default)]
 pub struct NTriplesStreamer {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already scanned for a newline (avoids rescans when a
-    /// long line arrives across many chunks).
+    buf: ChunkBuffer,
+    /// Pending bytes of `buf` already scanned for a newline (avoids rescans
+    /// when a long line arrives across many chunks).
     scanned: usize,
     line_no: usize,
-    finished: bool,
     failed: bool,
 }
 
@@ -73,19 +75,18 @@ impl NTriplesStreamer {
     /// Append a chunk of input bytes. Call [`next_triple`](Self::next_triple)
     /// between feeds to keep the internal buffer bounded.
     pub fn feed(&mut self, chunk: &[u8]) {
-        debug_assert!(!self.finished, "feed after finish");
-        self.buf.extend_from_slice(chunk);
+        self.buf.feed(chunk);
     }
 
     /// Signal end of input: a final line without a trailing newline becomes
     /// available to [`next_triple`](Self::next_triple).
     pub fn finish(&mut self) {
-        self.finished = true;
+        self.buf.finished = true;
     }
 
     /// Bytes currently buffered (at most one incomplete line once drained).
     pub fn buffered_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.pending().len()
     }
 
     /// Pull the next parsed triple.
@@ -98,42 +99,24 @@ impl NTriplesStreamer {
             return None;
         }
         loop {
-            let newline = self.buf[self.scanned..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map(|i| self.scanned + i);
-            let line_bytes: Vec<u8> = match newline {
-                Some(end) => {
-                    let mut line: Vec<u8> = self.buf.drain(..=end).collect();
-                    line.pop();
-                    self.scanned = 0;
-                    line
-                }
-                None if self.finished && !self.buf.is_empty() => {
-                    self.scanned = 0;
-                    std::mem::take(&mut self.buf)
-                }
+            let pending = self.buf.pending();
+            let newline = pending[self.scanned..].iter().position(|&b| b == b'\n');
+            let line = match newline {
+                Some(i) => self.scanned + i + 1,
+                None if self.buf.finished && !pending.is_empty() => pending.len(),
                 None => {
-                    self.scanned = self.buf.len();
+                    self.scanned = pending.len();
                     return None;
                 }
             };
+            self.scanned = 0;
             self.line_no += 1;
-            let line = match std::str::from_utf8(&line_bytes) {
-                Ok(line) => line,
-                Err(_) => {
-                    self.failed = true;
-                    return Some(Err(RdfError::parse(self.line_no, "invalid UTF-8 in input")));
-                }
+            let parsed = match self.buf.take(line, self.line_no).map(str::trim) {
+                Ok(line) if line.is_empty() || line.starts_with('#') => continue,
+                Ok(line) => parse_line(line, self.line_no),
+                Err(error) => Err(error),
             };
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let parsed = parse_line(trimmed, self.line_no);
-            if parsed.is_err() {
-                self.failed = true;
-            }
+            self.failed = parsed.is_err();
             return Some(parsed);
         }
     }
@@ -141,23 +124,19 @@ impl NTriplesStreamer {
 
 /// Parse a single N-Triples statement (without the trailing newline).
 pub fn parse_line(line: &str, line_no: usize) -> Result<Triple> {
-    let mut cursor = Cursor::new(line, line_no);
-    cursor.skip_ws();
-    let subject = cursor.parse_term()?;
-    cursor.skip_ws();
-    let predicate = cursor.parse_term()?;
-    cursor.skip_ws();
-    let object = cursor.parse_term()?;
-    cursor.skip_ws();
-    cursor.expect('.')?;
-    cursor.skip_ws();
-    if !cursor.at_end() {
-        return Err(RdfError::parse(
-            line_no,
-            format!("trailing content after '.': {}", cursor.rest()),
-        ));
+    let mut lex = Lexer::new(line, line_no);
+    let term = |lex: &mut Lexer| {
+        lex.skip_whitespace();
+        lex.term(&mut |lex| Err(lex.err("N-Triples writes every IRI in angle brackets")))
+    };
+    let triple = Triple::new(term(&mut lex)?, term(&mut lex)?, term(&mut lex)?);
+    lex.skip_whitespace();
+    lex.expect('.')?;
+    lex.skip_whitespace();
+    if !lex.rest().is_empty() {
+        return Err(lex.err(format!("trailing content after '.': {}", lex.rest())));
     }
-    Ok(Triple::new(subject, predicate, object))
+    Ok(triple)
 }
 
 /// Serialise a single triple as an N-Triples line (without trailing newline).
@@ -201,193 +180,11 @@ pub fn write(graph: &Graph) -> String {
     out
 }
 
-/// A small character cursor over one statement.
-struct Cursor<'a> {
-    chars: Vec<char>,
-    pos: usize,
-    line_no: usize,
-    raw: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(raw: &'a str, line_no: usize) -> Self {
-        Cursor {
-            chars: raw.chars().collect(),
-            pos: 0,
-            line_no,
-            raw,
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.chars.len()
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn rest(&self) -> String {
-        self.chars[self.pos.min(self.chars.len())..]
-            .iter()
-            .collect()
-    }
-
-    fn expect(&mut self, expected: char) -> Result<()> {
-        match self.bump() {
-            Some(c) if c == expected => Ok(()),
-            Some(c) => Err(RdfError::parse(
-                self.line_no,
-                format!("expected '{expected}' but found '{c}' in: {}", self.raw),
-            )),
-            None => Err(RdfError::parse(
-                self.line_no,
-                format!(
-                    "expected '{expected}' but reached end of line: {}",
-                    self.raw
-                ),
-            )),
-        }
-    }
-
-    fn parse_term(&mut self) -> Result<Term> {
-        match self.peek() {
-            Some('<') => self.parse_iri(),
-            Some('_') => self.parse_blank(),
-            Some('"') => self.parse_literal(),
-            Some(c) => Err(RdfError::parse(
-                self.line_no,
-                format!(
-                    "unexpected character '{c}' at start of term in: {}",
-                    self.raw
-                ),
-            )),
-            None => Err(RdfError::parse(
-                self.line_no,
-                format!("unexpected end of line, expected a term in: {}", self.raw),
-            )),
-        }
-    }
-
-    fn parse_iri(&mut self) -> Result<Term> {
-        self.expect('<')?;
-        let mut iri = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => break,
-                Some(c) => iri.push(c),
-                None => {
-                    return Err(RdfError::parse(
-                        self.line_no,
-                        format!("unterminated IRI in: {}", self.raw),
-                    ))
-                }
-            }
-        }
-        if iri.is_empty() {
-            return Err(RdfError::InvalidIri("<>".to_string()));
-        }
-        Ok(Term::Iri(iri))
-    }
-
-    fn parse_blank(&mut self) -> Result<Term> {
-        self.expect('_')?;
-        self.expect(':')?;
-        let mut label = String::new();
-        // Unwrap-free scan: `peek` both guards and yields the char, so
-        // EOF mid-token simply ends the loop.
-        while let Some(c) = self.peek() {
-            if c.is_whitespace() {
-                break;
-            }
-            self.bump();
-            label.push(c);
-        }
-        if label.is_empty() {
-            return Err(RdfError::parse(
-                self.line_no,
-                format!("empty blank node label in: {}", self.raw),
-            ));
-        }
-        Ok(Term::Blank(label))
-    }
-
-    fn parse_literal(&mut self) -> Result<Term> {
-        self.expect('"')?;
-        let mut raw = String::new();
-        loop {
-            match self.bump() {
-                Some('\\') => {
-                    raw.push('\\');
-                    match self.bump() {
-                        Some(c) => raw.push(c),
-                        None => {
-                            return Err(RdfError::InvalidLiteral(format!(
-                                "dangling escape in: {}",
-                                self.raw
-                            )))
-                        }
-                    }
-                }
-                Some('"') => break,
-                Some(c) => raw.push(c),
-                None => {
-                    return Err(RdfError::InvalidLiteral(format!(
-                        "unterminated literal in: {}",
-                        self.raw
-                    )))
-                }
-            }
-        }
-        let value = unescape_literal(&raw);
-        match self.peek() {
-            Some('@') => {
-                self.bump();
-                let mut lang = String::new();
-                while let Some(c) = self.peek() {
-                    if !(c.is_alphanumeric() || c == '-') {
-                        break;
-                    }
-                    self.bump();
-                    lang.push(c);
-                }
-                if lang.is_empty() {
-                    return Err(RdfError::InvalidLiteral(format!(
-                        "empty language tag in: {}",
-                        self.raw
-                    )));
-                }
-                Ok(Term::Literal(Literal::lang(value, lang)))
-            }
-            Some('^') => {
-                self.bump();
-                self.expect('^')?;
-                let dt = self.parse_iri()?;
-                let dt_iri = dt.as_iri().expect("parse_iri returns IRIs").to_string();
-                Ok(Term::Literal(Literal::typed(value, dt_iri)))
-            }
-            _ => Ok(Term::Literal(Literal::plain(value))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RdfError;
+    use crate::term::unescape_literal;
     use proptest::prelude::*;
 
     #[test]
@@ -439,6 +236,12 @@ _:b0 <http://e.org/v#note> "blank subject" .
         assert!(parse_line("<http://a> <http://p> \"v\"@ .", 1).is_err());
         assert!(parse_line("<> <http://p> \"v\" .", 1).is_err());
         assert!(parse_line("_: <http://p> \"v\" .", 1).is_err());
+    }
+
+    #[test]
+    fn a_dot_ends_a_blank_node_label() {
+        let t = parse_line("<http://e.org/s> <http://e.org/p> _:b2.", 1).unwrap();
+        assert_eq!(t.object, Term::blank("b2"));
     }
 
     #[test]
@@ -508,24 +311,36 @@ _:b0 <http://e.org/v#note> "blank subject" .
 
     #[test]
     fn streamer_buffer_stays_bounded_when_drained() {
-        let line = "<http://e.org/a> <http://e.org/p> \"v\" .\n";
-        let mut streamer = NTriplesStreamer::new();
-        let mut emitted = 0;
-        for _ in 0..1000 {
-            streamer.feed(line.as_bytes());
-            while let Some(t) = streamer.next_triple() {
-                t.unwrap();
-                emitted += 1;
-            }
-            assert!(
-                streamer.buffered_bytes() < 2 * line.len(),
-                "buffer grew past one line: {}",
-                streamer.buffered_bytes()
-            );
+        let short = "<http://e.org/a> <http://e.org/p> \"v\" .\n";
+        let long = "<http://e.org/a> <http://e.org/p> \"a longer value, 10 kΩ\"@en .\n";
+        let doc = [short, long].repeat(500).concat();
+        // The two streamers share no trait; a Turtle statement starts with
+        // the newline that ended the line before it, so it is as long.
+        macro_rules! assert_bounded {
+            ($new:expr) => {
+                for size in [1, 7, 4096] {
+                    let mut streamer = $new;
+                    let mut emitted = 0;
+                    for chunk in doc.as_bytes().chunks(size) {
+                        streamer.feed(chunk);
+                        while let Some(t) = streamer.next_triple() {
+                            t.unwrap();
+                            emitted += 1;
+                        }
+                        assert!(
+                            streamer.buffered_bytes() < long.len() + 1,
+                            "chunks of {size}: buffer grew past one statement: {}",
+                            streamer.buffered_bytes()
+                        );
+                    }
+                    streamer.finish();
+                    assert!(streamer.next_triple().is_none());
+                    assert_eq!(emitted, 1000);
+                }
+            };
         }
-        streamer.finish();
-        assert!(streamer.next_triple().is_none());
-        assert_eq!(emitted, 1000);
+        assert_bounded!(NTriplesStreamer::new());
+        assert_bounded!(crate::turtle::TurtleStreamer::new());
     }
 
     #[test]

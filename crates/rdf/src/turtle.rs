@@ -12,13 +12,19 @@
 //! Not supported (not needed by the workspace): multi-line literals, nested
 //! blank node property lists `[...]`, RDF collections `(...)`, numeric or
 //! boolean literal shorthand, `@base`.
+//!
+//! Two reading modes share one code path, as in [`crate::ntriples`]: the
+//! batch [`parse`] feeds the whole document through [`TurtleStreamer`]. IRI
+//! refs, blank nodes and literals are read by the lexer the N-Triples reader
+//! uses too (`lex.rs`); this module adds what only Turtle has.
 
 use std::collections::VecDeque;
 
 use crate::error::{RdfError, Result};
 use crate::graph::Graph;
+use crate::lex::{ChunkBuffer, Lexer};
 use crate::namespace::Namespaces;
-use crate::term::{escape_literal, unescape_literal, Literal, Term};
+use crate::term::{escape_literal, Term};
 use crate::triple::Triple;
 
 /// Parse a Turtle document (subset, see module docs) into a graph.
@@ -41,12 +47,12 @@ pub fn parse(input: &str) -> Result<(Graph, Namespaces)> {
 /// Chunks may split the input anywhere, including inside a multi-byte UTF-8
 /// sequence. A byte-level scanner tracks just enough syntax (IRI refs,
 /// string literals with escapes, comments) to recognise the statement
-/// terminator `.`; each complete statement is then parsed by the same
-/// parser the batch path uses, carrying `@prefix` declarations across
-/// statements. Every boundary-relevant byte (`<>"\\#.\n`) is ASCII and so
-/// never occurs inside a UTF-8 continuation, which is what makes byte-wise
-/// boundary scanning safe. Internal buffering is bounded by the longest
-/// single statement plus the last fed chunk.
+/// terminator `.`; each complete statement is then parsed on its own, with
+/// the `@prefix` declarations of the statements before it. Every
+/// boundary-relevant byte (`<>"\\#.\n`) is ASCII and so never occurs inside a
+/// UTF-8 continuation, which is what makes byte-wise boundary scanning safe.
+/// Internal buffering is bounded by the longest single statement plus the
+/// last fed chunk.
 ///
 /// ```
 /// use classilink_rdf::TurtleStreamer;
@@ -65,16 +71,14 @@ pub fn parse(input: &str) -> Result<(Graph, Namespaces)> {
 /// ```
 #[derive(Debug, Default)]
 pub struct TurtleStreamer {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already examined by the boundary scanner.
+    buf: ChunkBuffer,
+    /// Pending bytes of `buf` already examined by the boundary scanner.
     scanned: usize,
     scan: Scan,
     /// 1-based line of the first unconsumed byte (for error reporting).
     line: usize,
     namespaces: Namespaces,
     pending: VecDeque<Triple>,
-    finished: bool,
-    drained_tail: bool,
     failed: bool,
 }
 
@@ -101,20 +105,19 @@ impl TurtleStreamer {
     /// Append a chunk of input bytes. Call [`next_triple`](Self::next_triple)
     /// between feeds to keep the internal buffer bounded.
     pub fn feed(&mut self, chunk: &[u8]) {
-        debug_assert!(!self.finished, "feed after finish");
-        self.buf.extend_from_slice(chunk);
+        self.buf.feed(chunk);
     }
 
     /// Signal end of input: the final statement (terminated or not) becomes
     /// available to [`next_triple`](Self::next_triple).
     pub fn finish(&mut self) {
-        self.finished = true;
+        self.buf.finished = true;
     }
 
     /// Bytes currently buffered (at most one incomplete statement once
     /// drained).
     pub fn buffered_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.pending().len()
     }
 
     /// The prefix table accumulated from `@prefix` directives seen so far.
@@ -141,46 +144,48 @@ impl TurtleStreamer {
             if self.failed {
                 return None;
             }
-            let statement: Vec<u8> = if let Some(end) = self.find_boundary() {
-                let statement = self.buf.drain(..=end).collect();
-                self.scanned = 0;
-                self.scan = Scan::Default;
-                statement
-            } else if self.finished && !self.drained_tail {
-                // Leftover without a terminator: whitespace/comments parse
-                // to nothing; a truncated statement reports the same
-                // "unexpected end of input" the batch path would.
-                self.drained_tail = true;
-                self.scanned = 0;
-                std::mem::take(&mut self.buf)
-            } else {
-                return None;
-            };
-            if let Err(error) = self.parse_statement_bytes(&statement) {
-                self.failed = true;
-                return Some(Err(error));
+            let statement = self.next_statement()?;
+            self.scanned = 0;
+            let parsed = self.buf.take(statement, self.line).and_then(|text| {
+                let parser = Parser {
+                    lex: Lexer::new(text, self.line),
+                    namespaces: &mut self.namespaces,
+                    triples: &mut self.pending,
+                };
+                parser.parse_single()
+            });
+            match parsed {
+                Ok(line) => self.line = line,
+                Err(error) => {
+                    // Nothing of a statement that failed is emitted.
+                    self.pending.clear();
+                    self.failed = true;
+                    return Some(Err(error));
+                }
             }
         }
     }
 
-    /// Scan forward for a statement-terminating `.`: one in default state
-    /// whose following byte is whitespace, a comment, or end of input.
-    /// Returns its index without consuming it; an undecidable trailing `.`
-    /// (no following byte yet) is left unscanned until more input arrives.
-    fn find_boundary(&mut self) -> Option<usize> {
-        while self.scanned < self.buf.len() {
-            let byte = self.buf[self.scanned];
+    /// Length of the next statement, if all of it is buffered. It ends
+    /// with a `.` in default state whose following byte is whitespace or a
+    /// comment; a trailing `.` stays unscanned until the byte after it
+    /// arrives. At the end of input it is whatever is left: whitespace and
+    /// comments parse to nothing, a truncated statement reports the same
+    /// "unexpected end of input" the batch path would.
+    fn next_statement(&mut self) -> Option<usize> {
+        let buf = self.buf.pending();
+        while self.scanned < buf.len() {
+            let byte = buf[self.scanned];
             self.scan = match self.scan {
                 Scan::Default => match byte {
                     b'<' => Scan::Iri,
                     b'"' => Scan::Literal,
                     b'#' => Scan::Comment,
-                    b'.' => match self.buf.get(self.scanned + 1) {
+                    b'.' => match buf.get(self.scanned + 1) {
                         Some(next) if next.is_ascii_whitespace() || *next == b'#' => {
-                            return Some(self.scanned);
+                            return Some(self.scanned + 1);
                         }
-                        None if self.finished => return Some(self.scanned),
-                        None => return None,
+                        None => break,
                         // Part of a prefixed name (`ex:a.b`): not a terminator.
                         Some(_) => Scan::Default,
                     },
@@ -209,23 +214,7 @@ impl TurtleStreamer {
             };
             self.scanned += 1;
         }
-        None
-    }
-
-    /// Run the statement parser over one complete statement, carrying the
-    /// prefix table and line counter across statements.
-    fn parse_statement_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| RdfError::parse(self.line, "invalid UTF-8 in input"))?;
-        let namespaces = std::mem::take(&mut self.namespaces);
-        let mut parser = Parser::with_state(text, self.line, namespaces);
-        let outcome = parser.parse_single();
-        self.line = parser.line;
-        self.namespaces = parser.namespaces;
-        if outcome.is_ok() {
-            self.pending.extend(parser.triples.drain(..));
-        }
-        outcome
+        (self.buf.finished && !buf.is_empty()).then_some(buf.len())
     }
 }
 
@@ -303,122 +292,61 @@ fn is_safe_curie(curie: &str) -> bool {
         && !curie.ends_with('.')
 }
 
-/// The statement-level parser shared by [`TurtleStreamer`] and batch
-/// [`parse`]: one instance parses exactly one directive or triple statement,
-/// with the prefix table and line counter threaded in and out by the caller.
-struct Parser {
-    chars: Vec<char>,
-    pos: usize,
-    line: usize,
-    namespaces: Namespaces,
-    triples: Vec<Triple>,
+/// Parses one directive or triple statement: what Turtle adds to the shared
+/// terminals, read into the streamer's prefix table and triple queue.
+struct Parser<'a> {
+    lex: Lexer<'a>,
+    namespaces: &'a mut Namespaces,
+    triples: &'a mut VecDeque<Triple>,
 }
 
-impl Parser {
-    fn with_state(input: &str, line: usize, namespaces: Namespaces) -> Self {
-        Parser {
-            chars: input.chars().collect(),
-            pos: 0,
-            line,
-            namespaces,
-            triples: Vec::new(),
-        }
-    }
-
+impl Parser<'_> {
     /// Parse at most one statement (or `@prefix` directive) and require the
     /// input to hold nothing else. Whitespace/comment-only input is fine.
-    fn parse_single(&mut self) -> Result<()> {
+    /// Returns the line the input ends on.
+    fn parse_single(mut self) -> Result<usize> {
         self.skip_ws_and_comments();
-        if self.at_end() {
-            return Ok(());
-        }
-        if self.peek_str("@prefix") {
-            self.parse_prefix()?;
-        } else {
-            self.parse_statement()?;
-        }
-        self.skip_ws_and_comments();
-        if !self.at_end() {
-            return Err(self.err("trailing content after '.'"));
-        }
-        Ok(())
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.chars.len()
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if let Some(ch) = c {
-            if ch == '\n' {
-                self.line += 1;
+        if !self.lex.rest().is_empty() {
+            if self.keyword("@prefix") {
+                self.parse_prefix()?;
+            } else {
+                self.parse_statement()?;
             }
-            self.pos += 1;
+            self.skip_ws_and_comments();
+            if !self.lex.rest().is_empty() {
+                return Err(self.lex.err("trailing content after '.'"));
+            }
         }
-        c
-    }
-
-    fn peek_str(&self, s: &str) -> bool {
-        self.chars[self.pos..]
-            .iter()
-            .take(s.chars().count())
-            .copied()
-            .eq(s.chars())
+        Ok(self.lex.line())
     }
 
     fn skip_ws_and_comments(&mut self) {
-        loop {
-            while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-                self.bump();
-            }
-            if self.peek() == Some('#') {
-                while !matches!(self.peek(), None | Some('\n')) {
-                    self.bump();
-                }
-            } else {
-                break;
-            }
+        self.lex.skip_whitespace();
+        while self.lex.eat('#') {
+            self.lex.take_while(|c| c != '\n');
+            self.lex.skip_whitespace();
         }
     }
 
-    fn err(&self, msg: impl Into<String>) -> RdfError {
-        RdfError::parse(self.line, msg.into())
-    }
-
-    fn expect(&mut self, expected: char) -> Result<()> {
-        match self.bump() {
-            Some(c) if c == expected => Ok(()),
-            Some(c) => Err(self.err(format!("expected '{expected}', found '{c}'"))),
-            None => Err(self.err(format!("expected '{expected}', found end of input"))),
+    /// Consume `word` if it stands at the cursor as a word of its own:
+    /// followed by whitespace or the end of input.
+    fn keyword(&mut self, word: &str) -> bool {
+        let found = (self.lex.rest().strip_prefix(word))
+            .is_some_and(|after| after.chars().next().is_none_or(char::is_whitespace));
+        if found {
+            self.lex.take_while(|c| !c.is_whitespace());
         }
+        found
     }
 
     fn parse_prefix(&mut self) -> Result<()> {
-        for _ in 0.."@prefix".len() {
-            self.bump();
-        }
         self.skip_ws_and_comments();
-        let mut prefix = String::new();
-        // Unwrap-free scan: `peek` both guards and yields the char, so
-        // EOF mid-token simply ends the loop (and `expect` below reports
-        // the truncation as a parse error).
-        while let Some(c) = self.peek() {
-            if c == ':' || c.is_whitespace() {
-                break;
-            }
-            self.bump();
-            prefix.push(c);
-        }
-        self.expect(':')?;
+        let prefix = self.lex.take_while(|c| c != ':' && !c.is_whitespace());
+        self.lex.expect(':')?;
         self.skip_ws_and_comments();
-        let iri = self.parse_iri_ref()?;
+        let iri = self.lex.iri_ref()?;
         self.skip_ws_and_comments();
-        self.expect('.')?;
+        self.lex.expect('.')?;
         self.namespaces.declare(prefix, iri);
         Ok(())
     }
@@ -427,168 +355,57 @@ impl Parser {
         let subject = self.parse_term()?;
         loop {
             self.skip_ws_and_comments();
-            let predicate = self.parse_verb()?;
+            // `a` is only the rdf:type keyword as a word of its own.
+            let predicate = if self.keyword("a") {
+                Term::iri(crate::namespace::vocab::RDF_TYPE)
+            } else {
+                self.parse_term()?
+            };
             loop {
                 self.skip_ws_and_comments();
                 let object = self.parse_term()?;
                 self.triples
-                    .push(Triple::new(subject.clone(), predicate.clone(), object));
+                    .push_back(Triple::new(subject.clone(), predicate.clone(), object));
                 self.skip_ws_and_comments();
-                match self.peek() {
-                    Some(',') => {
-                        self.bump();
-                    }
-                    _ => break,
+                if !self.lex.eat(',') {
+                    break;
                 }
             }
-            self.skip_ws_and_comments();
-            match self.peek() {
-                Some(';') => {
-                    self.bump();
-                    self.skip_ws_and_comments();
-                    // A dangling ';' directly before '.' is tolerated.
-                    if self.peek() == Some('.') {
-                        self.bump();
-                        return Ok(());
-                    }
-                }
-                Some('.') => {
-                    self.bump();
-                    return Ok(());
-                }
-                Some(c) => return Err(self.err(format!("expected ';' or '.', found '{c}'"))),
-                None => return Err(self.err("unexpected end of input inside statement")),
+            let listed = self.lex.eat(';');
+            if listed {
+                self.skip_ws_and_comments();
+            }
+            // A dangling ';' directly before '.' is tolerated.
+            if self.lex.eat('.') {
+                return Ok(());
+            }
+            if !listed {
+                return Err(match self.lex.peek() {
+                    Some(c) => self.lex.err(format!("expected ';' or '.', found '{c}'")),
+                    None => self.lex.err("unexpected end of input inside statement"),
+                });
             }
         }
-    }
-
-    fn parse_verb(&mut self) -> Result<Term> {
-        if self.peek() == Some('a') {
-            // `a` is only the rdf:type keyword when followed by whitespace.
-            let next = self.chars.get(self.pos + 1).copied();
-            if next.is_none() || next.is_some_and(|c| c.is_whitespace()) {
-                self.bump();
-                return Ok(Term::iri(crate::namespace::vocab::RDF_TYPE));
-            }
-        }
-        self.parse_term()
-    }
-
-    fn parse_iri_ref(&mut self) -> Result<String> {
-        self.expect('<')?;
-        let mut iri = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => break,
-                Some(c) => iri.push(c),
-                None => return Err(self.err("unterminated IRI")),
-            }
-        }
-        if iri.is_empty() {
-            return Err(RdfError::InvalidIri("<>".to_string()));
-        }
-        Ok(iri)
     }
 
     fn parse_term(&mut self) -> Result<Term> {
-        match self.peek() {
-            Some('<') => Ok(Term::Iri(self.parse_iri_ref()?)),
-            Some('"') => self.parse_literal(),
-            Some('_') => self.parse_blank(),
-            Some(c) if c.is_alphanumeric() => self.parse_prefixed_name(),
-            Some(c) => Err(self.err(format!("unexpected character '{c}' at start of term"))),
-            None => Err(self.err("unexpected end of input, expected a term")),
-        }
+        let namespaces = &*self.namespaces;
+        self.lex.term(&mut |lex| prefixed_name(lex, namespaces))
     }
+}
 
-    fn parse_blank(&mut self) -> Result<Term> {
-        self.expect('_')?;
-        self.expect(':')?;
-        let mut label = String::new();
-        while let Some(c) = self.peek() {
-            if !(c.is_alphanumeric() || c == '_' || c == '-') {
-                break;
-            }
-            self.bump();
-            label.push(c);
-        }
-        if label.is_empty() {
-            return Err(self.err("empty blank node label"));
-        }
-        Ok(Term::Blank(label))
-    }
-
-    fn parse_prefixed_name(&mut self) -> Result<Term> {
-        let mut name = String::new();
-        while let Some(c) = self.peek() {
-            if !(c.is_alphanumeric() || matches!(c, ':' | '_' | '-' | '.')) {
-                break;
-            }
-            self.bump();
-            name.push(c);
-        }
-        // A trailing '.' belongs to the statement terminator, not the name.
-        while name.ends_with('.') {
-            name.pop();
-            self.pos -= 1;
-        }
-        let (prefix, local) = name
-            .split_once(':')
-            .ok_or_else(|| self.err(format!("expected prefixed name, found '{name}'")))?;
-        match self.namespaces.get(prefix) {
-            Some(ns) => Ok(Term::iri(format!("{ns}{local}"))),
-            None => Err(RdfError::UnknownPrefix(prefix.to_string())),
-        }
-    }
-
-    fn parse_literal(&mut self) -> Result<Term> {
-        self.expect('"')?;
-        let mut raw = String::new();
-        loop {
-            match self.bump() {
-                Some('\\') => {
-                    raw.push('\\');
-                    match self.bump() {
-                        Some(c) => raw.push(c),
-                        None => return Err(self.err("dangling escape in literal")),
-                    }
-                }
-                Some('"') => break,
-                Some(c) => raw.push(c),
-                None => return Err(self.err("unterminated literal")),
-            }
-        }
-        let value = unescape_literal(&raw);
-        match self.peek() {
-            Some('@') => {
-                self.bump();
-                let mut lang = String::new();
-                while let Some(c) = self.peek() {
-                    if !(c.is_alphanumeric() || c == '-') {
-                        break;
-                    }
-                    self.bump();
-                    lang.push(c);
-                }
-                if lang.is_empty() {
-                    return Err(self.err("empty language tag"));
-                }
-                Ok(Term::Literal(Literal::lang(value, lang)))
-            }
-            Some('^') => {
-                self.bump();
-                self.expect('^')?;
-                let dt = match self.peek() {
-                    Some('<') => self.parse_iri_ref()?,
-                    _ => match self.parse_prefixed_name()? {
-                        Term::Iri(iri) => iri,
-                        _ => unreachable!("prefixed names always produce IRIs"),
-                    },
-                };
-                Ok(Term::Literal(Literal::typed(value, dt)))
-            }
-            _ => Ok(Term::Literal(Literal::plain(value))),
-        }
+/// `prefix:local`, expanded through `namespaces`.
+fn prefixed_name(lex: &mut Lexer, namespaces: &Namespaces) -> Result<String> {
+    let name = lex.take_while(|c| c.is_alphanumeric() || matches!(c, ':' | '_' | '-' | '.'));
+    // A trailing '.' belongs to the statement terminator, not the name.
+    let trimmed = name.trim_end_matches('.');
+    lex.back_up(name.len() - trimmed.len());
+    let (prefix, local) = trimmed
+        .split_once(':')
+        .ok_or_else(|| lex.err(format!("expected prefixed name, found '{trimmed}'")))?;
+    match namespaces.get(prefix) {
+        Some(ns) => Ok(format!("{ns}{local}")),
+        None => Err(RdfError::UnknownPrefix(prefix.to_string())),
     }
 }
 
@@ -668,6 +485,12 @@ mod tests {
     fn unknown_prefix_is_an_error() {
         let doc = "<http://a.org/x> nope:pred \"v\" .";
         assert!(matches!(parse(doc), Err(RdfError::UnknownPrefix(_))));
+    }
+
+    #[test]
+    fn prefix_keyword_needs_whitespace_after_it() {
+        let doc = "@prefixex: <http://e.org/v#> .\n<http://e.org/a> ex:p \"v\" .";
+        assert!(matches!(parse(doc), Err(RdfError::Parse { line: 1, .. })));
     }
 
     #[test]

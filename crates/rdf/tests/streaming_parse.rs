@@ -29,6 +29,7 @@ const NTRIPLES_DOC: &str = "
 <http://e.org/p2> <http://e.org/v#label> \"10 kΩ – résistance\"@fr .
 <http://e.org/p2> <http://e.org/v#value> \"10000\"^^<http://www.w3.org/2001/XMLSchema#integer> .
 _:b0 <http://e.org/v#note> \"blank subject\" .
+<http://e.org/p1> <http://e.org/v#seeAlso> _:b2.
 ";
 
 /// Cut `doc` into chunks at the given raw positions (taken mod len, so
