@@ -51,10 +51,6 @@ pub struct LearnerConfig {
     /// Normalize values (lowercase, collapse whitespace, strip accents)
     /// before segmentation.
     pub normalize: bool,
-    /// Restrict concluded classes to the most specific asserted classes of
-    /// each linked local item (the paper computes class frequencies "only for
-    /// the most specific classes of the ontology").
-    pub most_specific_classes: bool,
     /// Additional absolute floor on class extent size in the training data
     /// (the paper mentions retained classes have "more than 20 instances").
     /// `0` disables the floor (the relative threshold still applies).
@@ -71,7 +67,6 @@ impl Default for LearnerConfig {
             properties: PropertySelection::All,
             segmenter: SegmenterKind::Separator,
             normalize: true,
-            most_specific_classes: true,
             min_class_instances: 0,
             min_lift: 0.0,
         }
@@ -136,7 +131,6 @@ mod tests {
         assert_eq!(c.support_threshold, 0.002);
         assert_eq!(c.properties, PropertySelection::All);
         assert_eq!(c.segmenter, SegmenterKind::Separator);
-        assert!(c.most_specific_classes);
         assert!(c.normalize);
         assert_eq!(LearnerConfig::paper(), c);
     }

@@ -86,11 +86,9 @@ pub fn generalize(
     config: &GeneralizeConfig,
 ) -> Result<GeneralizeOutcome> {
     let closed = generalize_training_set(training, ontology);
-    // Class assertions are already closed under subsumption, so the learner
-    // must not reduce them back to the most specific ones.
-    let mut cfg = learner_config.clone();
-    cfg.most_specific_classes = false;
-    let lifted = RuleLearner::new(cfg).learn(&closed, ontology)?;
+    // The learner takes each example's class set as given, so the closure
+    // under subsumption survives into the counts.
+    let lifted = RuleLearner::new(learner_config.clone()).learn(&closed, ontology)?;
 
     // Best base confidence per premise.
     let mut best_base: HashMap<(&str, &str), f64> = HashMap::new();

@@ -205,7 +205,7 @@ impl Blocker for BigramBlocker {
         local: LocalShards<'_>,
         out: &mut CandidateRuns,
     ) {
-        out.reset(local.shard_count());
+        out.reset(external.len(), local);
         out.scratch.tceil.clear();
         let external_index = external.key_index(&self.key.external_side(external));
         let external_bigrams = external_index.bigram_index();

@@ -90,21 +90,15 @@ impl BlockingKey {
 
 /// One side of a [`BlockingKey`], resolved against a specific
 /// [`RecordStore`]. Only valid for records of that store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// It is also the cache key of the store-level
+/// [`KeyIndex`](crate::token_index::KeyIndex): two equal sides produce
+/// identical keys on every record, so they share one index (e.g. a
+/// standard blocker and a sorted-neighbourhood blocker on the same
+/// property).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeySide {
     /// The interned property, `None` when no record of the store has it.
-    property: Option<PropertyId>,
-    prefix_length: usize,
-    alphanumeric_only: bool,
-}
-
-/// The cache key of a store-level
-/// [`KeyIndex`](crate::token_index::KeyIndex): two [`KeySide`]s with the
-/// same recipe produce identical keys on every record, so they share one
-/// index (e.g. a standard blocker and a sorted-neighbourhood blocker on
-/// the same property).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct KeyRecipe {
     property: Option<PropertyId>,
     prefix_length: usize,
     alphanumeric_only: bool,
@@ -114,28 +108,6 @@ impl KeySide {
     /// The resolved property id, if the store knows the IRI.
     pub fn property(&self) -> Option<PropertyId> {
         self.property
-    }
-
-    /// The fingerprint under which a store caches this side's
-    /// [`KeyIndex`](crate::token_index::KeyIndex).
-    pub(crate) fn recipe(&self) -> KeyRecipe {
-        KeyRecipe {
-            property: self.property,
-            prefix_length: self.prefix_length,
-            alphanumeric_only: self.alphanumeric_only,
-        }
-    }
-
-    /// Reconstitute the side a recipe fingerprint was taken from — the
-    /// store-level key-index cache rebuilds its indexes by recipe when
-    /// the store's contents are replaced in place (the serving layer's
-    /// probe store).
-    pub(crate) fn from_recipe(recipe: KeyRecipe) -> KeySide {
-        KeySide {
-            property: recipe.property,
-            prefix_length: recipe.prefix_length,
-            alphanumeric_only: recipe.alphanumeric_only,
-        }
     }
 
     /// Append the **full** normalised value to `out` and return the byte

@@ -14,13 +14,15 @@
 //!
 //! Candidate generation is **streaming and shard-aware**: the pipeline
 //! calls [`Blocker::stream_candidates`], which emits per-shard runs of
-//! shard-local pairs into a [`CandidateRuns`] sink — those runs are the
-//! comparison scheduler's task queues, so no global pair vector is ever
-//! materialised. The built-in blockers compute their external-side
-//! artifacts (key tables, bigram postings, rule classifications) once
-//! per run and read per-record keys and bigrams from the store-level
-//! [`KeyIndex`] cache, making steady-state
-//! blocking allocation-free. Callers that want a flat pair list (tests,
+//! shard-local pairs into a [`CandidateRuns`] sink — the comparison
+//! phase scores those runs where they lie, so no global pair vector is
+//! ever materialised. The sink checks every id against the stores it was
+//! reset for **as it takes a block**, which is why nothing downstream
+//! validates a candidate again. The built-in blockers compute their
+//! external-side artifacts (key tables, bigram postings, rule
+//! classifications) once per run and read per-record keys and bigrams
+//! from the store-level [`KeyIndex`] cache, making steady-state blocking
+//! allocation-free. Callers that want a flat pair list (tests,
 //! evaluation reports) decode the sink with [`collect_pairs`].
 
 pub mod bigram;
@@ -46,7 +48,7 @@ pub type CandidatePair = (usize, usize);
 
 /// How one [`CandidateBlock`]'s local side is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunKind {
+enum RunKind {
     /// A contiguous span of shard-local ids, `start .. start + len`.
     Span,
     /// `len` entries of the shard [`KeyIndex`]'s key-sorted record
@@ -58,8 +60,8 @@ pub(crate) enum RunKind {
 }
 
 /// One run-length candidate block: one external record against a run of
-/// shard-local records — the unit the comparison scheduler claims and
-/// decodes (see [`CandidateRuns`]).
+/// shard-local records — the unit the comparison phase hoists for and
+/// scores (see [`CandidateRuns`]).
 ///
 /// The left side of a block is constant *by construction*, which is
 /// what lets the comparison phase hoist the external record's resolved
@@ -73,14 +75,14 @@ pub(crate) enum RunKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandidateBlock {
     /// The external record every pair of this block shares.
-    pub(crate) external: u32,
+    external: u32,
     /// Encoding-specific start (span origin, key-table index, or
     /// explicit-arena index).
-    pub(crate) start: u32,
+    start: u32,
     /// Number of local records — the block's comparison count.
-    pub(crate) len: u32,
+    len: u32,
     /// Which encoding `start`/`len` address.
-    pub(crate) kind: RunKind,
+    kind: RunKind,
 }
 
 impl CandidateBlock {
@@ -98,61 +100,6 @@ impl CandidateBlock {
     /// built-in blockers — empty runs are skipped at push time).
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Crate-internal decode against the backing arenas the comparison
-    /// scheduler borrows from the sink (`locals` = the shard's explicit
-    /// arena, `table` = the shard key index's sorted record table,
-    /// empty when no keyed block exists).
-    ///
-    /// # Panics
-    /// Panics when the block's range exceeds its backing arena (sink
-    /// API misuse; the scheduler validates with
-    /// [`bounds_valid`](Self::bounds_valid) first).
-    pub(crate) fn decode<'a>(&self, locals: &'a [u32], table: &'a [u32]) -> LocalRun<'a> {
-        match self.kind {
-            RunKind::Span => LocalRun::Span {
-                start: self.start as usize,
-                len: self.len as usize,
-            },
-            RunKind::Keyed => LocalRun::Keyed(&table[self.start as usize..][..self.len as usize]),
-            RunKind::Explicit => {
-                LocalRun::Explicit(&locals[self.start as usize..][..self.len as usize])
-            }
-        }
-    }
-
-    /// Crate-internal once-per-run bounds check: `true` when every pair
-    /// this block decodes to stays inside a local store of `store_len`
-    /// records. `table_matches_store` asserts the key table was built
-    /// from that store (its ids are then `< store_len` by
-    /// construction); explicit ids are covered by the sink's tracked
-    /// per-shard maximum, so only the arena range is checked here.
-    pub(crate) fn bounds_valid(
-        &self,
-        store_len: usize,
-        locals_len: usize,
-        table_len: usize,
-        table_matches_store: bool,
-    ) -> bool {
-        let end = self.start as usize + self.len as usize;
-        match self.kind {
-            RunKind::Span => end <= store_len,
-            RunKind::Keyed => table_matches_store && end <= table_len,
-            RunKind::Explicit => end <= locals_len,
-        }
-    }
-
-    /// Crate-internal: `true` when [`decode`](Self::decode) will not
-    /// panic against arenas of these lengths (the cold-path guard for
-    /// externally built sinks; span blocks always decode).
-    pub(crate) fn decodable(&self, locals_len: usize, table_len: usize) -> bool {
-        let end = self.start as usize + self.len as usize;
-        match self.kind {
-            RunKind::Span => true,
-            RunKind::Keyed => end <= table_len,
-            RunKind::Explicit => end <= locals_len,
-        }
     }
 }
 
@@ -267,72 +214,64 @@ struct ShardRun {
     /// The key index whose sorted record table [`RunKind::Keyed`]
     /// blocks slice (set by the blocker before pushing keyed blocks).
     key_table: Option<Arc<KeyIndex>>,
-    /// Largest id in `locals` — one per-run bound for the whole arena,
-    /// so the comparison decode loop needs no per-pair check.
-    explicit_max: u32,
-    /// Sum of this shard's block lengths — its comparison count.
-    count: u64,
+    /// Record count of the shard the sink was reset for — the bound
+    /// every local id is checked against as it is pushed.
+    records: usize,
 }
 
 impl ShardRun {
-    fn clear(&mut self) {
+    fn clear(&mut self, records: usize) {
         self.blocks.clear();
         self.locals.clear();
         self.key_table = None;
-        self.explicit_max = 0;
-        self.count = 0;
+        self.records = records;
     }
 
     /// Decode one block's local side (the block must belong to this
-    /// shard).
-    ///
-    /// # Panics
-    /// Panics on a keyed block when no key table was attached, or when
-    /// the block's range exceeds its backing table/arena — both are
-    /// sink-API misuse, impossible through the built-in blockers.
+    /// shard; its range was checked when it was pushed).
     fn local_run(&self, block: &CandidateBlock) -> LocalRun<'_> {
-        let table = match block.kind {
-            RunKind::Keyed => self
-                .key_table
-                .as_ref()
-                .expect("keyed candidate block without a key table")
-                .sorted_records(),
-            _ => &[],
-        };
-        block.decode(&self.locals, table)
+        let range = block.start as usize..block.start as usize + block.len as usize;
+        match block.kind {
+            RunKind::Span => LocalRun::Span {
+                start: range.start,
+                len: range.len(),
+            },
+            RunKind::Keyed => {
+                let table = self.key_table.as_ref();
+                let table = table.expect("push_keyed checked the key table");
+                LocalRun::Keyed(&table.sorted_records()[range])
+            }
+            RunKind::Explicit => LocalRun::Explicit(&self.locals[range]),
+        }
     }
 
-    /// Append one explicit pair, coalescing with the last block when it
-    /// is the explicit run of the same external ending at the arena tip.
+    /// Append one block of `len` pairs.
     #[inline]
-    fn push_explicit(&mut self, external: u32, local: u32) {
-        self.explicit_max = self.explicit_max.max(local);
-        match self.blocks.last_mut() {
-            Some(block)
-                if block.kind == RunKind::Explicit
-                    && block.external == external
-                    && block.start as usize + block.len as usize == self.locals.len() =>
-            {
-                block.len += 1;
-            }
-            _ => self.blocks.push(CandidateBlock {
-                external,
-                start: run_u32(self.locals.len()),
-                len: 1,
-                kind: RunKind::Explicit,
-            }),
-        }
-        self.locals.push(local);
-        self.count += 1;
+    fn push_block(&mut self, kind: RunKind, external: usize, start: usize, len: usize) {
+        self.blocks.push(CandidateBlock {
+            external: run_u32(external),
+            start: run_u32(start),
+            len: run_u32(len),
+            kind,
+        });
     }
 }
 
 /// The streaming blocking sink: per-shard **run-length candidate
 /// blocks** over **shard-local** ids, produced by
-/// [`Blocker::stream_candidates`] and consumed directly as the
-/// work-stealing comparison scheduler's task queues — no global pair
-/// vector is built or sorted, no global id is routed back to a shard,
-/// and dense blockers do not pay one sink entry per pair.
+/// [`Blocker::stream_candidates`] and scored by the comparison phase
+/// where they lie — no global pair vector is built or sorted, no global
+/// id is routed back to a shard, and dense blockers do not pay one sink
+/// entry per pair.
+///
+/// **Ids are checked on the way in.** [`reset`](Self::reset) takes the
+/// record counts of the stores the coming stream is about, and every
+/// push asserts its ids against them (the external id where a block
+/// opens, the local id or range where it is pushed). An out-of-range
+/// candidate is therefore a panic inside the blocking failure domain
+/// (`LinkError::BlockingPanicked` from a pipeline run, `ProbePanicked`
+/// from a probe) — never a pair the comparison phase has to check, skip
+/// or miscount.
 ///
 /// Every block pairs **one external record** with a [`LocalRun`]:
 ///
@@ -372,6 +311,9 @@ pub struct CandidateRuns {
     per_shard: Vec<ShardRun>,
     /// Sum of all block lengths — the comparison count, by construction.
     total: u64,
+    /// Record count of the external store the sink was reset for — the
+    /// bound every block's external id is checked against.
+    externals: usize,
     /// First shard the sink accepts candidates for (see
     /// [`restrict_to_shards_from`](Self::restrict_to_shards_from));
     /// pushes to earlier shards are silently dropped. 0 = accept all.
@@ -444,28 +386,45 @@ fn run_u32(n: usize) -> u32 {
     u32::try_from(n).expect("candidate block field exceeds u32::MAX; shard the store")
 }
 
+/// The sink's bounds check: panics — inside the blocking failure domain —
+/// unless `id` is below the record count the sink was reset for.
+#[inline]
+fn check_id(what: &str, id: usize, records: usize) {
+    assert!(id < records, "candidate {what} {id} not below {records}");
+}
+
 impl CandidateRuns {
     /// An empty sink; the first streaming call sizes it.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Clear every run and re-size to `shard_count` shards, retaining
-    /// buffer capacity. Called by
-    /// [`stream_candidates`](Blocker::stream_candidates) implementations
-    /// before producing.
-    pub fn reset(&mut self, shard_count: usize) {
-        self.per_shard.truncate(shard_count);
-        for run in &mut self.per_shard {
-            run.clear();
+    /// Clear every run and re-size to `local`'s shards, retaining buffer
+    /// capacity, and take the bounds the coming stream's ids must
+    /// respect: external ids below `externals`, shard-local ids below
+    /// their shard's record count. What every
+    /// [`stream_candidates`](Blocker::stream_candidates) runs first, as
+    /// `out.reset(external.len(), local)`.
+    pub fn reset(&mut self, externals: usize, local: LocalShards<'_>) {
+        self.per_shard
+            .resize_with(local.shard_count(), ShardRun::default);
+        for (run, shard) in self.per_shard.iter_mut().zip(local.iter()) {
+            run.clear(shard.len());
         }
-        while self.per_shard.len() < shard_count {
-            self.per_shard.push(ShardRun::default());
-        }
+        self.externals = externals;
         self.total = 0;
         // Deliberately NOT cleared: the restriction is a property of the
         // sink's consumer (the delta pipeline), not of one producer call,
         // and `reset` is what every `stream_candidates` impl runs first.
+    }
+
+    /// Panics unless the sink was last [`reset`](Self::reset) for
+    /// `externals` external records and `records` records in `shard` —
+    /// the comparison phase's one check per shard that the ids it is
+    /// about to index with were checked against these very stores.
+    pub(crate) fn assert_reset_for(&self, externals: usize, shard: usize, records: usize) {
+        let reset_for = (self.externals, self.per_shard[shard].records);
+        assert!(reset_for == (externals, records), "reset for other stores");
     }
 
     /// Restrict the sink to shards `first..`: candidates a blocker emits
@@ -493,13 +452,32 @@ impl CandidateRuns {
     /// Emit one candidate: external record `external` against
     /// **shard-local** record `local` of shard `shard`. Consecutive
     /// pushes for the same `(shard, external)` coalesce into one
-    /// explicit block.
+    /// explicit block. Like the other `push_*` forms, panics on an id
+    /// outside the bounds given to [`reset`](Self::reset).
     #[inline]
     pub fn push(&mut self, shard: usize, external: usize, local: usize) {
         if shard < self.first_active {
             return;
         }
-        self.per_shard[shard].push_explicit(run_u32(external), run_u32(local));
+        let run = &mut self.per_shard[shard];
+        check_id("local id", local, run.records);
+        let tip = run.locals.len();
+        match run.blocks.last_mut() {
+            // The explicit run of the same external ending at the arena
+            // tip: coalesce.
+            Some(block)
+                if block.kind == RunKind::Explicit
+                    && block.external as usize == external
+                    && block.start as usize + block.len as usize == tip =>
+            {
+                block.len += 1
+            }
+            _ => {
+                check_id("external id", external, self.externals);
+                run.push_block(RunKind::Explicit, external, tip, 1);
+            }
+        }
+        run.locals.push(run_u32(local));
         self.total += 1;
     }
 
@@ -509,18 +487,7 @@ impl CandidateRuns {
     /// many pairs it covers). Empty spans are skipped.
     #[inline]
     pub fn push_span(&mut self, shard: usize, external: usize, start: usize, len: usize) {
-        if len == 0 || shard < self.first_active {
-            return;
-        }
-        let run = &mut self.per_shard[shard];
-        run.blocks.push(CandidateBlock {
-            external: run_u32(external),
-            start: run_u32(start),
-            len: run_u32(len),
-            kind: RunKind::Span,
-        });
-        run.count += len as u64;
-        self.total += len as u64;
+        self.push_range(RunKind::Span, shard, external, start, len);
     }
 
     /// Emit one **keyed** block: `external` against the `len` records
@@ -531,30 +498,43 @@ impl CandidateRuns {
     /// are skipped.
     #[inline]
     pub fn push_keyed(&mut self, shard: usize, external: usize, table_start: usize, len: usize) {
+        self.push_range(RunKind::Keyed, shard, external, table_start, len);
+    }
+
+    /// One block over `start .. start + len` of the shard's records or
+    /// of its key table — which [`set_key_table`](Self::set_key_table)
+    /// holds to one entry per record, so both answer to the same bound.
+    #[inline]
+    fn push_range(
+        &mut self,
+        kind: RunKind,
+        shard: usize,
+        external: usize,
+        start: usize,
+        len: usize,
+    ) {
         if len == 0 || shard < self.first_active {
             return;
         }
+        check_id("external id", external, self.externals);
         let run = &mut self.per_shard[shard];
-        debug_assert!(
-            run.key_table.is_some(),
-            "push_keyed before set_key_table({shard}, …)"
-        );
-        run.blocks.push(CandidateBlock {
-            external: run_u32(external),
-            start: run_u32(table_start),
-            len: run_u32(len),
-            kind: RunKind::Keyed,
-        });
-        run.count += len as u64;
+        check_id("range end", start.saturating_add(len - 1), run.records);
+        let keyed = kind == RunKind::Keyed;
+        assert!(!keyed || run.key_table.is_some(), "no key table attached");
+        run.push_block(kind, external, start, len);
         self.total += len as u64;
     }
 
     /// Attach the [`KeyIndex`] whose sorted record table this shard's
     /// keyed blocks slice. Must precede any
     /// [`push_keyed`](Self::push_keyed) for the shard; the sink keeps
-    /// the `Arc` alive for the decode path.
+    /// the `Arc` alive for the decode path. Panics unless the table has
+    /// one entry per record of the shard the sink was reset for.
     pub fn set_key_table(&mut self, shard: usize, table: Arc<KeyIndex>) {
-        self.per_shard[shard].key_table = Some(table);
+        let run = &mut self.per_shard[shard];
+        let entries = table.sorted_records().len();
+        assert_eq!(entries, run.records, "key table of another store");
+        run.key_table = Some(table);
     }
 
     /// Number of shards the sink currently holds runs for.
@@ -592,7 +572,8 @@ impl CandidateRuns {
 
     /// One shard's comparison count (the sum of its block lengths).
     pub fn shard_total(&self, shard: usize) -> u64 {
-        self.per_shard[shard].count
+        let blocks = self.per_shard[shard].blocks.iter();
+        blocks.map(|block| block.len as u64).sum()
     }
 
     /// Total number of candidates across all shards — the comparison
@@ -620,23 +601,6 @@ impl CandidateRuns {
     pub fn pair_bytes(&self) -> u64 {
         self.total * std::mem::size_of::<CandidatePair>() as u64
     }
-
-    /// Crate-internal: one shard's explicit-locals arena (the decode
-    /// target of [`RunKind::Explicit`] blocks).
-    pub(crate) fn shard_locals(&self, shard: usize) -> &[u32] {
-        &self.per_shard[shard].locals
-    }
-
-    /// Crate-internal: one shard's attached key table, if any.
-    pub(crate) fn shard_key_table(&self, shard: usize) -> Option<&Arc<KeyIndex>> {
-        self.per_shard[shard].key_table.as_ref()
-    }
-
-    /// Crate-internal: the largest id in one shard's explicit arena —
-    /// the one bound the scheduler checks instead of a per-pair check.
-    pub(crate) fn shard_explicit_max(&self, shard: usize) -> u32 {
-        self.per_shard[shard].explicit_max
-    }
 }
 
 /// A strategy that selects which (external, local) record pairs are worth
@@ -646,14 +610,16 @@ pub trait Blocker {
     fn name(&self) -> &'static str;
 
     /// Stream candidate pairs as **per-shard runs of shard-local ids**
-    /// into `out` — the one blocking entry point. The runs feed the
-    /// work-stealing scheduler's per-shard task queues directly, so no
-    /// global pair vector is materialised, nothing is sorted, and no
-    /// global id is ever routed back to a shard; the sum of run lengths
-    /// is the comparison count.
+    /// into `out` — the one blocking entry point. The comparison phase
+    /// scores the runs straight off the sink, so no global pair vector
+    /// is materialised, nothing is sorted, and no global id is ever
+    /// routed back to a shard; the sum of run lengths is the comparison
+    /// count.
     ///
-    /// Implementations must clear `out` (via [`CandidateRuns::reset`])
-    /// and then emit every candidate pair exactly once (no duplicates),
+    /// Implementations must first clear `out` with
+    /// [`out.reset(external.len(), local)`](CandidateRuns::reset) — the
+    /// sink panics on any id outside those bounds — and then emit every
+    /// candidate pair exactly once (no duplicates),
     /// skipping shards the sink is not
     /// [active](CandidateRuns::shard_active) for where their per-shard
     /// work is independent. The built-in blockers compute external-side
@@ -722,7 +688,7 @@ impl Blocker for CartesianBlocker {
         local: LocalShards<'_>,
         out: &mut CandidateRuns,
     ) {
-        out.reset(local.shard_count());
+        out.reset(external.len(), local);
         fail::fail_point!("blocking::cartesian");
         for (s, shard) in local.iter().enumerate() {
             if !out.shard_active(s) {
@@ -912,10 +878,16 @@ mod tests {
         runs.pairs(shard).collect()
     }
 
+    /// `shards` shards of `records` records, to reset the sink against.
+    fn catalog(shards: usize, records: usize) -> crate::shard::ShardedStore {
+        let all: Vec<_> = (0..records * shards).map(|i| loc_record(i, "PN")).collect();
+        crate::shard::ShardedStore::from_records(&all, shards)
+    }
+
     #[test]
     fn candidate_runs_push_reset_and_totals() {
         let mut runs = CandidateRuns::new();
-        runs.reset(3);
+        runs.reset(10, (&catalog(3, 10)).into());
         assert_eq!(runs.shard_count(), 3);
         runs.push(0, 1, 2);
         runs.push(2, 0, 0);
@@ -927,7 +899,7 @@ mod tests {
         assert_eq!(runs.shard_total(2), 2);
         // Reset re-sizes (down and up) and clears.
         runs.push(1, 9, 9);
-        runs.reset(1);
+        runs.reset(10, (&catalog(1, 10)).into());
         assert_eq!(runs.shard_count(), 1);
         assert_eq!(runs.total(), 0);
         assert!(shard_pairs(&runs, 0).is_empty());
@@ -936,7 +908,7 @@ mod tests {
     #[test]
     fn consecutive_pushes_coalesce_into_one_explicit_block() {
         let mut runs = CandidateRuns::new();
-        runs.reset(2);
+        runs.reset(10, (&catalog(2, 10)).into());
         // Same (shard, external) back to back — one block; interleaving
         // another shard does not break the coalescing (per-shard arenas).
         runs.push(0, 7, 1);
@@ -955,7 +927,7 @@ mod tests {
     #[test]
     fn span_blocks_decode_to_contiguous_pairs() {
         let mut runs = CandidateRuns::new();
-        runs.reset(1);
+        runs.reset(10, (&catalog(1, 10)).into());
         runs.push_span(0, 3, 2, 4);
         runs.push_span(0, 5, 0, 0); // empty span is skipped
         assert_eq!(runs.total(), 4);
@@ -968,7 +940,7 @@ mod tests {
         // Queue memory is per block, not per pair: a dense span's byte
         // ratio is ~len × the pair encoding.
         let mut dense = CandidateRuns::new();
-        dense.reset(1);
+        dense.reset(1, (&catalog(1, 1000)).into());
         dense.push_span(0, 0, 0, 1000);
         assert!(dense.queue_bytes() * 10 < dense.pair_bytes());
     }
@@ -981,7 +953,7 @@ mod tests {
         let range = index.key_range("crcw");
         assert_eq!(range.len(), 2);
         let mut runs = CandidateRuns::new();
-        runs.reset(1);
+        runs.reset(10, (&local).into());
         runs.set_key_table(0, index.clone());
         runs.push_keyed(0, 9, range.start, range.len());
         runs.push_keyed(0, 9, 0, 0); // empty range skipped

@@ -98,7 +98,7 @@ impl Blocker for RuleBasedBlocker<'_> {
         local: LocalShards<'_>,
         out: &mut CandidateRuns,
     ) {
-        out.reset(local.shard_count());
+        out.reset(external.len(), local);
         fail::fail_point!("blocking::rule_based");
         let mut resolved: HashMap<ClassId, Vec<Vec<u32>>> = HashMap::new();
         for e in 0..external.len() {

@@ -82,7 +82,7 @@ impl Blocker for SortedNeighborhoodBlocker {
         out: &mut CandidateRuns,
     ) {
         let shard_count = local.shard_count();
-        out.reset(shard_count);
+        out.reset(external.len(), local);
         fail::fail_point!("blocking::sorted_neighborhood");
         if self.window < 2 || external.is_empty() || local.is_empty() {
             // `new()` clamps, but the field is public: a window of 0 or

@@ -49,7 +49,7 @@ impl Blocker for StandardBlocker {
         local: LocalShards<'_>,
         out: &mut CandidateRuns,
     ) {
-        out.reset(local.shard_count());
+        out.reset(external.len(), local);
         let external_index = external.key_index(&self.key.external_side(external));
         let local_side = self.key.local_side_of(local.schema());
         for (s, shard) in local.iter().enumerate() {

@@ -427,6 +427,18 @@ impl CompiledComparator<'_> {
         self.rules_use_sets
     }
 
+    /// Build `stores`' token indexes now if scoring will read them (see
+    /// [`uses_token_index`](Self::uses_token_index)) — what the pipeline
+    /// and the serving layer run before the per-pair loop can reach a
+    /// cold store.
+    pub(crate) fn warm_token_indexes<'s>(&self, stores: impl IntoIterator<Item = &'s RecordStore>) {
+        if self.uses_token_index() {
+            for store in stores {
+                store.token_index();
+            }
+        }
+    }
+
     /// Resolve the external record `left`'s per-rule value lists (and,
     /// for set-kernel rules, its token views; for string-kernel rules
     /// under a non-match filter, its values' shared-symbol mask tables)
@@ -790,18 +802,6 @@ impl CompiledComparator<'_> {
         };
         (score, decision)
     }
-
-    /// `true` when the pair is decided as a match.
-    pub fn is_match(
-        &self,
-        external: &RecordStore,
-        left: usize,
-        local: &RecordStore,
-        right: usize,
-    ) -> bool {
-        let mut scratch = SimScratch::new();
-        self.score(external, left, local, right, &mut scratch).1 == MatchDecision::Match
-    }
 }
 
 #[cfg(test)]
@@ -843,8 +843,6 @@ mod tests {
         assert_eq!(c.decision, MatchDecision::Match);
         assert_eq!(c.score, 1.0);
         assert_eq!(c.details, vec![Some(1.0)]);
-        let l2 = loc("CRCW0805-10K", "r");
-        assert!(cmp.compile(&e, &l2).is_match(&e, 0, &l2, 0));
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub type LinkResult<T> = Result<T, LinkError>;
 /// bit-identical to a never-faulted run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinkError {
-    /// The blocking phase (`stream_candidates`) panicked.
+    /// The blocking phase (`stream_candidates`) panicked — the blocker
+    /// itself, or the sink refusing a candidate outside the stores it was
+    /// reset for.
     BlockingPanicked {
         /// [`Blocker::name`](crate::blocking::Blocker::name) of the
         /// strategy that failed.

@@ -1,21 +1,20 @@
-//! Streaming ingestion: subject-grouping columnarisation from a triple
-//! stream (or a parsed graph) straight into record-store builders.
+//! Streaming ingestion: a triple stream goes straight into record-store
+//! columns, one record per run of equal subjects.
 //!
 //! The batch front door used to be `parse → Graph → from_graph`, which
 //! holds the whole document *and* the store in memory at once. This
 //! module inverts that: [`FeedIngest`] drives the incremental parsers of
 //! `classilink-rdf` ([`NTriplesStreamer`] / [`TurtleStreamer`]) chunk by
-//! chunk, groups the emitted triples by subject with a [`SubjectGrouper`],
-//! and pushes each completed record into a [`ShardedStoreBuilder`] —
-//! opening a fresh shard every `records_per_shard` records, so a
-//! multi-GB feed columnarises into shards as it arrives while the
-//! transient state is bounded by one statement plus one record.
-//!
-//! The same grouping adapter is the *only* graph-walk columnariser:
-//! [`RecordStore::from_graph`](crate::store::RecordStore::from_graph),
-//! [`ShardedStore::from_graph*`](crate::shard::ShardedStore::from_graph)
-//! and the `push_subject`/`push_graph` builder helpers are thin wrappers
-//! over [`SubjectGrouper::push_subject`] / [`columnarise_subjects`].
+//! chunk and hands every triple to a [`ShardedStoreBuilder`] as it is
+//! parsed — a new subject opens the next record
+//! ([`begin_record`](ShardedStoreBuilder::begin_record)), a literal
+//! object lands in its property's column
+//! ([`push_value`](ShardedStoreBuilder::push_value)) — opening a fresh
+//! shard every `records_per_shard` records. Nothing sits between the
+//! parser and the columns, so a multi-GB feed columnarises into shards as
+//! it arrives while the transient state is bounded by one statement. The
+//! graph-walk constructors (`from_graph*`, the builders' `push_subject` /
+//! `push_graph`) go through the same two builder calls.
 //!
 //! ```
 //! use classilink_linking::ingest::FeedIngest;
@@ -35,145 +34,8 @@
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::SchemaInterner;
 use crate::shard::{ShardedStore, ShardedStoreBuilder};
-use crate::store::RecordStoreBuilder;
-use classilink_rdf::{Graph, NTriplesStreamer, Term, Triple, TurtleStreamer};
+use classilink_rdf::{NTriplesStreamer, TurtleStreamer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// A sink accepting completed (subject-grouped) records — implemented by
-/// both store builders, so one grouping adapter feeds the single-store
-/// and the sharded columnarisation paths.
-pub trait RecordSink {
-    /// Accept one record with its `(property IRI, value)` facts; returns
-    /// the record's index in the sink.
-    fn accept_record(&mut self, id: Term, facts: &[(String, String)]) -> usize;
-}
-
-impl RecordSink for RecordStoreBuilder {
-    fn accept_record(&mut self, id: Term, facts: &[(String, String)]) -> usize {
-        self.push_record(id, || facts.iter().map(|(p, v)| (p.as_str(), v.as_str())))
-    }
-}
-
-impl RecordSink for ShardedStoreBuilder {
-    fn accept_record(&mut self, id: Term, facts: &[(String, String)]) -> usize {
-        self.push_record(id, || facts.iter().map(|(p, v)| (p.as_str(), v.as_str())))
-    }
-}
-
-/// Groups a subject-contiguous fact stream into records.
-///
-/// Facts are buffered until the subject changes (or
-/// [`flush`](SubjectGrouper::flush) is called), then emitted as one record
-/// into a
-/// [`RecordSink`]. The fact buffers are recycled across records, so
-/// steady-state grouping allocates only when a record exceeds every
-/// previous record's fact count or value lengths.
-///
-/// The grouper assumes the feed is **subject-grouped** (all triples of a
-/// subject arrive contiguously — the natural shape of exported dumps and
-/// of graph walks). A subject that re-appears later starts a *second*
-/// record; dedup is the feeder's job.
-#[derive(Debug, Default)]
-pub struct SubjectGrouper {
-    subject: Option<Term>,
-    /// `(property, value)` buffers; the first `fact_count` entries are
-    /// live, the rest are retained allocations from earlier records.
-    facts: Vec<(String, String)>,
-    fact_count: usize,
-    records: usize,
-}
-
-impl SubjectGrouper {
-    /// A grouper with no pending record.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Start a record for `subject`, flushing the previous record into
-    /// `sink` if `subject` differs from the pending one. Returns the
-    /// flushed record's sink index, if a record was completed.
-    pub fn begin_subject<S: RecordSink>(&mut self, sink: &mut S, subject: &Term) -> Option<usize> {
-        if self.subject.as_ref() == Some(subject) {
-            return None;
-        }
-        let flushed = self.flush(sink);
-        self.subject = Some(subject.clone());
-        flushed
-    }
-
-    /// Feed one parsed triple: the subject begins/continues its record,
-    /// and IRI-predicate + literal-object triples contribute a fact
-    /// (other triples only mark the subject, mirroring
-    /// [`Record::from_graph`](crate::record::Record::from_graph)).
-    pub fn push_triple<S: RecordSink>(&mut self, sink: &mut S, triple: &Triple) -> Option<usize> {
-        let flushed = self.begin_subject(sink, &triple.subject);
-        if let (Some(p), Some(lit)) = (triple.predicate.as_iri(), triple.object.as_literal()) {
-            self.buffer_fact(p, &lit.value);
-        }
-        flushed
-    }
-
-    /// Begin `subject` and buffer every literal-valued fact `graph` holds
-    /// for it — the graph-walk columnarisation step shared by every
-    /// `from_graph`/`push_subject` wrapper.
-    pub fn push_subject<S: RecordSink>(
-        &mut self,
-        sink: &mut S,
-        graph: &Graph,
-        subject: &Term,
-    ) -> Option<usize> {
-        let flushed = self.begin_subject(sink, subject);
-        for triple in graph.triples_matching(Some(subject), None, None) {
-            if let (Some(p), Some(lit)) = (triple.predicate.as_iri(), triple.object.as_literal()) {
-                self.buffer_fact(p, &lit.value);
-            }
-        }
-        flushed
-    }
-
-    fn buffer_fact(&mut self, property: &str, value: &str) {
-        if self.fact_count == self.facts.len() {
-            self.facts.push((String::new(), String::new()));
-        }
-        let (p, v) = &mut self.facts[self.fact_count];
-        p.clear();
-        p.push_str(property);
-        v.clear();
-        v.push_str(value);
-        self.fact_count += 1;
-    }
-
-    /// Emit the pending record (if any) into `sink`; returns its index.
-    pub fn flush<S: RecordSink>(&mut self, sink: &mut S) -> Option<usize> {
-        let subject = self.subject.take()?;
-        let index = sink.accept_record(subject, &self.facts[..self.fact_count]);
-        self.fact_count = 0;
-        self.records += 1;
-        Some(index)
-    }
-
-    /// Number of records emitted so far.
-    pub fn records(&self) -> usize {
-        self.records
-    }
-}
-
-/// Columnarise the given graph subjects (in order) into `sink`, one
-/// record per subject, through the grouping adapter.
-pub fn columnarise_subjects<S: RecordSink>(graph: &Graph, subjects: &[Term], sink: &mut S) {
-    let mut grouper = SubjectGrouper::new();
-    for subject in subjects {
-        grouper.push_subject(sink, graph, subject);
-    }
-    grouper.flush(sink);
-}
-
-/// Columnarise every subject of `graph` into `sink`, in subject order
-/// (the order [`Graph::subjects`] yields — what `from_graph` has always
-/// used, so global ids are unchanged).
-pub fn columnarise_graph<S: RecordSink>(graph: &Graph, sink: &mut S) {
-    columnarise_subjects(graph, &graph.subjects(), sink);
-}
 
 /// Which syntax a byte feed is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,13 +55,20 @@ enum FeedStreamer {
 /// Streaming feed → sharded columnar store, with bounded memory.
 ///
 /// Feed byte chunks ([`feed`](Self::feed)); each chunk's complete
-/// statements are parsed, subject-grouped and pushed into shard
-/// builders immediately, with a fresh shard opened every
-/// `records_per_shard` records. [`finish`](Self::finish) flushes the
-/// tail and freezes the shards (their columns are already filled). At no point
-/// does a full-document `Graph` — or any other input-sized intermediate
-/// — exist; transient state is one incomplete statement plus one
-/// record's facts plus the store under construction.
+/// statements are parsed and pushed into shard builders immediately,
+/// with a fresh shard opened every `records_per_shard` records.
+/// [`finish`](Self::finish) parses the tail and freezes the shards
+/// (their columns are already filled). At no point does a full-document
+/// `Graph` — or any other input-sized intermediate — exist; transient
+/// state is one incomplete statement plus the store under construction.
+///
+/// The feed is assumed **subject-grouped** (the natural shape of dumps
+/// and graph walks): a triple whose subject differs from the record
+/// opened last opens the next record, so a subject that re-appears
+/// later starts a *second* record; dedup is the feeder's job. Only
+/// IRI-predicate, literal-object triples contribute a value; any other
+/// triple still opens its subject's record, mirroring
+/// [`Record::from_graph`](crate::record::Record::from_graph).
 ///
 /// A parse error or an ingest-site panic poisons the ingest: the error
 /// is reported, further feeding is rejected, and `finish` refuses to
@@ -208,7 +77,6 @@ enum FeedStreamer {
 #[derive(Debug)]
 pub struct FeedIngest {
     streamer: FeedStreamer,
-    grouper: SubjectGrouper,
     builder: ShardedStoreBuilder,
     records_per_shard: usize,
     poisoned: bool,
@@ -224,7 +92,6 @@ impl FeedIngest {
         };
         FeedIngest {
             streamer,
-            grouper: SubjectGrouper::new(),
             builder: ShardedStore::builder_with_schema(schema),
             records_per_shard: records_per_shard.max(1),
             poisoned: false,
@@ -267,7 +134,7 @@ impl FeedIngest {
         self.settle(outcome)
     }
 
-    /// Drain the triples parsed so far into the grouper/builders.
+    /// Drain the triples parsed so far into the shard builders.
     fn drain_parsed(&mut self) -> LinkResult<()> {
         loop {
             let parsed = match &mut self.streamer {
@@ -283,15 +150,17 @@ impl FeedIngest {
                 }
                 None => return Ok(()),
             };
-            if self
-                .grouper
-                .push_triple(&mut self.builder, &triple)
-                .is_some()
-                && self.builder.len().is_multiple_of(self.records_per_shard)
-            {
-                // The record that just completed filled the current
-                // shard; the *next* record starts a new one.
-                self.builder.begin_shard();
+            if self.builder.last_id() != Some(&triple.subject) {
+                let filled = self.builder.len();
+                if filled > 0 && filled.is_multiple_of(self.records_per_shard) {
+                    // The previous record filled the current shard; this
+                    // one starts the next.
+                    self.builder.begin_shard();
+                }
+                self.builder.begin_record(triple.subject);
+            }
+            if let (Some(p), Some(lit)) = (triple.predicate.as_iri(), triple.object.as_literal()) {
+                self.builder.push_value(p, &lit.value);
             }
         }
     }
@@ -310,7 +179,7 @@ impl FeedIngest {
         result
     }
 
-    /// Records columnarised so far (completed subjects only).
+    /// Records opened so far, the one still being filled included.
     pub fn records(&self) -> usize {
         self.builder.len()
     }
@@ -324,8 +193,8 @@ impl FeedIngest {
         }
     }
 
-    /// Flush the tail (final statement and pending record) and hand back
-    /// the shard builder — the delta path, where the caller appends the
+    /// Parse the tail (the final statement) and hand back the shard
+    /// builder — the delta path, where the caller appends the
     /// new shards to an existing catalog via
     /// [`ShardedStore::append_shards`](crate::shard::ShardedStore::append_shards).
     pub fn into_builder(mut self) -> LinkResult<ShardedStoreBuilder> {
@@ -339,15 +208,13 @@ impl FeedIngest {
                 FeedStreamer::NTriples(s) => s.finish(),
                 FeedStreamer::Turtle(s) => s.finish(),
             }
-            self.drain_parsed()?;
-            self.grouper.flush(&mut self.builder);
-            Ok(())
+            self.drain_parsed()
         }));
         self.settle(outcome)?;
         Ok(self.builder)
     }
 
-    /// Flush the tail and freeze the shards; see
+    /// Parse the tail and freeze the shards; see
     /// [`into_builder`](Self::into_builder) for the delta path.
     pub fn try_finish(self) -> LinkResult<ShardedStore> {
         self.into_builder()?.try_build()
@@ -363,7 +230,7 @@ impl FeedIngest {
 mod tests {
     use super::*;
     use crate::record::Record;
-    use crate::store::RecordStore;
+    use classilink_rdf::Term;
 
     const PN: &str = "http://e.org/v#pn";
     const MFR: &str = "http://e.org/v#mfr";
@@ -398,7 +265,11 @@ mod tests {
         for i in 0..batch.len() {
             assert_eq!(streamed.id(i), batch.id(i));
         }
-        assert_eq!(streamed.to_store(), batch.to_store());
+        let records = |store: &ShardedStore| -> Vec<Record> {
+            let shards = store.shards().iter();
+            shards.flat_map(|shard| shard.to_records()).collect()
+        };
+        assert_eq!(records(&streamed), records(&batch));
     }
 
     #[test]
@@ -455,33 +326,51 @@ mod tests {
         assert_eq!(store.shard(0).first(0, pn), Some("X-1"));
     }
 
+    /// The grouping rule, per syntax: contiguous triples of a subject are
+    /// one record, a subject whose only triple has an IRI object is an
+    /// attribute-less record, a subject that re-appears is a second
+    /// record, and the shard rotates after two records wherever the
+    /// chunk boundaries fall.
     #[test]
-    fn grouper_reuses_fact_buffers_and_counts_records() {
-        let mut builder = RecordStore::builder();
-        let mut grouper = SubjectGrouper::new();
-        let (a, b) = ("http://e.org/a", "http://e.org/b");
-        let mut push = |subject, property, value| {
-            grouper.push_triple(&mut builder, &Triple::literal(subject, property, value))
+    fn feed_groups_by_subject_and_rotates_shards() {
+        let ntriples = format!(
+            "<http://e.org/a> <{MFR}> \"Vishay\" .\n\
+             <http://e.org/a> <{PN}> \"X-1\" .\n\
+             <http://e.org/a> <{PN}> \"X-1b\" .\n\
+             <http://e.org/b> <http://e.org/v#cls> <http://e.org/c#R> .\n\
+             <http://e.org/a> <{PN}> \"X-1 again\" .\n"
+        );
+        let turtle = "@prefix v: <http://e.org/v#> .\n\
+             <http://e.org/a> v:mfr \"Vishay\" ; v:pn \"X-1\" , \"X-1b\" .\n\
+             <http://e.org/b> v:cls <http://e.org/c#R> .\n\
+             <http://e.org/a> v:pn \"X-1 again\" .\n";
+        let record = |id: &str, facts: &[(&str, &str)]| {
+            let mut record = Record::new(Term::iri(format!("http://e.org/{id}")));
+            for (property, value) in facts {
+                record.add(*property, *value);
+            }
+            record
         };
-        assert_eq!(push(a, PN, "X-1"), None);
-        assert_eq!(push(a, MFR, "Vishay"), None);
-        // Subject change flushes the previous record.
-        assert_eq!(push(b, PN, "X-2"), Some(0));
-        assert_eq!(grouper.flush(&mut builder), Some(1));
-        assert_eq!(grouper.records(), 2);
-        assert_eq!(grouper.flush(&mut builder), None);
-        let store = builder.build();
-        assert_eq!(store.len(), 2);
-        let mut expected = Record::new(Term::iri(a));
-        expected.add(PN, "X-1").add(MFR, "Vishay");
-        assert_eq!(store.record(0), expected);
-    }
-
-    #[test]
-    fn columnarise_graph_matches_from_graph() {
-        let graph = classilink_rdf::ntriples::parse(&feed_doc(6)).unwrap();
-        let mut builder = RecordStore::builder();
-        columnarise_graph(&graph, &mut builder);
-        assert_eq!(builder.build(), RecordStore::from_graph(&graph));
+        let records = [
+            record("a", &[(MFR, "Vishay"), (PN, "X-1"), (PN, "X-1b")]),
+            record("b", &[]),
+            record("a", &[(PN, "X-1 again")]),
+        ];
+        // `begin_shard`, then `push` per record: shards of 2 and 1.
+        let expected = ShardedStore::from_records(&records, 2);
+        let docs = [
+            (FeedFormat::NTriples, ntriples.as_str()),
+            (FeedFormat::Turtle, turtle),
+        ];
+        for (format, doc) in docs {
+            for chunk_size in [1, 7, 4096] {
+                let mut ingest = FeedIngest::new(format, SchemaInterner::new(), 2);
+                for chunk in doc.as_bytes().chunks(chunk_size) {
+                    ingest.feed(chunk).unwrap();
+                }
+                let fed = (ingest.records(), ingest.try_finish());
+                assert_eq!(fed, (3, Ok(expected.clone())), "{format:?} by {chunk_size}");
+            }
+        }
     }
 }

@@ -33,14 +33,15 @@
 //!   standard key blocking, sorted neighbourhood, bi-gram indexing and
 //!   the rule-based blocker that wraps the paper's classifier. All of
 //!   them stream per-shard candidate runs
-//!   ([`blocking::Blocker::stream_candidates`])
-//!   straight into the pipeline's task queues;
+//!   ([`blocking::Blocker::stream_candidates`]) into the sink the
+//!   pipeline scores from;
 //!   [`blocking::collect_pairs`] decodes them into one sorted
 //!   global-id pair list for tests and reports.
-//! * [`ingest`] — streaming ingestion: the incremental RDF parsers feed
-//!   a subject-grouping adapter that columnarises straight into shard
-//!   builders with bounded transient memory; every `from_graph`
-//!   constructor is a thin wrapper over the same adapter.
+//! * [`ingest`] — streaming ingestion: every triple the incremental RDF
+//!   parsers emit goes straight into a shard builder's columns
+//!   (`begin_record` on a new subject, `push_value` per literal), with
+//!   transient memory bounded by one statement; every `from_graph`
+//!   constructor loops over the same two calls.
 //! * [`shard`] — the sharded catalog: per-shard stores on a shared
 //!   [`intern::SchemaInterner`], shard-local ids offsetting to global
 //!   record ids and back.
@@ -108,7 +109,7 @@ pub use comparator::{
     AttributeRule, Comparison, CompiledComparator, LeftHoist, MatchDecision, RecordComparator,
 };
 pub use error::{LinkError, LinkResult};
-pub use ingest::{FeedFormat, FeedIngest, RecordSink, SubjectGrouper};
+pub use ingest::{FeedFormat, FeedIngest};
 pub use intern::{PropertyId, PropertyInterner, SchemaInterner};
 pub use persist::{CatalogSnapshot, PersistError, RecoveryReport, SnapshotReceipt};
 pub use pipeline::{Link, LinkagePipeline, LinkageResult};

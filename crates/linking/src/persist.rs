@@ -924,10 +924,14 @@ impl CatalogSnapshot {
         fs::create_dir_all(dir)
             .map_err(|e| PersistError::io("create snapshot directory", dir, e))?;
         let names = list_file_names(dir)?;
-        let generation = manifest_files(&names)
-            .first()
-            .map(|(gen, _)| gen + 1)
-            .unwrap_or(1);
+        // Before any data file is written: a wrapped counter would commit
+        // a generation the sweep below, keeping the largest, deletes.
+        let generation = match manifest_files(&names).first() {
+            None => 1,
+            Some((newest, name)) => newest.checked_add(1).ok_or_else(|| {
+                PersistError::corrupt(&dir.join(name), "generation counter exhausted")
+            })?,
+        };
 
         let mut bytes_written = 0u64;
         let mut total_bytes = 0u64;
@@ -1328,6 +1332,38 @@ mod tests {
         assert_eq!(report.generation, 1);
         assert!(!report.recovered_from_fallback);
         assert_eq!(report.records, store.len());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_exhausted_generation_counter_refuses_the_write() {
+        let dir = temp_dir("exhausted");
+        let grown = |base: &ShardedStore, i: usize| {
+            let mut delta = base.delta_builder();
+            delta.push(&Record::new(Term::iri(format!("http://e.org/extra/{i}"))));
+            base.append_shards(delta)
+        };
+        let first = catalog();
+        let second = grown(&first, 0);
+        let third = grown(&second, 1);
+        CatalogSnapshot::write(&dir, &first).expect("generation 1");
+        CatalogSnapshot::write(&dir, &second).expect("generation 2");
+        // A file *named* like the last generation there can be: the next
+        // one would wrap to 0 and be swept by its own commit.
+        let stray = dir.join(manifest_name(u64::MAX));
+        fs::write(&stray, "not a manifest").unwrap();
+        let before = list_file_names(&dir).unwrap();
+
+        let error = CatalogSnapshot::write(&dir, &third).unwrap_err();
+        let expected = PersistError::corrupt(&stray, "generation counter exhausted");
+        assert_eq!(error, expected);
+        assert_eq!(list_file_names(&dir).unwrap(), before, "nothing written");
+        let (loaded, report) = CatalogSnapshot::open(&dir).expect("open");
+        assert_eq!((report.generation, loaded), (2, second));
+
+        let _ = fs::remove_file(&stray); // `open` may have swept it already
+        let receipt = CatalogSnapshot::write(&dir, &third).expect("clean write");
+        assert_eq!(receipt.generation, 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

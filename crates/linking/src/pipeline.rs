@@ -8,31 +8,31 @@
 //!
 //! The comparison phase runs on the columnar [`RecordStore`]: the
 //! comparator is compiled once (property IRIs → interned ids), and the
-//! candidates are scored by a **work-stealing run-block scheduler** —
-//! every shard of the catalog (a single store is one shard, see
-//! [`LinkagePipeline::run_sharded`]) contributes a task queue of
-//! run-length [`CandidateBlock`]s with a comparison-count prefix sum;
-//! workers claim the next `STEAL_BLOCK` **comparisons** with one atomic
-//! increment (claims split inside large blocks, so a single cartesian
-//! span still load-balances), drain their home queue first, then steal
-//! from the remaining queues (no locks, no term cloning in the loop).
-//! Each claimed block hoists its constant external record once
-//! ([`CompiledComparator::hoist_left`]) and decodes its locals straight
-//! off the span / key-table / explicit encoding; per-block bounds are
-//! validated once at queue build, not per pair. Workers keep per-thread
-//! output vectors that are concatenated and sorted by **index pair**,
-//! so the output is byte-identical regardless of thread count, steal
-//! order, or sharding; only the surviving links materialise their
-//! [`Term`]s.
-//!
-//! Blocking feeds the scheduler **by streaming**: the blocker emits
-//! per-shard run-length blocks of shard-local candidates
-//! ([`Blocker::stream_candidates`] into a [`CandidateRuns`] sink), and
-//! those blocks *are* the task queues — the pipeline never materialises
-//! a global candidate vector (or even a per-pair vector), never sorts
+//! candidates are scored **where the blocker left them**. Blocking
+//! streams per-shard run-length blocks of shard-local candidates
+//! ([`Blocker::stream_candidates`] into a [`CandidateRuns`] sink; a
+//! single store is one shard, see [`LinkagePipeline::run_sharded`]), and
+//! those blocks *are* the work list — the pipeline never materialises a
+//! global candidate vector (or even a per-pair vector), never sorts
 //! candidates, and never routes a global id back to a shard.
+//!
+//! One function, `score_block`, scores a block: it hoists the block's
+//! constant external record once ([`CompiledComparator::hoist_left`])
+//! and walks the local run straight off its span / key-table / explicit
+//! encoding — no locks, no term cloning, and no per-pair bounds check,
+//! the sink having checked every id as the blocker pushed it. A serial
+//! run and a serving-layer probe reach it through `score_shard`, which
+//! walks a shard's blocks in emission order; a threaded run through a
+//! **work-stealing scheduler** private to this module, whose workers
+//! claim the next `STEAL_BLOCK` **comparisons** of a shard with one
+//! atomic increment over a comparison-count prefix sum (claims split
+//! inside large blocks, so a single cartesian span still load-balances),
+//! drain their home shard first, then steal from the others. Per-thread
+//! output vectors are concatenated and sorted by **index pair**, so the
+//! output is byte-identical regardless of thread count, steal order, or
+//! sharding; only the surviving links materialise their [`Term`]s.
 
-use crate::blocking::{Blocker, CandidateBlock, CandidateRuns, LocalRun};
+use crate::blocking::{Blocker, CandidateRuns, LocalRun};
 use crate::comparator::{CompiledComparator, LeftHoist, MatchDecision, RecordComparator};
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::shard::LocalShards;
@@ -92,6 +92,33 @@ impl LinkageResult {
 /// same shape before materialising.
 pub(crate) type ScoredPair = (usize, usize, f64);
 
+/// One scoring thread's working set, reused for every pair it scores:
+/// the similarity scratch, the hoisted external record of the block in
+/// hand, and the scored pairs that survived thresholding (local side in
+/// global ids). The serving layer parks one between probes.
+#[derive(Debug, Default)]
+pub(crate) struct Scorer<'e> {
+    scratch: SimScratch,
+    hoist: LeftHoist<'e>,
+    pub(crate) matches: Vec<ScoredPair>,
+    pub(crate) possible: Vec<ScoredPair>,
+}
+
+impl Scorer<'_> {
+    /// Empty the scorer and release its borrow of the external store,
+    /// keeping every buffer's capacity (see [`LeftHoist::recycle`]).
+    pub(crate) fn recycle<'b>(mut self) -> Scorer<'b> {
+        self.matches.clear();
+        self.possible.clear();
+        Scorer {
+            scratch: self.scratch,
+            hoist: self.hoist.recycle(),
+            matches: self.matches,
+            possible: self.possible,
+        }
+    }
+}
+
 /// A blocking strategy plus a record comparator, with optional multi-threaded
 /// comparison.
 pub struct LinkagePipeline<'a> {
@@ -123,8 +150,8 @@ impl<'a> LinkagePipeline<'a> {
     /// [`LocalShards`]).
     ///
     /// Blocking **streams per-shard candidate runs** (shard-local ids,
-    /// see [`Blocker::stream_candidates`]) straight into the
-    /// work-stealing task queues: no global candidate vector is
+    /// see [`Blocker::stream_candidates`]) into the sink the comparison
+    /// phase scores from: no global candidate vector is
     /// materialised, nothing is sorted between the phases, and no global
     /// id is routed back through the offset table's binary search — the
     /// sum of run lengths is the comparison count. The comparator is
@@ -211,22 +238,20 @@ impl<'a> LinkagePipeline<'a> {
         let compiled = self
             .comparator
             .compile_schemas(external.interner(), local.schema());
-        if compiled.uses_token_index() {
-            // Build the token indexes before the workers start, so the
-            // per-pair loop only ever sees the cached index. Only the
-            // shards from `first` on can be cold; an old shard's index
-            // was built by the full run (or a previous delta).
-            external.token_index();
-            for s in first..local.shard_count() {
-                local.shard(s).token_index();
-            }
-        }
-        let comparisons = runs.total() as usize;
-        let queues: Vec<TaskQueue<'_>> = (first..local.shard_count())
-            .map(|s| TaskQueue::new(local.shard(s), local.offset(s), &runs, s, external.len()))
-            .collect();
-        let (matches, possible) = self.score(&compiled, external, &queues, comparisons)?;
-        Ok(self.finish(matches, possible, comparisons, naive_pairs, external, local))
+        // Before the workers start, so the per-pair loop only ever sees
+        // the cached index. Only the shards from `first` on can be cold;
+        // an old shard's index was built by the full run (or a previous
+        // delta).
+        compiled.warm_token_indexes(std::iter::once(external).chain(local.iter().skip(first)));
+        let (matches, possible) = self.score(&compiled, external, local, &runs, first)?;
+        Ok(self.finish(
+            matches,
+            possible,
+            runs.total(),
+            naive_pairs,
+            external,
+            local,
+        ))
     }
 
     /// The blocking failure domain: stream candidates into `runs`,
@@ -249,48 +274,40 @@ impl<'a> LinkagePipeline<'a> {
         })
     }
 
-    /// Score every queued candidate block, serially or with work
-    /// stealing, returning unsorted scored pairs (local side in global
-    /// ids). A panic inside the scoring loop is contained to this phase
-    /// and reported as [`LinkError::WorkerPanicked`].
+    /// Score every candidate block of shards `first..`, serially or with
+    /// work stealing, returning unsorted scored pairs (local side in
+    /// global ids). A panic anywhere in the phase is contained to it and
+    /// reported as [`LinkError::WorkerPanicked`] (a stealing worker's by
+    /// [`score_stealing`], with the survivors' account).
     fn score(
         &self,
         compiled: &CompiledComparator<'_>,
         external: &RecordStore,
-        queues: &[TaskQueue<'_>],
-        candidate_count: usize,
+        local: LocalShards<'_>,
+        runs: &CandidateRuns,
+        first: usize,
     ) -> LinkResult<(Vec<ScoredPair>, Vec<ScoredPair>)> {
-        if self.threads <= 1 || candidate_count < STEAL_BLOCK as usize {
-            let mut matches = Vec::new();
-            let mut possible = Vec::new();
-            let scored = catch_unwind(AssertUnwindSafe(|| {
-                let mut scratch = SimScratch::new();
-                let mut hoist = LeftHoist::new();
-                for queue in queues {
-                    score_range(
-                        compiled,
-                        queue,
-                        0..queue.total,
-                        external,
-                        &mut scratch,
-                        &mut hoist,
-                        &mut matches,
-                        &mut possible,
-                    );
-                }
-            }));
-            match scored {
-                Ok(()) => Ok((matches, possible)),
-                Err(payload) => Err(LinkError::WorkerPanicked {
-                    worker: 0,
-                    payload: panic_payload(payload),
-                    survivors: 0,
-                    partial_links: matches.len() + possible.len(),
-                }),
+        let mut scorer = Scorer::default();
+        catch_unwind(AssertUnwindSafe(|| {
+            if self.threads > 1 && runs.total() >= STEAL_BLOCK {
+                (scorer.matches, scorer.possible) =
+                    score_stealing(compiled, external, local, runs, first, self.threads)?;
+                return Ok(());
             }
-        } else {
-            score_stealing(compiled, external, queues, self.threads)
-        }
+            for shard in first..local.shard_count() {
+                score_shard(compiled, runs, external, local, shard, &mut scorer);
+            }
+            Ok(())
+        }))
+        .unwrap_or_else(|payload| {
+            Err(LinkError::WorkerPanicked {
+                worker: 0,
+                payload: panic_payload(payload),
+                survivors: 0,
+                partial_links: scorer.matches.len() + scorer.possible.len(),
+            })
+        })
+        .map(|()| (scorer.matches, scorer.possible))
     }
 
     /// Sort, account and materialise the result.
@@ -298,7 +315,7 @@ impl<'a> LinkagePipeline<'a> {
         &self,
         mut matches: Vec<ScoredPair>,
         mut possible: Vec<ScoredPair>,
-        comparisons: usize,
+        comparisons: u64,
         naive_pairs: u64,
         external: &RecordStore,
         local: LocalShards<'_>,
@@ -307,19 +324,20 @@ impl<'a> LinkagePipeline<'a> {
         // steal interleaving: sort by index pair, not by cloned terms.
         matches.sort_unstable_by_key(|a| (a.0, a.1));
         possible.sort_unstable_by_key(|a| (a.0, a.1));
-        let comparisons = comparisons as u64;
         let reduction_ratio = if naive_pairs == 0 {
             0.0
         } else {
             1.0 - comparisons as f64 / naive_pairs as f64
         };
-        LinkageResult {
-            matches: materialise(&matches, external, local),
-            possible: materialise(&possible, external, local),
+        let mut result = LinkageResult {
             comparisons,
             naive_pairs,
             reduction_ratio,
-        }
+            ..LinkageResult::default()
+        };
+        materialise_into(&mut result.matches, &matches, external, local);
+        materialise_into(&mut result.possible, &possible, external, local);
+        result
     }
 }
 
@@ -328,132 +346,79 @@ impl<'a> LinkagePipeline<'a> {
 /// doesn't leave workers idle at the tail.
 const STEAL_BLOCK: u64 = 1024;
 
-/// One store's (or shard's) share of the comparison work: its
-/// run-length candidate blocks plus a comparison-count prefix sum, so
-/// workers claim by **comparison count** (an atomic cursor over
-/// `0..total`) rather than by block — a single giant cartesian span
-/// still splits across steals and load-balances.
-///
-/// Crate-visible: the serving layer ([`crate::serve`]) scores its
-/// single-probe candidate runs through the **same** queue + range code
-/// path as the batch pipeline, which is what makes probe results
-/// bit-identical to batch results by construction.
-pub(crate) struct TaskQueue<'a> {
-    store: &'a RecordStore,
-    /// Global id of the store's record 0 (0 for a monolithic store).
-    base: usize,
-    /// The shard's candidate blocks, in emission order.
-    blocks: &'a [CandidateBlock],
-    /// The shard's explicit-locals arena ([`LocalRun::Explicit`]).
-    locals: &'a [u32],
-    /// The shard key index's sorted record table
-    /// ([`LocalRun::Keyed`]; empty when no keyed block exists).
-    table: &'a [u32],
-    /// `prefix[i]` = comparisons in `blocks[..i]`; `len = blocks + 1`,
-    /// `prefix[blocks.len()] == total`. O(runs) memory, built once per
-    /// run.
+/// One shard's share of a work-stealing run: its candidate blocks in the
+/// sink plus a comparison-count prefix sum, so workers claim by
+/// **comparison count** (an atomic cursor over `0..total`) rather than by
+/// block — a single giant cartesian span still splits across steals.
+struct TaskQueue<'a> {
+    runs: &'a CandidateRuns,
+    local: LocalShards<'a>,
+    shard: usize,
+    /// `prefix[i]` = comparisons in the shard's blocks `..i`; the last
+    /// entry is the shard's total. O(runs) memory, built once per run.
     prefix: Vec<u64>,
-    /// Total comparisons queued.
-    total: u64,
-    /// `true` when the once-per-run bounds validation passed for every
-    /// block — the always case for the built-in blockers — letting the
-    /// decode loop drop the legacy per-pair bounds checks down to
-    /// `debug_assert!`s.
-    valid: bool,
     /// Comparison-count cursor: the next unclaimed comparison.
     next: AtomicU64,
 }
 
 impl<'a> TaskQueue<'a> {
-    /// Build shard `shard`'s queue from the streamed sink: borrow the
-    /// blocks and their backing arenas, prefix-sum the block lengths,
-    /// and run the **per-run bounds validation** that replaces the old
-    /// per-pair `e >= external.len() || l >= local.len()` check — every
-    /// block's external id and local-run bounds are checked once here
-    /// (the explicit arena via the sink's tracked maximum), not once
-    /// per candidate.
-    pub(crate) fn new(
-        store: &'a RecordStore,
-        base: usize,
+    fn new(
         runs: &'a CandidateRuns,
+        external: &RecordStore,
+        local: LocalShards<'a>,
         shard: usize,
-        external_len: usize,
     ) -> Self {
-        Self::with_prefix(store, base, runs, shard, external_len, Vec::new())
-    }
-
-    /// [`TaskQueue::new`], but refilling a caller-provided prefix buffer
-    /// instead of allocating one — recover it with [`Self::into_prefix`]
-    /// after scoring. This is what keeps warm serving-layer probes
-    /// allocation-free: the probe scratch owns the buffer across calls.
-    pub(crate) fn with_prefix(
-        store: &'a RecordStore,
-        base: usize,
-        runs: &'a CandidateRuns,
-        shard: usize,
-        external_len: usize,
-        mut prefix: Vec<u64>,
-    ) -> Self {
-        let blocks = runs.blocks(shard);
-        let locals = runs.shard_locals(shard);
-        let table = runs
-            .shard_key_table(shard)
-            .map(|index| index.sorted_records())
-            .unwrap_or(&[]);
-        prefix.clear();
-        prefix.reserve(blocks.len() + 1);
-        prefix.push(0u64);
-        let mut valid =
-            locals.is_empty() || (runs.shard_explicit_max(shard) as usize) < store.len();
-        // A key table built from this store indexes only ids below
-        // `store.len()`, so validating the slice bounds (and the table's
-        // provenance, by length) covers every keyed id.
-        let table_valid = table.len() == store.len();
-        for block in blocks {
-            prefix.push(prefix.last().expect("seeded") + block.len() as u64);
-            valid &= block.external() < external_len
-                && block.bounds_valid(store.len(), locals.len(), table.len(), table_valid);
+        runs.assert_reset_for(external.len(), shard, local.shard(shard).len());
+        let mut prefix = vec![0u64];
+        for block in runs.blocks(shard) {
+            prefix.push(prefix[prefix.len() - 1] + block.len() as u64);
         }
-        let total = *prefix.last().expect("seeded");
-        debug_assert_eq!(total, runs.shard_total(shard));
         TaskQueue {
-            store,
-            base,
-            blocks,
-            locals,
-            table,
+            runs,
+            local,
+            shard,
             prefix,
-            total,
-            valid,
             next: AtomicU64::new(0),
         }
-    }
-
-    /// Total comparisons queued (the end of the range
-    /// [`score_range`] accepts).
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Recover the prefix buffer passed to [`Self::with_prefix`] so the
-    /// caller can reuse its capacity for the next queue.
-    pub(crate) fn into_prefix(self) -> Vec<u64> {
-        self.prefix
-    }
-
-    /// Decode one block's local run from the queue's borrowed arenas.
-    fn local_run(&self, block: &CandidateBlock) -> LocalRun<'a> {
-        block.decode(self.locals, self.table)
     }
 
     /// Claim the next range of comparisons, or `None` when the queue is
     /// drained.
     fn claim(&self) -> Option<std::ops::Range<u64>> {
+        let total = self.prefix[self.prefix.len() - 1];
         let start = self.next.fetch_add(STEAL_BLOCK, Ordering::Relaxed);
-        if start >= self.total {
+        if start >= total {
             return None;
         }
-        Some(start..(start + STEAL_BLOCK).min(self.total))
+        Some(start..(start + STEAL_BLOCK).min(total))
+    }
+
+    /// Score one claimed range of the shard's comparison-count space:
+    /// the prefix sum maps it to the blocks it overlaps, and each is
+    /// scored — whole, or the claimed part of it — by [`score_block`].
+    fn score_claim<'e>(
+        &self,
+        compiled: &CompiledComparator<'_>,
+        claim: std::ops::Range<u64>,
+        external: &'e RecordStore,
+        scorer: &mut Scorer<'e>,
+    ) {
+        fail::fail_point!("pipeline::score_range");
+        // The block containing the claim's first comparison, and the
+        // offset of that comparison within it.
+        let mut block = self.prefix.partition_point(|&p| p <= claim.start) - 1;
+        let mut offset = (claim.start - self.prefix[block]) as usize;
+        let mut remaining = (claim.end - claim.start) as usize;
+        while remaining > 0 {
+            let run = self.runs.run(self.shard, block);
+            let part = offset..run.1.len().min(offset + remaining);
+            remaining -= part.len();
+            score_block(
+                compiled, external, self.local, self.shard, run, part, scorer,
+            );
+            block += 1;
+            offset = 0;
+        }
     }
 }
 
@@ -477,37 +442,30 @@ impl<'a> TaskQueue<'a> {
 fn score_stealing(
     compiled: &CompiledComparator<'_>,
     external: &RecordStore,
-    queues: &[TaskQueue<'_>],
+    local: LocalShards<'_>,
+    runs: &CandidateRuns,
+    first: usize,
     threads: usize,
 ) -> LinkResult<(Vec<ScoredPair>, Vec<ScoredPair>)> {
+    let queues: Vec<TaskQueue<'_>> = (first..local.shard_count())
+        .map(|shard| TaskQueue::new(runs, external, local, shard))
+        .collect();
+    let queues = &queues;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
                 scope.spawn(move || {
                     catch_unwind(AssertUnwindSafe(|| {
-                        let mut matches = Vec::new();
-                        let mut possible = Vec::new();
-                        // Each worker owns one scratch and one left-side
-                        // hoist for its whole run: every pair it scores
-                        // reuses the same buffers.
-                        let mut scratch = SimScratch::new();
-                        let mut hoist = LeftHoist::new();
+                        // One scorer for the worker's whole run: every
+                        // pair it scores reuses the same buffers.
+                        let mut scorer = Scorer::default();
                         for hop in 0..queues.len() {
                             let queue = &queues[(worker + hop) % queues.len()];
-                            while let Some(range) = queue.claim() {
-                                score_range(
-                                    compiled,
-                                    queue,
-                                    range,
-                                    external,
-                                    &mut scratch,
-                                    &mut hoist,
-                                    &mut matches,
-                                    &mut possible,
-                                );
+                            while let Some(claim) = queue.claim() {
+                                queue.score_claim(compiled, claim, external, &mut scorer);
                             }
                         }
-                        (matches, possible)
+                        (scorer.matches, scorer.possible)
                     }))
                 })
             })
@@ -548,123 +506,90 @@ fn score_stealing(
     })
 }
 
-/// Score the comparisons `range` of one queue (a claimed slice of its
-/// comparison-count space), keeping index pairs only (the local side
-/// offset back to global ids).
-///
-/// The range is mapped to blocks through the queue's prefix sum; each
-/// overlapped block **hoists its external record once**
-/// ([`CompiledComparator::hoist_left`] — the left side of a block is
-/// constant by construction) and decodes its local run straight off the
-/// span/key-table/explicit encoding. The legacy per-pair bounds check
-/// is gone: the queue validated every block once at construction, so
-/// the decode loop carries only `debug_assert!`s (an invalid queue —
-/// impossible through the built-in blockers — falls back to a cold
-/// per-pair-checked path preserving the old skip semantics). Runs on
-/// the detail-free [`CompiledComparator::score_hoisted`] path: the only
-/// allocations are the (amortised) pushes of surviving pairs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_range<'e>(
+/// Score every candidate block the sink holds for `shard`, in emission
+/// order, keeping index pairs only (the local side offset back to global
+/// ids) — the whole comparison phase of a serial run and of a
+/// serving-layer probe ([`crate::serve`]), which is what makes probe
+/// results bit-identical to batch results by construction. Panics when
+/// the sink was not reset for these stores: the ids it checked on the
+/// way in are only known to index *them*.
+pub(crate) fn score_shard<'e>(
     compiled: &CompiledComparator<'_>,
-    queue: &TaskQueue<'_>,
-    range: std::ops::Range<u64>,
+    runs: &CandidateRuns,
     external: &'e RecordStore,
-    scratch: &mut SimScratch,
-    hoist: &mut LeftHoist<'e>,
-    matches: &mut Vec<ScoredPair>,
-    possible: &mut Vec<ScoredPair>,
+    local: LocalShards<'_>,
+    shard: usize,
+    scorer: &mut Scorer<'e>,
 ) {
     fail::fail_point!("pipeline::score_range");
-    if range.is_empty() {
-        return;
-    }
-    // The block containing the range's first comparison, and the offset
-    // of that comparison within it.
-    let mut block_index = queue.prefix.partition_point(|&p| p <= range.start) - 1;
-    let mut offset = (range.start - queue.prefix[block_index]) as usize;
-    let mut remaining = range.end - range.start;
-    while remaining > 0 {
-        let block = &queue.blocks[block_index];
-        let take = ((block.len() - offset) as u64).min(remaining) as usize;
-        let e = block.external();
-        if queue.valid {
-            compiled.hoist_left(external, e, hoist);
-            // The decoded loop carries no per-pair check or dispatch:
-            // the run is matched once, and the block was validated when
-            // the queue was built.
-            match queue.local_run(block) {
-                LocalRun::Span { start, .. } => {
-                    for l in start + offset..start + offset + take {
-                        debug_assert!(l < queue.store.len(), "validated span out of range");
-                        score_one(
-                            compiled, hoist, external, queue, e, l, scratch, matches, possible,
-                        );
-                    }
-                }
-                LocalRun::Keyed(ids) | LocalRun::Explicit(ids) => {
-                    for &l in &ids[offset..offset + take] {
-                        let l = l as usize;
-                        debug_assert!(l < queue.store.len(), "validated run out of range");
-                        score_one(
-                            compiled, hoist, external, queue, e, l, scratch, matches, possible,
-                        );
-                    }
-                }
-            }
-        } else if e < external.len() && block.decodable(queue.locals.len(), queue.table.len()) {
-            // Cold path (externally built sinks only): per-pair checked,
-            // skipping out-of-range ids like the legacy scheduler did.
-            compiled.hoist_left(external, e, hoist);
-            let run = queue.local_run(block);
-            for i in offset..offset + take {
-                let l = run.get(i);
-                if l >= queue.store.len() {
-                    continue;
-                }
-                score_one(
-                    compiled, hoist, external, queue, e, l, scratch, matches, possible,
-                );
-            }
-        }
-        remaining -= take as u64;
-        block_index += 1;
-        offset = 0;
+    runs.assert_reset_for(external.len(), shard, local.shard(shard).len());
+    for block in 0..runs.blocks(shard).len() {
+        let run = runs.run(shard, block);
+        score_block(
+            compiled,
+            external,
+            local,
+            shard,
+            run,
+            0..run.1.len(),
+            scorer,
+        );
     }
 }
 
-/// Score one decoded candidate and bucket it by decision (the shared
-/// per-pair tail of [`score_range`]'s hot and cold loops).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn score_one(
+/// Score the locals `part` of one decoded candidate block — external
+/// record `e` against a run of `shard` — the one loop over a block,
+/// reached by serial runs, stealing workers and probes alike. The
+/// external record is **hoisted once** ([`CompiledComparator::hoist_left`]
+/// — the left side of a block is constant by construction) and the
+/// locals are read straight off the span or id-slice encoding, with no
+/// per-pair bounds check: the sink asserted every id against the stores
+/// it was reset for, and the caller that those are these stores. Runs on
+/// the detail-free [`CompiledComparator::score_hoisted`] path: the only
+/// allocations are the (amortised) pushes of surviving pairs.
+#[inline]
+fn score_block<'e>(
     compiled: &CompiledComparator<'_>,
-    hoist: &LeftHoist<'_>,
-    external: &RecordStore,
-    queue: &TaskQueue<'_>,
-    e: usize,
-    l: usize,
-    scratch: &mut SimScratch,
-    matches: &mut Vec<ScoredPair>,
-    possible: &mut Vec<ScoredPair>,
+    external: &'e RecordStore,
+    local: LocalShards<'_>,
+    shard: usize,
+    (e, run): (usize, LocalRun<'_>),
+    part: std::ops::Range<usize>,
+    scorer: &mut Scorer<'e>,
 ) {
-    let (score, decision) = compiled.score_hoisted(hoist, external, queue.store, l, scratch);
-    match decision {
-        MatchDecision::Match => matches.push((e, queue.base + l, score)),
-        MatchDecision::Possible => possible.push((e, queue.base + l, score)),
-        MatchDecision::NonMatch => {}
+    let (store, base) = (local.shard(shard), local.offset(shard));
+    compiled.hoist_left(external, e, &mut scorer.hoist);
+    let mut decide = |l: usize| {
+        let scored = compiled.score_hoisted(&scorer.hoist, external, store, l, &mut scorer.scratch);
+        match scored {
+            (score, MatchDecision::Match) => scorer.matches.push((e, base + l, score)),
+            (score, MatchDecision::Possible) => scorer.possible.push((e, base + l, score)),
+            (_, MatchDecision::NonMatch) => {}
+        }
+    };
+    match run {
+        LocalRun::Span { start, .. } => (start + part.start..start + part.end).for_each(decide),
+        LocalRun::Keyed(ids) | LocalRun::Explicit(ids) => {
+            ids[part].iter().for_each(|&l| decide(l as usize))
+        }
     }
 }
 
-/// Clone terms only for the pairs that became links.
-fn materialise(pairs: &[ScoredPair], external: &RecordStore, local: LocalShards<'_>) -> Vec<Link> {
-    pairs
-        .iter()
-        .map(|&(e, l, score)| Link {
-            external: external.id(e).clone(),
-            local: local.id(l).clone(),
-            score,
-        })
-        .collect()
+/// Clone terms only for the pairs that became links, into `out` (cleared
+/// first, capacity kept — so a warm probe's only allocations are the
+/// `Term` clones of each link).
+pub(crate) fn materialise_into(
+    out: &mut Vec<Link>,
+    pairs: &[ScoredPair],
+    external: &RecordStore,
+    local: LocalShards<'_>,
+) {
+    out.clear();
+    out.extend(pairs.iter().map(|&(e, l, score)| Link {
+        external: external.id(e).clone(),
+        local: local.id(l).clone(),
+        score,
+    }));
 }
 
 #[cfg(test)]
@@ -673,6 +598,8 @@ mod tests {
     use crate::blocking::test_support::*;
     use crate::blocking::{BlockingKey, CartesianBlocker, StandardBlocker};
     use crate::record::Record;
+    use crate::serve::{Linker, ProbeScratch};
+    use crate::shard::ShardedStore;
     use crate::similarity::SimilarityMeasure;
 
     fn comparator() -> RecordComparator {
@@ -824,5 +751,80 @@ mod tests {
         assert_eq!(result.comparisons, 0);
         assert!(result.matches.is_empty());
         assert_eq!(result.reduction_ratio, 0.0);
+    }
+
+    /// Resets the sink correctly, then pushes one thing it cannot index.
+    struct Faulty(&'static str);
+
+    impl Blocker for Faulty {
+        fn name(&self) -> &'static str {
+            "faulty"
+        }
+
+        fn stream_candidates(
+            &self,
+            external: &RecordStore,
+            local: LocalShards<'_>,
+            out: &mut CandidateRuns,
+        ) {
+            out.reset(external.len(), local);
+            let shard = local.shard(0);
+            let side = BlockingKey::per_side(EXT_PN, LOC_PN, 4).local_side(shard);
+            match self.0 {
+                "external id" => out.push(0, external.len(), 0),
+                "local id" => out.push(0, 0, shard.len()),
+                "span" => out.push_span(0, 0, 1, shard.len()),
+                "keyed range" => {
+                    out.set_key_table(0, shard.key_index(&side));
+                    out.push_keyed(0, 0, 1, shard.len());
+                }
+                _ => out.set_key_table(0, external.key_index(&side)),
+            }
+        }
+    }
+
+    #[test]
+    fn the_sink_refuses_what_it_cannot_index() {
+        let (external, local) = small_dataset();
+        let probe = external[0].clone();
+        let external = RecordStore::from_records(&external);
+        // Shards of 3 and 2 records: a key table of the external store
+        // (4) or of a probe store (1) fits neither.
+        let local = ShardedStore::from_records(&local, 2);
+        let cmp = comparator();
+        let standard = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
+        let clean = LinkagePipeline::new(&standard, &cmp);
+        let clean_linker = Linker::new(&standard, &cmp, local.clone());
+        let baseline = clean.run_sharded(&external, &local);
+        assert_eq!(baseline.matches.len(), 4);
+
+        let mut scratch = ProbeScratch::new();
+        for row in [
+            "external id",
+            "local id",
+            "span",
+            "keyed range",
+            "key table",
+        ] {
+            let faulty = Faulty(row);
+            let run = LinkagePipeline::new(&faulty, &cmp).try_run_sharded(&external, &local);
+            assert!(
+                matches!(&run, Err(LinkError::BlockingPanicked { blocker, .. }) if blocker == "faulty"),
+                "{row}: {run:?}"
+            );
+            assert_eq!(clean.run_sharded(&external, &local), baseline, "{row}");
+
+            let linker = Linker::new(&faulty, &cmp, local.clone());
+            let probed = linker.try_probe_with(&probe, &mut scratch).map(|_| ());
+            assert!(
+                matches!(probed, Err(LinkError::ProbePanicked { .. })),
+                "{row}: {probed:?}"
+            );
+            // The probe is external record 0, whose links lead the run's.
+            let healed = clean_linker.probe_with(&probe, &mut scratch);
+            assert_eq!(healed.matches, baseline.matches[..1], "{row}");
+            let possible = baseline.possible.iter().filter(|l| l.external == probe.id);
+            assert!(healed.possible.iter().eq(possible), "{row}");
+        }
     }
 }

@@ -9,7 +9,6 @@
 //! construct and inspect one item at a time. The blockers and the
 //! comparison engine run on the interned, columnar
 //! [`RecordStore`](crate::store::RecordStore); convert a batch with
-//! [`Record::into_store`](crate::store) or
 //! [`RecordStore::from_records`](crate::store::RecordStore::from_records)
 //! and see [`crate::store`] for the layout.
 

@@ -33,27 +33,26 @@
 //! * **The batch code path, verbatim.** A probe wraps the record in a
 //!   one-record external store (refilled **in place**, see
 //!   [`RecordStore`] internals), streams the epoch's blockers into the
-//!   caller's [`CandidateRuns`] sink, and scores through the *same*
-//!   [`TaskQueue`](crate::pipeline) + `score_range` code the batch
-//!   pipeline runs — which is what makes probe scores bit-identical to
-//!   `run_sharded` by construction
+//!   caller's [`CandidateRuns`] sink, and scores each shard's blocks
+//!   with the *same* `score_shard` call (in [`crate::pipeline`]) a
+//!   serial batch run makes — which is what makes probe scores
+//!   bit-identical to `run_sharded` by construction
 //!   (`crates/linking/tests/probe_equivalence.rs` pins it).
 //! * **Allocation-free warm probes.** All per-probe state lives in a
-//!   caller-owned [`ProbeScratch`] (probe store, sink, similarity
-//!   scratch, recycled [`LeftHoist`], result buffers); a warm
+//!   caller-owned [`ProbeScratch`] (probe store, sink, the recycled
+//!   scoring working set, result buffers); a warm
 //!   [`Linker::probe_with`] performs zero heap allocations until links
 //!   materialise their [`Term`](classilink_rdf::Term)s
 //!   (`crates/linking/tests/zero_alloc.rs` pins it).
 
 use crate::blocking::{Blocker, CandidateRuns};
-use crate::comparator::{CompiledComparator, LeftHoist, RecordComparator};
+use crate::comparator::{CompiledComparator, RecordComparator};
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::SchemaInterner;
 use crate::persist::{CatalogSnapshot, RecoveryReport, SnapshotReceipt};
-use crate::pipeline::{score_range, Link, ScoredPair, TaskQueue};
+use crate::pipeline::{materialise_into, score_shard, Link, Scorer};
 use crate::record::Record;
-use crate::shard::{ShardedStore, ShardedStoreBuilder};
-use crate::similarity::SimScratch;
+use crate::shard::{LocalShards, ShardedStore, ShardedStoreBuilder};
 use crate::store::RecordStore;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -178,7 +177,8 @@ impl<'a> Linker<'a> {
         for rule in &comparator.rules {
             probe_schema.intern(&rule.left_property);
         }
-        let epoch = build_epoch(blocker, comparator, &probe_schema, catalog, 1);
+        let epoch = try_build_epoch(blocker, comparator, &probe_schema, catalog, 1)
+            .unwrap_or_else(|e| panic!("{e}"));
         Linker {
             blocker,
             comparator,
@@ -321,13 +321,9 @@ impl<'a> Linker<'a> {
             let compiled = self
                 .comparator
                 .compile_schemas(&self.probe_schema.snapshot(), appended.schema());
-            if compiled.uses_token_index() {
-                // Old shards' token indexes are cached in the shared
-                // `Arc`s; only the appended shards build here.
-                for shard in &appended.shards()[first_new..] {
-                    shard.token_index();
-                }
-            }
+            // Old shards' token indexes are cached in the shared `Arc`s;
+            // only the appended shards build here.
+            compiled.warm_token_indexes(LocalShards::from(&appended).iter().skip(first_new));
             fail::fail_point!("serve::warm_append");
             // Warm each appended shard as a single-shard view: every
             // built-in warm only reads the schema (each shard's own
@@ -398,57 +394,34 @@ impl<'a> Linker<'a> {
         // One consistent epoch end-to-end: blocking, scoring and link
         // materialisation all read this Arc, regardless of swaps.
         let epoch = self.catalog.load();
-        let store = epoch.store();
+        let store = LocalShards::from(epoch.store());
         self.blocker
-            .stream_candidates(&scratch.store, store.into(), &mut scratch.runs);
-        scratch.matches.clear();
-        scratch.possible.clear();
-        let mut hoist = std::mem::take(&mut scratch.hoist).recycle();
+            .stream_candidates(&scratch.store, store, &mut scratch.runs);
+        let mut scorer = std::mem::take(&mut scratch.scorer).recycle();
         for shard in 0..store.shard_count() {
-            // The batch scheduler's queue + range scorer, over the full
-            // range of each shard's streamed blocks — the same
-            // validation, decoding, hoisting and scoring code the batch
-            // pipeline runs, hence bit-identical scores.
-            let queue = TaskQueue::with_prefix(
-                store.shard(shard),
-                store.offset(shard),
-                &scratch.runs,
-                shard,
-                scratch.store.len(),
-                std::mem::take(&mut scratch.prefix),
-            );
-            score_range(
+            // The serial batch pipeline's call, shard by shard — the same
+            // decoding, hoisting and scoring code, hence bit-identical
+            // scores.
+            score_shard(
                 &epoch.compiled,
-                &queue,
-                0..queue.total(),
+                &scratch.runs,
                 &scratch.store,
-                &mut scratch.sim,
-                &mut hoist,
-                &mut scratch.matches,
-                &mut scratch.possible,
+                store,
+                shard,
+                &mut scorer,
             );
-            scratch.prefix = queue.into_prefix();
         }
-        scratch.hoist = hoist.recycle();
         // Shards stream in order but a shard's blocks follow emission
         // order; global-id sorting makes the output canonical (the
         // batch pipeline sorts the same way).
-        scratch.matches.sort_unstable_by_key(|pair| pair.1);
-        scratch.possible.sort_unstable_by_key(|pair| pair.1);
-        scratch.hits.epoch = epoch.sequence;
-        scratch.hits.comparisons = scratch.runs.total();
-        materialise_into(
-            &mut scratch.hits.matches,
-            &scratch.matches,
-            &scratch.store,
-            store,
-        );
-        materialise_into(
-            &mut scratch.hits.possible,
-            &scratch.possible,
-            &scratch.store,
-            store,
-        );
+        scorer.matches.sort_unstable_by_key(|pair| pair.1);
+        scorer.possible.sort_unstable_by_key(|pair| pair.1);
+        let hits = &mut scratch.hits;
+        hits.epoch = epoch.sequence;
+        hits.comparisons = scratch.runs.total();
+        materialise_into(&mut hits.matches, &scorer.matches, &scratch.store, store);
+        materialise_into(&mut hits.possible, &scorer.possible, &scratch.store, store);
+        scratch.scorer = scorer.recycle();
     }
 
     /// Probe with a per-thread scratch: the links of `record` against
@@ -466,23 +439,10 @@ impl<'a> Linker<'a> {
     }
 }
 
-/// Compile, warm and assemble one epoch (shared by [`Linker::new`] and
-/// [`Linker::swap`]; always outside the catalog lock). Panics on a
-/// contained fault; [`Linker::try_swap`] goes through
-/// [`try_build_epoch`] directly.
-fn build_epoch<'a>(
-    blocker: &(dyn Blocker + Sync),
-    comparator: &'a RecordComparator,
-    probe_schema: &SchemaInterner,
-    store: ShardedStore,
-    sequence: u64,
-) -> CatalogEpoch<'a> {
-    try_build_epoch(blocker, comparator, probe_schema, store, sequence)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The epoch-build failure domain body: compile the comparator, build
-/// every token index the kernels read, warm the blocker's artifacts.
+/// The epoch-build failure domain body (shared by [`Linker::new`] and
+/// [`Linker::try_swap`]; always outside the catalog lock): compile the
+/// comparator, build every token index the kernels read, warm the
+/// blocker's artifacts.
 /// The `serve::build_epoch` failpoint can inject a structured error
 /// (`return` action) or a panic at the domain entry; `serve::warm`
 /// covers a fault inside the blocker's own warm-up.
@@ -497,11 +457,7 @@ fn try_build_epoch<'a>(
         LinkError::injected("serve::build_epoch", arg)
     ));
     let compiled = comparator.compile_schemas(&probe_schema.snapshot(), store.schema());
-    if compiled.uses_token_index() {
-        for shard in store.shards() {
-            shard.token_index();
-        }
-    }
+    compiled.warm_token_indexes(LocalShards::from(&store).iter());
     fail::fail_point!("serve::warm");
     blocker.warm((&store).into());
     Ok(CatalogEpoch {
@@ -538,18 +494,10 @@ pub struct ProbeScratch {
     store: RecordStore,
     /// The streaming blocking sink.
     runs: CandidateRuns,
-    /// Similarity kernel scratch.
-    sim: SimScratch,
-    /// The recycled left-side hoist (parked with an erased lifetime
-    /// between probes; see [`LeftHoist::recycle`]).
-    hoist: LeftHoist<'static>,
-    /// The task queues' comparison-count prefix buffer (recovered from
-    /// each shard's queue after scoring; see [`TaskQueue::with_prefix`]).
-    prefix: Vec<u64>,
-    /// Scored matches as `(0, global id, score)`, pre-materialisation.
-    matches: Vec<ScoredPair>,
-    /// Scored possible matches, pre-materialisation.
-    possible: Vec<ScoredPair>,
+    /// The scoring working set — similarity scratch, left hoist, scored
+    /// pairs as `(0, global id, score)` — parked with an erased lifetime
+    /// between probes (see `LeftHoist::recycle`).
+    scorer: Scorer<'static>,
     /// The materialised result the caller reads.
     hits: ProbeHits,
 }
@@ -559,20 +507,4 @@ impl ProbeScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Clear-and-refill link materialisation: `out` keeps its capacity, so
-/// a warm probe's only allocations are the `Term` clones of each link.
-fn materialise_into(
-    out: &mut Vec<Link>,
-    pairs: &[ScoredPair],
-    probe: &RecordStore,
-    catalog: &ShardedStore,
-) {
-    out.clear();
-    out.extend(pairs.iter().map(|&(e, l, score)| Link {
-        external: probe.id(e).clone(),
-        local: catalog.id(l).clone(),
-        score,
-    }));
 }

@@ -20,7 +20,7 @@
 //!   and is valid against every shard (and against sibling stores of the
 //!   same scenario batch).
 //! * **No routing on the hot path.** Blockers **stream** per-shard runs
-//!   of shard-local pairs directly into the work-stealing task queues
+//!   of shard-local pairs into the sink the comparison phase scores from
 //!   (see
 //!   [`Blocker::stream_candidates`](crate::blocking::Blocker::stream_candidates)
 //!   and
@@ -113,17 +113,7 @@ impl ShardedStore {
         shard_count: usize,
         schema: SchemaInterner,
     ) -> Self {
-        let shard_count = shard_count.max(1);
-        let chunk = records.len().div_ceil(shard_count).max(1);
-        let mut builder = Self::builder_with_schema(schema);
-        for shard in records.chunks(chunk) {
-            builder.begin_shard();
-            for record in shard {
-                builder.push(record);
-            }
-        }
-        builder.pad_to(shard_count);
-        builder.build()
+        Self::split(records, shard_count, schema, ShardedStoreBuilder::push)
     }
 
     /// Shard every subject of an RDF graph, one record per subject (the
@@ -139,14 +129,28 @@ impl ShardedStore {
         shard_count: usize,
         schema: SchemaInterner,
     ) -> Self {
-        let subjects = graph.subjects();
+        let push = |builder: &mut ShardedStoreBuilder, subject: &Term| {
+            builder.push_subject(graph, subject)
+        };
+        Self::split(&graph.subjects(), shard_count, schema, push)
+    }
+
+    /// The contiguous split behind every `from_*` constructor: `items`
+    /// go, in order and through `push`, into `shard_count` shards of
+    /// `⌈items / shard_count⌉` records, padded with empty shards.
+    fn split<T>(
+        items: &[T],
+        shard_count: usize,
+        schema: SchemaInterner,
+        mut push: impl FnMut(&mut ShardedStoreBuilder, &T) -> usize,
+    ) -> Self {
         let shard_count = shard_count.max(1);
-        let chunk = subjects.len().div_ceil(shard_count).max(1);
+        let chunk = items.len().div_ceil(shard_count).max(1);
         let mut builder = Self::builder_with_schema(schema);
-        for shard in subjects.chunks(chunk) {
+        for shard in items.chunks(chunk) {
             builder.begin_shard();
-            for subject in shard {
-                builder.push_subject(graph, subject);
+            for item in shard {
+                push(&mut builder, item);
             }
         }
         builder.pad_to(shard_count);
@@ -200,8 +204,7 @@ impl ShardedStore {
     /// Map a global record id to `(shard, shard-local id)`.
     ///
     /// Ids at or beyond [`len`](Self::len) are mapped to the last shard
-    /// with an out-of-range local id (the comparison phase skips them,
-    /// mirroring the single-store pipeline's bounds check).
+    /// with an out-of-range local id.
     pub fn locate(&self, global: usize) -> (usize, usize) {
         let shard = self
             .offsets
@@ -229,19 +232,6 @@ impl ShardedStore {
             .iter()
             .zip(&self.offsets)
             .find_map(|(shard, offset)| Some(offset + shard.index_of(id)?))
-    }
-
-    /// Concatenate the shards back into one monolithic store (global ids
-    /// become plain indexes). Mostly useful for tests and for feeding
-    /// APIs that predate sharding; costs a full re-columnarisation.
-    pub fn to_store(&self) -> RecordStore {
-        let mut builder = RecordStore::builder();
-        for shard in &self.shards {
-            for record in shard.to_records() {
-                builder.push(&record);
-            }
-        }
-        builder.build()
     }
 
     /// A catalog of already-built shards — the builder's and the snapshot
@@ -471,21 +461,29 @@ impl ShardedStoreBuilder {
             .expect("begin_shard pushed a builder")
     }
 
-    /// Append one [`Record`] to the current shard; returns its global id.
-    pub fn push(&mut self, record: &Record) -> usize {
-        self.current().push(record);
+    /// Open the next record in the current shard (see
+    /// [`RecordStoreBuilder::begin_record`]); returns its global id.
+    pub fn begin_record(&mut self, id: Term) -> usize {
+        self.current().begin_record(id);
         self.record_count += 1;
         self.record_count - 1
     }
 
-    /// Append one record from borrowed facts (see
-    /// [`RecordStoreBuilder::push_record`]); returns its global id.
-    pub fn push_record<'f, I, F>(&mut self, id: Term, facts: F) -> usize
-    where
-        I: Iterator<Item = (&'f str, &'f str)>,
-        F: FnOnce() -> I,
-    {
-        self.current().push_record(id, facts);
+    /// Append one value of `property` to the record opened last (see
+    /// [`RecordStoreBuilder::push_value`]). Panics when the current shard
+    /// has no record yet.
+    pub fn push_value(&mut self, property: &str, value: &str) {
+        self.current().push_value(property, value);
+    }
+
+    /// The id of the record opened last in the current shard.
+    pub(crate) fn last_id(&self) -> Option<&Term> {
+        self.shards.last()?.last_id()
+    }
+
+    /// Append one [`Record`] to the current shard; returns its global id.
+    pub fn push(&mut self, record: &Record) -> usize {
+        self.current().push(record);
         self.record_count += 1;
         self.record_count - 1
     }
@@ -660,7 +658,8 @@ mod tests {
         for global in 0..single.len() {
             assert_eq!(sharded.id(global), single.id(global));
         }
-        assert_eq!(sharded.to_store().to_records(), single.to_records());
+        let sharded_records = sharded.shards().iter().flat_map(|s| s.to_records());
+        assert_eq!(sharded_records.collect::<Vec<_>>(), single.to_records());
     }
 
     #[test]
@@ -670,9 +669,8 @@ mod tests {
         let first = builder.push(&records(1)[0]);
         assert_eq!(first, 0);
         builder.begin_shard();
-        let second = builder.push_record(Term::iri("http://e.org/item/x"), || {
-            [(PN, "PN-X")].into_iter()
-        });
+        let second = builder.begin_record(Term::iri("http://e.org/item/x"));
+        builder.push_value(PN, "PN-X");
         assert_eq!(second, 1);
         assert_eq!(builder.len(), 2);
         let store = builder.build();
@@ -779,9 +777,9 @@ mod tests {
     fn appended_schema_extends_the_base_prefix() {
         let base = ShardedStore::from_records(&records(4), 2);
         let mut delta = base.delta_builder();
-        delta.push_record(Term::iri("http://e.org/item/new"), || {
-            [(PN, "PN-NEW"), ("http://e.org/v#colour", "red")].into_iter()
-        });
+        delta.begin_record(Term::iri("http://e.org/item/new"));
+        delta.push_value(PN, "PN-NEW");
+        delta.push_value("http://e.org/v#colour", "red");
         let appended = base.append_shards(delta);
         // Old ids survive verbatim; the new property extends the table.
         assert_eq!(appended.property(PN), base.property(PN));
@@ -807,9 +805,9 @@ mod tests {
         // A fresh schema interning an unrelated property at id 0: the
         // ids disagree with the base table, so this is no continuation.
         let mut delta = ShardedStore::builder();
-        delta.push_record(Term::iri("http://e.org/item/f"), || {
-            [("http://e.org/v#colour", "red"), (PN, "PN-F")].into_iter()
-        });
+        delta.begin_record(Term::iri("http://e.org/item/f"));
+        delta.push_value("http://e.org/v#colour", "red");
+        delta.push_value(PN, "PN-F");
         base.append_shards(delta);
     }
 

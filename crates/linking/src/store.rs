@@ -21,8 +21,8 @@
 //!   use, ignored by equality, never persisted (see `Derived`).
 //!
 //! Stores are immutable once built. Build one with
-//! [`RecordStore::from_records`], [`Record::into_store`], or directly
-//! from an RDF graph with [`RecordStore::from_graph`]. Stores built
+//! [`RecordStore::from_records`], or directly from an RDF graph with
+//! [`RecordStore::from_graph`]. Stores built
 //! standalone intern independently: resolve an IRI against each store
 //! (once, at construction of a blocker or comparator) with
 //! [`RecordStore::property`], and never reuse an id across stores.
@@ -32,7 +32,7 @@
 //! [`crate::shard`]) assign identical ids, so one resolution serves every
 //! store of the batch.
 
-use crate::blocking::key::{KeyRecipe, KeySide};
+use crate::blocking::key::KeySide;
 use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
 use crate::token_index::{KeyIndex, TokenIndex};
@@ -142,8 +142,9 @@ struct Derived {
     token_index: OnceLock<TokenIndex>,
     /// See [`RecordStore::full_token_index`].
     full_token_index: OnceLock<TokenIndex>,
-    /// One [`KeyIndex`] per key recipe (see [`RecordStore::key_index`]).
-    key_indexes: Mutex<HashMap<KeyRecipe, Arc<KeyIndex>>>,
+    /// One [`KeyIndex`] per resolved key side (see
+    /// [`RecordStore::key_index`]).
+    key_indexes: Mutex<HashMap<KeySide, Arc<KeyIndex>>>,
 }
 
 impl Derived {
@@ -151,7 +152,7 @@ impl Derived {
     /// memo. If a build panicked under the lock (`or_insert_with`
     /// inserts only on success), it still holds only completed indexes —
     /// keep serving and rebuild on demand instead of cascading.
-    fn key_indexes(&self) -> MutexGuard<'_, HashMap<KeyRecipe, Arc<KeyIndex>>> {
+    fn key_indexes(&self) -> MutexGuard<'_, HashMap<KeySide, Arc<KeyIndex>>> {
         self.key_indexes
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -164,11 +165,10 @@ impl Derived {
     /// held across refills forces a fresh build instead).
     fn reset(&mut self, store: &RecordStore) {
         let mut key_indexes = std::mem::take(&mut *self.key_indexes());
-        for (recipe, index) in &mut key_indexes {
-            let side = KeySide::from_recipe(*recipe);
+        for (side, index) in &mut key_indexes {
             match Arc::get_mut(index) {
-                Some(index) => index.rebuild(store, &side),
-                None => *index = Arc::new(KeyIndex::build(store, &side)),
+                Some(index) => index.rebuild(store, side),
+                None => *index = Arc::new(KeyIndex::build(store, side)),
             }
         }
         *self = Derived {
@@ -372,7 +372,7 @@ impl RecordStore {
     pub fn key_index(&self, side: &KeySide) -> Arc<KeyIndex> {
         self.derived
             .key_indexes()
-            .entry(side.recipe())
+            .entry(*side)
             .or_insert_with(|| Arc::new(KeyIndex::build(self, side)))
             .clone()
     }
@@ -738,48 +738,57 @@ pub struct RecordStoreBuilder {
 }
 
 impl RecordStoreBuilder {
-    /// Append one record given a closure producing its `(property IRI,
-    /// value)` facts. The closure form lets callers feed borrowed facts
-    /// without building an intermediate `Vec`.
-    pub fn push_record<'f, I, F>(&mut self, id: Term, facts: F) -> usize
-    where
-        I: Iterator<Item = (&'f str, &'f str)>,
-        F: FnOnce() -> I,
-    {
+    /// Open the next record; the values pushed until the next call are
+    /// its own. Returns its index.
+    pub fn begin_record(&mut self, id: Term) -> usize {
         let record = self.ids.len();
         assert!(u32::try_from(record).is_ok(), "more than u32::MAX records");
         self.ids.push(id);
-        for (property, value) in facts() {
-            let pid = self.schema.intern(property);
-            column_mut(&mut self.columns, pid).push(record, value);
-        }
         record
+    }
+
+    /// Append one value of `property` to the record opened last, straight
+    /// into its column. Panics when no record has been opened.
+    pub fn push_value(&mut self, property: &str, value: &str) {
+        let record = self.ids.len().checked_sub(1).expect("no record is open");
+        let pid = self.schema.intern(property);
+        column_mut(&mut self.columns, pid).push(record, value);
+    }
+
+    /// The id of the record opened last.
+    pub(crate) fn last_id(&self) -> Option<&Term> {
+        self.ids.last()
     }
 
     /// Append one [`Record`].
     pub fn push(&mut self, record: &Record) -> usize {
-        self.push_record(record.id.clone(), || {
-            record
-                .attributes
-                .iter()
-                .flat_map(|(p, vs)| vs.iter().map(move |v| (p.as_str(), v.as_str())))
-        })
+        let index = self.begin_record(record.id.clone());
+        for (property, values) in &record.attributes {
+            for value in values {
+                self.push_value(property, value);
+            }
+        }
+        index
     }
 
-    /// Append the record of one graph subject: its literal-valued triples
-    /// become the record's facts (via the shared subject-grouping
-    /// adapter, [`SubjectGrouper`](crate::ingest::SubjectGrouper)).
+    /// Append the record of one graph subject: its IRI-predicate,
+    /// literal-object triples become the record's values (a subject
+    /// without any is an attribute-less record).
     pub fn push_subject(&mut self, graph: &Graph, subject: &Term) -> usize {
-        let mut grouper = crate::ingest::SubjectGrouper::new();
-        grouper.push_subject(self, graph, subject);
-        grouper
-            .flush(self)
-            .expect("push_subject began exactly one record")
+        let index = self.begin_record(subject.clone());
+        for triple in graph.triples_matching(Some(subject), None, None) {
+            if let (Some(p), Some(lit)) = (triple.predicate.as_iri(), triple.object.as_literal()) {
+                self.push_value(p, &lit.value);
+            }
+        }
+        index
     }
 
     /// Append one record per subject of `graph`, in subject order.
     pub fn push_graph(&mut self, graph: &Graph) {
-        crate::ingest::columnarise_graph(graph, self);
+        for subject in graph.subjects() {
+            self.push_subject(graph, &subject);
+        }
     }
 
     /// Number of records pushed so far.
@@ -821,24 +830,6 @@ impl RecordStoreBuilder {
             columns: self.columns,
             derived: Derived::default(),
         }
-    }
-}
-
-impl Record {
-    /// Consume a batch of records into a columnar store (the mechanical
-    /// migration path for call sites that used to pass `&[Record]`).
-    pub fn into_store(records: Vec<Record>) -> RecordStore {
-        RecordStore::from_records(&records)
-    }
-}
-
-impl FromIterator<Record> for RecordStore {
-    fn from_iter<I: IntoIterator<Item = Record>>(iter: I) -> Self {
-        let mut builder = RecordStore::builder();
-        for record in iter {
-            builder.push(&record);
-        }
-        builder.build()
     }
 }
 
@@ -890,7 +881,8 @@ mod tests {
         // A repeated id answers with its last record: 300 records over
         // 100 ids, so every hit scans an equal-hash run of the index.
         let id = |i: usize| Term::iri(format!("http://e.org/p{i}"));
-        let store: RecordStore = (0..300).map(|i| Record::new(id(i % 100))).collect();
+        let records: Vec<Record> = (0..300).map(|i| Record::new(id(i % 100))).collect();
+        let store = RecordStore::from_records(&records);
         for i in 0..100 {
             assert_eq!(store.index_of(&id(i)), Some(200 + i));
         }
@@ -1003,16 +995,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_borrowed_facts() {
+    fn builder_takes_values_as_they_arrive() {
         let mut builder = RecordStore::builder();
-        let idx = builder.push_record(Term::iri("http://e.org/x"), || {
-            [(PN, "a"), (PN, "b")].into_iter()
-        });
-        assert_eq!(idx, 0);
+        assert_eq!(builder.begin_record(Term::iri("http://e.org/x")), 0);
+        builder.push_value(PN, "a");
+        builder.push_value(PN, "b");
+        assert_eq!(builder.begin_record(Term::iri("http://e.org/y")), 1);
         let store = builder.build();
         let pn = store.property(PN).unwrap();
         let values: Vec<&str> = store.values(0, pn).collect();
         assert_eq!(values, vec!["a", "b"]);
+        assert_eq!(store.value_count(1), 0);
     }
 
     #[test]
@@ -1124,14 +1117,6 @@ mod tests {
         let side = key.external_side(&store);
         assert_eq!(held.key(0), "x1");
         assert_eq!(store.key_index(&side).key(0), "crcw");
-    }
-
-    #[test]
-    fn collected_from_iterator() {
-        let store: RecordStore = sample_records().into_iter().collect();
-        assert_eq!(store.len(), 3);
-        let moved = Record::into_store(sample_records());
-        assert_eq!(moved, store);
     }
 
     mod properties {

@@ -757,8 +757,13 @@ mod local_run_decode {
             shards in 1usize..5,
             seeds in proptest::collection::vec(0u64..u64::MAX, 1..64),
         ) {
+            // 24 externals × `shards` shards of 24 records: the bounds
+            // `decode_op`'s ids respect.
+            let locals: Vec<Record> = (0..24 * shards)
+                .map(|i| Record::new(Term::iri(format!("http://e.org/i/{i}"))))
+                .collect();
             let mut runs = CandidateRuns::new();
-            runs.reset(shards);
+            runs.reset(24, (&ShardedStore::from_records(&locals, shards)).into());
             let mut expected: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
             for &seed in &seeds {
                 match decode_op(seed, shards) {
@@ -813,7 +818,7 @@ mod local_run_decode {
             let side = key(0).local_side(&store);
             let index = store.key_index(&side);
             let mut runs = CandidateRuns::new();
-            runs.reset(1);
+            runs.reset(probes.len(), (&store).into());
             runs.set_key_table(0, index.clone());
             let mut expected: Vec<(usize, usize)> = Vec::new();
             for (e, probe) in probes.iter().enumerate() {
