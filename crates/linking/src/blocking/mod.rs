@@ -148,6 +148,27 @@ impl<'a> LocalRun<'a> {
         }
     }
 
+    /// The run of this run's ids `part` (positions, not ids).
+    ///
+    /// # Panics
+    /// Panics when `part` reaches past `len()`.
+    pub fn slice(&self, part: std::ops::Range<usize>) -> LocalRun<'a> {
+        match *self {
+            LocalRun::Span { start, len } => {
+                assert!(
+                    part.start <= part.end && part.end <= len,
+                    "run part {part:?} out of range ({len})"
+                );
+                LocalRun::Span {
+                    start: start + part.start,
+                    len: part.len(),
+                }
+            }
+            LocalRun::Keyed(ids) => LocalRun::Keyed(&ids[part]),
+            LocalRun::Explicit(ids) => LocalRun::Explicit(&ids[part]),
+        }
+    }
+
     /// Iterate the shard-local ids in run order (the iterator borrows
     /// the backing arena, not this — run-of-a-temporary decoding works).
     pub fn iter(&self) -> LocalRunIter<'a> {

@@ -26,11 +26,12 @@
 //!   [`details`](Comparison::details) vector.
 //!
 //! The pipeline and the serving layer score a candidate *block* instead —
-//! [`CompiledComparator::hoist_left`] once per external record, then
-//! [`CompiledComparator::score_hoisted`] per local — and that path is
-//! **threshold-aware**: what a linker consumes of a rejected pair is the
-//! rejection, not its similarity, so no kernel runs that cannot lift its
-//! pair to "possible".
+//! [`CompiledComparator::hoist_left`] once per external record,
+//! [`CompiledComparator::survivors`] once over the block's run of locals,
+//! then [`CompiledComparator::score_hoisted`] per surviving local — and
+//! that path is **threshold-aware**: what a linker consumes of a rejected
+//! pair is the rejection, not its similarity, so no kernel runs that cannot
+//! lift its pair to "possible".
 //!
 //! * **Needed similarity.** Before rule `r`, with `S` the weighted sum and
 //!   `W` the weight of the rules fired so far, `w` the rule's weight and
@@ -41,27 +42,43 @@
 //! * **Bound.** The multiset intersection `m` of two strings' symbols
 //!   bounds the four string kernels from above (Jaro ≤ `(m/|a| + m/|b| +
 //!   1)/3`, Jaro-Winkler its own prefix boost on that, edit similarities
-//!   ≤ `m / max(|a|, |b|)`; see [`crate::similarity::symbols`]). The hoist
-//!   builds each left value's per-symbol position masks once per block
-//!   (ASCII values of at most 64 bytes; anything else has no bound), so
-//!   `m` is one branch-free pass over the right value. A value pair whose
-//!   bound misses the needed similarity skips its kernel; a rule whose
-//!   best pairing misses it ends the pair as `NonMatch`.
+//!   ≤ `m / max(|a|, |b|)`; see [`crate::similarity::symbols`]), and `m` is
+//!   had in two tiers. *Signatures*: 24 bytes per value cap `m` and give
+//!   the common prefix from a few word operations and no value byte. For
+//!   the first rule that can fire in a block `S = W = 0`, so every local
+//!   needs the same similarity of it, and the run prefilter turns "bound ×
+//!   weight < needed" into an integer compare of that cap against a
+//!   memoised least count per (|a|, prefix, |b|); a local whose every value
+//!   pairing fails it is dropped from the run before anything reads its
+//!   value (nine in ten of a standard block under `jw95`). *Exact count*:
+//!   for the pairs that remain, and for every later rule, the hoist's
+//!   per-symbol position masks of each left value (built once per block)
+//!   give `m` itself in one branch-free pass over the right value. Either
+//!   way only ASCII values of at most 64 bytes are bounded; anything else
+//!   runs its kernel. A value pair whose bound misses the needed similarity
+//!   — or cannot beat the rule's best pairing so far — skips its kernel; a
+//!   rule whose best pairing misses the need ends the pair as `NonMatch`.
 //! * **What stays exact.** Every `Match`/`Possible` pair keeps its score
 //!   bit for bit (a skipped value pair could not have been the best
 //!   pairing of a pair that reaches the threshold); a filtered `NonMatch`
 //!   reports `0.0`. Tests are strict by a margin (`BOUND_SLACK`) far above
-//!   any rounding error. There is no switch: at a zero threshold nothing
-//!   can be below it, and nothing is skipped.
+//!   any rounding error, and the prefilter adds no float test of its own:
+//!   its integer compare *is* `score_hoisted`'s test, tabulated. There is
+//!   no switch: at a zero threshold nothing can be below it, and nothing
+//!   is skipped.
 
+use crate::blocking::LocalRun;
 use crate::intern::PropertyId;
 use crate::similarity::scratch::SimScratch;
-use crate::similarity::symbols::{shared_symbols, symbol_masks, SymbolTable};
-use crate::similarity::{
-    damerau_levenshtein_similarity_with, edit_similarity_bound, jaro_bound, jaro_winkler_bound,
-    jaro_winkler_with, jaro_with, levenshtein_similarity_with, SimilarityMeasure,
+use crate::similarity::symbols::{
+    shared_symbols, symbol_masks, Signature, SymbolTable, SIGNATURE_MAX_LEN,
 };
-use crate::store::{RecordStore, ValueList};
+use crate::similarity::{
+    common_prefix, damerau_levenshtein_similarity_with, edit_similarity_bound_at, jaro_bound_at,
+    jaro_winkler_bound_at, jaro_winkler_with, jaro_with, levenshtein_similarity_with,
+    SimilarityMeasure,
+};
+use crate::store::{RecordStore, SignatureColumn, ValueList};
 use crate::token_index::{
     dice_bigrams_kernel, jaccard_bigrams_kernel, jaccard_tokens_kernel, monge_elkan_kernel,
     TokenIndex, ValueTokens,
@@ -228,10 +245,11 @@ impl RecordComparator {
 #[derive(Debug, Clone, Copy)]
 enum Kernel {
     /// A scratch-buffer string kernel (edit/Jaro family) and its upper
-    /// bound given the symbols the two (ASCII) values share.
+    /// bound for two ASCII values given, in this order, how many symbols
+    /// they share, their byte lengths and their common prefix.
     Str {
         eval: fn(&mut SimScratch, &str, &str) -> f64,
-        bound: fn(u32, &str, &str) -> f64,
+        bound: fn(u32, usize, usize, u32) -> f64,
     },
     /// A precomputed-token-set kernel (Jaccard/Dice/Monge-Elkan family).
     Set(SetKernel),
@@ -255,19 +273,19 @@ impl Kernel {
         match measure {
             SimilarityMeasure::Levenshtein => Kernel::Str {
                 eval: levenshtein_similarity_with,
-                bound: edit_similarity_bound,
+                bound: edit_similarity_bound_at,
             },
             SimilarityMeasure::DamerauLevenshtein => Kernel::Str {
                 eval: damerau_levenshtein_similarity_with,
-                bound: edit_similarity_bound,
+                bound: edit_similarity_bound_at,
             },
             SimilarityMeasure::Jaro => Kernel::Str {
                 eval: jaro_with,
-                bound: jaro_bound,
+                bound: jaro_bound_at,
             },
             SimilarityMeasure::JaroWinkler => Kernel::Str {
                 eval: jaro_winkler_with,
-                bound: jaro_winkler_bound,
+                bound: jaro_winkler_bound_at,
             },
             SimilarityMeasure::JaccardTokens => Kernel::Set(SetKernel::JaccardTokens),
             SimilarityMeasure::JaccardChars => Kernel::Set(SetKernel::JaccardBigrams),
@@ -325,6 +343,26 @@ struct NonMatchFilter {
     slack: f64,
 }
 
+impl NonMatchFilter {
+    /// The least `similarity × weight` of a rule of weight `weight` that
+    /// still lets its pair reach the threshold, `weighted_sum` over
+    /// `weight_total` having fired before it and `later_weight` being open
+    /// after it: with every later open rule at 1.0 — the most they can
+    /// add, and since no similarity exceeds 1.0 the final quotient only
+    /// grows with the weight that fires at 1.0 — the score is at most
+    ///   (weighted_sum + s·w + later) / (weight_total + w + later),
+    /// which is below `reject_below` exactly when `s·w` is below this.
+    /// `slack` keeps the test strict by a margin that dwarfs every rounding
+    /// error involved (see [`BOUND_SLACK`]).
+    #[inline]
+    fn needed(&self, weighted_sum: f64, weight_total: f64, weight: f64, later_weight: f64) -> f64 {
+        self.reject_below * (weight_total + weight + later_weight)
+            - weighted_sum
+            - later_weight
+            - self.slack
+    }
+}
+
 /// The margin, as a fraction of the rules' total weight, by which a pair
 /// must *provably* miss the non-match threshold before
 /// [`score_hoisted`](CompiledComparator::score_hoisted) skips work on it.
@@ -372,9 +410,58 @@ pub struct LeftHoist<'e> {
     masks: Vec<Option<SymbolTable>>,
     /// Per rule, the index in `masks` of its first left value.
     mask_offsets: Vec<u32>,
+    /// Parallel to `masks`: each value's signature, poisoned where the
+    /// value has no mask table.
+    signatures: Vec<Signature>,
     /// The summed weight of the rules that can fire for this record (left
     /// values present, right property resolved).
     open_weight: f64,
+    /// The run prefilter's memo; outlives the block (see [`LeastShared`]).
+    least_shared: LeastShared,
+}
+
+/// The run prefilter's integer form of the non-match test: for two ASCII
+/// values of `|a|` and `|b|` bytes (each at most [`SIGNATURE_MAX_LEN`])
+/// with a common prefix of `p` symbols, the least shared-symbol count for
+/// which `bound(shared, |a|, |b|, p) × weight < needed` is **false**.
+///
+/// An entry is found by bisecting on that very expression — the one
+/// [`score_hoisted`](CompiledComparator::score_hoisted) evaluates, on the
+/// same operands: a bound depends on the pair through these four numbers
+/// only, and grows with `shared` (by at least 1/200 from one count to the
+/// next, where rounding moves it by 1e-16). A pair whose signatures cap
+/// its count *below* the entry is therefore a pair `score_hoisted` itself
+/// would skip: the test, evaluated at the pair's exact count, is true. No
+/// new float comparison enters, which is why the [`BOUND_SLACK`] argument
+/// carries over unchanged; the per-pair test is an integer compare.
+///
+/// `needed` and `weight` are those of the block's first open rule, so the
+/// table is keyed by their bits (and the rule's measure): it survives from
+/// block to block and is forgotten when any of them changes. 65 × 5 × 65
+/// bytes, of which a block touches the 325 of its left value's length.
+#[derive(Debug, Default)]
+struct LeastShared {
+    /// `(needed, weight)` bits and the measure the entries were found for.
+    key: Option<(u64, u64, SimilarityMeasure)>,
+    /// Entry `(|a| × 5 + p) × 65 + |b|`: the count plus one; 0 = not yet
+    /// found. Empty until the first block that filters.
+    entries: Vec<u8>,
+}
+
+impl LeastShared {
+    const LENGTHS: usize = SIGNATURE_MAX_LEN + 1;
+    const PREFIXES: usize = 5;
+
+    /// The table for this key, emptied if it was another's.
+    fn keyed(&mut self, key: (u64, u64, SimilarityMeasure)) -> &mut [u8] {
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.entries.clear();
+            self.entries
+                .resize(Self::LENGTHS * Self::PREFIXES * Self::LENGTHS, 0);
+        }
+        &mut self.entries
+    }
 }
 
 impl LeftHoist<'_> {
@@ -396,13 +483,67 @@ impl LeftHoist<'_> {
             lists: recycle_vec(self.lists),
             tokens: recycle_vec(self.tokens),
             token_offsets: self.token_offsets,
-            // The mask buffers borrow nothing: they move across as they
-            // are (the next hoist clears them).
+            // The mask and signature buffers and the prefilter's memo
+            // borrow nothing: they move across as they are (the next
+            // hoist clears the buffers).
             masks: self.masks,
             mask_offsets: self.mask_offsets,
+            signatures: self.signatures,
             open_weight: 0.0,
+            least_shared: self.least_shared,
         }
     }
+}
+
+/// One block's run prefilter (see [`CompiledComparator::survivors`]): the
+/// signatures of the first open rule's left values and of its right
+/// column, and the rule's non-match test — bound, weight, the similarity ×
+/// weight needed — with its [`LeastShared`] memo.
+struct RunFilter<'h, 's> {
+    lefts: &'h [Signature],
+    rights: SignatureColumn<'s>,
+    bound: fn(u32, usize, usize, u32) -> f64,
+    weight: f64,
+    needed: f64,
+    least: &'h mut [u8],
+}
+
+impl RunFilter<'_, '_> {
+    /// `false` when the value pair of these signatures is one
+    /// `score_hoisted` would skip on its bound; `a` is bounded.
+    #[inline]
+    fn passes(&mut self, a: &Signature, b: &Signature) -> bool {
+        if !b.is_bounded() {
+            return true;
+        }
+        let prefix = a.common_prefix(b);
+        let (a_len, b_len) = (a.len as usize, b.len as usize);
+        let row = (a_len * LeastShared::PREFIXES + prefix as usize) * LeastShared::LENGTHS;
+        let entry = &mut self.least[row + b_len];
+        if *entry == 0 {
+            // Bisect for the least count at which the test fails (the
+            // bound grows with the count); `most + 1` if it never does.
+            let (bound, weight, needed) = (self.bound, self.weight, self.needed);
+            let most = a.len.min(b.len);
+            let (mut least, mut end) = (0, most + 1);
+            while least < end {
+                let shared = (least + end) / 2;
+                if bound(shared, a_len, b_len, prefix) * weight < needed {
+                    least = shared + 1;
+                } else {
+                    end = shared;
+                }
+            }
+            *entry = 1 + least as u8;
+        }
+        a.shared_upper(b) + 1 >= u32::from(*entry)
+    }
+}
+
+/// A shard-local id as runs store it (a shard holds at most `u32::MAX`
+/// records).
+fn as_local(id: usize) -> u32 {
+    id as u32
 }
 
 /// Convert an emptied `Vec<A>` into a `Vec<B>` keeping its allocation:
@@ -427,14 +568,23 @@ impl CompiledComparator<'_> {
         self.rules_use_sets
     }
 
-    /// Build `stores`' token indexes now if scoring will read them (see
-    /// [`uses_token_index`](Self::uses_token_index)) — what the pipeline
-    /// and the serving layer run before the per-pair loop can reach a
-    /// cold store.
-    pub(crate) fn warm_token_indexes<'s>(&self, stores: impl IntoIterator<Item = &'s RecordStore>) {
-        if self.uses_token_index() {
-            for store in stores {
-                store.token_index();
+    /// Build now what scoring will read of the local `shards`: their token
+    /// indexes if a rule compares token sets (see
+    /// [`uses_token_index`](Self::uses_token_index)), and the signature
+    /// column of every property a filtered string rule compares — what the
+    /// pipeline and the serving layer run before the scoring loop can
+    /// reach a cold shard.
+    pub(crate) fn warm<'s>(&self, shards: impl IntoIterator<Item = &'s RecordStore>) {
+        for shard in shards {
+            if self.uses_token_index() {
+                shard.token_index();
+            }
+            for (&(_, right_property), kernel) in self.properties.iter().zip(&self.kernels) {
+                if let (Some(rp), Kernel::Str { .. }, Some(_)) =
+                    (right_property, kernel, self.filter)
+                {
+                    shard.signatures(rp);
+                }
             }
         }
     }
@@ -453,6 +603,7 @@ impl CompiledComparator<'_> {
         out.token_offsets.push(0);
         out.masks.clear();
         out.mask_offsets.clear();
+        out.signatures.clear();
         out.open_weight = 0.0;
         let token_index = self.rules_use_sets.then(|| external.token_index());
         for ((&(left_property, right_property), kernel), rule) in self
@@ -483,8 +634,12 @@ impl CompiledComparator<'_> {
                 .push(u32::try_from(out.masks.len()).expect("hoisted more than u32::MAX values"));
             if let Kernel::Str { .. } = kernel {
                 for i in 0..list.len() {
-                    out.masks
-                        .push(self.filter.and_then(|_| symbol_masks(list.get(i))));
+                    let table = self.filter.and_then(|_| symbol_masks(list.get(i)));
+                    out.signatures.push(match table {
+                        Some(_) => Signature::of(list.get(i)),
+                        None => Signature::POISONED,
+                    });
+                    out.masks.push(table);
                 }
             }
             if !list.is_empty() {
@@ -492,6 +647,105 @@ impl CompiledComparator<'_> {
             }
             out.lists.push(list);
         }
+    }
+
+    /// The run prefilter: replace `out` with the locals of `run` (ids of
+    /// the shard `local`) that are **not provably**
+    /// [`NonMatch`](MatchDecision::NonMatch) against the hoisted external
+    /// record, in run order — the only ones a block's scoring loop need
+    /// hand to [`score_hoisted`](Self::score_hoisted), which would end
+    /// every other one as a filtered `NonMatch`.
+    ///
+    /// The first rule that can fire for the block needs the same
+    /// similarity of every local it fires on (nothing has fired before it),
+    /// so for a string rule the shared-symbol test becomes, per value pair,
+    /// two [`Signature`]s and one entry of an integer table memoised in the
+    /// hoist: no value byte, no float. A local is dropped when every
+    /// pairing of the rule's left and right values fails that test. It
+    /// stays when any pairing passes or has no bound (a poisoned or
+    /// over-long signature), or when it has no value for the rule's
+    /// property — the rule does not fire, later rules or the fallback
+    /// decide. The whole run stays when that first rule is a set kernel,
+    /// when one of its left values has no signature, or when the comparator
+    /// filters nothing.
+    ///
+    /// Counts each value pair of a dropped local in `scratch`'s
+    /// `signature_exits` and, being bound exits, in `bound_exits`.
+    pub fn survivors(
+        &self,
+        hoist: &mut LeftHoist<'_>,
+        local: &RecordStore,
+        run: LocalRun<'_>,
+        scratch: &mut SimScratch,
+        out: &mut Vec<u32>,
+    ) {
+        out.clear();
+        let Some(mut filter) = self.run_filter(hoist, local) else {
+            out.extend(run.iter().map(as_local));
+            return;
+        };
+        // Branch-free compaction: every local is written, the cursor moves
+        // past the survivors only.
+        out.resize(run.len(), 0);
+        let (mut kept, mut exits) = (0usize, 0u64);
+        let (lefts, rights) = (filter.lefts, filter.rights);
+        let sift = |l: u32| {
+            let values = rights.of(l as usize);
+            let mut survives = values.is_empty();
+            for a in lefts {
+                for b in values {
+                    survives |= filter.passes(a, b);
+                }
+            }
+            out[kept] = l;
+            kept += usize::from(survives);
+            exits += u64::from(!survives) * (lefts.len() * values.len()) as u64;
+        };
+        match run {
+            LocalRun::Span { start, len } => (start..start + len).map(as_local).for_each(sift),
+            LocalRun::Keyed(ids) | LocalRun::Explicit(ids) => ids.iter().copied().for_each(sift),
+        }
+        out.truncate(kept);
+        scratch.signature_exits += exits;
+        scratch.bound_exits += exits;
+    }
+
+    /// What [`survivors`](Self::survivors) filters a run of `local` with,
+    /// or `None` when the block keeps its whole run.
+    fn run_filter<'h, 's>(
+        &self,
+        hoist: &'h mut LeftHoist<'_>,
+        local: &'s RecordStore,
+    ) -> Option<RunFilter<'h, 's>> {
+        let filter = self.filter?;
+        let rule_index = hoist.lists.iter().position(|list| !list.is_empty())?;
+        let Kernel::Str { bound, .. } = self.kernels[rule_index] else {
+            return None;
+        };
+        let rule = &self.comparator.rules[rule_index];
+        // What `score_hoisted` computes on reaching this rule: nothing has
+        // fired, every other open rule is later.
+        let needed = filter.needed(0.0, 0.0, rule.weight, hoist.open_weight - rule.weight);
+        // No similarity is negative: only a positive need can be missed.
+        if needed.is_nan() || needed <= 0.0 {
+            return None;
+        }
+        let lefts = &hoist.signatures[hoist.mask_offsets[rule_index] as usize..]
+            [..hoist.lists[rule_index].len()];
+        if !lefts.iter().all(Signature::is_bounded) {
+            return None;
+        }
+        let (_, right_property) = self.properties[rule_index];
+        let rights = local.signatures(right_property?)?;
+        let key = (needed.to_bits(), rule.weight.to_bits(), rule.measure);
+        Some(RunFilter {
+            lefts,
+            rights,
+            bound,
+            weight: rule.weight,
+            needed,
+            least: hoist.least_shared.keyed(key),
+        })
     }
 
     /// Score the hoisted external record (see
@@ -526,6 +780,7 @@ impl CompiledComparator<'_> {
         scratch: &mut SimScratch,
     ) -> (f64, MatchDecision) {
         let local_index = self.rules_use_sets.then(|| local.token_index());
+        let slack = self.filter.map_or(0.0, |filter| filter.slack);
         let mut weighted_sum = 0.0;
         let mut weight_total = 0.0;
         // The weight of this and every later rule that can still fire.
@@ -551,25 +806,10 @@ impl CompiledComparator<'_> {
             if right_values.is_empty() {
                 continue;
             }
-            // The least `similarity × weight` of this rule that still lets
-            // the pair reach the threshold: with every later open rule at
-            // 1.0 — the most they can add, and since no similarity exceeds
-            // 1.0 the final quotient only grows with the weight that
-            // fires at 1.0 — the score is at most
-            //   (weighted_sum + s·w + later) / (weight_total + w + later),
-            // which is below `reject_below` exactly when `s·w` is below
-            // this. `slack` keeps the test strict by a margin that dwarfs
-            // every rounding error involved (see `BOUND_SLACK`); without a
-            // filter nothing is below −∞.
-            let needed = match self.filter {
-                Some(filter) => {
-                    filter.reject_below * (weight_total + rule.weight + later_weight)
-                        - weighted_sum
-                        - later_weight
-                        - filter.slack
-                }
-                None => f64::NEG_INFINITY,
-            };
+            // Without a filter nothing is below −∞.
+            let needed = self.filter.map_or(f64::NEG_INFINITY, |filter| {
+                filter.needed(weighted_sum, weight_total, rule.weight, later_weight)
+            });
             let mut best = 0.0f64;
             match *kernel {
                 Kernel::Str { eval, bound } => {
@@ -584,7 +824,13 @@ impl CompiledComparator<'_> {
                         for j in 0..right_values.len() {
                             let rv = right_values.get(j);
                             if let Some(shared) = table.and_then(|t| shared_symbols(t, rv)) {
-                                if bound(shared, lv, rv) * rule.weight < needed {
+                                // Not worth its kernel either: a value pair
+                                // that cannot beat the best pairing so far —
+                                // by the same margin, so that rounding can
+                                // never change the rule's maximum.
+                                let worth = needed.max(best * rule.weight - slack);
+                                let prefix = common_prefix(lv, rv);
+                                if bound(shared, lv.len(), rv.len(), prefix) * rule.weight < worth {
                                     scratch.bound_exits += 1;
                                     continue;
                                 }
@@ -979,32 +1225,55 @@ mod tests {
         }
     }
 
-    /// A left record with two part numbers (one of them non-ASCII) against
-    /// locals from identical to unrelated, under a string + set rule pair.
+    /// Two left records with two part numbers each (one of the four
+    /// non-ASCII, so the first record's blocks have no run prefilter)
+    /// against locals from identical to unrelated — single-valued,
+    /// multi-valued, without a part number, with one no signature bounds —
+    /// under a string + set rule pair.
     fn filter_fixture() -> (RecordStore, RecordStore) {
-        let mut left = Record::new(Term::iri("http://provider.e.org/item/1"));
-        left.add(EXT_PN, "CRCW0805-10K");
-        left.add(EXT_PN, "CRCW0805-10Ω");
-        let locals: Vec<Record> = [
-            ("CRCW0805-10K", "CRCW0805-10K"),
-            ("CRCW0805-10Ω", "thick film"),
-            ("CRCW0806-10K", "CRCW0805 10K"),
-            ("CRCW0812-22K", "CRCW0805-10K"),
-            ("T83A225K", "CRCW0805-10K"),
-            ("K01-5080WCRC", "unrelated"),
-            ("", "CRCW0805-10K"),
+        let lefts: Vec<Record> = [
+            ["CRCW0805-10K", "CRCW0805-10Ω"],
+            ["CRCW0805-10K", "T83A225M"],
         ]
         .iter()
         .enumerate()
-        .map(|(i, (pn, label))| {
+        .map(|(i, pns)| {
+            let mut r = Record::new(Term::iri(format!("http://provider.e.org/item/{i}")));
+            r.add(EXT_PN, pns[0]).add(EXT_PN, pns[1]);
+            r
+        })
+        .collect();
+        let long = "CRCW0805-10K".repeat(6);
+        let locals: Vec<Record> = [
+            (&["CRCW0805-10K"][..], "CRCW0805-10K"),
+            (&["CRCW0805-10Ω"], "thick film"),
+            (&["CRCW0806-10K"], "CRCW0805 10K"),
+            (&["CRCW0812-22K"], "CRCW0805-10K"),
+            (&["T83A225K"], "CRCW0805-10K"),
+            (&["K01-5080WCRC"], "unrelated"),
+            (&[""], "CRCW0805-10K"),
+            (&[], "CRCW0805-10K"),
+            (&[long.as_str()], "longer than a signature bounds"),
+            (&["CRCW0805-10K", "CRCW0812-22K"], "the first is it"),
+            (&["T83A225K", "CRCW0806-10K"], "the second is near"),
+            (&["K01-5080WCRC", "X7R"], "neither"),
+            (&["CRCW9999-99Z"], "within JW 0.4, not JW 0.9"),
+            (&["C0KXYZXYZXYZ"], "within JW 0.4, not Levenshtein 0.4"),
+            (&["CRC"], "all of it shared, still too short"),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, (pns, label))| {
             let mut r = Record::new(Term::iri(format!("http://local.e.org/prod/{i}")));
-            r.add(LOC_PN, *pn);
+            for pn in *pns {
+                r.add(LOC_PN, *pn);
+            }
             r.add(LOC_LABEL, *label);
             r
         })
         .collect();
         (
-            RecordStore::from_records(&[left]),
+            RecordStore::from_records(&lefts),
             RecordStore::from_records(&locals),
         )
     }
@@ -1026,35 +1295,83 @@ mod tests {
         ])
     }
 
-    /// Score every local through the hoisted path and check it against
-    /// `score`: same decision; same bits unless `NonMatch`, whose score
-    /// need only be below the threshold. Returns the scratch (counters).
+    /// Score every local against every left record through the hoisted
+    /// path, pair by pair, and check it against `score`: same decision;
+    /// same bits unless `NonMatch`, whose score need only be below the
+    /// threshold. Then again the way `score_block` does — the run
+    /// prefilter, from a span and from an id slice, then `score_hoisted`
+    /// on the survivors: it may only drop locals `score` rejects, and must
+    /// account for the same value pairs. Returns the block pass's scratch
+    /// (counters).
     fn assert_hoisted_agrees(
         cmp: &RecordComparator,
         e: &RecordStore,
         l: &RecordStore,
     ) -> SimScratch {
         let compiled = cmp.compile(e, l);
-        let (mut exact, mut scratch) = (SimScratch::new(), SimScratch::new());
+        let (mut exact, mut paired, mut blocked) =
+            (SimScratch::new(), SimScratch::new(), SimScratch::new());
         let mut hoist = LeftHoist::new();
-        compiled.hoist_left(e, 0, &mut hoist);
-        for right in 0..l.len() {
-            let (want, decision) = compiled.score(e, 0, l, right, &mut exact);
-            let (got, hoisted) = compiled.score_hoisted(&hoist, e, l, right, &mut scratch);
-            assert_eq!(decision, hoisted, "local {right}: {cmp:?}");
-            if decision == MatchDecision::NonMatch {
-                assert!(got < cmp.non_match_threshold, "local {right}: {cmp:?}");
-            } else {
-                assert_eq!(want.to_bits(), got.to_bits(), "local {right}: {cmp:?}");
+        let (mut survivors, mut from_slice) = (Vec::new(), Vec::new());
+        let ids: Vec<u32> = (0..l.len() as u32).collect();
+        for left in 0..e.len() {
+            compiled.hoist_left(e, left, &mut hoist);
+            let mut decisions = Vec::new();
+            for right in 0..l.len() {
+                let (want, decision) = compiled.score(e, left, l, right, &mut exact);
+                let (got, hoisted) = compiled.score_hoisted(&hoist, e, l, right, &mut paired);
+                assert_eq!(decision, hoisted, "pair ({left}, {right}): {cmp:?}");
+                if decision == MatchDecision::NonMatch {
+                    assert!(
+                        got < cmp.non_match_threshold,
+                        "pair ({left}, {right}): {cmp:?}"
+                    );
+                } else {
+                    assert_eq!(
+                        want.to_bits(),
+                        got.to_bits(),
+                        "pair ({left}, {right}): {cmp:?}"
+                    );
+                }
+                decisions.push((got.to_bits(), hoisted));
+            }
+            let span = LocalRun::Span {
+                start: 0,
+                len: l.len(),
+            };
+            compiled.survivors(&mut hoist, l, span, &mut blocked, &mut survivors);
+            let mut again = SimScratch::new();
+            let slice = LocalRun::Explicit(&ids);
+            compiled.survivors(&mut hoist, l, slice, &mut again, &mut from_slice);
+            assert_eq!(survivors, from_slice, "left {left}: {cmp:?}");
+            assert_eq!(again.signature_exits, again.bound_exits);
+            for (right, &decided) in decisions.iter().enumerate() {
+                if survivors.contains(&(right as u32)) {
+                    let (got, hoisted) = compiled.score_hoisted(&hoist, e, l, right, &mut blocked);
+                    assert_eq!((got.to_bits(), hoisted), decided);
+                } else {
+                    assert_eq!(
+                        decided.1,
+                        MatchDecision::NonMatch,
+                        "pair ({left}, {right}) dropped: {cmp:?}"
+                    );
+                }
             }
         }
-        scratch
+        assert_eq!(
+            (blocked.kernel_calls, blocked.bound_exits),
+            (paired.kernel_calls, paired.bound_exits),
+            "{cmp:?}"
+        );
+        assert!(blocked.signature_exits <= blocked.bound_exits);
+        assert_eq!(paired.signature_exits, 0);
+        blocked
     }
 
     #[test]
     fn hoisted_filter_never_changes_a_decision_or_a_link_score() {
         let (e, l) = filter_fixture();
-        let mut exits = 0;
+        let (mut exits, mut signature_exits) = (0, 0);
         for measure in [
             SimilarityMeasure::Levenshtein,
             SimilarityMeasure::DamerauLevenshtein,
@@ -1066,6 +1383,7 @@ mod tests {
                     let cmp = two_rules(measure, weights).with_thresholds(m, n);
                     let scratch = assert_hoisted_agrees(&cmp, &e, &l);
                     exits += scratch.bound_exits;
+                    signature_exits += scratch.signature_exits;
                     if n == 0.0 {
                         assert_eq!(scratch.bound_exits, 0, "nothing is below a zero threshold");
                     }
@@ -1073,9 +1391,111 @@ mod tests {
             }
         }
         assert!(
-            exits > 0,
-            "the bound never fired — the guard would be vacuous"
+            exits > signature_exits && signature_exits > 0,
+            "{signature_exits} of {exits} exits on signatures — a tier never fired, the guard \
+             would be vacuous"
         );
+    }
+
+    /// One hoist serves blocks of different needs: the memo of the integer
+    /// test must follow `needed`, the weight and the measure, or a table
+    /// found for a lax comparator would let a strict one's pairs through
+    /// (and the other way round, drop links).
+    #[test]
+    fn one_hoist_serves_comparators_of_different_needs() {
+        let (e, l) = filter_fixture();
+        let span = LocalRun::Span {
+            start: 0,
+            len: l.len(),
+        };
+        let mut hoist = LeftHoist::new();
+        let mut scratch = SimScratch::new();
+        let mut survivors = Vec::new();
+        let mut kept = Vec::new();
+        let jw = SimilarityMeasure::JaroWinkler;
+        // The last two need the same similarity × weight, 1 − 2e-9, of
+        // rules of different weight: half of 2.0, all of 1.0 (the second
+        // rule cannot fire, its property is nowhere).
+        let mut heavy = RecordComparator::single(EXT_PN, LOC_PN, jw).with_thresholds(0.5, 0.5);
+        heavy.rules[0].weight = 2.0;
+        let mut exacting = two_rules(jw, (1.0, 1.0)).with_thresholds(1.0, 1.0);
+        exacting.rules[1].right_property = "http://nowhere.org/v#x".to_string();
+        let comparators = [
+            RecordComparator::single(EXT_PN, LOC_PN, jw).with_thresholds(0.95, 0.9),
+            RecordComparator::single(EXT_PN, LOC_PN, jw).with_thresholds(0.95, 0.4),
+            RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::Levenshtein)
+                .with_thresholds(0.95, 0.4),
+            two_rules(jw, (8.0, 0.5)).with_thresholds(0.95, 0.9),
+            heavy,
+            exacting,
+        ];
+        for _ in 0..2 {
+            for cmp in &comparators {
+                let compiled = cmp.compile(&e, &l);
+                compiled.hoist_left(&e, 1, &mut hoist);
+                compiled.survivors(&mut hoist, &l, span, &mut scratch, &mut survivors);
+                let mut fresh = LeftHoist::new();
+                compiled.hoist_left(&e, 1, &mut fresh);
+                compiled.survivors(&mut fresh, &l, span, &mut scratch, &mut kept);
+                assert_eq!(survivors, kept, "{cmp:?}");
+            }
+        }
+        assert!(kept.len() < l.len(), "the last comparator filtered nothing");
+        // And the prefilter is as tight as its table allows. Under `jw95`
+        // the second left record keeps the identical, the near, the anagram
+        // (locals 5 and 11: every symbol shared), the unbounded (1, 8) and
+        // the valueless (7); it drops "", the two far ones and "CRC", whose
+        // three symbols are all shared and still too few.
+        let compiled = comparators[0].compile(&e, &l);
+        compiled.hoist_left(&e, 1, &mut hoist);
+        compiled.survivors(&mut hoist, &l, span, &mut scratch, &mut survivors);
+        assert_eq!(survivors, [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11]);
+    }
+
+    #[test]
+    fn later_value_pairs_that_cannot_beat_the_best_skip_their_kernel() {
+        let (e, l) = filter_fixture();
+        let cmp = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::JaroWinkler)
+            .with_thresholds(0.3, 0.1);
+        let compiled = cmp.compile(&e, &l);
+        let mut hoist = LeftHoist::new();
+        compiled.hoist_left(&e, 0, &mut hoist);
+        // Local 9 is "CRCW0805-10K", "CRCW0812-22K": the first pairing is
+        // exact, the second is bounded by 0.9 — above the 0.1 the pair
+        // needs, below the 1.0 in hand. The non-ASCII left value has no
+        // bound: both its kernels run.
+        let mut scratch = SimScratch::new();
+        let scored = compiled.score_hoisted(&hoist, &e, &l, 9, &mut scratch);
+        assert_eq!(scored, (1.0, MatchDecision::Match));
+        assert_eq!((scratch.kernel_calls, scratch.bound_exits), (3, 1));
+        // Local 10 holds the near value second: nothing in hand yet when
+        // "T83A225K" is bounded (0.47 ≥ 0.1), so every kernel runs.
+        let mut scratch = SimScratch::new();
+        let (score, _) = compiled.score_hoisted(&hoist, &e, &l, 10, &mut scratch);
+        assert_eq!(score, compiled.score(&e, 0, &l, 10, &mut scratch).0);
+        assert_eq!((scratch.kernel_calls, scratch.bound_exits), (4, 0));
+
+        // The margin is on the safe side. A rule that cannot fire brings
+        // the slack to 1e-3 of this rule's weight; the second pairing
+        // (62/63 ≈ 0.98413, then 63/64 ≈ 0.98438) beats the first by less,
+        // and must still run.
+        let base = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789".repeat(2);
+        let left = &base[..63];
+        let mut local = Record::new(Term::iri("http://local.e.org/prod/1"));
+        local
+            .add(LOC_PN, format!("{}_", &left[..62]))
+            .add(LOC_PN, format!("{left}_"));
+        let (e, l) = (ext(left), RecordStore::from_records(&[local]));
+        let mut cmp = two_rules(SimilarityMeasure::Levenshtein, (1.0, 1e6));
+        cmp.rules[1].right_property = "http://nowhere.org/v#x".to_string();
+        let cmp = cmp.with_thresholds(0.99, 0.9);
+        let compiled = cmp.compile(&e, &l);
+        compiled.hoist_left(&e, 0, &mut hoist);
+        let mut scratch = SimScratch::new();
+        let scored = compiled.score_hoisted(&hoist, &e, &l, 0, &mut scratch);
+        assert_eq!(scored, (63.0 / 64.0, MatchDecision::Possible));
+        assert_eq!(scored, compiled.score(&e, 0, &l, 0, &mut scratch));
+        assert_eq!((scratch.kernel_calls, scratch.bound_exits), (2, 0));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * **Pre-warmed epochs.** A published catalog is a [`CatalogEpoch`]:
 //!   the [`ShardedStore`] with every blocker-side artifact built
 //!   eagerly (key indexes, sort ladders, bigram postings and counters
-//!   via [`Blocker::warm`]; token indexes when the comparator's
-//!   kernels read them) and the comparator compiled once
+//!   via [`Blocker::warm`]; token indexes and signature columns where
+//!   the comparator's rules read them) and the comparator compiled once
 //!   ([`RecordComparator::compile_schemas`]). No probe ever pays a
 //!   first-call index build.
 //! * **Atomic epoch swap.** Epochs are published as `Arc`s behind a
@@ -166,8 +166,8 @@ pub struct Linker<'a> {
 impl<'a> Linker<'a> {
     /// Build a serving handle over `catalog`, eagerly warming every
     /// artifact a probe will read (blocker indexes via
-    /// [`Blocker::warm`], token indexes when the comparator needs them)
-    /// and publishing the result as epoch 1.
+    /// [`Blocker::warm`], token indexes and signature columns where the
+    /// comparator needs them) and publishing the result as epoch 1.
     pub fn new(
         blocker: &'a (dyn Blocker + Sync),
         comparator: &'a RecordComparator,
@@ -287,10 +287,10 @@ impl<'a> Linker<'a> {
     /// Unlike [`swap`](Self::swap), which warms every shard of the
     /// replacement catalog, the successor epoch `Arc`-shares the
     /// surviving shards — their key indexes, sort ladders, bigram
-    /// counters and token indexes carry over already warm — and only the
-    /// **appended** shards are built and warmed. Republishing therefore
-    /// costs O(delta), not O(catalog). In-flight probes finish on the
-    /// epoch they started with, exactly as for a swap.
+    /// counters, token indexes and signature columns carry over already
+    /// warm — and only the **appended** shards are built and warmed.
+    /// Republishing therefore costs O(delta), not O(catalog). In-flight
+    /// probes finish on the epoch they started with, exactly as for a swap.
     ///
     /// Concurrent appends are last-publish-wins over the same loaded
     /// base (like any load-build-publish update); serialise appends on
@@ -321,9 +321,9 @@ impl<'a> Linker<'a> {
             let compiled = self
                 .comparator
                 .compile_schemas(&self.probe_schema.snapshot(), appended.schema());
-            // Old shards' token indexes are cached in the shared `Arc`s;
-            // only the appended shards build here.
-            compiled.warm_token_indexes(LocalShards::from(&appended).iter().skip(first_new));
+            // Old shards' token indexes and signature columns are cached
+            // in the shared `Arc`s; only the appended shards build here.
+            compiled.warm(LocalShards::from(&appended).iter().skip(first_new));
             fail::fail_point!("serve::warm_append");
             // Warm each appended shard as a single-shard view: every
             // built-in warm only reads the schema (each shard's own
@@ -441,8 +441,8 @@ impl<'a> Linker<'a> {
 
 /// The epoch-build failure domain body (shared by [`Linker::new`] and
 /// [`Linker::try_swap`]; always outside the catalog lock): compile the
-/// comparator, build every token index the kernels read, warm the
-/// blocker's artifacts.
+/// comparator, build every token index and signature column its rules
+/// read, warm the blocker's artifacts.
 /// The `serve::build_epoch` failpoint can inject a structured error
 /// (`return` action) or a panic at the domain entry; `serve::warm`
 /// covers a fault inside the blocker's own warm-up.
@@ -457,7 +457,7 @@ fn try_build_epoch<'a>(
         LinkError::injected("serve::build_epoch", arg)
     ));
     let compiled = comparator.compile_schemas(&probe_schema.snapshot(), store.schema());
-    compiled.warm_token_indexes(LocalShards::from(&store).iter());
+    compiled.warm(LocalShards::from(&store).iter());
     fail::fail_point!("serve::warm");
     blocker.warm((&store).into());
     Ok(CatalogEpoch {
@@ -494,9 +494,9 @@ pub struct ProbeScratch {
     store: RecordStore,
     /// The streaming blocking sink.
     runs: CandidateRuns,
-    /// The scoring working set — similarity scratch, left hoist, scored
-    /// pairs as `(0, global id, score)` — parked with an erased lifetime
-    /// between probes (see `LeftHoist::recycle`).
+    /// The scoring working set — similarity scratch, left hoist, survivor
+    /// buffer, scored pairs as `(0, global id, score)` — parked with an
+    /// erased lifetime between probes (see `LeftHoist::recycle`).
     scorer: Scorer<'static>,
     /// The materialised result the caller reads.
     hits: ProbeHits,

@@ -177,9 +177,10 @@ pub fn damerau_levenshtein_similarity_with(scratch: &mut SimScratch, a: &str, b:
 }
 
 /// An upper bound on [`levenshtein_similarity_with`] **and**
-/// [`damerau_levenshtein_similarity_with`] for two ASCII strings sharing
-/// `shared` symbols (their multiset intersection, see
-/// [`shared_symbols`](super::symbols::shared_symbols)).
+/// [`damerau_levenshtein_similarity_with`] for two ASCII strings of `a_len`
+/// and `b_len` bytes sharing `shared` symbols (their multiset intersection,
+/// see [`shared_symbols`](super::symbols::shared_symbols)); their common
+/// prefix plays no part.
 ///
 /// An edit script leaves some symbols of the longer string untouched (or,
 /// for Damerau, swaps them with a neighbour); those are paired one to one
@@ -188,12 +189,17 @@ pub fn damerau_levenshtein_similarity_with(scratch: &mut SimScratch, a: &str, b:
 /// one edit (a transposition costs one and accounts for two): the distance
 /// is at least `max(|a|, |b|) − shared`. The bound is the kernels' own
 /// formula at that distance, so it is exactly `1.0` for equal strings.
-pub fn edit_similarity_bound(shared: u32, a: &str, b: &str) -> f64 {
-    let max_len = a.len().max(b.len());
+pub fn edit_similarity_bound_at(shared: u32, a_len: usize, b_len: usize, _prefix: u32) -> f64 {
+    let max_len = a_len.max(b_len);
     if max_len == 0 {
         return 1.0;
     }
     1.0 - (max_len - shared as usize) as f64 / max_len as f64
+}
+
+/// [`edit_similarity_bound_at`] of the two strings themselves.
+pub fn edit_similarity_bound(shared: u32, a: &str, b: &str) -> f64 {
+    edit_similarity_bound_at(shared, a.len(), b.len(), 0)
 }
 
 /// The Levenshtein edit distance between two strings (insertions, deletions,

@@ -211,46 +211,55 @@ pub fn jaro_with(scratch: &mut SimScratch, a: &str, b: &str) -> f64 {
 /// The Jaro-Winkler similarity (standard 0.1 scale, 4-char maximum
 /// prefix), using `scratch` for all working memory.
 pub fn jaro_winkler_with(scratch: &mut SimScratch, a: &str, b: &str) -> f64 {
-    winkler_boost(jaro_with(scratch, a, b), a, b)
+    winkler_boost(jaro_with(scratch, a, b), common_prefix(a, b))
 }
 
-/// Winkler's prefix boost of a Jaro score `base` (0.1 per common leading
-/// symbol, at most 4) — one formula for the kernel and for its bound.
-fn winkler_boost(base: f64, a: &str, b: &str) -> f64 {
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count() as f64;
-    base + prefix * 0.1 * (1.0 - base)
+/// The number of leading symbols `a` and `b` share, at most 4: the prefix
+/// Winkler's boost counts.
+pub fn common_prefix(a: &str, b: &str) -> u32 {
+    let shared = a.chars().zip(b.chars()).take(4);
+    shared.take_while(|(x, y)| x == y).count() as u32
 }
 
-/// An upper bound on [`jaro_with`] for two ASCII strings sharing `shared`
-/// symbols (their multiset intersection, see
-/// [`shared_symbols`](super::symbols::shared_symbols)).
+/// Winkler's boost of a Jaro score `base` for a pair sharing `prefix`
+/// leading symbols (0.1 per symbol) — one formula for the kernel and for
+/// its bound.
+fn winkler_boost(base: f64, prefix: u32) -> f64 {
+    base + f64::from(prefix) * 0.1 * (1.0 - base)
+}
+
+/// An upper bound on [`jaro_with`] for two ASCII strings of `a_len` and
+/// `b_len` bytes sharing `shared` symbols (their multiset intersection,
+/// see [`shared_symbols`](super::symbols::shared_symbols)).
 ///
 /// A Jaro match pairs equal symbols one to one, so the kernel finds at
 /// most `shared` matches; with `shared` matches and no transposition the
 /// Jaro formula gives `(shared/|a| + shared/|b| + 1) / 3`, and it grows
 /// with the match count. Exactly `1.0` for equal strings.
-pub fn jaro_bound(shared: u32, a: &str, b: &str) -> f64 {
+pub fn jaro_bound_at(shared: u32, a_len: usize, b_len: usize, _prefix: u32) -> f64 {
     if shared == 0 {
         // No match is possible; two empty strings are equal.
-        return if a.is_empty() && b.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
+        return if a_len == 0 && b_len == 0 { 1.0 } else { 0.0 };
     }
     let m = f64::from(shared);
-    (m / a.len() as f64 + m / b.len() as f64 + 1.0) / 3.0
+    (m / a_len as f64 + m / b_len as f64 + 1.0) / 3.0
 }
 
-/// An upper bound on [`jaro_winkler_with`]: the pair's own prefix boost on
-/// top of [`jaro_bound`] (the boosted score grows with the Jaro score).
+/// An upper bound on [`jaro_winkler_with`]: the boost of the pair's own
+/// common `prefix` ([`common_prefix`]) on top of [`jaro_bound_at`] (the
+/// boosted score grows with the Jaro score).
+pub fn jaro_winkler_bound_at(shared: u32, a_len: usize, b_len: usize, prefix: u32) -> f64 {
+    winkler_boost(jaro_bound_at(shared, a_len, b_len, prefix), prefix)
+}
+
+/// [`jaro_bound_at`] of the two strings themselves.
+pub fn jaro_bound(shared: u32, a: &str, b: &str) -> f64 {
+    jaro_bound_at(shared, a.len(), b.len(), 0)
+}
+
+/// [`jaro_winkler_bound_at`] of the two strings themselves.
 pub fn jaro_winkler_bound(shared: u32, a: &str, b: &str) -> f64 {
-    winkler_boost(jaro_bound(shared, a, b), a, b)
+    jaro_winkler_bound_at(shared, a.len(), b.len(), common_prefix(a, b))
 }
 
 /// The Jaro similarity between two strings, in `[0, 1]`.

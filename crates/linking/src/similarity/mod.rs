@@ -10,9 +10,11 @@
 //! `*_with(scratch, a, b)` variants threading a [`SimScratch`] through
 //! [`edit`] and [`mod@jaro`] — and the precomputed token-index kernels of
 //! [`crate::token_index`] for the set measures. Each string kernel has a
-//! cheap **upper bound** beside it (`*_bound`, a function of the symbols
-//! the two strings share — see [`symbols`]), which lets the comparator
-//! skip a kernel that cannot lift its pair over the non-match threshold.
+//! cheap **upper bound** beside it (`*_bound_at`, a function of how many
+//! symbols the two strings share, their lengths and their common prefix —
+//! see [`symbols`] for the two ways that count is had), which lets the
+//! comparator skip a kernel that cannot lift its pair over the non-match
+//! threshold.
 //! The plain functions
 //! re-exported here keep the classic one-call API (each allocates a
 //! fresh scratch); [`naive`] holds the reference implementations the
@@ -28,10 +30,13 @@ pub mod token;
 
 pub use edit::{
     damerau_levenshtein, damerau_levenshtein_similarity, damerau_levenshtein_similarity_with,
-    damerau_levenshtein_with, edit_similarity_bound, levenshtein, levenshtein_similarity,
-    levenshtein_similarity_with, levenshtein_with,
+    damerau_levenshtein_with, edit_similarity_bound, edit_similarity_bound_at, levenshtein,
+    levenshtein_similarity, levenshtein_similarity_with, levenshtein_with,
 };
-pub use jaro::{jaro, jaro_bound, jaro_winkler, jaro_winkler_bound, jaro_winkler_with, jaro_with};
+pub use jaro::{
+    common_prefix, jaro, jaro_bound, jaro_bound_at, jaro_winkler, jaro_winkler_bound,
+    jaro_winkler_bound_at, jaro_winkler_with, jaro_with,
+};
 pub use scratch::SimScratch;
 pub use token::{dice_bigrams, jaccard_chars, jaccard_tokens, monge_elkan};
 

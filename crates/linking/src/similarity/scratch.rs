@@ -11,7 +11,7 @@
 //!
 //! A `SimScratch` carries no result state between calls: every kernel
 //! fully re-initialises the prefix of each buffer it reads, so reusing
-//! one scratch across measures, pairs and stores is always safe. (Its two
+//! one scratch across measures, pairs and stores is always safe. (Its
 //! public counters only ever count; nothing reads them back.)
 
 /// Reusable working memory for the scratch-buffer similarity kernels.
@@ -45,11 +45,15 @@ pub struct SimScratch {
     /// [`CompiledComparator::score_hoisted`](crate::comparator::CompiledComparator::score_hoisted)
     /// ran through this scratch (a running total; plain, per-worker).
     pub kernel_calls: u64,
-    /// Attribute-value pairs `score_hoisted` visited **without** running
-    /// their kernel, because the shared-symbol bound showed the pair could
-    /// not reach the non-match threshold. `kernel_calls + bound_exits` is
-    /// the number of value pairs visited.
+    /// Attribute-value pairs visited **without** running their kernel,
+    /// because a shared-symbol bound showed the pair could not reach the
+    /// non-match threshold (or beat its rule's best pairing so far).
+    /// `kernel_calls + bound_exits` is the number of value pairs visited.
     pub bound_exits: u64,
+    /// The part of `bound_exits` the run prefilter
+    /// ([`CompiledComparator::survivors`](crate::comparator::CompiledComparator::survivors))
+    /// settled on two signatures, before `score_hoisted` saw the pair.
+    pub signature_exits: u64,
 }
 
 impl SimScratch {

@@ -17,8 +17,10 @@
 //!   are `(usize, usize)` and never clone a [`Term`],
 //! * everything else a store can answer — the whole-record `full_text`
 //!   the fallback similarity reads, the id → record map, the token and
-//!   key indexes — is **derived** from those two: built once on first
-//!   use, ignored by equality, never persisted (see `Derived`).
+//!   key indexes, the per-value symbol signatures the comparator's run
+//!   prefilter reads in place of the values — is **derived** from those
+//!   two: built once on first use, ignored by equality, never persisted
+//!   (see `Derived`).
 //!
 //! Stores are immutable once built. Build one with
 //! [`RecordStore::from_records`], or directly from an RDF graph with
@@ -35,6 +37,7 @@
 use crate::blocking::key::KeySide;
 use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
+use crate::similarity::symbols::Signature;
 use crate::token_index::{KeyIndex, TokenIndex};
 use classilink_rdf::{Graph, Term};
 use std::collections::hash_map::RandomState;
@@ -90,6 +93,15 @@ impl Column {
     fn range(&self, record: usize) -> std::ops::Range<usize> {
         self.offsets[record] as usize..self.offsets[record + 1] as usize
     }
+
+    /// Every value's [`Signature`], in value order: one walk of the text
+    /// along its bounds.
+    fn signatures(&self) -> Box<[Signature]> {
+        let values = self.bounds.windows(2);
+        values
+            .map(|w| Signature::of(&self.text[w[0] as usize..w[1] as usize]))
+            .collect()
+    }
 }
 
 /// Id → record lookup over a store's `ids`: one `(hash of the id, record)`
@@ -129,8 +141,9 @@ impl IdIndex {
 }
 
 /// Everything a store can re-derive from its ids and columns. Each slot
-/// is built on first use and lives until the contents change, which
-/// only [`RecordStore::refill_single`] does — through [`Derived::reset`].
+/// is built on first use — the per-column ones only for the columns
+/// somebody asks for — and lives until the contents change, which only
+/// [`RecordStore::refill_single`] does — through [`Derived::reset`].
 #[derive(Debug, Default)]
 struct Derived {
     /// Every record's [`RecordStore::full_text`], concatenated, and the
@@ -145,7 +158,13 @@ struct Derived {
     /// One [`KeyIndex`] per resolved key side (see
     /// [`RecordStore::key_index`]).
     key_indexes: Mutex<HashMap<KeySide, Arc<KeyIndex>>>,
+    /// One slot per column, filled for the columns a compiled string rule
+    /// compares on this side (see [`RecordStore::signatures`]).
+    signatures: OnceLock<Box<[SignatureSlot]>>,
 }
+
+/// One column's value signatures, once built.
+type SignatureSlot = OnceLock<Box<[Signature]>>;
 
 impl Derived {
     /// The key-index map. Poison recovery: the map is a reconstructible
@@ -195,6 +214,7 @@ impl Clone for Derived {
             token_index: self.token_index.clone(),
             full_token_index: self.full_token_index.clone(),
             key_indexes: Mutex::new(self.key_indexes().clone()),
+            signatures: self.signatures.clone(),
         }
     }
 }
@@ -375,6 +395,24 @@ impl RecordStore {
             .entry(*side)
             .or_insert_with(|| Arc::new(KeyIndex::build(self, side)))
             .clone()
+    }
+
+    /// The [`Signature`] of every value of `property`, by record — what the
+    /// comparator's run prefilter reads in place of the values — or `None`
+    /// when no record of this store has the property. Built per column on
+    /// first call (`O(column bytes)`); the pipeline and the serving layer
+    /// warm it, for the columns a string rule compares, before the scoring
+    /// loop can reach a cold store.
+    pub(crate) fn signatures(&self, property: PropertyId) -> Option<SignatureColumn<'_>> {
+        let column = self.columns.get(property.index())?;
+        let slots = self.derived.signatures.get_or_init(|| {
+            let slots = self.columns.iter().map(|_| OnceLock::new());
+            slots.collect()
+        });
+        Some(SignatureColumn {
+            offsets: &column.offsets,
+            signatures: slots[property.index()].get_or_init(|| column.signatures()),
+        })
     }
 
     /// Number of per-property columns (≤ the schema's property count:
@@ -628,6 +666,24 @@ fn assign_term(dest: &mut Term, src: &Term) {
             d.push_str(s);
         }
         (dest, src) => *dest = src.clone(),
+    }
+}
+
+/// One column's value signatures, addressed by record (see
+/// [`RecordStore::signatures`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SignatureColumn<'a> {
+    /// The column's per-record value ranges.
+    offsets: &'a [u32],
+    /// One signature per value of the column.
+    signatures: &'a [Signature],
+}
+
+impl<'a> SignatureColumn<'a> {
+    /// The signatures of `record`'s values, in value order.
+    #[inline]
+    pub(crate) fn of(&self, record: usize) -> &'a [Signature] {
+        &self.signatures[self.offsets[record] as usize..self.offsets[record + 1] as usize]
     }
 }
 
@@ -1081,6 +1137,61 @@ mod tests {
         // Clones share the already-built entries.
         let clone = store.clone();
         assert!(Arc::ptr_eq(&a, &clone.key_index(&four)));
+    }
+
+    #[test]
+    fn signatures_are_a_derived_cache() {
+        let schema = SchemaInterner::new();
+        let mut builder = RecordStore::builder_with_schema(schema.clone());
+        for record in &sample_records() {
+            builder.push(record);
+        }
+        let store = builder.build();
+        let (pn, mfr) = (store.property(PN).unwrap(), store.property(MFR).unwrap());
+        let built = |store: &RecordStore, property: PropertyId| {
+            let slots = store.derived.signatures.get();
+            slots.is_some_and(|slots| slots[property.index()].get().is_some())
+        };
+        let cold = store.clone();
+        // Addressed by record, in value order; a record without the
+        // property has none.
+        let column = store.signatures(mfr).unwrap();
+        assert_eq!(
+            column.of(0),
+            [Signature::of("Vishay"), Signature::of("Vishay Intertech")]
+        );
+        assert!(column.of(1).is_empty() && column.of(2).is_empty());
+        // Built for the column asked for and no other; equality ignores it.
+        assert!(built(&store, mfr) && !built(&store, pn) && !built(&cold, mfr));
+        assert_eq!(store, cold);
+        // A clone keeps what was built.
+        assert!(built(&store.clone(), mfr));
+        // A property a sibling shard interned has no column here: nothing
+        // to sign, nothing built.
+        let late = schema.intern("http://e.org/v#late");
+        assert!(store.signatures(late).is_none());
+        // One it interned *before* this shard's own is a padding column:
+        // no record has a value in it.
+        let mut younger = RecordStore::builder_with_schema(schema.clone());
+        younger.push(&{
+            let mut r = Record::new(Term::iri("http://e.org/p5"));
+            r.add("http://e.org/v#later-still", "x");
+            r
+        });
+        assert!(younger.build().signatures(late).unwrap().of(0).is_empty());
+        // The probe store's signatures go with its contents.
+        let mut probe = RecordStore::builder_with_schema(schema.clone()).build();
+        probe.refill_single(&schema, &sample_records()[0]);
+        assert_eq!(
+            probe.signatures(pn).unwrap().of(0),
+            [Signature::of("CRCW0805-10K")]
+        );
+        probe.refill_single(&schema, &sample_records()[2]);
+        assert!(probe.derived.signatures.get().is_none());
+        assert_eq!(
+            probe.signatures(pn).unwrap().of(0),
+            [Signature::of("T83A225")]
+        );
     }
 
     #[test]

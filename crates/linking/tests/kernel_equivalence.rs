@@ -10,7 +10,7 @@
 
 use classilink_linking::record::Record;
 use classilink_linking::similarity::scratch::SimScratch;
-use classilink_linking::similarity::symbols::{shared_symbols, symbol_masks};
+use classilink_linking::similarity::symbols::{shared_symbols, symbol_masks, Signature};
 use classilink_linking::similarity::{edit, jaro, naive, SimilarityMeasure};
 use classilink_linking::{RecordComparator, RecordStore};
 use classilink_rdf::Term;
@@ -100,6 +100,79 @@ fn shared(a: &str, b: &str) -> Option<u32> {
     shared_symbols(&symbol_masks(a)?, b)
 }
 
+/// An independent count of the multiset intersection of two strings'
+/// symbols.
+fn multiset_intersection(a: &str, b: &str) -> usize {
+    let count = |s: &str, c: char| s.chars().filter(|&x| x == c).count();
+    let mut distinct: Vec<char> = a.chars().collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct.iter().map(|&c| count(a, c).min(count(b, c))).sum()
+}
+
+/// What the run prefilter knows of a pair from its two signatures — a cap
+/// on the shared-symbol count and the common prefix — or `None` when
+/// either value has no signature (it is not ASCII).
+fn signature_bound(a: &str, b: &str) -> Option<(u32, u32)> {
+    let (sa, sb) = (Signature::of(a), Signature::of(b));
+    let both = sa.byte_len().is_some() && sb.byte_len().is_some();
+    both.then(|| (sa.shared_upper(&sb), sa.common_prefix(&sb)))
+}
+
+/// Assert that the signature tier never undercuts the exact count: its cap
+/// is at least the multiset intersection (and what `shared_symbols`
+/// counts, where that has a table), at most the shorter length, the same
+/// from either side; its prefix is the one Winkler boosts; and fed to the
+/// bound formulas it still bounds every kernel. Returns whether the pair
+/// has signatures.
+fn assert_signature_never_undercuts(scratch: &mut SimScratch, a: &str, b: &str) -> bool {
+    let Some((cap, prefix)) = signature_bound(a, b) else {
+        assert!(!a.is_ascii() || !b.is_ascii(), "({a:?}, {b:?})");
+        return false;
+    };
+    assert!(a.is_ascii() && b.is_ascii(), "({a:?}, {b:?})");
+    assert!(
+        cap as usize >= multiset_intersection(a, b),
+        "cap {cap} undercuts the count on ({a:?}, {b:?})"
+    );
+    if let Some(m) = shared(a, b) {
+        assert!(cap >= m, "cap {cap} < shared_symbols {m} on ({a:?}, {b:?})");
+    }
+    assert!(cap as usize <= a.len().min(b.len()), "({a:?}, {b:?})");
+    assert_eq!(signature_bound(b, a), Some((cap, prefix)), "({a:?}, {b:?})");
+    assert_eq!(prefix, jaro::common_prefix(a, b), "({a:?}, {b:?})");
+    let (la, lb) = (a.len(), b.len());
+    let bounds: [(&str, f64, f64); 4] = [
+        (
+            "levenshtein",
+            edit::edit_similarity_bound_at(cap, la, lb, prefix),
+            edit::levenshtein_similarity_with(scratch, a, b),
+        ),
+        (
+            "damerau-levenshtein",
+            edit::edit_similarity_bound_at(cap, la, lb, prefix),
+            edit::damerau_levenshtein_similarity_with(scratch, a, b),
+        ),
+        (
+            "jaro",
+            jaro::jaro_bound_at(cap, la, lb, prefix),
+            jaro::jaro_with(scratch, a, b),
+        ),
+        (
+            "jaro-winkler",
+            jaro::jaro_winkler_bound_at(cap, la, lb, prefix),
+            jaro::jaro_winkler_with(scratch, a, b),
+        ),
+    ];
+    for (name, bound, kernel) in bounds {
+        assert!(
+            bound >= kernel,
+            "{name}: signature bound {bound} undercuts kernel {kernel} on ({a:?}, {b:?})"
+        );
+    }
+    true
+}
+
 /// Assert that, wherever the pair has a bound, no string kernel exceeds
 /// its own: a kernel the comparator skips on the bound's word can never
 /// have scored higher. Returns whether the pair had a bound.
@@ -107,12 +180,7 @@ fn assert_bounds_hold(scratch: &mut SimScratch, a: &str, b: &str) -> bool {
     let Some(m) = shared(a, b) else {
         return false;
     };
-    // Against an independent count of the multiset intersection.
-    let count = |s: &str, c: char| s.chars().filter(|&x| x == c).count();
-    let mut distinct: Vec<char> = a.chars().collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let expected: usize = distinct.iter().map(|&c| count(a, c).min(count(b, c))).sum();
+    let expected = multiset_intersection(a, b);
     assert_eq!(m as usize, expected, "shared_symbols({a:?}, {b:?})");
     let bounds: [(&str, f64, f64); 4] = [
         (
@@ -195,6 +263,83 @@ fn bounds_hold_at_the_mask_boundary_and_on_repeats() {
     ] {
         assert!(!assert_bounds_hold(&mut scratch, a, b), "({a:?}, {b:?})");
     }
+}
+
+#[test]
+fn signature_boundary_table() {
+    let mut scratch = SimScratch::new();
+    // (a, b, cap on the shared symbols, common prefix).
+    let x = |n: usize| "x".repeat(n);
+    let ab = "ab".repeat(150);
+    let table: Vec<(String, String, u32, u32)> = [
+        ("", "", 0, 0),
+        ("", "ABCD", 0, 0),
+        ("AAAA", "AA", 2, 2),
+        // One side repeats a symbol, the other holds it once.
+        ("AAAA", "A", 1, 1),
+        ("AABB", "AB", 2, 1),
+        ("AABB", "ABC", 2, 1),
+        // Each side's repeat is what makes that side's count the tight one.
+        ("AAB", "ABBB", 2, 1),
+        ("ABAB", "BABA", 4, 0),
+        ("CRCW0805-10K", "CRCW0812-22K", 10, 4),
+        ("CRCW0805-10K", "T83A225K", 3, 0),
+        // '0' / 'p' and '-' / 'm' fold onto one class each: the cap counts
+        // a pairing the exact count does not — looser, never lower.
+        ("0", "p", 1, 0),
+        ("-", "m", 1, 0),
+        ("00", "pp", 2, 0),
+        ("0-", "mp", 2, 0),
+        // A value shorter than four bytes against one that extends it:
+        // the zero padding is not a shared symbol.
+        ("AB", "ABCD", 2, 2),
+        ("AB", "AB", 2, 2),
+        ("A", "A\0", 1, 1),
+        ("A\0\0", "A", 1, 1),
+        ("ABCDE", "ABCDF", 4, 4),
+        ("ABC", "ABD", 2, 2),
+    ]
+    .into_iter()
+    .map(|(a, b, cap, prefix)| (a.to_string(), b.to_string(), cap, prefix))
+    .chain([
+        // Lengths around the table's edge, and past a byte's range.
+        (x(63), x(64), 63, 4),
+        (x(64), x(64), 64, 4),
+        (x(64), x(65), 64, 4),
+        (x(65), x(300), 65, 4),
+        (ab.clone(), ab.clone(), 300, 4),
+        // Counts saturate at two: two classes cost "ab…" four symbols.
+        (ab.clone(), x(300), 296, 0),
+    ])
+    .collect();
+    for (a, b, cap, prefix) in &table {
+        assert!(assert_signature_never_undercuts(&mut scratch, a, b));
+        assert_eq!(
+            signature_bound(a, b),
+            Some((*cap, *prefix)),
+            "({a:?}, {b:?})"
+        );
+    }
+    for (len, bounded) in [(0, true), (63, true), (64, true), (65, false), (300, false)] {
+        assert_eq!(Signature::of(&x(len)).is_bounded(), bounded, "{len} bytes");
+        assert_eq!(Signature::of(&x(len)).byte_len(), Some(len));
+    }
+    // Non-ASCII on either side, combining marks included: no signature —
+    // 'é' is C3 A9, whose low bits are those of 'C' and ')'.
+    for (a, b) in [
+        ("café", "cafe"),
+        ("cafe", "café"),
+        ("e\u{301}tude", "etude"),
+        ("C)", "é"),
+        ("😀", "😀"),
+    ] {
+        assert!(
+            !assert_signature_never_undercuts(&mut scratch, a, b),
+            "({a:?}, {b:?})"
+        );
+    }
+    assert_eq!(Signature::of("é"), Signature::POISONED);
+    assert!(!Signature::POISONED.is_bounded());
 }
 
 #[test]
@@ -294,6 +439,29 @@ proptest! {
             s.bytes().map(|x| char::from(b'A' + x % 3)).collect()
         };
         prop_assert!(assert_bounds_hold(&mut scratch, &fold(&c), &fold(&d)));
+    }
+
+    /// The signature tier never undercuts the exact count, and its prefix
+    /// is Winkler's: on arbitrary printable input (a non-ASCII side has no
+    /// signature), on ASCII input of up to 40 bytes (every pair has one)
+    /// and on a three-letter alphabet (repeats are the rule).
+    #[test]
+    fn prop_signatures_never_undercut_the_count(
+        a in "\\PC{0,18}",
+        b in "\\PC{0,18}",
+        c in "[ -~]{0,40}",
+        d in "[ -~]{0,40}",
+    ) {
+        let mut scratch = SimScratch::new();
+        assert_signature_never_undercuts(&mut scratch, &a, &b);
+        prop_assert!(assert_signature_never_undercuts(&mut scratch, &c, &d));
+        // A shared head exercises the prefix past its first byte.
+        let headed = format!("{}{d}", &c[..c.len().min(3)]);
+        prop_assert!(assert_signature_never_undercuts(&mut scratch, &c, &headed));
+        let fold = |s: &str| -> String {
+            s.bytes().map(|x| char::from(b'A' + x % 3)).collect()
+        };
+        prop_assert!(assert_signature_never_undercuts(&mut scratch, &fold(&c), &fold(&d)));
     }
 
     /// The token-indexed score path ≡ a naive scorer on arbitrary

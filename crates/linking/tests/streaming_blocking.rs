@@ -27,8 +27,8 @@ use classilink_linking::blocking::{
 };
 use classilink_linking::pipeline::{Link, LinkageResult};
 use classilink_linking::{
-    AttributeRule, CandidateRuns, LeftHoist, LinkagePipeline, MatchDecision, RecordComparator,
-    RecordStore, ShardedStore, SimScratch, SimilarityMeasure,
+    AttributeRule, CandidateRuns, CompiledComparator, LeftHoist, LinkagePipeline, MatchDecision,
+    RecordComparator, RecordStore, ShardedStore, SimScratch, SimilarityMeasure,
 };
 use classilink_segment::{CharNGramSegmenter, Segmenter};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -654,7 +654,10 @@ fn non_match_threshold_on_an_achieved_score_keeps_the_pair() {
 /// What the filter did, counted: on standard blocks under `jw95` the bound
 /// rejects more value pairs than reach the kernel, every visited value
 /// pair is one or the other, and the decisions are those of the exact
-/// scorer. `LinkageResult::comparisons` keeps counting candidate pairs.
+/// scorer — pair by pair, and again the way the pipeline scores a block
+/// (the run prefilter, then `score_hoisted` on the survivors), whose
+/// signature exits are a part of the same bound exits.
+/// `LinkageResult::comparisons` keeps counting candidate pairs.
 #[test]
 fn bound_exits_outnumber_kernel_calls_and_cover_every_value_pair() {
     let scenario = generate(&ScenarioConfig::tiny());
@@ -695,11 +698,53 @@ fn bound_exits_outnumber_kernel_calls_and_cover_every_value_pair() {
         scratch.kernel_calls
     );
     assert!(scratch.kernel_calls >= links, "every link ran its kernel");
+    assert_eq!(scratch.signature_exits, 0, "no prefilter ran");
     // `score`, the oracle, never counts: it never skips.
     assert_eq!((exact.kernel_calls, exact.bound_exits), (0, 0));
+
+    // The block path: the same account, most of it settled on signatures.
+    let (blocked, block_links) = score_blocks(&compiled, &runs, &external, &local);
+    assert_eq!(
+        (blocked.kernel_calls, blocked.bound_exits, block_links),
+        (scratch.kernel_calls, scratch.bound_exits, links)
+    );
+    assert!(
+        blocked.signature_exits <= blocked.bound_exits
+            && blocked.signature_exits > blocked.kernel_calls,
+        "{} signature exits of {} bound exits, {} kernel calls",
+        blocked.signature_exits,
+        blocked.bound_exits,
+        blocked.kernel_calls
+    );
     let result = LinkagePipeline::new(&blocker, &cmp).run_sharded(&external, &local);
     assert_eq!(result.comparisons, runs.total());
     assert_eq!((result.matches.len() + result.possible.len()) as u64, links);
+}
+
+/// Score shard 0's blocks of `runs` the way `pipeline::score_block` does —
+/// hoist, run prefilter, `score_hoisted` on the survivors — and return the
+/// counters and the number of links.
+fn score_blocks(
+    compiled: &CompiledComparator<'_>,
+    runs: &CandidateRuns,
+    external: &RecordStore,
+    local: &RecordStore,
+) -> (SimScratch, u64) {
+    let mut scratch = SimScratch::new();
+    let mut hoist = LeftHoist::new();
+    let mut survivors = Vec::new();
+    let mut links = 0u64;
+    for block in 0..runs.blocks(0).len() {
+        let (e, run) = runs.run(0, block);
+        compiled.hoist_left(external, e, &mut hoist);
+        compiled.survivors(&mut hoist, local, run, &mut scratch, &mut survivors);
+        for &l in &survivors {
+            let (_, decision) =
+                compiled.score_hoisted(&hoist, external, local, l as usize, &mut scratch);
+            links += u64::from(decision != MatchDecision::NonMatch);
+        }
+    }
+    (scratch, links)
 }
 
 mod local_run_decode {
@@ -932,6 +977,42 @@ fn filtered_scoring_matches_the_exact_scorer_at_paper_scale() {
             assert_eq!(expected, result, "{label}: {threads} threads");
         }
     }
+}
+
+/// The comparison funnel of `linkbench`'s `batch_standard` link (seed
+/// 20120326, `jw95`), pinned: of 5 034 378 candidate pairs the run
+/// prefilter settles 4 574 727 on two signatures, the exact count the
+/// rest of the 4 748 134 bound exits, and 286 244 kernels run for
+/// 6 784 + 58 063 links. The kernel calls and bound exits are those of the
+/// pair-by-pair path before there was a prefilter — a signature can only
+/// reject what the exact count rejects — so a change to a bound that moves
+/// either has changed what is skipped, not only how fast. Run this after
+/// touching a bound (`--release -- --ignored`).
+#[test]
+#[ignore = "paper scale: run with --release -- --ignored"]
+fn comparison_funnel_at_paper_scale() {
+    let scenario = generate(&ScenarioConfig::paper());
+    let (external, local) = (scenario.external_store(), scenario.local_store());
+    let blocker = StandardBlocker::new(key(4));
+    let cmp = jw95();
+    let mut runs = CandidateRuns::new();
+    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    assert_eq!(runs.total(), 5_034_378);
+    let compiled = cmp.compile(&external, &local);
+    let (funnel, links) = score_blocks(&compiled, &runs, &external, &local);
+    assert_eq!(
+        (funnel.kernel_calls, funnel.bound_exits, links),
+        (286_244, 4_748_134, 6_784 + 58_063)
+    );
+    // Of the bound exits, those the signatures settle: pinned too, so that a
+    // tier gone one notch looser shows here and not only on a stopwatch.
+    assert_eq!(funnel.signature_exits, 4_574_727);
+    let result = LinkagePipeline::new(&blocker, &cmp).run_sharded(&external, &local);
+    assert_eq!(result.comparisons, 5_034_378);
+    assert_eq!(
+        (result.matches.len(), result.possible.len()),
+        (6_784, 58_063)
+    );
 }
 
 /// Paper scale (30 000 locals, 10 265 externals, the rules of confidence

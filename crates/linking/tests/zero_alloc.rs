@@ -406,6 +406,45 @@ fn measure_probe_sweep(
     (after - before, links)
 }
 
+/// Append a shard whose one block (100 locals) outgrows every buffer so
+/// far: the sweep that meets it first grows the sink and the survivor
+/// buffer, the next one reuses them. Then swap `catalog` back and append
+/// the same shard anew — it is cold, the scratch is not: probes right
+/// behind the publish allocate nothing, because the writer built the
+/// shard's signature column (and key index), not the probe.
+fn assert_appended_shards_are_probed_warm(
+    linker: &Linker<'_>,
+    scratch: &mut ProbeScratch,
+    probes: &[Record],
+    catalog: &ShardedStore,
+) {
+    let append = || {
+        let mut delta = linker.delta_builder();
+        for i in 0..100 {
+            let mut r = Record::new(Term::iri(format!("http://local.e.org/delta/{i}")));
+            r.add(LOC_PN, format!("CRCW0805-{:05}-{}", 7 * i + 3, i % 5));
+            delta.push(&r);
+        }
+        linker.append(delta);
+    };
+    append();
+    let (grown, _) = measure_probe_sweep(linker, scratch, probes);
+    assert_eq!(grown, 0, "a warm sweep over the grown block allocated");
+    linker.swap(catalog.clone());
+    append();
+    let before = allocations();
+    let mut comparisons = 0;
+    for probe in probes {
+        comparisons += linker.probe_with(probe, scratch).comparisons;
+    }
+    assert!(comparisons >= 100, "the appended block was not probed");
+    assert_eq!(
+        allocations() - before,
+        0,
+        "the first probes behind an append allocated"
+    );
+}
+
 #[test]
 fn warm_probe_never_allocates() {
     // Thresholds no score can reach: every candidate is scored but no
@@ -456,6 +495,7 @@ fn warm_probe_never_allocates() {
                  allocated {allocations} times",
                 blocker.name()
             );
+            assert_appended_shards_are_probed_warm(&linker, &mut scratch, &probes, &catalog);
         }
     }
 }
