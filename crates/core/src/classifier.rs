@@ -9,9 +9,7 @@
 use crate::config::LearnerConfig;
 use crate::learner::LearnOutcome;
 use crate::rule::ClassificationRule;
-use crate::training::literal_facts;
 use classilink_ontology::ClassId;
-use classilink_rdf::{Graph, Term};
 use classilink_segment::{Normalizer, SegmenterKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -96,17 +94,12 @@ impl RuleClassifier {
         Self::new(rules, self.segmenter.clone(), self.normalize)
     }
 
-    /// Classify an external item given as `(property IRI, value)` facts.
+    /// Classify an external item given as borrowed `(property IRI, value)`
+    /// facts — what a columnar record store's `facts(e)` yields: no property
+    /// or value is cloned unless a rule actually fires (evidence strings).
     ///
     /// Returns one prediction per class that at least one rule concluded,
     /// ranked by confidence then lift (the paper's subspace ordering).
-    pub fn classify_facts(&self, facts: &[(String, String)]) -> Vec<Prediction> {
-        self.classify_fact_refs(facts.iter().map(|(p, v)| (p.as_str(), v.as_str())))
-    }
-
-    /// Classify an external item from **borrowed** facts. This is the
-    /// ingestion path for columnar record stores: no property or value is
-    /// cloned unless a rule actually fires (evidence strings).
     pub fn classify_fact_refs<'f>(
         &self,
         facts: impl IntoIterator<Item = (&'f str, &'f str)>,
@@ -171,15 +164,12 @@ impl RuleClassifier {
         predictions
     }
 
-    /// Classify an external item stored in an RDF graph.
-    pub fn classify_item(&self, graph: &Graph, item: &Term) -> Vec<Prediction> {
-        self.classify_facts(&literal_facts(graph, item))
-    }
-
     /// The single best prediction for an item's facts (a "decision" in the
     /// paper's Table 1 vocabulary), if any rule fired.
     pub fn decide(&self, facts: &[(String, String)]) -> Option<Prediction> {
-        self.classify_facts(facts).into_iter().next()
+        self.classify_fact_refs(facts.iter().map(|(p, v)| (p.as_str(), v.as_str())))
+            .into_iter()
+            .next()
     }
 }
 
@@ -191,7 +181,7 @@ mod tests {
     use crate::measures::Contingency;
     use crate::training::{TrainingExample, TrainingSet};
     use classilink_ontology::OntologyBuilder;
-    use classilink_rdf::Triple;
+    use classilink_rdf::Term;
 
     const PN: &str = "http://provider.e.org/v#partNumber";
 
@@ -214,6 +204,10 @@ mod tests {
         RuleClassifier::new(rules, SegmenterKind::Separator, true)
     }
 
+    fn classify(c: &RuleClassifier, pn: &str) -> Vec<Prediction> {
+        c.classify_fact_refs([(PN, pn)])
+    }
+
     #[test]
     fn classification_returns_ranked_predictions() {
         let c = classifier(vec![
@@ -221,7 +215,7 @@ mod tests {
             rule("63v", 2, 100, 60), // conf 0.6
             rule("63v", 1, 100, 40), // conf 0.4 (same premise, class 1)
         ]);
-        let preds = c.classify_facts(&facts("CRCW0805-10K-ohm-63V"));
+        let preds = classify(&c, "CRCW0805-10K-ohm-63V");
         assert_eq!(preds.len(), 2);
         assert_eq!(preds[0].class, ClassId(1));
         assert_eq!(preds[0].confidence, 1.0);
@@ -234,7 +228,7 @@ mod tests {
     #[test]
     fn same_class_rules_are_deduplicated_keeping_best() {
         let c = classifier(vec![rule("ohm", 1, 50, 50), rule("63v", 1, 100, 40)]);
-        let preds = c.classify_facts(&facts("ohm 63V"));
+        let preds = classify(&c, "ohm 63V");
         assert_eq!(preds.len(), 1);
         assert_eq!(preds[0].confidence, 1.0);
     }
@@ -242,30 +236,17 @@ mod tests {
     #[test]
     fn no_matching_rule_means_no_prediction() {
         let c = classifier(vec![rule("ohm", 1, 50, 50)]);
-        assert!(c.classify_facts(&facts("T83-A225")).is_empty());
-        assert!(c.classify_facts(&[]).is_empty());
+        assert!(classify(&c, "T83-A225").is_empty());
+        assert!(c.classify_fact_refs([]).is_empty());
         assert!(c.decide(&facts("T83-A225")).is_none());
     }
 
     #[test]
     fn property_must_match() {
         let c = classifier(vec![rule("ohm", 1, 50, 50)]);
-        let wrong_property = vec![("http://other.org/v#label".to_string(), "ohm".to_string())];
-        assert!(c.classify_facts(&wrong_property).is_empty());
-    }
-
-    #[test]
-    fn borrowed_and_owned_fact_ingestion_agree() {
-        let c = classifier(vec![rule("ohm", 1, 50, 50), rule("63v", 2, 100, 60)]);
-        let owned = facts("CRCW0805-10K-ohm-63V");
-        let borrowed: Vec<(&str, &str)> = owned
-            .iter()
-            .map(|(p, v)| (p.as_str(), v.as_str()))
-            .collect();
-        assert_eq!(
-            c.classify_facts(&owned),
-            c.classify_fact_refs(borrowed.into_iter())
-        );
+        assert!(c
+            .classify_fact_refs([("http://other.org/v#label", "ohm")])
+            .is_empty());
     }
 
     #[test]
@@ -280,8 +261,8 @@ mod tests {
         let c = classifier(vec![rule("ohm", 1, 50, 50), rule("63v", 2, 100, 60)]);
         let strict = c.with_min_confidence(0.9);
         assert_eq!(strict.rules().len(), 1);
-        assert!(strict.classify_facts(&facts("63V")).is_empty());
-        assert_eq!(strict.classify_facts(&facts("ohm")).len(), 1);
+        assert!(classify(&strict, "63V").is_empty());
+        assert_eq!(classify(&strict, "ohm").len(), 1);
         // Threshold exactly at a rule's confidence keeps the rule.
         let exact = c.with_min_confidence(0.6);
         assert_eq!(exact.rules().len(), 2);
@@ -292,35 +273,15 @@ mod tests {
         // Rules store lowercase segments; classification of an uppercase
         // value must still fire when normalize = true …
         let c = classifier(vec![rule("ohm", 1, 50, 50)]);
-        assert_eq!(c.classify_facts(&facts("10K-OHM")).len(), 1);
+        assert_eq!(classify(&c, "10K-OHM").len(), 1);
         // … and must not fire when normalize = false.
         let raw = RuleClassifier::new(
             vec![rule("ohm", 1, 50, 50)],
             SegmenterKind::Separator,
             false,
         );
-        assert!(raw.classify_facts(&facts("10K-OHM")).is_empty());
-        assert_eq!(raw.classify_facts(&facts("10K-ohm")).len(), 1);
-    }
-
-    #[test]
-    fn classify_item_reads_graph_facts() {
-        let c = classifier(vec![rule("ohm", 1, 50, 50)]);
-        let mut g = Graph::new();
-        g.insert(Triple::literal(
-            "http://provider.e.org/item/1",
-            PN,
-            "10K-ohm",
-        ));
-        g.insert(Triple::iris(
-            "http://provider.e.org/item/1",
-            "http://provider.e.org/v#seeAlso",
-            "http://x.org",
-        ));
-        let preds = c.classify_item(&g, &Term::iri("http://provider.e.org/item/1"));
-        assert_eq!(preds.len(), 1);
-        let none = c.classify_item(&g, &Term::iri("http://provider.e.org/item/2"));
-        assert!(none.is_empty());
+        assert!(classify(&raw, "10K-OHM").is_empty());
+        assert_eq!(classify(&raw, "10K-ohm").len(), 1);
     }
 
     #[test]

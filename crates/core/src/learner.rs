@@ -76,14 +76,6 @@ impl LearnOutcome {
             .filter(|r| r.confidence() >= min_confidence)
             .collect()
     }
-
-    /// Average lift over all rules (0.0 when there are none).
-    pub fn average_lift(&self) -> f64 {
-        if self.rules.is_empty() {
-            return 0.0;
-        }
-        self.rules.iter().map(|r| r.lift()).sum::<f64>() / self.rules.len() as f64
-    }
 }
 
 /// The rule learner: applies Algorithm 1 to a training set.
@@ -117,8 +109,11 @@ impl RuleLearner {
         }
         let n = training.len() as u64;
         // Frequencies must *strictly exceed* th (the paper: "having a
-        // frequency greater than th").
-        let min_count = (self.config.support_threshold * n as f64).floor() as u64;
+        // frequency greater than th"). Compared as a frequency: flooring
+        // `th · n` first would let a count *equal* to it through whenever the
+        // product rounds just below the integer (0.29 · 100).
+        let threshold = self.config.support_threshold;
+        let exceeds_th = |count: u64| count as f64 / n as f64 > threshold;
 
         let segmenter = self.config.segmenter.build();
         let normalizer = if self.config.normalize {
@@ -169,7 +164,7 @@ impl RuleLearner {
         let segment_occurrences: u64 = pair_counts.values().sum();
         let frequent_pairs: HashMap<(u32, SegmentId), u64> = pair_counts
             .iter()
-            .filter(|(_, count)| **count > min_count)
+            .filter(|(_, count)| exceeds_th(**count))
             .map(|(pair, count)| (*pair, *count))
             .collect();
         let selected_segment_occurrences: u64 = frequent_pairs.values().sum();
@@ -180,7 +175,7 @@ impl RuleLearner {
         let class_counts: BTreeMap<ClassId, u64> = training.class_frequencies();
         let frequent_classes: BTreeMap<ClassId, u64> = class_counts
             .iter()
-            .filter(|(_, count)| **count > min_count && **count >= self.config.min_class_instances)
+            .filter(|(_, count)| exceeds_th(**count) && **count >= self.config.min_class_instances)
             .map(|(c, count)| (*c, *count))
             .collect();
 
@@ -210,7 +205,7 @@ impl RuleLearner {
         // ------------------------------------------------------------------
         let mut rules: Vec<ClassificationRule> = Vec::new();
         for (((p_idx, seg_id), class), both) in &joint_counts {
-            if *both <= min_count {
+            if !exceeds_th(*both) {
                 continue;
             }
             let premise = frequent_pairs[&(*p_idx, *seg_id)];
@@ -420,6 +415,35 @@ mod tests {
     }
 
     #[test]
+    fn a_frequency_equal_to_th_does_not_exceed_it() {
+        // th = 0.29, |TS| = 100: `0.29 * 100.0` is 28.999999999999996, so a
+        // floored bound of 28 would keep a premise, a class and a
+        // conjunction seen exactly 29 times — a frequency of 0.29, not more.
+        let (onto, resistor, capacitor) = ontology();
+        let mut ts = TrainingSet::new();
+        for i in 0..29 {
+            ts.push(example(i, &format!("AAA-{i}"), vec![resistor]));
+        }
+        for i in 29..59 {
+            ts.push(example(i, &format!("BBB-{i}"), vec![capacitor]));
+        }
+        for i in 59..100 {
+            ts.push(example(i, &format!("CCC-{i}"), vec![ClassId(0)]));
+        }
+        let outcome = RuleLearner::new(config().with_support_threshold(0.29))
+            .learn(&ts, &onto)
+            .unwrap();
+        assert_eq!(outcome.stats.frequent_pairs, 2, "bbb (30) and ccc (41)");
+        assert_eq!(outcome.stats.frequent_classes, 2);
+        let learnt: Vec<(&str, ClassId)> = outcome
+            .rules
+            .iter()
+            .map(|r| (r.segment.as_str(), r.class))
+            .collect();
+        assert_eq!(learnt, vec![("bbb", capacitor), ("ccc", ClassId(0))]);
+    }
+
+    #[test]
     fn higher_threshold_yields_fewer_or_equal_rules() {
         let (onto, resistor, capacitor) = ontology();
         let ts = training(resistor, capacitor);
@@ -491,8 +515,6 @@ mod tests {
         let perfect = outcome.rules_with_confidence(1.0);
         assert!(!perfect.is_empty());
         assert!(perfect.iter().all(|r| r.confidence() >= 1.0));
-        assert!(outcome.average_lift() > 1.0);
-        assert_eq!(LearnOutcome::default().average_lift(), 0.0);
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //! * [`config`] — learner configuration (support threshold `th`, property
 //!   selection, segmentation).
 //! * [`learner`] — Algorithm 1 ([`RuleLearner`]) and run statistics.
-//! * [`ordering`] — rule ranking and confidence-tier grouping (Table 1).
-//! * [`classifier`] — applying rules to new external items.
-//! * [`subspace`] — linking subspaces and reduction statistics.
+//! * [`ordering`] — confidence-tier grouping of ranked rules (Table 1).
+//! * [`classifier`] — applying rules to new external items. The linking
+//!   subspace the predicted classes determine is resolved in one place,
+//!   `classilink-linking`'s `RuleBasedBlocker`; `classilink-eval` measures
+//!   the reduction (E3/E4) off the candidates it streams.
 //! * [`pruning`] — redundancy and quality-based pruning.
 //! * [`mod@generalize`] — subsumption-based rule generalisation (the paper's
 //!   future-work extension).
@@ -84,7 +86,6 @@ pub mod measures;
 pub mod ordering;
 pub mod pruning;
 pub mod rule;
-pub mod subspace;
 pub mod training;
 
 pub use classifier::{Prediction, RuleClassifier};
@@ -92,13 +93,12 @@ pub use config::{LearnerConfig, PropertySelection};
 pub use error::{CoreError, Result};
 pub use generalize::{generalize, GeneralizeConfig, GeneralizeOutcome};
 pub use learner::{LearnOutcome, LearnStats, RuleLearner};
-pub use measures::{reduction_factor, Contingency, RuleQuality};
-pub use ordering::{best_rule_per_class, group_by_confidence_tiers, rank_rules};
+pub use measures::{Contingency, RuleQuality};
+pub use ordering::group_by_confidence_tiers;
 pub use pruning::{
     filter_by_quality, prune_hierarchy_redundant, top_k_per_class, HierarchyPreference,
 };
 pub use rule::ClassificationRule;
-pub use subspace::{LinkingSubspace, ReductionStats, SubspaceBuilder};
 pub use training::{literal_facts, TrainingExample, TrainingSet};
 
 /// A convenience prelude re-exporting the types most programs need.
@@ -108,6 +108,5 @@ pub mod prelude {
     pub use crate::learner::{LearnOutcome, LearnStats, RuleLearner};
     pub use crate::measures::{Contingency, RuleQuality};
     pub use crate::rule::ClassificationRule;
-    pub use crate::subspace::{LinkingSubspace, ReductionStats, SubspaceBuilder};
     pub use crate::training::{TrainingExample, TrainingSet};
 }

@@ -136,31 +136,6 @@ impl RuleQuality {
             conviction,
         }
     }
-
-    /// `true` when the rule's premise and conclusion co-occur more often than
-    /// expected under independence (lift > 1).
-    pub fn is_positively_correlated(&self) -> bool {
-        self.lift > 1.0
-    }
-}
-
-/// Compute the (upper bound on the) factor by which the linking space shrinks
-/// for one external item classified by a rule with this lift, following the
-/// paper's observation:
-///
-/// > "using a rule that has a confidence of 1, even for a big class that
-/// > represents 20% of the catalog, the linkage space can be divided by 5 for
-/// > one instance."
-///
-/// When a rule has confidence `conf` and the concluded class holds a fraction
-/// `P(c)` of the catalog, an item is compared against `P(c) · |SL|` instances
-/// instead of `|SL|`: a reduction factor of `1 / P(c) = lift / confidence`.
-pub fn reduction_factor(quality: &RuleQuality) -> f64 {
-    if quality.confidence == 0.0 {
-        1.0
-    } else {
-        (quality.lift / quality.confidence).max(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -177,9 +152,6 @@ mod tests {
         assert!((q.confidence - 0.9).abs() < 1e-12);
         assert!((q.lift - 9.0).abs() < 1e-12);
         assert!((q.coverage - 0.05).abs() < 1e-12);
-        assert!(q.is_positively_correlated());
-        // The class is 10% of the data ⇒ the subspace is 10× smaller.
-        assert!((reduction_factor(&q) - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -196,7 +168,6 @@ mod tests {
         let q = Contingency::new(400, 200, 200, 100).quality();
         assert!((q.lift - 1.0).abs() < 1e-12);
         assert!(q.leverage.abs() < 1e-12);
-        assert!(!q.is_positively_correlated());
     }
 
     #[test]
@@ -215,7 +186,6 @@ mod tests {
 
         let no_class = Contingency::new(10, 5, 0, 0).quality();
         assert_eq!(no_class.lift, 0.0);
-        assert_eq!(reduction_factor(&no_class), 1.0);
     }
 
     #[test]
@@ -226,13 +196,6 @@ mod tests {
         // All non-class examples triggered by premise → specificity 0.
         let q2 = Contingency::new(10, 5, 5, 0).quality();
         assert_eq!(q2.specificity, 0.0);
-    }
-
-    #[test]
-    fn reduction_factor_never_below_one() {
-        let q = Contingency::new(10, 10, 10, 10).quality();
-        // class covers everything → no reduction.
-        assert_eq!(reduction_factor(&q), 1.0);
     }
 
     proptest! {

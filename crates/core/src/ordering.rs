@@ -1,4 +1,4 @@
-//! Rule ordering and conclusion deduplication (section 4.4 of the paper).
+//! Confidence tiers over ranked rules (section 4.4 of the paper).
 //!
 //! "The above quality measures are used to rank the obtained subspaces for
 //! each data item of SE. More precisely, the confidence degree is used first.
@@ -7,34 +7,14 @@
 //! different rules may lead to the same linking subspace. In this case, we
 //! ignore the one that is obtained by the rule having the worst confidence
 //! degree."
+//!
+//! The ranking itself is [`ClassificationRule::ranking_cmp`] (the learner
+//! sorts with it) and the per-class deduplication happens where rules are
+//! applied ([`RuleClassifier`](crate::RuleClassifier) keeps the best rule
+//! per predicted class); this module groups ranked rules into the tiers of
+//! Table 1.
 
 use crate::rule::ClassificationRule;
-use classilink_ontology::ClassId;
-use std::collections::HashMap;
-
-/// Sort rules in ranking order: confidence descending, then lift descending,
-/// then support descending, then a deterministic textual tie-break.
-pub fn rank_rules(rules: &mut [ClassificationRule]) {
-    rules.sort_by(|a, b| a.ranking_cmp(b));
-}
-
-/// Among rules that conclude on the same class (and therefore determine the
-/// same linking subspace), keep only the best-ranked one. The input order is
-/// irrelevant; the output is in ranking order.
-pub fn best_rule_per_class(rules: &[ClassificationRule]) -> Vec<&ClassificationRule> {
-    let mut best: HashMap<ClassId, &ClassificationRule> = HashMap::new();
-    for rule in rules {
-        match best.get(&rule.class) {
-            Some(current) if current.ranking_cmp(rule).is_le() => {}
-            _ => {
-                best.insert(rule.class, rule);
-            }
-        }
-    }
-    let mut out: Vec<&ClassificationRule> = best.into_values().collect();
-    out.sort_by(|a, b| a.ranking_cmp(b));
-    out
-}
 
 /// Group rules by descending confidence tier. `thresholds` must be sorted in
 /// descending order (e.g. `[1.0, 0.8, 0.6, 0.4]` as in Table 1); a rule falls
@@ -61,6 +41,7 @@ pub fn group_by_confidence_tiers<'a>(
 mod tests {
     use super::*;
     use crate::measures::Contingency;
+    use classilink_ontology::ClassId;
 
     fn rule(segment: &str, class: u32, premise: u64, both: u64) -> ClassificationRule {
         ClassificationRule {
@@ -71,36 +52,6 @@ mod tests {
             class_label: format!("C{class}"),
             quality: Contingency::new(1000, premise, 100, both).quality(),
         }
-    }
-
-    #[test]
-    fn rank_orders_by_confidence_then_lift() {
-        let mut rules = vec![
-            rule("low", 1, 100, 60), // conf 0.6
-            rule("high", 2, 50, 50), // conf 1.0
-            rule("mid", 3, 100, 80), // conf 0.8
-        ];
-        rank_rules(&mut rules);
-        let segments: Vec<&str> = rules.iter().map(|r| r.segment.as_str()).collect();
-        assert_eq!(segments, vec!["high", "mid", "low"]);
-    }
-
-    #[test]
-    fn best_rule_per_class_keeps_highest_confidence() {
-        let rules = vec![
-            rule("weak", 1, 100, 70),  // class 1, conf 0.7
-            rule("strong", 1, 50, 50), // class 1, conf 1.0
-            rule("only", 2, 80, 40),   // class 2, conf 0.5
-        ];
-        let best = best_rule_per_class(&rules);
-        assert_eq!(best.len(), 2);
-        assert_eq!(best[0].segment, "strong");
-        assert_eq!(best[1].segment, "only");
-    }
-
-    #[test]
-    fn best_rule_per_class_on_empty_input() {
-        assert!(best_rule_per_class(&[]).is_empty());
     }
 
     #[test]

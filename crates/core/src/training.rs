@@ -45,20 +45,6 @@ impl TrainingExample {
             classes,
         }
     }
-
-    /// Values of one property on the external item.
-    pub fn values_of(&self, property_iri: &str) -> Vec<&str> {
-        self.facts
-            .iter()
-            .filter(|(p, _)| p == property_iri)
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-
-    /// `true` when the example's local item is an instance of `class`.
-    pub fn has_class(&self, class: ClassId) -> bool {
-        self.classes.contains(&class)
-    }
 }
 
 /// The training set `TS`: a list of validated linked pairs.
@@ -118,11 +104,6 @@ impl TrainingSet {
             }
         }
         freqs
-    }
-
-    /// Total number of property facts over all examples.
-    pub fn fact_count(&self) -> usize {
-        self.examples.iter().map(|e| e.facts.len()).sum()
     }
 
     /// Split the training set into `(train, test)` parts: the first
@@ -262,7 +243,8 @@ mod tests {
         let ts = TrainingSet::from_dataset(&ds, &onto, true).unwrap();
         assert_eq!(ts.len(), 3);
         assert!(!ts.is_empty());
-        assert_eq!(ts.fact_count(), 6);
+        // Two literal facts each; the IRI-valued `seeAlso` is not a fact.
+        assert!(ts.examples().iter().all(|e| e.facts.len() == 2));
         let props = ts.properties();
         assert_eq!(
             props,
@@ -298,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn example_accessors() {
+    fn examples_carry_the_linked_pair_its_facts_and_classes() {
         let (onto, _, resistor, _) = ontology();
         let ds = dataset(&onto);
         let ts = TrainingSet::from_dataset(&ds, &onto, true).unwrap();
@@ -308,14 +290,14 @@ mod tests {
             .find(|e| e.external_item == Term::iri("http://provider.e.org/item/1"))
             .unwrap();
         assert_eq!(ex.local_item, Term::iri("http://local.e.org/prod/1"));
+        let mut facts = ex.facts.clone();
+        facts.sort();
+        let fact = |p: &str, v: &str| (format!("http://provider.e.org/v#{p}"), v.to_string());
         assert_eq!(
-            ex.values_of("http://provider.e.org/v#ref"),
-            vec!["CRCW0805-10K-ohm"]
+            facts,
+            vec![fact("maker", "ACME"), fact("ref", "CRCW0805-10K-ohm")]
         );
-        assert_eq!(ex.values_of("http://provider.e.org/v#maker"), vec!["ACME"]);
-        assert!(ex.values_of("http://provider.e.org/v#nope").is_empty());
-        assert!(ex.has_class(resistor));
-        assert!(!ex.has_class(ClassId(99)));
+        assert_eq!(ex.classes, vec![resistor]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use classilink_linking::blocking::{
     collect_pairs, BigramBlocker, Blocker, BlockingKey, BlockingStats, CartesianBlocker,
     RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
 };
-use classilink_linking::{RecordStore, ShardedStore};
+use classilink_linking::RecordStore;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -37,24 +37,6 @@ pub fn stores_and_truth(
 ) -> (RecordStore, RecordStore, HashSet<(usize, usize)>) {
     let external = scenario.external_store();
     let local = scenario.local_store();
-    let truth: HashSet<(usize, usize)> = scenario
-        .dataset
-        .link_pairs()
-        .filter_map(|(e, l)| Some((external.index_of(&e)?, local.index_of(&l)?)))
-        .collect();
-    (external, local, truth)
-}
-
-/// The sharded variant of [`stores_and_truth`]: the catalog is split into
-/// `shard_count` shards sharing one schema with the external store, and
-/// the gold pairs use **global** catalog ids — the same indices
-/// [`stores_and_truth`] produces, so blocking statistics computed against
-/// either representation agree.
-pub fn sharded_stores_and_truth(
-    scenario: &GeneratedScenario,
-    shard_count: usize,
-) -> (RecordStore, ShardedStore, HashSet<(usize, usize)>) {
-    let (external, local) = scenario.sharded_stores(shard_count);
     let truth: HashSet<(usize, usize)> = scenario
         .dataset
         .link_pairs()
@@ -196,33 +178,6 @@ mod tests {
         let scenario = generate(&ScenarioConfig::tiny());
         let (_, _, truth) = stores_and_truth(&scenario);
         assert_eq!(truth.len(), scenario.dataset.link_count());
-    }
-
-    #[test]
-    fn sharded_truth_and_stats_match_single_store() {
-        let scenario = generate(&ScenarioConfig::tiny());
-        let (external, local, truth) = stores_and_truth(&scenario);
-        let (sharded_external, sharded_local, sharded_truth) =
-            sharded_stores_and_truth(&scenario, 3);
-        // Global ids are stable across the two representations, so the
-        // gold sets are literally equal.
-        assert_eq!(sharded_truth, truth);
-        assert_eq!(sharded_local.shard_count(), 3);
-        // And a blocker evaluated against either representation yields
-        // identical statistics.
-        let blocker = StandardBlocker::new(default_key(4));
-        let single_pairs = collect_pairs(&blocker, &external, &local);
-        let sharded_pairs = collect_pairs(&blocker, &sharded_external, &sharded_local);
-        assert_eq!(single_pairs, sharded_pairs);
-        let single_stats =
-            BlockingStats::evaluate(&single_pairs, &truth, external.len(), local.len());
-        let sharded_stats = BlockingStats::evaluate(
-            &sharded_pairs,
-            &sharded_truth,
-            sharded_external.len(),
-            sharded_local.len(),
-        );
-        assert_eq!(single_stats, sharded_stats);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | id | what | computed by | printed by | `linkbench` lines |
 //! |---|---|---|---|---|
 //! | E1 | Table 1: rules by confidence tier | [`Table1Experiment`] | `electronics_catalog` | `eval.table1.*`, `learn_ms` |
-//! | E3/E4 | linking-space reduction and lift vs confidence | [`reduction_sweep`] | `electronics_catalog` | `reduction_ratio`, `blocking.rules.*` on `rule_link` |
+//! | E3/E4 | linking-space reduction and lift vs confidence, counted off the candidates the strict `RuleBasedBlocker` streams | [`reduction_sweep`] | `electronics_catalog` | `reduction_ratio`, `blocking.rules.*` on `rule_link` |
 //! | E5 | rules vs the blocking baselines | [`compare_blockers`] | `blocking_comparison` | `blocking.*`, `pair_precision`, `pair_recall` |
 //! | A1 | segmenter (`split`) ablation | [`segmenter_ablation`] | `electronics_catalog` | `segment.split_ms` |
 //! | A2 | support threshold `th` sweep | [`support_sweep`] | `electronics_catalog` | `learn_ms`, `core.learn_x10_ms` |
@@ -21,6 +21,8 @@
 //!
 //! `linkbench` times the paper's configuration only (`th = 0.002`, separator
 //! segmentation); the other points of a sweep are computed, not timed.
+//! `electronics_catalog -- small` is pinned byte for byte by
+//! `examples/expected/electronics_catalog_small.txt` (CI diffs it).
 //!
 //! ## Modules
 //!

@@ -78,21 +78,6 @@ impl ClassificationOutcome {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// Fraction of items that received a decision.
-    pub fn decision_rate(&self) -> f64 {
-        if self.total_items == 0 {
-            0.0
-        } else {
-            self.decisions as f64 / self.total_items as f64
-        }
-    }
-
-    /// Number of distinct gold classes that received at least one correct
-    /// decision.
-    pub fn classes_correctly_predicted(&self) -> usize {
-        self.per_class.values().filter(|(_, c)| *c > 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -110,8 +95,6 @@ mod tests {
         assert_eq!(o.precision(), 1.0);
         assert_eq!(o.recall(), 1.0);
         assert_eq!(o.f1(), 1.0);
-        assert_eq!(o.decision_rate(), 1.0);
-        assert_eq!(o.classes_correctly_predicted(), 4);
     }
 
     #[test]
@@ -133,9 +116,7 @@ mod tests {
         assert_eq!(o.correct, 4);
         assert!((o.precision() - 4.0 / 6.0).abs() < 1e-12);
         assert!((o.recall() - 0.4).abs() < 1e-12);
-        assert!((o.decision_rate() - 0.6).abs() < 1e-12);
         assert!(o.f1() > 0.0 && o.f1() < 1.0);
-        assert_eq!(o.classes_correctly_predicted(), 1);
     }
 
     #[test]
@@ -144,7 +125,6 @@ mod tests {
         assert_eq!(o.precision(), 1.0);
         assert_eq!(o.recall(), 0.0);
         assert_eq!(o.f1(), 0.0);
-        assert_eq!(o.decision_rate(), 0.0);
 
         let mut unknown_gold = ClassificationOutcome::new(3);
         unknown_gold.record(Some(ClassId(0)), None);

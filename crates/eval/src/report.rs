@@ -29,18 +29,6 @@ impl Table {
         self
     }
 
-    /// Convenience for rows built from `&str`.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-        self
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as an aligned ASCII table.
     pub fn to_ascii(&self) -> String {
         let columns = self
@@ -140,8 +128,8 @@ mod tests {
             "Table 1: Classification rule results",
             &["conf.", "#rules", "prec."],
         );
-        t.row_str(&["1", "44", "100%"]);
-        t.row_str(&["0.8", "22", "96.9%"]);
+        t.row(&["1", "44", "100%"].map(String::from));
+        t.row(&["0.8", "22", "96.9%"].map(String::from));
         let out = t.to_ascii();
         assert!(out.contains("Table 1"));
         assert!(out.contains("| conf."));
@@ -152,7 +140,6 @@ mod tests {
         assert!(lines
             .iter()
             .all(|l| l.chars().count() == lines[0].chars().count()));
-        assert_eq!(t.row_count(), 2);
     }
 
     #[test]
@@ -170,7 +157,7 @@ mod tests {
     #[test]
     fn ragged_rows_are_padded() {
         let mut t = Table::new("", &["a", "b", "c"]);
-        t.row_str(&["only one"]);
+        t.row(&["only one".to_string()]);
         let out = t.to_ascii();
         assert!(out.contains("only one"));
     }

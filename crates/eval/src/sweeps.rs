@@ -17,11 +17,11 @@ use crate::metrics::ClassificationOutcome;
 use crate::report::{float, Table};
 use crate::table1::EvaluationItem;
 use classilink_core::{
-    generalize, GeneralizeConfig, LearnerConfig, RuleClassifier, RuleLearner, SubspaceBuilder,
-    TrainingSet,
+    generalize, GeneralizeConfig, LearnerConfig, RuleClassifier, RuleLearner, TrainingSet,
 };
+use classilink_linking::blocking::{Blocker, CandidateRuns, RuleBasedBlocker};
+use classilink_linking::{LocalShards, RecordStore};
 use classilink_ontology::{InstanceStore, Ontology};
-use classilink_rdf::Term;
 use classilink_segment::SegmenterKind;
 use serde::{Deserialize, Serialize};
 
@@ -38,46 +38,95 @@ pub struct ReductionPoint {
     /// (unclassified items still count the full catalog).
     pub remaining_fraction: f64,
     /// Mean factor by which a classified item's candidate list shrinks.
-    pub mean_reduction_factor: f64,
+    pub mean_factor: f64,
     /// Average lift of the retained rules.
     pub avg_lift: f64,
 }
 
-/// Sweep the confidence threshold and measure the linking-space reduction on
-/// a batch of external items.
-pub fn reduction_sweep(
-    outcome: &classilink_core::LearnOutcome,
-    learner: &LearnerConfig,
+/// Sweep the confidence threshold and measure the linking-space reduction
+/// for `items` (record ids of `external`, summed in the order given).
+///
+/// An item's linking subspace is what the strict [`RuleBasedBlocker`]
+/// streams for it against `local` — the union of its predicted classes'
+/// extents, each catalog record once — so E3/E4 count the candidates the
+/// engine would compare, at any sharding of the catalog. An item no rule
+/// fires for keeps the whole catalog; a classified item whose classes have
+/// no instance in `local` keeps nothing and counts a factor of `|SL|`.
+pub fn reduction_sweep<'s>(
+    classifier: &RuleClassifier,
     instances: &InstanceStore,
     ontology: &Ontology,
-    batch: &[(Term, Vec<(String, String)>)],
-    local_size: usize,
+    external: &RecordStore,
+    local: impl Into<LocalShards<'s>>,
+    items: &[usize],
     thresholds: &[f64],
 ) -> Vec<ReductionPoint> {
-    let base = RuleClassifier::from_outcome(outcome, learner);
+    let local = local.into();
+    let local_size = local.len();
+    let naive_pairs = items.len() as u64 * local_size as u64;
+    let mut runs = CandidateRuns::new();
+    let mut subspace_sizes = vec![0u64; external.len()];
     thresholds
         .iter()
         .map(|threshold| {
-            let classifier = base.with_min_confidence(*threshold);
-            let builder = SubspaceBuilder::new(&classifier, instances, ontology);
-            let stats = builder.reduction_stats(batch, local_size);
-            let rules = classifier.rules().len();
-            let avg_lift = if rules == 0 {
+            let classifier = classifier.with_min_confidence(*threshold);
+            RuleBasedBlocker::new(&classifier, instances, ontology)
+                .stream_candidates(external, local, &mut runs);
+            subspace_sizes.fill(0);
+            for shard in 0..runs.shard_count() {
+                for block in runs.blocks(shard) {
+                    subspace_sizes[block.external()] += block.len() as u64;
+                }
+            }
+            let mut classified = 0usize;
+            let mut reduced_pairs = 0u64;
+            let mut factor_sum = 0.0f64;
+            for &item in items {
+                let size = subspace_sizes[item];
+                // Candidates mean a rule fired; without any, the classifier
+                // tells an unclassified item from one whose classes have no
+                // instance in `local`.
+                if size == 0
+                    && classifier
+                        .classify_fact_refs(external.facts(item))
+                        .is_empty()
+                {
+                    reduced_pairs += local_size as u64;
+                    continue;
+                }
+                classified += 1;
+                reduced_pairs += size;
+                // An empty subspace removes every comparison for the item.
+                factor_sum += local_size as f64 / size.max(1) as f64;
+            }
+            // `remaining_fraction` is the complement of this ratio (the
+            // pipeline's `reduction_ratio`), not the bare quotient: the two
+            // can differ in the last bit.
+            let reduction_ratio = if naive_pairs == 0 {
                 0.0
             } else {
-                classifier.rules().iter().map(|r| r.lift()).sum::<f64>() / rules as f64
+                1.0 - reduced_pairs as f64 / naive_pairs as f64
             };
+            let rules = classifier.rules().len();
             ReductionPoint {
                 confidence_threshold: *threshold,
                 rules,
-                classified_fraction: if stats.external_items == 0 {
+                classified_fraction: if items.is_empty() {
                     0.0
                 } else {
-                    stats.classified_items as f64 / stats.external_items as f64
+                    classified as f64 / items.len() as f64
                 },
-                remaining_fraction: 1.0 - stats.reduction_ratio,
-                mean_reduction_factor: stats.mean_reduction_factor,
-                avg_lift,
+                remaining_fraction: 1.0 - reduction_ratio,
+                mean_factor: if classified == 0 {
+                    1.0
+                } else {
+                    factor_sum / classified as f64
+                },
+                avg_lift: if rules == 0 {
+                    0.0
+                } else {
+                    classifier.rules().iter().map(|r| r.lift()).sum::<f64>() / rules as f64
+                },
             }
         })
         .collect()
@@ -102,7 +151,7 @@ pub fn reduction_table(points: &[ReductionPoint]) -> Table {
             p.rules.to_string(),
             float(p.classified_fraction, 3),
             float(p.remaining_fraction, 3),
-            float(p.mean_reduction_factor, 1),
+            float(p.mean_factor, 1),
             float(p.avg_lift, 1),
         ]);
     }
@@ -327,25 +376,35 @@ mod tests {
         (scenario, items, config)
     }
 
+    /// The external store of a scenario with the record ids of its
+    /// training items, in training-example order.
+    fn external_and_training_items(
+        scenario: &classilink_datagen::GeneratedScenario,
+    ) -> (RecordStore, Vec<usize>) {
+        let external = scenario.external_store();
+        let items = scenario
+            .training
+            .examples()
+            .iter()
+            .map(|e| external.index_of(&e.external_item).expect("item in SE"))
+            .collect();
+        (external, items)
+    }
+
     #[test]
     fn reduction_sweep_shrinks_with_confidence() {
         let (scenario, _, config) = scenario_and_items();
         let outcome = RuleLearner::new(config.clone())
             .learn(&scenario.training, &scenario.ontology)
             .unwrap();
-        let batch: Vec<(Term, Vec<(String, String)>)> = scenario
-            .training
-            .examples()
-            .iter()
-            .map(|e| (e.external_item.clone(), e.facts.clone()))
-            .collect();
+        let (external, items) = external_and_training_items(&scenario);
         let points = reduction_sweep(
-            &outcome,
-            &config,
+            &RuleClassifier::from_outcome(&outcome, &config),
             &scenario.instances,
             &scenario.ontology,
-            &batch,
-            scenario.catalog_size(),
+            &external,
+            &scenario.local_store(),
+            &items,
             &[1.0, 0.8, 0.5, 0.0],
         );
         assert_eq!(points.len(), 4);
@@ -357,8 +416,189 @@ mod tests {
         // Classified items see a real reduction.
         let last = points.last().unwrap();
         assert!(last.classified_fraction > 0.3);
-        assert!(last.mean_reduction_factor > 1.5);
+        assert!(last.mean_factor > 1.5);
         assert!(last.remaining_fraction < 1.0);
+    }
+
+    /// E3/E4 tied to the engine's own count: measured over every external
+    /// record, `remaining_fraction × naive pairs` is the `comparisons` of a
+    /// pipeline run under the same strict blocker plus `|SL|` for each
+    /// record no rule fired for.
+    fn assert_sweep_counts_what_the_engine_compares(
+        classifier: &RuleClassifier,
+        instances: &InstanceStore,
+        ontology: &Ontology,
+        external: &RecordStore,
+        local: &classilink_linking::ShardedStore,
+        thresholds: &[f64],
+    ) {
+        use classilink_linking::{LinkagePipeline, RecordComparator, SimilarityMeasure};
+
+        let comparator = RecordComparator::single(
+            vocab::PROVIDER_PART_NUMBER,
+            vocab::LOCAL_PART_NUMBER,
+            SimilarityMeasure::JaroWinkler,
+        );
+        let items: Vec<usize> = (0..external.len()).collect();
+        let naive_pairs = (external.len() * local.len()) as f64;
+        let points = reduction_sweep(
+            classifier, instances, ontology, external, local, &items, thresholds,
+        );
+        for (point, threshold) in points.iter().zip(thresholds) {
+            let classifier = classifier.with_min_confidence(*threshold);
+            let blocker = RuleBasedBlocker::new(&classifier, instances, ontology);
+            let comparisons = LinkagePipeline::new(&blocker, &comparator)
+                .try_run_sharded(external, local)
+                .unwrap()
+                .comparisons;
+            let unclassified =
+                ((1.0 - point.classified_fraction) * items.len() as f64).round() as u64;
+            assert!(unclassified > 0 && comparisons > 0);
+            assert_eq!(
+                (point.remaining_fraction * naive_pairs).round() as u64,
+                comparisons + unclassified * local.len() as u64,
+                "confidence {threshold}, {} shards",
+                local.shard_count()
+            );
+        }
+    }
+
+    #[test]
+    fn reduction_counts_each_subspace_as_the_blocker_streams_it() {
+        use classilink_core::{ClassificationRule, Contingency};
+        use classilink_linking::{Record, ShardedStore};
+        use classilink_ontology::{ClassId, OntologyBuilder};
+        use classilink_rdf::Term;
+
+        const PN: &str = "http://provider.e.org/v#partNumber";
+        let mut b = OntologyBuilder::new("http://e.org/c#");
+        let root = b.class("Component", None);
+        let resistor = b.class("FixedFilmResistor", Some(root));
+        let capacitor = b.class("TantalumCapacitor", Some(root));
+        let inductor = b.class("Inductor", Some(root));
+        let ontology = b.build();
+        // Catalog: 8 resistors, 2 capacitors, no inductor → |SL| = 10.
+        let mut instances = InstanceStore::new();
+        let mut catalog = Vec::new();
+        for (i, class) in [resistor; 8].into_iter().chain([capacitor; 2]).enumerate() {
+            let id = Term::iri(format!("http://l.e.org/{i}"));
+            instances.assert_type(&id, class);
+            catalog.push(Record::new(id));
+        }
+        let rule = |segment: &str, class: ClassId, conf_pct: u64| ClassificationRule {
+            property: PN.to_string(),
+            segment: segment.to_string(),
+            class,
+            class_iri: ontology.iri(class).to_string(),
+            class_label: String::new(),
+            quality: Contingency::new(1000, 100, 200, conf_pct).quality(),
+        };
+        let classifier = RuleClassifier::new(
+            vec![
+                rule("ohm", resistor, 100),
+                rule("t83", capacitor, 100),
+                rule("coil", inductor, 100),
+                rule("63v", capacitor, 60),
+                rule("part", root, 60),
+            ],
+            SegmenterKind::Separator,
+            true,
+        );
+        let external: Vec<Record> = [
+            "10K-ohm",      // 0: resistors → 8
+            "T83-A225",     // 1: capacitors → 2
+            "MYSTERY",      // 2: no rule fires → the whole catalog, 10
+            "part-10K-ohm", // 3: a class and its superclass → 10, each once
+            "coil-1",       // 4: classified into an empty extent → 0
+            "ohm-63V",      // 5: two disjoint classes → 8 + 2
+            "part-1",       // 6: the root covers its descendants' instances
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, pn)| {
+            let mut record = Record::new(Term::iri(format!("http://p.e.org/{i}")));
+            record.add(PN, *pn);
+            record
+        })
+        .collect();
+        let external = RecordStore::from_records(&external);
+
+        for shards in [1, 3] {
+            let local = ShardedStore::from_records(&catalog, shards);
+            let sweep = |items: &[usize], thresholds: &[f64]| {
+                reduction_sweep(
+                    &classifier,
+                    &instances,
+                    &ontology,
+                    &external,
+                    &local,
+                    items,
+                    thresholds,
+                )
+            };
+            // Sizes 8, 2 and an unclassified 10: 20 of 30 pairs remain,
+            // factors 10/8 and 10/2.
+            let p = &sweep(&[0, 1, 2], &[1.0])[0];
+            assert_eq!(p.rules, 3);
+            assert_eq!(p.classified_fraction, 2.0 / 3.0);
+            assert_eq!(p.remaining_fraction, 1.0 - (1.0 - 20.0 / 30.0));
+            assert_eq!(p.mean_factor, 3.125);
+            // Below 0.6 the superclass and second-class rules fire too:
+            // overlapping extents count once, disjoint ones add up.
+            let p = &sweep(&[3, 5, 6], &[0.6])[0];
+            assert_eq!(p.rules, 5);
+            assert_eq!(p.classified_fraction, 1.0);
+            assert_eq!(p.remaining_fraction, 1.0);
+            assert_eq!(p.mean_factor, 1.0);
+            // At 1.0 the same items keep only the resistors (item 6: nothing fires).
+            let p = &sweep(&[3, 5, 6], &[1.0])[0];
+            assert_eq!(p.classified_fraction, 2.0 / 3.0);
+            assert_eq!(p.remaining_fraction, 1.0 - (1.0 - 26.0 / 30.0));
+            // An empty extent removes every comparison: a factor of |SL|.
+            let p = &sweep(&[4], &[1.0])[0];
+            assert_eq!(p.classified_fraction, 1.0);
+            assert_eq!(p.remaining_fraction, 0.0);
+            assert_eq!(p.mean_factor, 10.0);
+            // Nothing to measure: no reduction, factor 1.
+            let p = &sweep(&[], &[1.0])[0];
+            assert_eq!(
+                (p.classified_fraction, p.remaining_fraction),
+                (0.0, 1.0),
+                "{shards} shards"
+            );
+            assert_eq!(p.mean_factor, 1.0);
+            // And the whole batch against the pipeline's own count.
+            assert_sweep_counts_what_the_engine_compares(
+                &classifier,
+                &instances,
+                &ontology,
+                &external,
+                &local,
+                &[1.0, 0.6],
+            );
+        }
+    }
+
+    #[test]
+    fn reduction_is_the_comparison_count_of_the_strict_rule_blocker() {
+        let scenario = generate(&ScenarioConfig::small());
+        let config = LearnerConfig::paper()
+            .with_properties(PropertySelection::single(vocab::PROVIDER_PART_NUMBER));
+        let outcome = RuleLearner::new(config.clone())
+            .learn(&scenario.training, &scenario.ontology)
+            .unwrap();
+        let classifier = RuleClassifier::from_outcome(&outcome, &config);
+        for shards in [1, 3, 8] {
+            let (external, local) = scenario.sharded_stores(shards);
+            assert_sweep_counts_what_the_engine_compares(
+                &classifier,
+                &scenario.instances,
+                &scenario.ontology,
+                &external,
+                &local,
+                &[1.0, 0.8, 0.6, 0.4, 0.2],
+            );
+        }
     }
 
     #[test]
@@ -414,7 +654,7 @@ mod tests {
             rules: 53,
             classified_fraction: 0.4444,
             remaining_fraction: 0.5911,
-            mean_reduction_factor: 51.23,
+            mean_factor: 51.23,
             avg_lift: 89.56,
         };
         let table = reduction_table(&[point.clone(), point]);

@@ -23,7 +23,6 @@ use classilink_core::{
 };
 use classilink_ontology::ClassId;
 use classilink_ontology::Ontology;
-use classilink_rdf::Term;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -191,17 +190,6 @@ impl Table1Experiment {
             selected_segment_occurrences: outcome.stats.selected_segment_occurrences,
         }
     }
-
-    /// Build evaluation items from `(item, facts)` pairs and a gold-class map.
-    pub fn items_from_gold(
-        batch: &[(Term, Vec<(String, String)>)],
-        gold: &BTreeMap<Term, ClassId>,
-    ) -> Vec<EvaluationItem> {
-        batch
-            .iter()
-            .map(|(item, facts)| (gold.get(item).copied(), facts.clone()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -209,6 +197,7 @@ mod tests {
     use super::*;
     use classilink_core::{PropertySelection, TrainingExample};
     use classilink_ontology::OntologyBuilder;
+    use classilink_rdf::Term;
 
     const PN: &str = "http://provider.e.org/v#partNumber";
 
@@ -333,22 +322,5 @@ mod tests {
         assert_eq!(last.decisions, 2);
         assert_eq!(last.precision, 1.0);
         assert!((last.recall - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn items_from_gold_joins_on_term() {
-        let gold: BTreeMap<Term, ClassId> = [(Term::iri("http://p.e.org/x"), ClassId(5))]
-            .into_iter()
-            .collect();
-        let batch = vec![
-            (
-                Term::iri("http://p.e.org/x"),
-                vec![(PN.to_string(), "a".to_string())],
-            ),
-            (Term::iri("http://p.e.org/unknown"), vec![]),
-        ];
-        let items = Table1Experiment::items_from_gold(&batch, &gold);
-        assert_eq!(items[0].0, Some(ClassId(5)));
-        assert_eq!(items[1].0, None);
     }
 }

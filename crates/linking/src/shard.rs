@@ -226,12 +226,11 @@ impl ShardedStore {
         self.shards[shard].id(local)
     }
 
-    /// The global id of item `id`, if any shard holds it.
+    /// The global id of item `id`, if any shard holds it — of its **last**
+    /// record when the id repeats, as [`RecordStore::index_of`] answers.
     pub fn index_of(&self, id: &Term) -> Option<usize> {
-        self.shards
-            .iter()
-            .zip(&self.offsets)
-            .find_map(|(shard, offset)| Some(offset + shard.index_of(id)?))
+        let mut shards = self.shards.iter().zip(&self.offsets).rev();
+        shards.find_map(|(shard, offset)| Some(offset + shard.index_of(id)?))
     }
 
     /// A catalog of already-built shards — the builder's and the snapshot

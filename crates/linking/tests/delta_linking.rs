@@ -9,78 +9,20 @@
 //! equals a from-scratch build with the same shard boundaries, so the
 //! full re-run used as the reference is the honest one.
 
-use classilink_core::{LearnerConfig, PropertySelection, RuleClassifier, RuleLearner};
 use classilink_datagen::scenario::{generate, GeneratedScenario, ScenarioConfig};
-use classilink_datagen::vocab;
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
-    SortedNeighborhoodBlocker, StandardBlocker,
+    BigramBlocker, Blocker, CartesianBlocker, RuleBasedBlocker, SortedNeighborhoodBlocker,
+    StandardBlocker,
 };
 use classilink_linking::pipeline::Link;
 use classilink_linking::record::Record;
-use classilink_linking::{LinkagePipeline, RecordComparator, ShardedStore, SimilarityMeasure};
+use classilink_linking::{LinkagePipeline, ShardedStore};
+
+mod common;
+use common::{bits, classifier, comparator, key};
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 const THREAD_COUNTS: [usize; 2] = [1, 4];
-
-fn key(prefix: usize) -> BlockingKey {
-    BlockingKey::per_side(
-        vocab::PROVIDER_PART_NUMBER,
-        vocab::LOCAL_PART_NUMBER,
-        prefix,
-    )
-}
-
-fn comparator() -> RecordComparator {
-    let rule = |left: &str, right: &str, measure, weight| classilink_linking::AttributeRule {
-        left_property: left.to_string(),
-        right_property: right.to_string(),
-        measure,
-        weight,
-    };
-    RecordComparator::new(vec![
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::JaroWinkler,
-            3.0,
-        ),
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::DiceBigrams,
-            1.0,
-        ),
-        rule(
-            vocab::PROVIDER_MANUFACTURER,
-            vocab::LOCAL_MANUFACTURER,
-            SimilarityMeasure::JaccardTokens,
-            1.0,
-        ),
-    ])
-    .with_thresholds(0.92, 0.6)
-}
-
-fn classifier(scenario: &GeneratedScenario) -> RuleClassifier {
-    let learner = LearnerConfig::default()
-        .with_support_threshold(0.01)
-        .with_properties(PropertySelection::single(vocab::PROVIDER_PART_NUMBER));
-    let outcome = RuleLearner::new(learner.clone())
-        .learn(&scenario.training, &scenario.ontology)
-        .expect("rule learning on the tiny scenario");
-    RuleClassifier::from_outcome(&outcome, &learner).with_min_confidence(0.4)
-}
-
-/// A link as comparable data: terms verbatim, score as raw bits — any
-/// score divergence between the delta and full paths, however small,
-/// fails the equality.
-fn bits(link: &Link) -> (String, String, u64) {
-    (
-        format!("{:?}", link.external),
-        format!("{:?}", link.local),
-        link.score.to_bits(),
-    )
-}
 
 /// Grow `base` by the delta records as two appended shards and return
 /// `(appended catalog, first new shard index)`.

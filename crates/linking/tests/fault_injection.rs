@@ -25,9 +25,12 @@ use classilink_linking::{
 use classilink_rdf::Term;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
+
+mod common;
+use common::{quiet_injected_panics, serial, Armed};
 
 const EXT_PN: &str = "http://provider.example.org/vocab#partNumber";
 const LOC_PN: &str = "http://catalog.example.org/vocab#partNumber";
@@ -41,52 +44,6 @@ const LOCALS: usize = 48;
 /// Generous bound: a contained fault returns in milliseconds; only an
 /// abort or deadlock (what the suite exists to rule out) would hit it.
 const WATCHDOG: Duration = Duration::from_secs(120);
-
-/// The failpoint registry is process-global: every test serialises on
-/// this lock so one test's armed sites never leak into another.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Silence the default panic hook for *injected* panics (payloads from
-/// `shims/fail` contain "failpoint"), so a green chaos run doesn't spray
-/// dozens of backtraces; real, unexpected panics still print.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|message| message.contains("failpoint"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
-
-/// Arm `site` with `actions` for the guard's lifetime; disarm on drop
-/// (even when the test itself panics on an assertion).
-struct Armed(&'static str);
-
-impl Armed {
-    fn new(site: &'static str, actions: &str) -> Self {
-        fail::cfg(site, actions).unwrap_or_else(|e| panic!("arming {site}: {e}"));
-        Armed(site)
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        fail::remove(self.0);
-    }
-}
 
 fn external_record(i: usize) -> Record {
     let mut record = Record::new(Term::iri(format!("http://provider.example.org/item/{i}")));

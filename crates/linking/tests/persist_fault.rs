@@ -30,68 +30,12 @@ use classilink_rdf::Term;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, Once};
+
+mod common;
+use common::{fresh_dir, quiet_injected_panics, serial, Armed};
 
 const EXT_PN: &str = "http://provider.example.org/vocab#partNumber";
 const LOC_PN: &str = "http://catalog.example.org/vocab#partNumber";
-
-/// The failpoint registry is process-global: every test serialises on
-/// this lock so one test's armed sites never leak into another.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Silence the default panic hook for *injected* panics, so a green
-/// chaos run doesn't spray backtraces; real panics still print.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|message| message.contains("failpoint"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
-
-/// Arm `site` with `actions` for the guard's lifetime; disarm on drop
-/// (even when the test itself panics on an assertion).
-struct Armed(&'static str);
-
-impl Armed {
-    fn new(site: &'static str, actions: &str) -> Self {
-        fail::cfg(site, actions).unwrap_or_else(|e| panic!("arming {site}: {e}"));
-        Armed(site)
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        fail::remove(self.0);
-    }
-}
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "classilink_persist_fault_{}_{}_{tag}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
 
 fn local_record(i: usize) -> Record {
     let mut record = Record::new(Term::iri(format!("http://catalog.example.org/prod/{i}")));

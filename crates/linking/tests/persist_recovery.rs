@@ -24,9 +24,7 @@
 //!   generation's shard files, and retention keeps exactly the two
 //!   newest generations.
 
-use classilink_core::{LearnerConfig, PropertySelection, RuleClassifier, RuleLearner};
-use classilink_datagen::scenario::{generate, GeneratedScenario, ScenarioConfig};
-use classilink_datagen::vocab;
+use classilink_datagen::scenario::{generate, ScenarioConfig};
 use classilink_linking::blocking::{
     BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
     SortedNeighborhoodBlocker, StandardBlocker,
@@ -42,25 +40,13 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
+
+mod common;
+use common::{bits, classifier, comparator, fresh_dir, key};
 
 const EXT_PN: &str = "http://provider.example.org/vocab#partNumber";
 const LOC_PN: &str = "http://catalog.example.org/vocab#partNumber";
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A unique, initially-absent scratch directory (left behind only when
-/// the test fails, for post-mortem).
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "classilink_persist_{}_{}_{tag}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
 
 /// `(file name, bytes)` for every file in `dir`, sorted by name.
 fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
@@ -133,63 +119,6 @@ fn base_and_appended() -> (ShardedStore, ShardedStore) {
 }
 
 // --- the five-blocker harness (mirrors tests/delta_linking.rs) -------
-
-fn key(prefix: usize) -> BlockingKey {
-    BlockingKey::per_side(
-        vocab::PROVIDER_PART_NUMBER,
-        vocab::LOCAL_PART_NUMBER,
-        prefix,
-    )
-}
-
-fn scenario_comparator() -> RecordComparator {
-    let rule = |left: &str, right: &str, measure, weight| classilink_linking::AttributeRule {
-        left_property: left.to_string(),
-        right_property: right.to_string(),
-        measure,
-        weight,
-    };
-    RecordComparator::new(vec![
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::JaroWinkler,
-            3.0,
-        ),
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::DiceBigrams,
-            1.0,
-        ),
-        rule(
-            vocab::PROVIDER_MANUFACTURER,
-            vocab::LOCAL_MANUFACTURER,
-            SimilarityMeasure::JaccardTokens,
-            1.0,
-        ),
-    ])
-    .with_thresholds(0.92, 0.6)
-}
-
-fn classifier(scenario: &GeneratedScenario) -> RuleClassifier {
-    let learner = LearnerConfig::default()
-        .with_support_threshold(0.01)
-        .with_properties(PropertySelection::single(vocab::PROVIDER_PART_NUMBER));
-    let outcome = RuleLearner::new(learner.clone())
-        .learn(&scenario.training, &scenario.ontology)
-        .expect("rule learning on the tiny scenario");
-    RuleClassifier::from_outcome(&outcome, &learner).with_min_confidence(0.4)
-}
-
-/// A link as comparable data: terms verbatim, score as raw bits.
-fn bits(link: &Link) -> (String, String, u64) {
-    (
-        format!("{:?}", link.external),
-        format!("{:?}", link.local),
-        link.score.to_bits(),
-    )
-}
 
 // =====================================================================
 // Byte-identical spill → load → re-spill (property-based)
@@ -311,8 +240,8 @@ proptest! {
 }
 
 /// Several records under one subject id: `index_of` answers with the
-/// last of them in the first shard holding the id — whether the id index
-/// is derived on a built, a restored or an appended catalog.
+/// last of them in the whole catalog, as a single store would — whether
+/// the id index is derived on a built, a restored or an appended catalog.
 #[test]
 fn duplicate_ids_resolve_to_the_last_record_built_restored_and_appended() {
     let duplicate = |id: &Term, pn: &str| {
@@ -348,7 +277,7 @@ fn duplicate_ids_resolve_to_the_last_record_built_restored_and_appended() {
     }
     let appended = restored.append_shards(delta);
     assert_eq!(appended.index_of(&late), Some(5));
-    assert_eq!(appended.index_of(&twice), Some(2));
+    assert_eq!(appended.index_of(&twice), Some(4));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -369,7 +298,7 @@ fn run_sharded_over_a_restored_catalog_is_bit_identical_for_every_blocker() {
     assert_eq!(restored, catalog);
     assert_eq!(report.shards, catalog.shard_count());
 
-    let cmp = scenario_comparator();
+    let cmp = comparator();
     let classifier = classifier(&scenario);
     let rule_blocker = RuleBasedBlocker::new(&classifier, &scenario.instances, &scenario.ontology)
         .with_fallback(true);

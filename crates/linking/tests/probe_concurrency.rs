@@ -20,6 +20,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 use std::time::Duration;
 
+mod common;
+use common::serial;
+
 const READERS: usize = 4;
 const SWAPS: usize = 8;
 const BASE_LOCALS: usize = 24;
@@ -168,17 +171,6 @@ fn stress(blocker: &(dyn Blocker + Sync)) {
     });
 
     assert_eq!(linker.catalog().load().sequence(), final_epoch);
-}
-
-/// With `--features failpoints` the failpoint registry is process-global
-/// and the stress tests cross instrumented sites (`serve::build_epoch`,
-/// the blocker streams), so every test in this binary serialises on one
-/// lock; without the feature the guard is uncontended noise.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[test]

@@ -11,12 +11,11 @@
 //! the per-shard queue assembly, the epoch plumbing — introduces no
 //! divergence.
 
-use classilink_core::{LearnerConfig, PropertySelection, RuleClassifier, RuleLearner};
-use classilink_datagen::scenario::{generate, GeneratedScenario, ScenarioConfig};
+use classilink_datagen::scenario::{generate, ScenarioConfig};
 use classilink_datagen::vocab;
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
-    SortedNeighborhoodBlocker, StandardBlocker,
+    BigramBlocker, Blocker, CartesianBlocker, RuleBasedBlocker, SortedNeighborhoodBlocker,
+    StandardBlocker,
 };
 use classilink_linking::pipeline::{Link, LinkageResult};
 use classilink_linking::record::Record;
@@ -26,55 +25,10 @@ use classilink_linking::{
 };
 use classilink_rdf::Term;
 
+mod common;
+use common::{classifier, comparator, key};
+
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
-
-fn key(prefix: usize) -> BlockingKey {
-    BlockingKey::per_side(
-        vocab::PROVIDER_PART_NUMBER,
-        vocab::LOCAL_PART_NUMBER,
-        prefix,
-    )
-}
-
-fn comparator() -> RecordComparator {
-    let rule = |left: &str, right: &str, measure, weight| classilink_linking::AttributeRule {
-        left_property: left.to_string(),
-        right_property: right.to_string(),
-        measure,
-        weight,
-    };
-    RecordComparator::new(vec![
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::JaroWinkler,
-            3.0,
-        ),
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::DiceBigrams,
-            1.0,
-        ),
-        rule(
-            vocab::PROVIDER_MANUFACTURER,
-            vocab::LOCAL_MANUFACTURER,
-            SimilarityMeasure::JaccardTokens,
-            1.0,
-        ),
-    ])
-    .with_thresholds(0.92, 0.6)
-}
-
-fn classifier(scenario: &GeneratedScenario) -> RuleClassifier {
-    let learner = LearnerConfig::default()
-        .with_support_threshold(0.01)
-        .with_properties(PropertySelection::single(vocab::PROVIDER_PART_NUMBER));
-    let outcome = RuleLearner::new(learner.clone())
-        .learn(&scenario.training, &scenario.ontology)
-        .expect("rule learning on the tiny scenario");
-    RuleClassifier::from_outcome(&outcome, &learner).with_min_confidence(0.4)
-}
 
 /// The links of `batch` whose external term is `id`, in output order
 /// (the batch result is sorted by (external, local) index, so a slice

@@ -7,7 +7,6 @@
 //! counts; the per-blocker tests pin the five concrete strategies on a
 //! dataset big enough to exercise the work-stealing path.
 
-use classilink_core::{ClassificationRule, Contingency, RuleClassifier};
 use classilink_linking::blocking::{
     BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
     SortedNeighborhoodBlocker, StandardBlocker,
@@ -16,10 +15,11 @@ use classilink_linking::{
     LinkagePipeline, Record, RecordComparator, RecordStore, SchemaInterner, ShardedStore,
     SimilarityMeasure,
 };
-use classilink_ontology::{ClassId, InstanceStore, Ontology, OntologyBuilder};
 use classilink_rdf::Term;
-use classilink_segment::SegmenterKind;
 use proptest::prelude::*;
+
+mod common;
+use common::rule_setup;
 
 const EXT_PN: &str = "http://provider.e.org/v#ref";
 const LOC_PN: &str = "http://local.e.org/v#partNumber";
@@ -49,33 +49,6 @@ fn loc_records(n: usize) -> Vec<Record> {
 fn comparator() -> RecordComparator {
     RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::Levenshtein)
         .with_thresholds(0.95, 0.4)
-}
-
-fn rule_setup(catalog: usize) -> (Ontology, InstanceStore, RuleClassifier) {
-    let mut b = OntologyBuilder::new("http://e.org/c#");
-    let root = b.class("Component", None);
-    let resistor = b.class("Resistor", Some(root));
-    let onto = b.build();
-    let mut instances = InstanceStore::new();
-    for i in (0..catalog).step_by(2) {
-        instances.assert_type(&Term::iri(format!("http://local.e.org/prod/{i}")), resistor);
-    }
-    let rule = |segment: &str, class: ClassId| ClassificationRule {
-        property: EXT_PN.to_string(),
-        segment: segment.to_string(),
-        class,
-        class_iri: "http://e.org/c#Resistor".to_string(),
-        class_label: "Resistor".to_string(),
-        quality: Contingency::new(100, 10, 20, 10).quality(),
-    };
-    let rules = (0..20)
-        .map(|i| rule(&format!("cr{i:04}"), resistor))
-        .collect();
-    (
-        onto,
-        instances,
-        RuleClassifier::new(rules, SegmenterKind::Separator, true),
-    )
 }
 
 /// The contract under test: serial single-store run vs sharded runs at
@@ -152,6 +125,32 @@ fn rule_based_sharded_identical() {
 fn sharded_run_against_empty_catalog() {
     let external = ext_records(8);
     assert_sharded_byte_identical(&CartesianBlocker, &external, &[], &[1, 4]);
+}
+
+/// `index_of` is sharding-invariant even for an id pushed more than once:
+/// every sharding answers with the single store's record (the last one).
+#[test]
+fn index_of_matches_the_single_store_at_any_sharding() {
+    let mut records = loc_records(24);
+    // Ids repeated inside one shard and across shards, at any layout.
+    for (from, to) in [(0, 5), (0, 23), (7, 8), (12, 20)] {
+        records[to].id = records[from].id.clone();
+    }
+    let single = RecordStore::from_records(&records);
+    let absent = Term::iri("http://local.e.org/prod/absent");
+    for shard_count in [1, 3, 8] {
+        let sharded = ShardedStore::from_records(&records, shard_count);
+        for record in &records {
+            assert_eq!(
+                sharded.index_of(&record.id),
+                single.index_of(&record.id),
+                "{} at {shard_count} shards",
+                record.id
+            );
+        }
+        assert_eq!(sharded.index_of(&absent), None);
+    }
+    assert_eq!(single.index_of(&records[0].id), Some(23));
 }
 
 /// One compiled comparator (against the shared schema) must serve every

@@ -4,7 +4,6 @@
 //!   implementation, on inputs large enough to trigger the parallel path,
 //! * the empty-store / empty-property edge-case suite.
 
-use classilink_core::{ClassificationRule, Contingency, RuleClassifier};
 use classilink_linking::blocking::{
     collect_pairs, BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
     SortedNeighborhoodBlocker, StandardBlocker,
@@ -12,9 +11,10 @@ use classilink_linking::blocking::{
 use classilink_linking::{
     LinkagePipeline, Record, RecordComparator, RecordStore, SimilarityMeasure,
 };
-use classilink_ontology::{ClassId, InstanceStore, Ontology, OntologyBuilder};
 use classilink_rdf::Term;
-use classilink_segment::SegmenterKind;
+
+mod common;
+use common::rule_setup;
 
 const EXT_PN: &str = "http://provider.e.org/v#ref";
 const LOC_PN: &str = "http://local.e.org/v#partNumber";
@@ -43,38 +43,6 @@ fn large_stores() -> (RecordStore, RecordStore) {
 fn comparator() -> RecordComparator {
     RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::Levenshtein)
         .with_thresholds(0.95, 0.4)
-}
-
-fn rule_setup() -> (Ontology, InstanceStore, RuleClassifier) {
-    let mut b = OntologyBuilder::new("http://e.org/c#");
-    let root = b.class("Component", None);
-    let resistor = b.class("Resistor", Some(root));
-    let onto = b.build();
-    let mut instances = InstanceStore::new();
-    // Half the catalog is typed; the classifier maps the "cr" family there.
-    for i in 0..64 {
-        if i % 2 == 0 {
-            instances.assert_type(&Term::iri(format!("http://local.e.org/prod/{i}")), resistor);
-        }
-    }
-    let rule = |segment: &str, class: ClassId| ClassificationRule {
-        property: EXT_PN.to_string(),
-        segment: segment.to_string(),
-        class,
-        class_iri: "http://e.org/c#Resistor".to_string(),
-        class_label: "Resistor".to_string(),
-        quality: Contingency::new(100, 10, 20, 10).quality(),
-    };
-    // Segments are alphanumeric runs of the part number; "cr0000" etc.
-    // won't all fire, so enable the fallback to exercise dense output.
-    let rules = (0..20)
-        .map(|i| rule(&format!("cr{:04}", i), resistor))
-        .collect();
-    (
-        onto,
-        instances,
-        RuleClassifier::new(rules, SegmenterKind::Separator, true),
-    )
 }
 
 fn assert_serial_parallel_agree(
@@ -134,7 +102,7 @@ fn bigram_serial_parallel_agree() {
 #[test]
 fn rule_based_serial_parallel_agree() {
     let (external, local) = large_stores();
-    let (onto, instances, classifier) = rule_setup();
+    let (onto, instances, classifier) = rule_setup(64);
     let blocker = RuleBasedBlocker::new(&classifier, &instances, &onto).with_fallback(true);
     assert_serial_parallel_agree(&blocker, &external, &local);
 }
@@ -157,7 +125,7 @@ fn attributeless(n: usize) -> RecordStore {
 
 #[test]
 fn every_blocker_handles_empty_stores() {
-    let (onto, instances, classifier) = rule_setup();
+    let (onto, instances, classifier) = rule_setup(64);
     let key = || BlockingKey::per_side(EXT_PN, LOC_PN, 4);
     let rule_based = RuleBasedBlocker::new(&classifier, &instances, &onto);
     let blockers: Vec<Box<dyn Blocker>> = vec![

@@ -16,9 +16,7 @@
 //! the store-level `KeyIndex`, so a regression anywhere in the streaming
 //! stack cannot cancel out of both sides.
 
-use classilink_core::{
-    ClassificationRule, LearnerConfig, PropertySelection, RuleClassifier, RuleLearner,
-};
+use classilink_core::{ClassificationRule, LearnerConfig, RuleClassifier};
 use classilink_datagen::scenario::{generate, GeneratedScenario, ScenarioConfig};
 use classilink_datagen::vocab;
 use classilink_linking::blocking::{
@@ -33,16 +31,11 @@ use classilink_linking::{
 use classilink_segment::{CharNGramSegmenter, Segmenter};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
+mod common;
+use common::{classifier, comparator, key, learn_classifier};
+
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 const THREAD_COUNTS: [usize; 2] = [1, 4];
-
-fn key(prefix: usize) -> BlockingKey {
-    BlockingKey::per_side(
-        vocab::PROVIDER_PART_NUMBER,
-        vocab::LOCAL_PART_NUMBER,
-        prefix,
-    )
-}
 
 fn rule(left: &str, right: &str, measure: SimilarityMeasure, weight: f64) -> AttributeRule {
     AttributeRule {
@@ -51,32 +44,6 @@ fn rule(left: &str, right: &str, measure: SimilarityMeasure, weight: f64) -> Att
         measure,
         weight,
     }
-}
-
-/// Three rules, non-match below 0.6: most candidates end up links, so the
-/// non-match filter almost never fires.
-fn comparator() -> RecordComparator {
-    RecordComparator::new(vec![
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::JaroWinkler,
-            3.0,
-        ),
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::DiceBigrams,
-            1.0,
-        ),
-        rule(
-            vocab::PROVIDER_MANUFACTURER,
-            vocab::LOCAL_MANUFACTURER,
-            SimilarityMeasure::JaccardTokens,
-            1.0,
-        ),
-    ])
-    .with_thresholds(0.92, 0.6)
 }
 
 /// `linkbench`'s `jw95`: one Jaro-Winkler rule, match ≥ 0.95, possible ≥
@@ -117,26 +84,6 @@ fn comparators() -> [(&'static str, RecordComparator); 3] {
         ("jw95", jw95()),
         ("jw+jaccard", jw_jaccard()),
     ]
-}
-
-/// Learn rules on the provider part number and keep those of confidence
-/// at least `min_confidence`.
-fn learn_classifier(
-    scenario: &GeneratedScenario,
-    support_threshold: f64,
-    min_confidence: f64,
-) -> RuleClassifier {
-    let learner = LearnerConfig::default()
-        .with_support_threshold(support_threshold)
-        .with_properties(PropertySelection::single(vocab::PROVIDER_PART_NUMBER));
-    let outcome = RuleLearner::new(learner.clone())
-        .learn(&scenario.training, &scenario.ontology)
-        .expect("rule learning on the generated scenario");
-    RuleClassifier::from_outcome(&outcome, &learner).with_min_confidence(min_confidence)
-}
-
-fn classifier(scenario: &GeneratedScenario) -> RuleClassifier {
-    learn_classifier(scenario, 0.01, 0.4)
 }
 
 /// The learnt rules plus, for every rule, a twin concluding the **parent**
@@ -278,11 +225,7 @@ fn reference_rule_sequences(
 ) -> Vec<(Vec<(usize, usize)>, usize)> {
     let mut shards = vec![(Vec::new(), 0usize); local.shard_count()];
     for e in 0..external.len() {
-        let facts: Vec<(String, String)> = external
-            .facts(e)
-            .map(|(p, v)| (p.to_string(), v.to_string()))
-            .collect();
-        let predictions = classifier.classify_facts(&facts);
+        let predictions = classifier.classify_fact_refs(external.facts(e));
         let mut seen: HashSet<(usize, usize)> = HashSet::new();
         let mut emitted = vec![false; local.shard_count()];
         if predictions.is_empty() && fallback {

@@ -62,17 +62,6 @@ impl OntologyBuilder {
         id
     }
 
-    /// Declare a class with an explicit full IRI.
-    pub fn class_with_iri(&mut self, iri: &str, label: &str, parent: Option<ClassId>) -> ClassId {
-        let id = self.ontology.add_class(iri, label);
-        if let Some(p) = parent {
-            self.ontology
-                .add_subclass_axiom(id, p)
-                .expect("builder-created edges are acyclic");
-        }
-        id
-    }
-
     /// Add an extra `sub ⊑ sup` edge (for multiple inheritance).
     pub fn subclass(&mut self, sub: ClassId, sup: ClassId) -> &mut Self {
         self.ontology
@@ -94,17 +83,6 @@ impl OntologyBuilder {
         let iri = self.mint_property(label);
         self.ontology
             .add_data_property(iri, label, domain, DataKind::Text)
-    }
-
-    /// Declare a data property with an explicit kind.
-    pub fn data_property_kind(
-        &mut self,
-        label: &str,
-        domain: Option<ClassId>,
-        kind: DataKind,
-    ) -> PropertyId {
-        let iri = self.mint_property(label);
-        self.ontology.add_data_property(iri, label, domain, kind)
     }
 
     /// Declare an object property named `label`.
@@ -163,14 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn class_with_explicit_iri() {
-        let mut b = OntologyBuilder::new("http://e.org/c#");
-        let a = b.class_with_iri("http://other.org/T83", "T83 family", None);
-        let onto = b.build();
-        assert_eq!(onto.iri(a), "http://other.org/T83");
-    }
-
-    #[test]
     fn property_iris_are_camel_cased() {
         let mut b = OntologyBuilder::new("http://e.org/v#");
         let root = b.class("Component", None);
@@ -195,20 +165,6 @@ mod tests {
         let onto = b.build();
         assert!(onto.are_disjoint(r, c));
         assert!(onto.is_subclass_of(special, root));
-    }
-
-    #[test]
-    fn data_property_kind_is_recorded() {
-        use crate::model::DataKind;
-        let mut b = OntologyBuilder::new("http://e.org/v#");
-        b.data_property_kind("rated voltage", None, DataKind::Numeric);
-        let onto = b.build();
-        assert_eq!(
-            onto.data_property("http://e.org/v#ratedVoltage")
-                .unwrap()
-                .kind,
-            DataKind::Numeric
-        );
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! linking subspaces). [`InstanceStore`] records `rdf:type` assertions and
 //! answers extent queries both directly and under subsumption. Extents under
 //! subsumption all go through one borrowed enumerator,
-//! [`InstanceStore::extent_refs`]; the owned and counting forms are one-line
-//! views of it.
+//! [`InstanceStore::extent_refs`]; the owned form is a one-line view of it.
 
 use crate::model::ClassId;
 use crate::ontology::Ontology;
@@ -51,32 +50,6 @@ impl InstanceStore {
         ontology.most_specific(&direct)
     }
 
-    /// All classes of `item`, closed under subsumption.
-    pub fn inferred_types_of(&self, item: &Term, ontology: &Ontology) -> Vec<ClassId> {
-        let mut all: BTreeSet<ClassId> = BTreeSet::new();
-        for c in self.types_of(item) {
-            all.insert(c);
-            all.extend(ontology.ancestors(c));
-        }
-        all.into_iter().collect()
-    }
-
-    /// `true` when `item` is an instance of `class`, directly or through a
-    /// subclass.
-    pub fn is_instance_of(&self, item: &Term, class: ClassId, ontology: &Ontology) -> bool {
-        self.types_of(item)
-            .iter()
-            .any(|c| ontology.is_subclass_of(*c, class))
-    }
-
-    /// Directly asserted instances of `class`.
-    pub fn direct_extent(&self, class: ClassId) -> Vec<Term> {
-        self.extent
-            .get(&class)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
     /// Instances of `class` including those of its subclasses, **borrowed**:
     /// sorted in `Term` order, each item once however many of the classes it
     /// is asserted in. The one body that unions a class's extent with its
@@ -110,20 +83,9 @@ impl InstanceStore {
             .collect()
     }
 
-    /// Size of the inferred extent of `class` (instances of it or any
-    /// subclass).
-    pub fn extent_size(&self, class: ClassId, ontology: &Ontology) -> usize {
-        self.extent_refs(class, ontology).len()
-    }
-
     /// Number of items with at least one type assertion.
     pub fn item_count(&self) -> usize {
         self.types_of.len()
-    }
-
-    /// Total number of type assertions.
-    pub fn assertion_count(&self) -> usize {
-        self.types_of.values().map(BTreeSet::len).sum()
     }
 
     /// Iterate over all items with assertions.
@@ -182,7 +144,7 @@ mod tests {
 
     #[test]
     fn assert_and_query_types() {
-        let (onto, [component, resistor, fixed, _]) = setup();
+        let (onto, [component, _, fixed, _]) = setup();
         let mut store = InstanceStore::new();
         assert!(store.assert_type(&item(1), fixed));
         assert!(!store.assert_type(&item(1), fixed));
@@ -190,11 +152,7 @@ mod tests {
         assert_eq!(store.types_of(&item(1)).len(), 2);
         assert_eq!(store.types_of(&item(9)).len(), 0);
         assert_eq!(store.most_specific_types(&item(1), &onto), vec![fixed]);
-        let inferred = store.inferred_types_of(&item(1), &onto);
-        assert!(inferred.contains(&resistor));
-        assert!(inferred.contains(&component));
         assert_eq!(store.item_count(), 1);
-        assert_eq!(store.assertion_count(), 2);
     }
 
     #[test]
@@ -204,34 +162,29 @@ mod tests {
         store.assert_type(&item(1), fixed);
         store.assert_type(&item(2), resistor);
         store.assert_type(&item(3), capacitor);
-        assert_eq!(store.direct_extent(resistor).len(), 1);
-        assert_eq!(store.extent(resistor, &onto).len(), 2);
+        assert_eq!(store.extent(resistor, &onto), vec![item(1), item(2)]);
         assert_eq!(store.extent(component, &onto).len(), 3);
-        assert_eq!(store.extent_size(component, &onto), 3);
-        assert_eq!(store.extent_size(fixed, &onto), 1);
-        assert!(store.is_instance_of(&item(1), component, &onto));
-        assert!(store.is_instance_of(&item(1), resistor, &onto));
-        assert!(!store.is_instance_of(&item(3), resistor, &onto));
+        assert_eq!(store.extent(fixed, &onto), vec![item(1)]);
+        assert_eq!(store.extent(capacitor, &onto), vec![item(3)]);
     }
 
     #[test]
-    fn extent_size_deduplicates_multi_asserted_items() {
+    fn extent_deduplicates_multi_asserted_items() {
         let (onto, [component, resistor, fixed, _]) = setup();
         let mut store = InstanceStore::new();
         store.assert_type(&item(1), fixed);
         store.assert_type(&item(1), resistor);
-        assert_eq!(store.extent_size(component, &onto), 1);
-        assert_eq!(store.extent(component, &onto).len(), 1);
+        assert_eq!(store.extent(component, &onto), vec![item(1)]);
     }
 
-    /// The union written the obvious way: clone every member of the class
-    /// and of each descendant into one ordered set.
+    /// The extent written the obvious way: every item, in `Term` order,
+    /// one of whose asserted classes is the class or a subclass of it.
     fn obvious_extent(store: &InstanceStore, class: ClassId, onto: &Ontology) -> Vec<Term> {
-        let mut all: BTreeSet<Term> = store.direct_extent(class).into_iter().collect();
-        for sub in onto.descendants(class) {
-            all.extend(store.direct_extent(sub));
-        }
-        all.into_iter().collect()
+        let is_member = |item: &&Term| {
+            let asserted = store.types_of(item);
+            asserted.iter().any(|c| onto.is_subclass_of(*c, class))
+        };
+        store.items().filter(is_member).cloned().collect()
     }
 
     #[test]
@@ -261,7 +214,6 @@ mod tests {
             let owned: Vec<Term> = refs.into_iter().cloned().collect();
             assert_eq!(owned, obvious_extent(&store, class, &onto));
             assert_eq!(owned, store.extent(class, &onto));
-            assert_eq!(owned.len(), store.extent_size(class, &onto));
         }
         // Multi-asserted items appear once.
         assert_eq!(
@@ -325,8 +277,6 @@ mod tests {
         let (onto, [component, ..]) = setup();
         let store = InstanceStore::new();
         assert_eq!(store.item_count(), 0);
-        assert_eq!(store.assertion_count(), 0);
-        assert!(store.direct_extent(component).is_empty());
         assert!(store.extent(component, &onto).is_empty());
         assert_eq!(store.items().count(), 0);
     }

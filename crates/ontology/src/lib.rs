@@ -13,12 +13,11 @@
 //!
 //! * [`model`] — classes, data/object properties and their ids.
 //! * [`ontology`] — the ontology itself: subsumption hierarchy with
-//!   ancestor/descendant closure, leaves, depth, least common ancestors and
-//!   disjointness axioms.
-//! * [`instances`] — class-membership assertions for data items, direct and
-//!   inferred extents, most-specific-class computation.
+//!   ancestor/descendant closure, leaves, depth and disjointness axioms.
+//! * [`instances`] — class-membership assertions for data items, extents
+//!   under subsumption, most-specific-class computation.
 //! * [`builder`] — ergonomic construction.
-//! * [`rdf_io`] — import/export from/to RDF graphs (`rdfs:subClassOf`,
+//! * [`rdf_io`] — import from RDF graphs (`rdfs:subClassOf`,
 //!   `owl:Class`, `owl:disjointWith`, `rdf:type`, …).
 //! * [`stats`] — summary statistics (class counts, leaf counts, depth
 //!   histograms) matching the numbers the paper reports about its ontology

@@ -92,12 +92,6 @@ impl Ontology {
         self.class_by_iri.get(iri).copied()
     }
 
-    /// Look up a class by IRI, returning an error when unknown.
-    pub fn class_or_err(&self, iri: &str) -> Result<ClassId> {
-        self.class(iri)
-            .ok_or_else(|| OntologyError::UnknownClass(iri.to_string()))
-    }
-
     /// Metadata of a class.
     pub fn class_info(&self, id: ClassId) -> Option<&OntClass> {
         self.classes.get(id.index())
@@ -238,26 +232,6 @@ impl Ontology {
             frontier = next;
             depth += 1;
         }
-    }
-
-    /// Least common ancestors of `a` and `b` (classes subsuming both with no
-    /// subsumed class also subsuming both). Returns both inputs' common
-    /// ancestors minimal w.r.t. subsumption; may be empty in a forest.
-    pub fn least_common_ancestors(&self, a: ClassId, b: ClassId) -> Vec<ClassId> {
-        let mut anc_a: BTreeSet<ClassId> = self.ancestors(a).into_iter().collect();
-        anc_a.insert(a);
-        let mut anc_b: BTreeSet<ClassId> = self.ancestors(b).into_iter().collect();
-        anc_b.insert(b);
-        let common: Vec<ClassId> = anc_a.intersection(&anc_b).copied().collect();
-        common
-            .iter()
-            .copied()
-            .filter(|c| {
-                !common
-                    .iter()
-                    .any(|other| *other != *c && self.is_subclass_of(*other, *c))
-            })
-            .collect()
     }
 
     /// Keep only the most specific classes of `set`: drop any class that has
@@ -444,7 +418,6 @@ mod tests {
         let (o, [component, ..]) = sample();
         assert_eq!(o.class("http://e.org/c#Component"), Some(component));
         assert_eq!(o.class("http://e.org/c#Nope"), None);
-        assert!(o.class_or_err("http://e.org/c#Nope").is_err());
         assert_eq!(o.class_info(component).unwrap().label, "Component");
         assert!(o.class_info(ClassId(99)).is_none());
     }
@@ -536,23 +509,6 @@ mod tests {
         let ms3 = o.most_specific(&[component, component]);
         assert_eq!(ms3, vec![component]);
         assert!(o.most_specific(&[]).is_empty());
-    }
-
-    #[test]
-    fn least_common_ancestors_work() {
-        let (o, [component, resistor, fixed, wire, _, tantalum]) = sample();
-        assert_eq!(o.least_common_ancestors(fixed, wire), vec![resistor]);
-        assert_eq!(o.least_common_ancestors(fixed, tantalum), vec![component]);
-        assert_eq!(o.least_common_ancestors(fixed, fixed), vec![fixed]);
-        assert_eq!(o.least_common_ancestors(fixed, resistor), vec![resistor]);
-    }
-
-    #[test]
-    fn lca_empty_in_forest() {
-        let mut o = Ontology::new();
-        let a = o.add_class("http://e.org/c#A", "A");
-        let b = o.add_class("http://e.org/c#B", "B");
-        assert!(o.least_common_ancestors(a, b).is_empty());
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! Import/export of ontologies from/to RDF graphs.
+//! Import of ontologies from RDF graphs.
 //!
 //! The paper's local source `SL` is "described according to an OWL ontology
 //! `OL`". This module reads such an ontology from its RDF serialisation
 //! (classes, `rdfs:subClassOf`, `owl:disjointWith`, property declarations,
-//! labels) and can write one back, so the synthetic generator and the
-//! examples can exchange ontologies as Turtle/N-Triples files.
+//! labels), so an ontology can be supplied as a Turtle/N-Triples file.
 
 use crate::error::Result;
 use crate::model::{ClassId, DataKind};
 use crate::ontology::Ontology;
 use classilink_rdf::namespace::vocab;
-use classilink_rdf::{Graph, Term, Triple};
+use classilink_rdf::{Graph, Term};
 use std::collections::BTreeMap;
 
 /// Load an ontology from an RDF graph.
@@ -110,134 +109,10 @@ pub fn from_graph(graph: &Graph) -> Result<Ontology> {
     Ok(onto)
 }
 
-/// Serialise an ontology into an RDF graph using the standard OWL/RDFS
-/// vocabulary. Round-trips through [`from_graph`].
-pub fn to_graph(ontology: &Ontology) -> Graph {
-    let mut g = Graph::new();
-    for class in ontology.classes() {
-        g.insert(Triple::iris(&class.iri, vocab::RDF_TYPE, vocab::OWL_CLASS));
-        g.insert(Triple::new(
-            Term::iri(&class.iri),
-            Term::iri(vocab::RDFS_LABEL),
-            Term::literal(&class.label),
-        ));
-        for parent in &class.parents {
-            g.insert(Triple::iris(
-                &class.iri,
-                vocab::RDFS_SUBCLASS_OF,
-                ontology.iri(*parent),
-            ));
-        }
-    }
-    // Disjointness axioms are re-derived from pairwise checks over declared
-    // axioms only; to keep the export faithful we emit each declared pair
-    // once in each direction-normalised form.
-    for a in ontology.class_ids() {
-        for b in ontology.class_ids() {
-            if a < b && ontology.are_disjoint(a, b) {
-                // Only emit axioms between classes whose *parents* are not
-                // already known-disjoint, i.e. the declared level. This keeps
-                // the output compact while preserving semantics.
-                let redundant = ontology
-                    .parents(a)
-                    .iter()
-                    .any(|pa| ontology.are_disjoint(*pa, b))
-                    || ontology
-                        .parents(b)
-                        .iter()
-                        .any(|pb| ontology.are_disjoint(a, *pb));
-                if !redundant {
-                    g.insert(Triple::iris(
-                        ontology.iri(a),
-                        vocab::OWL_DISJOINT_WITH,
-                        ontology.iri(b),
-                    ));
-                }
-            }
-        }
-    }
-    for p in ontology.data_properties() {
-        g.insert(Triple::iris(
-            &p.iri,
-            vocab::RDF_TYPE,
-            vocab::OWL_DATATYPE_PROPERTY,
-        ));
-        g.insert(Triple::new(
-            Term::iri(&p.iri),
-            Term::iri(vocab::RDFS_LABEL),
-            Term::literal(&p.label),
-        ));
-        if let Some(domain) = p.domain {
-            g.insert(Triple::iris(
-                &p.iri,
-                vocab::RDFS_DOMAIN,
-                ontology.iri(domain),
-            ));
-        }
-    }
-    for p in ontology.object_properties() {
-        g.insert(Triple::iris(
-            &p.iri,
-            vocab::RDF_TYPE,
-            vocab::OWL_OBJECT_PROPERTY,
-        ));
-        g.insert(Triple::new(
-            Term::iri(&p.iri),
-            Term::iri(vocab::RDFS_LABEL),
-            Term::literal(&p.label),
-        ));
-        if let Some(domain) = p.domain {
-            g.insert(Triple::iris(
-                &p.iri,
-                vocab::RDFS_DOMAIN,
-                ontology.iri(domain),
-            ));
-        }
-        if let Some(range) = p.range {
-            g.insert(Triple::iris(&p.iri, vocab::RDFS_RANGE, ontology.iri(range)));
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::OntologyBuilder;
-
-    fn sample() -> Ontology {
-        let mut b = OntologyBuilder::new("http://e.org/c#");
-        let component = b.class("Component", None);
-        let resistor = b.class("Resistor", Some(component));
-        let _fixed = b.class("FixedFilmResistor", Some(resistor));
-        let capacitor = b.class("Capacitor", Some(component));
-        b.disjoint(resistor, capacitor);
-        b.data_property("part number", Some(component));
-        b.object_property("has manufacturer", Some(component), None);
-        b.build()
-    }
-
-    #[test]
-    fn roundtrip_preserves_structure() {
-        let onto = sample();
-        let graph = to_graph(&onto);
-        let back = from_graph(&graph).unwrap();
-
-        assert_eq!(back.class_count(), onto.class_count());
-        let resistor = back.class("http://e.org/c#Resistor").unwrap();
-        let fixed = back.class("http://e.org/c#FixedFilmResistor").unwrap();
-        let capacitor = back.class("http://e.org/c#Capacitor").unwrap();
-        let component = back.class("http://e.org/c#Component").unwrap();
-        assert!(back.is_subclass_of(fixed, component));
-        assert!(back.are_disjoint(fixed, capacitor));
-        assert_eq!(back.label(resistor), "Resistor");
-        assert!(back.data_property("http://e.org/v#partNumber").is_none());
-        // properties were minted in the class namespace by the builder above
-        assert!(back.data_property("http://e.org/c#partNumber").is_some());
-        assert!(back
-            .object_property("http://e.org/c#hasManufacturer")
-            .is_some());
-    }
+    use classilink_rdf::Triple;
 
     #[test]
     fn from_graph_handles_turtle_input() {
@@ -250,6 +125,7 @@ c:Component a owl:Class ; rdfs:label "Component" .
 c:Resistor a owl:Class ; rdfs:subClassOf c:Component .
 c:Capacitor a owl:Class ; rdfs:subClassOf c:Component ; owl:disjointWith c:Resistor .
 c:partNumber a owl:DatatypeProperty ; rdfs:domain c:Component ; rdfs:label "part number" .
+c:replaces a owl:ObjectProperty ; rdfs:domain c:Resistor ; rdfs:range c:Component .
 "#;
         let (graph, _) = classilink_rdf::turtle::parse(doc).unwrap();
         let onto = from_graph(&graph).unwrap();
@@ -265,6 +141,11 @@ c:partNumber a owl:DatatypeProperty ; rdfs:domain c:Component ; rdfs:label "part
         let p = onto.data_property("http://e.org/c#partNumber").unwrap();
         assert_eq!(p.domain, Some(component));
         assert_eq!(p.label, "part number");
+        let replaces = onto.object_property("http://e.org/c#replaces").unwrap();
+        assert_eq!(
+            (replaces.domain, replaces.range),
+            (Some(resistor), Some(component))
+        );
     }
 
     #[test]
@@ -302,7 +183,6 @@ c:partNumber a owl:DatatypeProperty ; rdfs:domain c:Component ; rdfs:label "part
     fn empty_graph_gives_empty_ontology() {
         let onto = from_graph(&Graph::new()).unwrap();
         assert!(onto.is_empty());
-        assert!(to_graph(&onto).is_empty());
     }
 
     #[test]

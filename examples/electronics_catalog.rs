@@ -11,14 +11,13 @@
 //! cargo run --release --example electronics_catalog -- small   # quicker run
 //! ```
 
-use classilink::core::{LearnerConfig, PropertySelection};
+use classilink::core::{LearnerConfig, PropertySelection, RuleClassifier};
 use classilink::datagen::scenario::{generate, ScenarioConfig};
 use classilink::datagen::vocab;
 use classilink::eval::sweeps::{reduction_table, segmenter_table, support_table};
 use classilink::eval::table1::{EvaluationItem, Table1Experiment};
 use classilink::eval::{reduction_sweep, segmenter_ablation, support_sweep};
 use classilink::ontology::OntologyStats;
-use classilink::rdf::Term;
 use classilink::segment::SegmenterKind;
 
 fn main() {
@@ -98,19 +97,20 @@ fn main() {
 
     // E3/E4: how many catalog products an external item is still compared
     // with once it has been classified, per rule-confidence threshold.
-    let batch: Vec<(Term, Vec<(String, String)>)> = scenario
+    let external = scenario.external_store();
+    let training_items: Vec<usize> = scenario
         .training
         .examples()
         .iter()
-        .map(|e| (e.external_item.clone(), e.facts.clone()))
+        .filter_map(|e| external.index_of(&e.external_item))
         .collect();
     let reduction = reduction_sweep(
-        &outcome,
-        &learner,
+        &RuleClassifier::from_outcome(&outcome, &learner),
         &scenario.instances,
         &scenario.ontology,
-        &batch,
-        scenario.catalog_size(),
+        &external,
+        &scenario.local_store(),
+        &training_items,
         &[1.0, 0.8, 0.6, 0.4, 0.2],
     );
     println!(

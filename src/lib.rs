@@ -12,9 +12,10 @@
 //! * [`ontology`] — OWL-lite ontology model with subsumption and instances.
 //! * [`segment`] — property-value segmentation (separators, n-grams).
 //! * [`core`] — the paper's contribution: classification rule learning,
-//!   quality measures, rule ordering, linking subspaces.
+//!   quality measures, rule ordering, classification of new items.
 //! * [`linking`] — similarity measures, record comparison, blocking
-//!   baselines and the end-to-end linkage pipeline.
+//!   baselines, the rule-based blocker that resolves an item's linking
+//!   subspace, and the end-to-end linkage pipeline.
 //! * [`datagen`] — synthetic electronic-components catalogs, provider
 //!   documents and training sets reproducing the paper's data shape.
 //! * [`eval`] — metrics, the Table 1 experiment and report rendering.

@@ -1,16 +1,14 @@
 //! Cross-crate integration tests: generate a scenario, learn rules, classify,
 //! reduce the linking space, and link — the whole workflow of the paper.
 
-use classilink::core::{
-    LearnerConfig, PropertySelection, RuleClassifier, RuleLearner, SubspaceBuilder,
-};
+use classilink::core::{LearnerConfig, PropertySelection, RuleClassifier, RuleLearner};
 use classilink::datagen::scenario::{generate, ScenarioConfig};
 use classilink::datagen::vocab;
 use classilink::eval::blocking_eval::{compare_blockers, stores_and_truth};
+use classilink::eval::reduction_sweep;
 use classilink::eval::table1::Table1Experiment;
 use classilink::linking::blocking::RuleBasedBlocker;
 use classilink::linking::{LinkagePipeline, RecordComparator, SimilarityMeasure};
-use classilink::rdf::Term;
 
 fn learner_config() -> LearnerConfig {
     LearnerConfig::default()
@@ -58,21 +56,29 @@ fn learn_classify_and_reduce_on_a_small_scenario() {
 
     // The linking subspace of classified items is much smaller than the
     // catalog.
-    let strict = classifier.with_min_confidence(1.0);
-    let builder = SubspaceBuilder::new(&strict, &scenario.instances, &scenario.ontology);
-    let batch: Vec<(Term, Vec<(String, String)>)> = scenario
+    let external = scenario.external_store();
+    let items: Vec<usize> = scenario
         .training
         .examples()
         .iter()
         .take(200)
-        .map(|e| (e.external_item.clone(), e.facts.clone()))
+        .filter_map(|e| external.index_of(&e.external_item))
         .collect();
-    let stats = builder.reduction_stats(&batch, scenario.catalog_size());
-    assert!(stats.classified_items > 0);
+    assert_eq!(items.len(), 200);
+    let strict = &reduction_sweep(
+        &classifier,
+        &scenario.instances,
+        &scenario.ontology,
+        &external,
+        &scenario.local_store(),
+        &items,
+        &[1.0],
+    )[0];
+    assert!(strict.classified_fraction > 0.0);
     assert!(
-        stats.mean_reduction_factor > 5.0,
+        strict.mean_factor > 5.0,
         "confidence-1 rules should shrink the space by a large factor, got {}",
-        stats.mean_reduction_factor
+        strict.mean_factor
     );
 }
 
