@@ -16,7 +16,7 @@
 //! The bigram sets and the inverted index are **store-level
 //! precomputation**: both sides' padded key bigrams live in the store's
 //! cached [`KeyIndex`](crate::token_index::KeyIndex) as packed `u64`s
-//! (the [`TokenIndex`](crate::token_index::TokenIndex) bigram
+//! (the token tables' bigram
 //! representation) — no per-record `String` bigrams, no hash maps, and
 //! zero allocations once the indexes are warm.
 //!

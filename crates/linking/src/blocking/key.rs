@@ -7,6 +7,15 @@
 //! is resolved against a [`RecordStore`] into a [`KeySide`], which holds
 //! the interned [`crate::intern::PropertyId`] so that key
 //! extraction in the blocking loop never hashes an IRI string.
+//!
+//! Normalisation — lowercase, optionally keep only alphanumerics, count
+//! the prefix in output characters — is one loop over the value's chars
+//! that treats an ASCII char as the byte it is (`to_ascii_lowercase`,
+//! `is_ascii_alphanumeric`: what `char::to_lowercase` and
+//! `char::is_alphanumeric` answer for it); only the other chars take the
+//! `to_lowercase` expansion. Part numbers are ASCII, so building a
+//! [`KeyIndex`](crate::token_index::KeyIndex) — every record's key, once
+//! per recipe — is a byte loop for them.
 
 use crate::intern::{PropertyId, PropertyInterner};
 use crate::store::RecordStore;
@@ -129,18 +138,32 @@ impl KeySide {
         // characters. Char-wise mapping (instead of `str::to_lowercase`)
         // keeps key extraction allocation-free — the serving layer
         // re-keys its one-record probe store on every call — forgoing
-        // only the final-sigma special case of the `str` version.
+        // only the final-sigma special case of the `str` version. An ASCII
+        // char is lowercased and classified as the byte it is (what
+        // `to_lowercase` and `is_alphanumeric` answer for it); only the
+        // others take the `to_lowercase` expansion.
         let start = out.len();
         let mut kept = 0;
         let mut key_end = None;
-        for c in value.chars().flat_map(char::to_lowercase) {
-            if self.alphanumeric_only && !c.is_alphanumeric() {
-                continue;
-            }
+        let mut keep = |c: char, out: &mut String| {
             out.push(c);
             kept += 1;
             if kept == take {
                 key_end = Some(out.len() - start);
+            }
+        };
+        for c in value.chars() {
+            if c.is_ascii() {
+                let c = c.to_ascii_lowercase();
+                if !self.alphanumeric_only || c.is_ascii_alphanumeric() {
+                    keep(c, out);
+                }
+            } else {
+                for c in c.to_lowercase() {
+                    if !self.alphanumeric_only || c.is_alphanumeric() {
+                        keep(c, out);
+                    }
+                }
             }
         }
         key_end.unwrap_or(out.len() - start)
@@ -249,6 +272,66 @@ mod tests {
                 assert_eq!(out[..end], side.key(&store, 0), "prefix {prefix}");
                 assert_eq!(out, side.sort_value(&store, 0), "prefix {prefix}");
             }
+        }
+    }
+
+    /// `write_normalised` written the char-wise way, for every char: each
+    /// through `char::to_lowercase`, each lowercased char through
+    /// `is_alphanumeric`. Returns the written value and its key's end.
+    fn char_wise_normalised(side: &KeySide, value: &str) -> (String, usize) {
+        let take = if side.prefix_length > 0 {
+            side.prefix_length
+        } else {
+            usize::MAX
+        };
+        let mut out = String::new();
+        let (mut kept, mut key_end) = (0, None);
+        for c in value.chars().flat_map(char::to_lowercase) {
+            if side.alphanumeric_only && !c.is_alphanumeric() {
+                continue;
+            }
+            out.push(c);
+            kept += 1;
+            if kept == take {
+                key_end = Some(out.len());
+            }
+        }
+        let end = key_end.unwrap_or(out.len());
+        (out, end)
+    }
+
+    /// The byte path for ASCII chars writes what the char-wise loop
+    /// writes, and ends the key at the same byte, at every prefix length
+    /// either way of the filter — appended after earlier output.
+    fn assert_normalised_char_wise(value: &str) {
+        for prefix_length in [0, 1, 4, 8, 40] {
+            for alphanumeric_only in [true, false] {
+                let side = KeySide {
+                    property: None,
+                    prefix_length,
+                    alphanumeric_only,
+                };
+                let mut out = String::from("earlier");
+                let end = side.write_normalised(value, &mut out);
+                let (expected, expected_end) = char_wise_normalised(&side, value);
+                assert_eq!(
+                    (&out["earlier".len()..], end),
+                    (expected.as_str(), expected_end),
+                    "{value:?}, prefix {prefix_length}, alphanumeric only: {alphanumeric_only}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_ascii_keys_normalise_char_wise(value in "[ -~]{0,30}") {
+            assert_normalised_char_wise(&value);
+        }
+
+        #[test]
+        fn prop_printable_keys_normalise_char_wise(value in "\\PC{0,20}") {
+            assert_normalised_char_wise(&value);
         }
     }
 

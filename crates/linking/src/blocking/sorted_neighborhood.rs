@@ -5,11 +5,21 @@
 //! list of sorted data items and those belonging to the window are compared."
 //!
 //! The locals are sorted by the sorting key into one **ladder** (the
-//! cached per-shard [`KeyIndex::value_sorted`] tables, merged on the fly
-//! across shard boundaries); each external record is then *inserted*
+//! cached per-shard ladders of each shard's [`KeyIndex`], merged on the
+//! fly across shard boundaries); each external record is then *inserted*
 //! into that ladder at its own sort position and windows against the
-//! `window − 1` nearest locals on either side. This per-external
-//! formulation has three properties the engine leans on:
+//! `window − 1` nearest locals on either side.
+//!
+//! Every ladder slot carries its sort value's first eight bytes as one
+//! big-endian, zero-padded `u64` — a word that is monotone in the byte
+//! order of the values — so the insertion search and the k-way walk
+//! compare integers, and fall back to the arena strings, then to the
+//! global id, only when two words are equal (values sharing eight bytes,
+//! or one a prefix of the other). The order is exactly (sort value,
+//! global id); the words only decide most comparisons sooner.
+//!
+//! This per-external formulation has three properties the engine leans
+//! on:
 //!
 //! * **The window is a property of the record, not of the batch.** An
 //!   external's candidates depend only on its sort value and the local
@@ -38,7 +48,8 @@ use super::key::BlockingKey;
 use super::{Blocker, CandidateRuns};
 use crate::shard::LocalShards;
 use crate::store::RecordStore;
-use crate::token_index::KeyIndex;
+use crate::token_index::{sort_word, KeyIndex, Rung};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Sorted-neighbourhood blocking over the key-sorted local ladder.
@@ -67,21 +78,22 @@ impl Blocker for SortedNeighborhoodBlocker {
         "sorted-neighborhood"
     }
 
-    /// Native streaming. Per external record: two binary searches per
-    /// shard locate its insertion position in every shard's cached
-    /// [`KeyIndex::value_sorted`] ladder, then two k-way cursor walks
-    /// emit the `window − 1` globally-nearest locals below and above —
-    /// `O(shards · (log n + window))` per external, with all sort
-    /// values served as arena borrows (no per-record `String`). Each
-    /// external's pushes are consecutive per shard, so the sink
-    /// coalesces them into one explicit block per (shard, external).
+    /// Native streaming. Per external record: a binary search per shard
+    /// locates its insertion position in every shard's cached sort ladder,
+    /// then one k-way cursor walk, run once downward and once upward,
+    /// emits the `window − 1` globally-nearest locals on each side —
+    /// `O(shards · (log n + window))` per external. Both compare the
+    /// ladder's integer words and read a sort value (an arena borrow) only
+    /// where two words tie. Each external's pushes are consecutive per
+    /// shard, so the sink coalesces them into one explicit block per
+    /// (shard, external). The per-shard cursors live in the sink's
+    /// scratch: a warm call allocates nothing.
     fn stream_candidates(
         &self,
         external: &RecordStore,
         local: LocalShards<'_>,
         out: &mut CandidateRuns,
     ) {
-        let shard_count = local.shard_count();
         out.reset(external.len(), local);
         fail::fail_point!("blocking::sorted_neighborhood");
         if self.window < 2 || external.is_empty() || local.is_empty() {
@@ -96,63 +108,32 @@ impl Blocker for SortedNeighborhoodBlocker {
         // the walk must see every shard's ladder to decide which
         // new-shard records fall inside an external's window; pushes
         // into restricted shards are dropped by the sink itself.
-        let local_keys: Vec<Arc<KeyIndex>> = local
-            .iter()
-            .map(|shard| shard.key_index(&local_side))
-            .collect();
-        let ladders: Vec<&[u32]> = local_keys.iter().map(|keys| keys.value_sorted()).collect();
-        // One below-cursor and one above-cursor per shard, reused
-        // across externals.
-        let mut below = vec![0usize; shard_count];
-        let mut above = vec![0usize; shard_count];
+        let mut cursors = std::mem::take(&mut out.scratch.ladders);
+        cursors.extend(local.iter().map(|shard| LadderCursor {
+            keys: shard.key_index(&local_side),
+            below: 0,
+            above: 0,
+        }));
         for e in 0..external.len() {
             let value = external_keys.sort_value(e);
-            for s in 0..shard_count {
-                below[s] =
-                    ladders[s].partition_point(|&r| local_keys[s].sort_value(r as usize) <= value);
-                above[s] = below[s];
+            let word = sort_word(value);
+            for cursor in &mut cursors {
+                cursor.below = cursor.insertion(word, value);
+                cursor.above = cursor.below;
             }
-            // Walk downward: at each step take the globally largest
-            // (sort value, global id) among the per-shard candidates
-            // just below the cursors.
-            for _ in 0..reach {
-                let mut best: Option<(usize, &str, usize)> = None;
-                for s in 0..shard_count {
-                    if below[s] == 0 {
-                        continue;
-                    }
-                    let record = ladders[s][below[s] - 1] as usize;
-                    let sort_value = local_keys[s].sort_value(record);
-                    let global = local.offset(s) + record;
-                    if best.is_none_or(|(_, bv, bg)| (sort_value, global) > (bv, bg)) {
-                        best = Some((s, sort_value, global));
-                    }
+            // The two walks cover disjoint ladder positions, so no pair
+            // is emitted twice.
+            for direction in [Ordering::Greater, Ordering::Less] {
+                for _ in 0..reach {
+                    let Some((s, record)) = step(&mut cursors, local, direction) else {
+                        break;
+                    };
+                    out.push(s, e, record);
                 }
-                let Some((s, _, _)) = best else { break };
-                below[s] -= 1;
-                out.push(s, e, ladders[s][below[s]] as usize);
-            }
-            // Walk upward: globally smallest candidate at or after the
-            // insertion position. The two walks cover disjoint ladder
-            // positions, so no pair is emitted twice.
-            for _ in 0..reach {
-                let mut best: Option<(usize, &str, usize)> = None;
-                for s in 0..shard_count {
-                    if above[s] >= ladders[s].len() {
-                        continue;
-                    }
-                    let record = ladders[s][above[s]] as usize;
-                    let sort_value = local_keys[s].sort_value(record);
-                    let global = local.offset(s) + record;
-                    if best.is_none_or(|(_, bv, bg)| (sort_value, global) < (bv, bg)) {
-                        best = Some((s, sort_value, global));
-                    }
-                }
-                let Some((s, _, _)) = best else { break };
-                out.push(s, e, ladders[s][above[s]] as usize);
-                above[s] += 1;
             }
         }
+        cursors.clear();
+        out.scratch.ladders = cursors;
     }
 
     /// Build each shard's key index **and** its sort ladder (the two
@@ -160,9 +141,79 @@ impl Blocker for SortedNeighborhoodBlocker {
     fn warm(&self, local: LocalShards<'_>) {
         let local_side = self.key.local_side_of(local.schema());
         for shard in local.iter() {
-            shard.key_index(&local_side).value_sorted();
+            shard.key_index(&local_side).ladder();
         }
     }
+}
+
+/// One shard's place in a window walk: its key index (whose sort ladder
+/// the walk reads) and the two cursors around the external's insertion
+/// position — `below` is one past the next ladder slot downward, `above`
+/// the next one upward.
+#[derive(Debug)]
+pub(crate) struct LadderCursor {
+    keys: Arc<KeyIndex>,
+    below: usize,
+    above: usize,
+}
+
+impl LadderCursor {
+    /// The number of ladder slots that sort at or before an external of
+    /// sort value `value` (word `word`): every slot of a smaller word,
+    /// then, among the slots sharing its word, those whose sort value is
+    /// not greater — locals sort before an external on equal values.
+    fn insertion(&self, word: u64, value: &str) -> usize {
+        let ladder = self.keys.ladder();
+        let start = ladder.partition_point(|rung| rung.word < word);
+        let ties = ladder[start..].partition_point(|rung| rung.word == word);
+        let tied = &ladder[start..start + ties];
+        start + tied.partition_point(|rung| self.keys.sort_value(rung.record as usize) <= value)
+    }
+}
+
+/// One step of the window walk: among the shards' next slots in
+/// `direction` — the slot below each `below` cursor when walking down
+/// (`Greater`: the largest wins), the slot at each `above` cursor when
+/// walking up (`Less`: the smallest wins) — take the winner by (word,
+/// sort value, global id), move its shard's cursor past it and return
+/// `(shard, record)`; `None` when no shard has a slot left that way.
+fn step(
+    cursors: &mut [LadderCursor],
+    local: LocalShards<'_>,
+    direction: Ordering,
+) -> Option<(usize, usize)> {
+    // The winner so far: its shard and rung.
+    let mut best: Option<(usize, Rung)> = None;
+    // A rung's order past its word: the sort value, then the global id
+    // (equal values in different shards).
+    let tail = |s: usize, rung: Rung| {
+        let record = rung.record as usize;
+        (cursors[s].keys.sort_value(record), local.offset(s) + record)
+    };
+    for (s, cursor) in cursors.iter().enumerate() {
+        let ladder = cursor.keys.ladder();
+        let position = match direction {
+            Ordering::Greater => cursor.below.checked_sub(1),
+            _ => Some(cursor.above).filter(|&p| p < ladder.len()),
+        };
+        let Some(rung) = position.map(|p| ladder[p]) else {
+            continue;
+        };
+        let wins = best.is_none_or(|(bs, b)| {
+            let order = rung.word.cmp(&b.word);
+            order.then_with(|| tail(s, rung).cmp(&tail(bs, b))) == direction
+        });
+        if wins {
+            best = Some((s, rung));
+        }
+    }
+    let (s, rung) = best?;
+    let cursor = &mut cursors[s];
+    match direction {
+        Ordering::Greater => cursor.below -= 1,
+        _ => cursor.above += 1,
+    }
+    Some((s, rung.record as usize))
 }
 
 #[cfg(test)]
@@ -170,6 +221,7 @@ mod tests {
     use super::*;
     use crate::blocking::test_support::*;
     use crate::blocking::{collect_pairs, BlockingStats, CandidatePair, CartesianBlocker};
+    use crate::store::RecordStore;
     use std::collections::HashSet;
 
     fn key() -> BlockingKey {
@@ -271,38 +323,125 @@ mod tests {
         }
     }
 
+    /// The naive per-external reference, on strings: insert each external
+    /// into the (sort value, id)-ordered local list and take `window − 1`
+    /// on each side — every pair, sorted, duplicates kept.
+    fn reference(
+        key: &BlockingKey,
+        external: &RecordStore,
+        local: &RecordStore,
+        window: usize,
+    ) -> Vec<CandidatePair> {
+        let side_e = key.external_side(external);
+        let side_l = key.local_side_of(local.interner());
+        let mut ladder: Vec<(String, usize)> = (0..local.len())
+            .map(|l| (side_l.sort_value(local, l), l))
+            .collect();
+        ladder.sort();
+        let mut expected: Vec<CandidatePair> = Vec::new();
+        for e in 0..external.len() {
+            let value = side_e.sort_value(external, e);
+            let position = ladder.partition_point(|(v, _)| *v <= value);
+            for (_, l) in &ladder[position.saturating_sub(window - 1)..position] {
+                expected.push((e, *l));
+            }
+            for (_, l) in ladder[position..].iter().take(window - 1) {
+                expected.push((e, *l));
+            }
+        }
+        expected.sort_unstable();
+        expected
+    }
+
     /// The streamed candidates match a naive per-external reference:
     /// insert the external into the (sort value, id)-ordered local
     /// list, take `window − 1` on each side.
     #[test]
     fn pairs_match_the_per_external_reference() {
         let (external, local) = small_stores();
-        let side_e = key().external_side(&external);
-        let side_l = key().local_side_of(local.interner());
         for window in [2, 3, 5, 40] {
-            let mut expected: Vec<CandidatePair> = Vec::new();
-            let mut ladder: Vec<(String, usize)> = (0..local.len())
-                .map(|l| (side_l.sort_value(&local, l), l))
-                .collect();
-            ladder.sort();
-            for e in 0..external.len() {
-                let value = side_e.sort_value(&external, e);
-                let position = ladder.partition_point(|(v, _)| *v <= value);
-                for (_, l) in &ladder[position.saturating_sub(window - 1)..position] {
-                    expected.push((e, *l));
-                }
-                for (_, l) in ladder[position..].iter().take(window - 1) {
-                    expected.push((e, *l));
-                }
-            }
-            expected.sort_unstable();
-            expected.dedup();
             let pairs = collect_pairs(
                 &SortedNeighborhoodBlocker::new(key(), window),
                 &external,
                 &local,
             );
-            assert_eq!(pairs, expected, "window {window}");
+            assert_eq!(
+                pairs,
+                reference(&key(), &external, &local, window),
+                "window {window}"
+            );
+        }
+    }
+
+    /// The ladder's words decide most comparisons, never the order: on sort
+    /// values built to tie, straddle and undercut the first eight bytes,
+    /// the walk windows exactly as the string reference at any sharding.
+    #[test]
+    fn words_never_reorder_the_ladder() {
+        let locals = [
+            "abcdefghX1", // 8+ shared bytes, differing at byte 9 …
+            "abcdefghA2",
+            "abcdefghij",
+            "abcdefghii",
+            "abcdefg", // … 7 / 8 / 9 bytes, one a prefix of the next …
+            "abcdefgh",
+            "abcdefgh0",
+            "abcdefgz",
+            "abc\0def", // … NUL and '-' where they are kept …
+            "abc-def",
+            "abc\0",
+            "abc-",
+            "abc",
+            "abcdefgh\0",
+            "abcdefgh-",
+            "abcdefgé", // … a multi-byte char across byte 8 …
+            "abcdefgéz",
+            "abcdefg€x",
+            "abcdefgh", // … equal values, in different shards at most counts
+            "ABCDEFGH0",
+            "",
+            "abcdefgh",
+        ];
+        let externals = [
+            "abcdefgh", // equal to locals: they sort first
+            "abcdefgh0",
+            "ABCDEFGHA",
+            "abcdefg",
+            "abcdefgé",
+            "abc-def",
+            "abc\0",
+            "abc",
+            "",
+            "zzzz",
+            "abcdefgh\0",
+            "abcdefgi",
+        ];
+        let local_records: Vec<_> = (locals.iter().enumerate())
+            .map(|(i, pn)| loc_record(i, pn))
+            .collect();
+        let external_records: Vec<_> = (externals.iter().enumerate())
+            .map(|(i, pn)| ext_record(i, pn))
+            .collect();
+        let external = RecordStore::from_records(&external_records);
+        let local = RecordStore::from_records(&local_records);
+        for alphanumeric_only in [true, false] {
+            let key = BlockingKey {
+                alphanumeric_only,
+                ..key()
+            };
+            for window in [2, 3, 10] {
+                let expected = reference(&key, &external, &local, window);
+                let blocker = SortedNeighborhoodBlocker::new(key.clone(), window);
+                for shard_count in [1, 2, 5, 13] {
+                    let sharded =
+                        crate::shard::ShardedStore::from_records(&local_records, shard_count);
+                    assert_eq!(
+                        collect_pairs(&blocker, &external, &sharded),
+                        expected,
+                        "alphanumeric only: {alphanumeric_only}, window {window}, {shard_count} shards"
+                    );
+                }
+            }
         }
     }
 

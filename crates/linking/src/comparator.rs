@@ -14,13 +14,22 @@
 //! (see [`SimScratch`]) or a precomputed-token-set kernel (see
 //! [`crate::token_index`]).
 //!
+//! What the kernels read beside the values is derived per column, and only
+//! for the columns a rule compares: a set rule's token table, a filtered
+//! string rule's signature column. The pipeline and the serving layer warm
+//! the catalog side of each before the scoring loop can reach a cold shard;
+//! the external side's token table is built by the first hoist of the
+//! rule's values, and the full-text table only when a set-measure fallback
+//! fires.
+//!
 //! Two per-pair entry points share one evaluation core and always compute
 //! the exact score:
 //!
 //! * [`CompiledComparator::score`] — returns only `(score, decision)` and
 //!   performs **zero heap allocations** in steady state (the caller owns
-//!   the [`SimScratch`]; token sets come from the stores'
-//!   [`TokenIndex`]). The oracle the hoisted path is tested against.
+//!   the [`SimScratch`]; token sets come from the stores' per-column token
+//!   tables). The oracle the
+//!   hoisted path is tested against.
 //! * [`CompiledComparator::compare`] — the eval/report path: same
 //!   arithmetic, but also materialises the per-rule
 //!   [`details`](Comparison::details) vector.
@@ -81,7 +90,7 @@ use crate::similarity::{
 use crate::store::{RecordStore, SignatureColumn, ValueList};
 use crate::token_index::{
     dice_bigrams_kernel, jaccard_bigrams_kernel, jaccard_tokens_kernel, monge_elkan_kernel,
-    TokenIndex, ValueTokens,
+    ValueTokens,
 };
 use serde::{Deserialize, Serialize};
 
@@ -190,7 +199,6 @@ impl RecordComparator {
     ) -> CompiledComparator<'_> {
         let kernels: Vec<Kernel> = self.rules.iter().map(|r| Kernel::of(r.measure)).collect();
         let fallback_kernel = self.fallback.map(Kernel::of);
-        let rules_use_sets = kernels.iter().any(|k| matches!(k, Kernel::Set(_)));
         // `NonMatch` is "below both thresholds" (the fields are public, so
         // they may be unordered). The filter's arithmetic assumes positive
         // finite weights; a NaN anywhere fails these comparisons and
@@ -220,7 +228,6 @@ impl RecordComparator {
                 .collect(),
             kernels,
             fallback_kernel,
-            rules_use_sets,
             filter,
         }
     }
@@ -255,7 +262,7 @@ enum Kernel {
     Set(SetKernel),
 }
 
-/// The set-measure kernels backed by the stores' token indexes.
+/// The set-measure kernels backed by the stores' per-column token tables.
 #[derive(Debug, Clone, Copy)]
 enum SetKernel {
     /// Jaccard over token sets.
@@ -324,9 +331,6 @@ pub struct CompiledComparator<'a> {
     kernels: Vec<Kernel>,
     /// The fallback measure's kernel, if a fallback is configured.
     fallback_kernel: Option<Kernel>,
-    /// `true` when any *rule* kernel needs the stores' token indexes
-    /// (the fallback builds lazily instead — it may never fire).
-    rules_use_sets: bool,
     /// The constants of [`score_hoisted`](Self::score_hoisted)'s
     /// non-match filter; `None` when no pair can be a `NonMatch` (a zero
     /// threshold) or the weights are not all positive and finite.
@@ -560,30 +564,28 @@ fn recycle_vec<A, B>(mut v: Vec<A>) -> Vec<B> {
 }
 
 impl CompiledComparator<'_> {
-    /// `true` when scoring will read the stores'
-    /// [`TokenIndex`]es on every pair —
-    /// the pipeline pre-warms the indexes in that case so parallel
-    /// workers never serialise on the lazy build.
-    pub fn uses_token_index(&self) -> bool {
-        self.rules_use_sets
-    }
-
-    /// Build now what scoring will read of the local `shards`: their token
-    /// indexes if a rule compares token sets (see
-    /// [`uses_token_index`](Self::uses_token_index)), and the signature
-    /// column of every property a filtered string rule compares — what the
-    /// pipeline and the serving layer run before the scoring loop can
-    /// reach a cold shard.
+    /// Build now what scoring will read of the local `shards`, per rule
+    /// that can fire and only for the property it compares there: the
+    /// token table of a set rule's column, the signature column of a
+    /// filtered string rule's — what the pipeline and the serving layer
+    /// run before the scoring loop can reach a cold shard. The external
+    /// side's token tables are built by [`hoist_left`](Self::hoist_left),
+    /// the full-text one only when a set-measure fallback fires.
     pub(crate) fn warm<'s>(&self, shards: impl IntoIterator<Item = &'s RecordStore>) {
         for shard in shards {
-            if self.uses_token_index() {
-                shard.token_index();
-            }
-            for (&(_, right_property), kernel) in self.properties.iter().zip(&self.kernels) {
-                if let (Some(rp), Kernel::Str { .. }, Some(_)) =
-                    (right_property, kernel, self.filter)
-                {
-                    shard.signatures(rp);
+            for (properties, kernel) in self.properties.iter().zip(&self.kernels) {
+                // A rule with either side unresolved never fires.
+                let &(Some(_), Some(rp)) = properties else {
+                    continue;
+                };
+                match kernel {
+                    Kernel::Set(_) => {
+                        shard.token_table(rp);
+                    }
+                    Kernel::Str { .. } if self.filter.is_some() => {
+                        shard.signatures(rp);
+                    }
+                    Kernel::Str { .. } => {}
                 }
             }
         }
@@ -594,7 +596,8 @@ impl CompiledComparator<'_> {
     /// under a non-match filter, its values' shared-symbol mask tables)
     /// **once**, into the reusable `out` — the per-block half of the
     /// hoisted scoring path; [`score_hoisted`](Self::score_hoisted) runs
-    /// the per-pair half.
+    /// the per-pair half. The first hoist of a set rule's values builds
+    /// the external store's token table of that rule's column.
     pub fn hoist_left<'e>(&self, external: &'e RecordStore, left: usize, out: &mut LeftHoist<'e>) {
         out.left = left;
         out.lists.clear();
@@ -605,7 +608,6 @@ impl CompiledComparator<'_> {
         out.mask_offsets.clear();
         out.signatures.clear();
         out.open_weight = 0.0;
-        let token_index = self.rules_use_sets.then(|| external.token_index());
         for ((&(left_property, right_property), kernel), rule) in self
             .properties
             .iter()
@@ -619,13 +621,12 @@ impl CompiledComparator<'_> {
                 (Some(lp), Some(_)) => external.value_list(left, lp),
                 _ => ValueList::empty(),
             };
-            if let (Kernel::Set(_), Some(index), Some(lp)) = (kernel, token_index, left_property) {
+            if let (Kernel::Set(_), Some(lp), false) = (kernel, left_property, list.is_empty()) {
+                let table = external.token_table(lp);
+                let table = table.expect("a value list implies a column");
                 for i in 0..list.len() {
-                    out.tokens.push(index.value_tokens(
-                        lp.index(),
-                        list.value_index(i),
-                        list.get(i),
-                    ));
+                    out.tokens
+                        .push(table.value_tokens(list.value_index(i), list.get(i)));
                 }
             }
             out.token_offsets
@@ -779,7 +780,6 @@ impl CompiledComparator<'_> {
         right: usize,
         scratch: &mut SimScratch,
     ) -> (f64, MatchDecision) {
-        let local_index = self.rules_use_sets.then(|| local.token_index());
         let slack = self.filter.map_or(0.0, |filter| filter.slack);
         let mut weighted_sum = 0.0;
         let mut weight_total = 0.0;
@@ -841,16 +841,14 @@ impl CompiledComparator<'_> {
                     }
                 }
                 Kernel::Set(kernel) => {
-                    let local_index = local_index.expect("set kernels imply rules_use_sets");
+                    let table = local.token_table(rp);
+                    let table = table.expect("a value list implies a column");
                     let views = &hoist.tokens[hoist.token_offsets[rule_index] as usize
                         ..hoist.token_offsets[rule_index + 1] as usize];
                     for lv in views {
                         for j in 0..right_values.len() {
-                            let rv = local_index.value_tokens(
-                                rp.index(),
-                                right_values.value_index(j),
-                                right_values.get(j),
-                            );
+                            let rv = table
+                                .value_tokens(right_values.value_index(j), right_values.get(j));
                             scratch.kernel_calls += 1;
                             best = best.max(kernel.eval(lv, &rv, scratch));
                         }
@@ -879,7 +877,7 @@ impl CompiledComparator<'_> {
     /// threshold decision, nothing else.
     ///
     /// This is the pipeline's per-pair hot path: all working memory
-    /// comes from `scratch` and the stores' precomputed token indexes,
+    /// comes from `scratch` and the stores' per-column token tables,
     /// so the call performs **no heap allocation** in steady state.
     /// Bit-identical to [`compare`](Self::compare)'s score and decision.
     pub fn score(
@@ -929,11 +927,6 @@ impl CompiledComparator<'_> {
         mut detail: impl FnMut(Option<f64>),
     ) -> (f64, MatchDecision) {
         let comparator = self.comparator;
-        // Resolved once per call; `token_index()` is an atomic load once
-        // the index exists (the pipeline pre-warms it).
-        let token_indexes: Option<(&TokenIndex, &TokenIndex)> = self
-            .rules_use_sets
-            .then(|| (external.token_index(), local.token_index()));
         let mut weighted_sum = 0.0;
         let mut weight_total = 0.0;
         for ((rule, &(left_property, right_property)), kernel) in comparator
@@ -965,20 +958,15 @@ impl CompiledComparator<'_> {
                     }
                 }
                 Kernel::Set(kernel) => {
-                    let (external_index, local_index) =
-                        token_indexes.expect("set kernels imply rules_use_sets");
+                    // Each an atomic load once the column's table exists.
+                    let columns = (external.token_table(lp)).zip(local.token_table(rp));
+                    let (left_table, right_table) = columns.expect("a value list implies a column");
                     for i in 0..left_values.len() {
-                        let lv = external_index.value_tokens(
-                            lp.index(),
-                            left_values.value_index(i),
-                            left_values.get(i),
-                        );
+                        let lv =
+                            left_table.value_tokens(left_values.value_index(i), left_values.get(i));
                         for j in 0..right_values.len() {
-                            let rv = local_index.value_tokens(
-                                rp.index(),
-                                right_values.value_index(j),
-                                right_values.get(j),
-                            );
+                            let rv = right_table
+                                .value_tokens(right_values.value_index(j), right_values.get(j));
                             best = best.max(kernel.eval(&lv, &rv, scratch));
                         }
                     }
@@ -1025,15 +1013,11 @@ impl CompiledComparator<'_> {
                     eval(scratch, external.full_text(left), local.full_text(right))
                 }
                 Some(Kernel::Set(kernel)) => {
-                    // The fallback rarely fires; the dedicated full-text
-                    // index builds lazily here, without taxing the
-                    // per-value pre-warm (and vice versa).
-                    let lv = external
-                        .full_token_index()
-                        .full_tokens(left, external.full_text(left));
-                    let rv = local
-                        .full_token_index()
-                        .full_tokens(right, local.full_text(right));
+                    // The fallback rarely fires: the full-text tables are
+                    // built here, the first time it does.
+                    let lv =
+                        (external.full_text_tokens()).value_tokens(left, external.full_text(left));
+                    let rv = (local.full_text_tokens()).value_tokens(right, local.full_text(right));
                     kernel.eval(&lv, &rv, scratch)
                 }
                 None => 0.0,
@@ -1524,16 +1508,5 @@ mod tests {
             cmp.compile(&e, &l)
         };
         assert_eq!(compiled.filter.unwrap().reject_below, 0.9);
-    }
-
-    #[test]
-    fn uses_token_index_reflects_rule_measures() {
-        let set = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::DiceBigrams);
-        let string = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::JaroWinkler);
-        let (e, l) = (ext("x"), loc("x", "y"));
-        assert!(set.compile(&e, &l).uses_token_index());
-        // A string-measure rule set never touches the index, even though
-        // the default fallback is Monge-Elkan (it builds lazily).
-        assert!(!string.compile(&e, &l).uses_token_index());
     }
 }

@@ -13,18 +13,22 @@
 //!   Damerau-Levenshtein, Jaro, Jaro-Winkler, Jaccard, Dice,
 //!   Monge-Elkan), each with an allocation-free scratch-buffer kernel
 //!   variant (`*_with(scratch, a, b)`, see [`similarity::SimScratch`]).
-//! * [`token_index`] — store-level token/bigram precomputation: each
-//!   attribute value is tokenised once, so the set-based measures run as
-//!   sorted-merge intersections in the per-pair loop. The blocking-side
-//!   analogue, [`token_index::KeyIndex`], caches every record's
-//!   normalised blocking key (and packed key bigrams) per recipe.
+//! * [`token_index`] — store-level precomputation. Per column a set rule
+//!   compares, every value is tokenised once (a token table in the
+//!   store's derived state), so the set-based measures run as sorted-merge
+//!   intersections in the per-pair loop. The blocking-side analogue,
+//!   [`token_index::KeyIndex`], caches every record's normalised blocking
+//!   key per recipe, with on demand the packed key bigrams and the
+//!   sorted-neighbourhood ladder, whose slots carry their sort value's
+//!   first eight bytes as one integer.
 //! * [`record`] — flat attribute/value records extracted from RDF items
 //!   (the builder-side representation).
 //! * [`intern`] / [`store`] — the execution-side representation: property
 //!   IRIs interned to dense ids, attribute values in contiguous
 //!   per-property columns, records as plain indexes; full text, the id
-//!   index and the token/key indexes are lazily derived caches, never
-//!   persisted. Everything below
+//!   index, the key indexes and — per column a rule compares — token
+//!   tables and signatures are lazily derived caches, never persisted.
+//!   Everything below
 //!   runs on [`RecordStore`], so the per-pair hot path never hashes an
 //!   IRI string or clones a term.
 //! * [`comparator`] — weighted record comparison with Match / Possible /
@@ -118,4 +122,4 @@ pub use serve::{CatalogEpoch, Linker, LinkerCatalog, ProbeHits, ProbeScratch};
 pub use shard::{LocalShards, ShardedStore, ShardedStoreBuilder};
 pub use similarity::{SimScratch, SimilarityMeasure};
 pub use store::{RecordStore, RecordStoreBuilder, ValueList};
-pub use token_index::{KeyIndex, TokenIndex};
+pub use token_index::KeyIndex;

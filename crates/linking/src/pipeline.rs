@@ -205,9 +205,11 @@ impl<'a> LinkagePipeline<'a> {
     /// `naive_pairs` counting only the delta work (so `reduction_ratio`
     /// is the delta's own reduction). Per-shard-independent blockers
     /// skip old shards outright (their probe loops never run); the
-    /// sorted-neighbourhood window still walks the whole catalog — its
-    /// windows span the shard boundary — but old-shard candidates are
-    /// dropped at the sink, so only new-shard pairs are ever scored.
+    /// sorted-neighbourhood window still walks every shard's ladder — its
+    /// windows span the shard boundary — but that walk is an insertion
+    /// search and a few integer compares per shard and external, and
+    /// old-shard candidates are dropped at the sink, so only new-shard
+    /// pairs are ever scored.
     ///
     /// Panics on a contained fault — the fault-tolerant entry point is
     /// [`try_run_sharded_delta`](Self::try_run_sharded_delta).
@@ -246,13 +248,11 @@ impl<'a> LinkagePipeline<'a> {
         let compiled = self
             .comparator
             .compile_schemas(external.interner(), local.schema());
-        // Before the workers start, so the scoring loop only ever sees
-        // the cached indexes and signature columns. Only the shards from
-        // `first` on can be cold; an old shard's were built by the full run
-        // (or a previous delta).
-        if compiled.uses_token_index() {
-            external.token_index();
-        }
+        // Before the workers start, so the scoring loop only ever sees the
+        // cached token tables and signature columns of the catalog. Only
+        // the shards from `first` on can be cold; an old shard's were built
+        // by the full run (or a previous delta). The external side's tables
+        // are built by the first hoist that reads them.
         compiled.warm(local.iter().skip(first));
         let (matches, possible) = self.score(&compiled, external, local, &runs, first)?;
         Ok(self.finish(

@@ -10,7 +10,7 @@
 //! * **Pre-warmed epochs.** A published catalog is a [`CatalogEpoch`]:
 //!   the [`ShardedStore`] with every blocker-side artifact built
 //!   eagerly (key indexes, sort ladders, bigram postings and counters
-//!   via [`Blocker::warm`]; token indexes and signature columns where
+//!   via [`Blocker::warm`]; token tables and signature columns where
 //!   the comparator's rules read them) and the comparator compiled once
 //!   ([`RecordComparator::compile_schemas`]). No probe ever pays a
 //!   first-call index build.
@@ -166,7 +166,7 @@ pub struct Linker<'a> {
 impl<'a> Linker<'a> {
     /// Build a serving handle over `catalog`, eagerly warming every
     /// artifact a probe will read (blocker indexes via
-    /// [`Blocker::warm`], token indexes and signature columns where the
+    /// [`Blocker::warm`], token tables and signature columns where the
     /// comparator needs them) and publishing the result as epoch 1.
     pub fn new(
         blocker: &'a (dyn Blocker + Sync),
@@ -287,7 +287,7 @@ impl<'a> Linker<'a> {
     /// Unlike [`swap`](Self::swap), which warms every shard of the
     /// replacement catalog, the successor epoch `Arc`-shares the
     /// surviving shards — their key indexes, sort ladders, bigram
-    /// counters, token indexes and signature columns carry over already
+    /// counters, token tables and signature columns carry over already
     /// warm — and only the **appended** shards are built and warmed.
     /// Republishing therefore costs O(delta), not O(catalog). In-flight
     /// probes finish on the epoch they started with, exactly as for a swap.
@@ -321,7 +321,7 @@ impl<'a> Linker<'a> {
             let compiled = self
                 .comparator
                 .compile_schemas(&self.probe_schema.snapshot(), appended.schema());
-            // Old shards' token indexes and signature columns are cached
+            // Old shards' token tables and signature columns are cached
             // in the shared `Arc`s; only the appended shards build here.
             compiled.warm(LocalShards::from(&appended).iter().skip(first_new));
             fail::fail_point!("serve::warm_append");
@@ -441,7 +441,7 @@ impl<'a> Linker<'a> {
 
 /// The epoch-build failure domain body (shared by [`Linker::new`] and
 /// [`Linker::try_swap`]; always outside the catalog lock): compile the
-/// comparator, build every token index and signature column its rules
+/// comparator, build every token table and signature column its rules
 /// read, warm the blocker's artifacts.
 /// The `serve::build_epoch` failpoint can inject a structured error
 /// (`return` action) or a panic at the domain entry; `serve::warm`

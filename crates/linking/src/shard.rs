@@ -29,9 +29,9 @@
 //!   by binary-searching the offset table, once per surviving link.
 //!
 //! Each shard, being a plain [`RecordStore`], also owns its lazily-built
-//! [`TokenIndex`](crate::token_index::TokenIndex); when the compiled
-//! comparator uses set-measure kernels the pipeline pre-warms every
-//! shard's index before spawning workers (each of which owns one
+//! derived state; the pipeline warms every shard's token tables and
+//! signature columns for the properties the compiled comparator's rules
+//! compare before spawning workers (each of which owns one
 //! [`SimScratch`](crate::similarity::SimScratch) for its whole run), so
 //! the per-pair loop stays allocation-free across shard boundaries.
 //!
@@ -60,7 +60,7 @@ use std::sync::Arc;
 /// Shards are held as `Arc`s: cloning the catalog — and, crucially,
 /// **appending** to it ([`append_shards`](Self::append_shards)) —
 /// shares the surviving shards instead of copying them, so their
-/// lazily-built artifacts (token indexes, key indexes, bigram counters)
+/// lazily-built artifacts (token tables, key indexes, bigram counters)
 /// ride along warm. An append therefore costs O(delta), not O(catalog).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedStore {
@@ -732,8 +732,9 @@ mod tests {
         let (base_records, delta_records) = all.split_at(6);
         let base = ShardedStore::from_records(base_records, 2);
         // Warm a cache on a surviving shard so we can observe it ride
-        // along (token_index is a OnceLock: warm iff already built).
-        base.shard(0).token_index();
+        // along.
+        let mfr = base.schema().get(MFR).unwrap();
+        let warmed = base.shard(0).token_table(mfr).unwrap();
 
         let mut delta = base.delta_builder();
         for (i, record) in delta_records.iter().enumerate() {
@@ -767,6 +768,8 @@ mod tests {
         for s in 0..base.shard_count() {
             assert!(Arc::ptr_eq(&base.shards()[s], &appended.shards()[s]));
         }
+        let carried = appended.shard(0).token_table(mfr).unwrap();
+        assert!(std::ptr::eq(warmed, carried));
         // The base catalog itself is untouched.
         assert_eq!(base.len(), 6);
         assert_eq!(base.shard_count(), 2);

@@ -84,8 +84,8 @@ impl SimilarityMeasure {
     ///
     /// The edit/Jaro measures run allocation-free on the scratch
     /// kernels; the token/bigram measures still build per-pair sets (the
-    /// allocation-free path for those is the precomputed
-    /// [`TokenIndex`](crate::token_index::TokenIndex) used by
+    /// allocation-free path for those is the stores' per-column token
+    /// tables used by
     /// [`CompiledComparator::score`](crate::comparator::CompiledComparator::score)).
     /// Results are bit-identical to [`Self::compare`].
     pub fn compare_with(&self, scratch: &mut scratch::SimScratch, a: &str, b: &str) -> f64 {

@@ -16,11 +16,13 @@
 //! * records are plain indexes (`usize`) into the store; candidate pairs
 //!   are `(usize, usize)` and never clone a [`Term`],
 //! * everything else a store can answer — the whole-record `full_text`
-//!   the fallback similarity reads, the id → record map, the token and
-//!   key indexes, the per-value symbol signatures the comparator's run
-//!   prefilter reads in place of the values — is **derived** from those
-//!   two: built once on first use, ignored by equality, never persisted
-//!   (see `Derived`).
+//!   the fallback similarity reads, the id → record map, the key indexes
+//!   — is **derived** from those two: built once on first use, ignored by
+//!   equality, never persisted (see `Derived`). What is derived *per
+//!   column* — the symbol signatures the comparator's run prefilter reads
+//!   in place of the values, the token table a set-measure rule reads —
+//!   sits in one slot per column and is built only for the columns a
+//!   compiled rule compares.
 //!
 //! Stores are immutable once built. Build one with
 //! [`RecordStore::from_records`], or directly from an RDF graph with
@@ -38,7 +40,7 @@ use crate::blocking::key::KeySide;
 use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
 use crate::similarity::symbols::Signature;
-use crate::token_index::{KeyIndex, TokenIndex};
+use crate::token_index::{KeyIndex, TokenTable};
 use classilink_rdf::{Graph, Term};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -149,22 +151,27 @@ struct Derived {
     /// Every record's [`RecordStore::full_text`], concatenated, and the
     /// byte bounds: record `r` owns `text[bounds[r] .. bounds[r + 1]]`.
     full_text: OnceLock<(String, Vec<u32>)>,
+    /// The full text's token table (see [`RecordStore::full_text_tokens`]).
+    full_text_tokens: OnceLock<TokenTable>,
     /// Record index per item identifier (see [`RecordStore::index_of`]).
     id_index: OnceLock<IdIndex>,
-    /// See [`RecordStore::token_index`].
-    token_index: OnceLock<TokenIndex>,
-    /// See [`RecordStore::full_token_index`].
-    full_token_index: OnceLock<TokenIndex>,
     /// One [`KeyIndex`] per resolved key side (see
     /// [`RecordStore::key_index`]).
     key_indexes: Mutex<HashMap<KeySide, Arc<KeyIndex>>>,
-    /// One slot per column, filled for the columns a compiled string rule
-    /// compares on this side (see [`RecordStore::signatures`]).
-    signatures: OnceLock<Box<[SignatureSlot]>>,
+    /// One slot per column, filled for the columns a compiled rule
+    /// compares on this side.
+    columns: OnceLock<Box<[ColumnSlot]>>,
 }
 
-/// One column's value signatures, once built.
-type SignatureSlot = OnceLock<Box<[Signature]>>;
+/// What is derived per column, each built on first use: the signatures
+/// a filtered string rule's run prefilter reads (see
+/// [`RecordStore::signatures`]), the token table a set rule reads (see
+/// [`RecordStore::token_table`]).
+#[derive(Debug, Clone, Default)]
+struct ColumnSlot {
+    signatures: OnceLock<Box<[Signature]>>,
+    tokens: OnceLock<TokenTable>,
+}
 
 impl Derived {
     /// The key-index map. Poison recovery: the map is a reconstructible
@@ -210,11 +217,10 @@ impl Clone for Derived {
     fn clone(&self) -> Self {
         Derived {
             full_text: self.full_text.clone(),
+            full_text_tokens: self.full_text_tokens.clone(),
             id_index: self.id_index.clone(),
-            token_index: self.token_index.clone(),
-            full_token_index: self.full_token_index.clone(),
             key_indexes: Mutex::new(self.key_indexes().clone()),
-            signatures: self.signatures.clone(),
+            columns: self.columns.clone(),
         }
     }
 }
@@ -334,7 +340,7 @@ impl RecordStore {
     /// The values of `property` on `record` as a random-access list —
     /// the comparison hot path's view: `get` indexes the column slice
     /// directly (no iterator cloning for the multi-value best-pairing
-    /// loop) and the list addresses the matching [`TokenIndex`]
+    /// loop) and the list addresses the matching token-table
     /// entries by column-global value index.
     pub fn value_list(&self, record: usize, property: PropertyId) -> ValueList<'_> {
         // Under a shared schema an id may exceed this store's column
@@ -358,29 +364,28 @@ impl RecordStore {
         self.values(record, property).next()
     }
 
-    /// The lazily-built per-value token/bigram precomputation of this
-    /// store (tokenises every attribute value exactly once, on first
-    /// call; subsequent calls return the cache). Used by the
-    /// set-measure kernels of
-    /// [`CompiledComparator::score`](crate::comparator::CompiledComparator::score);
-    /// the pipeline pre-warms it before spawning comparison workers.
-    /// Note the first-call cost is `O(store)`, not `O(pair)` — one-shot
-    /// set-measure [`compare`](crate::comparator::CompiledComparator::compare)
-    /// calls on a large store pay it too.
-    pub fn token_index(&self) -> &TokenIndex {
-        self.derived
-            .token_index
-            .get_or_init(|| TokenIndex::build(self))
+    /// Does nothing, and is kept so that existing callers compile. A
+    /// column's token table is built when a set-measure rule of a
+    /// [`CompiledComparator`](crate::comparator::CompiledComparator) first
+    /// reads it — the pipeline and the serving layer warm those columns
+    /// before scoring — so a store has no token index to build up front.
+    pub fn token_index(&self) {}
+
+    /// `property`'s token table — every value tokenised and bigram-ised
+    /// once, what a set-measure rule reads — or `None` when this store has
+    /// no column for it. Built per column on first call (`O(column)`).
+    pub(crate) fn token_table(&self, property: PropertyId) -> Option<&TokenTable> {
+        let (column, slot) = self.column_slot(property)?;
+        let values = (0..column.bounds.len() - 1).map(|i| column.value(i));
+        Some(slot.tokens.get_or_init(|| TokenTable::build(values)))
     }
 
-    /// The lazily-built full-text token/bigram precomputation (the
-    /// set-measure fallback's input), independent of
-    /// [`token_index`](Self::token_index) so a fallback that never
-    /// fires never tokenises the full texts.
-    pub fn full_token_index(&self) -> &TokenIndex {
-        self.derived
-            .full_token_index
-            .get_or_init(|| TokenIndex::build_full(self))
+    /// The token table over every record's full text, addressed by record,
+    /// which only a firing set-measure fallback reads. Built on first
+    /// call, which also joins the full texts.
+    pub(crate) fn full_text_tokens(&self) -> &TokenTable {
+        let texts = (0..self.len()).map(|r| self.full_text(r));
+        (self.derived.full_text_tokens).get_or_init(|| TokenTable::build(texts))
     }
 
     /// The lazily-built blocking-key precomputation for one resolved
@@ -404,28 +409,28 @@ impl RecordStore {
     /// warm it, for the columns a string rule compares, before the scoring
     /// loop can reach a cold store.
     pub(crate) fn signatures(&self, property: PropertyId) -> Option<SignatureColumn<'_>> {
-        let column = self.columns.get(property.index())?;
-        let slots = self.derived.signatures.get_or_init(|| {
-            let slots = self.columns.iter().map(|_| OnceLock::new());
-            slots.collect()
-        });
+        let (column, slot) = self.column_slot(property)?;
         Some(SignatureColumn {
             offsets: &column.offsets,
-            signatures: slots[property.index()].get_or_init(|| column.signatures()),
+            signatures: slot.signatures.get_or_init(|| column.signatures()),
         })
+    }
+
+    /// `property`'s column and its derived slot, or `None` when this store
+    /// has no column for it. The slot array is sized on first call.
+    fn column_slot(&self, property: PropertyId) -> Option<(&Column, &ColumnSlot)> {
+        let column = self.columns.get(property.index())?;
+        let slots = self.derived.columns.get_or_init(|| {
+            let slots = self.columns.iter().map(|_| ColumnSlot::default());
+            slots.collect()
+        });
+        Some((column, &slots[property.index()]))
     }
 
     /// Number of per-property columns (≤ the schema's property count:
     /// properties interned only by sibling stores have no column here).
     pub(crate) fn column_count(&self) -> usize {
         self.columns.len()
-    }
-
-    /// Every value of column `column`, in column-global value order (the
-    /// order [`ValueList::value_index`] addresses).
-    pub(crate) fn column_values(&self, column: usize) -> impl Iterator<Item = &str> {
-        let column = &self.columns[column];
-        (0..column.bounds.len().saturating_sub(1)).map(move |i| column.value(i))
     }
 
     /// The raw item identifiers, in record order — the persistence
@@ -755,7 +760,7 @@ impl<'a> ValueList<'a> {
     }
 
     /// The column-global value index of the `i`-th value — the key the
-    /// per-value [`TokenIndex`] lists are addressed by.
+    /// per-column token tables are addressed by.
     pub(crate) fn value_index(&self, i: usize) -> usize {
         self.start + i
     }
@@ -1149,8 +1154,8 @@ mod tests {
         let store = builder.build();
         let (pn, mfr) = (store.property(PN).unwrap(), store.property(MFR).unwrap());
         let built = |store: &RecordStore, property: PropertyId| {
-            let slots = store.derived.signatures.get();
-            slots.is_some_and(|slots| slots[property.index()].get().is_some())
+            let slots = store.derived.columns.get();
+            slots.is_some_and(|slots| slots[property.index()].signatures.get().is_some())
         };
         let cold = store.clone();
         // Addressed by record, in value order; a record without the
@@ -1187,11 +1192,166 @@ mod tests {
             [Signature::of("CRCW0805-10K")]
         );
         probe.refill_single(&schema, &sample_records()[2]);
-        assert!(probe.derived.signatures.get().is_none());
+        assert!(probe.derived.columns.get().is_none());
         assert_eq!(
             probe.signatures(pn).unwrap().of(0),
             [Signature::of("T83A225")]
         );
+    }
+
+    /// The columns of `store` whose token table is built, and whether its
+    /// full-text one is.
+    fn token_tables(store: &RecordStore) -> (Vec<usize>, bool) {
+        let slots = store
+            .derived
+            .columns
+            .get()
+            .map_or(&[][..], |slots| &slots[..]);
+        let built = (0..slots.len()).filter(|&c| slots[c].tokens.get().is_some());
+        let full_text = store.derived.full_text_tokens.get().is_some();
+        (built.collect(), full_text)
+    }
+
+    #[test]
+    fn token_tables_are_a_derived_per_column_cache() {
+        let schema = SchemaInterner::new();
+        let mut builder = RecordStore::builder_with_schema(schema.clone());
+        for record in &sample_records() {
+            builder.push(record);
+        }
+        let store = builder.build();
+        let mfr = store.property(MFR).unwrap();
+        let cold = store.clone();
+        // The eager index's entry point tokenises nothing.
+        store.token_index();
+        assert_eq!(token_tables(&store), (vec![], false));
+        // Built for the column asked for and no other, once; equality
+        // ignores it.
+        let table = store.token_table(mfr).unwrap();
+        assert!(std::ptr::eq(table, store.token_table(mfr).unwrap()));
+        assert_eq!(token_tables(&store), (vec![mfr.index()], false));
+        assert_eq!(store, cold);
+        // A clone keeps what was built.
+        assert_eq!(token_tables(&store.clone()), (vec![mfr.index()], false));
+        // A property a sibling shard interned has no column here: no table.
+        let late = schema.intern("http://e.org/v#late");
+        assert!(store.token_table(late).is_none());
+        assert_eq!(token_tables(&store), (vec![mfr.index()], false));
+        // The probe store's tables go with its contents.
+        let mut probe = RecordStore::builder_with_schema(schema.clone()).build();
+        probe.refill_single(&schema, &sample_records()[0]);
+        probe.token_table(mfr).unwrap();
+        assert_eq!(token_tables(&probe), (vec![mfr.index()], false));
+        probe.refill_single(&schema, &sample_records()[2]);
+        assert_eq!(token_tables(&probe), (vec![], false));
+    }
+
+    /// The feed's link, `jw_jaccard` under sorted neighbourhood, over the
+    /// `small()` scenario (3 catalog shards on one schema): exactly the two
+    /// tables its Jaccard rule reads — `maker` on the external store,
+    /// `manufacturer` on every shard — and no other, not even the full
+    /// text's.
+    #[test]
+    fn a_feed_shaped_run_builds_exactly_its_jaccard_rules_two_tables() {
+        use crate::blocking::{BlockingKey, SortedNeighborhoodBlocker};
+        use crate::comparator::{AttributeRule, RecordComparator};
+        use crate::pipeline::LinkagePipeline;
+        use crate::shard::ShardedStore;
+        use crate::similarity::SimilarityMeasure;
+        use classilink_datagen::scenario::{generate, ScenarioConfig};
+        use classilink_datagen::vocab::{
+            LOCAL_MANUFACTURER, LOCAL_PART_NUMBER, PROVIDER_MANUFACTURER, PROVIDER_PART_NUMBER,
+        };
+        let scenario = generate(&ScenarioConfig::small());
+        let schema = SchemaInterner::new();
+        let mut external = RecordStore::builder_with_schema(schema.clone());
+        external.push_graph(scenario.dataset.external());
+        let external = external.build();
+        let local = ShardedStore::from_graph_with_schema(scenario.dataset.local(), 3, schema);
+        let rule = |left: &str, right: &str, measure, weight| AttributeRule {
+            left_property: left.to_string(),
+            right_property: right.to_string(),
+            measure,
+            weight,
+        };
+        let jw_jaccard = RecordComparator::new(vec![
+            rule(
+                PROVIDER_PART_NUMBER,
+                LOCAL_PART_NUMBER,
+                SimilarityMeasure::JaroWinkler,
+                0.8,
+            ),
+            rule(
+                PROVIDER_MANUFACTURER,
+                LOCAL_MANUFACTURER,
+                SimilarityMeasure::JaccardTokens,
+                0.2,
+            ),
+        ])
+        .with_thresholds(0.95, 0.90);
+        let key = BlockingKey::per_side(PROVIDER_PART_NUMBER, LOCAL_PART_NUMBER, 0);
+        let blocker = SortedNeighborhoodBlocker::new(key, 10);
+        let result = LinkagePipeline::new(&blocker, &jw_jaccard).run_sharded(&external, &local);
+        assert!(!result.matches.is_empty());
+        let column = |iri: &str| local.schema().get(iri).unwrap().index();
+        let maker = (vec![column(PROVIDER_MANUFACTURER)], false);
+        assert_eq!(token_tables(&external), maker);
+        let manufacturer = (vec![column(LOCAL_MANUFACTURER)], false);
+        for shard in local.shards() {
+            assert_eq!(token_tables(shard), manufacturer);
+        }
+    }
+
+    /// A comparator builds the token table of each column a set rule
+    /// compares — the local side's in its warm, the external side's in
+    /// the hoist — and the full-text table only when its rules cannot
+    /// fire and its set-measure fallback does.
+    #[test]
+    fn comparators_build_the_token_tables_they_read() {
+        use crate::blocking::CartesianBlocker;
+        use crate::comparator::RecordComparator;
+        use crate::pipeline::LinkagePipeline;
+        use crate::similarity::SimilarityMeasure;
+        // Every record has a maker: a rule on it fires on every pair.
+        let mut other = Record::new(Term::iri("http://e.org/p4"));
+        other.add(PN, "T83A225").add(MFR, "Kemet");
+        let records = [sample_records().swap_remove(0), other];
+        let (external, local) = (
+            RecordStore::from_records(&records),
+            RecordStore::from_records(&records),
+        );
+        let nowhere = "http://nowhere.org/v#x";
+        let mfr = local.property(MFR).unwrap().index();
+        for (rule, property, measure, built) in [
+            (
+                "set rule",
+                MFR,
+                SimilarityMeasure::JaccardTokens,
+                (vec![mfr], false),
+            ),
+            (
+                "string rule",
+                MFR,
+                SimilarityMeasure::JaroWinkler,
+                (vec![], false),
+            ),
+            (
+                "rule that cannot fire",
+                nowhere,
+                SimilarityMeasure::JaccardTokens,
+                (vec![], true),
+            ),
+        ] {
+            let (external, local) = (external.clone(), local.clone());
+            // The default fallback is Monge-Elkan, a set measure.
+            let cmp = RecordComparator::single(property, MFR, measure);
+            assert!(cmp.fallback.is_some());
+            let result =
+                LinkagePipeline::new(&CartesianBlocker, &cmp).run_sharded(&external, &local);
+            assert_eq!(result.comparisons, 4, "{rule}");
+            assert_eq!(token_tables(&local), built, "{rule}: local");
+            assert_eq!(token_tables(&external), built, "{rule}: external");
+        }
     }
 
     #[test]

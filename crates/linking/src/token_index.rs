@@ -1,33 +1,44 @@
-//! Store-level token and bigram precomputation for the set-based
-//! similarity kernels.
+//! Store-level precomputation: the token tables of the set-based
+//! similarity kernels and the key indexes of the blockers.
 //!
 //! The naive token measures (`jaccard_tokens`, `jaccard_chars`,
 //! `dice_bigrams`, `monge_elkan`) tokenise, lowercase and build
 //! `HashSet<String>`s **per candidate pair** — `O(candidates × string
-//! work)` with several heap allocations per comparison. A [`TokenIndex`]
-//! moves all of that string work to the store: each attribute value (and
-//! each record's full text) is processed **once**, yielding
+//! work)` with several heap allocations per comparison. A `TokenTable`
+//! moves that string work to the store, **one column at a time**: each
+//! value of the column (or each record's full text, for the fallback) is
+//! processed once, yielding
 //!
-//! * its tokens as dense ids into a per-store token arena, in appearance
-//!   order (Monge-Elkan walks these),
+//! * its tokens as dense ids into the table's own token arena, in
+//!   appearance order (Monge-Elkan walks these),
 //! * the same ids **sorted by token text and deduplicated** (the set
 //!   measures intersect these with a branch-light sorted merge), and
 //! * its character bigrams packed into `u64`s (two scalar values), sorted
 //!   and deduplicated — bigram intersections are pure integer merges.
 //!
-//! Token ids are local to one store, so cross-store merges compare the
-//! resolved token bytes (each comparison usually fails on the first
-//! byte); bigram ids are a pure function of the two characters, so they
-//! agree across stores and merge without any resolution. Tokenisation
-//! and the bigram short-string convention are shared verbatim with the
-//! naive reference path (see [`crate::similarity::token`]), which keeps
-//! the kernels bit-identical to the per-pair set construction.
+//! Token ids are local to one table, so every merge — across columns or
+//! across stores — compares the resolved token bytes (each comparison
+//! usually fails on the first byte); bigram ids are a pure function of the
+//! two characters, so they agree everywhere and merge without any
+//! resolution. Tokenisation and the bigram short-string convention are
+//! shared verbatim with the naive reference path (see
+//! [`crate::similarity::token`]), which keeps the kernels bit-identical to
+//! the per-pair set construction.
 //!
-//! A store builds its index lazily on first use
-//! ([`RecordStore::token_index`](crate::store::RecordStore::token_index))
-//! and caches it for the store's lifetime; the pipeline pre-warms it
-//! before spawning comparison workers when the compiled comparator has
-//! any set-measure rule.
+//! A linkage rule names the properties it compares, so a store tokenises
+//! only those: a table is built on first use, per column, through
+//! [`RecordStore::token_index`](crate::store::RecordStore::token_index),
+//! and cached in the store's derived state. The compiled comparator warms
+//! the right-hand column of every set rule on the catalog shards, the hoist
+//! builds the left-hand one of the external store, and the full-text
+//! table is built only when a set-measure fallback fires.
+//!
+//! The blocking side is the [`KeyIndex`]: every record's normalised key
+//! once per recipe, the records sorted by key, and — for sorted
+//! neighbourhood — a sort ladder that orders the records by sort value
+//! and carries each slot's first eight bytes as one big-endian word, so
+//! the window walk compares integers and reads a string only when two
+//! words tie.
 
 use crate::blocking::KeySide;
 use crate::similarity::jaro::jaro_winkler_with;
@@ -38,7 +49,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Pack a character bigram into one `u64` — the shared scalar bigram
-/// representation of the [`TokenIndex`] set kernels and the
+/// representation of the [`TokenTable`] set kernels and the
 /// [`KeyIndex`] blocking artifacts (intersections become pure integer
 /// merges).
 #[inline]
@@ -46,8 +57,8 @@ pub(crate) fn pack_bigram(a: char, b: char) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
-/// Distinct lowercased tokens of one store, concatenated.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Distinct lowercased tokens of one table, concatenated.
+#[derive(Debug, Clone)]
 struct TokenArena {
     text: String,
     /// Byte boundaries: token `t` is `text[bounds[t] .. bounds[t + 1]]`.
@@ -58,16 +69,16 @@ impl TokenArena {
     fn token(&self, id: u32) -> &str {
         &self.text[self.bounds[id as usize] as usize..self.bounds[id as usize + 1] as usize]
     }
-
-    fn len(&self) -> usize {
-        self.bounds.len().saturating_sub(1)
-    }
 }
 
-/// Per-value token/bigram lists of one column (or of the per-record
-/// full-text pseudo-column): three flat arrays with per-value offsets.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct TokenColumn {
+/// The token table of one column — or of every record's full text, the
+/// fallback measure's input: per value its token ids in appearance order,
+/// the same ids sorted by token text and deduplicated, and its packed
+/// bigrams, as three flat arrays with per-value offsets over the table's
+/// own arena. See the [module docs](self).
+#[derive(Debug, Clone)]
+pub(crate) struct TokenTable {
+    arena: TokenArena,
     /// Token ids in appearance order (duplicates preserved).
     appear: Vec<u32>,
     appear_offsets: Vec<u32>,
@@ -80,33 +91,8 @@ struct TokenColumn {
     bigram_offsets: Vec<u32>,
 }
 
-impl TokenColumn {
-    fn appear(&self, value: usize) -> &[u32] {
-        &self.appear[self.appear_offsets[value] as usize..self.appear_offsets[value + 1] as usize]
-    }
-
-    fn sorted(&self, value: usize) -> &[u32] {
-        &self.sorted[self.sorted_offsets[value] as usize..self.sorted_offsets[value + 1] as usize]
-    }
-
-    fn bigrams(&self, value: usize) -> &[u64] {
-        &self.bigrams[self.bigram_offsets[value] as usize..self.bigram_offsets[value + 1] as usize]
-    }
-}
-
-/// Lazily-built per-store token/bigram precomputation. See the [module
-/// docs](self).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TokenIndex {
-    arena: TokenArena,
-    /// One entry per store column (same indexing as the store's columns).
-    columns: Vec<TokenColumn>,
-    /// Per-record full-text token lists (the fallback measure's input).
-    full: TokenColumn,
-}
-
 /// One value's precomputed token view: its sorted/appearance token ids
-/// (resolvable against the owning index's arena), packed bigrams, and
+/// (resolvable against the owning table's arena), packed bigrams, and
 /// the raw value text (for the bigram-less equality tie-break).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ValueTokens<'a> {
@@ -117,146 +103,85 @@ pub(crate) struct ValueTokens<'a> {
     raw: &'a str,
 }
 
-impl TokenIndex {
-    /// Tokenise and bigram-ise every attribute value of `store`, exactly
-    /// once each. The full-text pseudo-column stays empty — it is only
-    /// consumed by the set-measure *fallback*, which may never fire, so
-    /// [`RecordStore::full_token_index`](crate::store::RecordStore::full_token_index)
-    /// builds it separately (and lazily) via [`TokenIndex::build_full`].
-    pub(crate) fn build(store: &RecordStore) -> Self {
-        let mut builder = Builder::default();
-        let columns = (0..store.column_count())
-            .map(|c| builder.column(store.column_values(c)))
-            .collect();
-        TokenIndex {
-            arena: builder.arena,
-            columns,
-            full: TokenColumn::default(),
-        }
-    }
-
-    /// Tokenise and bigram-ise every record's full text (the fallback
-    /// measure's input), with its own arena — independent of the
-    /// per-value index, so neither forces the other to build.
-    pub(crate) fn build_full(store: &RecordStore) -> Self {
-        let mut builder = Builder::default();
-        let full = builder.column((0..store.len()).map(|r| store.full_text(r)));
-        TokenIndex {
-            arena: builder.arena,
-            columns: Vec::new(),
-            full,
-        }
-    }
-
-    /// Number of distinct lowercased tokens in this index's arena.
-    pub fn distinct_tokens(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// The token view of one column value (`value` is the column-global
-    /// value index; `raw` is the value's text from the store).
-    pub(crate) fn value_tokens<'a>(
-        &'a self,
-        column: usize,
-        value: usize,
-        raw: &'a str,
-    ) -> ValueTokens<'a> {
-        let column = &self.columns[column];
-        ValueTokens {
-            arena: &self.arena,
-            appear: column.appear(value),
-            sorted: column.sorted(value),
-            bigrams: column.bigrams(value),
-            raw,
-        }
-    }
-
-    /// The token view of one record's full text.
-    pub(crate) fn full_tokens<'a>(&'a self, record: usize, raw: &'a str) -> ValueTokens<'a> {
-        ValueTokens {
-            arena: &self.arena,
-            appear: self.full.appear(record),
-            sorted: self.full.sorted(record),
-            bigrams: self.full.bigrams(record),
-            raw,
-        }
-    }
-}
-
-/// Build-time state: the growing arena plus its interning map (the map
-/// is dropped once the index is frozen).
-#[derive(Default)]
-struct Builder {
-    arena: TokenArena,
-    ids: HashMap<String, u32>,
-}
-
-impl Builder {
-    fn intern(&mut self, token: String) -> u32 {
-        if let Some(&id) = self.ids.get(&token) {
-            return id;
-        }
-        if self.arena.bounds.is_empty() {
-            self.arena.bounds.push(0);
-        }
-        let id = u32::try_from(self.arena.len()).expect("more than u32::MAX distinct tokens");
-        self.arena.text.push_str(&token);
-        self.arena
-            .bounds
-            .push(u32::try_from(self.arena.text.len()).expect("token arena exceeds u32::MAX"));
-        self.ids.insert(token, id);
-        id
-    }
-
-    fn column<'v>(&mut self, values: impl Iterator<Item = &'v str>) -> TokenColumn {
+impl TokenTable {
+    /// Tokenise and bigram-ise every value, exactly once each; value `i`
+    /// of `values` is what [`value_tokens`](Self::value_tokens) answers
+    /// for `i`.
+    pub(crate) fn build<'v>(values: impl Iterator<Item = &'v str>) -> Self {
         fn offset(n: usize) -> u32 {
-            u32::try_from(n).expect("token column exceeds u32::MAX entries")
+            u32::try_from(n).expect("token table exceeds u32::MAX entries")
         }
-        let mut column = TokenColumn {
+        let mut table = TokenTable {
+            arena: TokenArena {
+                text: String::new(),
+                bounds: vec![0],
+            },
+            appear: Vec::new(),
             appear_offsets: vec![0],
+            sorted: Vec::new(),
             sorted_offsets: vec![0],
+            bigrams: Vec::new(),
             bigram_offsets: vec![0],
-            ..TokenColumn::default()
         };
+        // The interning map lives only as long as the build.
+        let mut ids: HashMap<String, u32> = HashMap::new();
         let mut scratch_ids: Vec<u32> = Vec::new();
         for value in values {
-            let start = column.appear.len();
+            let start = table.appear.len();
             for token in tokens(value) {
-                let id = self.intern(token);
-                column.appear.push(id);
+                let arena = &mut table.arena;
+                let id = *ids.entry(token).or_insert_with_key(|token| {
+                    arena.text.push_str(token);
+                    arena.bounds.push(offset(arena.text.len()));
+                    offset(arena.bounds.len() - 2)
+                });
+                table.appear.push(id);
             }
-            column.appear_offsets.push(offset(column.appear.len()));
+            table.appear_offsets.push(offset(table.appear.len()));
 
-            // Sorted-unique view: order by token text so cross-store
-            // merges see one global ordering; equal text ⇒ equal id, so
+            // Sorted-unique view: order by token text so merges against
+            // any other table see one ordering; equal text ⇒ equal id, so
             // adjacent dedup suffices.
             scratch_ids.clear();
-            scratch_ids.extend_from_slice(&column.appear[start..]);
-            let arena = &self.arena;
+            scratch_ids.extend_from_slice(&table.appear[start..]);
+            let arena = &table.arena;
             scratch_ids.sort_unstable_by(|&x, &y| arena.token(x).cmp(arena.token(y)));
             scratch_ids.dedup();
-            column.sorted.extend_from_slice(&scratch_ids);
-            column.sorted_offsets.push(offset(column.sorted.len()));
+            table.sorted.extend_from_slice(&scratch_ids);
+            table.sorted_offsets.push(offset(table.sorted.len()));
 
-            let bigram_start = column.bigrams.len();
-            column
+            let bigram_start = table.bigrams.len();
+            table
                 .bigrams
                 .extend(bigram_pairs(value).map(|(a, b)| pack_bigram(a, b)));
-            column.bigrams[bigram_start..].sort_unstable();
+            table.bigrams[bigram_start..].sort_unstable();
             let deduped = {
                 let mut write = bigram_start;
-                for read in bigram_start..column.bigrams.len() {
-                    if write == bigram_start || column.bigrams[read] != column.bigrams[write - 1] {
-                        column.bigrams[write] = column.bigrams[read];
+                for read in bigram_start..table.bigrams.len() {
+                    if write == bigram_start || table.bigrams[read] != table.bigrams[write - 1] {
+                        table.bigrams[write] = table.bigrams[read];
                         write += 1;
                     }
                 }
                 write
             };
-            column.bigrams.truncate(deduped);
-            column.bigram_offsets.push(offset(column.bigrams.len()));
+            table.bigrams.truncate(deduped);
+            table.bigram_offsets.push(offset(table.bigrams.len()));
         }
-        column
+        table
+    }
+
+    /// The token view of value `value` (a column-global value index, or a
+    /// record for the full-text table); `raw` is the value's text.
+    pub(crate) fn value_tokens<'a>(&'a self, value: usize, raw: &'a str) -> ValueTokens<'a> {
+        let range = |offsets: &[u32]| offsets[value] as usize..offsets[value + 1] as usize;
+        ValueTokens {
+            arena: &self.arena,
+            appear: &self.appear[range(&self.appear_offsets)],
+            sorted: &self.sorted[range(&self.sorted_offsets)],
+            bigrams: &self.bigrams[range(&self.bigram_offsets)],
+            raw,
+        }
     }
 }
 
@@ -384,7 +309,7 @@ pub(crate) fn monge_elkan_kernel(
 }
 
 /// Store-level blocking-key precomputation: the blocking analogue of the
-/// [`TokenIndex`].
+/// `TokenTable`.
 ///
 /// Blockers used to normalise (lowercase, filter, truncate) the blocking
 /// key of every record **per call** — and the bigram blocker re-built
@@ -399,10 +324,13 @@ pub(crate) fn monge_elkan_kernel(
 ///   prefix of the full normalised value, so both views are slices of one
 ///   arena — no second pass),
 /// * the records sorted by key, so key-equality blocking resolves a probe
-///   key to its block with two binary searches, and
+///   key to its block with two binary searches,
+/// * on demand, the sort ladder sorted-neighbourhood blocking windows
+///   over: the records sorted by full sort value, each slot with its
+///   value's leading eight bytes as one integer, and
 /// * on demand (the crate-private `KeyBigramIndex`), each key's
 ///   **padded character bigrams** packed into `u64`s exactly as the
-///   [`TokenIndex`] packs value bigrams, plus an inverted gram → records
+///   `TokenTable` packs value bigrams, plus an inverted gram → records
 ///   index — bigram blocking becomes integer probes over precomputed
 ///   postings.
 ///
@@ -423,11 +351,33 @@ pub struct KeyIndex {
     key_ends: Vec<u32>,
     /// Record ids sorted by (truncated key, id).
     sorted: Vec<u32>,
-    /// Record ids sorted by (full sort value, id) — the sort ladder of
-    /// sorted-neighbourhood blocking, built on first use.
-    value_sorted: OnceLock<Vec<u32>>,
+    /// The sort ladder of sorted-neighbourhood blocking, built on first
+    /// use.
+    ladder: OnceLock<Vec<Rung>>,
     /// Padded key bigrams, built on first bigram-blocking use.
     bigrams: OnceLock<KeyBigramIndex>,
+}
+
+/// One slot of a [`KeyIndex`]'s sorted-neighbourhood ladder: a record
+/// and the **word** of its sort value — the first eight bytes,
+/// big-endian, zero-padded. Byte order on strings is lexicographic, so
+/// the word is monotone in it: a smaller word is a smaller sort value, and
+/// only equal words need the strings (a value that is a prefix of
+/// another, or two that share eight bytes) to decide.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rung {
+    pub(crate) word: u64,
+    pub(crate) record: u32,
+}
+
+/// The word of a sort value: its first eight bytes as a big-endian
+/// integer, zero-padded (see [`Rung`]).
+#[inline]
+pub(crate) fn sort_word(value: &str) -> u64 {
+    let bytes = &value.as_bytes()[..value.len().min(8)];
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_be_bytes(word)
 }
 
 impl KeyIndex {
@@ -441,8 +391,8 @@ impl KeyIndex {
 
     /// Re-normalise every record of `store` into this index **in
     /// place**, retaining every buffer's capacity. Derived artifacts
-    /// that were already built — the bigram index, the value-sorted
-    /// ladder — are rebuilt in place too (never dropped back to cold),
+    /// that were already built — the bigram index, the sort ladder with
+    /// its words — are rebuilt in place too (never dropped back to cold),
     /// so a warm index over a store whose contents were replaced (the
     /// serving layer's one-record probe store) re-keys without heap
     /// allocation once its buffers fit the new contents.
@@ -451,7 +401,7 @@ impl KeyIndex {
             u32::try_from(n).expect("key index exceeds u32::MAX bytes")
         }
         let bigrams = self.bigrams.take();
-        let ladder = self.value_sorted.take();
+        let ladder = self.ladder.take();
         self.text.clear();
         self.bounds.clear();
         self.bounds.push(0);
@@ -476,8 +426,8 @@ impl KeyIndex {
             let _ = self.bigrams.set(index);
         }
         if let Some(mut ladder) = ladder {
-            self.fill_value_sorted(&mut ladder);
-            let _ = self.value_sorted.set(ladder);
+            self.fill_ladder(&mut ladder);
+            let _ = self.ladder.set(ladder);
         }
     }
 
@@ -528,27 +478,33 @@ impl KeyIndex {
         &self.sorted
     }
 
-    /// Every record id ordered by (full sort value, id) — the sort
-    /// ladder sorted-neighbourhood blocking windows over. Built on
+    /// The sort ladder sorted-neighbourhood blocking windows over: every
+    /// record with its word, ordered by (full sort value, id). Built on
     /// first use and cached for the index's lifetime.
-    pub fn value_sorted(&self) -> &[u32] {
-        self.value_sorted.get_or_init(|| {
+    pub(crate) fn ladder(&self) -> &[Rung] {
+        self.ladder.get_or_init(|| {
             let mut ladder = Vec::new();
-            self.fill_value_sorted(&mut ladder);
+            self.fill_ladder(&mut ladder);
             ladder
         })
     }
 
-    /// Fill `ladder` with every record id ordered by (sort value, id),
+    /// Fill `ladder` with every record and its word, ordered by (sort
+    /// value, id) — the sort reads a string only where two words tie —
     /// reusing its capacity (shared by the lazy build and the in-place
     /// [`rebuild`](Self::rebuild)).
-    fn fill_value_sorted(&self, ladder: &mut Vec<u32>) {
+    fn fill_ladder(&self, ladder: &mut Vec<Rung>) {
+        let rung = |record: u32| Rung {
+            word: sort_word(self.sort_value(record as usize)),
+            record,
+        };
+        let value = |rung: &Rung| self.sort_value(rung.record as usize);
         ladder.clear();
-        ladder.extend(0..self.len() as u32);
-        ladder.sort_unstable_by(|&a, &b| {
-            self.sort_value(a as usize)
-                .cmp(self.sort_value(b as usize))
-                .then(a.cmp(&b))
+        ladder.extend((0..self.len() as u32).map(rung));
+        ladder.sort_unstable_by(|a, b| {
+            (a.word.cmp(&b.word))
+                .then_with(|| value(a).cmp(value(b)))
+                .then(a.record.cmp(&b.record))
         });
     }
 
@@ -882,13 +838,14 @@ mod tests {
 
     fn kernels_vs_naive(a: &str, b: &str) {
         let (sa, sb) = single_value_stores(a, b);
-        let (ia, ib) = (sa.token_index(), sb.token_index());
         let pid_a = sa.property(PN).unwrap();
         let pid_b = sb.property(PN).unwrap();
+        let (ia, ib) = (sa.token_table(pid_a), sb.token_table(pid_b));
+        let (ia, ib) = (ia.unwrap(), ib.unwrap());
         let va = sa.value_list(0, pid_a);
         let vb = sb.value_list(0, pid_b);
-        let ta = ia.value_tokens(pid_a.index(), va.value_index(0), va.get(0));
-        let tb = ib.value_tokens(pid_b.index(), vb.value_index(0), vb.get(0));
+        let ta = ia.value_tokens(va.value_index(0), va.get(0));
+        let tb = ib.value_tokens(vb.value_index(0), vb.get(0));
         let mut scratch = SimScratch::new();
         assert_eq!(
             jaccard_tokens_kernel(&ta, &tb).to_bits(),
@@ -946,11 +903,13 @@ mod tests {
 
     #[test]
     fn index_is_built_once_and_reused() {
-        let (sa, _) = single_value_stores("fixed film resistor", "x");
-        let first = sa.token_index() as *const TokenIndex;
-        let second = sa.token_index() as *const TokenIndex;
+        let (sa, _) = single_value_stores("fixed film resistor film", "x");
+        let pn = sa.property(PN).unwrap();
+        let first = sa.token_table(pn).unwrap() as *const TokenTable;
+        let second = sa.token_table(pn).unwrap() as *const TokenTable;
         assert_eq!(first, second);
-        assert_eq!(sa.token_index().distinct_tokens(), 3);
+        let tokens = sa.token_table(pn).unwrap().value_tokens(0, "");
+        assert_eq!((tokens.appear.len(), tokens.sorted.len()), (4, 3));
     }
 
     #[test]
@@ -958,8 +917,8 @@ mod tests {
         let mut r = Record::new(Term::iri("http://e.org/a"));
         r.add(PN, "CRCW0805").add("http://e.org/v#mfr", "Vishay");
         let store = RecordStore::from_records(&[r]);
-        let index = store.full_token_index();
-        let full = index.full_tokens(0, store.full_text(0));
+        let index = store.full_text_tokens();
+        let full = index.value_tokens(0, store.full_text(0));
         assert_eq!(full.appear.len(), 2);
         assert_eq!(full.sorted.len(), 2);
     }
@@ -1039,6 +998,51 @@ mod tests {
                 assert_eq!(index.sort_value(r), "");
             }
             assert_eq!(index.records_with_key("").len(), store.len());
+        }
+
+        /// The ladder orders the records by (sort value, id) and carries
+        /// each slot's word — as built, and after an in-place rebuild over
+        /// other contents.
+        #[test]
+        fn ladder_words_follow_their_slots_through_a_rebuild() {
+            let check = |index: &KeyIndex| {
+                let ladder = index.ladder();
+                assert_eq!(ladder.len(), index.len());
+                for rung in ladder {
+                    let value = index.sort_value(rung.record as usize);
+                    assert_eq!(rung.word, sort_word(value), "record {}", rung.record);
+                }
+                let slot = |rung: &Rung| (index.sort_value(rung.record as usize), rung.record);
+                assert!(ladder.windows(2).all(|w| slot(&w[0]) < slot(&w[1])));
+            };
+            let store = store_of(VALUES);
+            let mut index =
+                KeyIndex::build(&store, &BlockingKey::shared(PN, 0).external_side(&store));
+            check(&index);
+            let other = store_of(&["zz-top", "ABCDEFGH1", "abcdefgh0", "", "abc", "abcdefgh"]);
+            index.rebuild(&other, &BlockingKey::shared(PN, 0).external_side(&other));
+            assert!(
+                index.ladder.get().is_some(),
+                "a built ladder is rebuilt, not dropped"
+            );
+            check(&index);
+        }
+
+        #[test]
+        fn sort_words_are_big_endian_and_zero_padded() {
+            assert_eq!(sort_word("abcdefgh"), u64::from_be_bytes(*b"abcdefgh"));
+            assert_eq!(sort_word("abcdefghij"), sort_word("abcdefgh"));
+            assert_eq!(sort_word("ab"), u64::from_be_bytes(*b"ab\0\0\0\0\0\0"));
+            assert_eq!(sort_word(""), 0);
+        }
+
+        proptest! {
+            /// A word never contradicts the byte order of its values.
+            #[test]
+            fn prop_sort_words_are_monotone(a in "\\PC{0,12}", b in "\\PC{0,12}") {
+                let (low, high) = if a <= b { (&a, &b) } else { (&b, &a) };
+                prop_assert!(sort_word(low) <= sort_word(high));
+            }
         }
 
         /// The packed `u64` key bigram sets replicate the segmenter's

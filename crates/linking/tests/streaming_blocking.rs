@@ -1033,3 +1033,61 @@ fn bigram_counter_matches_count_all_reference_at_paper_scale() {
         }
     }
 }
+
+/// Paper scale (`linkbench`'s feed link: the 30 000-record catalog as 4
+/// shards, window 10) plus every hundredth catalog record appended again as
+/// a fifth shard — equal sort values in different shards, and a delta whose
+/// windows reach across the whole catalog. The full stream and the
+/// delta-restricted one each equal the string-sorted per-external
+/// reference, as multisets; both counts are pinned. Run in release by CI
+/// (`-- --ignored`).
+#[test]
+#[ignore = "paper scale: run with --release -- --ignored"]
+fn sorted_neighbourhood_matches_the_reference_at_paper_scale() {
+    const WINDOW: usize = 10;
+    let scenario = generate(&ScenarioConfig::paper());
+    let (external, base) = scenario.sharded_stores(4);
+    let catalog = scenario.local_store();
+    let mut delta = base.delta_builder();
+    for l in (0..catalog.len()).step_by(100) {
+        delta.push(&catalog.record(l));
+    }
+    let local = base.append_shards(delta);
+    assert_eq!(local.shard_count(), 5);
+    let first_new = local.offset(4);
+
+    // The reference over the appended catalog as one store: global ids.
+    let mut records = catalog.to_records();
+    records.extend((0..catalog.len()).step_by(100).map(|l| catalog.record(l)));
+    let reference: Vec<(usize, usize)> = reference_sorted_neighborhood(
+        &key(0),
+        WINDOW,
+        &external,
+        &RecordStore::from_records(&records),
+    )
+    .into_iter()
+    .collect();
+    let streamed = |runs: &CandidateRuns| {
+        let mut pairs: Vec<(usize, usize)> = (0..runs.shard_count())
+            .flat_map(|s| {
+                let base = local.offset(s);
+                runs.pairs(s).map(move |(e, l)| (e, base + l))
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    };
+    let blocker = SortedNeighborhoodBlocker::new(key(0), WINDOW);
+    let mut runs = CandidateRuns::new();
+    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    assert_eq!(streamed(&runs), reference);
+    let mut delta_runs = CandidateRuns::new();
+    delta_runs.restrict_to_shards_from(4);
+    blocker.stream_candidates(&external, (&local).into(), &mut delta_runs);
+    let delta_reference: Vec<(usize, usize)> = (reference.iter())
+        .filter(|&&(_, l)| l >= first_new)
+        .copied()
+        .collect();
+    assert_eq!(streamed(&delta_runs), delta_reference);
+    assert_eq!((runs.total(), delta_runs.total()), (184_615, 1_692));
+}

@@ -6,9 +6,9 @@
 //!
 //! The same contract now covers **blocking**: after the store-level
 //! `KeyIndex`es are warm and the `CandidateRuns` sink has grown its
-//! buffers, streaming candidate generation with `StandardBlocker` and
-//! `BigramBlocker` performs zero allocations — not just per record pair,
-//! but for the entire run.
+//! buffers, streaming candidate generation with `StandardBlocker`,
+//! `BigramBlocker` and `SortedNeighborhoodBlocker` performs zero
+//! allocations — not just per record pair, but for the entire run.
 //!
 //! The rule-based blocker allocates by design (classification builds
 //! its predictions), so its guard is a **difference**: what a streaming
@@ -23,7 +23,8 @@
 
 use classilink_core::{ClassificationRule, Contingency, RuleClassifier};
 use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker, StandardBlocker,
+    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
+    SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::record::Record;
 use classilink_linking::{
@@ -121,10 +122,6 @@ fn steady_state_score_never_allocates() {
             weight: 1.0,
         }]);
         let compiled = comparator.compile(&external, &local);
-        if compiled.uses_token_index() {
-            external.token_index();
-            local.token_index();
-        }
         // Warmup: grow the scratch buffers to the longest inputs and
         // fault in every lazily-built structure.
         let mut warmup = 0.0;
@@ -231,13 +228,16 @@ fn steady_state_blocking_never_allocates() {
     // (nothing about it depends on the threshold) through its own
     // sharing-rule table.
     let bigram_high = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.7);
+    let sorted = SortedNeighborhoodBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 4);
     let mut runs = CandidateRuns::new();
     // Single-store (one-shard) view. Standard emits
-    // keyed blocks, bigram explicit runs, cartesian span blocks — all
-    // three encodings of the block sink stay allocation-free warm.
+    // keyed blocks, bigram and sorted neighbourhood explicit runs,
+    // cartesian span blocks — all three encodings of the block sink stay
+    // allocation-free warm.
     assert_blocking_steady_state(&standard, &external, (&local).into(), &mut runs);
     assert_blocking_steady_state(&bigram, &external, (&local).into(), &mut runs);
     assert_blocking_steady_state(&bigram_high, &external, (&local).into(), &mut runs);
+    assert_blocking_steady_state(&sorted, &external, (&local).into(), &mut runs);
     assert_blocking_steady_state(&CartesianBlocker, &external, (&local).into(), &mut runs);
     // Sharded view: the run_sharded blocking path (per-shard key
     // indexes, external-side artifacts shared across shards).
@@ -254,6 +254,7 @@ fn steady_state_blocking_never_allocates() {
     assert_blocking_steady_state(&standard, &external, (&sharded).into(), &mut runs);
     assert_blocking_steady_state(&bigram, &external, (&sharded).into(), &mut runs);
     assert_blocking_steady_state(&bigram_high, &external, (&sharded).into(), &mut runs);
+    assert_blocking_steady_state(&sorted, &external, (&sharded).into(), &mut runs);
     assert_blocking_steady_state(&CartesianBlocker, &external, (&sharded).into(), &mut runs);
     // Consecutive externals of 7, 8 and 16 padded bigrams count in 3, 4
     // and 5 planes: the plane count grows from probe to probe inside
@@ -373,12 +374,31 @@ fn catalog(shard_count: usize) -> ShardedStore {
     ShardedStore::from_records(&locals, shard_count)
 }
 
-/// A string-kernel-only comparator (the set kernels re-tokenise the
-/// refilled probe store per probe, which allocates by design; the
-/// serving zero-allocation contract is stated for string kernels).
+/// A string-kernel-only comparator (a set-kernel probe re-tokenises the
+/// probe record's set-rule columns — only those — which allocates by
+/// design; the serving zero-allocation contract is stated for string
+/// kernels). Its default set-measure fallback is configured but never
+/// fires on a probe with a part number, and must cost such a probe
+/// nothing.
 fn probe_comparator(match_threshold: f64, non_match_threshold: f64) -> RecordComparator {
     RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::JaroWinkler)
         .with_thresholds(match_threshold, non_match_threshold)
+}
+
+/// [`probe_comparator`] without its fallback, for the sorted-neighbourhood
+/// blocker alone: a probe without a part number still sorts into a
+/// window, where its rule cannot fire and the set-measure fallback would
+/// tokenise the full text the refilled probe store joins anew — by design,
+/// like any set kernel. Standard and bigram blocking find no candidate
+/// for such a probe in [`catalog`], so they keep the fallback.
+fn probe_comparator_without_fallback(
+    match_threshold: f64,
+    non_match_threshold: f64,
+) -> RecordComparator {
+    RecordComparator {
+        fallback: None,
+        ..probe_comparator(match_threshold, non_match_threshold)
+    }
 }
 
 /// Warm up a linker + scratch on `probes`, then measure one full sweep.
@@ -450,7 +470,8 @@ fn warm_probe_never_allocates() {
     // Thresholds no score can reach: every candidate is scored but no
     // link materialises, so a warm probe must be *fully* allocation-free
     // — refill, blocking, queueing, scoring and the cleared result
-    // buffers included — for both blockers, single-store and sharded.
+    // buffers included — for every streaming blocker, single-store and
+    // sharded.
     let (external, _) = stores();
     let probes: Vec<Record> = (0..6).map(|e| external.record(e)).collect();
     let varied: Vec<Record> = [3usize, 0, 1, 2, 3, 1]
@@ -468,12 +489,20 @@ fn warm_probe_never_allocates() {
         })
         .collect();
     let cmp = probe_comparator(2.0, 2.0);
+    let sorted_cmp = probe_comparator_without_fallback(2.0, 2.0);
     let standard = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
     let bigram = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.3);
+    // Windows wider than the 24-record catalog, so that the probes behind
+    // an append reach into its 100-record shard.
+    let sorted = SortedNeighborhoodBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 32);
     for shard_count in [1, 3] {
         let catalog = catalog(shard_count);
-        for blocker in [&standard as &(dyn Blocker + Sync), &bigram] {
-            let linker = Linker::new(blocker, &cmp, catalog.clone());
+        for (blocker, cmp) in [
+            (&standard as &(dyn Blocker + Sync), &cmp),
+            (&bigram, &cmp),
+            (&sorted, &sorted_cmp),
+        ] {
+            let linker = Linker::new(blocker, cmp, catalog.clone());
             let mut scratch = ProbeScratch::new();
             let (allocations, links) = measure_probe_sweep(&linker, &mut scratch, &probes);
             assert_eq!(links, 0, "{}: thresholds unreachable", blocker.name());
@@ -510,9 +539,12 @@ fn warm_probe_allocates_exactly_the_link_terms() {
     let cmp = probe_comparator(0.0, 0.0);
     let standard = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
     let bigram = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.3);
+    // Windows wider than the 24-record catalog, so that the probes behind
+    // an append reach into its 100-record shard.
+    let sorted = SortedNeighborhoodBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 32);
     for shard_count in [1, 3] {
         let catalog = catalog(shard_count);
-        for blocker in [&standard as &(dyn Blocker + Sync), &bigram] {
+        for blocker in [&standard as &(dyn Blocker + Sync), &bigram, &sorted] {
             let linker = Linker::new(blocker, &cmp, catalog.clone());
             let mut scratch = ProbeScratch::new();
             let (allocations, links) = measure_probe_sweep(&linker, &mut scratch, &probes);
