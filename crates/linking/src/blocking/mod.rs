@@ -40,6 +40,7 @@ pub use standard::StandardBlocker;
 use crate::shard::LocalShards;
 use crate::store::RecordStore;
 use crate::token_index::KeyIndex;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A candidate pair, given as indexes into the external and local record
@@ -55,8 +56,10 @@ enum RunKind {
     /// table, starting at `start`.
     Keyed,
     /// `len` entries of the sink's per-shard explicit-locals arena,
-    /// starting at `start`.
+    /// starting at `start`, that `push` wrote for this block alone.
     Explicit,
+    /// The same, over a range `write_locals` wrote for blocks to share.
+    Shared,
 }
 
 /// One run-length candidate block: one external record against a run of
@@ -71,7 +74,8 @@ enum RunKind {
 /// a slice of the shard [`KeyIndex`]'s key-sorted record table
 /// (standard blocking: one block per external × equal-range), or a
 /// slice of the sink's explicit-locals arena (sparse producers: bigram,
-/// sorted-neighbourhood windows, rule extents).
+/// sorted-neighbourhood windows; rule extents, one slice shared by all
+/// the externals predicted into the same classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandidateBlock {
     /// The external record every pair of this block shares.
@@ -134,20 +138,6 @@ impl<'a> LocalRun<'a> {
         self.len() == 0
     }
 
-    /// The `i`-th shard-local id of the run.
-    ///
-    /// # Panics
-    /// Panics when `i >= len()`.
-    pub fn get(&self, i: usize) -> usize {
-        match self {
-            LocalRun::Span { start, len } => {
-                assert!(i < *len, "run index {i} out of range ({len})");
-                start + i
-            }
-            LocalRun::Keyed(ids) | LocalRun::Explicit(ids) => ids[i] as usize,
-        }
-    }
-
     /// The run of this run's ids `part` (positions, not ids).
     ///
     /// # Panics
@@ -178,15 +168,6 @@ impl<'a> LocalRun<'a> {
                 LocalRun::Keyed(ids) | LocalRun::Explicit(ids) => RunIterInner::Slice(ids.iter()),
             },
         }
-    }
-}
-
-impl<'a> IntoIterator for &LocalRun<'a> {
-    type Item = usize;
-    type IntoIter = LocalRunIter<'a>;
-
-    fn into_iter(self) -> LocalRunIter<'a> {
-        self.iter()
     }
 }
 
@@ -230,7 +211,7 @@ struct ShardRun {
     /// The run-length candidate blocks, in emission order.
     blocks: Vec<CandidateBlock>,
     /// Explicit shard-local ids; [`RunKind::Explicit`] blocks own
-    /// disjoint consecutive slices of this arena.
+    /// disjoint slices, [`RunKind::Shared`] blocks share written ones.
     locals: Vec<u32>,
     /// The key index whose sorted record table [`RunKind::Keyed`]
     /// blocks slice (set by the blocker before pushing keyed blocks).
@@ -262,7 +243,7 @@ impl ShardRun {
                 let table = table.expect("push_keyed checked the key table");
                 LocalRun::Keyed(&table.sorted_records()[range])
             }
-            RunKind::Explicit => LocalRun::Explicit(&self.locals[range]),
+            RunKind::Explicit | RunKind::Shared => LocalRun::Explicit(&self.locals[range]),
         }
     }
 
@@ -288,11 +269,11 @@ impl ShardRun {
 /// **Ids are checked on the way in.** [`reset`](Self::reset) takes the
 /// record counts of the stores the coming stream is about, and every
 /// push asserts its ids against them (the external id where a block
-/// opens, the local id or range where it is pushed). An out-of-range
-/// candidate is therefore a panic inside the blocking failure domain
-/// (`LinkError::BlockingPanicked` from a pipeline run, `ProbePanicked`
-/// from a probe) — never a pair the comparison phase has to check, skip
-/// or miscount.
+/// opens, the local id or range where it is pushed or written). An
+/// out-of-range candidate is therefore a panic inside the blocking
+/// failure domain (`LinkError::BlockingPanicked` from a pipeline run,
+/// `ProbePanicked` from a probe) — never a pair the comparison phase has
+/// to check, skip or miscount.
 ///
 /// Every block pairs **one external record** with a [`LocalRun`]:
 ///
@@ -304,13 +285,15 @@ impl ShardRun {
 ///   block per external × equal-range, again O(1);
 /// * [`push`](Self::push) — one explicit pair; consecutive pushes for
 ///   the same (shard, external) coalesce into one explicit block over
-///   the sink's locals arena (bigram, sorted-neighbourhood, rule
-///   extents).
+///   the sink's locals arena (bigram, sorted-neighbourhood);
+/// * [`write_locals`](Self::write_locals) once, then
+///   [`push_written`](Self::push_written) per external — O(1) blocks
+///   sharing one arena slice (rule extents), which `push` never extends.
 ///
 /// For dense producers queue memory is therefore O(runs), not
 /// O(candidates) — [`queue_bytes`](Self::queue_bytes) vs
 /// [`pair_bytes`](Self::pair_bytes) quantifies the drop (~100–5000×
-/// for cartesian and big standard blocks on the paper preset). The
+/// for cartesian, standard and rule blocks on the paper preset). The
 /// sparse producers keep their pushes per external consecutive (bigram
 /// emits per probe, sorted neighbourhood anchors its window walk on
 /// the external entries), so even they coalesce into one block per
@@ -351,8 +334,8 @@ pub(crate) struct RunScratch {
     /// row, then one plane per count bit, each `⌈shard records / 64⌉`
     /// words. Zeroed per probe.
     pub planes: Vec<u64>,
-    /// Epoch-stamped marks (rule-based dedup): `marks[i] == epoch` means
-    /// "seen in the current epoch".
+    /// Epoch-stamped marks over global ids (the rule blocker's union of
+    /// predicted extents): `marks[i] == epoch` means "seen this epoch".
     pub marks: Vec<u32>,
     /// `tceil[m] = ceil(threshold · m)` — the integer sharing-rule
     /// table the bigram probe replaces per-pair float math with.
@@ -479,7 +462,9 @@ impl CandidateRuns {
     /// pushes for the same `(shard, external)` coalesce into one
     /// explicit block. Like the other `push_*` forms, panics on an id
     /// outside the bounds given to [`reset`](Self::reset).
-    #[inline]
+    // Out of line: inlined into the bigram probe's emit loop, it made the
+    // paper-scale bigram stream ~6 % slower.
+    #[inline(never)]
     pub fn push(&mut self, shard: usize, external: usize, local: usize) {
         if shard < self.first_active {
             return;
@@ -526,9 +511,37 @@ impl CandidateRuns {
         self.push_range(RunKind::Keyed, shard, external, table_start, len);
     }
 
-    /// One block over `start .. start + len` of the shard's records or
-    /// of its key table — which [`set_key_table`](Self::set_key_table)
-    /// holds to one entry per record, so both answer to the same bound.
+    /// Write `locals` into shard `shard`'s explicit-locals arena, each
+    /// checked against the shard's record count, and return the range
+    /// they fill, for [`push_written`](Self::push_written) blocks to
+    /// share. An inactive shard takes nothing (`locals` is not consumed).
+    pub fn write_locals(
+        &mut self,
+        shard: usize,
+        locals: impl IntoIterator<Item = usize>,
+    ) -> Range<usize> {
+        let run = &mut self.per_shard[shard];
+        let (start, records) = (run.locals.len(), run.records);
+        if shard >= self.first_active {
+            let check = |&l: &usize| check_id("local id", l, records);
+            let locals = locals.into_iter().inspect(check);
+            run.locals.extend(locals.map(run_u32));
+        }
+        start..run.locals.len()
+    }
+
+    /// Emit one block: `external` against the arena `range` of shard
+    /// `shard` that [`write_locals`](Self::write_locals) filled — O(1),
+    /// never extended by [`push`](Self::push). Empty ranges are skipped.
+    #[inline]
+    pub fn push_written(&mut self, shard: usize, external: usize, range: Range<usize>) {
+        self.push_range(RunKind::Shared, shard, external, range.start, range.len());
+    }
+
+    /// One block over `start .. start + len` of the shard's written
+    /// arena, its records or its key table — which
+    /// [`set_key_table`](Self::set_key_table) holds to one entry per
+    /// record, so the last two answer to the same bound.
     #[inline]
     fn push_range(
         &mut self,
@@ -543,7 +556,9 @@ impl CandidateRuns {
         }
         check_id("external id", external, self.externals);
         let run = &mut self.per_shard[shard];
-        check_id("range end", start.saturating_add(len - 1), run.records);
+        let arena = (kind == RunKind::Shared).then_some(run.locals.len());
+        let end = start.saturating_add(len - 1);
+        check_id("range end", end, arena.unwrap_or(run.records));
         let keyed = kind == RunKind::Keyed;
         assert!(!keyed || run.key_table.is_some(), "no key table attached");
         run.push_block(kind, external, start, len);
@@ -944,9 +959,39 @@ mod tests {
         assert_eq!(runs.blocks(1).len(), 1);
         let (external, run) = runs.run(0, 0);
         assert_eq!(external, 7);
-        assert_eq!(run.len(), 2);
-        assert_eq!((run.get(0), run.get(1)), (1, 3));
+        assert_eq!(run.iter().collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(shard_pairs(&runs, 0), vec![(7, 1), (7, 3), (8, 4)]);
+    }
+
+    #[test]
+    fn written_blocks_share_their_slice_and_push_never_extends_one() {
+        let mut runs = CandidateRuns::new();
+        runs.reset(10, (&catalog(2, 10)).into());
+        let written = runs.write_locals(0, [4, 2, 7]);
+        assert_eq!(written, 0..3);
+        // Nothing is a candidate until a block reads the slice.
+        assert_eq!((runs.total(), runs.blocks(0).len()), (0, 0));
+        runs.push_written(0, 1, written.clone());
+        runs.push_written(0, 5, written.clone());
+        runs.push_written(0, 6, 3..3); // empty range skipped
+
+        // The same external pushing on: a block of its own, behind the
+        // slice, which keeps its length.
+        runs.push(0, 5, 9);
+        assert_eq!(runs.blocks(0).len(), 3);
+        assert_eq!(runs.blocks(0)[1].len(), 3);
+        assert_eq!(runs.run(0, 2).1.iter().collect::<Vec<_>>(), vec![9]);
+        assert_eq!(
+            shard_pairs(&runs, 0),
+            vec![(1, 4), (1, 2), (1, 7), (5, 4), (5, 2), (5, 7), (5, 9)]
+        );
+        assert_eq!(runs.total(), 7);
+        // An inactive shard takes no ids and no block.
+        runs.restrict_to_shards_from(1);
+        let skipped = runs.write_locals(0, [1]);
+        assert!(skipped.is_empty());
+        runs.push_written(0, 1, written);
+        assert_eq!((runs.total(), runs.blocks(0).len()), (7, 3));
     }
 
     #[test]

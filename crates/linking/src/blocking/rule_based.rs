@@ -5,13 +5,17 @@
 //! pairs are then the record's pairs with the instances of those classes.
 //! This adapter lets the paper's approach be compared head-to-head with the
 //! classic blocking baselines on exactly the same interface (experiment E5).
+//! Externals predicted into the same classes share one copy of their
+//! subspace in the sink, each as one block per shard over it.
 
-use super::{run_u32, Blocker, CandidateRuns};
+use super::{Blocker, CandidateRuns};
 use crate::shard::LocalShards;
 use crate::store::RecordStore;
 use classilink_core::RuleClassifier;
 use classilink_ontology::{ClassId, InstanceStore, Ontology};
 use std::collections::HashMap;
+use std::mem;
+use std::ops::Range;
 
 /// Blocking through learnt classification rules.
 pub struct RuleBasedBlocker<'a> {
@@ -46,31 +50,35 @@ impl<'a> RuleBasedBlocker<'a> {
         self
     }
 
-    /// Resolve `class`'s extent to shard-local record ids: one list per
-    /// shard, in the extent's `Term` order, empty for shards the sink is
-    /// not active for (a delta run never hashes the extent into the
-    /// untouched base shards).
-    fn resolve_extent(
+    /// Write the subspace of an external predicted into `classes` (rank
+    /// order) into each shard's arena: each class's extent in `Term`
+    /// order, looked up in the shard's id index, the first occurrence of
+    /// a local winning. Returns one arena range per shard, empty for
+    /// shards the sink is not active for (a delta run never hashes the
+    /// extent into the untouched base shards).
+    fn write_subspace(
         &self,
-        class: ClassId,
+        classes: &[ClassId],
         local: LocalShards<'_>,
-        out: &CandidateRuns,
-    ) -> Vec<Vec<u32>> {
-        let extent = self.instances.extent_refs(class, self.ontology);
-        local
-            .iter()
-            .enumerate()
+        out: &mut CandidateRuns,
+    ) -> Vec<Range<usize>> {
+        let extents: Vec<_> = (classes.iter())
+            .map(|&class| self.instances.extent_refs(class, self.ontology))
+            .collect();
+        let epoch = out.scratch.next_epoch(local.len());
+        // Out of the sink while the writes below borrow it.
+        let mut marks = mem::take(&mut out.scratch.marks);
+        let written = (local.iter().enumerate())
             .map(|(s, shard)| {
-                if !out.shard_active(s) {
-                    return Vec::new();
-                }
-                extent
-                    .iter()
-                    .filter_map(|item| shard.index_of(item))
-                    .map(run_u32)
-                    .collect()
+                let offset = local.offset(s);
+                let ids = extents.iter().flatten();
+                let ids = ids.filter_map(|item| shard.index_of(item));
+                let fresh = |&l: &usize| mem::replace(&mut marks[offset + l], epoch) != epoch;
+                out.write_locals(s, ids.filter(fresh))
             })
-            .collect()
+            .collect();
+        out.scratch.marks = marks;
+        written
     }
 }
 
@@ -80,18 +88,17 @@ impl Blocker for RuleBasedBlocker<'_> {
     }
 
     /// Native streaming: each external record is classified **once**, and
-    /// each predicted class's extent is resolved **once per call** — the
-    /// first external predicted into a class enumerates its extent
-    /// borrowed ([`InstanceStore::extent_refs`]) and looks every member
-    /// up in each active shard's id index; every later external of that
-    /// class replays the resolved id lists. The lists are a local of this
-    /// call, so there is nothing to size or invalidate, and a one-record
-    /// probe resolves exactly the classes it predicts. Overlapping
-    /// predictions are deduplicated with epoch-stamped marks over global
-    /// ids; per shard, pushes arrive in (prediction rank, `Term` order).
-    /// Unclassified externals under the fallback pair with each whole
-    /// shard as **one span block** (O(1), not O(shard)); extent hits
-    /// accumulate into per-(external, shard) explicit runs.
+    /// each distinct prediction (its classes in rank order) is written
+    /// into the sink **once per call** — the first external with it
+    /// enumerates the extents borrowed ([`InstanceStore::extent_refs`])
+    /// and writes their union's hits in each active shard's id index to
+    /// the shard's arena. Every external with that prediction is then
+    /// **one block per shard** over the written slice, O(1) however large
+    /// the extent. The map of written slices is a local of this call, so
+    /// there is nothing to size or invalidate, and a one-record probe
+    /// resolves exactly the classes it predicts. Unclassified externals
+    /// under the fallback pair with each whole shard as **one span
+    /// block** (O(1), not O(shard)).
     fn stream_candidates(
         &self,
         external: &RecordStore,
@@ -100,7 +107,8 @@ impl Blocker for RuleBasedBlocker<'_> {
     ) {
         out.reset(external.len(), local);
         fail::fail_point!("blocking::rule_based");
-        let mut resolved: HashMap<ClassId, Vec<Vec<u32>>> = HashMap::new();
+        let mut written: HashMap<Vec<ClassId>, Vec<Range<usize>>> = HashMap::new();
+        let mut classes = Vec::new();
         for e in 0..external.len() {
             // The store's facts iterator feeds the classifier borrowed
             // `(&str, &str)` pairs — no per-record fact cloning.
@@ -116,21 +124,15 @@ impl Blocker for RuleBasedBlocker<'_> {
                 }
                 continue;
             }
-            let epoch = out.scratch.next_epoch(local.len());
-            for prediction in predictions {
-                let per_shard = resolved
-                    .entry(prediction.class)
-                    .or_insert_with(|| self.resolve_extent(prediction.class, local, out));
-                for (s, ids) in per_shard.iter().enumerate() {
-                    let offset = local.offset(s);
-                    for &l in ids {
-                        let l = l as usize;
-                        if out.scratch.marks[offset + l] != epoch {
-                            out.scratch.marks[offset + l] = epoch;
-                            out.push(s, e, l);
-                        }
-                    }
-                }
+            // The reused key buffer: only a new prediction allocates.
+            classes.clear();
+            classes.extend(predictions.iter().map(|prediction| prediction.class));
+            if !written.contains_key(classes.as_slice()) {
+                let slices = self.write_subspace(&classes, local, out);
+                written.insert(classes.clone(), slices);
+            }
+            for (s, slice) in written[classes.as_slice()].iter().enumerate() {
+                out.push_written(s, e, slice.clone());
             }
         }
     }

@@ -796,6 +796,17 @@ mod tests {
                     out.set_key_table(0, shard.key_index(&side));
                     out.push_keyed(0, 0, 1, shard.len());
                 }
+                "arena id" => {
+                    out.write_locals(0, [0, shard.len()]);
+                }
+                "written range" => {
+                    let written = out.write_locals(0, [0, 1]);
+                    out.push_written(0, 0, written.start..written.end + 1);
+                }
+                "written external" => {
+                    let written = out.write_locals(0, [0, 1]);
+                    out.push_written(0, external.len(), written);
+                }
                 _ => out.set_key_table(0, external.key_index(&side)),
             }
         }
@@ -823,6 +834,9 @@ mod tests {
             "span",
             "keyed range",
             "key table",
+            "arena id",
+            "written range",
+            "written external",
         ] {
             let faulty = Faulty(row);
             let run = LinkagePipeline::new(&faulty, &cmp).try_run_sharded(&external, &local);
