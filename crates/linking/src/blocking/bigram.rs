@@ -13,20 +13,20 @@
 //! candidate when the two records share at least
 //! `ceil(threshold · min(|bigrams_e|, |bigrams_l|))` bigrams.
 //!
-//! The bigram sets and the inverted index are **store-level
-//! precomputation**: both sides' padded key bigrams live in the store's
-//! cached [`KeyIndex`](crate::token_index::KeyIndex) as packed `u64`s
-//! (the token tables' bigram
-//! representation) — no per-record `String` bigrams, no hash maps, and
-//! zero allocations once the indexes are warm.
+//! The bigram sets are **store-level precomputation**: both sides' padded
+//! key bigrams live in the store's cached
+//! [`KeyIndex`](crate::token_index::KeyIndex) as ids into a value-sorted
+//! table of packed `u64` grams — zero allocations once the indexes are
+//! warm.
 //!
 //! The probe **counts, it does not filter**: for one external record it
 //! computes the exact number of grams shared with *every* record of a
 //! shard, 64 records a machine word, in **bit-sliced** counters — plane
 //! `k` holds bit `k` of all the counts. Each of the external's grams is
 //! one ripple-carry addition of the gram's records (a bitmap row, or a
-//! short posting list below the dense cut-off — the shard's
-//! `GramCounter`, see [`token_index`](crate::token_index)), and the
+//! short position list below the dense cut-off — the shard's
+//! `GramCounter`, counted out of its gram-id sets, see
+//! [`token_index`](crate::token_index)), and the
 //! sharing rule is one bit-sliced `count ≥ required` comparison per run
 //! of records it treats alike. Every count is exact, so the candidate
 //! set is the definition's with nothing to prove —
@@ -283,8 +283,8 @@ impl Blocker for BigramBlocker {
         out.scratch.planes = counts;
     }
 
-    /// Build each shard's key index, bigram postings and counter
-    /// artifact (everything a probe of the shard reads).
+    /// Build each shard's key index, bigram gram table and counter
+    /// (everything a probe of the shard reads).
     fn warm(&self, local: LocalShards<'_>) {
         let local_side = self.key.local_side_of(local.schema());
         for shard in local.iter() {

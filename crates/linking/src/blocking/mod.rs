@@ -19,7 +19,7 @@
 //! ever materialised. The sink checks every id against the stores it was
 //! reset for **as it takes a block**, which is why nothing downstream
 //! validates a candidate again. The built-in blockers compute their
-//! external-side artifacts (key tables, bigram postings, rule
+//! external-side artifacts (key tables, bigram gram-id sets, rule
 //! classifications) once per run and read per-record keys and bigrams
 //! from the store-level [`KeyIndex`] cache, making steady-state blocking
 //! allocation-free. Callers that want a flat pair list (tests,
@@ -673,8 +673,8 @@ pub trait Blocker {
     );
 
     /// Eagerly build the **local-side artifacts** this blocker reads
-    /// while streaming — key indexes, sort ladders, bigram postings and
-    /// counters. The serving layer
+    /// while streaming — key indexes, sort ladders, bigram gram tables
+    /// and counters. The serving layer
     /// ([`Linker`](crate::serve::Linker)) calls this once per published
     /// catalog epoch so no probe ever pays a first-call index build;
     /// batch callers never need it (the same builds happen lazily on

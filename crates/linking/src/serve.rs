@@ -9,7 +9,7 @@
 //!
 //! * **Pre-warmed epochs.** A published catalog is a [`CatalogEpoch`]:
 //!   the [`ShardedStore`] with every blocker-side artifact built
-//!   eagerly (key indexes, sort ladders, bigram postings and counters
+//!   eagerly (key indexes, sort ladders, bigram gram tables and counters
 //!   via [`Blocker::warm`]; token tables and signature columns where
 //!   the comparator's rules read them) and the comparator compiled once
 //!   ([`RecordComparator::compile_schemas`]). No probe ever pays a

@@ -45,7 +45,9 @@ use crate::similarity::jaro::jaro_winkler_with;
 use crate::similarity::scratch::SimScratch;
 use crate::similarity::token::{bigram_pairs, lowercase_eq, tokens};
 use crate::store::RecordStore;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 /// Pack a character bigram into one `u64` — the shared scalar bigram
@@ -311,13 +313,8 @@ pub(crate) fn monge_elkan_kernel(
 /// Store-level blocking-key precomputation: the blocking analogue of the
 /// `TokenTable`.
 ///
-/// Blockers used to normalise (lowercase, filter, truncate) the blocking
-/// key of every record **per call** — and the bigram blocker re-built
-/// padded bigram `String` sets on top — so candidate generation allocated
-/// per record even though the underlying values never change. A
-/// [`KeyIndex`] moves that work to the store: for one key *recipe*
-/// (property × prefix length × alphanumeric filter, see
-/// [`BlockingKey`](crate::blocking::BlockingKey)) every record's
+/// For one key *recipe* (property × prefix length × alphanumeric filter,
+/// see [`BlockingKey`](crate::blocking::BlockingKey)) every record's
 /// normalised value is computed **once** into a text arena, together with
 ///
 /// * the byte boundary of the truncated blocking key (the key is always a
@@ -329,10 +326,8 @@ pub(crate) fn monge_elkan_kernel(
 ///   over: the records sorted by full sort value, each slot with its
 ///   value's leading eight bytes as one integer, and
 /// * on demand (the crate-private `KeyBigramIndex`), each key's
-///   **padded character bigrams** packed into `u64`s exactly as the
-///   `TokenTable` packs value bigrams, plus an inverted gram → records
-///   index — bigram blocking becomes integer probes over precomputed
-///   postings.
+///   **padded character bigrams** as ids into a value-sorted gram table,
+///   and the `GramCounter` a probe of the index adds up.
 ///
 /// Indexes are built lazily by [`RecordStore::key_index`] and cached per
 /// recipe for the store's lifetime, so repeated blocking calls (and every
@@ -351,6 +346,8 @@ pub struct KeyIndex {
     key_ends: Vec<u32>,
     /// Record ids sorted by (truncated key, id).
     sorted: Vec<u32>,
+    /// The key sort's rungs, kept across [`rebuild`](Self::rebuild)s.
+    key_rungs: Vec<Rung>,
     /// The sort ladder of sorted-neighbourhood blocking, built on first
     /// use.
     ladder: OnceLock<Vec<Rung>>,
@@ -378,6 +375,25 @@ pub(crate) fn sort_word(value: &str) -> u64 {
     let mut word = [0u8; 8];
     word[..bytes.len()].copy_from_slice(bytes);
     u64::from_be_bytes(word)
+}
+
+/// Fill `rungs` with `records` and their words, ordered by (`value`,
+/// record): words decide, and a string is read only where two tie.
+fn fill_rungs<'a>(
+    rungs: &mut Vec<Rung>,
+    records: impl Iterator<Item = u32>,
+    value: impl Fn(u32) -> &'a str,
+) {
+    rungs.clear();
+    rungs.extend(records.map(|record| Rung {
+        word: sort_word(value(record)),
+        record,
+    }));
+    rungs.sort_unstable_by(|a, b| {
+        (a.word.cmp(&b.word))
+            .then_with(|| value(a.record).cmp(value(b.record)))
+            .then(a.record.cmp(&b.record))
+    });
 }
 
 impl KeyIndex {
@@ -415,12 +431,11 @@ impl KeyIndex {
             self.key_ends.push(offset(start + key_len));
             self.bounds.push(offset(self.text.len()));
         }
-        self.sorted.clear();
-        self.sorted.extend(0..store.len() as u32);
         let (text, bounds, key_ends) = (&self.text, &self.bounds, &self.key_ends);
         let key = |r: u32| &text[bounds[r as usize] as usize..key_ends[r as usize] as usize];
-        self.sorted
-            .sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        fill_rungs(&mut self.key_rungs, 0..store.len() as u32, key);
+        self.sorted.clear();
+        self.sorted.extend(self.key_rungs.iter().map(|r| r.record));
         if let Some(mut index) = bigrams {
             index.rebuild(self);
             let _ = self.bigrams.set(index);
@@ -489,23 +504,11 @@ impl KeyIndex {
         })
     }
 
-    /// Fill `ladder` with every record and its word, ordered by (sort
-    /// value, id) — the sort reads a string only where two words tie —
-    /// reusing its capacity (shared by the lazy build and the in-place
-    /// [`rebuild`](Self::rebuild)).
+    /// Fill `ladder` from the key table's order: a key is a prefix of its
+    /// sort value, so at prefix 0 the sort only confirms one sorted run.
     fn fill_ladder(&self, ladder: &mut Vec<Rung>) {
-        let rung = |record: u32| Rung {
-            word: sort_word(self.sort_value(record as usize)),
-            record,
-        };
-        let value = |rung: &Rung| self.sort_value(rung.record as usize);
-        ladder.clear();
-        ladder.extend((0..self.len() as u32).map(rung));
-        ladder.sort_unstable_by(|a, b| {
-            (a.word.cmp(&b.word))
-                .then_with(|| value(a).cmp(value(b)))
-                .then(a.record.cmp(&b.record))
-        });
+        let value = |record: u32| self.sort_value(record as usize);
+        fill_rungs(ladder, self.sorted.iter().copied(), value);
     }
 
     /// The padded key-bigram artifacts, built on first use and cached.
@@ -514,142 +517,130 @@ impl KeyIndex {
     }
 }
 
-/// Per-record **padded** key bigram sets (packed `u64`s, sorted,
-/// deduplicated) plus the inverted gram → records index bigram blocking
-/// probes. Grams replicate the classic padded-bigram convention of
+/// Per-record **padded** key bigram sets, as ids into one table of the
+/// index's distinct grams (packed `u64`s, sorted by value). Grams
+/// replicate the classic padded-bigram convention of
 /// [`classilink_segment::CharNGramSegmenter::padded_bigrams`] — the key
 /// `"ab"` yields `{#a, ab, b#}`, the empty key yields `{##}` — so the
 /// candidate sets are byte-identical to the string-based reference.
 ///
 /// Both sides of a bigram probe read the same index: the external side
 /// its records' sets as *gram ids* ([`id_set`](Self::id_set)), the local
-/// side the [`GramCounter`] derived from the posting lists on first use
+/// side the [`GramCounter`] counted out of the same id sets on first use
 /// ([`counter`](Self::counter)) — an index that is only ever probed
 /// *with* never builds one.
 #[derive(Debug, Default)]
 pub(crate) struct KeyBigramIndex {
-    /// Per-record bigram sets, flat, value-sorted; record `r` owns
-    /// `sets[set_offsets[r] .. set_offsets[r + 1]]`.
-    sets: Vec<u64>,
-    set_offsets: Vec<u32>,
-    /// The same sets as gram ids (indexes into `grams`, so ascending
-    /// too); shares `set_offsets` with `sets`.
+    /// Per-record gram-id sets, flat; record `r` owns
+    /// `id_sets[set_offsets[r] .. set_offsets[r + 1]]`, in the order its
+    /// key first reads each gram.
     id_sets: Vec<u32>,
-    /// Distinct grams over all records, sorted by value.
+    set_offsets: Vec<u32>,
+    /// Distinct grams over all records, sorted by value: position `i`
+    /// holds gram id `i`.
     grams: Vec<u64>,
-    /// Posting boundaries into `postings`, parallel to `grams`.
-    posting_offsets: Vec<u32>,
-    /// Record ids per gram, ascending within each gram.
-    postings: Vec<u32>,
     /// Largest per-record set size.
     max_set_len: u32,
     /// The local-side counting artifact, built on first use.
     counter: OnceLock<GramCounter>,
     /// Build scratch retained across [`rebuild`](Self::rebuild)s: the
-    /// flat (gram, record) inversion pairs.
-    scratch_pairs: Vec<(u64, u32)>,
-    /// Build scratch retained across rebuilds: each record's write
-    /// cursor into `id_sets`.
-    scratch_cursors: Vec<u32>,
+    /// interning map of the pass (gram → id in order of first reading).
+    interned: HashMap<u64, u32, GramHash>,
+    /// Build scratch retained across rebuilds, per first-reading id: the
+    /// last record that read the gram, then the gram's rank by value.
+    stamps: Vec<u32>,
 }
 
 /// The padding character of the classic bigram-blocking convention.
 const PAD: char = '#';
 
+/// The gram interner's hash: a folded multiply of the gram XOR a random
+/// per-index seed, which keeps crafted catalog values from colliding
+/// (SipHash cost about as much as the rest of the index build).
+#[derive(Clone, Default)]
+struct GramHash(u64);
+
+impl BuildHasher for GramHash {
+    type Hasher = GramHash;
+
+    fn build_hasher(&self) -> GramHash {
+        self.clone()
+    }
+}
+
+impl Hasher for GramHash {
+    fn write(&mut self, gram: &[u8]) {
+        let gram = u64::from_ne_bytes(gram.try_into().expect("a gram hashes as one u64"));
+        let product = u128::from(self.0 ^ gram) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 impl KeyBigramIndex {
     fn build(keys: &KeyIndex) -> Self {
-        let mut index = KeyBigramIndex::default();
+        let mut index = KeyBigramIndex {
+            interned: HashMap::with_hasher(GramHash(RandomState::new().hash_one(PAD))),
+            ..KeyBigramIndex::default()
+        };
         index.rebuild(keys);
         index
     }
 
-    /// Re-derive the sets and posting lists from `keys` **in place**,
-    /// retaining the capacity of every array (including the two build
-    /// scratch buffers), so a warm index whose backing [`KeyIndex`] was
-    /// [rebuilt](KeyIndex::rebuild) re-inverts without heap allocation
-    /// once its buffers fit the new contents. A built [`GramCounter`]
-    /// is dropped (it describes the old postings).
+    /// Re-derive the id sets and the gram table from `keys` **in place**,
+    /// keeping every buffer's capacity: a warm index re-reads its keys
+    /// without heap allocation. A built [`GramCounter`] is dropped.
     fn rebuild(&mut self, keys: &KeyIndex) {
         fn offset(n: usize) -> u32 {
             u32::try_from(n).expect("key bigram index exceeds u32::MAX entries")
         }
         self.counter.take();
-        self.sets.clear();
+        self.id_sets.clear();
         self.set_offsets.clear();
         self.set_offsets.push(0);
-        self.max_set_len = 0;
-        for record in 0..keys.len() {
-            let start = self.sets.len();
-            let key = keys.key(record);
-            if key.is_empty() {
-                // The padded window of an empty value is the pad pair
-                // itself — not "no grams" — matching the segmenter.
-                self.sets.push(pack_bigram(PAD, PAD));
-            } else {
-                let mut prev = PAD;
-                for c in key.chars() {
-                    self.sets.push(pack_bigram(prev, c));
-                    prev = c;
-                }
-                self.sets.push(pack_bigram(prev, PAD));
-            }
-            self.sets[start..].sort_unstable();
-            let deduped = {
-                let mut write = start;
-                for read in start..self.sets.len() {
-                    if write == start || self.sets[read] != self.sets[write - 1] {
-                        self.sets[write] = self.sets[read];
-                        write += 1;
-                    }
-                }
-                write
-            };
-            self.sets.truncate(deduped);
-            self.set_offsets.push(offset(self.sets.len()));
-            self.max_set_len = self.max_set_len.max(offset(deduped - start));
-        }
-
-        // One flat (gram, record) sort inverts the sets. Scanning it
-        // names the grams (a gram's id is its rank), yields every
-        // posting list already in record order, and scatters each id
-        // into its record's id set — ascending there too, because the
-        // scan meets a record's grams in value order.
-        self.scratch_pairs.clear();
-        for record in 0..keys.len() {
-            let range = self.set_offsets[record] as usize..self.set_offsets[record + 1] as usize;
-            let sets = &self.sets;
-            self.scratch_pairs
-                .extend(sets[range].iter().map(|&g| (g, record as u32)));
-        }
-        self.scratch_pairs.sort_unstable();
-        self.scratch_cursors.clear();
-        self.scratch_cursors
-            .extend_from_slice(&self.set_offsets[..keys.len()]);
-        self.id_sets.clear();
-        self.id_sets.resize(self.sets.len(), 0);
         self.grams.clear();
-        self.posting_offsets.clear();
-        self.postings.clear();
-        for &(gram, record) in &self.scratch_pairs {
-            if self.grams.last() != Some(&gram) {
-                self.grams.push(gram);
-                self.posting_offsets.push(offset(self.postings.len()));
+        self.max_set_len = 0;
+        self.interned.clear();
+        self.stamps.clear();
+        let (ids, grams, stamps) = (&mut self.interned, &mut self.grams, &mut self.stamps);
+        for record in 0..keys.len() {
+            let start = self.id_sets.len();
+            // The pad closes every key, so the empty key reads the pad
+            // pair itself — not "no grams" — matching the segmenter.
+            let mut prev = PAD;
+            for c in keys.key(record).chars().chain([PAD]) {
+                let gram = pack_bigram(prev, c);
+                prev = c;
+                let id = *ids.entry(gram).or_insert_with(|| {
+                    grams.push(gram);
+                    stamps.push(u32::MAX);
+                    offset(grams.len() - 1)
+                });
+                if stamps[id as usize] != record as u32 {
+                    stamps[id as usize] = record as u32;
+                    self.id_sets.push(id);
+                }
             }
-            let cursor = &mut self.scratch_cursors[record as usize];
-            self.id_sets[*cursor as usize] = offset(self.grams.len() - 1);
-            *cursor += 1;
-            self.postings.push(record);
+            self.set_offsets.push(offset(self.id_sets.len()));
+            self.max_set_len = self.max_set_len.max(offset(self.id_sets.len() - start));
         }
-        self.posting_offsets.push(offset(self.postings.len()));
-    }
-
-    /// Record `r`'s distinct padded key bigrams, sorted by value.
-    pub(crate) fn set(&self, record: usize) -> &[u64] {
-        &self.sets[self.set_offsets[record] as usize..self.set_offsets[record + 1] as usize]
+        // Rename the ids to their ranks by value: the probe merges two
+        // gram tables, so they must be value-sorted.
+        grams.sort_unstable();
+        for (rank, gram) in grams.iter().enumerate() {
+            stamps[ids[gram] as usize] = offset(rank);
+        }
+        for id in &mut self.id_sets {
+            *id = stamps[*id as usize];
+        }
     }
 
     /// Record `r`'s grams as ids into [`gram_values`](Self::gram_values),
-    /// ascending.
+    /// each once, in the order the key first reads them. No reader needs
+    /// an order: a probe adds the grams' rows, and sums are order-free.
     pub(crate) fn id_set(&self, record: usize) -> &[u32] {
         &self.id_sets[self.set_offsets[record] as usize..self.set_offsets[record + 1] as usize]
     }
@@ -659,12 +650,6 @@ impl KeyBigramIndex {
     /// speaks.
     pub(crate) fn gram_values(&self) -> &[u64] {
         &self.grams
-    }
-
-    /// The ids of every record whose key contains gram id `id`,
-    /// ascending.
-    fn posting_list(&self, id: usize) -> &[u32] {
-        &self.postings[self.posting_offsets[id] as usize..self.posting_offsets[id + 1] as usize]
     }
 
     /// Largest per-record gram-set size.
@@ -679,7 +664,7 @@ impl KeyBigramIndex {
     }
 }
 
-/// Below this document frequency a gram stays a posting list however
+/// Below this document frequency a gram stays a position list however
 /// small the index: a bitmap row is one word at least.
 const MIN_DENSE_DF: usize = 8;
 
@@ -693,12 +678,12 @@ const MIN_DENSE_DF: usize = 8;
 /// record id), so the records a sharing rule `required(min(a, size))`
 /// treats alike are one contiguous position range. Each gram is then
 /// either a **bitmap row** over positions or, below the dense cut-off
-/// `max(⌈N/64⌉, 8)`, its position-sorted **posting list**. The cut-off
+/// `max(⌈N/64⌉, 8)`, its ascending **position list**. The cut-off
 /// is derived, not tuned: from there on a row averages at least one
-/// posting a word (adding the row touches no more words than walking
-/// the list touches postings) and its 8·⌈N/64⌉ bytes are at most 8 per
-/// posting.
-#[derive(Debug, Default)]
+/// position a word (adding the row touches no more words than walking
+/// the list touches positions) and its 8·⌈N/64⌉ bytes are at most 8 per
+/// position.
+#[derive(Debug, PartialEq)]
 pub(crate) struct GramCounter {
     /// Words in a bitmap row (and in a probe's counter plane): `⌈N/64⌉`.
     words: usize,
@@ -716,7 +701,7 @@ pub(crate) struct GramCounter {
     sparse: Vec<u32>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum GramSlot {
     /// Row number in `rows`.
     Row(u32),
@@ -733,52 +718,67 @@ pub(crate) enum GramPositions<'a> {
 }
 
 impl GramCounter {
+    /// Count the counter out of `index`'s id sets, sorting nothing: the
+    /// scatter walks the positions in order, so every list comes out sorted.
     fn build(index: &KeyBigramIndex) -> Self {
         let records = index.set_offsets.len() - 1;
         let words = records.div_ceil(64);
-        // Counting sort by set size; equal sizes keep record order.
+        let size = |record: usize| index.id_set(record).len();
+        // Counting sort by set size, equal sizes in record order; and per
+        // gram id its document frequency.
         let mut size_start = vec![0u32; index.max_set_len as usize + 2];
+        let mut df = vec![0u32; index.grams.len()];
         for record in 0..records {
-            size_start[index.set(record).len() + 1] += 1;
+            size_start[size(record) + 1] += 1;
+            for &id in index.id_set(record) {
+                df[id as usize] += 1;
+            }
         }
         for m in 1..size_start.len() {
             size_start[m] += size_start[m - 1];
         }
         let mut next = size_start.clone();
-        let mut position_of = vec![0u32; records];
         let mut record_of = vec![0u32; records];
         for record in 0..records {
-            let slot = &mut next[index.set(record).len()];
-            position_of[record] = *slot;
+            let slot = &mut next[size(record)];
             record_of[*slot as usize] = record as u32;
             *slot += 1;
         }
+        // In id order, each gram's row, or its list's range — empty until
+        // the scatter extends it.
+        let cut_off = words.max(MIN_DENSE_DF);
+        let (mut rows, mut listed) = (0, 0);
+        let slots = df
+            .into_iter()
+            .map(|df| {
+                if df as usize >= cut_off {
+                    rows += 1;
+                    GramSlot::Row(rows - 1)
+                } else {
+                    listed += df;
+                    GramSlot::List(listed - df, listed - df)
+                }
+            })
+            .collect();
         let mut counter = GramCounter {
             words,
             record_of,
             size_start,
-            ..GramCounter::default()
+            slots,
+            rows: vec![0; rows as usize * words],
+            sparse: vec![0; listed as usize],
         };
-        let cut_off = words.max(MIN_DENSE_DF);
-        for id in 0..index.grams.len() {
-            let positions = index
-                .posting_list(id)
-                .iter()
-                .map(|&record| position_of[record as usize]);
-            if positions.len() >= cut_off {
-                let row = counter.rows.len();
-                counter.rows.resize(row + words, 0);
-                for position in positions {
-                    counter.rows[row + position as usize / 64] |= 1 << (position % 64);
+        for (position, &record) in counter.record_of.iter().enumerate() {
+            for &id in index.id_set(record as usize) {
+                match &mut counter.slots[id as usize] {
+                    GramSlot::Row(row) => {
+                        counter.rows[*row as usize * words + position / 64] |= 1 << (position % 64)
+                    }
+                    GramSlot::List(_, end) => {
+                        counter.sparse[*end as usize] = position as u32;
+                        *end += 1;
+                    }
                 }
-                counter.slots.push(GramSlot::Row((row / words) as u32));
-            } else {
-                let start = counter.sparse.len();
-                counter.sparse.extend(positions);
-                counter.sparse[start..].sort_unstable();
-                counter
-                    .slots
-                    .push(GramSlot::List(start as u32, counter.sparse.len() as u32));
             }
         }
         counter
@@ -1001,8 +1001,8 @@ mod tests {
         }
 
         /// The ladder orders the records by (sort value, id) and carries
-        /// each slot's word — as built, and after an in-place rebuild over
-        /// other contents.
+        /// each slot's word, and the key table orders them by (key, id) —
+        /// as built, and after an in-place rebuild over other contents.
         #[test]
         fn ladder_words_follow_their_slots_through_a_rebuild() {
             let check = |index: &KeyIndex| {
@@ -1014,6 +1014,9 @@ mod tests {
                 }
                 let slot = |rung: &Rung| (index.sort_value(rung.record as usize), rung.record);
                 assert!(ladder.windows(2).all(|w| slot(&w[0]) < slot(&w[1])));
+                let keyed = |r: u32| (index.key(r as usize), r);
+                let sorted = index.sorted_records();
+                assert!(sorted.windows(2).all(|w| keyed(w[0]) < keyed(w[1])));
             };
             let store = store_of(VALUES);
             let mut index =
@@ -1045,82 +1048,66 @@ mod tests {
             }
         }
 
-        /// The packed `u64` key bigram sets replicate the segmenter's
-        /// padded-bigram convention record by record.
-        #[test]
-        fn bigram_sets_match_the_padded_segmenter() {
-            let store = store_of(VALUES);
-            let segmenter = CharNGramSegmenter::padded_bigrams();
-            let side = BlockingKey::shared(PN, 0).external_side(&store);
-            let index = KeyIndex::build(&store, &side);
-            let bigrams = index.bigram_index();
-            for r in 0..store.len() {
-                let mut expected: Vec<u64> = segmenter
-                    .split_distinct(&side.key(&store, r))
-                    .iter()
-                    .map(|gram| {
-                        let mut chars = gram.chars();
-                        let (a, b) = (chars.next().unwrap(), chars.next().unwrap());
-                        assert!(chars.next().is_none(), "bigram {gram:?} not 2 chars");
-                        pack_bigram(a, b)
-                    })
-                    .collect();
-                expected.sort_unstable();
-                assert_eq!(bigrams.set(r), expected, "record {r}");
-            }
+        /// A gram's records by brute force: the keys that contain it.
+        fn posting_list(sets: &[Vec<u64>], gram: u64) -> Vec<u32> {
+            (0..sets.len() as u32)
+                .filter(|&r| sets[r as usize].contains(&gram))
+                .collect()
         }
 
-        /// The gram table, the id sets and the posting lists are three
-        /// views of one inversion.
-        #[test]
-        fn postings_invert_the_sets() {
-            let store = store_of(VALUES);
-            let side = BlockingKey::shared(PN, 0).external_side(&store);
-            let index = KeyIndex::build(&store, &side);
+        /// Check `index`'s bigram index and counter against the naive
+        /// reference: every key's padded bigrams through the segmenter,
+        /// and posting lists found by brute force. Returns the rows and
+        /// lists the counter holds.
+        fn check_bigrams(index: &KeyIndex) -> (usize, usize) {
+            let segmenter = CharNGramSegmenter::padded_bigrams();
+            let sets: Vec<Vec<u64>> = (0..index.len())
+                .map(|r| {
+                    let mut set: Vec<u64> = segmenter
+                        .split_distinct(index.key(r))
+                        .iter()
+                        .map(|gram| {
+                            let mut chars = gram.chars();
+                            let (a, b) = (chars.next().unwrap(), chars.next().unwrap());
+                            assert!(chars.next().is_none(), "bigram {gram:?} not 2 chars");
+                            pack_bigram(a, b)
+                        })
+                        .collect();
+                    set.sort_unstable();
+                    set
+                })
+                .collect();
             let bigrams = index.bigram_index();
             let grams = bigrams.gram_values();
-            assert!(grams.windows(2).all(|w| w[0] < w[1]));
-            let mut max_seen = 0;
-            for r in 0..store.len() {
-                let values: Vec<u64> = bigrams
+            let mut expected = sets.concat();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(grams, expected, "gram table");
+            for (r, set) in sets.iter().enumerate() {
+                let mut values: Vec<u64> = bigrams
                     .id_set(r)
                     .iter()
                     .map(|&id| grams[id as usize])
                     .collect();
-                assert_eq!(values, bigrams.set(r), "record {r}");
-                max_seen = max_seen.max(values.len() as u32);
+                values.sort_unstable();
+                assert_eq!(&values, set, "record {r}: {:?}", index.key(r));
             }
-            assert_eq!(bigrams.max_set_len(), max_seen);
-            for (id, gram) in grams.iter().enumerate() {
-                let expected: Vec<u32> = (0..store.len() as u32)
-                    .filter(|&r| bigrams.set(r as usize).contains(gram))
-                    .collect();
-                assert_eq!(bigrams.posting_list(id), expected, "gram id {id}");
-            }
-        }
+            let max = sets.iter().map(Vec::len).max().unwrap_or(0);
+            assert_eq!(bigrams.max_set_len() as usize, max);
 
-        /// Positions ascend by (set size, record id), and every gram's
-        /// row or list holds exactly its posting list's positions —
-        /// rows from the dense cut-off on, lists below it.
-        #[test]
-        fn counter_renumbers_the_postings_by_set_size() {
-            // 70 records (two words): "ab" is in all of them, "b0" in
-            // the 7 keys "ab0", "ab0x0", ….
-            let values: Vec<String> = (0..70)
-                .map(|i| format!("ab{}{}", i % 10, "x0".repeat(i % 4)))
-                .collect();
-            let store = store_of(&values.iter().map(String::as_str).collect::<Vec<_>>());
-            let side = BlockingKey::shared(PN, 0).external_side(&store);
-            let index = KeyIndex::build(&store, &side);
-            let bigrams = index.bigram_index();
+            // Positions ascend by (set size, record id), and every gram's
+            // row or list holds exactly its posting list's positions —
+            // rows from the dense cut-off on, lists below it.
             let counter = bigrams.counter();
-            assert_eq!(counter.words(), 2);
-            let size = |r: u32| bigrams.set(r as usize).len();
+            let words = index.len().div_ceil(64);
+            assert_eq!(counter.words(), words);
+            let size = |r: u32| sets[r as usize].len();
             let record_of = counter.record_of();
+            assert_eq!(record_of.len(), index.len());
             assert!(record_of
                 .windows(2)
                 .all(|w| (size(w[0]), w[0]) < (size(w[1]), w[1])));
-            for m in 0..=bigrams.max_set_len() as usize + 3 {
+            for m in 0..=max + 3 {
                 assert_eq!(
                     counter.first_of_size(m),
                     record_of.iter().filter(|&&r| size(r) < m).count(),
@@ -1128,11 +1115,13 @@ mod tests {
                 );
             }
             let (mut rows, mut lists) = (0, 0);
-            for id in 0..bigrams.gram_values().len() {
+            for (id, &gram) in grams.iter().enumerate() {
+                let postings = posting_list(&sets, gram);
+                let dense = postings.len() >= words.max(MIN_DENSE_DF);
                 let mut records: Vec<u32> = match counter.gram(id) {
                     GramPositions::Row(row) => {
                         rows += 1;
-                        assert!(bigrams.posting_list(id).len() >= MIN_DENSE_DF);
+                        assert!(dense, "gram id {id}: a row below the cut-off");
                         (0..record_of.len())
                             .filter(|p| row[p / 64] >> (p % 64) & 1 == 1)
                             .map(|p| record_of[p])
@@ -1140,15 +1129,137 @@ mod tests {
                     }
                     GramPositions::List(list) => {
                         lists += 1;
-                        assert!(bigrams.posting_list(id).len() < MIN_DENSE_DF);
-                        assert!(list.windows(2).all(|w| w[0] < w[1]));
+                        assert!(!dense, "gram id {id}: a list from the cut-off on");
+                        assert!(list.windows(2).all(|w| w[0] < w[1]), "gram id {id}");
                         list.iter().map(|&p| record_of[p as usize]).collect()
                     }
                 };
                 records.sort_unstable();
-                assert_eq!(records, bigrams.posting_list(id), "gram id {id}");
+                assert_eq!(records, postings, "gram id {id}");
             }
-            assert!(rows > 0 && lists > 0, "{rows} rows, {lists} lists");
+            (rows, lists)
+        }
+
+        /// Keys with the shapes a counting pass must get right, before
+        /// `filler` numbered ones: grams repeated within one key, the
+        /// empty key (with and without a value), non-ASCII keys; then
+        /// one gram (`kq`) at document frequency `cut_off − 1` and one
+        /// (`mz`) at `cut_off`.
+        fn edge_values(records: usize, cut_off: usize) -> Vec<String> {
+            let shapes = ["aaaa", "abab", "", "", "İSTANBUL-42", "ÄÖü-ßß", "x"];
+            (0..records)
+                .map(|i| match shapes.get(i) {
+                    Some(shape) => shape.to_string(),
+                    None => format!(
+                        "{i}{}{}",
+                        if i < shapes.len() + cut_off - 1 {
+                            "/kq"
+                        } else {
+                            ""
+                        },
+                        if i < shapes.len() + cut_off {
+                            "/mz"
+                        } else {
+                            ""
+                        }
+                    ),
+                })
+                .collect()
+        }
+
+        fn store_of_strings(values: &[String]) -> RecordStore {
+            store_of(&values.iter().map(String::as_str).collect::<Vec<_>>())
+        }
+
+        /// The gram table and the id sets replicate the segmenter's
+        /// padded-bigram convention record by record, at a full and at a
+        /// truncated key.
+        #[test]
+        fn bigram_sets_match_the_padded_segmenter() {
+            let values = [VALUES, &["aaaa", "abab", "ÄÖü-ßß", "aaaa"]].concat();
+            let store = store_of(&values);
+            for prefix in [0, 3] {
+                let index = KeyIndex::build(
+                    &store,
+                    &BlockingKey::shared(PN, prefix).external_side(&store),
+                );
+                check_bigrams(&index);
+            }
+        }
+
+        /// Shards on both sides of a word boundary (63 / 64 / 65 records)
+        /// and one whose cut-off is its word count (600 records, 10
+        /// words): every gram's row or list matches its brute-force
+        /// posting list, and the grams at `cut_off − 1` and `cut_off` fall
+        /// on either side.
+        #[test]
+        fn counter_matches_the_naive_posting_lists() {
+            for records in [63usize, 64, 65, 600] {
+                let cut_off = records.div_ceil(64).max(MIN_DENSE_DF);
+                let store = store_of_strings(&edge_values(records, cut_off));
+                let index =
+                    KeyIndex::build(&store, &BlockingKey::shared(PN, 0).external_side(&store));
+                let (rows, lists) = check_bigrams(&index);
+                assert!(
+                    rows > 0 && lists > 0,
+                    "{records}: {rows} rows, {lists} lists"
+                );
+                let bigrams = index.bigram_index();
+                let id = |gram| bigrams.gram_values().binary_search(&gram).unwrap();
+                let counter = bigrams.counter();
+                assert!(matches!(
+                    counter.gram(id(pack_bigram('k', 'q'))),
+                    GramPositions::List(list) if list.len() == cut_off - 1
+                ));
+                assert!(matches!(
+                    counter.gram(id(pack_bigram('m', 'z'))),
+                    GramPositions::Row(_)
+                ));
+            }
+        }
+
+        /// A warm bigram index and counter rebuilt in place over other
+        /// contents equal a fresh build of those contents: gram table, id
+        /// sets and counter — nothing of the retained stamps or interning
+        /// map leaks from one build into the next.
+        #[test]
+        fn bigram_index_follows_a_rebuild() {
+            let side = |store: &RecordStore| BlockingKey::shared(PN, 0).external_side(store);
+            let first = store_of_strings(&edge_values(65, 8));
+            let mut index = KeyIndex::build(&first, &side(&first));
+            index.bigram_index().counter();
+            let contents = [
+                edge_values(63, 8).into_iter().rev().collect(),
+                vec!["ba".to_string(), "ab".to_string(), "aaaa".to_string()],
+                edge_values(130, 3),
+            ];
+            for values in &contents {
+                let store = store_of_strings(values);
+                index.rebuild(&store, &side(&store));
+                let bigrams = index.bigrams.get().expect("a built index is rebuilt");
+                assert!(
+                    bigrams.counter.get().is_none(),
+                    "the old counter is dropped"
+                );
+                check_bigrams(&index);
+                let fresh = KeyIndex::build(&store, &side(&store));
+                assert_eq!(index.sorted_records(), fresh.sorted_records());
+                let (warm, fresh) = (index.bigram_index(), fresh.bigram_index());
+                assert_eq!(warm.gram_values(), fresh.gram_values());
+                for r in 0..store.len() {
+                    let as_set = |ids: &[u32]| {
+                        let mut ids = ids.to_vec();
+                        ids.sort_unstable();
+                        ids
+                    };
+                    assert_eq!(
+                        as_set(warm.id_set(r)),
+                        as_set(fresh.id_set(r)),
+                        "record {r}"
+                    );
+                }
+                assert_eq!(warm.counter(), fresh.counter());
+            }
         }
     }
 

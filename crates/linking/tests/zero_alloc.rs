@@ -474,7 +474,7 @@ fn warm_probe_never_allocates() {
     // sharded.
     let (external, _) = stores();
     let probes: Vec<Record> = (0..6).map(|e| external.record(e)).collect();
-    let varied: Vec<Record> = [3usize, 0, 1, 2, 3, 1]
+    let mut varied: Vec<Record> = [3usize, 0, 1, 2, 3, 1]
         .iter()
         .enumerate()
         .map(|(i, &values)| {
@@ -488,6 +488,13 @@ fn warm_probe_never_allocates() {
             r
         })
         .collect();
+    // A key that repeats one gram (the bigram index drops the repeats)
+    // and a provider with no key value at all (its key is empty).
+    let mut repeated = Record::new(Term::iri("http://provider.e.org/varied/repeated"));
+    repeated.add(EXT_PN, "00000000");
+    let mut keyless = Record::new(Term::iri("http://provider.e.org/varied/keyless"));
+    keyless.add(EXT_MFR, "Vishay");
+    varied.extend([repeated, keyless]);
     let cmp = probe_comparator(2.0, 2.0);
     let sorted_cmp = probe_comparator_without_fallback(2.0, 2.0);
     let standard = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
