@@ -62,11 +62,15 @@
 //!   value (nine in ten of a standard block under `jw95`). *Exact count*:
 //!   for the pairs that remain, and for every later rule, the hoist's
 //!   per-symbol position masks of each left value (built once per block)
-//!   give `m` itself in one branch-free pass over the right value. Either
-//!   way only ASCII values of at most 64 bytes are bounded; anything else
-//!   runs its kernel. A value pair whose bound misses the needed similarity
-//!   — or cannot beat the rule's best pairing so far — skips its kernel; a
-//!   rule whose best pairing misses the need ends the pair as `NonMatch`.
+//!   give `m` itself in one branch-free pass over the right value. Under a
+//!   Jaro or Jaro-Winkler rule, when the right value is ASCII and at most
+//!   64 bytes too, that pass is the Jaro kernel's own: it also finds the
+//!   windowed matches, so a pair that passes its bound is scored from them
+//!   with no second pass. Either way only ASCII values of at most 64 bytes
+//!   are bounded; anything else runs its kernel. A value pair whose bound
+//!   misses the needed similarity — or cannot beat the rule's best pairing
+//!   so far — skips its kernel; a rule whose best pairing misses the need
+//!   ends the pair as `NonMatch`.
 //! * **What stays exact.** Every `Match`/`Possible` pair keeps its score
 //!   bit for bit (a skipped value pair could not have been the best
 //!   pairing of a pair that reaches the threshold); a filtered `NonMatch`
@@ -78,6 +82,7 @@
 
 use crate::blocking::LocalRun;
 use crate::intern::PropertyId;
+use crate::similarity::jaro::JaroPass;
 use crate::similarity::scratch::SimScratch;
 use crate::similarity::symbols::{
     shared_symbols, symbol_masks, Signature, SymbolTable, SIGNATURE_MAX_LEN,
@@ -253,10 +258,14 @@ impl RecordComparator {
 enum Kernel {
     /// A scratch-buffer string kernel (edit/Jaro family) and its upper
     /// bound for two ASCII values given, in this order, how many symbols
-    /// they share, their byte lengths and their common prefix.
+    /// they share, their byte lengths and their common prefix. A Jaro
+    /// kernel also reads its value off the [`JaroPass`] that counted those
+    /// symbols (`eval`'s value, bit for bit); the edit kernels have no
+    /// `from_pass`.
     Str {
         eval: fn(&mut SimScratch, &str, &str) -> f64,
         bound: fn(u32, usize, usize, u32) -> f64,
+        from_pass: Option<fn(&JaroPass, &str, &str) -> f64>,
     },
     /// A precomputed-token-set kernel (Jaccard/Dice/Monge-Elkan family).
     Set(SetKernel),
@@ -281,18 +290,22 @@ impl Kernel {
             SimilarityMeasure::Levenshtein => Kernel::Str {
                 eval: levenshtein_similarity_with,
                 bound: edit_similarity_bound_at,
+                from_pass: None,
             },
             SimilarityMeasure::DamerauLevenshtein => Kernel::Str {
                 eval: damerau_levenshtein_similarity_with,
                 bound: edit_similarity_bound_at,
+                from_pass: None,
             },
             SimilarityMeasure::Jaro => Kernel::Str {
                 eval: jaro_with,
                 bound: jaro_bound_at,
+                from_pass: Some(JaroPass::jaro),
             },
             SimilarityMeasure::JaroWinkler => Kernel::Str {
                 eval: jaro_winkler_with,
                 bound: jaro_winkler_bound_at,
+                from_pass: Some(JaroPass::jaro_winkler),
             },
             SimilarityMeasure::JaccardTokens => Kernel::Set(SetKernel::JaccardTokens),
             SimilarityMeasure::JaccardChars => Kernel::Set(SetKernel::JaccardBigrams),
@@ -770,8 +783,14 @@ impl CompiledComparator<'_> {
     /// `NonMatch` is that its score is below the non-match threshold.
     /// `score`/`compare` never skip and stay the exact reference.
     ///
+    /// Under a Jaro or Jaro-Winkler rule, a value pair whose left value
+    /// has masks and whose right value is ASCII and at most 64 bytes is
+    /// bounded and scored from one pass over the right value: the pass
+    /// that counts the shared symbols also finds the Jaro matches. Its
+    /// kernel is not called; its value is the kernel's, bit for bit.
+    ///
     /// `scratch`'s `kernel_calls` / `bound_exits` count the value pairs
-    /// that ran their kernel / were skipped by the bound.
+    /// that were scored / were skipped by the bound.
     pub fn score_hoisted(
         &self,
         hoist: &LeftHoist<'_>,
@@ -812,7 +831,11 @@ impl CompiledComparator<'_> {
             });
             let mut best = 0.0f64;
             match *kernel {
-                Kernel::Str { eval, bound } => {
+                Kernel::Str {
+                    eval,
+                    bound,
+                    from_pass,
+                } => {
                     let tables = &hoist.masks[hoist.mask_offsets[rule_index] as usize..]
                         [..left_values.len()];
                     for (i, table) in tables.iter().enumerate() {
@@ -823,7 +846,19 @@ impl CompiledComparator<'_> {
                         let table = table.as_ref().filter(|_| needed > 0.0);
                         for j in 0..right_values.len() {
                             let rv = right_values.get(j);
-                            if let Some(shared) = table.and_then(|t| shared_symbols(t, rv)) {
+                            // One pass over the right value counts the
+                            // shared symbols; under a Jaro rule, when the
+                            // right value fits a table too, the same pass
+                            // finds the matches its kernel would.
+                            let (shared, pass) = match (table, from_pass) {
+                                (Some(t), Some(score)) if rv.len() <= SIGNATURE_MAX_LEN => {
+                                    let pass = JaroPass::run(t, lv.len(), rv.as_bytes());
+                                    (pass.map(|p| p.shared), pass.map(|p| (p, score)))
+                                }
+                                (Some(t), _) => (shared_symbols(t, rv), None),
+                                (None, _) => (None, None),
+                            };
+                            if let Some(shared) = shared {
                                 // Not worth its kernel either: a value pair
                                 // that cannot beat the best pairing so far —
                                 // by the same margin, so that rounding can
@@ -836,7 +871,10 @@ impl CompiledComparator<'_> {
                                 }
                             }
                             scratch.kernel_calls += 1;
-                            best = best.max(eval(scratch, lv, rv));
+                            best = best.max(match pass {
+                                Some((pass, score)) => score(&pass, lv, rv),
+                                None => eval(scratch, lv, rv),
+                            });
                         }
                     }
                 }

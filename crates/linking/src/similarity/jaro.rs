@@ -4,142 +4,125 @@
 //! for the 1985 Tampa census matching (reference \[5\] of the paper); the
 //! Winkler variant boosts strings sharing a common prefix.
 //!
-//! The `*_with(scratch, a, b)` kernels reuse a [`SimScratch`]'s match
-//! bitmap and buffers (plus an ASCII byte fast path and equal/empty
-//! early exits) and are bit-identical to the naive reference versions in
-//! [`crate::similarity::naive`].
+//! The `*_with(scratch, a, b)` kernels borrow their working memory from a
+//! [`SimScratch`], exit early on equal or empty inputs and are
+//! bit-identical to the naive reference versions in
+//! [`crate::similarity::naive`]. Two ASCII strings of at most 64 bytes —
+//! nearly every attribute value — take the one bit-parallel path: `a`'s
+//! per-byte position masks, then a single pass over `b` (`JaroPass`). The
+//! comparator's block path runs that same pass against the masks it
+//! hoisted for the block's left value, where it also yields the
+//! shared-symbol count the bound needs. Any other pair runs a scan over
+//! decoded symbols.
 
 use super::scratch::SimScratch;
+use super::symbols::{SymbolTable, SIGNATURE_MAX_LEN};
 
-/// The Jaro score formula, shared by the two bitmap strategies:
-/// `matches` holds a's matched symbols, `mismatched` the number of
+/// The Jaro score formula: `m` matches, `mismatched` the number of
 /// positions where a's and b's matched sequences disagree.
-fn jaro_score(a_len: usize, b_len: usize, matches: &[u32], mismatched: usize) -> f64 {
+fn jaro_score(a_len: usize, b_len: usize, m: usize, mismatched: usize) -> f64 {
     let transpositions = mismatched as f64 / 2.0;
-    let m = matches.len() as f64;
+    let m = m as f64;
     (m / a_len as f64 + m / b_len as f64 + (m - transpositions) / m) / 3.0
 }
 
-/// Bit-parallel Jaro matching for ASCII byte slices with `|b| ≤ 64`:
-/// one pass over `b` builds per-byte position masks, then each `a[i]`
-/// resolves its match with three bitwise ops — `positions[a[i]] ∧
-/// window ∧ ¬matched` — and takes the **lowest** set bit, which is
-/// exactly the naive scan's "first unmatched equal position in the
-/// window" rule, so matches, their order, and the transposition count
-/// are identical to the reference implementation.
-fn jaro_ascii_bitparallel(
-    positions: &mut Vec<u64>,
-    matches: &mut Vec<u32>,
-    a: &[u8],
-    b: &[u8],
-) -> f64 {
-    debug_assert!(b.len() <= 64);
-    if positions.is_empty() {
-        positions.resize(256, 0);
-    }
-    for (j, &cb) in b.iter().enumerate() {
-        positions[cb as usize] |= 1u64 << j;
-    }
-    let match_window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_matched: u64 = 0;
-    matches.clear();
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(match_window);
-        let hi = (i + match_window + 1).min(b.len());
-        if lo >= hi {
-            continue;
-        }
-        let window = (u64::MAX >> (64 - (hi - lo))) << lo;
-        let available = positions[ca as usize] & window & !b_matched;
-        if available != 0 {
-            b_matched |= available & available.wrapping_neg(); // lowest bit
-            matches.push(ca as u32);
-        }
-    }
-    // Restore the zeroed-between-calls invariant (duplicates are fine:
-    // zeroing is idempotent).
-    for &cb in b {
-        positions[cb as usize] = 0;
-    }
-    if matches.is_empty() {
-        return 0.0;
-    }
-    let mut mismatched = 0usize;
-    let mut next_match = 0usize;
-    let mut mask = b_matched;
-    while mask != 0 {
-        let j = mask.trailing_zeros() as usize;
-        mask &= mask - 1;
-        if u32::from(b[j]) != matches[next_match] {
-            mismatched += 1;
-        }
-        next_match += 1;
-    }
-    jaro_score(a.len(), b.len(), matches, mismatched)
+/// One pass of a right string `b` over the [`SymbolTable`] of a left
+/// string `a`, both ASCII and at most 64 bytes: per byte `b[j]`, with
+/// `t = table[b[j]]`, two independent bit chains.
+///
+/// * **Shared symbols.** `b[j]` claims the lowest position of `t` not yet
+///   claimed, anywhere in `a`: the count of claims is the multiset
+///   intersection of the two strings' symbols, the count
+///   [`shared_symbols`](super::symbols::shared_symbols) returns.
+/// * **Jaro matches.** `b[j]` matches the lowest position of `t` inside
+///   its window `[j − w, j + w]` not yet matched. This is the naive scan
+///   with the roles turned around — there each `a[i]` takes the lowest
+///   free `b` position in its window — and it picks the same matched
+///   positions on both sides, so the match count and the transpositions
+///   (the two matched sequences paired in order) are the reference's.
+///
+/// Nothing is written but the three words.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JaroPass {
+    /// The multiset intersection of the two strings' symbols.
+    pub(crate) shared: u32,
+    /// Bit `i` set iff `a[i]` is matched.
+    a_matched: u64,
+    /// Bit `j` set iff `b[j]` is matched.
+    b_matched: u64,
 }
 
-/// Jaro over symbol slices with the right side's "already matched"
-/// bitmap packed into one `u64` — the fast path for `|b| ≤ 64`, which
-/// covers essentially every attribute value. Bit-identical to the
-/// `Vec<bool>` strategy: same window scan, same first-free-match rule,
-/// same in-order transposition pairing.
-fn jaro_symbols_bitmask<T: Copy + PartialEq + Into<u32>>(
-    matches: &mut Vec<u32>,
-    a: &[T],
-    b: &[T],
-) -> f64 {
-    debug_assert!(b.len() <= 64);
-    let match_window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_matched: u64 = 0;
-    matches.clear();
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(match_window);
-        let hi = (i + match_window + 1).min(b.len());
-        if lo >= hi {
-            // a's tail lies beyond b's window entirely.
-            continue;
+impl JaroPass {
+    /// `b`'s pass over `table`, the masks of an ASCII `a` of `a_len` bytes;
+    /// `None` when `b` is not ASCII. Both lengths are at most 64.
+    #[inline]
+    pub(crate) fn run(table: &SymbolTable, a_len: usize, b: &[u8]) -> Option<JaroPass> {
+        debug_assert!(a_len <= SIGNATURE_MAX_LEN && b.len() <= SIGNATURE_MAX_LEN);
+        let w = (a_len.max(b.len()) / 2).saturating_sub(1);
+        // `b[j]`'s window over `a` — positions `[j − w, j + w]` — slides up
+        // one position a byte; its low end stays at 0 for the first `w`
+        // bytes. `w ≤ 31`, and bits past `a`'s end meet no table bit.
+        let mut window = (2u64 << w) - 1;
+        let (mut claimed, mut a_matched, mut b_matched, mut seen) = (0u64, 0u64, 0u64, 0u8);
+        for (j, &c) in b.iter().enumerate() {
+            let t = table[(c & 0x7f) as usize];
+            let free = t & !claimed;
+            claimed |= free & free.wrapping_neg(); // lowest set bit, or 0
+            let available = t & window & !a_matched;
+            a_matched |= available & available.wrapping_neg();
+            b_matched |= u64::from(available != 0) << j;
+            window = window << 1 | u64::from(j < w);
+            seen |= c;
         }
-        for (offset, &cb) in b[lo..hi].iter().enumerate() {
-            let j = lo + offset;
-            if b_matched & (1u64 << j) == 0 && cb == ca {
-                b_matched |= 1u64 << j;
-                matches.push(ca.into());
-                break;
-            }
+        seen.is_ascii().then_some(JaroPass {
+            shared: claimed.count_ones(),
+            a_matched,
+            b_matched,
+        })
+    }
+
+    /// The Jaro similarity of the pair the pass ran on: [`jaro_with`]'s
+    /// value, bit for bit.
+    pub(crate) fn jaro(&self, a: &str, b: &str) -> f64 {
+        let (a, b) = (a.as_bytes(), b.as_bytes());
+        if self.a_matched == 0 {
+            // No match; two empty strings are equal.
+            return if a.is_empty() && b.is_empty() {
+                1.0
+            } else {
+                0.0
+            };
         }
-    }
-    if matches.is_empty() {
-        return 0.0;
-    }
-    // Count transpositions: walk b's matched symbols in b order (set
-    // bits, ascending) and compare against a's matches.
-    let mut mismatched = 0usize;
-    let mut next_match = 0usize;
-    let mut mask = b_matched;
-    while mask != 0 {
-        let j = mask.trailing_zeros() as usize;
-        mask &= mask - 1;
-        if b[j].into() != matches[next_match] {
-            mismatched += 1;
+        // Pair the matched symbols in order: a's in a order, b's in b order.
+        let (mut a_left, mut b_left, mut mismatched) = (self.a_matched, self.b_matched, 0);
+        while a_left != 0 {
+            let (i, j) = (a_left.trailing_zeros(), b_left.trailing_zeros());
+            mismatched += usize::from(a[i as usize] != b[j as usize]);
+            a_left &= a_left - 1;
+            b_left &= b_left - 1;
         }
-        next_match += 1;
+        let m = self.a_matched.count_ones() as usize;
+        jaro_score(a.len(), b.len(), m, mismatched)
     }
-    jaro_score(a.len(), b.len(), matches, mismatched)
+
+    /// The Jaro-Winkler similarity of the pair the pass ran on:
+    /// [`jaro_winkler_with`]'s value, bit for bit.
+    pub(crate) fn jaro_winkler(&self, a: &str, b: &str) -> f64 {
+        winkler_boost(self.jaro(a, b), common_prefix(a, b))
+    }
 }
 
 /// Jaro over decoded symbol slices, with the match bitmap and the
-/// matched-symbol buffer borrowed from the scratch (the general path
-/// for right strings longer than 64 symbols). Symbols are widened
-/// to `u32` so byte and char inputs share one implementation.
+/// matched-symbol buffer borrowed from the scratch: every pair the
+/// bit-parallel pass does not take (a side that is not ASCII, or one over
+/// 64 bytes). Symbols are widened to `u32` so byte and char inputs share
+/// one implementation.
 fn jaro_symbols<T: Copy + PartialEq + Into<u32>>(
     b_matched: &mut Vec<bool>,
     matches: &mut Vec<u32>,
     a: &[T],
     b: &[T],
 ) -> f64 {
-    if b.len() <= 64 {
-        return jaro_symbols_bitmask(matches, a, b);
-    }
     let match_window = (a.len().max(b.len()) / 2).saturating_sub(1);
     b_matched.clear();
     b_matched.resize(b.len(), false);
@@ -171,11 +154,11 @@ fn jaro_symbols<T: Copy + PartialEq + Into<u32>>(
             next_match += 1;
         }
     }
-    jaro_score(a.len(), b.len(), matches, mismatched)
+    jaro_score(a.len(), b.len(), matches.len(), mismatched)
 }
 
 /// The Jaro similarity between two strings, in `[0, 1]`, using `scratch`
-/// for the match bitmap and buffers.
+/// for the mask table, the match bitmap and buffers.
 pub fn jaro_with(scratch: &mut SimScratch, a: &str, b: &str) -> f64 {
     if a == b {
         // Covers two empty strings (1.0 by convention) and the common
@@ -190,15 +173,24 @@ pub fn jaro_with(scratch: &mut SimScratch, a: &str, b: &str) -> f64 {
         b_chars,
         b_matched,
         matches,
-        positions,
+        table,
         ..
     } = scratch;
     if a.is_ascii() && b.is_ascii() {
-        if b.len() <= 64 {
-            jaro_ascii_bitparallel(positions, matches, a.as_bytes(), b.as_bytes())
-        } else {
-            jaro_symbols(b_matched, matches, a.as_bytes(), b.as_bytes())
+        let (a_bytes, b_bytes) = (a.as_bytes(), b.as_bytes());
+        if a.len().max(b.len()) > SIGNATURE_MAX_LEN {
+            return jaro_symbols(b_matched, matches, a_bytes, b_bytes);
         }
+        // The block path's pass, over masks of `a` built here and cleared
+        // again (the scratch's table is zero between calls).
+        for (i, &c) in a_bytes.iter().enumerate() {
+            table[usize::from(c)] |= 1u64 << i;
+        }
+        let pass = JaroPass::run(table, a.len(), b_bytes);
+        for &c in a_bytes {
+            table[usize::from(c)] = 0;
+        }
+        pass.expect("both strings are ASCII").jaro(a, b)
     } else {
         a_chars.clear();
         a_chars.extend(a.chars());
@@ -328,17 +320,22 @@ mod tests {
     }
 
     proptest! {
-        /// Jaro and Jaro-Winkler stay within [0, 1], are symmetric, and
-        /// Winkler never decreases the Jaro score.
+        /// Jaro and Jaro-Winkler stay within [0, 1], are symmetric to the
+        /// bit (either argument order finds the same matches), and Winkler
+        /// never decreases the Jaro score.
         #[test]
         fn prop_jaro_properties(a in "[a-zA-Z0-9]{0,15}", b in "[a-zA-Z0-9]{0,15}") {
-            let j_ab = jaro(&a, &b);
-            let j_ba = jaro(&b, &a);
-            prop_assert!((0.0..=1.0).contains(&j_ab));
-            prop_assert!((j_ab - j_ba).abs() < 1e-9);
-            let jw = jaro_winkler(&a, &b);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&jw));
-            prop_assert!(jw + 1e-9 >= j_ab);
+            // A three-letter alphabet makes repeats and transpositions the rule.
+            let folded: String = b.bytes().map(|x| char::from(b'a' + x % 3)).collect();
+            for b in [b.as_str(), &folded] {
+                let j_ab = jaro(&a, b);
+                prop_assert!((0.0..=1.0).contains(&j_ab));
+                prop_assert_eq!(j_ab.to_bits(), jaro(b, &a).to_bits());
+                let jw = jaro_winkler(&a, b);
+                prop_assert_eq!(jw.to_bits(), jaro_winkler(b, &a).to_bits());
+                prop_assert!((0.0..=1.0 + 1e-9).contains(&jw));
+                prop_assert!(jw + 1e-9 >= j_ab);
+            }
             prop_assert!((jaro(&a, &a) - 1.0).abs() < 1e-9 || a.is_empty());
         }
     }

@@ -14,13 +14,15 @@
 //! one scratch across measures, pairs and stores is always safe. (Its
 //! public counters only ever count; nothing reads them back.)
 
+use super::symbols::{SymbolTable, SYMBOL_TABLE_LEN};
+
 /// Reusable working memory for the scratch-buffer similarity kernels.
 ///
 /// Create one per worker thread ([`SimScratch::new`] performs no
 /// allocation; buffers grow on first use) and thread it through the
 /// `*_with` kernel variants and
 /// [`CompiledComparator::score`](crate::comparator::CompiledComparator::score).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SimScratch {
     /// Decoded scalar values of the left string (non-ASCII paths only).
     pub(crate) a_chars: Vec<char>,
@@ -36,14 +38,17 @@ pub struct SimScratch {
     pub(crate) b_matched: Vec<bool>,
     /// Matched scalar values of the left string, in match order (Jaro).
     pub(crate) matches: Vec<u32>,
-    /// Per-byte position masks over the right string (the bit-parallel
-    /// ASCII Jaro path): `positions[c]` has bit `j` set iff `b[j] == c`.
-    /// Invariant: zeroed between calls (each kernel invocation clears
-    /// exactly the entries it set).
-    pub(crate) positions: Vec<u64>,
-    /// Attribute-value pairs whose similarity kernel
+    /// Per-byte position masks over the left string, the shape
+    /// `hoist_left` builds per block (the bit-parallel ASCII Jaro path):
+    /// `table[c]` has bit `i` set iff `a[i] == c`. Held inline, so it never
+    /// allocates. Invariant: zeroed between calls (each kernel invocation
+    /// clears exactly the entries it set).
+    pub(crate) table: SymbolTable,
+    /// Attribute-value pairs
     /// [`CompiledComparator::score_hoisted`](crate::comparator::CompiledComparator::score_hoisted)
-    /// ran through this scratch (a running total; plain, per-worker).
+    /// scored with this scratch — through their kernel, or for a Jaro rule
+    /// from the pass that bounded them (a running total; plain,
+    /// per-worker).
     pub kernel_calls: u64,
     /// Attribute-value pairs visited **without** running their kernel,
     /// because a shared-symbol bound showed the pair could not reach the
@@ -59,6 +64,24 @@ pub struct SimScratch {
 impl SimScratch {
     /// An empty scratch; buffers are lazily grown by the kernels.
     pub fn new() -> Self {
-        Self::default()
+        SimScratch {
+            a_chars: Vec::new(),
+            b_chars: Vec::new(),
+            prev: Vec::new(),
+            curr: Vec::new(),
+            prev2: Vec::new(),
+            b_matched: Vec::new(),
+            matches: Vec::new(),
+            table: [0; SYMBOL_TABLE_LEN],
+            kernel_calls: 0,
+            bound_exits: 0,
+            signature_exits: 0,
+        }
+    }
+}
+
+impl Default for SimScratch {
+    fn default() -> Self {
+        Self::new()
     }
 }

@@ -21,10 +21,13 @@
 //!    no value byte; the comparator's run prefilter rejects most pairs of a
 //!    candidate block on them alone.
 //! 2. **Exact count** ([`shared_symbols`]): one pass over one string
-//!    against a precomputed table of the other — the same per-byte `u64`
-//!    position masks the bit-parallel Jaro path uses, built **once per left
-//!    value** by `hoist_left` and read by every pair of the block the
-//!    signatures let through.
+//!    against a [`SymbolTable`] of the other, built **once per left value**
+//!    by `hoist_left` and read by every pair of the block the signatures
+//!    let through. Under a Jaro rule it is literally the Jaro kernel's
+//!    table and pass: the pass over a right value of at most 64 bytes
+//!    (`jaro::JaroPass`) claims symbols for this count and, in the same
+//!    loop, the windowed Jaro matches, so a pair that passes its bound is
+//!    scored without a second look at its bytes.
 //!
 //! A table or a usable signature exists only for ASCII strings of at most
 //! 64 bytes (one bit per position, one word per byte value) and only ASCII
@@ -38,7 +41,8 @@ pub const SYMBOL_TABLE_LEN: usize = 128;
 /// of a `u64` per position.
 pub const SIGNATURE_MAX_LEN: usize = 64;
 
-/// One string's per-symbol position masks.
+/// One string's per-symbol position masks: the shared-symbol count's table
+/// and the bit-parallel Jaro kernel's.
 pub type SymbolTable = [u64; SYMBOL_TABLE_LEN];
 
 /// `a`'s position masks — bit `i` of `table[c]` is set iff `a[i] == c` —

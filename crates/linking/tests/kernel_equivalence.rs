@@ -1,7 +1,8 @@
 //! Equivalence suite for the optimised similarity kernels: every
 //! optimised path — ASCII byte fast paths, scratch-buffer DP/bitmap
-//! kernels, and the precomputed token-index merge kernels behind
-//! `CompiledComparator::score` — must be **bit-identical** (`f64::to_bits`)
+//! kernels, the precomputed token-index merge kernels behind
+//! `CompiledComparator::score`, and the Jaro pass `score_hoisted` runs
+//! against a block's hoisted masks — must be **bit-identical** (`f64::to_bits`)
 //! to the naive reference implementations in
 //! `classilink_linking::similarity::naive`, on arbitrary Unicode input.
 //!
@@ -12,7 +13,7 @@ use classilink_linking::record::Record;
 use classilink_linking::similarity::scratch::SimScratch;
 use classilink_linking::similarity::symbols::{shared_symbols, symbol_masks, Signature};
 use classilink_linking::similarity::{edit, jaro, naive, SimilarityMeasure};
-use classilink_linking::{RecordComparator, RecordStore};
+use classilink_linking::{LeftHoist, MatchDecision, RecordComparator, RecordStore};
 use classilink_rdf::Term;
 use proptest::prelude::*;
 
@@ -42,16 +43,7 @@ fn assert_kernels_match(scratch: &mut SimScratch, a: &str, b: &str) {
         naive::damerau_levenshtein_similarity(a, b).to_bits(),
         "damerau_levenshtein_similarity({a:?}, {b:?})"
     );
-    assert_eq!(
-        jaro::jaro_with(scratch, a, b).to_bits(),
-        naive::jaro(a, b).to_bits(),
-        "jaro({a:?}, {b:?})"
-    );
-    assert_eq!(
-        jaro::jaro_winkler_with(scratch, a, b).to_bits(),
-        naive::jaro_winkler(a, b).to_bits(),
-        "jaro_winkler({a:?}, {b:?})"
-    );
+    assert_jaro_matches_naive(scratch, a, b);
     for &measure in SimilarityMeasure::all() {
         assert_eq!(
             measure.compare_with(scratch, a, b).to_bits(),
@@ -71,27 +63,141 @@ fn assert_kernels_match(scratch: &mut SimScratch, a: &str, b: &str) {
 /// Assert the indexed `score` path agrees bit-for-bit with a naive
 /// weighted-average scorer for every measure, on single-value stores.
 fn assert_score_matches_naive(scratch: &mut SimScratch, a: &str, b: &str) {
+    assert_best_score_matches_naive(scratch, a, &[b]);
+}
+
+/// [`assert_score_matches_naive`] against a right record holding every
+/// value of `rights`: the naive score is the best pairing. The block path
+/// — `hoist_left`, then `score_hoisted` — runs too, under a non-match
+/// threshold so low that the left value's masks exist and only a pair
+/// sharing no symbol skips its kernel; whatever it decides `Match` or
+/// `Possible` carries the naive score.
+fn assert_best_score_matches_naive(scratch: &mut SimScratch, a: &str, rights: &[&str]) {
     let mut left = Record::new(Term::iri("http://provider.e.org/item/1"));
     left.add(EXT_PN, a);
     let mut right = Record::new(Term::iri("http://local.e.org/prod/1"));
-    right.add(LOC_PN, b);
+    for b in rights {
+        right.add(LOC_PN, *b);
+    }
     let external = RecordStore::from_records(&[left]);
     let local = RecordStore::from_records(&[right]);
+    let mut hoist = LeftHoist::new();
     for &measure in SimilarityMeasure::all() {
+        let expected = (rights.iter())
+            .map(|b| naive::compare(measure, a, b))
+            .fold(0.0, f64::max);
         let comparator = RecordComparator::single(EXT_PN, LOC_PN, measure);
         let compiled = comparator.compile(&external, &local);
         let (score, _) = compiled.score(&external, 0, &local, 0, scratch);
         assert_eq!(
             score.to_bits(),
-            naive::compare(measure, a, b).to_bits(),
-            "score path {}({a:?}, {b:?})",
+            expected.to_bits(),
+            "score path {}({a:?}, {rights:?})",
             measure.name()
         );
         // The detail-carrying path agrees with the detail-free path.
         let full = compiled.compare(&external, 0, &local, 0);
         assert_eq!(full.score.to_bits(), score.to_bits());
         assert_eq!(full.details, vec![Some(score)]);
+        let lax = comparator.with_thresholds(0.85, 1e-6);
+        let compiled = lax.compile(&external, &local);
+        compiled.hoist_left(&external, 0, &mut hoist);
+        let (hoisted, decision) = compiled.score_hoisted(&hoist, &external, &local, 0, scratch);
+        if decision != MatchDecision::NonMatch {
+            assert_eq!(
+                hoisted.to_bits(),
+                expected.to_bits(),
+                "block path {}({a:?}, {rights:?})",
+                measure.name()
+            );
+        }
     }
+}
+
+/// `jaro_with` and `jaro_winkler_with` against their naive oracles, bit for
+/// bit.
+fn assert_jaro_matches_naive(scratch: &mut SimScratch, a: &str, b: &str) {
+    assert_eq!(
+        jaro::jaro_with(scratch, a, b).to_bits(),
+        naive::jaro(a, b).to_bits(),
+        "jaro({a:?}, {b:?})"
+    );
+    assert_eq!(
+        jaro::jaro_winkler_with(scratch, a, b).to_bits(),
+        naive::jaro_winkler(a, b).to_bits(),
+        "jaro_winkler({a:?}, {b:?})"
+    );
+}
+
+/// Every string over `{a, b, c}` of at most `max_len` letters.
+fn three_letter_strings(max_len: usize) -> Vec<String> {
+    let mut layer = vec![String::new()];
+    let mut all = layer.clone();
+    for _ in 0..max_len {
+        layer = (layer.iter())
+            .flat_map(|s| ['a', 'b', 'c'].map(|c| format!("{s}{c}")))
+            .collect();
+        all.extend_from_slice(&layer);
+    }
+    all
+}
+
+/// A seeded SplitMix64 stream.
+struct SplitMix(u64);
+
+impl SplitMix {
+    /// A number in `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// Jaro ≡ naive where the direction of the greedy match could matter:
+/// every string over three letters of at most `max_len` against every
+/// third of them (repeats and transpositions at every length), then
+/// `random` seeded pairs of 0–65 letters over 2–6-letter alphabets (the
+/// 63 / 64 / 65 edge of the bit-parallel pass included). Returns the number
+/// of pairs of the first part.
+fn assert_jaro_on_small_alphabets(max_len: usize, random: usize) -> usize {
+    let mut scratch = SimScratch::new();
+    let strings = three_letter_strings(max_len);
+    let mut swept = 0;
+    for a in &strings {
+        for b in strings.iter().step_by(3) {
+            assert_jaro_matches_naive(&mut scratch, a, b);
+            swept += 1;
+        }
+    }
+    let mut rng = SplitMix(20_120_326);
+    for _ in 0..random {
+        let letters = 2 + rng.below(5);
+        let word = |rng: &mut SplitMix| -> String {
+            let len = rng.below(66);
+            (0..len)
+                .map(|_| char::from(b'a' + rng.below(letters) as u8))
+                .collect()
+        };
+        let (a, b) = (word(&mut rng), word(&mut rng));
+        assert_jaro_matches_naive(&mut scratch, &a, &b);
+    }
+    swept
+}
+
+#[test]
+fn jaro_matches_naive_on_small_alphabets() {
+    assert_eq!(assert_jaro_on_small_alphabets(5, 20_000), 364 * 122);
+}
+
+/// The full sweep: 3 588 320 exhaustive pairs and 2 000 000 random ones.
+/// Run optimised by CI (`--release -- --include-ignored`).
+#[test]
+#[ignore = "exhaustive: run with --release -- --include-ignored"]
+fn jaro_matches_naive_on_small_alphabets_exhaustively() {
+    assert_eq!(assert_jaro_on_small_alphabets(7, 2_000_000), 3_588_320);
 }
 
 /// The shared-symbol count of `a` (as the hoisted left value) and `b`, the
@@ -373,10 +479,13 @@ fn non_ascii_regression_cases() {
 
 #[test]
 fn jaro_strategy_boundary_at_64_symbols() {
-    // Three Jaro implementations are selected by length/encoding:
-    // bit-parallel ASCII (|b| ≤ 64), packed-bitmask chars (|b| ≤ 64),
-    // and the Vec<bool> general path (|b| > 64). Pin pairs straddling
-    // the 63/64/65 boundary, in both argument orders, ASCII and not.
+    // Jaro takes one of two strategies by length and encoding: the
+    // bit-parallel pass (both sides ASCII and at most 64 bytes; the block
+    // path runs it against the hoisted masks) or the Vec<bool> scan over
+    // decoded symbols (anything else). Pin pairs straddling the 63/64/65
+    // boundary, in both argument orders, ASCII and not; an ASCII left value
+    // against a non-ASCII or 65-byte right one must leave the block path's
+    // pass for the kernel.
     let mut scratch = SimScratch::new();
     let ascii: String = ('a'..='z').cycle().take(101).collect();
     let unicode: String = "αβγδεζηθικλμνξ".chars().cycle().take(101).collect();
@@ -384,13 +493,25 @@ fn jaro_strategy_boundary_at_64_symbols() {
         for len_b in [1usize, 12, 63, 64, 65, 100] {
             let (a1, b1) = (&ascii[..len_a], &ascii[1..1 + len_b]);
             assert_kernels_match(&mut scratch, a1, b1);
+            assert_score_matches_naive(&mut scratch, a1, b1);
             let a2: String = unicode.chars().take(len_a).collect();
             let b2: String = unicode.chars().skip(1).take(len_b).collect();
             assert_kernels_match(&mut scratch, &a2, &b2);
             // Mixed encodings straddling the fast-path dispatch.
             assert_kernels_match(&mut scratch, a1, &b2);
+            assert_score_matches_naive(&mut scratch, a1, &b2);
         }
     }
+}
+
+#[test]
+fn the_block_path_takes_a_right_records_best_value() {
+    // The second value is the near one: the pass over the first must not
+    // leave state that changes the second, nor its score stand for both.
+    let (a, rights) = ("CRCW0805-10K", ["T83A225K", "CRCW0806-10K"]);
+    let jw = |b| naive::jaro_winkler(a, b);
+    assert!(jw(rights[1]) > jw(rights[0]));
+    assert_best_score_matches_naive(&mut SimScratch::new(), a, &rights);
 }
 
 #[test]
