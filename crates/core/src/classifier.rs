@@ -43,13 +43,12 @@ pub struct RuleClassifier {
     /// columnar record stores feed this without allocating per fact.
     index: HashMap<String, HashMap<String, Vec<usize>>>,
     segmenter: SegmenterKind,
-    normalize: bool,
 }
 
 impl RuleClassifier {
-    /// Build a classifier from rules, using the given segmentation settings
-    /// (they must match the settings the rules were learnt with).
-    pub fn new(rules: Vec<ClassificationRule>, segmenter: SegmenterKind, normalize: bool) -> Self {
+    /// Build a classifier from rules, using the given segmenter (it must
+    /// match the one the rules were learnt with).
+    pub fn new(rules: Vec<ClassificationRule>, segmenter: SegmenterKind) -> Self {
         let mut index: HashMap<String, HashMap<String, Vec<usize>>> = HashMap::new();
         for (i, rule) in rules.iter().enumerate() {
             index
@@ -63,18 +62,13 @@ impl RuleClassifier {
             rules,
             index,
             segmenter,
-            normalize,
         }
     }
 
     /// Build a classifier directly from a learning outcome and the
     /// configuration it was produced with.
     pub fn from_outcome(outcome: &LearnOutcome, config: &LearnerConfig) -> Self {
-        Self::new(
-            outcome.rules.clone(),
-            config.segmenter.clone(),
-            config.normalize,
-        )
+        Self::new(outcome.rules.clone(), config.segmenter.clone())
     }
 
     /// The rules backing this classifier, in ranking order.
@@ -91,7 +85,7 @@ impl RuleClassifier {
             .filter(|r| r.confidence() >= min_confidence - 1e-12)
             .cloned()
             .collect();
-        Self::new(rules, self.segmenter.clone(), self.normalize)
+        Self::new(rules, self.segmenter.clone())
     }
 
     /// Classify an external item given as borrowed `(property IRI, value)`
@@ -104,14 +98,10 @@ impl RuleClassifier {
         &self,
         facts: impl IntoIterator<Item = (&'f str, &'f str)>,
     ) -> Vec<Prediction> {
-        // Segment each value exactly as the learner did; the segmenter and
-        // normalizer are built once per call, not once per fact.
+        // Segment each value exactly as the learner did; the segmenter is
+        // built once per call, not once per fact.
         let segmenter = self.segmenter.build();
-        let normalizer = self.normalize.then(Normalizer::default);
-        let segments_of = |value: &str| match &normalizer {
-            Some(norm) => segmenter.split_distinct(&norm.apply(value)),
-            None => segmenter.split_distinct(value),
-        };
+        let segments_of = |value: &str| segmenter.split_distinct(&Normalizer.apply(value));
         // class → (best rule index, evidence)
         let mut per_class: HashMap<ClassId, (usize, Vec<(String, String)>)> = HashMap::new();
         for (property, value) in facts {
@@ -201,7 +191,7 @@ mod tests {
     }
 
     fn classifier(rules: Vec<ClassificationRule>) -> RuleClassifier {
-        RuleClassifier::new(rules, SegmenterKind::Separator, true)
+        RuleClassifier::new(rules, SegmenterKind::Separator)
     }
 
     fn classify(c: &RuleClassifier, pn: &str) -> Vec<Prediction> {
@@ -271,17 +261,9 @@ mod tests {
     #[test]
     fn normalization_matches_learning() {
         // Rules store lowercase segments; classification of an uppercase
-        // value must still fire when normalize = true …
+        // value must still fire.
         let c = classifier(vec![rule("ohm", 1, 50, 50)]);
         assert_eq!(classify(&c, "10K-OHM").len(), 1);
-        // … and must not fire when normalize = false.
-        let raw = RuleClassifier::new(
-            vec![rule("ohm", 1, 50, 50)],
-            SegmenterKind::Separator,
-            false,
-        );
-        assert!(classify(&raw, "10K-OHM").is_empty());
-        assert_eq!(classify(&raw, "10K-ohm").len(), 1);
     }
 
     #[test]

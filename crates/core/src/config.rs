@@ -46,18 +46,9 @@ pub struct LearnerConfig {
     pub support_threshold: f64,
     /// Which external-source properties to consider.
     pub properties: PropertySelection,
-    /// How property values are split into segments.
+    /// How property values are split into segments. Every value is first
+    /// normalised with [`Normalizer::default`](classilink_segment::Normalizer).
     pub segmenter: SegmenterKind,
-    /// Normalize values (lowercase, collapse whitespace, strip accents)
-    /// before segmentation.
-    pub normalize: bool,
-    /// Additional absolute floor on class extent size in the training data
-    /// (the paper mentions retained classes have "more than 20 instances").
-    /// `0` disables the floor (the relative threshold still applies).
-    pub min_class_instances: u64,
-    /// Drop rules whose lift is not above this value (1.0 keeps only
-    /// positively correlated rules; 0.0 keeps everything).
-    pub min_lift: f64,
 }
 
 impl Default for LearnerConfig {
@@ -66,9 +57,6 @@ impl Default for LearnerConfig {
             support_threshold: 0.002,
             properties: PropertySelection::All,
             segmenter: SegmenterKind::Separator,
-            normalize: true,
-            min_class_instances: 0,
-            min_lift: 0.0,
         }
     }
 }
@@ -98,18 +86,6 @@ impl LearnerConfig {
         self
     }
 
-    /// Builder-style setter for the minimum class extent.
-    pub fn with_min_class_instances(mut self, min: u64) -> Self {
-        self.min_class_instances = min;
-        self
-    }
-
-    /// Builder-style setter for the minimum lift.
-    pub fn with_min_lift(mut self, min_lift: f64) -> Self {
-        self.min_lift = min_lift;
-        self
-    }
-
     /// Validate threshold ranges.
     pub fn validate(&self) -> crate::error::Result<()> {
         if !(self.support_threshold > 0.0 && self.support_threshold <= 1.0) {
@@ -131,7 +107,6 @@ mod tests {
         assert_eq!(c.support_threshold, 0.002);
         assert_eq!(c.properties, PropertySelection::All);
         assert_eq!(c.segmenter, SegmenterKind::Separator);
-        assert!(c.normalize);
         assert_eq!(LearnerConfig::paper(), c);
     }
 
@@ -152,12 +127,8 @@ mod tests {
         let c = LearnerConfig::default()
             .with_support_threshold(0.01)
             .with_properties(PropertySelection::single("http://e.org/v#pn"))
-            .with_segmenter(SegmenterKind::CharNGram(3))
-            .with_min_class_instances(20)
-            .with_min_lift(1.0);
+            .with_segmenter(SegmenterKind::CharNGram(3));
         assert_eq!(c.support_threshold, 0.01);
-        assert_eq!(c.min_class_instances, 20);
-        assert_eq!(c.min_lift, 1.0);
         assert_eq!(c.segmenter, SegmenterKind::CharNGram(3));
     }
 

@@ -90,17 +90,6 @@ impl RuleLearner {
         RuleLearner { config }
     }
 
-    /// A learner with the paper's configuration (`th = 0.002`, separator
-    /// segmentation).
-    pub fn paper() -> Self {
-        Self::new(LearnerConfig::paper())
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LearnerConfig {
-        &self.config
-    }
-
     /// Learn classification rules from `training` against `ontology`.
     pub fn learn(&self, training: &TrainingSet, ontology: &Ontology) -> Result<LearnOutcome> {
         self.config.validate()?;
@@ -116,17 +105,7 @@ impl RuleLearner {
         let exceeds_th = |count: u64| count as f64 / n as f64 > threshold;
 
         let segmenter = self.config.segmenter.build();
-        let normalizer = if self.config.normalize {
-            Some(Normalizer::default())
-        } else {
-            None
-        };
-        let split = |value: &str| -> Vec<String> {
-            match &normalizer {
-                Some(norm) => segmenter.split_distinct(&norm.apply(value)),
-                None => segmenter.split_distinct(value),
-            }
-        };
+        let split = |value: &str| segmenter.split_distinct(&Normalizer.apply(value));
 
         // ------------------------------------------------------------------
         // Step 1 + 2: segment every considered value and count, per property,
@@ -151,7 +130,7 @@ impl RuleLearner {
                     (properties.len() - 1) as u32
                 });
                 for segment in split(value) {
-                    let seg_id = dictionary.observe(&segment);
+                    let seg_id = dictionary.intern(&segment);
                     pairs.insert((p_idx, seg_id));
                 }
             }
@@ -175,7 +154,7 @@ impl RuleLearner {
         let class_counts: BTreeMap<ClassId, u64> = training.class_frequencies();
         let frequent_classes: BTreeMap<ClassId, u64> = class_counts
             .iter()
-            .filter(|(_, count)| exceeds_th(**count) && **count >= self.config.min_class_instances)
+            .filter(|(_, count)| exceeds_th(**count))
             .map(|(c, count)| (*c, *count))
             .collect();
 
@@ -211,9 +190,6 @@ impl RuleLearner {
             let premise = frequent_pairs[&(*p_idx, *seg_id)];
             let conclusion = frequent_classes[class];
             let quality = Contingency::new(n, premise, conclusion, *both).quality();
-            if quality.lift <= self.config.min_lift && self.config.min_lift > 0.0 {
-                continue;
-            }
             let (class_iri, class_label) = match ontology.class_info(*class) {
                 Some(info) => (info.iri.clone(), info.label.clone()),
                 None => (class.to_string(), class.to_string()),
@@ -386,18 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn min_lift_filters_uninformative_rules() {
-        let (onto, resistor, capacitor) = ontology();
-        let ts = training(resistor, capacitor);
-        let cfg = LearnerConfig::default()
-            .with_support_threshold(0.05)
-            .with_min_lift(1.0);
-        let outcome = RuleLearner::new(cfg).learn(&ts, &onto).unwrap();
-        assert!(outcome.rules.iter().all(|r| r.lift() > 1.0));
-        assert!(outcome.rules.iter().all(|r| r.segment != "63v"));
-    }
-
-    #[test]
     fn support_threshold_prunes_rare_segments() {
         let (onto, resistor, capacitor) = ontology();
         let ts = training(resistor, capacitor);
@@ -477,7 +441,7 @@ mod tests {
     #[test]
     fn empty_training_set_is_an_error() {
         let (onto, ..) = ontology();
-        let err = RuleLearner::paper().learn(&TrainingSet::new(), &onto);
+        let err = RuleLearner::new(config()).learn(&TrainingSet::new(), &onto);
         assert!(matches!(
             err,
             Err(crate::error::CoreError::EmptyTrainingSet)
@@ -493,21 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn min_class_instances_floor() {
-        let (onto, resistor, capacitor) = ontology();
-        let mut ts = training(resistor, capacitor);
-        // Add 2 examples of a rare class (the root class, id 0).
-        for i in 20..22 {
-            ts.push(example(i, &format!("ZZZ-{i}"), vec![ClassId(0)]));
-        }
-        let cfg = config()
-            .with_support_threshold(0.01)
-            .with_min_class_instances(5);
-        let outcome = RuleLearner::new(cfg).learn(&ts, &onto).unwrap();
-        assert!(outcome.rules.iter().all(|r| r.class != ClassId(0)));
-    }
-
-    #[test]
     fn outcome_helpers() {
         let (onto, resistor, capacitor) = ontology();
         let ts = training(resistor, capacitor);
@@ -515,18 +464,6 @@ mod tests {
         let perfect = outcome.rules_with_confidence(1.0);
         assert!(!perfect.is_empty());
         assert!(perfect.iter().all(|r| r.confidence() >= 1.0));
-    }
-
-    #[test]
-    fn normalization_can_be_disabled() {
-        let (onto, resistor, capacitor) = ontology();
-        let ts = training(resistor, capacitor);
-        let mut cfg = config();
-        cfg.normalize = false;
-        let outcome = RuleLearner::new(cfg).learn(&ts, &onto).unwrap();
-        // Without normalization the original casing is preserved in segments.
-        assert!(outcome.rules.iter().any(|r| r.segment == "T83"));
-        assert!(outcome.rules.iter().all(|r| r.segment != "t83"));
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl ClassificationRule {
         self.quality.lift
     }
 
-    /// `true` when the value `v` of property `p` triggers this rule, i.e. the
-    /// rule's property matches and the rule's segment is among `segments`.
-    pub fn matches(&self, property: &str, segments: &[String]) -> bool {
-        self.property == property && segments.iter().any(|s| s == &self.segment)
-    }
-
     /// The paper's logical notation for the rule.
     pub fn logical_form(&self) -> String {
         format!(
@@ -147,16 +141,6 @@ mod tests {
         assert_eq!(r.support(), 0.04);
         assert_eq!(r.confidence(), 0.8);
         assert_eq!(r.lift(), 8.0);
-    }
-
-    #[test]
-    fn matches_requires_property_and_segment() {
-        let r = rule("crcw0805", 45, 50);
-        let segs = vec!["crcw0805".to_string(), "10k".to_string()];
-        assert!(r.matches("http://e.org/v#partNumber", &segs));
-        assert!(!r.matches("http://e.org/v#manufacturer", &segs));
-        assert!(!r.matches("http://e.org/v#partNumber", &["t83".to_string()]));
-        assert!(!r.matches("http://e.org/v#partNumber", &[]));
     }
 
     #[test]

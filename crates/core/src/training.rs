@@ -14,7 +14,7 @@ use crate::error::{CoreError, Result};
 use classilink_ontology::{ClassId, InstanceStore, Ontology};
 use classilink_rdf::{Dataset, Graph, Source, Term};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One validated `same-as` link, with the features the learner needs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,16 +84,6 @@ impl TrainingSet {
         &self.examples
     }
 
-    /// The distinct property IRIs observed on external items.
-    pub fn properties(&self) -> Vec<String> {
-        let set: BTreeSet<&str> = self
-            .examples
-            .iter()
-            .flat_map(|e| e.facts.iter().map(|(p, _)| p.as_str()))
-            .collect();
-        set.into_iter().map(str::to_string).collect()
-    }
-
     /// Class frequencies over the training set: how many examples have each
     /// class among their (most specific) classes.
     pub fn class_frequencies(&self) -> BTreeMap<ClassId, u64> {
@@ -104,20 +94,6 @@ impl TrainingSet {
             }
         }
         freqs
-    }
-
-    /// Split the training set into `(train, test)` parts: the first
-    /// `⌈ratio·|TS|⌉` examples go to train. Use a pre-shuffled set when a
-    /// random split is wanted; keeping this deterministic makes experiments
-    /// reproducible.
-    pub fn split(&self, train_ratio: f64) -> (TrainingSet, TrainingSet) {
-        let ratio = train_ratio.clamp(0.0, 1.0);
-        let cut = (self.examples.len() as f64 * ratio).ceil() as usize;
-        let cut = cut.min(self.examples.len());
-        (
-            TrainingSet::from_examples(self.examples[..cut].to_vec()),
-            TrainingSet::from_examples(self.examples[cut..].to_vec()),
-        )
     }
 
     /// Extract a training set from a provenance-aware [`Dataset`]:
@@ -165,9 +141,8 @@ pub fn literal_facts(graph: &Graph, item: &Term) -> Vec<(String, String)> {
     graph
         .triples_matching(Some(item), None, None)
         .filter_map(|t| {
-            let p = t.predicate.as_iri()?.to_string();
-            let v = t.object.as_literal()?.value.clone();
-            Some((p, v))
+            let (property, value) = t.literal_fact()?;
+            Some((property.to_string(), value.to_string()))
         })
         .collect()
 }
@@ -245,14 +220,6 @@ mod tests {
         assert!(!ts.is_empty());
         // Two literal facts each; the IRI-valued `seeAlso` is not a fact.
         assert!(ts.examples().iter().all(|e| e.facts.len() == 2));
-        let props = ts.properties();
-        assert_eq!(
-            props,
-            vec![
-                "http://provider.e.org/v#maker".to_string(),
-                "http://provider.e.org/v#ref".to_string()
-            ]
-        );
         // Most specific classes only (Component is dropped).
         let freqs = ts.class_frequencies();
         assert_eq!(freqs.get(&resistor), Some(&2));
@@ -327,22 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn split_is_deterministic_and_partitions() {
-        let (onto, ..) = ontology();
-        let ds = dataset(&onto);
-        let ts = TrainingSet::from_dataset(&ds, &onto, true).unwrap();
-        let (train, test) = ts.split(0.67);
-        assert_eq!(train.len() + test.len(), ts.len());
-        assert_eq!(train.len(), 3); // ceil(3 * 0.67) = 3
-        let (all, none) = ts.split(1.5);
-        assert_eq!(all.len(), 3);
-        assert!(none.is_empty());
-        let (zero, rest) = ts.split(0.0);
-        assert!(zero.is_empty());
-        assert_eq!(rest.len(), 3);
-    }
-
-    #[test]
     fn manual_construction() {
         let mut ts = TrainingSet::new();
         assert!(ts.is_empty());
@@ -353,7 +304,6 @@ mod tests {
             vec![ClassId(0)],
         ));
         assert_eq!(ts.len(), 1);
-        assert_eq!(ts.properties(), vec!["http://p.e.org/v#pn".to_string()]);
         assert_eq!(ts.class_frequencies().get(&ClassId(0)), Some(&1));
     }
 }

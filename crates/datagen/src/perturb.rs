@@ -39,17 +39,6 @@ impl Default for PerturbationConfig {
 }
 
 impl PerturbationConfig {
-    /// No perturbation at all (provider copies the catalog value verbatim).
-    pub fn none() -> Self {
-        PerturbationConfig {
-            separator_swap: 0.0,
-            lowercase: 0.0,
-            typo: 0.0,
-            suffix: 0.0,
-            drop_segment: 0.0,
-        }
-    }
-
     /// Apply the configured perturbations to `value` using `rng`.
     pub fn apply(&self, value: &str, rng: &mut StdRng) -> String {
         let mut out = value.to_string();
@@ -102,9 +91,15 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn none_config_is_identity() {
+    fn zero_rates_are_identity() {
         let mut rng = StdRng::seed_from_u64(1);
-        let cfg = PerturbationConfig::none();
+        let cfg = PerturbationConfig {
+            separator_swap: 0.0,
+            lowercase: 0.0,
+            typo: 0.0,
+            suffix: 0.0,
+            drop_segment: 0.0,
+        };
         for value in ["CRCW0805-10K-5%-63V", "T83A225", ""] {
             assert_eq!(cfg.apply(value, &mut rng), value);
         }

@@ -150,11 +150,6 @@ impl GeneratedScenario {
         self.config.catalog_size
     }
 
-    /// The gold (most specific) class of an external item, if known.
-    pub fn gold_class(&self, item: &Term) -> Option<ClassId> {
-        self.gold_classes.get(item).copied()
-    }
-
     /// Columnarise the external provider items `SE` into a
     /// [`RecordStore`] (the representation the blockers and the linkage
     /// pipeline run on).
@@ -165,14 +160,6 @@ impl GeneratedScenario {
     /// Columnarise the local catalog `SL` into a [`RecordStore`].
     pub fn local_store(&self) -> RecordStore {
         RecordStore::from_graph(self.dataset.local())
-    }
-
-    /// Columnarise the catalog into `shard_count` contiguous shards for
-    /// [`LinkagePipeline::run_sharded`](classilink_linking::LinkagePipeline::run_sharded).
-    /// Record order — and therefore global ids — matches
-    /// [`local_store`](Self::local_store).
-    pub fn local_store_sharded(&self, shard_count: usize) -> ShardedStore {
-        ShardedStore::from_graph(self.dataset.local(), shard_count)
     }
 
     /// Columnarise both sides on **one shared schema**: the external
@@ -336,7 +323,10 @@ mod tests {
                 .item_count(classilink_rdf::Source::External),
             cfg.training_links + cfg.extra_external
         );
-        assert_eq!(scenario.instances.item_count(), cfg.catalog_size);
+        assert!((0..cfg.catalog_size).all(|i| {
+            let item = Term::iri(vocab::local_item(i));
+            !scenario.instances.types_of(&item).is_empty()
+        }));
         assert_eq!(
             scenario.gold_classes.len(),
             cfg.training_links + cfg.extra_external
@@ -357,8 +347,8 @@ mod tests {
             assert!(scenario.ontology.is_leaf(example.classes[0]));
             // The example's class matches the gold class of the external item.
             assert_eq!(
-                scenario.gold_class(&example.external_item),
-                Some(example.classes[0])
+                scenario.gold_classes.get(&example.external_item),
+                Some(&example.classes[0])
             );
         }
     }
@@ -426,7 +416,11 @@ mod tests {
     fn sharded_local_store_matches_single_store() {
         let scenario = generate(&ScenarioConfig::tiny());
         let single = scenario.local_store();
-        let sharded = scenario.local_store_sharded(4);
+        let sharded = ShardedStore::from_graph_with_schema(
+            scenario.dataset.local(),
+            4,
+            SchemaInterner::new(),
+        );
         assert_eq!(sharded.shard_count(), 4);
         assert_eq!(sharded.len(), single.len());
         for global in 0..single.len() {
@@ -446,16 +440,16 @@ mod tests {
     #[test]
     fn local_items_carry_part_number_manufacturer_and_label() {
         let scenario = generate(&ScenarioConfig::tiny());
-        let item = Term::iri(vocab::local_item(0));
-        let graph = scenario.dataset.local();
-        assert!(graph
-            .object_of(&item, &Term::iri(vocab::LOCAL_PART_NUMBER))
-            .is_some());
-        assert!(graph
-            .object_of(&item, &Term::iri(vocab::LOCAL_MANUFACTURER))
-            .is_some());
-        assert!(graph
-            .object_of(&item, &Term::iri(vocab::LOCAL_LABEL))
-            .is_some());
+        let store = scenario.local_store();
+        let item = store.index_of(&Term::iri(vocab::local_item(0))).unwrap();
+        for property in [
+            vocab::LOCAL_PART_NUMBER,
+            vocab::LOCAL_MANUFACTURER,
+            vocab::LOCAL_LABEL,
+        ] {
+            assert!(store
+                .first(item, store.property(property).unwrap())
+                .is_some());
+        }
     }
 }

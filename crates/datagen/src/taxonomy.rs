@@ -354,20 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn families_are_disjoint_in_the_ontology() {
-        let (onto, profiles) = generate_taxonomy(&TaxonomyConfig::default());
-        let resistor_leaf = profiles.iter().find(|p| p.family == "Resistor").unwrap();
-        let capacitor_leaf = profiles.iter().find(|p| p.family == "Capacitor").unwrap();
-        assert!(onto.are_disjoint(resistor_leaf.class, capacitor_leaf.class));
-        let other_resistor = profiles
-            .iter()
-            .filter(|p| p.family == "Resistor")
-            .nth(1)
-            .unwrap();
-        assert!(!onto.are_disjoint(resistor_leaf.class, other_resistor.class));
-    }
-
-    #[test]
     fn generation_is_deterministic() {
         let a = generate_taxonomy(&TaxonomyConfig::default());
         let b = generate_taxonomy(&TaxonomyConfig::default());

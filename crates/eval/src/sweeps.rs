@@ -312,8 +312,7 @@ pub fn generalization_ablation(
     let gen = generalize(training, ontology, config, &outcome, gen_config)?;
     let mut all_rules = outcome.rules.clone();
     all_rules.extend(gen.generalized_rules.clone());
-    let extended_classifier =
-        RuleClassifier::new(all_rules, config.segmenter.clone(), config.normalize);
+    let extended_classifier = RuleClassifier::new(all_rules, config.segmenter.clone());
 
     let mut decisions = 0usize;
     let mut correct = 0usize;
@@ -502,7 +501,6 @@ mod tests {
                 rule("part", root, 60),
             ],
             SegmenterKind::Separator,
-            true,
         );
         let external: Vec<Record> = [
             "10K-ohm",      // 0: resistors → 8

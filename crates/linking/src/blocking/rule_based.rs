@@ -185,7 +185,6 @@ mod tests {
                 rule("t83", capacitor, "TantalumCapacitor"),
             ],
             SegmenterKind::Separator,
-            true,
         );
         (onto, store, classifier)
     }
@@ -260,7 +259,6 @@ mod tests {
                 rule("10k", root, "Component"),
             ],
             SegmenterKind::Separator,
-            true,
         );
         let (external, local) = small_stores();
         let pairs = collect_pairs(

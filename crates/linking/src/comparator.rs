@@ -914,10 +914,14 @@ impl CompiledComparator<'_> {
     /// Score one candidate pair: the aggregated similarity and its
     /// threshold decision, nothing else.
     ///
-    /// This is the pipeline's per-pair hot path: all working memory
-    /// comes from `scratch` and the stores' per-column token tables,
-    /// so the call performs **no heap allocation** in steady state.
-    /// Bit-identical to [`compare`](Self::compare)'s score and decision.
+    /// This is the exact pair-by-pair oracle the block path is tested
+    /// against: a run is scored by [`hoist_left`](Self::hoist_left) →
+    /// [`survivors`](Self::survivors) → [`score_hoisted`](Self::score_hoisted),
+    /// whose `Match` / `Possible` scores must equal this one's bit for bit.
+    /// All working memory comes from `scratch` and the stores' per-column
+    /// token tables, so the call performs **no heap allocation** in steady
+    /// state. Bit-identical to [`compare`](Self::compare)'s score and
+    /// decision.
     pub fn score(
         &self,
         external: &RecordStore,

@@ -27,14 +27,14 @@
 //! ingest
 //!     .feed(b"/b> <http://e.org/v#pn> \"X-2\" .\n")
 //!     .unwrap();
-//! let store = ingest.finish();
+//! let store = ingest.try_finish().unwrap();
 //! assert_eq!(store.len(), 2);
 //! ```
 
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::SchemaInterner;
 use crate::shard::{ShardedStore, ShardedStoreBuilder};
-use classilink_rdf::{NTriplesStreamer, TurtleStreamer};
+use classilink_rdf::{NTriplesStreamer, Term, TurtleStreamer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Which syntax a byte feed is in.
@@ -57,7 +57,7 @@ enum FeedStreamer {
 /// Feed byte chunks ([`feed`](Self::feed)); each chunk's complete
 /// statements are parsed and pushed into shard builders immediately,
 /// with a fresh shard opened every `records_per_shard` records.
-/// [`finish`](Self::finish) parses the tail and freezes the shards
+/// [`try_finish`](Self::try_finish) parses the tail and freezes the shards
 /// (their columns are already filled). At no point does a full-document
 /// `Graph` — or any other input-sized intermediate — exist; transient
 /// state is one incomplete statement plus the store under construction.
@@ -66,12 +66,12 @@ enum FeedStreamer {
 /// and graph walks): a triple whose subject differs from the record
 /// opened last opens the next record, so a subject that re-appears
 /// later starts a *second* record; dedup is the feeder's job. Only
-/// IRI-predicate, literal-object triples contribute a value; any other
-/// triple still opens its subject's record, mirroring
-/// [`Record::from_graph`](crate::record::Record::from_graph).
+/// IRI-predicate, literal-object triples contribute a value
+/// ([`Triple::literal_fact`](classilink_rdf::Triple::literal_fact)); any
+/// other triple still opens its subject's record.
 ///
 /// A parse error or an ingest-site panic poisons the ingest: the error
-/// is reported, further feeding is rejected, and `finish` refuses to
+/// is reported, further feeding is rejected, and `try_finish` refuses to
 /// publish a store built from a partial feed — a faulted feed therefore
 /// never half-publishes a shard.
 #[derive(Debug)]
@@ -141,7 +141,7 @@ impl FeedIngest {
                 FeedStreamer::NTriples(s) => s.next_triple(),
                 FeedStreamer::Turtle(s) => s.next_triple(),
             };
-            let triple = match parsed {
+            let mut triple = match parsed {
                 Some(Ok(triple)) => triple,
                 Some(Err(error)) => {
                     return Err(LinkError::IngestFailed {
@@ -157,10 +157,13 @@ impl FeedIngest {
                     // one starts the next.
                     self.builder.begin_shard();
                 }
-                self.builder.begin_record(triple.subject);
+                // The subject moves into the record's id; the predicate and
+                // object stay for the fact below.
+                let subject = std::mem::replace(&mut triple.subject, Term::Blank(String::new()));
+                self.builder.begin_record(subject);
             }
-            if let (Some(p), Some(lit)) = (triple.predicate.as_iri(), triple.object.as_literal()) {
-                self.builder.push_value(p, &lit.value);
+            if let Some((property, value)) = triple.literal_fact() {
+                self.builder.push_value(property, value);
             }
         }
     }
@@ -219,18 +222,12 @@ impl FeedIngest {
     pub fn try_finish(self) -> LinkResult<ShardedStore> {
         self.into_builder()?.try_build()
     }
-
-    /// Panicking [`try_finish`](Self::try_finish).
-    pub fn finish(self) -> ShardedStore {
-        self.try_finish().unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::Record;
-    use classilink_rdf::Term;
 
     const PN: &str = "http://e.org/v#pn";
     const MFR: &str = "http://e.org/v#mfr";
@@ -250,14 +247,14 @@ mod tests {
     fn feed_matches_batch_graph_path() {
         let doc = feed_doc(10);
         let graph = classilink_rdf::ntriples::parse(&doc).unwrap();
-        let batch = ShardedStore::from_graph(&graph, 4);
+        let batch = ShardedStore::from_graph_with_schema(&graph, 4, SchemaInterner::new());
 
         let mut ingest = FeedIngest::ntriples(SchemaInterner::new(), 3);
         // Awkward chunk size on purpose: boundaries land mid-line.
         for chunk in doc.as_bytes().chunks(7) {
             ingest.feed(chunk).unwrap();
         }
-        let streamed = ingest.finish();
+        let streamed = ingest.try_finish().unwrap();
         assert_eq!(streamed.len(), batch.len());
         assert_eq!(streamed.shard_count(), 4); // ceil(10 / 3)
                                                // Same records, same global order (the feed is subject-grouped
@@ -277,7 +274,7 @@ mod tests {
         let doc = feed_doc(7);
         let mut ingest = FeedIngest::ntriples(SchemaInterner::new(), 2);
         ingest.feed(doc.as_bytes()).unwrap();
-        let store = ingest.finish();
+        let store = ingest.try_finish().unwrap();
         let sizes: Vec<usize> = store.shards().iter().map(|s| s.len()).collect();
         assert_eq!(sizes, vec![2, 2, 2, 1]);
     }
@@ -291,7 +288,7 @@ mod tests {
             ingest.feed(line.as_bytes()).unwrap();
             assert!(ingest.buffered_bytes() < 2 * line_len);
         }
-        assert_eq!(ingest.finish().len(), 500);
+        assert_eq!(ingest.try_finish().unwrap().len(), 500);
     }
 
     #[test]
@@ -320,7 +317,7 @@ mod tests {
         for chunk in doc.as_bytes().chunks(11) {
             ingest.feed(chunk).unwrap();
         }
-        let store = ingest.finish();
+        let store = ingest.try_finish().unwrap();
         assert_eq!(store.len(), 2);
         let pn = store.property(PN).unwrap();
         assert_eq!(store.shard(0).first(0, pn), Some("X-1"));

@@ -71,14 +71,6 @@ impl PropertyInterner {
         self.ids.get(name).copied()
     }
 
-    /// The IRI behind an id.
-    ///
-    /// # Panics
-    /// Panics when `id` did not come from this interner.
-    pub fn resolve(&self, id: PropertyId) -> &str {
-        &self.names[id.index()]
-    }
-
     /// Number of interned properties.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -209,12 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_resolution_round_trip() {
+    fn lookup_round_trips() {
         let mut interner = PropertyInterner::new();
         let id = interner.intern("http://e.org/v#pn");
         assert_eq!(interner.get("http://e.org/v#pn"), Some(id));
         assert_eq!(interner.get("http://e.org/v#missing"), None);
-        assert_eq!(interner.resolve(id), "http://e.org/v#pn");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! [`RecordStore::from_records`](crate::store::RecordStore::from_records)
 //! and see [`crate::store`] for the layout.
 
-use classilink_rdf::{Graph, Term};
+use classilink_rdf::Term;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -71,85 +71,11 @@ impl Record {
         }
         parts.join(" ")
     }
-
-    /// Number of attribute values.
-    pub fn value_count(&self) -> usize {
-        self.attributes.values().map(Vec::len).sum()
-    }
-
-    /// Build the record of `item` from the literal triples of `graph`.
-    pub fn from_graph(graph: &Graph, item: &Term) -> Self {
-        let mut record = Record::new(item.clone());
-        for triple in graph.triples_matching(Some(item), None, None) {
-            if let (Some(p), Some(lit)) = (triple.predicate.as_iri(), triple.object.as_literal()) {
-                record.add(p, lit.value.clone());
-            }
-        }
-        record
-    }
-
-    /// Build records for every subject of `graph`.
-    pub fn all_from_graph(graph: &Graph) -> Vec<Record> {
-        graph
-            .subjects()
-            .iter()
-            .map(|s| Record::from_graph(graph, s))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use classilink_rdf::Triple;
-
-    fn sample_graph() -> Graph {
-        let mut g = Graph::new();
-        g.insert(Triple::literal(
-            "http://e.org/p1",
-            "http://e.org/v#pn",
-            "CRCW0805-10K",
-        ));
-        g.insert(Triple::literal(
-            "http://e.org/p1",
-            "http://e.org/v#mfr",
-            "Vishay",
-        ));
-        g.insert(Triple::literal(
-            "http://e.org/p1",
-            "http://e.org/v#mfr",
-            "Vishay Intertech",
-        ));
-        g.insert(Triple::iris(
-            "http://e.org/p1",
-            "http://e.org/v#cls",
-            "http://e.org/c#R",
-        ));
-        g.insert(Triple::literal(
-            "http://e.org/p2",
-            "http://e.org/v#pn",
-            "T83A225",
-        ));
-        g
-    }
-
-    #[test]
-    fn from_graph_collects_literals_only() {
-        let g = sample_graph();
-        let r = Record::from_graph(&g, &Term::iri("http://e.org/p1"));
-        assert_eq!(r.value_count(), 3);
-        assert_eq!(r.first("http://e.org/v#pn"), Some("CRCW0805-10K"));
-        assert_eq!(r.values("http://e.org/v#mfr").len(), 2);
-        assert!(r.values("http://e.org/v#cls").is_empty());
-        assert!(r.first("http://e.org/v#unknown").is_none());
-    }
-
-    #[test]
-    fn all_from_graph_builds_one_record_per_subject() {
-        let g = sample_graph();
-        let records = Record::all_from_graph(&g);
-        assert_eq!(records.len(), 2);
-    }
 
     #[test]
     fn full_text_concatenates_values() {
@@ -166,6 +92,5 @@ mod tests {
         let mut r = Record::new(Term::iri("http://e.org/x"));
         r.add("p", "v1").add("p", "v2");
         assert_eq!(r.values("p"), &["v1".to_string(), "v2".to_string()]);
-        assert_eq!(r.value_count(), 2);
     }
 }

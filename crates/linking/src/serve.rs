@@ -19,7 +19,7 @@
 //!   the new epoch *outside* the lock, then flips the pointer. In-flight
 //!   probes keep the `Arc` of the epoch they started on, so a probe is
 //!   never torn across a swap and a swap never waits for probes.
-//! * **Incremental appends.** [`Linker::append`] publishes a successor
+//! * **Incremental appends.** [`Linker::try_append`] publishes a successor
 //!   epoch that `Arc`-shares the surviving shards of the current one —
 //!   their warmed artifacts carry over — and builds/warms only the
 //!   delta's appended shards, so growing the catalog costs O(delta)
@@ -201,7 +201,7 @@ impl<'a> Linker<'a> {
     /// is the commit point: on `Err` nothing was committed and the
     /// previous generation — if any — is still the directory's restart
     /// point. Data files are content-addressed, so snapshotting after an
-    /// [`append`](Self::append) spills only the appended shards
+    /// [`try_append`](Self::try_append) spills only the appended shards
     /// (`shards_reused` in the receipt counts the carry-over).
     ///
     /// Serving is never interrupted: the spill reads one pinned epoch
@@ -274,7 +274,7 @@ impl<'a> Linker<'a> {
 
     /// An empty shard builder whose schema continues the currently
     /// served catalog's (see [`ShardedStore::delta_builder`]) — fill it
-    /// with the delta batch and publish with [`append`](Self::append).
+    /// with the delta batch and publish with [`try_append`](Self::try_append).
     pub fn delta_builder(&self) -> ShardedStoreBuilder {
         self.catalog.load().store().delta_builder()
     }
@@ -296,17 +296,11 @@ impl<'a> Linker<'a> {
     /// base (like any load-build-publish update); serialise appends on
     /// one updater thread to make every delta durable.
     ///
-    /// Panics on a contained fault — the fault-tolerant entry point is
-    /// [`try_append`](Self::try_append).
-    pub fn append(&self, delta: ShardedStoreBuilder) -> u64 {
-        self.try_append(delta).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`append`](Self::append): a panic (or injected fault)
-    /// while columnarising the delta shards or warming their artifacts
-    /// is caught *before* the catalog lock is ever taken and returned as
-    /// a [`LinkError`]. On `Err` the previous epoch keeps serving —
-    /// nothing is partially appended, and the sequence does not advance.
+    /// A panic (or injected fault) while columnarising the delta shards or
+    /// warming their artifacts is caught *before* the catalog lock is ever
+    /// taken and returned as a [`LinkError`]. On `Err` the previous epoch
+    /// keeps serving — nothing is partially appended, and the sequence
+    /// does not advance.
     pub fn try_append(&self, delta: ShardedStoreBuilder) -> LinkResult<u64> {
         let built = catch_unwind(AssertUnwindSafe(|| {
             // Models a fault at the append boundary, before the delta

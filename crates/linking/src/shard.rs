@@ -116,14 +116,10 @@ impl ShardedStore {
         Self::split(records, shard_count, schema, ShardedStoreBuilder::push)
     }
 
-    /// Shard every subject of an RDF graph, one record per subject (the
-    /// sharded equivalent of [`RecordStore::from_graph`]; subject order —
-    /// and therefore global ids — match the single-store constructor).
-    pub fn from_graph(graph: &Graph, shard_count: usize) -> Self {
-        Self::from_graph_with_schema(graph, shard_count, SchemaInterner::new())
-    }
-
-    /// [`from_graph`](Self::from_graph) on an existing shared schema.
+    /// Shard every subject of an RDF graph on an existing shared schema,
+    /// one record per subject (the sharded equivalent of
+    /// [`RecordStore::from_graph`]; subject order — and therefore global
+    /// ids — match the single-store constructor).
     pub fn from_graph_with_schema(
         graph: &Graph,
         shard_count: usize,
@@ -513,13 +509,6 @@ impl ShardedStoreBuilder {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`build`](Self::build); `workers` has no effect (see
-    /// [`try_build_with_workers`](Self::try_build_with_workers)).
-    pub fn build_with_workers(self, workers: usize) -> ShardedStore {
-        self.try_build_with_workers(workers)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// [`try_build`](Self::try_build); `workers` has no effect, a build
     /// having nothing to spread over threads. The argument stays for
     /// `linkbench` until ROADMAP item 1's benchmark PR moves it to
@@ -651,7 +640,7 @@ mod tests {
                 format!("PN-{i}"),
             ));
         }
-        let sharded = ShardedStore::from_graph(&g, 2);
+        let sharded = ShardedStore::from_graph_with_schema(&g, 2, SchemaInterner::new());
         let single = RecordStore::from_graph(&g);
         assert_eq!(sharded.len(), single.len());
         for global in 0..single.len() {
@@ -718,7 +707,7 @@ mod tests {
         }
         let built = builder.clone().build();
         for workers in [0, 1, 2, 16] {
-            let with_workers = builder.clone().build_with_workers(workers);
+            let with_workers = builder.clone().try_build_with_workers(workers).unwrap();
             assert_eq!(built, with_workers, "{workers} workers");
         }
         for (i, record) in records.iter().enumerate() {

@@ -83,9 +83,9 @@ impl SimilarityMeasure {
     /// Compute the similarity using `scratch` for working memory.
     ///
     /// The edit/Jaro measures run allocation-free on the scratch
-    /// kernels; the token/bigram measures still build per-pair sets (the
-    /// allocation-free path for those is the stores' per-column token
-    /// tables used by
+    /// kernels; the token/bigram measures still tokenise the pair into a
+    /// two-value token table (the allocation-free path for those is the
+    /// stores' per-column token tables used by
     /// [`CompiledComparator::score`](crate::comparator::CompiledComparator::score)).
     /// Results are bit-identical to [`Self::compare`].
     pub fn compare_with(&self, scratch: &mut scratch::SimScratch, a: &str, b: &str) -> f64 {

@@ -12,12 +12,18 @@
 //! unigram can never "intersect" a bigram). When *both* sides of a
 //! bigram measure have no bigrams the measure falls back to lowercased
 //! string equality (`1.0` if equal, `0.0` otherwise); when exactly one
-//! side has no bigrams the similarity is `0.0`. The same convention is
-//! shared verbatim by the precomputed token-index kernels in
-//! [`crate::token_index`].
+//! side has no bigrams the similarity is `0.0`.
+//!
+//! The four measures run the kernels the comparator runs on a store's
+//! per-column token tables (`crate::token_index`), on a two-value table
+//! built for the one pair; `similarity::naive` holds the per-pair
+//! `HashSet` versions they are tested against.
 
-use super::jaro::jaro_winkler;
-use std::collections::HashSet;
+use super::scratch::SimScratch;
+use crate::token_index::{
+    dice_bigrams_kernel, jaccard_bigrams_kernel, jaccard_tokens_kernel, monge_elkan_kernel,
+    TokenTable, ValueTokens,
+};
 
 /// The shared tokenisation: lowercased alphanumeric runs, in order of
 /// appearance (duplicates preserved).
@@ -58,74 +64,41 @@ pub(crate) fn lowercase_eq(a: &str, b: &str) -> bool {
         .eq(b.chars().flat_map(char::to_lowercase))
 }
 
-fn jaccard_of_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let intersection = a.intersection(b).count() as f64;
-    let union = a.union(b).count() as f64;
-    if union == 0.0 {
-        1.0
-    } else {
-        intersection / union
-    }
+/// Tokenise the two sides into one two-value [`TokenTable`] and run
+/// `kernel` on their views — the one-pair form of what a store does per
+/// column.
+fn pair_kernel(
+    a: &str,
+    b: &str,
+    kernel: impl FnOnce(&ValueTokens<'_>, &ValueTokens<'_>) -> f64,
+) -> f64 {
+    let table = TokenTable::build([a, b].into_iter());
+    kernel(&table.value_tokens(0, a), &table.value_tokens(1, b))
 }
 
 /// Jaccard similarity over lower-cased alphanumeric tokens.
 pub fn jaccard_tokens(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = tokens(a).into_iter().collect();
-    let sb: HashSet<String> = tokens(b).into_iter().collect();
-    jaccard_of_sets(&sa, &sb)
+    pair_kernel(a, b, jaccard_tokens_kernel)
 }
 
 /// Jaccard similarity over character bigrams (short-string convention:
 /// see the [module docs](self)).
 pub fn jaccard_chars(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = char_bigrams(a).into_iter().collect();
-    let sb: HashSet<String> = char_bigrams(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return if lowercase_eq(a, b) { 1.0 } else { 0.0 };
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    jaccard_of_sets(&sa, &sb)
+    pair_kernel(a, b, jaccard_bigrams_kernel)
 }
 
 /// Dice coefficient over character bigrams: `2·|A∩B| / (|A| + |B|)`
 /// (short-string convention: see the [module docs](self)).
 pub fn dice_bigrams(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = char_bigrams(a).into_iter().collect();
-    let sb: HashSet<String> = char_bigrams(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return if lowercase_eq(a, b) { 1.0 } else { 0.0 };
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let intersection = sa.intersection(&sb).count() as f64;
-    2.0 * intersection / (sa.len() + sb.len()) as f64
+    pair_kernel(a, b, dice_bigrams_kernel)
 }
 
 /// Monge-Elkan similarity: for each token of `a`, take its best
 /// Jaro-Winkler match among the tokens of `b`, then average; symmetrised by
 /// taking the mean of both directions.
 pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    let ta = tokens(a);
-    let tb = tokens(b);
-    if ta.is_empty() && tb.is_empty() {
-        return 1.0;
-    }
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
-    }
-    let directed = |xs: &[String], ys: &[String]| -> f64 {
-        xs.iter()
-            .map(|x| ys.iter().map(|y| jaro_winkler(x, y)).fold(0.0f64, f64::max))
-            .sum::<f64>()
-            / xs.len() as f64
-    };
-    (directed(&ta, &tb) + directed(&tb, &ta)) / 2.0
+    let mut scratch = SimScratch::new();
+    pair_kernel(a, b, |x, y| monge_elkan_kernel(x, y, &mut scratch))
 }
 
 #[cfg(test)]

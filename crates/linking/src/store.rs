@@ -269,9 +269,9 @@ impl RecordStore {
         builder.build()
     }
 
-    /// Build the store of every subject of `graph`, one record per
-    /// subject holding its literal-valued triples (the columnar
-    /// equivalent of [`Record::all_from_graph`]).
+    /// Build the store of every subject of `graph`, in subject order, one
+    /// record per subject holding its literal-valued triples
+    /// ([`Triple::literal_fact`](classilink_rdf::Triple::literal_fact)).
     pub fn from_graph(graph: &Graph) -> Self {
         let mut builder = Self::builder();
         builder.push_graph(graph);
@@ -498,11 +498,6 @@ impl RecordStore {
             columns: built,
             derived: Derived::default(),
         })
-    }
-
-    /// Number of attribute values on `record`.
-    pub fn value_count(&self, record: usize) -> usize {
-        self.columns.iter().map(|c| c.range(record).len()).sum()
     }
 
     /// Every value of every attribute of `record`, space-joined in sorted
@@ -838,8 +833,8 @@ impl RecordStoreBuilder {
     pub fn push_subject(&mut self, graph: &Graph, subject: &Term) -> usize {
         let index = self.begin_record(subject.clone());
         for triple in graph.triples_matching(Some(subject), None, None) {
-            if let (Some(p), Some(lit)) = (triple.predicate.as_iri(), triple.object.as_literal()) {
-                self.push_value(p, &lit.value);
+            if let Some((property, value)) = triple.literal_fact() {
+                self.push_value(property, value);
             }
         }
         index
@@ -926,8 +921,7 @@ mod tests {
         assert_eq!(store.values(1, pn).len(), 0);
         assert_eq!(store.first(1, pn), None);
         assert_eq!(store.first(2, pn), Some("T83A225"));
-        assert_eq!(store.value_count(0), 3);
-        assert_eq!(store.value_count(1), 0);
+        assert_eq!(store.facts(1).count(), 0);
         assert_eq!(store.property("http://nowhere.org/v#x"), None);
     }
 
@@ -967,19 +961,55 @@ mod tests {
         assert_eq!(store.to_records(), records);
     }
 
+    /// The graph walk keeps exactly what `Triple::literal_fact` keeps, in
+    /// subject order: literal values of any form, IRI and blank subjects
+    /// alike, and an attribute-less record for a subject whose only triple
+    /// has an IRI object.
     #[test]
-    fn from_graph_matches_record_extraction() {
+    fn from_graph_extracts_literal_facts_per_subject() {
+        use classilink_rdf::Literal;
+        let p1 = Term::iri("http://e.org/p1");
         let mut g = Graph::new();
         g.insert(Triple::literal("http://e.org/p1", PN, "CRCW0805-10K"));
-        g.insert(Triple::literal("http://e.org/p1", MFR, "Vishay"));
         g.insert(Triple::iris(
             "http://e.org/p1",
+            MFR,
+            "http://e.org/org#Vishay",
+        ));
+        let typed = Literal::typed("10000", classilink_rdf::namespace::vocab::XSD_INTEGER);
+        g.insert(Triple::new(p1.clone(), Term::iri(PN), typed.into()));
+        let tagged = Literal::lang("Vishay Intertech", "en");
+        g.insert(Triple::new(p1, Term::iri(MFR), tagged.into()));
+        g.insert(Triple::new(
+            Term::blank("b0"),
+            Term::iri(PN),
+            Term::literal("T83A225"),
+        ));
+        g.insert(Triple::iris(
+            "http://e.org/p2",
             "http://e.org/v#cls",
             "http://e.org/c#R",
         ));
-        g.insert(Triple::literal("http://e.org/p2", PN, "T83A225"));
-        let store = RecordStore::from_graph(&g);
-        assert_eq!(store.to_records(), Record::all_from_graph(&g));
+        let record = |id: Term, facts: &[(&str, &str)]| {
+            let mut record = Record::new(id);
+            for (property, value) in facts {
+                record.add(*property, *value);
+            }
+            record
+        };
+        let expected = vec![
+            record(
+                Term::iri("http://e.org/p1"),
+                &[
+                    (MFR, "Vishay Intertech"),
+                    (PN, "CRCW0805-10K"),
+                    (PN, "10000"),
+                ],
+            ),
+            record(Term::blank("b0"), &[(PN, "T83A225")]),
+            record(Term::iri("http://e.org/p2"), &[]),
+        ];
+        assert_eq!(RecordStore::from_graph(&g).to_records(), expected);
     }
 
     #[test]
@@ -1066,7 +1096,7 @@ mod tests {
         let pn = store.property(PN).unwrap();
         let values: Vec<&str> = store.values(0, pn).collect();
         assert_eq!(values, vec!["a", "b"]);
-        assert_eq!(store.value_count(1), 0);
+        assert_eq!(store.facts(1).count(), 0);
     }
 
     #[test]
@@ -1423,7 +1453,6 @@ mod tests {
                 prop_assert_eq!(store.to_records(), records.clone());
                 for (i, r) in records.iter().enumerate() {
                     prop_assert_eq!(store.full_text(i), r.full_text());
-                    prop_assert_eq!(store.value_count(i), r.value_count());
                     prop_assert_eq!(store.index_of(&r.id), Some(i));
                     for (property, values) in &r.attributes {
                         let id = store.property(property).unwrap();

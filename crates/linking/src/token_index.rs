@@ -1,9 +1,9 @@
 //! Store-level precomputation: the token tables of the set-based
 //! similarity kernels and the key indexes of the blockers.
 //!
-//! The naive token measures (`jaccard_tokens`, `jaccard_chars`,
-//! `dice_bigrams`, `monge_elkan`) tokenise, lowercase and build
-//! `HashSet<String>`s **per candidate pair** — `O(candidates × string
+//! A set measure (`jaccard_tokens`, `jaccard_chars`, `dice_bigrams`,
+//! `monge_elkan`) compares token or bigram sets; tokenising, lowercasing
+//! and deduplicating them per candidate pair is `O(candidates × string
 //! work)` with several heap allocations per comparison. A `TokenTable`
 //! moves that string work to the store, **one column at a time**: each
 //! value of the column (or each record's full text, for the fallback) is
@@ -21,17 +21,19 @@
 //! usually fails on the first byte); bigram ids are a pure function of the
 //! two characters, so they agree everywhere and merge without any
 //! resolution. Tokenisation and the bigram short-string convention are
-//! shared verbatim with the naive reference path (see
-//! [`crate::similarity::token`]), which keeps the kernels bit-identical to
-//! the per-pair set construction.
+//! shared verbatim with the per-pair `HashSet` references of
+//! `similarity::naive` (see [`crate::similarity::token`]), which keeps the
+//! kernels bit-identical to them. The public one-pair functions of
+//! [`crate::similarity::token`] run these same kernels on a two-value
+//! table.
 //!
 //! A linkage rule names the properties it compares, so a store tokenises
-//! only those: a table is built on first use, per column, through
-//! [`RecordStore::token_index`](crate::store::RecordStore::token_index),
-//! and cached in the store's derived state. The compiled comparator warms
-//! the right-hand column of every set rule on the catalog shards, the hoist
-//! builds the left-hand one of the external store, and the full-text
-//! table is built only when a set-measure fallback fires.
+//! only those: a column's table is built on its first use by the store's
+//! crate-private `token_table` and cached in the store's derived state.
+//! The compiled comparator warms the right-hand column of every set rule
+//! on the catalog shards, the hoist builds the left-hand one of the
+//! external store, and the full-text table is built only when a
+//! set-measure fallback fires.
 //!
 //! The blocking side is the [`KeyIndex`]: every record's normalised key
 //! once per recipe, the records sorted by key, and — for sorted

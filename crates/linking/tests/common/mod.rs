@@ -128,7 +128,7 @@ pub fn rule_setup(catalog: usize) -> (Ontology, InstanceStore, RuleClassifier) {
     (
         onto,
         instances,
-        RuleClassifier::new(rules, SegmenterKind::Separator, true),
+        RuleClassifier::new(rules, SegmenterKind::Separator),
     )
 }
 

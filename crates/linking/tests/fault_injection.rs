@@ -323,7 +323,7 @@ fn shard_build_contains_panics() {
         }
         builder
     };
-    let baseline = build(&locals).build_with_workers(1);
+    let baseline = build(&locals).build();
     let armed = Armed::new("shard::columnarise", "1*off->1*panic(chaos shard)->off");
     let error = build(&locals).try_build_with_workers(2).unwrap_err();
     let LinkError::ShardBuildPanicked { shard, payload } = &error else {

@@ -26,7 +26,7 @@ use classilink_linking::blocking::{
 use classilink_linking::pipeline::{Link, LinkageResult};
 use classilink_linking::{
     AttributeRule, CandidateRuns, CompiledComparator, LeftHoist, LinkagePipeline, MatchDecision,
-    RecordComparator, RecordStore, ShardedStore, SimScratch, SimilarityMeasure,
+    RecordComparator, RecordStore, SchemaInterner, ShardedStore, SimScratch, SimilarityMeasure,
 };
 use classilink_segment::{CharNGramSegmenter, Segmenter};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -113,7 +113,7 @@ fn overlapping_classifier(scenario: &GeneratedScenario) -> RuleClassifier {
         }
         rules.push(twin);
     }
-    RuleClassifier::new(rules, learner.segmenter, learner.normalize)
+    RuleClassifier::new(rules, learner.segmenter)
 }
 
 // ---------------------------------------------------------------------
@@ -834,7 +834,11 @@ fn rule_based_streaming_matches_reference() {
             &classifier,
             fallback,
             &scenario.external_store(),
-            &scenario.local_store_sharded(1),
+            &ShardedStore::from_graph_with_schema(
+                scenario.dataset.local(),
+                1,
+                SchemaInterner::new(),
+            ),
         )
         .swap_remove(0)
         .0

@@ -304,7 +304,6 @@ fn rule_stream_allocations_beyond_classification(externals: usize) -> u64 {
             quality: Contingency::new(100, 10, 20, 10).quality(),
         }],
         SegmenterKind::Separator,
-        true,
     );
     let external = RecordStore::from_records(
         &(0..externals)
@@ -445,7 +444,7 @@ fn assert_appended_shards_are_probed_warm(
             r.add(LOC_PN, format!("CRCW0805-{:05}-{}", 7 * i + 3, i % 5));
             delta.push(&r);
         }
-        linker.append(delta);
+        linker.try_append(delta).unwrap();
     };
     append();
     let (grown, _) = measure_probe_sweep(linker, scratch, probes);

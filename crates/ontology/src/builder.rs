@@ -1,6 +1,6 @@
 //! Ergonomic ontology construction.
 
-use crate::model::{ClassId, DataKind, PropertyId};
+use crate::model::ClassId;
 use crate::ontology::Ontology;
 
 /// A convenience builder that names classes relative to a base namespace and
@@ -21,17 +21,12 @@ pub struct OntologyBuilder {
 }
 
 impl OntologyBuilder {
-    /// Start building with the namespace used to mint class/property IRIs.
+    /// Start building with the namespace used to mint class IRIs.
     pub fn new(namespace: impl Into<String>) -> Self {
         OntologyBuilder {
             namespace: namespace.into(),
             ontology: Ontology::new(),
         }
-    }
-
-    /// The namespace used to mint IRIs.
-    pub fn namespace(&self) -> &str {
-        &self.namespace
     }
 
     fn mint(&self, local: &str) -> String {
@@ -62,62 +57,6 @@ impl OntologyBuilder {
         id
     }
 
-    /// Add an extra `sub ⊑ sup` edge (for multiple inheritance).
-    pub fn subclass(&mut self, sub: ClassId, sup: ClassId) -> &mut Self {
-        self.ontology
-            .add_subclass_axiom(sub, sup)
-            .expect("builder subclass edge must not create a cycle");
-        self
-    }
-
-    /// Declare a disjointness axiom between two classes.
-    pub fn disjoint(&mut self, a: ClassId, b: ClassId) -> &mut Self {
-        self.ontology
-            .add_disjoint_axiom(a, b)
-            .expect("builder disjointness axiom on distinct classes");
-        self
-    }
-
-    /// Declare a text data property named `label`.
-    pub fn data_property(&mut self, label: &str, domain: Option<ClassId>) -> PropertyId {
-        let iri = self.mint_property(label);
-        self.ontology
-            .add_data_property(iri, label, domain, DataKind::Text)
-    }
-
-    /// Declare an object property named `label`.
-    pub fn object_property(
-        &mut self,
-        label: &str,
-        domain: Option<ClassId>,
-        range: Option<ClassId>,
-    ) -> PropertyId {
-        let iri = self.mint_property(label);
-        self.ontology.add_object_property(iri, label, domain, range)
-    }
-
-    fn mint_property(&self, local: &str) -> String {
-        // camelCase for properties: first word lowercase, the rest capitalised.
-        let mut words = local.split_whitespace();
-        let mut out = String::new();
-        if let Some(first) = words.next() {
-            out.push_str(&first.to_lowercase());
-        }
-        for w in words {
-            let mut chars = w.chars();
-            if let Some(first) = chars.next() {
-                out.push_str(&first.to_uppercase().collect::<String>());
-                out.push_str(chars.as_str());
-            }
-        }
-        format!("{}{}", self.namespace, out)
-    }
-
-    /// Read-only access to the ontology under construction.
-    pub fn ontology(&self) -> &Ontology {
-        &self.ontology
-    }
-
     /// Finish building.
     pub fn build(self) -> Ontology {
         self.ontology
@@ -141,36 +80,12 @@ mod tests {
     }
 
     #[test]
-    fn property_iris_are_camel_cased() {
-        let mut b = OntologyBuilder::new("http://e.org/v#");
-        let root = b.class("Component", None);
-        b.data_property("part number", Some(root));
-        b.object_property("has manufacturer", Some(root), None);
-        let onto = b.build();
-        assert!(onto.data_property("http://e.org/v#partNumber").is_some());
-        assert!(onto
-            .object_property("http://e.org/v#hasManufacturer")
-            .is_some());
-    }
-
-    #[test]
-    fn disjoint_and_extra_subclass_edges() {
+    fn a_class_without_parent_is_a_root() {
         let mut b = OntologyBuilder::new("http://e.org/c#");
         let root = b.class("Component", None);
-        let r = b.class("Resistor", Some(root));
-        let c = b.class("Capacitor", Some(root));
         let special = b.class("SpecialPart", None);
-        b.disjoint(r, c);
-        b.subclass(special, root);
         let onto = b.build();
-        assert!(onto.are_disjoint(r, c));
-        assert!(onto.is_subclass_of(special, root));
-    }
-
-    #[test]
-    fn namespace_accessors() {
-        let b = OntologyBuilder::new("http://e.org/c#");
-        assert_eq!(b.namespace(), "http://e.org/c#");
-        assert!(b.ontology().is_empty());
+        assert_eq!(onto.roots(), vec![root, special]);
+        assert!(!onto.is_subclass_of(special, root));
     }
 }

@@ -8,12 +8,8 @@ pub type Result<T> = std::result::Result<T, OntologyError>;
 /// Errors raised while building or querying an ontology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OntologyError {
-    /// A class IRI was referenced but never declared.
-    UnknownClass(String),
     /// A class id was out of range for this ontology.
     UnknownClassId(u32),
-    /// A property IRI was referenced but never declared.
-    UnknownProperty(String),
     /// Declaring a subclass edge would introduce a cycle in the hierarchy.
     SubsumptionCycle {
         /// The subclass side of the offending edge.
@@ -21,37 +17,25 @@ pub enum OntologyError {
         /// The superclass side of the offending edge.
         sup: String,
     },
-    /// The same IRI was declared twice with incompatible roles
-    /// (e.g. both a class and a property).
+    /// A class was declared disjoint with itself.
     ConflictingDeclaration(String),
-    /// An error bubbled up from the RDF layer during import/export.
-    Rdf(String),
 }
 
 impl fmt::Display for OntologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OntologyError::UnknownClass(iri) => write!(f, "unknown class: {iri}"),
             OntologyError::UnknownClassId(id) => write!(f, "unknown class id: {id}"),
-            OntologyError::UnknownProperty(iri) => write!(f, "unknown property: {iri}"),
             OntologyError::SubsumptionCycle { sub, sup } => {
                 write!(f, "adding {sub} rdfs:subClassOf {sup} would create a cycle")
             }
             OntologyError::ConflictingDeclaration(iri) => {
                 write!(f, "conflicting declaration for {iri}")
             }
-            OntologyError::Rdf(msg) => write!(f, "rdf error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for OntologyError {}
-
-impl From<classilink_rdf::RdfError> for OntologyError {
-    fn from(e: classilink_rdf::RdfError) -> Self {
-        OntologyError::Rdf(e.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -59,13 +43,7 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(OntologyError::UnknownClass("c".into())
-            .to_string()
-            .contains("unknown class"));
         assert!(OntologyError::UnknownClassId(3).to_string().contains('3'));
-        assert!(OntologyError::UnknownProperty("p".into())
-            .to_string()
-            .contains("unknown property"));
         let cycle = OntologyError::SubsumptionCycle {
             sub: "A".into(),
             sup: "B".into(),
@@ -74,13 +52,5 @@ mod tests {
         assert!(OntologyError::ConflictingDeclaration("x".into())
             .to_string()
             .contains("conflicting"));
-    }
-
-    #[test]
-    fn converts_rdf_error() {
-        let rdf_err = classilink_rdf::RdfError::InvalidIri("bad".into());
-        let e: OntologyError = rdf_err.into();
-        assert!(matches!(e, OntologyError::Rdf(_)));
-        assert!(e.to_string().contains("bad"));
     }
 }

@@ -83,16 +83,6 @@ impl InstanceStore {
             .collect()
     }
 
-    /// Number of items with at least one type assertion.
-    pub fn item_count(&self) -> usize {
-        self.types_of.len()
-    }
-
-    /// Iterate over all items with assertions.
-    pub fn items(&self) -> impl Iterator<Item = &Term> {
-        self.types_of.keys()
-    }
-
     /// Iterate over `(class, direct extent size)` pairs.
     pub fn class_frequencies(&self) -> impl Iterator<Item = (ClassId, usize)> + '_ {
         self.extent.iter().map(|(c, items)| (*c, items.len()))
@@ -152,7 +142,6 @@ mod tests {
         assert_eq!(store.types_of(&item(1)).len(), 2);
         assert_eq!(store.types_of(&item(9)).len(), 0);
         assert_eq!(store.most_specific_types(&item(1), &onto), vec![fixed]);
-        assert_eq!(store.item_count(), 1);
     }
 
     #[test]
@@ -177,14 +166,20 @@ mod tests {
         assert_eq!(store.extent(component, &onto), vec![item(1)]);
     }
 
-    /// The extent written the obvious way: every item, in `Term` order,
-    /// one of whose asserted classes is the class or a subclass of it.
-    fn obvious_extent(store: &InstanceStore, class: ClassId, onto: &Ontology) -> Vec<Term> {
+    /// The extent written the obvious way: every item of `items` (in
+    /// `Term` order), one of whose asserted classes is the class or a
+    /// subclass of it.
+    fn obvious_extent(
+        store: &InstanceStore,
+        items: &[Term],
+        class: ClassId,
+        onto: &Ontology,
+    ) -> Vec<Term> {
         let is_member = |item: &&Term| {
             let asserted = store.types_of(item);
             asserted.iter().any(|c| onto.is_subclass_of(*c, class))
         };
-        store.items().filter(is_member).cloned().collect()
+        items.iter().filter(is_member).cloned().collect()
     }
 
     #[test]
@@ -212,7 +207,8 @@ mod tests {
                 "strictly ascending `Term` order"
             );
             let owned: Vec<Term> = refs.into_iter().cloned().collect();
-            assert_eq!(owned, obvious_extent(&store, class, &onto));
+            let items: Vec<Term> = (1..=9).map(item).collect();
+            assert_eq!(owned, obvious_extent(&store, &items, class, &onto));
             assert_eq!(owned, store.extent(class, &onto));
         }
         // Multi-asserted items appear once.
@@ -267,8 +263,8 @@ mod tests {
             "CRCW0805",
         ));
         let (store, unknown) = InstanceStore::from_graph(&g, &onto);
-        assert_eq!(store.item_count(), 1);
         assert_eq!(store.types_of(&item(1)), vec![fixed]);
+        assert!(store.types_of(&item(2)).is_empty());
         assert_eq!(unknown, vec!["http://e.org/c#UnknownClass".to_string()]);
     }
 
@@ -276,8 +272,6 @@ mod tests {
     fn empty_store_queries() {
         let (onto, [component, ..]) = setup();
         let store = InstanceStore::new();
-        assert_eq!(store.item_count(), 0);
         assert!(store.extent(component, &onto).is_empty());
-        assert_eq!(store.items().count(), 0);
     }
 }

@@ -11,14 +11,13 @@
 //! "the semantics of the subsumption between classes". This crate provides
 //! exactly those capabilities:
 //!
-//! * [`model`] — classes, data/object properties and their ids.
+//! * [`model`] — classes and their ids.
 //! * [`ontology`] — the ontology itself: subsumption hierarchy with
-//!   ancestor/descendant closure, leaves, depth and disjointness axioms.
+//!   ancestor/descendant closure, leaves, depth and declared disjointness
+//!   axioms.
 //! * [`instances`] — class-membership assertions for data items, extents
 //!   under subsumption, most-specific-class computation.
 //! * [`builder`] — ergonomic construction.
-//! * [`rdf_io`] — import from RDF graphs (`rdfs:subClassOf`,
-//!   `owl:Class`, `owl:disjointWith`, `rdf:type`, …).
 //! * [`stats`] — summary statistics (class counts, leaf counts, depth
 //!   histograms) matching the numbers the paper reports about its ontology
 //!   (566 classes, 226 leaves).
@@ -33,11 +32,12 @@
 //! let resistor = b.class("Resistor", Some(component));
 //! let fixed_film = b.class("FixedFilmResistor", Some(resistor));
 //! let capacitor = b.class("Capacitor", Some(component));
-//! b.disjoint(resistor, capacitor);
-//! let onto = b.build();
+//! let mut onto = b.build();
+//! onto.add_disjoint_axiom(resistor, capacitor).unwrap();
 //!
 //! assert!(onto.is_subclass_of(fixed_film, component));
-//! assert!(onto.are_disjoint(fixed_film, capacitor));
+//! assert!(!onto.is_subclass_of(capacitor, resistor));
+//! assert_eq!(onto.disjoint_axiom_count(), 1);
 //! assert_eq!(onto.leaves().len(), 2);
 //! ```
 
@@ -48,12 +48,11 @@ pub mod error;
 pub mod instances;
 pub mod model;
 pub mod ontology;
-pub mod rdf_io;
 pub mod stats;
 
 pub use builder::OntologyBuilder;
 pub use error::{OntologyError, Result};
 pub use instances::InstanceStore;
-pub use model::{ClassId, DataProperty, ObjectProperty, OntClass, PropertyId};
+pub use model::{ClassId, OntClass};
 pub use ontology::Ontology;
 pub use stats::OntologyStats;

@@ -1,4 +1,4 @@
-//! Core ontology entities: classes and properties.
+//! Core ontology entities: classes and their ids.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -25,25 +25,6 @@ impl fmt::Display for ClassId {
     }
 }
 
-/// A compact identifier for a property within one [`crate::Ontology`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
-pub struct PropertyId(pub u32);
-
-impl PropertyId {
-    /// The raw index value.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for PropertyId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "p{}", self.0)
-    }
-}
-
 /// An ontology class (`owl:Class`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OntClass {
@@ -65,52 +46,6 @@ impl OntClass {
     }
 }
 
-/// The kind of value a data-type property carries. Only informative; the
-/// learner treats all values as strings to segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum DataKind {
-    /// Free text or alphanumeric codes (part numbers, labels).
-    #[default]
-    Text,
-    /// Numeric values.
-    Numeric,
-    /// Boolean flags.
-    Boolean,
-}
-
-/// A data-type property (`owl:DatatypeProperty`): links an item to a literal.
-///
-/// These are the properties `p` of the paper's rules
-/// `p(X, Y) ∧ subsegment(Y, a) ⇒ c(X)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DataProperty {
-    /// The property id within its ontology.
-    pub id: PropertyId,
-    /// The full IRI of the property.
-    pub iri: String,
-    /// Human-readable label.
-    pub label: String,
-    /// Optional domain class.
-    pub domain: Option<ClassId>,
-    /// The kind of literal the property carries.
-    pub kind: DataKind,
-}
-
-/// An object property (`owl:ObjectProperty`): links an item to another item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObjectProperty {
-    /// The property id within its ontology.
-    pub id: PropertyId,
-    /// The full IRI of the property.
-    pub iri: String,
-    /// Human-readable label.
-    pub label: String,
-    /// Optional domain class.
-    pub domain: Option<ClassId>,
-    /// Optional range class.
-    pub range: Option<ClassId>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +54,6 @@ mod tests {
     fn ids_display_and_index() {
         assert_eq!(ClassId(4).to_string(), "c4");
         assert_eq!(ClassId(4).index(), 4);
-        assert_eq!(PropertyId(2).to_string(), "p2");
-        assert_eq!(PropertyId(2).index(), 2);
     }
 
     #[test]
@@ -142,13 +75,7 @@ mod tests {
     }
 
     #[test]
-    fn data_kind_default_is_text() {
-        assert_eq!(DataKind::default(), DataKind::Text);
-    }
-
-    #[test]
     fn ids_are_ordered() {
         assert!(ClassId(1) < ClassId(2));
-        assert!(PropertyId(0) < PropertyId(9));
     }
 }

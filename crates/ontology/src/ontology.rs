@@ -1,11 +1,13 @@
-//! The ontology: classes, properties, subsumption hierarchy and disjointness.
+//! The ontology: classes, subsumption hierarchy and disjointness.
 
 use crate::error::{OntologyError, Result};
-use crate::model::{ClassId, DataKind, DataProperty, ObjectProperty, OntClass, PropertyId};
+use crate::model::{ClassId, OntClass};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-/// An OWL-lite ontology: a class hierarchy (`rdfs:subClassOf`), disjointness
-/// axioms (`owl:disjointWith`) and data/object property declarations.
+/// An OWL-lite ontology: a class hierarchy (`rdfs:subClassOf`) and
+/// disjointness axioms (`owl:disjointWith`). The paper's rules conclude on
+/// its classes; their premises read properties of the external source,
+/// whose schema the ontology does not describe.
 ///
 /// The hierarchy is a DAG (multiple inheritance is allowed, cycles are
 /// rejected). All hierarchy queries (`ancestors`, `descendants`,
@@ -16,11 +18,9 @@ pub struct Ontology {
     classes: Vec<OntClass>,
     class_by_iri: HashMap<String, ClassId>,
     children: Vec<Vec<ClassId>>,
-    data_properties: Vec<DataProperty>,
-    data_prop_by_iri: HashMap<String, PropertyId>,
-    object_properties: Vec<ObjectProperty>,
-    object_prop_by_iri: HashMap<String, PropertyId>,
-    /// Declared disjointness axioms, stored as ordered pairs (lo, hi).
+    /// Declared disjointness axioms, stored as ordered pairs (lo, hi); the
+    /// generator declares them between top-level families and
+    /// [`OntologyStats`](crate::OntologyStats) counts them.
     disjoint: HashSet<(ClassId, ClassId)>,
 }
 
@@ -275,107 +275,6 @@ impl Ontology {
     pub fn disjoint_axiom_count(&self) -> usize {
         self.disjoint.len()
     }
-
-    /// `true` when `a` and `b` are disjoint, i.e. some ancestor-or-self of
-    /// `a` is declared disjoint with some ancestor-or-self of `b`.
-    ///
-    /// This is the "class disjunction" knowledge related work ([Saïs et al.
-    /// 2009]) exploits to prune the reconciliation space.
-    pub fn are_disjoint(&self, a: ClassId, b: ClassId) -> bool {
-        if a == b || self.disjoint.is_empty() {
-            return false;
-        }
-        let mut up_a = self.ancestors(a);
-        up_a.push(a);
-        let mut up_b = self.ancestors(b);
-        up_b.push(b);
-        for x in &up_a {
-            for y in &up_b {
-                let pair = if x < y { (*x, *y) } else { (*y, *x) };
-                if self.disjoint.contains(&pair) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    // ------------------------------------------------------------------
-    // Properties
-    // ------------------------------------------------------------------
-
-    /// Declare a data-type property. Returns the existing id if the IRI is
-    /// already declared as a data property.
-    pub fn add_data_property(
-        &mut self,
-        iri: impl Into<String>,
-        label: impl Into<String>,
-        domain: Option<ClassId>,
-        kind: DataKind,
-    ) -> PropertyId {
-        let iri = iri.into();
-        if let Some(id) = self.data_prop_by_iri.get(&iri) {
-            return *id;
-        }
-        let id = PropertyId(self.data_properties.len() as u32);
-        self.data_properties.push(DataProperty {
-            id,
-            iri: iri.clone(),
-            label: label.into(),
-            domain,
-            kind,
-        });
-        self.data_prop_by_iri.insert(iri, id);
-        id
-    }
-
-    /// Declare an object property.
-    pub fn add_object_property(
-        &mut self,
-        iri: impl Into<String>,
-        label: impl Into<String>,
-        domain: Option<ClassId>,
-        range: Option<ClassId>,
-    ) -> PropertyId {
-        let iri = iri.into();
-        if let Some(id) = self.object_prop_by_iri.get(&iri) {
-            return *id;
-        }
-        let id = PropertyId(self.object_properties.len() as u32);
-        self.object_properties.push(ObjectProperty {
-            id,
-            iri: iri.clone(),
-            label: label.into(),
-            domain,
-            range,
-        });
-        self.object_prop_by_iri.insert(iri, id);
-        id
-    }
-
-    /// Look up a data property by IRI.
-    pub fn data_property(&self, iri: &str) -> Option<&DataProperty> {
-        self.data_prop_by_iri
-            .get(iri)
-            .map(|id| &self.data_properties[id.index()])
-    }
-
-    /// Look up an object property by IRI.
-    pub fn object_property(&self, iri: &str) -> Option<&ObjectProperty> {
-        self.object_prop_by_iri
-            .get(iri)
-            .map(|id| &self.object_properties[id.index()])
-    }
-
-    /// Iterate over declared data properties.
-    pub fn data_properties(&self) -> impl Iterator<Item = &DataProperty> {
-        self.data_properties.iter()
-    }
-
-    /// Iterate over declared object properties.
-    pub fn object_properties(&self) -> impl Iterator<Item = &ObjectProperty> {
-        self.object_properties.iter()
-    }
 }
 
 #[cfg(test)]
@@ -482,14 +381,10 @@ mod tests {
     }
 
     #[test]
-    fn disjointness_propagates_to_subclasses() {
-        let (o, [component, resistor, fixed, _, capacitor, tantalum]) = sample();
-        assert!(o.are_disjoint(resistor, capacitor));
-        assert!(o.are_disjoint(fixed, tantalum));
-        assert!(o.are_disjoint(tantalum, fixed));
-        assert!(!o.are_disjoint(fixed, resistor));
-        assert!(!o.are_disjoint(component, fixed));
-        assert!(!o.are_disjoint(fixed, fixed));
+    fn a_disjointness_axiom_is_stored_once_whichever_way_round() {
+        let (mut o, [_, resistor, _, _, capacitor, _]) = sample();
+        assert_eq!(o.disjoint_axiom_count(), 1);
+        o.add_disjoint_axiom(capacitor, resistor).unwrap();
         assert_eq!(o.disjoint_axiom_count(), 1);
     }
 
@@ -509,34 +404,6 @@ mod tests {
         let ms3 = o.most_specific(&[component, component]);
         assert_eq!(ms3, vec![component]);
         assert!(o.most_specific(&[]).is_empty());
-    }
-
-    #[test]
-    fn properties_declared_and_looked_up() {
-        let (mut o, [component, ..]) = sample();
-        let pn = o.add_data_property(
-            "http://e.org/v#partNumber",
-            "part number",
-            Some(component),
-            DataKind::Text,
-        );
-        let again = o.add_data_property("http://e.org/v#partNumber", "pn", None, DataKind::Text);
-        assert_eq!(pn, again);
-        assert_eq!(o.data_properties().count(), 1);
-        let p = o.data_property("http://e.org/v#partNumber").unwrap();
-        assert_eq!(p.label, "part number");
-        assert_eq!(p.domain, Some(component));
-        assert!(o.data_property("http://e.org/v#nope").is_none());
-
-        o.add_object_property(
-            "http://e.org/v#hasPart",
-            "has part",
-            Some(component),
-            Some(component),
-        );
-        assert_eq!(o.object_properties().count(), 1);
-        assert!(o.object_property("http://e.org/v#hasPart").is_some());
-        assert!(o.object_property("http://e.org/v#nope").is_none());
     }
 
     #[test]

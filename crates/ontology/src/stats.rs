@@ -26,10 +26,6 @@ pub struct OntologyStats {
     pub mean_branching: f64,
     /// Number of declared disjointness axioms.
     pub disjoint_axiom_count: usize,
-    /// Number of declared data properties.
-    pub data_property_count: usize,
-    /// Number of declared object properties.
-    pub object_property_count: usize,
     /// Histogram of class counts per depth (index = depth).
     pub depth_histogram: Vec<usize>,
 }
@@ -74,8 +70,6 @@ impl OntologyStats {
             mean_depth,
             mean_branching,
             disjoint_axiom_count: ontology.disjoint_axiom_count(),
-            data_property_count: ontology.data_properties().count(),
-            object_property_count: ontology.object_properties().count(),
             depth_histogram,
         }
     }
@@ -89,9 +83,7 @@ impl fmt::Display for OntologyStats {
         writeln!(f, "  max depth:        {}", self.max_depth)?;
         writeln!(f, "  mean depth:       {:.2}", self.mean_depth)?;
         writeln!(f, "  mean branching:   {:.2}", self.mean_branching)?;
-        writeln!(f, "disjoint axioms:    {}", self.disjoint_axiom_count)?;
-        writeln!(f, "data properties:    {}", self.data_property_count)?;
-        write!(f, "object properties:  {}", self.object_property_count)
+        write!(f, "disjoint axioms:    {}", self.disjoint_axiom_count)
     }
 }
 
@@ -108,17 +100,14 @@ mod tests {
         let _f = b.class("FixedFilmResistor", Some(r));
         let _w = b.class("WirewoundResistor", Some(r));
         let c = b.class("Capacitor", Some(root));
-        b.disjoint(r, c);
-        b.data_property("part number", Some(root));
-        let onto = b.build();
+        let mut onto = b.build();
+        onto.add_disjoint_axiom(r, c).unwrap();
         let stats = OntologyStats::compute(&onto);
         assert_eq!(stats.class_count, 5);
         assert_eq!(stats.leaf_count, 3);
         assert_eq!(stats.root_count, 1);
         assert_eq!(stats.max_depth, 2);
         assert_eq!(stats.disjoint_axiom_count, 1);
-        assert_eq!(stats.data_property_count, 1);
-        assert_eq!(stats.object_property_count, 0);
         assert_eq!(stats.depth_histogram, vec![1, 2, 2]);
         // depths: component 0, resistor 1, capacitor 1, fixed 2, wirewound 2 → mean 6/5
         assert!((stats.mean_depth - 6.0 / 5.0).abs() < 1e-9);

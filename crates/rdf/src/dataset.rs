@@ -22,16 +22,6 @@ pub enum Source {
     External,
 }
 
-impl Source {
-    /// The other source.
-    pub fn other(self) -> Source {
-        match self {
-            Source::Local => Source::External,
-            Source::External => Source::Local,
-        }
-    }
-}
-
 impl fmt::Display for Source {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -56,28 +46,11 @@ impl Dataset {
         Self::default()
     }
 
-    /// Build a dataset from pre-existing graphs.
-    pub fn from_graphs(local: Graph, external: Graph) -> Self {
-        Dataset {
-            local,
-            external,
-            links: Graph::new(),
-        }
-    }
-
     /// The graph holding data of the given source.
     pub fn graph(&self, source: Source) -> &Graph {
         match source {
             Source::Local => &self.local,
             Source::External => &self.external,
-        }
-    }
-
-    /// Mutable access to the graph holding data of the given source.
-    pub fn graph_mut(&mut self, source: Source) -> &mut Graph {
-        match source {
-            Source::Local => &mut self.local,
-            Source::External => &mut self.external,
         }
     }
 
@@ -91,15 +64,13 @@ impl Dataset {
         &self.external
     }
 
-    /// The graph of `owl:sameAs` links between external and local items.
-    pub fn links(&self) -> &Graph {
-        &self.links
-    }
-
     /// Insert a triple into the graph of the given source. Returns `true` if
     /// it was new.
     pub fn insert(&mut self, source: Source, triple: Triple) -> bool {
-        self.graph_mut(source).insert(triple)
+        match source {
+            Source::Local => self.local.insert(triple),
+            Source::External => self.external.insert(triple),
+        }
     }
 
     /// Declare a `same-as` link between an external item and a local item.
@@ -123,18 +94,6 @@ impl Dataset {
     /// Number of declared links.
     pub fn link_count(&self) -> usize {
         self.links.len()
-    }
-
-    /// The local item linked to `external_item`, if any.
-    pub fn linked_local(&self, external_item: &Term) -> Option<Term> {
-        self.links
-            .object_of(external_item, &Term::iri(vocab::OWL_SAME_AS))
-    }
-
-    /// Total number of triples across the local and external graphs
-    /// (links excluded).
-    pub fn triple_count(&self) -> usize {
-        self.local.len() + self.external.len()
     }
 
     /// Number of distinct subjects (data items) in the given source.
@@ -188,9 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn source_other_and_display() {
-        assert_eq!(Source::Local.other(), Source::External);
-        assert_eq!(Source::External.other(), Source::Local);
+    fn source_display() {
         assert_eq!(Source::Local.to_string(), "local");
         assert_eq!(Source::External.to_string(), "external");
     }
@@ -200,7 +157,6 @@ mod tests {
         let ds = sample();
         assert_eq!(ds.local().len(), 3);
         assert_eq!(ds.external().len(), 2);
-        assert_eq!(ds.triple_count(), 5);
     }
 
     #[test]
@@ -221,11 +177,6 @@ mod tests {
             assert!(ext.as_iri().unwrap().contains("provider"));
             assert!(loc.as_iri().unwrap().contains("local"));
         }
-        assert_eq!(
-            ds.linked_local(&item(0, Source::External)),
-            Some(item(0, Source::Local))
-        );
-        assert_eq!(ds.linked_local(&item(2, Source::External)), None);
     }
 
     #[test]
@@ -233,24 +184,5 @@ mod tests {
         let mut ds = sample();
         assert!(!ds.link(&item(0, Source::External), &item(0, Source::Local)));
         assert_eq!(ds.link_count(), 2);
-    }
-
-    #[test]
-    fn from_graphs_starts_with_no_links() {
-        let ds = Dataset::from_graphs(Graph::new(), Graph::new());
-        assert_eq!(ds.link_count(), 0);
-        assert_eq!(ds.naive_linking_space(), 0);
-    }
-
-    #[test]
-    fn graph_mut_allows_insertion() {
-        let mut ds = Dataset::new();
-        ds.graph_mut(Source::External).insert(Triple::literal(
-            "http://provider.example.org/item/9",
-            "http://provider.example.org/v#ref",
-            "X-1",
-        ));
-        assert_eq!(ds.external().len(), 1);
-        assert_eq!(ds.local().len(), 0);
     }
 }

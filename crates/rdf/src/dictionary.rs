@@ -14,13 +14,6 @@ use std::collections::HashMap;
 )]
 pub struct TermId(pub u64);
 
-impl TermId {
-    /// The raw integer value of the id.
-    pub fn value(self) -> u64 {
-        self.0
-    }
-}
-
 /// A bidirectional map between [`Term`]s and [`TermId`]s.
 ///
 /// Ids are assigned densely starting from 0, so they can double as vector
@@ -35,18 +28,6 @@ impl Dictionary {
     /// An empty dictionary.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Intern `term`, returning its id. Repeated calls with an equal term
-    /// return the same id.
-    pub fn intern(&mut self, term: &Term) -> TermId {
-        if let Some(id) = self.term_to_id.get(term) {
-            return *id;
-        }
-        let id = TermId(self.id_to_term.len() as u64);
-        self.term_to_id.insert(term.clone(), id);
-        self.id_to_term.push(term.clone());
-        id
     }
 
     /// Intern an owned term without cloning when it is new.
@@ -79,14 +60,6 @@ impl Dictionary {
     pub fn is_empty(&self) -> bool {
         self.id_to_term.is_empty()
     }
-
-    /// Iterate over all interned terms in id order.
-    pub fn terms(&self) -> impl Iterator<Item = (TermId, &Term)> {
-        self.id_to_term
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TermId(i as u64), t))
-    }
 }
 
 #[cfg(test)]
@@ -97,8 +70,8 @@ mod tests {
     fn interning_is_idempotent() {
         let mut d = Dictionary::new();
         let a = Term::iri("http://e.org/a");
-        let id1 = d.intern(&a);
-        let id2 = d.intern(&a);
+        let id1 = d.intern_owned(a.clone());
+        let id2 = d.intern_owned(a.clone());
         assert_eq!(id1, id2);
         assert_eq!(d.len(), 1);
     }
@@ -107,10 +80,10 @@ mod tests {
     fn ids_are_dense_and_resolvable() {
         let mut d = Dictionary::new();
         let ids: Vec<TermId> = (0..10)
-            .map(|i| d.intern(&Term::literal(format!("v{i}"))))
+            .map(|i| d.intern_owned(Term::literal(format!("v{i}"))))
             .collect();
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(id.value(), i as u64);
+            assert_eq!(id.0, i as u64);
             assert_eq!(d.resolve(*id).unwrap().value_str(), format!("v{i}"));
         }
         assert_eq!(d.len(), 10);
@@ -122,7 +95,7 @@ mod tests {
         let t = Term::literal("x");
         assert_eq!(d.get(&t), None);
         assert!(d.is_empty());
-        let id = d.intern(&t);
+        let id = d.intern_owned(t.clone());
         assert_eq!(d.get(&t), Some(id));
     }
 
@@ -133,9 +106,9 @@ mod tests {
     }
 
     #[test]
-    fn intern_owned_matches_intern() {
+    fn equal_terms_share_an_id() {
         let mut d = Dictionary::new();
-        let id1 = d.intern(&Term::literal("same"));
+        let id1 = d.intern_owned(Term::literal("same"));
         let id2 = d.intern_owned(Term::literal("same"));
         let id3 = d.intern_owned(Term::literal("other"));
         assert_eq!(id1, id2);
@@ -145,26 +118,14 @@ mod tests {
     #[test]
     fn distinct_literal_forms_get_distinct_ids() {
         let mut d = Dictionary::new();
-        let plain = d.intern(&Term::literal("42"));
-        let typed = d.intern(&Term::typed_literal(
+        let plain = d.intern_owned(Term::literal("42"));
+        let typed = d.intern_owned(Term::Literal(crate::term::Literal::typed(
             "42",
             crate::namespace::vocab::XSD_INTEGER,
-        ));
-        let iri = d.intern(&Term::iri("42"));
+        )));
+        let iri = d.intern_owned(Term::iri("42"));
         assert_ne!(plain, typed);
         assert_ne!(plain, iri);
         assert_ne!(typed, iri);
-    }
-
-    #[test]
-    fn terms_iterator_is_in_id_order() {
-        let mut d = Dictionary::new();
-        d.intern(&Term::literal("a"));
-        d.intern(&Term::literal("b"));
-        let collected: Vec<_> = d
-            .terms()
-            .map(|(id, t)| (id.value(), t.value_str().to_string()))
-            .collect();
-        assert_eq!(collected, vec![(0, "a".to_string()), (1, "b".to_string())]);
     }
 }

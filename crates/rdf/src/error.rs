@@ -20,8 +20,6 @@ pub enum RdfError {
     InvalidIri(String),
     /// A prefixed name used an undeclared prefix.
     UnknownPrefix(String),
-    /// A term id was not present in the dictionary it was resolved against.
-    UnknownTermId(u64),
 }
 
 impl fmt::Display for RdfError {
@@ -32,7 +30,6 @@ impl fmt::Display for RdfError {
             }
             RdfError::InvalidIri(iri) => write!(f, "invalid IRI: {iri}"),
             RdfError::UnknownPrefix(p) => write!(f, "unknown prefix: {p}"),
-            RdfError::UnknownTermId(id) => write!(f, "unknown term id: {id}"),
         }
     }
 }
@@ -70,7 +67,6 @@ mod tests {
         assert!(RdfError::UnknownPrefix("ex".into())
             .to_string()
             .contains("unknown prefix"));
-        assert!(RdfError::UnknownTermId(7).to_string().contains("7"));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! An indexed in-memory triple store.
 //!
-//! [`Graph`] interns terms through a [`Dictionary`] and maintains three
-//! B-tree indexes (SPO, POS, OSP) so that any triple pattern with a bound
-//! prefix can be answered with a range scan:
+//! [`Graph`] interns terms through a [`Dictionary`] and maintains two
+//! B-tree indexes (SPO, POS), so that every triple pattern is a range scan
+//! of one of them:
 //!
 //! * `(s, ?, ?)`, `(s, p, ?)`, `(s, p, o)` → SPO index,
 //! * `(?, p, ?)`, `(?, p, o)` → POS index,
-//! * `(?, ?, o)`, `(s, ?, o)` → OSP index (with a post-filter for `s`).
+//! * `(s, ?, o)` → the SPO range of `s`, filtered on `o`,
+//! * `(?, ?, o)` → the whole SPO index, filtered on `o` (no reader of the
+//!   workspace binds an object without its predicate).
 //!
 //! This is the storage substrate for both the local catalog `SL` and the
 //! external source `SE` of the paper.
@@ -18,13 +20,12 @@ use std::collections::BTreeSet;
 
 type Key = (TermId, TermId, TermId);
 
-/// An in-memory RDF graph with SPO / POS / OSP indexes.
+/// An in-memory RDF graph with SPO and POS indexes.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     dict: Dictionary,
     spo: BTreeSet<Key>,
     pos: BTreeSet<Key>,
-    osp: BTreeSet<Key>,
 }
 
 impl Graph {
@@ -43,16 +44,6 @@ impl Graph {
         self.spo.is_empty()
     }
 
-    /// Number of distinct terms interned by this graph.
-    pub fn term_count(&self) -> usize {
-        self.dict.len()
-    }
-
-    /// Access the underlying dictionary (read-only).
-    pub fn dictionary(&self) -> &Dictionary {
-        &self.dict
-    }
-
     /// Insert a triple. Returns `true` if the triple was not already present.
     pub fn insert(&mut self, triple: Triple) -> bool {
         let s = self.dict.intern_owned(triple.subject);
@@ -61,57 +52,12 @@ impl Graph {
         self.insert_ids(s, p, o)
     }
 
-    /// Insert a triple given by references (clones only when the term is new).
-    pub fn insert_ref(&mut self, subject: &Term, predicate: &Term, object: &Term) -> bool {
-        let s = self.dict.intern(subject);
-        let p = self.dict.intern(predicate);
-        let o = self.dict.intern(object);
-        self.insert_ids(s, p, o)
-    }
-
     fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
         let newly = self.spo.insert((s, p, o));
         if newly {
             self.pos.insert((p, o, s));
-            self.osp.insert((o, s, p));
         }
         newly
-    }
-
-    /// Remove a triple. Returns `true` if it was present.
-    pub fn remove(&mut self, triple: &Triple) -> bool {
-        let (Some(s), Some(p), Some(o)) = (
-            self.dict.get(&triple.subject),
-            self.dict.get(&triple.predicate),
-            self.dict.get(&triple.object),
-        ) else {
-            return false;
-        };
-        let removed = self.spo.remove(&(s, p, o));
-        if removed {
-            self.pos.remove(&(p, o, s));
-            self.osp.remove(&(o, s, p));
-        }
-        removed
-    }
-
-    /// `true` if the exact triple is present.
-    pub fn contains(&self, triple: &Triple) -> bool {
-        match (
-            self.dict.get(&triple.subject),
-            self.dict.get(&triple.predicate),
-            self.dict.get(&triple.object),
-        ) {
-            (Some(s), Some(p), Some(o)) => self.spo.contains(&(s, p, o)),
-            _ => false,
-        }
-    }
-
-    /// Remove every triple (the dictionary is kept).
-    pub fn clear(&mut self) {
-        self.spo.clear();
-        self.pos.clear();
-        self.osp.clear();
     }
 
     fn resolve(&self, key: Key, order: IndexOrder) -> Triple {
@@ -119,7 +65,6 @@ impl Graph {
         let (s, p, o) = match order {
             IndexOrder::Spo => (a, b, c),
             IndexOrder::Pos => (c, a, b),
-            IndexOrder::Osp => (b, c, a),
         };
         Triple::new(
             self.dict.resolve(s).expect("dangling subject id").clone(),
@@ -208,38 +153,19 @@ impl Graph {
                     .map(move |k| self.resolve(*k, IndexOrder::Pos)),
             ),
             (None, None, Some(o)) => Box::new(
-                self.osp
-                    .range((o, MIN, MIN)..=(o, MAX, MAX))
-                    .map(move |k| self.resolve(*k, IndexOrder::Osp)),
+                self.spo
+                    .iter()
+                    .filter(move |k| k.2 == o)
+                    .map(move |k| self.resolve(*k, IndexOrder::Spo)),
             ),
             (Some(s), None, Some(o)) => Box::new(
-                self.osp
-                    .range((o, s, MIN)..=(o, s, MAX))
-                    .map(move |k| self.resolve(*k, IndexOrder::Osp)),
+                self.spo
+                    .range((s, MIN, MIN)..=(s, MAX, MAX))
+                    .filter(move |k| k.2 == o)
+                    .map(move |k| self.resolve(*k, IndexOrder::Spo)),
             ),
             (None, None, None) => Box::new(self.iter()),
         }
-    }
-
-    /// All subjects that have `predicate` → `object`.
-    pub fn subjects_with(&self, predicate: &Term, object: &Term) -> Vec<Term> {
-        self.triples_matching(None, Some(predicate), Some(object))
-            .map(|t| t.subject)
-            .collect()
-    }
-
-    /// All objects of `subject` → `predicate`.
-    pub fn objects_of(&self, subject: &Term, predicate: &Term) -> Vec<Term> {
-        self.triples_matching(Some(subject), Some(predicate), None)
-            .map(|t| t.object)
-            .collect()
-    }
-
-    /// The first object of `subject` → `predicate`, if any.
-    pub fn object_of(&self, subject: &Term, predicate: &Term) -> Option<Term> {
-        self.triples_matching(Some(subject), Some(predicate), None)
-            .map(|t| t.object)
-            .next()
     }
 
     /// The set of distinct subjects in the graph.
@@ -253,33 +179,6 @@ impl Graph {
             }
         }
         out
-    }
-
-    /// The set of distinct predicates in the graph.
-    pub fn predicates(&self) -> Vec<Term> {
-        let mut seen = BTreeSet::new();
-        for (p, _, _) in self.pos.iter() {
-            seen.insert(*p);
-        }
-        seen.iter()
-            .map(|p| {
-                self.dict
-                    .resolve(*p)
-                    .expect("dangling predicate id")
-                    .clone()
-            })
-            .collect()
-    }
-
-    /// Merge all triples of `other` into `self`, returning how many were new.
-    pub fn extend_from(&mut self, other: &Graph) -> usize {
-        let mut added = 0;
-        for t in other.iter() {
-            if self.insert(t) {
-                added += 1;
-            }
-        }
-        added
     }
 }
 
@@ -303,7 +202,6 @@ impl FromIterator<Triple> for Graph {
 enum IndexOrder {
     Spo,
     Pos,
-    Osp,
 }
 
 #[cfg(test)]
@@ -341,27 +239,7 @@ mod tests {
         let t = Triple::literal("http://e.org/a", "http://e.org/p", "v");
         assert!(g.insert(t.clone()));
         assert!(!g.insert(t.clone()));
-        assert_eq!(g.len(), 1);
-        assert!(g.contains(&t));
-    }
-
-    #[test]
-    fn remove_and_contains() {
-        let mut g = sample();
-        let t = Triple::literal("http://e.org/p1", "http://e.org/v#mfr", "Vishay");
-        assert!(g.contains(&t));
-        assert!(g.remove(&t));
-        assert!(!g.contains(&t));
-        assert!(!g.remove(&t));
-        assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    fn remove_unknown_term_is_noop() {
-        let mut g = sample();
-        let t = Triple::literal("http://nowhere.org/x", "http://e.org/v#pn", "zzz");
-        assert!(!g.remove(&t));
-        assert_eq!(g.len(), 4);
+        assert_eq!(g.iter().collect::<Vec<_>>(), vec![t]);
     }
 
     #[test]
@@ -439,46 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn subjects_and_predicates_are_distinct() {
+    fn subjects_are_distinct() {
         let g = sample();
         let subjects = g.subjects();
         assert_eq!(subjects.len(), 2);
-        let predicates = g.predicates();
-        assert_eq!(predicates.len(), 3);
-    }
-
-    #[test]
-    fn helper_accessors() {
-        let g = sample();
-        let subs = g.subjects_with(&Term::iri("http://e.org/v#pn"), &Term::literal("T83-22uF"));
-        assert_eq!(subs.len(), 1);
-        assert_eq!(subs[0].as_iri(), Some("http://e.org/p2"));
-        let objs = g.objects_of(
-            &Term::iri("http://e.org/p1"),
-            &Term::iri("http://e.org/v#pn"),
-        );
-        assert_eq!(objs.len(), 1);
-        assert!(g
-            .object_of(
-                &Term::iri("http://e.org/p1"),
-                &Term::iri("http://e.org/v#mfr")
-            )
-            .is_some());
-        assert!(g
-            .object_of(
-                &Term::iri("http://e.org/p2"),
-                &Term::iri("http://e.org/v#mfr")
-            )
-            .is_none());
-    }
-
-    #[test]
-    fn clear_keeps_dictionary() {
-        let mut g = sample();
-        let terms_before = g.term_count();
-        g.clear();
-        assert!(g.is_empty());
-        assert_eq!(g.term_count(), terms_before);
     }
 
     #[test]
@@ -490,11 +332,9 @@ mod tests {
         let g: Graph = triples.clone().into_iter().collect();
         assert_eq!(g.len(), 2);
         let mut g2 = Graph::new();
+        g2.extend(triples.clone());
         g2.extend(triples);
         assert_eq!(g2.len(), 2);
-        let mut g3 = Graph::new();
-        assert_eq!(g3.extend_from(&g), 2);
-        assert_eq!(g3.extend_from(&g), 0);
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! * [`term`] — IRIs, blank nodes, plain/typed/language-tagged literals.
 //! * [`dictionary`] — string interning so that triples are stored as compact
 //!   integer ids.
-//! * [`graph`] — an indexed in-memory triple store with SPO/POS/OSP indexes
+//! * [`graph`] — an indexed in-memory triple store with SPO and POS indexes
 //!   and triple-pattern iteration.
 //! * [`dataset`] — a provenance-aware collection of graphs (the paper stores
 //!   linked pairs "with their provenance information (external or local)").
-//! * [`ntriples`] / [`turtle`] — parsers and serialisers for N-Triples and a
-//!   pragmatic Turtle subset.
+//! * [`ntriples`] / [`turtle`] — streaming readers for N-Triples and a
+//!   pragmatic Turtle subset (a [`Triple`]'s `Display` is its N-Triples
+//!   line).
 //!
 //! ## Quick example
 //!
@@ -52,7 +53,7 @@ pub use dataset::{Dataset, Source};
 pub use dictionary::{Dictionary, TermId};
 pub use error::{RdfError, Result};
 pub use graph::Graph;
-pub use namespace::{Namespaces, OWL, RDF, RDFS, XSD};
+pub use namespace::Namespaces;
 pub use ntriples::NTriplesStreamer;
 pub use term::{Literal, Term};
 pub use triple::Triple;

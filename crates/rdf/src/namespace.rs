@@ -1,58 +1,28 @@
 //! Namespace / prefix management and well-known vocabularies.
 
-use crate::error::{RdfError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// The RDF namespace.
-pub const RDF: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#";
-/// The RDF Schema namespace.
-pub const RDFS: &str = "http://www.w3.org/2000/01/rdf-schema#";
-/// The OWL namespace.
-pub const OWL: &str = "http://www.w3.org/2002/07/owl#";
-/// The XML Schema datatypes namespace.
-pub const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
 
 /// Well-known term IRIs used across the workspace.
 pub mod vocab {
     /// `rdf:type`.
     pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
-    /// `rdfs:label`.
-    pub const RDFS_LABEL: &str = "http://www.w3.org/2000/01/rdf-schema#label";
-    /// `rdfs:subClassOf`.
-    pub const RDFS_SUBCLASS_OF: &str = "http://www.w3.org/2000/01/rdf-schema#subClassOf";
-    /// `rdfs:domain`.
-    pub const RDFS_DOMAIN: &str = "http://www.w3.org/2000/01/rdf-schema#domain";
-    /// `rdfs:range`.
-    pub const RDFS_RANGE: &str = "http://www.w3.org/2000/01/rdf-schema#range";
-    /// `owl:Class`.
-    pub const OWL_CLASS: &str = "http://www.w3.org/2002/07/owl#Class";
-    /// `owl:DatatypeProperty`.
-    pub const OWL_DATATYPE_PROPERTY: &str = "http://www.w3.org/2002/07/owl#DatatypeProperty";
-    /// `owl:ObjectProperty`.
-    pub const OWL_OBJECT_PROPERTY: &str = "http://www.w3.org/2002/07/owl#ObjectProperty";
-    /// `owl:disjointWith`.
-    pub const OWL_DISJOINT_WITH: &str = "http://www.w3.org/2002/07/owl#disjointWith";
     /// `owl:sameAs` — the link predicate the paper's training set is made of.
     pub const OWL_SAME_AS: &str = "http://www.w3.org/2002/07/owl#sameAs";
-    /// `owl:Thing`, the implicit root of every ontology.
-    pub const OWL_THING: &str = "http://www.w3.org/2002/07/owl#Thing";
-    /// `xsd:string`.
-    pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
     /// `xsd:integer`.
     pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
     /// `xsd:decimal`.
     pub const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
 }
 
-/// A prefix → namespace-IRI table with CURIE expansion and IRI shrinking.
+/// A prefix → namespace-IRI table: the Turtle reader's `@prefix`
+/// declarations.
 ///
 /// ```
 /// use classilink_rdf::Namespaces;
-/// let mut ns = Namespaces::common();
+/// let mut ns = Namespaces::new();
 /// ns.declare("ex", "http://example.org/vocab#");
-/// assert_eq!(ns.expand("ex:partNumber").unwrap(), "http://example.org/vocab#partNumber");
-/// assert_eq!(ns.shrink("http://example.org/vocab#partNumber"), Some("ex:partNumber".to_string()));
+/// assert_eq!(ns.get("ex"), Some("http://example.org/vocab#"));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Namespaces {
@@ -65,16 +35,6 @@ impl Namespaces {
         Self::default()
     }
 
-    /// A table pre-populated with `rdf`, `rdfs`, `owl` and `xsd`.
-    pub fn common() -> Self {
-        let mut ns = Self::new();
-        ns.declare("rdf", RDF);
-        ns.declare("rdfs", RDFS);
-        ns.declare("owl", OWL);
-        ns.declare("xsd", XSD);
-        ns
-    }
-
     /// Declare (or overwrite) a prefix.
     pub fn declare(&mut self, prefix: impl Into<String>, iri: impl Into<String>) {
         self.prefixes.insert(prefix.into(), iri.into());
@@ -84,51 +44,6 @@ impl Namespaces {
     pub fn get(&self, prefix: &str) -> Option<&str> {
         self.prefixes.get(prefix).map(String::as_str)
     }
-
-    /// Number of declared prefixes.
-    pub fn len(&self) -> usize {
-        self.prefixes.len()
-    }
-
-    /// `true` when no prefix is declared.
-    pub fn is_empty(&self) -> bool {
-        self.prefixes.is_empty()
-    }
-
-    /// Iterate over `(prefix, namespace)` pairs in prefix order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.prefixes.iter().map(|(p, n)| (p.as_str(), n.as_str()))
-    }
-
-    /// Expand a CURIE (`prefix:local`) into a full IRI. Full IRIs (detected by
-    /// the presence of `://` or a leading `urn:`) are returned unchanged.
-    pub fn expand(&self, curie_or_iri: &str) -> Result<String> {
-        if curie_or_iri.contains("://") || curie_or_iri.starts_with("urn:") {
-            return Ok(curie_or_iri.to_string());
-        }
-        match curie_or_iri.split_once(':') {
-            Some((prefix, local)) => match self.prefixes.get(prefix) {
-                Some(ns) => Ok(format!("{ns}{local}")),
-                None => Err(RdfError::UnknownPrefix(prefix.to_string())),
-            },
-            None => Ok(curie_or_iri.to_string()),
-        }
-    }
-
-    /// Shrink a full IRI into a CURIE if a declared namespace is its prefix.
-    /// The longest matching namespace wins.
-    pub fn shrink(&self, iri: &str) -> Option<String> {
-        let mut best: Option<(&str, &str)> = None;
-        for (prefix, ns) in &self.prefixes {
-            if iri.starts_with(ns.as_str()) {
-                match best {
-                    Some((_, best_ns)) if best_ns.len() >= ns.len() => {}
-                    _ => best = Some((prefix, ns)),
-                }
-            }
-        }
-        best.map(|(prefix, ns)| format!("{prefix}:{}", &iri[ns.len()..]))
-    }
 }
 
 #[cfg(test)]
@@ -136,77 +51,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn common_has_four_prefixes() {
-        let ns = Namespaces::common();
-        assert_eq!(ns.len(), 4);
-        assert!(!ns.is_empty());
-        assert_eq!(ns.get("rdf"), Some(RDF));
-        assert_eq!(ns.get("nope"), None);
-    }
-
-    #[test]
-    fn expand_curie() {
-        let mut ns = Namespaces::common();
-        ns.declare("ex", "http://example.org/");
-        assert_eq!(ns.expand("ex:thing").unwrap(), "http://example.org/thing");
-        assert_eq!(
-            ns.expand("rdf:type").unwrap(),
-            "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-        );
-    }
-
-    #[test]
-    fn expand_full_iri_passthrough() {
-        let ns = Namespaces::common();
-        assert_eq!(
-            ns.expand("http://example.org/a").unwrap(),
-            "http://example.org/a"
-        );
-        assert_eq!(ns.expand("urn:isbn:123").unwrap(), "urn:isbn:123");
-        assert_eq!(ns.expand("plainword").unwrap(), "plainword");
-    }
-
-    #[test]
-    fn expand_unknown_prefix_errors() {
-        let ns = Namespaces::new();
-        assert!(matches!(
-            ns.expand("ex:thing"),
-            Err(RdfError::UnknownPrefix(p)) if p == "ex"
-        ));
-    }
-
-    #[test]
-    fn shrink_prefers_longest_namespace() {
-        let mut ns = Namespaces::new();
-        ns.declare("a", "http://example.org/");
-        ns.declare("b", "http://example.org/vocab#");
-        assert_eq!(
-            ns.shrink("http://example.org/vocab#partNumber"),
-            Some("b:partNumber".to_string())
-        );
-        assert_eq!(
-            ns.shrink("http://example.org/item/1"),
-            Some("a:item/1".to_string())
-        );
-        assert_eq!(ns.shrink("http://other.org/x"), None);
-    }
-
-    #[test]
     fn declare_overwrites() {
         let mut ns = Namespaces::new();
         ns.declare("ex", "http://one.org/");
         ns.declare("ex", "http://two.org/");
         assert_eq!(ns.get("ex"), Some("http://two.org/"));
-        assert_eq!(ns.len(), 1);
-    }
-
-    #[test]
-    fn iter_yields_pairs_in_order() {
-        let mut ns = Namespaces::new();
-        ns.declare("b", "http://b.org/");
-        ns.declare("a", "http://a.org/");
-        let pairs: Vec<_> = ns.iter().collect();
-        assert_eq!(pairs[0].0, "a");
-        assert_eq!(pairs[1].0, "b");
+        assert_eq!(ns.get("ox"), None);
     }
 }

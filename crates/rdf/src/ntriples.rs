@@ -1,8 +1,8 @@
-//! N-Triples parsing and serialisation.
+//! N-Triples parsing.
 //!
 //! N-Triples is the line-oriented RDF exchange syntax: one triple per line,
-//! terms written in full. It is the format the synthetic catalog generator
-//! emits and the format examples read back, so round-tripping must be exact.
+//! terms written in full — exactly what a [`Triple`]'s `Display` prints, so
+//! a document written that way must read back unchanged.
 //!
 //! Two reading modes share one code path: [`NTriplesStreamer`] consumes the
 //! input as byte chunks (a multi-GB feed is parsed with memory bounded by
@@ -14,7 +14,6 @@
 use crate::error::Result;
 use crate::graph::Graph;
 use crate::lex::{ChunkBuffer, Lexer};
-use crate::term::{escape_literal, Term};
 use crate::triple::Triple;
 
 /// Parse a complete N-Triples document into a [`Graph`].
@@ -139,52 +138,12 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<Triple> {
     Ok(triple)
 }
 
-/// Serialise a single triple as an N-Triples line (without trailing newline).
-pub fn write_triple(triple: &Triple) -> String {
-    format!(
-        "{} {} {} .",
-        write_term(&triple.subject),
-        write_term(&triple.predicate),
-        write_term(&triple.object)
-    )
-}
-
-/// Serialise a term in N-Triples syntax.
-pub fn write_term(term: &Term) -> String {
-    match term {
-        Term::Iri(iri) => format!("<{iri}>"),
-        Term::Blank(b) => format!("_:{b}"),
-        Term::Literal(lit) => {
-            let mut out = format!("\"{}\"", escape_literal(&lit.value));
-            if let Some(lang) = &lit.language {
-                out.push('@');
-                out.push_str(lang);
-            } else if let Some(dt) = &lit.datatype {
-                out.push_str("^^<");
-                out.push_str(dt);
-                out.push('>');
-            }
-            out
-        }
-    }
-}
-
-/// Serialise a whole graph as an N-Triples document (sorted, deterministic).
-pub fn write(graph: &Graph) -> String {
-    let mut lines: Vec<String> = graph.iter().map(|t| write_triple(&t)).collect();
-    lines.sort();
-    let mut out = lines.join("\n");
-    if !out.is_empty() {
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::RdfError;
-    use crate::term::unescape_literal;
+    use crate::term::Term;
+    use crate::term::{escape_literal, unescape_literal};
     use proptest::prelude::*;
 
     #[test]
@@ -245,47 +204,32 @@ _:b0 <http://e.org/v#note> "blank subject" .
     }
 
     #[test]
-    fn write_then_parse_roundtrip() {
+    fn display_then_parse_roundtrip() {
         let mut g = Graph::new();
         g.insert(Triple::literal("http://e.org/a", "http://e.org/p", "plain"));
         g.insert(Triple::new(
             Term::iri("http://e.org/a"),
             Term::iri("http://e.org/q"),
-            Term::lang_literal("étiquette", "fr"),
+            crate::term::Literal::lang("étiquette", "fr").into(),
         ));
         g.insert(Triple::new(
             Term::iri("http://e.org/a"),
             Term::iri("http://e.org/r"),
-            Term::typed_literal("3.5", crate::namespace::vocab::XSD_DECIMAL),
+            crate::term::Literal::typed("3.5", crate::namespace::vocab::XSD_DECIMAL).into(),
         ));
         g.insert(Triple::new(
             Term::blank("b1"),
             Term::iri("http://e.org/p"),
             Term::literal("with \"quotes\" and \\slashes\\"),
         ));
-        let doc = write(&g);
+        let doc: String = g.iter().map(|t| format!("{t}\n")).collect();
         let g2 = parse(&doc).unwrap();
-        assert_eq!(g2.len(), g.len());
-        for t in g.iter() {
-            assert!(g2.contains(&t), "missing after roundtrip: {t}");
-        }
+        let triples = |g: &Graph| g.iter().collect::<std::collections::BTreeSet<_>>();
+        assert_eq!(triples(&g2), triples(&g));
     }
 
     #[test]
-    fn write_is_deterministic_and_sorted() {
-        let mut g = Graph::new();
-        g.insert(Triple::literal("http://e.org/b", "http://e.org/p", "2"));
-        g.insert(Triple::literal("http://e.org/a", "http://e.org/p", "1"));
-        let out = write(&g);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0] < lines[1]);
-        assert_eq!(out, write(&g));
-    }
-
-    #[test]
-    fn empty_graph_writes_empty_string() {
-        assert_eq!(write(&Graph::new()), "");
+    fn empty_document_is_an_empty_graph() {
         assert_eq!(parse("").unwrap().len(), 0);
     }
 
@@ -360,7 +304,7 @@ _:b0 <http://e.org/v#note> "blank subject" .
 
     proptest! {
         /// Any plain-literal triple with printable content must round-trip
-        /// through write → parse unchanged.
+        /// through `Display` → parse unchanged.
         #[test]
         fn prop_literal_roundtrip(value in "[ -~]{0,40}", local in "[a-zA-Z][a-zA-Z0-9]{0,10}") {
             let t = Triple::new(
@@ -368,7 +312,7 @@ _:b0 <http://e.org/v#note> "blank subject" .
                 Term::iri("http://e.org/p"),
                 Term::literal(value.clone()),
             );
-            let line = write_triple(&t);
+            let line = t.to_string();
             let back = parse_line(&line, 1).unwrap();
             prop_assert_eq!(back, t);
         }

@@ -52,25 +52,6 @@ impl Literal {
             datatype: Some(datatype.into()),
         }
     }
-
-    /// Attempt to interpret the lexical form as an `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        self.value.trim().parse::<f64>().ok()
-    }
-
-    /// Attempt to interpret the lexical form as an `i64`.
-    pub fn as_i64(&self) -> Option<i64> {
-        self.value.trim().parse::<i64>().ok()
-    }
-
-    /// Attempt to interpret the lexical form as a boolean (`true`/`false`/`1`/`0`).
-    pub fn as_bool(&self) -> Option<bool> {
-        match self.value.trim() {
-            "true" | "1" => Some(true),
-            "false" | "0" => Some(false),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Literal {
@@ -167,31 +148,6 @@ impl Term {
         Term::Literal(Literal::plain(value))
     }
 
-    /// Construct a typed literal term.
-    pub fn typed_literal(value: impl Into<String>, datatype: impl Into<String>) -> Self {
-        Term::Literal(Literal::typed(value, datatype))
-    }
-
-    /// Construct a language-tagged literal term.
-    pub fn lang_literal(value: impl Into<String>, lang: impl Into<String>) -> Self {
-        Term::Literal(Literal::lang(value, lang))
-    }
-
-    /// `true` if this term is an IRI.
-    pub fn is_iri(&self) -> bool {
-        matches!(self, Term::Iri(_))
-    }
-
-    /// `true` if this term is a blank node.
-    pub fn is_blank(&self) -> bool {
-        matches!(self, Term::Blank(_))
-    }
-
-    /// `true` if this term is a literal.
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Term::Literal(_))
-    }
-
     /// The IRI string if this term is an IRI.
     pub fn as_iri(&self) -> Option<&str> {
         match self {
@@ -200,36 +156,10 @@ impl Term {
         }
     }
 
-    /// The literal if this term is a literal.
-    pub fn as_literal(&self) -> Option<&Literal> {
-        match self {
-            Term::Literal(l) => Some(l),
-            _ => None,
-        }
-    }
-
     /// The lexical value for literals, the IRI for IRIs, the label for blanks.
-    ///
-    /// This is the "value string" used by the segmentation layer: the paper
-    /// segments property *values*, and in practice those are literal lexical
-    /// forms, but falling back to IRIs keeps the API total.
     pub fn value_str(&self) -> &str {
         match self {
             Term::Iri(s) => s,
-            Term::Blank(s) => s,
-            Term::Literal(l) => &l.value,
-        }
-    }
-
-    /// The local name of an IRI (substring after the last `#` or `/`).
-    /// Returns the full string for non-IRI terms.
-    pub fn local_name(&self) -> &str {
-        match self {
-            Term::Iri(s) => s
-                .rsplit_once('#')
-                .map(|(_, l)| l)
-                .or_else(|| s.rsplit_once('/').map(|(_, l)| l))
-                .unwrap_or(s),
             Term::Blank(s) => s,
             Term::Literal(l) => &l.value,
         }
@@ -278,16 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn literal_numeric_conversions() {
-        assert_eq!(Literal::plain("42").as_i64(), Some(42));
-        assert_eq!(Literal::plain(" 3.5 ").as_f64(), Some(3.5));
-        assert_eq!(Literal::plain("abc").as_i64(), None);
-        assert_eq!(Literal::plain("true").as_bool(), Some(true));
-        assert_eq!(Literal::plain("0").as_bool(), Some(false));
-        assert_eq!(Literal::plain("maybe").as_bool(), None);
-    }
-
-    #[test]
     fn escape_and_unescape_roundtrip() {
         let original = "a \"quoted\"\nvalue with \\ and\ttab";
         let escaped = escape_literal(original);
@@ -315,16 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn term_constructors_and_predicates() {
+    fn term_constructors() {
         let iri = Term::iri("http://example.org/a");
         let blank = Term::blank("b0");
         let lit = Term::literal("v");
-        assert!(iri.is_iri() && !iri.is_blank() && !iri.is_literal());
-        assert!(blank.is_blank());
-        assert!(lit.is_literal());
         assert_eq!(iri.as_iri(), Some("http://example.org/a"));
+        assert_eq!(blank, Term::Blank("b0".to_string()));
         assert_eq!(blank.as_iri(), None);
-        assert_eq!(lit.as_literal().unwrap().value, "v");
+        assert_eq!(lit, Term::Literal(Literal::plain("v")));
     }
 
     #[test]
@@ -332,17 +250,6 @@ mod tests {
         assert_eq!(Term::iri("http://e.org/x").to_string(), "<http://e.org/x>");
         assert_eq!(Term::blank("n1").to_string(), "_:n1");
         assert_eq!(Term::literal("v").to_string(), "\"v\"");
-    }
-
-    #[test]
-    fn local_name_extraction() {
-        assert_eq!(
-            Term::iri("http://e.org/vocab#partNumber").local_name(),
-            "partNumber"
-        );
-        assert_eq!(Term::iri("http://e.org/prod/42").local_name(), "42");
-        assert_eq!(Term::iri("urn:isbn:123").local_name(), "urn:isbn:123");
-        assert_eq!(Term::literal("CRCW0805").local_name(), "CRCW0805");
     }
 
     #[test]

@@ -9,8 +9,7 @@ use std::fmt;
 /// The crate does not enforce the RDF restriction that predicates must be
 /// IRIs or that literals may only appear in object position — the data the
 /// paper works with never violates these, and keeping `Term` uniform makes
-/// pattern matching simpler — but [`Triple::is_strictly_valid`] lets callers
-/// check.
+/// pattern matching simpler.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Triple {
     /// The subject of the statement.
@@ -53,15 +52,16 @@ impl Triple {
         Triple::new(Term::iri(subject), Term::iri(predicate), Term::iri(object))
     }
 
-    /// `true` when the triple respects the RDF 1.1 positional constraints:
-    /// subject is IRI or blank, predicate is an IRI, object is anything.
-    pub fn is_strictly_valid(&self) -> bool {
-        (self.subject.is_iri() || self.subject.is_blank()) && self.predicate.is_iri()
-    }
-
-    /// Borrow the three components as a tuple.
-    pub fn as_tuple(&self) -> (&Term, &Term, &Term) {
-        (&self.subject, &self.predicate, &self.object)
+    /// The attribute value this triple gives its subject's record: an IRI
+    /// predicate with a literal object is `(predicate IRI, lexical form)`
+    /// (datatype and language tag dropped); any other triple gives none.
+    /// Every reader that turns triples into records or facts goes through
+    /// this one rule.
+    pub fn literal_fact(&self) -> Option<(&str, &str)> {
+        match (&self.predicate, &self.object) {
+            (Term::Iri(predicate), Term::Literal(literal)) => Some((predicate, &literal.value)),
+            _ => None,
+        }
     }
 }
 
@@ -85,36 +85,36 @@ mod tests {
     }
 
     #[test]
-    fn strict_validity() {
-        let ok = Triple::iris("http://e.org/a", "http://e.org/p", "http://e.org/b");
-        assert!(ok.is_strictly_valid());
-        let blank_subject = Triple::new(
-            Term::blank("b0"),
-            Term::iri("http://e.org/p"),
-            Term::literal("x"),
+    fn only_an_iri_predicate_with_a_literal_object_is_a_fact() {
+        use crate::term::Literal;
+        let with = |object: Term| {
+            Triple::new(
+                Term::iri("http://e.org/a"),
+                Term::iri("http://e.org/p"),
+                object,
+            )
+        };
+        assert_eq!(
+            with(Term::literal("10K")).literal_fact(),
+            Some(("http://e.org/p", "10K"))
         );
-        assert!(blank_subject.is_strictly_valid());
-        let literal_subject = Triple::new(
-            Term::literal("oops"),
-            Term::iri("http://e.org/p"),
-            Term::literal("x"),
+        let typed = Literal::typed("42", crate::namespace::vocab::XSD_INTEGER);
+        assert_eq!(
+            with(typed.into()).literal_fact(),
+            Some(("http://e.org/p", "42"))
         );
-        assert!(!literal_subject.is_strictly_valid());
-        let literal_predicate = Triple::new(
+        assert_eq!(
+            with(Literal::lang("résistance", "fr").into()).literal_fact(),
+            Some(("http://e.org/p", "résistance"))
+        );
+        assert_eq!(with(Term::iri("http://e.org/c#R")).literal_fact(), None);
+        assert_eq!(with(Term::blank("b0")).literal_fact(), None);
+        let blank_predicate = Triple::new(
             Term::iri("http://e.org/a"),
-            Term::literal("oops"),
-            Term::literal("x"),
+            Term::blank("p"),
+            Term::literal("10K"),
         );
-        assert!(!literal_predicate.is_strictly_valid());
-    }
-
-    #[test]
-    fn as_tuple_borrows_components() {
-        let t = Triple::iris("http://e.org/a", "http://e.org/p", "http://e.org/b");
-        let (s, p, o) = t.as_tuple();
-        assert_eq!(s.as_iri(), Some("http://e.org/a"));
-        assert_eq!(p.as_iri(), Some("http://e.org/p"));
-        assert_eq!(o.as_iri(), Some("http://e.org/b"));
+        assert_eq!(blank_predicate.literal_fact(), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! A pragmatic Turtle subset: enough to read and write the catalogs, provider
-//! documents and ontologies used by the workspace.
+//! A pragmatic Turtle subset: enough to read the catalogs and provider
+//! documents used by the workspace.
 //!
 //! Supported syntax:
 //!
@@ -24,7 +24,7 @@ use crate::error::{RdfError, Result};
 use crate::graph::Graph;
 use crate::lex::{ChunkBuffer, Lexer};
 use crate::namespace::Namespaces;
-use crate::term::{escape_literal, Term};
+use crate::term::Term;
 use crate::triple::Triple;
 
 /// Parse a Turtle document (subset, see module docs) into a graph.
@@ -120,11 +120,6 @@ impl TurtleStreamer {
         self.buf.pending().len()
     }
 
-    /// The prefix table accumulated from `@prefix` directives seen so far.
-    pub fn namespaces(&self) -> &Namespaces {
-        &self.namespaces
-    }
-
     /// Consume the streamer, yielding the accumulated prefix table.
     pub fn into_namespaces(self) -> Namespaces {
         self.namespaces
@@ -216,80 +211,6 @@ impl TurtleStreamer {
         }
         (self.buf.finished && !buf.is_empty()).then_some(buf.len())
     }
-}
-
-/// Serialise a graph as Turtle, grouping triples by subject and shrinking
-/// IRIs through the given namespaces. Deterministic output.
-pub fn write(graph: &Graph, namespaces: &Namespaces) -> String {
-    let mut out = String::new();
-    for (prefix, ns) in namespaces.iter() {
-        out.push_str(&format!("@prefix {prefix}: <{ns}> .\n"));
-    }
-    if !namespaces.is_empty() {
-        out.push('\n');
-    }
-
-    let mut triples: Vec<Triple> = graph.iter().collect();
-    triples.sort();
-    let mut current_subject: Option<Term> = None;
-    for (i, t) in triples.iter().enumerate() {
-        let is_new_subject = current_subject.as_ref() != Some(&t.subject);
-        if is_new_subject {
-            if current_subject.is_some() {
-                out.push_str(" .\n");
-            }
-            out.push_str(&write_term(&t.subject, namespaces));
-            out.push_str("\n    ");
-            current_subject = Some(t.subject.clone());
-        } else {
-            out.push_str(" ;\n    ");
-        }
-        out.push_str(&write_term(&t.predicate, namespaces));
-        out.push(' ');
-        out.push_str(&write_term(&t.object, namespaces));
-        if i == triples.len() - 1 {
-            out.push_str(" .\n");
-        }
-    }
-    out
-}
-
-/// Serialise one term in Turtle syntax, shrinking IRIs when possible.
-pub fn write_term(term: &Term, namespaces: &Namespaces) -> String {
-    match term {
-        Term::Iri(iri) => {
-            if iri == crate::namespace::vocab::RDF_TYPE {
-                "a".to_string()
-            } else {
-                match namespaces.shrink(iri) {
-                    Some(curie) if is_safe_curie(&curie) => curie,
-                    _ => format!("<{iri}>"),
-                }
-            }
-        }
-        Term::Blank(b) => format!("_:{b}"),
-        Term::Literal(lit) => {
-            let mut s = format!("\"{}\"", escape_literal(&lit.value));
-            if let Some(lang) = &lit.language {
-                s.push('@');
-                s.push_str(lang);
-            } else if let Some(dt) = &lit.datatype {
-                s.push_str("^^");
-                s.push_str(&match namespaces.shrink(dt) {
-                    Some(curie) if is_safe_curie(&curie) => curie,
-                    _ => format!("<{dt}>"),
-                });
-            }
-            s
-        }
-    }
-}
-
-fn is_safe_curie(curie: &str) -> bool {
-    curie
-        .chars()
-        .all(|c| c.is_alphanumeric() || matches!(c, ':' | '_' | '-' | '.'))
-        && !curie.ends_with('.')
 }
 
 /// Parses one directive or triple statement: what Turtle adds to the shared
@@ -413,6 +334,7 @@ fn prefixed_name(lex: &mut Lexer, namespaces: &Namespaces) -> Result<String> {
 mod tests {
     use super::*;
     use crate::namespace::vocab;
+    use crate::term::Literal;
 
     const DOC: &str = r#"
 @prefix ex: <http://example.org/vocab#> .
@@ -433,7 +355,11 @@ mod tests {
     #[test]
     fn parse_full_document() {
         let (g, ns) = parse(DOC).unwrap();
-        assert_eq!(ns.len(), 3);
+        let mut declared = Namespaces::new();
+        declared.declare("ex", "http://example.org/vocab#");
+        declared.declare("cls", "http://example.org/classes#");
+        declared.declare("xsd", "http://www.w3.org/2001/XMLSchema#");
+        assert_eq!(ns, declared);
         // 6 triples for prod/1 (two manufacturers) + 2 for prod/2
         assert_eq!(g.len(), 8);
         let type_triples: Vec<_> = g
@@ -453,32 +379,31 @@ mod tests {
     #[test]
     fn typed_and_lang_literals_parse() {
         let (g, _) = parse(DOC).unwrap();
-        let resistance = g
-            .object_of(
-                &Term::iri("http://example.org/prod/1"),
-                &Term::iri("http://example.org/vocab#resistance"),
-            )
-            .unwrap();
-        let lit = resistance.as_literal().unwrap();
-        assert_eq!(lit.value, "10000");
-        assert_eq!(lit.datatype.as_deref(), Some(vocab::XSD_INTEGER));
-        let label = g
-            .object_of(
-                &Term::iri("http://example.org/prod/1"),
-                &Term::iri("http://example.org/vocab#label"),
-            )
-            .unwrap();
-        assert_eq!(label.as_literal().unwrap().language.as_deref(), Some("en"));
+        let object = |property: &str| {
+            let item = Term::iri("http://example.org/prod/1");
+            let property = Term::iri(format!("http://example.org/vocab#{property}"));
+            let mut found = g.triples_matching(Some(&item), Some(&property), None);
+            found.next().unwrap().object
+        };
+        assert_eq!(
+            object("resistance"),
+            Term::Literal(Literal::typed("10000", vocab::XSD_INTEGER))
+        );
+        assert_eq!(
+            object("label"),
+            Term::Literal(Literal::lang("10 k resistor", "en"))
+        );
     }
 
     #[test]
     fn object_lists_expand() {
         let (g, _) = parse(DOC).unwrap();
-        let mfrs = g.objects_of(
-            &Term::iri("http://example.org/prod/1"),
-            &Term::iri("http://example.org/vocab#manufacturer"),
+        let mfrs = g.triples_matching(
+            Some(&Term::iri("http://example.org/prod/1")),
+            Some(&Term::iri("http://example.org/vocab#manufacturer")),
+            None,
         );
-        assert_eq!(mfrs.len(), 2);
+        assert_eq!(mfrs.count(), 2);
     }
 
     #[test]
@@ -504,7 +429,7 @@ mod tests {
         let doc = "# only a comment\n\n   # another\n";
         let (g, ns) = parse(doc).unwrap();
         assert!(g.is_empty());
-        assert!(ns.is_empty());
+        assert_eq!(ns, Namespaces::new());
     }
 
     #[test]
@@ -519,36 +444,7 @@ mod tests {
         let doc = "@prefix ex: <http://e.org/> .\n_:b0 ex:p \"v\" .";
         let (g, _) = parse(doc).unwrap();
         assert_eq!(g.len(), 1);
-        assert!(g.iter().next().unwrap().subject.is_blank());
-    }
-
-    #[test]
-    fn write_then_parse_roundtrip() {
-        let (g, ns) = parse(DOC).unwrap();
-        let out = write(&g, &ns);
-        let (g2, _) = parse(&out).unwrap();
-        assert_eq!(g2.len(), g.len());
-        for t in g.iter() {
-            assert!(g2.contains(&t), "missing after roundtrip: {t}");
-        }
-    }
-
-    #[test]
-    fn write_uses_a_for_rdf_type_and_curies() {
-        let (g, ns) = parse(DOC).unwrap();
-        let out = write(&g, &ns);
-        assert!(
-            out.contains(" a cls:FixedFilmResistor")
-                || out.contains("\n    a cls:FixedFilmResistor")
-        );
-        assert!(out.contains("ex:partNumber"));
-        assert!(out.contains("@prefix ex:"));
-    }
-
-    #[test]
-    fn write_empty_graph() {
-        let out = write(&Graph::new(), &Namespaces::new());
-        assert!(out.is_empty());
+        assert!(matches!(g.iter().next().unwrap().subject, Term::Blank(_)));
     }
 
     #[test]
@@ -583,7 +479,6 @@ mod tests {
         streamer.feed(b"@prefix ex: <http://e.org/> .\n");
         // The directive is consumable before any triple statement arrives.
         assert!(streamer.next_triple().is_none());
-        assert_eq!(streamer.namespaces().len(), 1);
         assert!(streamer.buffered_bytes() < 2);
         streamer.feed(b"ex:a ex:p \"v1\" , \"v2\" . ex:b");
         assert_eq!(
@@ -626,14 +521,5 @@ mod tests {
         streamer.finish();
         assert!(streamer.next_triple().unwrap().is_err());
         assert!(streamer.next_triple().is_none());
-    }
-
-    #[test]
-    fn curie_with_special_chars_falls_back_to_full_iri() {
-        let mut ns = Namespaces::new();
-        ns.declare("ex", "http://e.org/");
-        let term = Term::iri("http://e.org/path/with/slashes");
-        let s = write_term(&term, &ns);
-        assert_eq!(s, "<http://e.org/path/with/slashes>");
     }
 }

@@ -4,7 +4,9 @@
 //! outside, through both grammars, so it fails the day either reader grows
 //! a private copy of a terminal again.
 
-use classilink_rdf::{ntriples, turtle, NTriplesStreamer, RdfError, Term, Triple, TurtleStreamer};
+use classilink_rdf::{
+    ntriples, turtle, Literal, NTriplesStreamer, Namespaces, RdfError, Term, Triple, TurtleStreamer,
+};
 use proptest::prelude::*;
 
 const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
@@ -37,9 +39,9 @@ fn statement(seed: u64, text: &str) -> (Triple, String) {
     let object = match seed >> 16 & 7 {
         0 => iri(seed >> 24),
         1 => Term::blank(format!("o{}", seed % 9)),
-        2 => Term::lang_literal(value, "en"),
-        3 => Term::lang_literal(value, "fr-CA"),
-        4 => Term::typed_literal(value, XSD_STRING),
+        2 => Literal::lang(value, "en").into(),
+        3 => Literal::lang(value, "fr-CA").into(),
+        4 => Literal::typed(value, XSD_STRING).into(),
         _ => Term::literal(value),
     };
     let triple = Triple::new(subject, iri(seed >> 32), object);
@@ -53,11 +55,11 @@ fn statement(seed: u64, text: &str) -> (Triple, String) {
     let before_dot = if bit(45) { "" } else { gap };
     line.push_str(
         &[
-            ntriples::write_term(&triple.subject).as_str(),
+            triple.subject.to_string().as_str(),
             gap,
-            ntriples::write_term(&triple.predicate).as_str(),
+            triple.predicate.to_string().as_str(),
             gap,
-            ntriples::write_term(&triple.object).as_str(),
+            triple.object.to_string().as_str(),
             before_dot,
             ".",
             if bit(46) { "\r\n" } else { "\n" },
@@ -94,7 +96,7 @@ proptest! {
         }
         let from_ntriples = ntriples::parse(&doc).unwrap();
         let (from_turtle, namespaces) = turtle::parse(&doc).unwrap();
-        prop_assert!(namespaces.is_empty());
+        prop_assert_eq!(namespaces, Namespaces::new());
         prop_assert_eq!(sorted(from_ntriples.iter().collect()), sorted(expected));
         prop_assert_eq!(
             sorted(from_turtle.iter().collect()),

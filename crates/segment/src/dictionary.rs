@@ -1,11 +1,11 @@
-//! Segment interning and frequency counting.
+//! Segment interning.
 //!
-//! The learning algorithm needs, for every property, the frequency of each
-//! segment over the training data ("for each property p and for each segment
-//! a, we compute the frequency of p(X,Y) ∧ subsegment(Y,a)"). The
-//! [`SegmentDictionary`] interns segment strings into dense [`SegmentId`]s
-//! and keeps occurrence counts, mirroring the statistics the paper reports
-//! (7 842 distinct segments, 26 077 occurrences).
+//! The learning algorithm counts, for every property, the examples each
+//! segment occurs in ("for each property p and for each segment a, we
+//! compute the frequency of p(X,Y) ∧ subsegment(Y,a)"). The
+//! [`SegmentDictionary`] interns segment strings into dense [`SegmentId`]s so
+//! those counts are keyed by integers; its size is the paper's "7 842
+//! distinct segments".
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -23,13 +23,11 @@ impl SegmentId {
     }
 }
 
-/// A bidirectional map between segment strings and [`SegmentId`]s, with
-/// per-segment occurrence counts.
+/// A bidirectional map between segment strings and [`SegmentId`]s.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentDictionary {
     by_text: HashMap<String, SegmentId>,
     texts: Vec<String>,
-    occurrences: Vec<u64>,
 }
 
 impl SegmentDictionary {
@@ -38,14 +36,8 @@ impl SegmentDictionary {
         Self::default()
     }
 
-    /// Intern `segment` and increment its occurrence count by one.
-    pub fn observe(&mut self, segment: &str) -> SegmentId {
-        let id = self.intern(segment);
-        self.occurrences[id.index()] += 1;
-        id
-    }
-
-    /// Intern `segment` without counting an occurrence.
+    /// Intern `segment`, returning its id. Repeated calls with an equal
+    /// segment return the same id.
     pub fn intern(&mut self, segment: &str) -> SegmentId {
         if let Some(id) = self.by_text.get(segment) {
             return *id;
@@ -53,13 +45,7 @@ impl SegmentDictionary {
         let id = SegmentId(self.texts.len() as u32);
         self.by_text.insert(segment.to_string(), id);
         self.texts.push(segment.to_string());
-        self.occurrences.push(0);
         id
-    }
-
-    /// Look up a segment's id without interning it.
-    pub fn get(&self, segment: &str) -> Option<SegmentId> {
-        self.by_text.get(segment).copied()
     }
 
     /// The text of an interned segment.
@@ -67,40 +53,9 @@ impl SegmentDictionary {
         self.texts.get(id.index()).map(String::as_str)
     }
 
-    /// Number of occurrences observed for a segment.
-    pub fn occurrences(&self, id: SegmentId) -> u64 {
-        self.occurrences.get(id.index()).copied().unwrap_or(0)
-    }
-
     /// Number of distinct segments.
     pub fn distinct_count(&self) -> usize {
         self.texts.len()
-    }
-
-    /// Total number of observed occurrences across all segments.
-    pub fn total_occurrences(&self) -> u64 {
-        self.occurrences.iter().sum()
-    }
-
-    /// `true` when no segment has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.texts.is_empty()
-    }
-
-    /// Iterate over `(id, text, occurrences)` in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (SegmentId, &str, u64)> {
-        self.texts
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (SegmentId(i as u32), t.as_str(), self.occurrences[i]))
-    }
-
-    /// The `n` most frequent segments, ties broken by id (insertion order).
-    pub fn most_frequent(&self, n: usize) -> Vec<(SegmentId, &str, u64)> {
-        let mut all: Vec<_> = self.iter().collect();
-        all.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-        all.truncate(n);
-        all
     }
 }
 
@@ -109,72 +64,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn observe_counts_occurrences() {
+    fn ids_are_stable_dense_and_resolvable() {
         let mut d = SegmentDictionary::new();
-        let ohm = d.observe("ohm");
-        d.observe("ohm");
-        d.observe("63v");
+        let a = d.intern("a");
+        let b = d.intern("b");
+        assert_eq!(d.intern("a"), a);
+        assert_eq!((a.index(), b.index()), (0, 1));
         assert_eq!(d.distinct_count(), 2);
-        assert_eq!(d.total_occurrences(), 3);
-        assert_eq!(d.occurrences(ohm), 2);
-        assert_eq!(d.text(ohm), Some("ohm"));
-    }
-
-    #[test]
-    fn intern_does_not_count() {
-        let mut d = SegmentDictionary::new();
-        let id = d.intern("t83");
-        assert_eq!(d.occurrences(id), 0);
-        assert_eq!(d.total_occurrences(), 0);
-        d.observe("t83");
-        assert_eq!(d.occurrences(id), 1);
-    }
-
-    #[test]
-    fn get_and_text_for_unknown() {
-        let d = SegmentDictionary::new();
-        assert!(d.is_empty());
-        assert_eq!(d.get("x"), None);
+        assert_eq!(d.text(b), Some("b"));
         assert_eq!(d.text(SegmentId(5)), None);
-        assert_eq!(d.occurrences(SegmentId(5)), 0);
-    }
-
-    #[test]
-    fn ids_are_stable_and_dense() {
-        let mut d = SegmentDictionary::new();
-        let a = d.observe("a");
-        let b = d.observe("b");
-        let a2 = d.observe("a");
-        assert_eq!(a, a2);
-        assert_eq!(a.index(), 0);
-        assert_eq!(b.index(), 1);
-    }
-
-    #[test]
-    fn most_frequent_orders_by_count() {
-        let mut d = SegmentDictionary::new();
-        for _ in 0..5 {
-            d.observe("crcw0805");
-        }
-        for _ in 0..2 {
-            d.observe("t83");
-        }
-        d.observe("ohm");
-        let top = d.most_frequent(2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].1, "crcw0805");
-        assert_eq!(top[0].2, 5);
-        assert_eq!(top[1].1, "t83");
-        let all = d.most_frequent(100);
-        assert_eq!(all.len(), 3);
-    }
-
-    #[test]
-    fn iter_in_id_order() {
-        let mut d = SegmentDictionary::new();
-        d.observe("z");
-        d.observe("a");
-        let order: Vec<&str> = d.iter().map(|(_, t, _)| t).collect();
-        assert_eq!(order, vec!["z", "a"]);
     }
 }

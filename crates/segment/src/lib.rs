@@ -18,11 +18,12 @@
 //! * [`alphanum`] — additionally split at letter/digit transitions (ablation
 //!   A1 of the experiment index in the `classilink-eval` crate docs).
 //! * [`ngram`] — character and word n-grams, padded bigrams.
-//! * [`normalize`] — case folding, whitespace collapsing, accent stripping.
-//! * [`pipeline`] — the [`Segmenter`] trait, the serialisable
-//!   [`SegmenterKind`] configuration and normalizer composition.
-//! * [`dictionary`] — segment interning and occurrence counting (the paper
-//!   reports 7 842 distinct segments / 26 077 occurrences for its data set).
+//! * [`normalize`] — the one normalization applied before segmentation:
+//!   case folding, accent stripping, whitespace collapsing.
+//! * [`pipeline`] — the [`Segmenter`] trait and the serialisable
+//!   [`SegmenterKind`] configuration.
+//! * [`dictionary`] — segment interning (the paper reports 7 842 distinct
+//!   segments for its data set).
 //!
 //! ## Quick example
 //!
@@ -49,5 +50,5 @@ pub use alphanum::AlphaNumSegmenter;
 pub use dictionary::{SegmentDictionary, SegmentId};
 pub use ngram::{CharNGramSegmenter, WordNGramSegmenter};
 pub use normalize::Normalizer;
-pub use pipeline::{NormalizingSegmenter, Segmenter, SegmenterKind};
+pub use pipeline::{Segmenter, SegmenterKind};
 pub use separator::{SeparatorClass, SeparatorSegmenter};

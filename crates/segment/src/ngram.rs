@@ -13,12 +13,10 @@ use serde::{Deserialize, Serialize};
 pub struct CharNGramSegmenter {
     /// The n-gram size (≥ 1).
     pub n: usize,
-    /// Pad the value with `n - 1` occurrences of `pad_char` on both sides,
-    /// so that prefixes/suffixes produce their own grams (classic blocking
+    /// Pad the value with `n - 1` occurrences of `#` on both sides, so that
+    /// prefixes/suffixes produce their own grams (classic blocking
     /// practice).
     pub padded: bool,
-    /// The padding character used when `padded` is set.
-    pub pad_char: char,
 }
 
 impl CharNGramSegmenter {
@@ -27,24 +25,12 @@ impl CharNGramSegmenter {
         CharNGramSegmenter {
             n: n.max(1),
             padded: false,
-            pad_char: '#',
         }
     }
 
     /// Padded character bigrams, as used by the bi-gram blocking baseline.
     pub fn padded_bigrams() -> Self {
-        CharNGramSegmenter {
-            n: 2,
-            padded: true,
-            pad_char: '#',
-        }
-    }
-
-    /// Enable padding with the given character.
-    pub fn with_padding(mut self, pad_char: char) -> Self {
-        self.padded = true;
-        self.pad_char = pad_char;
-        self
+        CharNGramSegmenter { n: 2, padded: true }
     }
 }
 
@@ -52,11 +38,11 @@ impl Segmenter for CharNGramSegmenter {
     fn split(&self, value: &str) -> Vec<String> {
         let mut chars: Vec<char> = Vec::new();
         if self.padded {
-            chars.extend(std::iter::repeat_n(self.pad_char, self.n - 1));
+            chars.extend(std::iter::repeat_n('#', self.n - 1));
         }
         chars.extend(value.chars());
         if self.padded {
-            chars.extend(std::iter::repeat_n(self.pad_char, self.n - 1));
+            chars.extend(std::iter::repeat_n('#', self.n - 1));
         }
         if chars.len() < self.n {
             // A value shorter than n yields itself (if non-empty) so that no
@@ -78,27 +64,18 @@ impl Segmenter for CharNGramSegmenter {
     }
 }
 
-/// Word n-gram segmenter: n-grams over whitespace-separated tokens.
+/// Word n-gram segmenter: n-grams over whitespace-separated tokens, the
+/// words of one gram joined by a single space.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WordNGramSegmenter {
     /// The n-gram size (≥ 1). `n = 1` is plain word tokenisation.
     pub n: usize,
-    /// The string used to join words inside one gram.
-    pub joiner: String,
 }
 
 impl WordNGramSegmenter {
-    /// Word n-grams joined by a single space.
+    /// Word n-grams.
     pub fn new(n: usize) -> Self {
-        WordNGramSegmenter {
-            n: n.max(1),
-            joiner: " ".to_string(),
-        }
-    }
-
-    /// Plain word tokenisation (`n = 1`).
-    pub fn words() -> Self {
-        Self::new(1)
+        WordNGramSegmenter { n: n.max(1) }
     }
 }
 
@@ -109,12 +86,9 @@ impl Segmenter for WordNGramSegmenter {
             return Vec::new();
         }
         if words.len() < self.n {
-            return vec![words.join(&self.joiner)];
+            return vec![words.join(" ")];
         }
-        words
-            .windows(self.n)
-            .map(|w| w.join(&self.joiner))
-            .collect()
+        words.windows(self.n).map(|w| w.join(" ")).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -163,12 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_padding_char() {
-        let s = CharNGramSegmenter::new(2).with_padding('_');
-        assert_eq!(s.split("ab"), vec!["_a", "ab", "b_"]);
-    }
-
-    #[test]
     fn unicode_grams_do_not_split_codepoints() {
         let s = CharNGramSegmenter::new(2);
         assert_eq!(s.split("éà"), vec!["éà"]);
@@ -177,7 +145,7 @@ mod tests {
 
     #[test]
     fn word_unigrams_and_bigrams() {
-        let w1 = WordNGramSegmenter::words();
+        let w1 = WordNGramSegmenter::new(1);
         assert_eq!(
             w1.split("Dresden Elbe Valley"),
             vec!["Dresden", "Elbe", "Valley"]
@@ -200,7 +168,7 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(CharNGramSegmenter::new(2).name(), "char-ngram");
-        assert_eq!(WordNGramSegmenter::words().name(), "word-ngram");
+        assert_eq!(WordNGramSegmenter::new(1).name(), "word-ngram");
     }
 
     proptest! {

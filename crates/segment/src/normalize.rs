@@ -2,61 +2,27 @@
 //!
 //! The paper lets a domain expert decide how values are split; in practice
 //! part numbers and labels come with inconsistent case, stray whitespace and
-//! accented characters. [`Normalizer`] is a small configurable pipeline
-//! applied to a value before a segmenter sees it, so that `"CRCW0805 "` and
-//! `"crcw0805"` yield the same segments.
+//! accented characters. [`Normalizer`] lowercases, strips accents and
+//! collapses whitespace, in that fixed order, before a segmenter sees the
+//! value, so that `"CRCW0805 "` and `"crcw0805"` yield the same segments.
+//! The learner and the classifier both apply it to every value.
 
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the normalization pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Normalizer {
-    /// Convert the value to lowercase.
-    pub lowercase: bool,
-    /// Trim leading/trailing whitespace and collapse internal runs of
-    /// whitespace to a single space.
-    pub collapse_whitespace: bool,
-    /// Replace common accented latin characters by their ASCII base letter
-    /// (é → e, ü → u, …).
-    pub strip_accents: bool,
-}
-
-impl Default for Normalizer {
-    fn default() -> Self {
-        Normalizer {
-            lowercase: true,
-            collapse_whitespace: true,
-            strip_accents: true,
-        }
-    }
-}
+/// The one normalization the learner and the classifier apply.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Normalizer;
 
 impl Normalizer {
-    /// A pipeline that leaves the value untouched.
-    pub fn identity() -> Self {
-        Normalizer {
-            lowercase: false,
-            collapse_whitespace: false,
-            strip_accents: false,
-        }
-    }
-
-    /// Apply the configured steps to `value`.
+    /// Lowercase `value`, replace accented latin letters by their ASCII base
+    /// letter (é → e, ü → u, …), then trim it and collapse internal runs of
+    /// whitespace to a single space.
     ///
     /// Lower-casing runs before accent stripping so that the combination is
     /// idempotent (e.g. `Ý` → `ý` → `y`).
     pub fn apply(&self, value: &str) -> String {
-        let mut out = value.to_string();
-        if self.lowercase {
-            out = out.to_lowercase();
-        }
-        if self.strip_accents {
-            out = out.chars().map(strip_accent).collect();
-        }
-        if self.collapse_whitespace {
-            out = collapse_ws(&out);
-        }
-        out
+        let stripped: String = value.to_lowercase().chars().map(strip_accent).collect();
+        collapse_ws(&stripped)
     }
 }
 
@@ -109,45 +75,16 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn default_normalization() {
-        let n = Normalizer::default();
+    fn normalization() {
+        let n = Normalizer;
         assert_eq!(n.apply("  CRCW0805   10K  "), "crcw0805 10k");
         assert_eq!(n.apply("Résistance à couche"), "resistance a couche");
         assert_eq!(n.apply("Tantalum\t\nCapacitor"), "tantalum capacitor");
     }
 
     #[test]
-    fn identity_changes_nothing() {
-        let n = Normalizer::identity();
-        let s = "  Mixed CASE  é ";
-        assert_eq!(n.apply(s), s);
-    }
-
-    #[test]
-    fn individual_steps() {
-        let lower_only = Normalizer {
-            lowercase: true,
-            collapse_whitespace: false,
-            strip_accents: false,
-        };
-        assert_eq!(lower_only.apply("AbC  "), "abc  ");
-        let ws_only = Normalizer {
-            lowercase: false,
-            collapse_whitespace: true,
-            strip_accents: false,
-        };
-        assert_eq!(ws_only.apply(" A  B "), "A B");
-        let accents_only = Normalizer {
-            lowercase: false,
-            collapse_whitespace: false,
-            strip_accents: true,
-        };
-        assert_eq!(accents_only.apply("Çédille"), "Cedille");
-    }
-
-    #[test]
     fn empty_and_whitespace_inputs() {
-        let n = Normalizer::default();
+        let n = Normalizer;
         assert_eq!(n.apply(""), "");
         assert_eq!(n.apply("   \t\n "), "");
     }
@@ -156,17 +93,17 @@ mod tests {
         /// Normalization is idempotent: applying it twice equals applying it once.
         #[test]
         fn prop_idempotent(s in "\\PC{0,60}") {
-            let n = Normalizer::default();
+            let n = Normalizer;
             let once = n.apply(&s);
             let twice = n.apply(&once);
             prop_assert_eq!(once, twice);
         }
 
-        /// The default pipeline never produces uppercase ASCII characters or
+        /// Normalization never produces uppercase ASCII characters or
         /// runs of spaces.
         #[test]
         fn prop_no_upper_no_double_space(s in "\\PC{0,60}") {
-            let out = Normalizer::default().apply(&s);
+            let out = Normalizer.apply(&s);
             prop_assert!(!out.contains("  "));
             prop_assert!(!out.chars().any(|c| c.is_ascii_uppercase()));
             prop_assert!(!out.starts_with(' ') && !out.ends_with(' '));

@@ -4,12 +4,11 @@
 //! "The way a value is split into segments is specified by a domain expert.
 //! One can use separation characters (e.g., ':', '-', ';', ' ') or n-grams."
 //! The trait below is that extension point; [`SegmenterKind`] is a serialisable
-//! configuration enum so experiments can sweep over segmenters, and
-//! [`NormalizingSegmenter`] composes a [`Normalizer`] with any segmenter.
+//! configuration enum so experiments can sweep over segmenters. Values reach
+//! a segmenter already normalised (see [`crate::normalize`]).
 
 use crate::alphanum::AlphaNumSegmenter;
 use crate::ngram::{CharNGramSegmenter, WordNGramSegmenter};
-use crate::normalize::Normalizer;
 use crate::separator::SeparatorSegmenter;
 use serde::{Deserialize, Serialize};
 
@@ -79,40 +78,6 @@ impl SegmenterKind {
     }
 }
 
-/// Applies a [`Normalizer`] to the value before delegating to an inner
-/// segmenter.
-pub struct NormalizingSegmenter<S> {
-    /// The normalization pipeline applied first.
-    pub normalizer: Normalizer,
-    /// The segmenter applied to the normalised value.
-    pub inner: S,
-}
-
-impl<S: Segmenter> NormalizingSegmenter<S> {
-    /// Compose the default normalizer with `inner`.
-    pub fn new(inner: S) -> Self {
-        NormalizingSegmenter {
-            normalizer: Normalizer::default(),
-            inner,
-        }
-    }
-
-    /// Compose a specific normalizer with `inner`.
-    pub fn with_normalizer(normalizer: Normalizer, inner: S) -> Self {
-        NormalizingSegmenter { normalizer, inner }
-    }
-}
-
-impl<S: Segmenter> Segmenter for NormalizingSegmenter<S> {
-    fn split(&self, value: &str) -> Vec<String> {
-        self.inner.split(&self.normalizer.apply(value))
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
 impl Segmenter for Box<dyn Segmenter> {
     fn split(&self, value: &str) -> Vec<String> {
         self.as_ref().split(value)
@@ -173,18 +138,6 @@ mod tests {
         let names: std::collections::HashSet<String> = kinds.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), kinds.len());
         assert_eq!(SegmenterKind::default(), SegmenterKind::Separator);
-    }
-
-    #[test]
-    fn normalizing_segmenter_lowercases_first() {
-        let seg = NormalizingSegmenter::new(SeparatorSegmenter::non_alphanumeric());
-        assert_eq!(seg.split("CRCW0805-10K"), vec!["crcw0805", "10k"]);
-        assert_eq!(seg.name(), "separator");
-        let id = NormalizingSegmenter::with_normalizer(
-            Normalizer::identity(),
-            SeparatorSegmenter::non_alphanumeric(),
-        );
-        assert_eq!(id.split("CRCW0805-10K"), vec!["CRCW0805", "10K"]);
     }
 
     #[test]

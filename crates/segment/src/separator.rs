@@ -5,9 +5,8 @@
 //! > occurrences) using non-alphabetical and non-numerical characters
 //! > (e.g. space, '-', '.', ...)."
 //!
-//! [`SeparatorSegmenter`] splits a value on a configurable class of
-//! separator characters and discards empty pieces and (optionally) pieces
-//! shorter than a minimum length.
+//! [`SeparatorSegmenter`] splits a value on a class of separator characters
+//! and discards empty pieces.
 
 use crate::pipeline::Segmenter;
 use serde::{Deserialize, Serialize};
@@ -20,8 +19,6 @@ pub enum SeparatorClass {
     NonAlphanumeric,
     /// Whitespace only (suitable for natural-language labels).
     Whitespace,
-    /// An explicit list of separator characters.
-    Chars(Vec<char>),
 }
 
 impl SeparatorClass {
@@ -29,7 +26,6 @@ impl SeparatorClass {
         match self {
             SeparatorClass::NonAlphanumeric => !c.is_alphanumeric(),
             SeparatorClass::Whitespace => c.is_whitespace(),
-            SeparatorClass::Chars(chars) => chars.contains(&c),
         }
     }
 }
@@ -39,8 +35,6 @@ impl SeparatorClass {
 pub struct SeparatorSegmenter {
     /// The class of characters treated as separators.
     pub class: SeparatorClass,
-    /// Minimum segment length (in characters); shorter segments are dropped.
-    pub min_length: usize,
 }
 
 impl SeparatorSegmenter {
@@ -49,7 +43,6 @@ impl SeparatorSegmenter {
     pub fn non_alphanumeric() -> Self {
         SeparatorSegmenter {
             class: SeparatorClass::NonAlphanumeric,
-            min_length: 1,
         }
     }
 
@@ -57,22 +50,7 @@ impl SeparatorSegmenter {
     pub fn whitespace() -> Self {
         SeparatorSegmenter {
             class: SeparatorClass::Whitespace,
-            min_length: 1,
         }
-    }
-
-    /// Split on an explicit list of characters.
-    pub fn with_chars(chars: impl Into<Vec<char>>) -> Self {
-        SeparatorSegmenter {
-            class: SeparatorClass::Chars(chars.into()),
-            min_length: 1,
-        }
-    }
-
-    /// Set the minimum kept segment length.
-    pub fn min_length(mut self, min_length: usize) -> Self {
-        self.min_length = min_length.max(1);
-        self
     }
 }
 
@@ -86,7 +64,7 @@ impl Segmenter for SeparatorSegmenter {
     fn split(&self, value: &str) -> Vec<String> {
         value
             .split(|c| self.class.is_separator(c))
-            .filter(|s| !s.is_empty() && s.chars().count() >= self.min_length)
+            .filter(|s| !s.is_empty())
             .map(str::to_string)
             .collect()
     }
@@ -127,21 +105,6 @@ mod tests {
             vec!["Place", "de", "la", "Concorde"]
         );
         assert_eq!(s.split("10-K ohm"), vec!["10-K", "ohm"]);
-    }
-
-    #[test]
-    fn explicit_chars_class() {
-        let s = SeparatorSegmenter::with_chars(vec!['-', '_']);
-        assert_eq!(s.split("A-B_C D"), vec!["A", "B", "C D"]);
-    }
-
-    #[test]
-    fn min_length_filters_short_segments() {
-        let s = SeparatorSegmenter::non_alphanumeric().min_length(2);
-        assert_eq!(s.split("CRCW0805-5-63V"), vec!["CRCW0805", "63V"]);
-        // min_length is clamped to at least 1
-        let s0 = SeparatorSegmenter::non_alphanumeric().min_length(0);
-        assert_eq!(s0.min_length, 1);
     }
 
     #[test]

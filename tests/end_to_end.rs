@@ -40,7 +40,7 @@ fn learn_classify_and_reduce_on_a_small_scenario() {
     for (item, facts) in &scenario.heldout {
         if let Some(prediction) = classifier.decide(facts) {
             decided += 1;
-            if scenario.gold_class(item) == Some(prediction.class) {
+            if scenario.gold_classes.get(item) == Some(&prediction.class) {
                 correct += 1;
             }
         }
