@@ -30,8 +30,9 @@
 //! sharing rule is one bit-sliced `count ≥ required` comparison per run
 //! of records it treats alike. Every count is exact, so the candidate
 //! set is the definition's with nothing to prove —
-//! `tests/bigram_filter.rs` pins it against a string-based exhaustive
-//! reference all the same.
+//! `tests/bigram_filter.rs` and the identity matrix pin it against the
+//! string-keyed count of the shared oracle (`tests/common/oracle.rs`) all
+//! the same.
 //!
 //! The cost of a probe is `O(Σ_dense ⌈N/64⌉ · planes + Σ_sparse df)`
 //! over the external's grams, `planes = bits(|bigrams_e|)`: linear in

@@ -298,9 +298,9 @@ impl ShardRun {
 /// emits per probe, sorted neighbourhood anchors its window walk on
 /// the external entries), so even they coalesce into one block per
 /// (shard, external) and stay below the flat encoding as long as runs
-/// hold more than a record or two (`tests/streaming_blocking.rs`
-/// asserts `queue_bytes ≤ pair_bytes` for the standard,
-/// sorted-neighbourhood and bigram blockers).
+/// hold more than a record or two (the identity matrix,
+/// `tests/common/matrix.rs`, asserts `queue_bytes ≤ pair_bytes` for the
+/// standard, sorted-neighbourhood and bigram blockers).
 ///
 /// The sink is reusable: [`stream_candidates`](Blocker::stream_candidates)
 /// clears it (capacity retained) before producing, so a long-lived sink

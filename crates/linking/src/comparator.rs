@@ -771,8 +771,8 @@ impl CompiledComparator<'_> {
     /// token views in identical order and the aggregation shares
     /// `finish_score` — so score and decision are **bit-identical**, only
     /// the left-side resolution work is amortised across the block
-    /// (`crates/linking/tests/streaming_blocking.rs` pins the equivalence
-    /// end-to-end).
+    /// (the identity matrix, `crates/linking/tests/common/matrix.rs`, pins
+    /// the equivalence end-to-end against a naive scorer).
     ///
     /// A [`NonMatch`](MatchDecision::NonMatch) is decided as early as it
     /// can be **proved** (the needed-similarity rule and the shared-symbol

@@ -11,8 +11,12 @@
 //!
 //! * [`similarity`] — string similarity measures (Levenshtein,
 //!   Damerau-Levenshtein, Jaro, Jaro-Winkler, Jaccard, Dice,
-//!   Monge-Elkan), each with an allocation-free scratch-buffer kernel
-//!   variant (`*_with(scratch, a, b)`, see [`similarity::SimScratch`]).
+//!   Monge-Elkan). The four string measures have an allocation-free
+//!   scratch-buffer variant (`*_with(scratch, a, b)`, see
+//!   [`similarity::SimScratch`]); the four set measures
+//!   (`jaccard_tokens`, `jaccard_chars`, `dice_bigrams`, `monge_elkan`)
+//!   have none: they run the `TokenTable` kernels the comparator runs, on
+//!   a two-value table built for the pair (`similarity/token.rs`).
 //! * [`token_index`] — store-level precomputation. Per column a set rule
 //!   compares, every value is tokenised once (a token table in the
 //!   store's derived state), so the set-based measures run as sorted-merge

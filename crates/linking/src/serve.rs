@@ -37,7 +37,8 @@
 //!   with the *same* `score_shard` call (in [`crate::pipeline`]) a
 //!   serial batch run makes — which is what makes probe scores
 //!   bit-identical to `run_sharded` by construction
-//!   (`crates/linking/tests/probe_equivalence.rs` pins it).
+//!   (the identity matrix, `crates/linking/tests/common/matrix.rs`,
+//!   pins it).
 //! * **Allocation-free warm probes.** All per-probe state lives in a
 //!   caller-owned [`ProbeScratch`] (probe store, sink, the recycled
 //!   scoring working set, result buffers); a warm

@@ -11,22 +11,22 @@
 //! planes, all-empty keys, and grams on either side of the dense
 //! cut-off.
 //!
-//! The reference below intersects per-record `HashSet<String>` padded
-//! bigram sets and never touches `stream_candidates`, `CandidateRuns`,
-//! the `KeyIndex` or any posting structure, so a counting bug cannot
-//! cancel out of both sides.
+//! The reference is the shared oracle's (`common::oracle::bigram`): a
+//! string-keyed count over per-record padded-bigram sets that never
+//! touches `stream_candidates`, `CandidateRuns`, the `KeyIndex` or any
+//! posting structure of the engine, so a counting bug cannot cancel out
+//! of both sides.
 
-use classilink_linking::blocking::{BigramBlocker, Blocker, BlockingKey};
+use classilink_datagen::vocab::{LOCAL_PART_NUMBER, PROVIDER_PART_NUMBER};
+use classilink_linking::blocking::{BigramBlocker, Blocker};
 use classilink_linking::record::Record;
 use classilink_linking::{CandidateRuns, RecordStore, ShardedStore};
 use classilink_rdf::Term;
-use classilink_segment::{CharNGramSegmenter, Segmenter};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::HashSet;
 
-const EXT_PN: &str = "http://provider.e.org/v#ref";
-const LOC_PN: &str = "http://local.e.org/v#partNumber";
+mod common;
+use common::{key, oracle};
 
 /// The swept sharing thresholds: the degenerate ends (`0.0` accepts any
 /// single shared gram, `1.0` demands the smaller set entirely) plus
@@ -65,46 +65,13 @@ fn key_of(seed: u64) -> String {
         .collect()
 }
 
-fn records_of(property: &str, prefix: &str, keys: &[String]) -> Vec<Record> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, key)| {
-            let mut record = Record::new(Term::iri(format!("{prefix}/{i}")));
-            record.add(property, key.as_str());
-            record
-        })
-        .collect()
-}
-
-/// The exhaustive string-based reference: padded-bigram `HashSet`s per
-/// record, one full intersection per (external, local) pair, the
-/// paper's sharing rule verbatim.
-fn reference_pairs(
-    key: &BlockingKey,
-    threshold: f64,
-    external: &RecordStore,
-    local: &RecordStore,
-) -> Vec<(usize, usize)> {
-    let segmenter = CharNGramSegmenter::padded_bigrams();
-    let external_side = key.external_side(external);
-    let local_side = key.local_side(local);
-    let grams = |k: &str| -> HashSet<String> { segmenter.split_distinct(k).into_iter().collect() };
-    let local_grams: Vec<HashSet<String>> = (0..local.len())
-        .map(|l| grams(&local_side.key(local, l)))
-        .collect();
-    let mut pairs = Vec::new();
-    for e in 0..external.len() {
-        let external_grams = grams(&external_side.key(external, e));
-        for (l, lg) in local_grams.iter().enumerate() {
-            let shared = external_grams.intersection(lg).count();
-            let smaller = external_grams.len().min(lg.len()).max(1);
-            let required = ((threshold * smaller as f64).ceil() as usize).max(1);
-            if shared >= required {
-                pairs.push((e, l));
-            }
-        }
-    }
-    pairs
+fn records_of(property: &str, keys: &[String]) -> Vec<Record> {
+    let record = |(i, key): (usize, &String)| {
+        let mut record = Record::new(Term::iri(format!("{property}/{i}")));
+        record.add(property, key.as_str());
+        record
+    };
+    keys.iter().enumerate().map(record).collect()
 }
 
 /// For every listed threshold and shard count, the streamed per-shard
@@ -116,28 +83,35 @@ fn assert_probe_matches_reference(
     thresholds: &[f64],
     shard_counts: &[usize],
 ) {
-    let key = BlockingKey::per_side(EXT_PN, LOC_PN, 0);
-    let external = RecordStore::from_records(&records_of(
-        EXT_PN,
-        "http://provider.e.org/item",
-        external_keys,
-    ));
-    let local_records = records_of(LOC_PN, "http://local.e.org/prod", local_keys);
+    let key = key(0);
+    let external = RecordStore::from_records(&records_of(PROVIDER_PART_NUMBER, external_keys));
+    let local_records = records_of(LOCAL_PART_NUMBER, local_keys);
+    // One oracle over the whole catalog: a pair's count does not depend on
+    // the shard its local lands in.
+    let expected = oracle::bigram(
+        &key,
+        thresholds,
+        &external,
+        &RecordStore::from_records(&local_records),
+    );
     let mut runs = CandidateRuns::new();
     for &shards in shard_counts {
         let sharded = ShardedStore::from_records(&local_records, shards);
-        for &threshold in thresholds {
+        for (&threshold, expected) in thresholds.iter().zip(&expected) {
             let blocker = BigramBlocker::new(key.clone(), threshold);
             blocker.stream_candidates(&external, (&sharded).into(), &mut runs);
             for s in 0..shards {
-                let mut streamed: Vec<(usize, usize)> = runs.pairs(s).collect();
+                let (offset, len) = (sharded.offset(s), sharded.shard(s).len());
+                let mut streamed: Vec<(usize, usize)> =
+                    runs.pairs(s).map(|(e, l)| (e, offset + l)).collect();
                 streamed.sort_unstable();
-                let expected = reference_pairs(&key, threshold, &external, sharded.shard(s));
+                let shard_expected: Vec<(usize, usize)> = (expected.iter())
+                    .filter(|&&(_, l)| (offset..offset + len).contains(&l))
+                    .copied()
+                    .collect();
                 assert_eq!(
-                    streamed,
-                    expected,
-                    "threshold {threshold} shard {s}/{shards} ({} records) diverged",
-                    sharded.shard(s).len()
+                    streamed, shard_expected,
+                    "threshold {threshold} shard {s}/{shards} ({len} records) diverged"
                 );
             }
         }
@@ -213,11 +187,10 @@ fn all_empty_keys_pair_everything() {
     let external = vec![String::new(); 5];
     let local = vec![String::new(); 70];
     assert_probe_matches_reference(&external, &local, &[0.0, 0.5, 1.0], &[1, 2]);
-    let key = BlockingKey::per_side(EXT_PN, LOC_PN, 0);
     let mut runs = CandidateRuns::new();
-    BigramBlocker::new(key, 1.0).stream_candidates(
-        &RecordStore::from_records(&records_of(EXT_PN, "http://provider.e.org/item", &external)),
-        (&RecordStore::from_records(&records_of(LOC_PN, "http://local.e.org/prod", &local))).into(),
+    BigramBlocker::new(key(0), 1.0).stream_candidates(
+        &RecordStore::from_records(&records_of(PROVIDER_PART_NUMBER, &external)),
+        (&RecordStore::from_records(&records_of(LOCAL_PART_NUMBER, &local))).into(),
         &mut runs,
     );
     assert_eq!(runs.total(), 5 * 70);

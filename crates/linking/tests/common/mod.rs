@@ -1,32 +1,43 @@
-//! Fixtures shared by the integration suites of this directory (each
+//! The harness every integration suite of this directory shares (each
 //! suite is its own crate and uses a subset, hence the `dead_code` allow):
 //!
-//! * the generated-scenario set — blocking [`key`], three-rule
-//!   [`comparator`], learnt [`classifier`], links as [`bits`]
-//!   (`delta_linking`, `probe_equivalence`, `persist_recovery`,
-//!   `streaming_blocking`);
-//! * [`rule_setup`], a hand-built rule blocker input (`shard_router`,
-//!   `store_engine`);
+//! * [`oracle`] — the one naive oracle: the candidate references of the
+//!   five blockers and the `similarity::naive` scorer;
+//! * [`catalog`] — the one proptest catalog strategy;
+//! * [`matrix`] — the one check of the identity chain (probe ≡ batch
+//!   slice ≡ delta slice ≡ restored catalog ≡ serial run), blocker ×
+//!   comparator, and the list of mutations it is known to catch;
+//! * the generated-scenario fixtures — the [`tiny`] scenario (generated
+//!   once per test binary), blocking [`key`], the four [`comparators`],
+//!   learnt [`classifier`];
 //! * the fault-suite plumbing — [`serial`], [`quiet_injected_panics`],
 //!   `Armed`, [`fresh_dir`] (`fault_injection`, `persist_fault`,
 //!   `persist_recovery`, `probe_concurrency`).
+//!
+//! A fixture two suites need goes here, not into a second copy.
 
 #![allow(dead_code)]
 
-use classilink_core::{
-    ClassificationRule, Contingency, LearnerConfig, PropertySelection, RuleClassifier, RuleLearner,
-};
-use classilink_datagen::scenario::GeneratedScenario;
+pub mod catalog;
+pub mod matrix;
+pub mod oracle;
+
+use classilink_core::{LearnerConfig, PropertySelection, RuleClassifier, RuleLearner};
+use classilink_datagen::scenario::{generate, GeneratedScenario, ScenarioConfig};
 use classilink_datagen::vocab;
 use classilink_linking::blocking::BlockingKey;
-use classilink_linking::pipeline::Link;
 use classilink_linking::{AttributeRule, RecordComparator, SimilarityMeasure};
-use classilink_ontology::{InstanceStore, Ontology, OntologyBuilder};
-use classilink_rdf::Term;
-use classilink_segment::SegmenterKind;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, Once};
+use std::sync::{Mutex, MutexGuard, Once, OnceLock};
+
+/// The tiny generated scenario (200 catalog products, 150 provider
+/// items, realistic part numbers and perturbations), generated once per
+/// test binary.
+pub fn tiny() -> &'static GeneratedScenario {
+    static TINY: OnceLock<GeneratedScenario> = OnceLock::new();
+    TINY.get_or_init(|| generate(&ScenarioConfig::tiny()))
+}
 
 /// Provider reference against catalog part number, on a `prefix`-char key
 /// (0 = the whole value).
@@ -38,36 +49,70 @@ pub fn key(prefix: usize) -> BlockingKey {
     )
 }
 
-/// Three rules, non-match below 0.6: most candidates end up links, so the
-/// non-match filter almost never fires.
-pub fn comparator() -> RecordComparator {
-    let rule = |left: &str, right: &str, measure, weight| AttributeRule {
+const PART_NUMBER: (&str, &str) = (vocab::PROVIDER_PART_NUMBER, vocab::LOCAL_PART_NUMBER);
+const MAKER: (&str, &str) = (vocab::PROVIDER_MANUFACTURER, vocab::LOCAL_MANUFACTURER);
+const MAKER_LABEL: (&str, &str) = (vocab::PROVIDER_MANUFACTURER, vocab::LOCAL_LABEL);
+
+/// A comparator of `(properties, measure, weight)` rules.
+fn weighted(rules: &[((&str, &str), SimilarityMeasure, f64)]) -> RecordComparator {
+    let rule = |&((left, right), measure, weight): &((&str, &str), _, _)| AttributeRule {
         left_property: left.to_string(),
         right_property: right.to_string(),
         measure,
         weight,
     };
-    RecordComparator::new(vec![
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::JaroWinkler,
-            3.0,
-        ),
-        rule(
-            vocab::PROVIDER_PART_NUMBER,
-            vocab::LOCAL_PART_NUMBER,
-            SimilarityMeasure::DiceBigrams,
-            1.0,
-        ),
-        rule(
-            vocab::PROVIDER_MANUFACTURER,
-            vocab::LOCAL_MANUFACTURER,
-            SimilarityMeasure::JaccardTokens,
-            1.0,
-        ),
+    RecordComparator::new(rules.iter().map(rule).collect())
+}
+
+/// Three rules, non-match below 0.6: most candidates end up links, so the
+/// non-match filter almost never fires.
+pub fn comparator() -> RecordComparator {
+    use SimilarityMeasure::*;
+    weighted(&[
+        (PART_NUMBER, JaroWinkler, 3.0),
+        (PART_NUMBER, DiceBigrams, 1.0),
+        (MAKER, JaccardTokens, 1.0),
     ])
     .with_thresholds(0.92, 0.6)
+}
+
+/// The kernel-swap comparator: the string kernels (Jaro-Winkler,
+/// Levenshtein) and the token-table kernels (Dice bigrams, Jaccard
+/// tokens, Monge-Elkan) over part number, manufacturer and label.
+pub fn five_rule() -> RecordComparator {
+    use SimilarityMeasure::*;
+    weighted(&[
+        (PART_NUMBER, JaroWinkler, 3.0),
+        (PART_NUMBER, Levenshtein, 2.0),
+        (PART_NUMBER, DiceBigrams, 1.0),
+        (MAKER, JaccardTokens, 1.0),
+        (MAKER_LABEL, MongeElkan, 0.5),
+    ])
+    .with_thresholds(0.92, 0.6)
+}
+
+/// `linkbench`'s `jw95`: one Jaro-Winkler rule, match ≥ 0.95, possible ≥
+/// 0.90 — the filter rejects most candidates on the bound alone.
+pub fn jw95() -> RecordComparator {
+    weighted(&[(PART_NUMBER, SimilarityMeasure::JaroWinkler, 1.0)]).with_thresholds(0.95, 0.90)
+}
+
+/// A string rule and a set rule (0.8 Jaro-Winkler + 0.2 token Jaccard):
+/// what the first rule needs depends on what the second could still add.
+pub fn jw_jaccard() -> RecordComparator {
+    use SimilarityMeasure::*;
+    weighted(&[(PART_NUMBER, JaroWinkler, 0.8), (MAKER, JaccardTokens, 0.2)])
+        .with_thresholds(0.95, 0.90)
+}
+
+/// The matrix's comparator columns.
+pub fn comparators() -> [(&'static str, RecordComparator); 4] {
+    [
+        ("five-rule", five_rule()),
+        ("three-rule", comparator()),
+        ("jw95", jw95()),
+        ("jw+jaccard", jw_jaccard()),
+    ]
 }
 
 /// Learn rules on the provider part number and keep those of confidence
@@ -89,47 +134,6 @@ pub fn learn_classifier(
 /// The tiny scenario's classifier: `th = 0.01`, confidence ≥ 0.4.
 pub fn classifier(scenario: &GeneratedScenario) -> RuleClassifier {
     learn_classifier(scenario, 0.01, 0.4)
-}
-
-/// A link as comparable data: terms verbatim, score as raw bits — any
-/// score divergence between two paths, however small, fails the equality.
-pub fn bits(link: &Link) -> (String, String, u64) {
-    (
-        format!("{:?}", link.external),
-        format!("{:?}", link.local),
-        link.score.to_bits(),
-    )
-}
-
-/// An ontology, the class assertions of a `catalog`-record store whose
-/// ids are `http://local.e.org/prod/{i}` (every even record is a
-/// resistor) and 20 rules mapping the `cr0000`… segments of
-/// `http://provider.e.org/v#ref` there. The segments won't all fire, so
-/// callers enable the fallback to exercise dense output.
-pub fn rule_setup(catalog: usize) -> (Ontology, InstanceStore, RuleClassifier) {
-    let mut b = OntologyBuilder::new("http://e.org/c#");
-    let root = b.class("Component", None);
-    let resistor = b.class("Resistor", Some(root));
-    let onto = b.build();
-    let mut instances = InstanceStore::new();
-    for i in (0..catalog).step_by(2) {
-        instances.assert_type(&Term::iri(format!("http://local.e.org/prod/{i}")), resistor);
-    }
-    let rules = (0..20)
-        .map(|i| ClassificationRule {
-            property: "http://provider.e.org/v#ref".to_string(),
-            segment: format!("cr{i:04}"),
-            class: resistor,
-            class_iri: "http://e.org/c#Resistor".to_string(),
-            class_label: "Resistor".to_string(),
-            quality: Contingency::new(100, 10, 20, 10).quality(),
-        })
-        .collect();
-    (
-        onto,
-        instances,
-        RuleClassifier::new(rules, SegmenterKind::Separator),
-    )
 }
 
 /// The failpoint registry (and the panic hook) are process-global: every

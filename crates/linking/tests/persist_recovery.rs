@@ -1,18 +1,16 @@
 //! Crash-safety and round-trip guards for the persistence layer
 //! ([`classilink_linking::persist`]):
 //!
-//! * **Byte-identical spill.** Property-based: arbitrary catalogs —
-//!   empty catalogs, empty shards, multi-valued and Unicode-heavy
-//!   records, every term kind — survive spill → load → re-spill with
-//!   the restored store equal to the original and the second snapshot
-//!   directory **byte-for-byte identical** to the first (content
-//!   addressing makes the file set deterministic).
-//! * **Bit-identical linking.** `run_sharded` over a restored catalog
-//!   equals the in-memory run — scores compared as raw `f64` bits —
-//!   for every built-in blocker (cartesian, standard key, sorted
-//!   neighbourhood, bigram, classification rules), and probes through a
-//!   [`Linker`] restored with [`Linker::open`] equal probes through the
-//!   linker that was snapshotted.
+//! * **Byte-identical spill.** Property-based, over the shared catalog
+//!   strategy (`common::catalog`: empty catalogs, empty shards,
+//!   multi-valued and Unicode-heavy records, every term kind, ids and
+//!   values of arbitrary printable text, empty values): spill →
+//!   load → re-spill restores a store equal to the original, and the
+//!   second snapshot directory is **byte-for-byte identical** to the
+//!   first (content addressing makes the file set deterministic).
+//!   (Batch runs over a restored catalog and probes through a [`Linker`]
+//!   opened from a `Linker::snapshot`, for every blocker and comparator,
+//!   are cells of the identity matrix, `identity_matrix.rs`.)
 //! * **Corruption recovery.** A chaos sweep over
 //!   {truncate, bit-flip, delete} × {newest manifest, newest-only shard
 //!   file} asserts the loader never panics, never returns a half-loaded
@@ -24,18 +22,13 @@
 //!   generation's shard files, and retention keeps exactly the two
 //!   newest generations.
 
-use classilink_datagen::scenario::{generate, ScenarioConfig};
-use classilink_linking::blocking::{
-    BigramBlocker, Blocker, BlockingKey, CartesianBlocker, RuleBasedBlocker,
-    SortedNeighborhoodBlocker, StandardBlocker,
-};
-use classilink_linking::pipeline::Link;
+use classilink_linking::blocking::{BlockingKey, StandardBlocker};
 use classilink_linking::record::Record;
 use classilink_linking::{
-    CatalogSnapshot, LinkError, LinkagePipeline, Linker, PersistError, ProbeScratch,
-    RecordComparator, ShardedStore, SimilarityMeasure,
+    CatalogSnapshot, LinkError, Linker, PersistError, RecordComparator, ShardedStore,
+    SimilarityMeasure,
 };
-use classilink_rdf::{Literal, Term};
+use classilink_rdf::Term;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::fs;
@@ -43,7 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 mod common;
-use common::{bits, classifier, comparator, fresh_dir, key};
+use common::{catalog, fresh_dir};
 
 const EXT_PN: &str = "http://provider.example.org/vocab#partNumber";
 const LOC_PN: &str = "http://catalog.example.org/vocab#partNumber";
@@ -88,12 +81,6 @@ fn delete(path: &Path) {
 
 // --- datasets --------------------------------------------------------
 
-fn external_record(i: usize) -> Record {
-    let mut record = Record::new(Term::iri(format!("http://provider.example.org/item/{i}")));
-    record.add(EXT_PN, format!("PN-{:02}X", i % 8));
-    record
-}
-
 fn local_record(i: usize) -> Record {
     let mut record = Record::new(Term::iri(format!("http://catalog.example.org/prod/{i}")));
     record.add(LOC_PN, format!("PN-{:02}X", i % 8));
@@ -118,78 +105,9 @@ fn base_and_appended() -> (ShardedStore, ShardedStore) {
     (base.clone(), base.append_shards(delta))
 }
 
-// --- the five-blocker harness (mirrors tests/delta_linking.rs) -------
-
 // =====================================================================
 // Byte-identical spill → load → re-spill (property-based)
 // =====================================================================
-
-const PROP_POOL: [&str; 4] = [
-    "http://e.org/v#partNumber",
-    "http://e.org/v#manufacturer",
-    "http://e.org/v#label",
-    "http://e.org/v#desc",
-];
-
-/// One generated record: an id discriminator (uniqueness comes from the
-/// record index; the suffix exercises Unicode ids) plus attribute values
-/// drawn from a 4-property pool — repeats make multi-valued attributes.
-type GenRecord = (u8, String, Vec<(u8, String)>);
-
-/// Hand-rolled record strategy (the offline `proptest` stand-in has no
-/// tuple strategies; see shims/README.md).
-struct RecordStrategy;
-
-impl Strategy for RecordStrategy {
-    type Value = GenRecord;
-
-    fn generate(&self, rng: &mut TestRng) -> GenRecord {
-        let kind = rng.next_u64() as u8;
-        let suffix = "\\PC{0,8}".generate(rng);
-        let value_count = (rng.next_u64() % 5) as usize;
-        let values = (0..value_count)
-            .map(|_| {
-                (
-                    (rng.next_u64() % PROP_POOL.len() as u64) as u8,
-                    "\\PC{0,16}".generate(rng),
-                )
-            })
-            .collect();
-        (kind, suffix, values)
-    }
-}
-
-fn catalog_strategy() -> impl Strategy<Value = Vec<Vec<GenRecord>>> {
-    proptest::collection::vec(proptest::collection::vec(RecordStrategy, 0..5), 0..4)
-}
-
-fn build_catalog(shards: &[Vec<GenRecord>]) -> ShardedStore {
-    let mut builder = ShardedStore::builder();
-    builder.begin_shard(); // an empty catalog is still one (empty) shard
-    let mut n = 0usize;
-    for shard in shards {
-        builder.begin_shard();
-        for (kind, suffix, values) in shard {
-            // Unique ids (records are keyed by term), every term kind.
-            let id = match kind % 3 {
-                0 => Term::iri(format!("http://e.org/item/{n}/{suffix}")),
-                1 => Term::blank(format!("b{n}-{suffix}")),
-                _ => Term::Literal(Literal {
-                    value: format!("{n}:{suffix}"),
-                    language: (kind % 2 == 0).then(|| "en".to_string()),
-                    datatype: (kind % 5 == 0).then(|| "http://w3.org/xsd#string".to_string()),
-                }),
-            };
-            n += 1;
-            let mut record = Record::new(id);
-            for (prop, value) in values {
-                record.add(PROP_POOL[*prop as usize % PROP_POOL.len()], value.clone());
-            }
-            builder.push(&record);
-        }
-    }
-    builder.build()
-}
 
 /// Derived state is never written, so a restored shard re-derives it:
 /// every record's full text must come out the same on both catalogs,
@@ -209,8 +127,8 @@ proptest! {
     /// Spill → load restores an equal catalog; re-spilling the restored
     /// catalog produces a byte-identical snapshot directory.
     #[test]
-    fn arbitrary_catalogs_round_trip_byte_identically(shards in catalog_strategy()) {
-        let store = build_catalog(&shards);
+    fn arbitrary_catalogs_round_trip_byte_identically(case in catalog::strategy()) {
+        let store = case.store();
         let dir1 = fresh_dir("prop_a");
         let dir2 = fresh_dir("prop_b");
         CatalogSnapshot::write(&dir1, &store).expect("spill");
@@ -222,13 +140,14 @@ proptest! {
         CatalogSnapshot::write(&dir2, &loaded).expect("re-spill");
         prop_assert_eq!(dir_files(&dir1), dir_files(&dir2));
         assert_full_text_identity(&store, &loaded);
-        // An append that grows the schema (by an IRI sorting before the
-        // whole pool): the old shards keep their prefix schema `Arc`,
-        // their restored twins share the grown one.
+        // An append that grows the schema (by an IRI sorting before every
+        // property the strategy draws): the old shards keep their prefix
+        // schema `Arc`, their restored twins share the grown one.
         let mut delta = store.delta_builder();
         delta.begin_shard();
         let mut late = Record::new(Term::iri("http://e.org/item/late"));
-        late.add("http://e.org/v#a-late", "late").add(PROP_POOL[0], "PN-1");
+        late.add("http://a.example.org/v#late", "late")
+            .add(LOC_PN, "PN-1");
         delta.push(&late);
         let appended = store.append_shards(delta);
         CatalogSnapshot::write(&dir1, &appended).expect("spill appended");
@@ -278,108 +197,6 @@ fn duplicate_ids_resolve_to_the_last_record_built_restored_and_appended() {
     let appended = restored.append_shards(delta);
     assert_eq!(appended.index_of(&late), Some(5));
     assert_eq!(appended.index_of(&twice), Some(4));
-    let _ = fs::remove_dir_all(&dir);
-}
-
-// =====================================================================
-// Bit-identical linking over a restored catalog
-// =====================================================================
-
-#[test]
-fn run_sharded_over_a_restored_catalog_is_bit_identical_for_every_blocker() {
-    let scenario = generate(&ScenarioConfig::tiny());
-    let external = scenario.external_store();
-    let locals = scenario.local_store().to_records();
-    let catalog = ShardedStore::from_records(&locals, 3);
-
-    let dir = fresh_dir("five_blockers");
-    CatalogSnapshot::write(&dir, &catalog).expect("spill");
-    let (restored, report) = CatalogSnapshot::open(&dir).expect("load");
-    assert_eq!(restored, catalog);
-    assert_eq!(report.shards, catalog.shard_count());
-
-    let cmp = comparator();
-    let classifier = classifier(&scenario);
-    let rule_blocker = RuleBasedBlocker::new(&classifier, &scenario.instances, &scenario.ontology)
-        .with_fallback(true);
-    let blockers: [&dyn Blocker; 5] = [
-        &CartesianBlocker,
-        &StandardBlocker::new(key(4)),
-        &SortedNeighborhoodBlocker::new(key(0), 7),
-        &BigramBlocker::new(key(0), 0.5),
-        &rule_blocker,
-    ];
-    for blocker in blockers {
-        let pipeline = LinkagePipeline::new(blocker, &cmp);
-        let memory = pipeline.run_sharded(&external, &catalog);
-        let disk = pipeline.run_sharded(&external, &restored);
-        let to_bits = |links: &[Link]| links.iter().map(bits).collect::<Vec<_>>();
-        let context = blocker.name().to_string();
-        assert_eq!(
-            to_bits(&memory.matches),
-            to_bits(&disk.matches),
-            "{context}: matches diverge after restore"
-        );
-        assert_eq!(
-            to_bits(&memory.possible),
-            to_bits(&disk.possible),
-            "{context}: possible links diverge after restore"
-        );
-        assert_eq!(
-            memory.comparisons, disk.comparisons,
-            "{context}: comparison accounting diverges after restore"
-        );
-        assert!(
-            !memory.matches.is_empty(),
-            "{context}: no links — the guard would be vacuous"
-        );
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn linker_snapshot_then_open_serves_bit_identical_probes() {
-    let catalog = ShardedStore::from_records(&local_records(0..48), 3);
-    let blocker = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 3));
-    let cmp = RecordComparator::new(vec![classilink_linking::AttributeRule {
-        left_property: EXT_PN.to_string(),
-        right_property: LOC_PN.to_string(),
-        measure: SimilarityMeasure::JaroWinkler,
-        weight: 1.0,
-    }])
-    .with_thresholds(0.95, 0.7);
-    let linker = Linker::new(&blocker, &cmp, catalog);
-
-    let dir = fresh_dir("linker_roundtrip");
-    let receipt = linker.snapshot(&dir).expect("snapshot");
-    assert_eq!(receipt.generation, 1);
-    assert_eq!(receipt.shards_written, 3);
-
-    let (restored, report) = Linker::open(&dir, &blocker, &cmp).expect("open");
-    assert_eq!(report.generation, 1);
-    assert_eq!(report.records, 48);
-
-    let mut live = ProbeScratch::new();
-    let mut cold = ProbeScratch::new();
-    let mut linked = 0usize;
-    for i in 0..40 {
-        let record = external_record(i);
-        let a = linker.probe_with(&record, &mut live);
-        let a = (
-            a.matches.iter().map(bits).collect::<Vec<_>>(),
-            a.possible.iter().map(bits).collect::<Vec<_>>(),
-            a.comparisons,
-        );
-        let b = restored.probe_with(&record, &mut cold);
-        let b = (
-            b.matches.iter().map(bits).collect::<Vec<_>>(),
-            b.possible.iter().map(bits).collect::<Vec<_>>(),
-            b.comparisons,
-        );
-        linked += a.0.len();
-        assert_eq!(a, b, "probe {i} diverges on the restored linker");
-    }
-    assert!(linked > 0, "no probe linked — the guard would be vacuous");
     let _ = fs::remove_dir_all(&dir);
 }
 
