@@ -7,44 +7,37 @@
 //! The idea implemented here: a segment may not be discriminative for any
 //! single leaf class (e.g. `"uF"` appears in tantalum, ceramic *and*
 //! electrolytic capacitors) yet be perfectly discriminative for their common
-//! superclass (`Capacitor`). We therefore re-learn rules on a training set
-//! whose class assertions are closed under subsumption and keep the rules
-//! that conclude on a **more general** class with **strictly better
-//! confidence** than every base rule sharing the same premise. Such rules
-//! trade a larger linking subspace for higher confidence/recall, which is the
-//! trade-off the extension is meant to offer.
+//! superclass (`Capacitor`). The learner's counting table is closed under
+//! subsumption — each observed class's row is OR-ed into every ancestor's
+//! row — and steps 2–5 of Algorithm 1 read it again. We keep the rules that
+//! conclude on a **more general** class with **at least the confidence** of
+//! every base rule sharing the same premise. Such rules trade a larger
+//! linking subspace for higher confidence/recall, which is the trade-off the
+//! extension is meant to offer.
 
 use crate::config::LearnerConfig;
 use crate::error::Result;
-use crate::learner::{LearnOutcome, RuleLearner};
+use crate::learner::{CountTable, LearnOutcome};
 use crate::rule::ClassificationRule;
-use crate::training::{TrainingExample, TrainingSet};
-use classilink_ontology::Ontology;
+use crate::training::TrainingSet;
+use classilink_ontology::{ClassId, Ontology};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
-/// Configuration of the generalisation step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GeneralizeConfig {
-    /// Minimum confidence a generalised rule must reach to be kept.
-    pub min_confidence: f64,
-    /// Required confidence improvement over the best base rule with the same
-    /// premise (0.0 keeps any generalised rule at least as good).
-    pub min_improvement: f64,
-    /// Do not generalise above this depth (0 = the ontology roots are
-    /// allowed; a root-level rule rarely reduces the linking space at all).
-    pub min_class_depth: usize,
-}
+/// Minimum confidence a generalised rule must reach to be kept.
+const MIN_CONFIDENCE: f64 = 0.8;
+/// Required confidence improvement over the best base rule with the same
+/// premise (0.0 keeps any generalised rule at least as good).
+const MIN_IMPROVEMENT: f64 = 0.0;
+/// Do not generalise above this depth (0 would allow the ontology roots; a
+/// root-level rule rarely reduces the linking space at all).
+const MIN_CLASS_DEPTH: usize = 1;
 
-impl Default for GeneralizeConfig {
-    fn default() -> Self {
-        GeneralizeConfig {
-            min_confidence: 0.8,
-            min_improvement: 0.0,
-            min_class_depth: 1,
-        }
-    }
-}
+/// Configuration of the generalisation step. It has no settings: the
+/// thresholds are fixed (0.8 minimum confidence, no required improvement,
+/// no class above depth 1).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GeneralizeConfig;
 
 /// The result of a generalisation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -55,90 +48,53 @@ pub struct GeneralizeOutcome {
     pub improved_premises: usize,
 }
 
-/// Close every example's class set under subsumption (add all ancestors).
-pub fn generalize_training_set(training: &TrainingSet, ontology: &Ontology) -> TrainingSet {
-    let examples = training
-        .examples()
-        .iter()
-        .map(|e| {
-            let mut classes: BTreeSet<_> = e.classes.iter().copied().collect();
-            for c in &e.classes {
-                classes.extend(ontology.ancestors(*c));
-            }
-            TrainingExample::new(
-                e.external_item.clone(),
-                e.local_item.clone(),
-                e.facts.clone(),
-                classes.into_iter().collect(),
-            )
-        })
-        .collect();
-    TrainingSet::from_examples(examples)
-}
-
-/// Learn generalised rules from `training` and keep those that improve on the
-/// base outcome.
+/// Learn rules on the class rows of `training` closed under subsumption and
+/// keep those that improve on the base outcome.
 pub fn generalize(
     training: &TrainingSet,
     ontology: &Ontology,
     learner_config: &LearnerConfig,
     base: &LearnOutcome,
-    config: &GeneralizeConfig,
+    _config: &GeneralizeConfig,
 ) -> Result<GeneralizeOutcome> {
-    let closed = generalize_training_set(training, ontology);
-    // The learner takes each example's class set as given, so the closure
-    // under subsumption survives into the counts.
-    let lifted = RuleLearner::new(learner_config.clone()).learn(&closed, ontology)?;
+    let mut table = CountTable::build(training, learner_config)?;
+    table.close_under_subsumption(ontology);
+    let lifted = table.learn(learner_config.support_threshold, ontology);
 
-    // Best base confidence per premise.
-    let mut best_base: HashMap<(&str, &str), f64> = HashMap::new();
+    // The best confidence and the classes of each premise's base rules.
+    let mut base_premises: HashMap<(&str, &str), (f64, Vec<ClassId>)> = HashMap::new();
     for r in &base.rules {
-        let key = (r.property.as_str(), r.segment.as_str());
-        let entry = best_base.entry(key).or_insert(0.0);
-        if r.confidence() > *entry {
-            *entry = r.confidence();
-        }
+        let (best, classes) = base_premises
+            .entry((r.property.as_str(), r.segment.as_str()))
+            .or_insert((0.0, Vec::new()));
+        *best = best.max(r.confidence());
+        classes.push(r.class);
     }
-
-    let base_conclusions: BTreeSet<(&str, &str, classilink_ontology::ClassId)> = base
+    // The lifted rules come ranked, so the kept ones stay ranked.
+    let generalized_rules: Vec<ClassificationRule> = lifted
         .rules
-        .iter()
-        .map(|r| (r.property.as_str(), r.segment.as_str(), r.class))
+        .into_iter()
+        .filter(|r| {
+            let (best, classes) = base_premises
+                .get(&(r.property.as_str(), r.segment.as_str()))
+                .map_or((0.0, &[][..]), |(best, classes)| (*best, &classes[..]));
+            // A non-leaf class below the roots that no base rule of the
+            // premise concludes on, reaching the minimum confidence and the
+            // best base confidence of the premise plus the required margin.
+            !ontology.is_leaf(r.class)
+                && ontology.depth(r.class) >= MIN_CLASS_DEPTH
+                && !classes.contains(&r.class)
+                && r.confidence() >= MIN_CONFIDENCE
+                && r.confidence() + 1e-12 >= best + MIN_IMPROVEMENT
+        })
         .collect();
-
-    let mut improved: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut generalized: Vec<ClassificationRule> = Vec::new();
-    for r in &lifted.rules {
-        // Only non-leaf classes are "generalisations".
-        if ontology.is_leaf(r.class) {
-            continue;
-        }
-        if ontology.depth(r.class) < config.min_class_depth {
-            continue;
-        }
-        // Skip conclusions the base rules already make.
-        if base_conclusions.contains(&(r.property.as_str(), r.segment.as_str(), r.class)) {
-            continue;
-        }
-        if r.confidence() < config.min_confidence {
-            continue;
-        }
-        let base_conf = best_base
-            .get(&(r.property.as_str(), r.segment.as_str()))
-            .copied()
-            .unwrap_or(0.0);
-        // The generalised rule must reach at least the best base confidence
-        // for the same premise, plus the required improvement margin.
-        if r.confidence() + 1e-12 < base_conf + config.min_improvement {
-            continue;
-        }
-        improved.insert((r.property.clone(), r.segment.clone()));
-        generalized.push(r.clone());
-    }
-    generalized.sort_by(|a, b| a.ranking_cmp(b));
+    let improved: BTreeSet<(&str, &str)> = generalized_rules
+        .iter()
+        .map(|r| (r.property.as_str(), r.segment.as_str()))
+        .collect();
     Ok(GeneralizeOutcome {
-        generalized_rules: generalized,
         improved_premises: improved.len(),
+        generalized_rules,
     })
 }
 
@@ -146,7 +102,9 @@ pub fn generalize(
 mod tests {
     use super::*;
     use crate::config::PropertySelection;
-    use classilink_ontology::{ClassId, OntologyBuilder};
+    use crate::learner::RuleLearner;
+    use crate::training::TrainingExample;
+    use classilink_ontology::OntologyBuilder;
     use classilink_rdf::Term;
 
     const PN: &str = "http://provider.e.org/v#partNumber";
@@ -200,18 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn closure_adds_ancestors() {
-        let (onto, [component, capacitor, tantalum, ..]) = ontology();
-        let ts = TrainingSet::from_examples(vec![example(0, "T83", tantalum)]);
-        let closed = generalize_training_set(&ts, &onto);
-        let classes = &closed.examples()[0].classes;
-        assert!(classes.contains(&tantalum));
-        assert!(classes.contains(&capacitor));
-        assert!(classes.contains(&component));
-        assert_eq!(closed.len(), 1);
-    }
-
-    #[test]
     fn uf_segment_generalizes_to_capacitor() {
         let (onto, [_, capacitor, tantalum, ceramic, _, fixed]) = ontology();
         let ts = training(tantalum, ceramic, fixed);
@@ -227,7 +173,7 @@ mod tests {
             .fold(0.0, f64::max);
         assert!((best_uf - 0.5).abs() < 1e-12);
 
-        let out = generalize(&ts, &onto, &cfg, &base, &GeneralizeConfig::default()).unwrap();
+        let out = generalize(&ts, &onto, &cfg, &base, &GeneralizeConfig).unwrap();
         let uf_general = out
             .generalized_rules
             .iter()
@@ -238,35 +184,20 @@ mod tests {
     }
 
     #[test]
-    fn already_perfect_rules_do_not_generalize_to_roots() {
+    fn generalized_rules_pass_the_fixed_filters() {
         let (onto, [_, _, tantalum, ceramic, _, fixed]) = ontology();
         let ts = training(tantalum, ceramic, fixed);
         let cfg = learner_config();
         let base = RuleLearner::new(cfg.clone()).learn(&ts, &onto).unwrap();
-        let out = generalize(&ts, &onto, &cfg, &base, &GeneralizeConfig::default()).unwrap();
-        // No generalized rule may conclude on the root Component class
-        // (depth 0 < min_class_depth 1).
-        assert!(out
-            .generalized_rules
-            .iter()
-            .all(|r| onto.depth(r.class) >= 1));
-        // And none of them concludes on a leaf.
-        assert!(out.generalized_rules.iter().all(|r| !onto.is_leaf(r.class)));
-    }
-
-    #[test]
-    fn min_confidence_filters_generalized_rules() {
-        let (onto, [_, _, tantalum, ceramic, _, fixed]) = ontology();
-        let ts = training(tantalum, ceramic, fixed);
-        let cfg = learner_config();
-        let base = RuleLearner::new(cfg.clone()).learn(&ts, &onto).unwrap();
-        let strict = GeneralizeConfig {
-            min_confidence: 1.01, // impossible
-            ..GeneralizeConfig::default()
-        };
-        let out = generalize(&ts, &onto, &cfg, &base, &strict).unwrap();
-        assert!(out.generalized_rules.is_empty());
-        assert_eq!(out.improved_premises, 0);
+        let out = generalize(&ts, &onto, &cfg, &base, &GeneralizeConfig).unwrap();
+        assert!(!out.generalized_rules.is_empty());
+        for r in &out.generalized_rules {
+            // Not the root Component class (depth 0 < MIN_CLASS_DEPTH 1),
+            // not a leaf, and at least MIN_CONFIDENCE 0.8.
+            assert!(onto.depth(r.class) >= 1);
+            assert!(!onto.is_leaf(r.class));
+            assert!(r.confidence() >= 0.8);
+        }
     }
 
     #[test]
@@ -275,7 +206,7 @@ mod tests {
         let ts = training(tantalum, ceramic, fixed);
         let cfg = learner_config();
         let base = RuleLearner::new(cfg.clone()).learn(&ts, &onto).unwrap();
-        let out = generalize(&ts, &onto, &cfg, &base, &GeneralizeConfig::default()).unwrap();
+        let out = generalize(&ts, &onto, &cfg, &base, &GeneralizeConfig).unwrap();
         let mut best_base: HashMap<(&str, &str), f64> = HashMap::new();
         for r in &base.rules {
             let e = best_base

@@ -2,28 +2,30 @@
 //!
 //! The algorithm "is based on the idea of finding frequent subsegments in
 //! frequent property instances of the data source SE appearing in TS". Its
-//! steps, mirrored by [`RuleLearner::learn`]:
+//! steps, mirrored by [`RuleLearner::learn`], read one counting table:
 //!
-//! 1. For each property instance `p(i, v)` of the external source, split the
-//!    value `v` into segments and create the facts `subsegment(v, a)`.
-//! 2. For each property `p` and segment `a`, compute the frequency of
-//!    `p(X, Y) ∧ subsegment(Y, a)`; keep the pairs whose frequency exceeds
-//!    the support threshold `th`.
-//! 3. For each (most specific) class `c` of the local ontology, compute its
-//!    frequency in `TS`; keep the classes whose frequency exceeds `th`.
-//! 4. Compute the frequency of each conjunction
-//!    `p(X, Y) ∧ subsegment(Y, a) ∧ c(X)`; keep those above `th`.
+//! 1. One pass splits each considered value `v` of `p(i, v)` into the facts
+//!    `subsegment(v, a)` and fills a **premise column** per `(p, a)` — the
+//!    ascending ids of the examples exhibiting `p(X, Y) ∧ subsegment(Y, a)`
+//!    — and a **class row** per observed class `c`, a bitmap over examples.
+//! 2. A premise's frequency is its column's length; keep the premises whose
+//!    frequency exceeds the support threshold `th`.
+//! 3. A (most specific) class's frequency is its row's popcount; keep the
+//!    classes whose frequency exceeds `th`.
+//! 4. The frequency of `p(X, Y) ∧ subsegment(Y, a) ∧ c(X)` is the number of
+//!    the column's examples whose bit is set in the row; keep those above
+//!    `th`.
 //! 5. Build the classification rules and compute their confidence and lift.
 
 use crate::config::LearnerConfig;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::measures::Contingency;
 use crate::rule::ClassificationRule;
 use crate::training::TrainingSet;
 use classilink_ontology::{ClassId, Ontology};
 use classilink_segment::{Normalizer, SegmentDictionary, SegmentId, Segmenter};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Statistics reported by a learning run, mirroring the quantities the paper
 /// reports about its own run (7 842 distinct segments, 26 077 occurrences,
@@ -36,10 +38,10 @@ pub struct LearnStats {
     pub properties: usize,
     /// Number of distinct segments observed across all considered values.
     pub distinct_segments: usize,
-    /// Total number of segment occurrences (one value may contain a segment
-    /// several times; following the paper's `subsegment` semantics, an
-    /// occurrence here is "segment s appears in value v", counted once per
-    /// value).
+    /// Total number of segment occurrences. Following the paper's
+    /// `subsegment` semantics, an occurrence is "segment s appears in a value
+    /// of property p of example i", counted once per (example, property)
+    /// however many times, and in however many of its values, s appears.
     pub segment_occurrences: u64,
     /// Number of segment occurrences that belong to a *frequent*
     /// `(property, segment)` pair (the paper's "7058 occurrences of segments
@@ -92,136 +94,183 @@ impl RuleLearner {
 
     /// Learn classification rules from `training` against `ontology`.
     pub fn learn(&self, training: &TrainingSet, ontology: &Ontology) -> Result<LearnOutcome> {
-        self.config.validate()?;
+        let table = CountTable::build(training, &self.config)?;
+        Ok(table.learn(self.config.support_threshold, ontology))
+    }
+}
+
+/// The counts Algorithm 1 reads, segmented once from a training set:
+/// premise columns and class rows (see the module docs).
+pub(crate) struct CountTable {
+    /// `|TS|`.
+    examples: usize,
+    /// The considered properties, in order of first appearance.
+    properties: Vec<String>,
+    /// Every distinct segment of a considered value.
+    segments: SegmentDictionary,
+    /// Per observed premise `(property index, segment)`, its column: the
+    /// ascending ids of the examples exhibiting it.
+    premises: Vec<((u32, SegmentId), Vec<u32>)>,
+    /// Class rows indexed by [`ClassId`]: bit `i` of a row is set when
+    /// example `i` asserts the class. An unobserved class has an empty row.
+    rows: Vec<Vec<u64>>,
+}
+
+impl CountTable {
+    /// Segment every considered value of `training` once and fill the
+    /// premise columns and class rows.
+    pub(crate) fn build(training: &TrainingSet, config: &LearnerConfig) -> Result<Self> {
+        config.validate()?;
         if training.is_empty() {
-            return Err(crate::error::CoreError::EmptyTrainingSet);
+            return Err(CoreError::EmptyTrainingSet);
         }
-        let n = training.len() as u64;
+        let segmenter = config.segmenter.build();
+        let mut table = CountTable {
+            examples: training.len(),
+            properties: Vec::new(),
+            segments: SegmentDictionary::new(),
+            premises: Vec::new(),
+            rows: Vec::new(),
+        };
+        let mut premise_of: HashMap<(u32, SegmentId), usize> = HashMap::new();
+        for (id, example) in (0u32..).zip(training.examples()) {
+            for (prop, value) in &example.facts {
+                if !config.properties.includes(prop) {
+                    continue;
+                }
+                let properties = &mut table.properties;
+                let property = properties
+                    .iter()
+                    .position(|p| p == prop)
+                    .unwrap_or_else(|| {
+                        properties.push(prop.clone());
+                        properties.len() - 1
+                    }) as u32;
+                for segment in segmenter.split(&Normalizer.apply(value)) {
+                    let key = (property, table.segments.intern(&segment));
+                    let index = *premise_of.entry(key).or_insert(table.premises.len());
+                    if index == table.premises.len() {
+                        table.premises.push((key, Vec::new()));
+                    }
+                    // A segment repeated within a value, or across two values
+                    // of the property, is one `subsegment` fact per example.
+                    let column = &mut table.premises[index].1;
+                    if column.last() != Some(&id) {
+                        column.push(id);
+                    }
+                }
+            }
+            for class in &example.classes {
+                table.row_mut(class.index())[id as usize / 64] |= 1 << (id % 64);
+            }
+        }
+        Ok(table)
+    }
+
+    /// The row of class index `class`, all zeros if it was unobserved.
+    fn row_mut(&mut self, class: usize) -> &mut [u64] {
+        let words = self.examples.div_ceil(64);
+        if self.rows.len() <= class {
+            self.rows.resize(class + 1, Vec::new());
+        }
+        let row = &mut self.rows[class];
+        if row.is_empty() {
+            *row = vec![0; words];
+        }
+        row
+    }
+
+    /// Close the class rows under subsumption: OR each observed class's row
+    /// into the row of every one of its ancestors, so that a row holds the
+    /// examples of its class and of all its subclasses.
+    pub(crate) fn close_under_subsumption(&mut self, ontology: &Ontology) {
+        let observed: Vec<usize> = (0..self.rows.len())
+            .filter(|c| !self.rows[*c].is_empty())
+            .collect();
+        for class in observed {
+            // The hierarchy is acyclic: no class is its own ancestor.
+            let row = std::mem::take(&mut self.rows[class]);
+            for ancestor in ontology.ancestors(ClassId(class as u32)) {
+                for (t, w) in self.row_mut(ancestor.index()).iter_mut().zip(&row) {
+                    *t |= w;
+                }
+            }
+            self.rows[class] = row;
+        }
+    }
+
+    /// Steps 2–5: the frequent premises, the frequent classes and the rules
+    /// their frequent conjunctions yield at support threshold `threshold`.
+    pub(crate) fn learn(&self, threshold: f64, ontology: &Ontology) -> LearnOutcome {
+        let n = self.examples as u64;
         // Frequencies must *strictly exceed* th (the paper: "having a
         // frequency greater than th"). Compared as a frequency: flooring
         // `th · n` first would let a count *equal* to it through whenever the
         // product rounds just below the integer (0.29 · 100).
-        let threshold = self.config.support_threshold;
         let exceeds_th = |count: u64| count as f64 / n as f64 > threshold;
 
-        let segmenter = self.config.segmenter.build();
-        let split = |value: &str| segmenter.split_distinct(&Normalizer.apply(value));
-
-        // ------------------------------------------------------------------
-        // Step 1 + 2: segment every considered value and count, per property,
-        // how many examples contain each segment.
-        // ------------------------------------------------------------------
-        let mut properties: Vec<String> = Vec::new();
-        let mut property_index: HashMap<String, u32> = HashMap::new();
-        let mut dictionary = SegmentDictionary::new();
-        // Per example: the set of (property index, segment id) pairs it exhibits.
-        let mut example_pairs: Vec<Vec<(u32, SegmentId)>> = Vec::with_capacity(training.len());
-        // (property index, segment id) → number of examples exhibiting it.
-        let mut pair_counts: HashMap<(u32, SegmentId), u64> = HashMap::new();
-
-        for example in training.examples() {
-            let mut pairs: BTreeSet<(u32, SegmentId)> = BTreeSet::new();
-            for (prop, value) in &example.facts {
-                if !self.config.properties.includes(prop) {
-                    continue;
-                }
-                let p_idx = *property_index.entry(prop.clone()).or_insert_with(|| {
-                    properties.push(prop.clone());
-                    (properties.len() - 1) as u32
-                });
-                for segment in split(value) {
-                    let seg_id = dictionary.intern(&segment);
-                    pairs.insert((p_idx, seg_id));
-                }
-            }
-            for pair in &pairs {
-                *pair_counts.entry(*pair).or_insert(0) += 1;
-            }
-            example_pairs.push(pairs.into_iter().collect());
-        }
-
-        let segment_occurrences: u64 = pair_counts.values().sum();
-        let frequent_pairs: HashMap<(u32, SegmentId), u64> = pair_counts
+        // Step 2: a premise's frequency is its column's length.
+        let frequent_premises: Vec<&((u32, SegmentId), Vec<u32>)> = self
+            .premises
             .iter()
-            .filter(|(_, count)| exceeds_th(**count))
-            .map(|(pair, count)| (*pair, *count))
-            .collect();
-        let selected_segment_occurrences: u64 = frequent_pairs.values().sum();
-
-        // ------------------------------------------------------------------
-        // Step 3: frequent classes.
-        // ------------------------------------------------------------------
-        let class_counts: BTreeMap<ClassId, u64> = training.class_frequencies();
-        let frequent_classes: BTreeMap<ClassId, u64> = class_counts
-            .iter()
-            .filter(|(_, count)| exceeds_th(**count))
-            .map(|(c, count)| (*c, *count))
+            .filter(|(_, column)| exceeds_th(column.len() as u64))
             .collect();
 
-        // ------------------------------------------------------------------
-        // Step 4: frequency of the conjunctions, restricted to frequent
-        // pairs × frequent classes, computed in one pass over the examples.
-        // ------------------------------------------------------------------
-        let mut joint_counts: HashMap<((u32, SegmentId), ClassId), u64> = HashMap::new();
-        for (example, pairs) in training.examples().iter().zip(&example_pairs) {
-            if example.classes.is_empty() {
-                continue;
-            }
-            for pair in pairs {
-                if !frequent_pairs.contains_key(pair) {
-                    continue;
-                }
-                for class in &example.classes {
-                    if frequent_classes.contains_key(class) {
-                        *joint_counts.entry((*pair, *class)).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
+        // Step 3: a class's frequency is its row's popcount.
+        let rows = (0u32..).map(ClassId).zip(&self.rows);
+        let observed: Vec<(ClassId, &Vec<u64>)> = rows.filter(|(_, r)| !r.is_empty()).collect();
+        let frequent_classes: Vec<(ClassId, &Vec<u64>, u64)> = observed
+            .iter()
+            .map(|&(class, row)| (class, row, row.iter().map(|w| w.count_ones() as u64).sum()))
+            .filter(|&(.., count)| exceeds_th(count))
+            .collect();
 
-        // ------------------------------------------------------------------
-        // Step 5: build the rules and their measures.
-        // ------------------------------------------------------------------
+        // Steps 4 + 5: a conjunction's frequency is the number of the
+        // premise's examples whose bit is set in the class row.
         let mut rules: Vec<ClassificationRule> = Vec::new();
-        for (((p_idx, seg_id), class), both) in &joint_counts {
-            if !exceeds_th(*both) {
-                continue;
-            }
-            let premise = frequent_pairs[&(*p_idx, *seg_id)];
-            let conclusion = frequent_classes[class];
-            let quality = Contingency::new(n, premise, conclusion, *both).quality();
-            let (class_iri, class_label) = match ontology.class_info(*class) {
+        for &(class, row, conclusion) in &frequent_classes {
+            let (class_iri, class_label) = match ontology.class_info(class) {
                 Some(info) => (info.iri.clone(), info.label.clone()),
                 None => (class.to_string(), class.to_string()),
             };
-            rules.push(ClassificationRule {
-                property: properties[*p_idx as usize].clone(),
-                segment: dictionary
-                    .text(*seg_id)
-                    .expect("segment id interned above")
-                    .to_string(),
-                class: *class,
-                class_iri,
-                class_label,
-                quality,
-            });
+            for ((property, segment), column) in &frequent_premises {
+                let both = column
+                    .iter()
+                    .filter(|&&e| row[e as usize / 64] >> (e % 64) & 1 == 1)
+                    .count() as u64;
+                if !exceeds_th(both) {
+                    continue;
+                }
+                let counts = Contingency::new(n, column.len() as u64, conclusion, both);
+                rules.push(ClassificationRule {
+                    property: self.properties[*property as usize].clone(),
+                    segment: self
+                        .segments
+                        .text(*segment)
+                        .expect("a premise segment is interned")
+                        .to_string(),
+                    class,
+                    class_iri: class_iri.clone(),
+                    class_label: class_label.clone(),
+                    quality: counts.quality(),
+                });
+            }
         }
         rules.sort_by(|a, b| a.ranking_cmp(b));
 
-        let classes_with_rules = rules.iter().map(|r| r.class).collect::<BTreeSet<_>>().len();
         let stats = LearnStats {
-            examples: training.len(),
-            properties: properties.len(),
-            distinct_segments: dictionary.distinct_count(),
-            segment_occurrences,
-            selected_segment_occurrences,
-            frequent_pairs: frequent_pairs.len(),
+            examples: self.examples,
+            properties: self.properties.len(),
+            distinct_segments: self.segments.distinct_count(),
+            segment_occurrences: self.premises.iter().map(|(_, c)| c.len() as u64).sum(),
+            selected_segment_occurrences: frequent_premises.iter().map(|p| p.1.len() as u64).sum(),
+            frequent_pairs: frequent_premises.len(),
             frequent_classes: frequent_classes.len(),
-            observed_classes: class_counts.len(),
+            observed_classes: observed.len(),
             rules: rules.len(),
-            classes_with_rules,
+            classes_with_rules: rules.iter().map(|r| r.class).collect::<BTreeSet<_>>().len(),
         };
-        Ok(LearnOutcome { rules, stats })
+        LearnOutcome { rules, stats }
     }
 }
 
@@ -405,6 +454,31 @@ mod tests {
             .map(|r| (r.segment.as_str(), r.class))
             .collect();
         assert_eq!(learnt, vec![("bbb", capacitor), ("ccc", ClassId(0))]);
+    }
+
+    #[test]
+    fn a_class_listed_twice_counts_one_example() {
+        let (onto, resistor, capacitor) = ontology();
+        let mut ts = TrainingSet::new();
+        for i in 0..5 {
+            ts.push(example(i, "CRCW-ohm", vec![resistor, resistor]));
+        }
+        for i in 5..10 {
+            ts.push(example(i, "T83-uF", vec![capacitor]));
+        }
+        let outcome = RuleLearner::new(config()).learn(&ts, &onto).unwrap();
+        let ohm = outcome.rules.iter().find(|r| r.segment == "ohm").unwrap();
+        assert_eq!(ohm.class, resistor);
+        assert_eq!(
+            ohm.quality.counts,
+            Contingency {
+                n: 10,
+                premise: 5,
+                conclusion: 5,
+                both: 5
+            }
+        );
+        assert_eq!(ohm.confidence(), 1.0);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! * [`rule`] — the [`ClassificationRule`] type.
 //! * [`config`] — learner configuration (support threshold `th`, property
 //!   selection, segmentation).
-//! * [`learner`] — Algorithm 1 ([`RuleLearner`]) and run statistics.
+//! * [`learner`] — Algorithm 1 ([`RuleLearner`]) and run statistics, counted
+//!   on premise columns and class rows segmented once from `TS`.
 //! * [`ordering`] — confidence-tier grouping of ranked rules (Table 1).
 //! * [`classifier`] — applying rules to new external items. The linking
 //!   subspace the predicted classes determine is resolved in one place,
@@ -28,7 +29,7 @@
 //!   the reduction (E3/E4) off the candidates it streams.
 //! * [`pruning`] — redundancy and quality-based pruning.
 //! * [`mod@generalize`] — subsumption-based rule generalisation (the paper's
-//!   future-work extension).
+//!   future-work extension): class rows OR-ed up the hierarchy.
 //!
 //! ## Quick example
 //!

@@ -14,7 +14,6 @@ use crate::error::{CoreError, Result};
 use classilink_ontology::{ClassId, InstanceStore, Ontology};
 use classilink_rdf::{Dataset, Graph, Source, Term};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One validated `same-as` link, with the features the learner needs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,18 +83,6 @@ impl TrainingSet {
         &self.examples
     }
 
-    /// Class frequencies over the training set: how many examples have each
-    /// class among their (most specific) classes.
-    pub fn class_frequencies(&self) -> BTreeMap<ClassId, u64> {
-        let mut freqs: BTreeMap<ClassId, u64> = BTreeMap::new();
-        for e in &self.examples {
-            for c in &e.classes {
-                *freqs.entry(*c).or_insert(0) += 1;
-            }
-        }
-        freqs
-    }
-
     /// Extract a training set from a provenance-aware [`Dataset`]:
     ///
     /// * every `owl:sameAs` link `(external, local)` becomes one example,
@@ -162,6 +149,14 @@ mod tests {
         (b.build(), component, resistor, capacitor)
     }
 
+    /// How many examples have `class` among their classes.
+    fn examples_of(ts: &TrainingSet, class: ClassId) -> usize {
+        ts.examples()
+            .iter()
+            .filter(|e| e.classes.contains(&class))
+            .count()
+    }
+
     fn dataset(ontology: &Ontology) -> Dataset {
         let _ = ontology;
         let mut ds = Dataset::new();
@@ -221,10 +216,9 @@ mod tests {
         // Two literal facts each; the IRI-valued `seeAlso` is not a fact.
         assert!(ts.examples().iter().all(|e| e.facts.len() == 2));
         // Most specific classes only (Component is dropped).
-        let freqs = ts.class_frequencies();
-        assert_eq!(freqs.get(&resistor), Some(&2));
-        assert_eq!(freqs.get(&capacitor), Some(&1));
-        assert_eq!(freqs.get(&component), None);
+        assert_eq!(examples_of(&ts, resistor), 2);
+        assert_eq!(examples_of(&ts, capacitor), 1);
+        assert_eq!(examples_of(&ts, component), 0);
     }
 
     #[test]
@@ -232,8 +226,7 @@ mod tests {
         let (onto, component, ..) = ontology();
         let ds = dataset(&onto);
         let ts = TrainingSet::from_dataset(&ds, &onto, false).unwrap();
-        let freqs = ts.class_frequencies();
-        assert_eq!(freqs.get(&component), Some(&3));
+        assert_eq!(examples_of(&ts, component), 3);
     }
 
     #[test]
@@ -304,6 +297,6 @@ mod tests {
             vec![ClassId(0)],
         ));
         assert_eq!(ts.len(), 1);
-        assert_eq!(ts.class_frequencies().get(&ClassId(0)), Some(&1));
+        assert_eq!(examples_of(&ts, ClassId(0)), 1);
     }
 }

@@ -300,7 +300,6 @@ pub fn generalization_ablation(
     ontology: &Ontology,
     items: &[EvaluationItem],
     config: &LearnerConfig,
-    gen_config: &GeneralizeConfig,
 ) -> classilink_core::Result<GeneralizationPoint> {
     let outcome = RuleLearner::new(config.clone()).learn(training, ontology)?;
     let base_classifier = RuleClassifier::from_outcome(&outcome, config);
@@ -309,7 +308,7 @@ pub fn generalization_ablation(
         base_tally.record(base_classifier.decide(facts).map(|p| p.class), *gold);
     }
 
-    let gen = generalize(training, ontology, config, &outcome, gen_config)?;
+    let gen = generalize(training, ontology, config, &outcome, &GeneralizeConfig)?;
     let mut all_rules = outcome.rules.clone();
     all_rules.extend(gen.generalized_rules.clone());
     let extended_classifier = RuleClassifier::new(all_rules, config.segmenter.clone());
@@ -694,14 +693,9 @@ mod tests {
     #[test]
     fn generalization_never_reduces_recall() {
         let (scenario, items, config) = scenario_and_items();
-        let point = generalization_ablation(
-            &scenario.training,
-            &scenario.ontology,
-            &items,
-            &config,
-            &GeneralizeConfig::default(),
-        )
-        .unwrap();
+        let point =
+            generalization_ablation(&scenario.training, &scenario.ontology, &items, &config)
+                .unwrap();
         let (base_dec, _, base_recall) = point.base;
         let (gen_dec, gen_prec, gen_recall) = point.generalized;
         assert!(gen_dec >= base_dec);

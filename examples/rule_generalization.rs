@@ -44,7 +44,7 @@ fn main() {
         &scenario.ontology,
         &config,
         &base,
-        &GeneralizeConfig::default(),
+        &GeneralizeConfig,
     )
     .expect("generalisation succeeds");
     println!(
@@ -65,14 +65,8 @@ fn main() {
         .iter()
         .map(|e| (e.classes.first().copied(), e.facts.clone()))
         .collect();
-    let point = generalization_ablation(
-        &scenario.training,
-        &scenario.ontology,
-        &items,
-        &config,
-        &GeneralizeConfig::default(),
-    )
-    .expect("ablation runs");
+    let point = generalization_ablation(&scenario.training, &scenario.ontology, &items, &config)
+        .expect("ablation runs");
 
     let (base_dec, base_prec, base_rec) = point.base;
     let (gen_dec, gen_prec, gen_rec) = point.generalized;
