@@ -100,7 +100,7 @@ pub use pruning::{
     filter_by_quality, prune_hierarchy_redundant, top_k_per_class, HierarchyPreference,
 };
 pub use rule::ClassificationRule;
-pub use training::{literal_facts, TrainingExample, TrainingSet};
+pub use training::{TrainingExample, TrainingSet};
 
 /// A convenience prelude re-exporting the types most programs need.
 pub mod prelude {

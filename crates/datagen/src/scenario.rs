@@ -1,10 +1,13 @@
 //! End-to-end scenario generation: catalog, provider documents, expert links.
 //!
 //! A [`GeneratedScenario`] bundles everything one of the paper's experiments
-//! needs: the local catalog `SL` (RDF graph + ontology + instance store), the
-//! external provider items `SE` (different vocabulary, perturbed part
+//! needs: the local catalog `SL` (record store + ontology + instance store),
+//! the external provider items `SE` (different vocabulary, perturbed part
 //! numbers), the validated `same-as` links `TS`, and the gold classes of the
-//! external items for evaluation.
+//! external items for evaluation. [`generate`] writes each item once,
+//! straight into those: its facts into a [`RecordStore`] builder, a catalog
+//! item's class into the instance store, a linked provider item's facts and
+//! class into its training example.
 //!
 //! The `paper()` preset reproduces the scale of the paper's evaluation:
 //! an ontology of 566 classes (226 leaves), 10 265 expert reconciliations and
@@ -15,11 +18,10 @@ use crate::partnumber::{PartNumberConfig, PartNumberGenerator};
 use crate::perturb::PerturbationConfig;
 use crate::taxonomy::{generate_taxonomy, LeafProfile, TaxonomyConfig};
 use crate::vocab;
-use classilink_core::TrainingSet;
+use classilink_core::{TrainingExample, TrainingSet};
 use classilink_linking::{RecordStore, SchemaInterner, ShardedStore};
 use classilink_ontology::{ClassId, InstanceStore, Ontology};
-use classilink_rdf::namespace::vocab as rdf_vocab;
-use classilink_rdf::{Dataset, Source, Term, Triple};
+use classilink_rdf::Term;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -123,6 +125,24 @@ impl ScenarioConfig {
     }
 }
 
+/// The generated sources: the local catalog `SL` and the provider items
+/// `SE`, each a [`RecordStore`] with one record per item in generation
+/// order, and the expert links `TS` between them.
+#[derive(Debug, Clone)]
+pub struct LinkedSources {
+    local: RecordStore,
+    external: RecordStore,
+    links: Vec<(Term, Term)>,
+}
+
+impl LinkedSources {
+    /// The `(external, local)` item pairs of the expert links, in link
+    /// order.
+    pub fn link_pairs(&self) -> impl Iterator<Item = (Term, Term)> + '_ {
+        self.links.iter().cloned()
+    }
+}
+
 /// Everything an experiment needs about one generated world.
 pub struct GeneratedScenario {
     /// The configuration the scenario was generated from.
@@ -131,11 +151,11 @@ pub struct GeneratedScenario {
     pub ontology: Ontology,
     /// Per-leaf part-number profiles.
     pub profiles: Vec<LeafProfile>,
-    /// The RDF dataset: local graph, external graph and `same-as` links.
-    pub dataset: Dataset,
+    /// The two sources and the `same-as` links between them.
+    pub dataset: LinkedSources,
     /// Class assertions of the local catalog.
     pub instances: InstanceStore,
-    /// The training set extracted from the dataset.
+    /// The training set: one example per expert link.
     pub training: TrainingSet,
     /// Gold classes of every external item (training and held-out), for
     /// evaluation.
@@ -150,29 +170,46 @@ impl GeneratedScenario {
         self.config.catalog_size
     }
 
-    /// Columnarise the external provider items `SE` into a
-    /// [`RecordStore`] (the representation the blockers and the linkage
-    /// pipeline run on).
+    /// The external provider items `SE` as a [`RecordStore`] (the
+    /// representation the blockers and the linkage pipeline run on).
     pub fn external_store(&self) -> RecordStore {
-        RecordStore::from_graph(self.dataset.external())
+        self.dataset.external.clone()
     }
 
-    /// Columnarise the local catalog `SL` into a [`RecordStore`].
+    /// The local catalog `SL` as a [`RecordStore`].
     pub fn local_store(&self) -> RecordStore {
-        RecordStore::from_graph(self.dataset.local())
+        self.dataset.local.clone()
     }
 
-    /// Columnarise both sides on **one shared schema**: the external
+    /// Both sides on **one shared schema**: the external
     /// store and every catalog shard agree on `PropertyId`s, so blocking
     /// keys and comparators resolved against the shared schema serve all
     /// of them (and can be reused across scenario batches built on the
     /// same [`SchemaInterner`]).
     pub fn sharded_stores(&self, shard_count: usize) -> (RecordStore, ShardedStore) {
         let schema = SchemaInterner::new();
+        let source = &self.dataset.external;
         let mut external = RecordStore::builder_with_schema(schema.clone());
-        external.push_graph(self.dataset.external());
-        let local = ShardedStore::from_graph_with_schema(self.dataset.local(), shard_count, schema);
+        for record in 0..source.len() {
+            external.push_from(source, record);
+        }
+        let local = ShardedStore::from_store_with_schema(&self.dataset.local, shard_count, schema);
         (external.build(), local)
+    }
+
+    /// The record ids of the training items in the external store, in
+    /// training-example order.
+    pub fn training_records(&self) -> Vec<usize> {
+        let external = &self.dataset.external;
+        self.training
+            .examples()
+            .iter()
+            .map(|e| {
+                external
+                    .index_of(&e.external_item)
+                    .expect("training item in SE")
+            })
+            .collect()
     }
 }
 
@@ -193,7 +230,8 @@ pub fn generate(config: &ScenarioConfig) -> GeneratedScenario {
         .collect();
     let total_weight: f64 = weights.iter().sum();
 
-    let mut dataset = Dataset::new();
+    let mut local = RecordStore::builder();
+    let mut instances = InstanceStore::new();
     let mut gold_classes: BTreeMap<Term, ClassId> = BTreeMap::new();
     let mut catalog_part_numbers: Vec<String> = Vec::with_capacity(catalog_size);
     let mut catalog_classes: Vec<usize> = Vec::with_capacity(catalog_size);
@@ -215,29 +253,14 @@ pub fn generate(config: &ScenarioConfig) -> GeneratedScenario {
             chosen
         };
         let profile = &profiles[leaf_idx];
-        let item_iri = vocab::local_item(n);
+        let item = Term::iri(vocab::local_item(n));
         let part_number = part_gen.generate(profile, n, &mut rng);
         let manufacturer = MANUFACTURERS[rng.gen_range(0..MANUFACTURERS.len())];
-        dataset.insert(
-            Source::Local,
-            Triple::iris(&item_iri, rdf_vocab::RDF_TYPE, ontology.iri(profile.class)),
-        );
-        dataset.insert(
-            Source::Local,
-            Triple::literal(&item_iri, vocab::LOCAL_PART_NUMBER, &part_number),
-        );
-        dataset.insert(
-            Source::Local,
-            Triple::literal(&item_iri, vocab::LOCAL_MANUFACTURER, manufacturer),
-        );
-        dataset.insert(
-            Source::Local,
-            Triple::literal(
-                &item_iri,
-                vocab::LOCAL_LABEL,
-                format!("{} #{n}", profile.label),
-            ),
-        );
+        instances.assert_type(&item, profile.class);
+        local.begin_record(item);
+        local.push_value(vocab::LOCAL_PART_NUMBER, &part_number);
+        local.push_value(vocab::LOCAL_MANUFACTURER, manufacturer);
+        local.push_value(vocab::LOCAL_LABEL, &format!("{} #{n}", profile.label));
         catalog_part_numbers.push(part_number);
         catalog_classes.push(leaf_idx);
     }
@@ -247,45 +270,42 @@ pub fn generate(config: &ScenarioConfig) -> GeneratedScenario {
     // each derived from a distinct catalog product.
     // ------------------------------------------------------------------
     let external_total = config.training_links + config.extra_external;
+    let mut external = RecordStore::builder();
+    let mut links = Vec::with_capacity(config.training_links);
+    let mut examples = Vec::with_capacity(config.training_links);
     let mut heldout: Vec<(Term, Vec<(String, String)>)> = Vec::new();
     for e in 0..external_total {
         let catalog_index = e; // distinct by construction (catalog_size ≥ external_total)
         let profile = &profiles[catalog_classes[catalog_index]];
-        let ext_iri = vocab::provider_item(e);
-        let ext_item = Term::iri(&ext_iri);
+        let ext_item = Term::iri(vocab::provider_item(e));
         let provider_ref = config
             .perturbation
             .apply(&catalog_part_numbers[catalog_index], &mut rng);
         let manufacturer = MANUFACTURERS[rng.gen_range(0..MANUFACTURERS.len())];
-        dataset.insert(
-            Source::External,
-            Triple::literal(&ext_iri, vocab::PROVIDER_PART_NUMBER, &provider_ref),
-        );
-        dataset.insert(
-            Source::External,
-            Triple::literal(&ext_iri, vocab::PROVIDER_MANUFACTURER, manufacturer),
-        );
+        external.begin_record(ext_item.clone());
+        external.push_value(vocab::PROVIDER_PART_NUMBER, &provider_ref);
+        external.push_value(vocab::PROVIDER_MANUFACTURER, manufacturer);
         gold_classes.insert(ext_item.clone(), profile.class);
+        let facts = vec![
+            (vocab::PROVIDER_PART_NUMBER.to_string(), provider_ref),
+            (
+                vocab::PROVIDER_MANUFACTURER.to_string(),
+                manufacturer.to_string(),
+            ),
+        ];
         if e < config.training_links {
-            dataset.link(&ext_item, &Term::iri(vocab::local_item(catalog_index)));
-        } else {
-            heldout.push((
+            let local_item = Term::iri(vocab::local_item(catalog_index));
+            links.push((ext_item.clone(), local_item.clone()));
+            examples.push(TrainingExample::new(
                 ext_item,
-                vec![
-                    (vocab::PROVIDER_PART_NUMBER.to_string(), provider_ref),
-                    (
-                        vocab::PROVIDER_MANUFACTURER.to_string(),
-                        manufacturer.to_string(),
-                    ),
-                ],
+                local_item,
+                facts,
+                vec![profile.class],
             ));
+        } else {
+            heldout.push((ext_item, facts));
         }
     }
-
-    let (instances, unknown) = InstanceStore::from_graph(dataset.local(), &ontology);
-    debug_assert!(unknown.is_empty(), "catalog uses only declared classes");
-    let training = TrainingSet::from_dataset(&dataset, &ontology, true)
-        .expect("scenario always has at least one link");
 
     GeneratedScenario {
         config: ScenarioConfig {
@@ -294,9 +314,13 @@ pub fn generate(config: &ScenarioConfig) -> GeneratedScenario {
         },
         ontology,
         profiles,
-        dataset,
+        dataset: LinkedSources {
+            local: local.build(),
+            external: external.build(),
+            links,
+        },
         instances,
-        training,
+        training: TrainingSet::from_examples(examples),
         gold_classes,
         heldout,
     }
@@ -305,6 +329,124 @@ pub fn generate(config: &ScenarioConfig) -> GeneratedScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use classilink_core::{CoreError, LearnerConfig, RuleLearner};
+
+    /// A digest of what `generate` writes: both stores' records in order
+    /// (facts in interning order, so the property ids are pinned too), the
+    /// links, every training example and every catalog item's classes.
+    /// Each field is hashed as its own bytes — a term in its N-Triples
+    /// form, a class as its index — so the digest moves only when the
+    /// generator's output does, never with a `Debug` rendering.
+    fn fingerprint(scenario: &GeneratedScenario) -> u64 {
+        use std::hash::Hasher;
+        let mut hasher = twox_hash::XxHash64::with_seed(0);
+        // 0xFF and 0xFE never occur in UTF-8: they end a field and a line.
+        let mut line = |fields: &[String]| {
+            for field in fields {
+                hasher.write(field.as_bytes());
+                hasher.write(&[0xFF]);
+            }
+            hasher.write(&[0xFE]);
+        };
+        let classes = |classes: &[ClassId]| -> Vec<String> {
+            classes.iter().map(|c| c.index().to_string()).collect()
+        };
+        for store in [scenario.local_store(), scenario.external_store()] {
+            for record in 0..store.len() {
+                let mut fields = vec![store.id(record).to_string()];
+                for (property, value) in store.facts(record) {
+                    fields.extend([property.to_string(), value.to_string()]);
+                }
+                line(&fields);
+            }
+        }
+        for (external, local) in scenario.dataset.link_pairs() {
+            line(&[external.to_string(), local.to_string()]);
+        }
+        for e in scenario.training.examples() {
+            let mut fields = vec![e.external_item.to_string(), e.local_item.to_string()];
+            for (property, value) in &e.facts {
+                fields.extend([property.clone(), value.clone()]);
+            }
+            fields.extend(classes(&e.classes));
+            line(&fields);
+        }
+        for n in 0..scenario.catalog_size() {
+            let item = Term::iri(vocab::local_item(n));
+            let mut fields = vec![item.to_string()];
+            fields.extend(classes(&scenario.instances.types_of(&item)));
+            line(&fields);
+        }
+        hasher.finish()
+    }
+
+    /// The presets are what every recorded figure of the workspace was
+    /// measured on: a change to the generator must leave them unmoved.
+    #[test]
+    fn the_presets_generate_what_they_always_have() {
+        let tiny = fingerprint(&generate(&ScenarioConfig::tiny()));
+        assert_eq!(tiny, 0x8f1a_571b_f086_8a14, "{tiny:#018x}");
+        let small = fingerprint(&generate(&ScenarioConfig::small()));
+        assert_eq!(small, 0xc1c7_ab05_bcdf_87f5, "{small:#018x}");
+    }
+
+    /// The two front doors agree: the catalog, written out one N-Triples
+    /// line per fact and fed back in chunks that split lines, is the
+    /// catalog `sharded_stores` builds — same ids, same shard sizes, same
+    /// records.
+    #[test]
+    fn feeding_the_catalog_rebuilds_its_shards() {
+        use classilink_linking::ingest::FeedIngest;
+        use classilink_rdf::Triple;
+        use std::fmt::Write;
+        for config in [ScenarioConfig::tiny(), ScenarioConfig::small()] {
+            let scenario = generate(&config);
+            let local = scenario.local_store();
+            let mut doc = String::new();
+            for record in 0..local.len() {
+                for (property, value) in local.facts(record) {
+                    let id = local.id(record).clone();
+                    let fact = Triple::new(id, Term::iri(property), Term::literal(value));
+                    writeln!(doc, "{fact}").unwrap();
+                }
+            }
+            let mut ingest = FeedIngest::ntriples(SchemaInterner::new(), local.len().div_ceil(4));
+            for chunk in doc.as_bytes().chunks(4093) {
+                ingest.feed(chunk).unwrap();
+            }
+            let fed = ingest.try_finish().unwrap();
+            let (_, generated) = scenario.sharded_stores(4);
+            let ids = |store: &ShardedStore| -> Vec<Term> {
+                (0..store.len()).map(|i| store.id(i).clone()).collect()
+            };
+            assert_eq!(ids(&fed), ids(&generated), "{config:?}");
+            let sizes = |store: &ShardedStore| -> Vec<usize> {
+                store.shards().iter().map(|s| s.len()).collect()
+            };
+            assert_eq!(sizes(&fed), sizes(&generated));
+            for (fed, generated) in fed.shards().iter().zip(generated.shards()) {
+                assert_eq!(fed.to_records(), generated.to_records());
+            }
+        }
+    }
+
+    #[test]
+    fn a_scenario_without_links_has_an_empty_training_set() {
+        let config = ScenarioConfig {
+            training_links: 0,
+            ..ScenarioConfig::tiny()
+        };
+        let scenario = generate(&config);
+        assert!(scenario.training.is_empty());
+        assert_eq!(scenario.dataset.link_pairs().count(), 0);
+        assert_eq!(scenario.heldout.len(), config.extra_external);
+        assert_eq!(scenario.external_store().len(), config.extra_external);
+        let learner = RuleLearner::new(LearnerConfig::default());
+        assert!(matches!(
+            learner.learn(&scenario.training, &scenario.ontology),
+            Err(CoreError::EmptyTrainingSet)
+        ));
+    }
 
     #[test]
     fn tiny_scenario_has_consistent_shapes() {
@@ -312,17 +454,7 @@ mod tests {
         let cfg = &scenario.config;
         assert_eq!(scenario.training.len(), cfg.training_links);
         assert_eq!(scenario.heldout.len(), cfg.extra_external);
-        assert_eq!(scenario.dataset.link_count(), cfg.training_links);
-        assert_eq!(
-            scenario.dataset.item_count(classilink_rdf::Source::Local),
-            cfg.catalog_size
-        );
-        assert_eq!(
-            scenario
-                .dataset
-                .item_count(classilink_rdf::Source::External),
-            cfg.training_links + cfg.extra_external
-        );
+        assert_eq!(scenario.dataset.link_pairs().count(), cfg.training_links);
         assert!((0..cfg.catalog_size).all(|i| {
             let item = Term::iri(vocab::local_item(i));
             !scenario.instances.types_of(&item).is_empty()
@@ -331,7 +463,11 @@ mod tests {
             scenario.gold_classes.len(),
             cfg.training_links + cfg.extra_external
         );
-        assert_eq!(scenario.catalog_size(), cfg.catalog_size);
+        assert_eq!(scenario.local_store().len(), cfg.catalog_size);
+        assert_eq!(
+            scenario.external_store().len(),
+            cfg.training_links + cfg.extra_external
+        );
     }
 
     #[test]
@@ -359,7 +495,7 @@ mod tests {
         let b = generate(&ScenarioConfig::tiny());
         assert_eq!(a.training, b.training);
         assert_eq!(a.gold_classes, b.gold_classes);
-        assert_eq!(a.dataset.local().len(), b.dataset.local().len());
+        assert_eq!(a.local_store(), b.local_store());
     }
 
     #[test]
@@ -419,16 +555,15 @@ mod tests {
     fn sharded_local_store_matches_single_store() {
         let scenario = generate(&ScenarioConfig::tiny());
         let single = scenario.local_store();
-        let sharded = ShardedStore::from_graph_with_schema(
-            scenario.dataset.local(),
-            4,
-            SchemaInterner::new(),
-        );
+        let sharded = ShardedStore::from_store_with_schema(&single, 4, SchemaInterner::new());
         assert_eq!(sharded.shard_count(), 4);
         assert_eq!(sharded.len(), single.len());
         for global in 0..single.len() {
             assert_eq!(sharded.id(global), single.id(global));
         }
+        let shards = sharded.shards().iter();
+        let records: Vec<_> = shards.flat_map(|shard| shard.to_records()).collect();
+        assert_eq!(records, single.to_records());
         // Shared-schema construction: the external store and every shard
         // resolve the part-number IRIs to ids from one symbol table.
         let (external, local) = scenario.sharded_stores(3);

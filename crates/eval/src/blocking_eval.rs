@@ -177,7 +177,7 @@ mod tests {
     fn truth_set_matches_training_links() {
         let scenario = generate(&ScenarioConfig::tiny());
         let (_, _, truth) = stores_and_truth(&scenario);
-        assert_eq!(truth.len(), scenario.dataset.link_count());
+        assert_eq!(truth.len(), scenario.dataset.link_pairs().count());
     }
 
     #[test]

@@ -374,28 +374,13 @@ mod tests {
         (scenario, items, config)
     }
 
-    /// The external store of a scenario with the record ids of its
-    /// training items, in training-example order.
-    fn external_and_training_items(
-        scenario: &classilink_datagen::GeneratedScenario,
-    ) -> (RecordStore, Vec<usize>) {
-        let external = scenario.external_store();
-        let items = scenario
-            .training
-            .examples()
-            .iter()
-            .map(|e| external.index_of(&e.external_item).expect("item in SE"))
-            .collect();
-        (external, items)
-    }
-
     #[test]
     fn reduction_sweep_shrinks_with_confidence() {
         let (scenario, _, config) = scenario_and_items();
         let outcome = RuleLearner::new(config.clone())
             .learn(&scenario.training, &scenario.ontology)
             .unwrap();
-        let (external, items) = external_and_training_items(&scenario);
+        let (external, items) = (scenario.external_store(), scenario.training_records());
         let points = reduction_sweep(
             &RuleClassifier::from_outcome(&outcome, &config),
             &scenario.instances,

@@ -1,20 +1,16 @@
 //! Streaming ingestion: a triple stream goes straight into record-store
 //! columns, one record per run of equal subjects.
 //!
-//! The batch front door used to be `parse → Graph → from_graph`, which
-//! holds the whole document *and* the store in memory at once. This
-//! module inverts that: [`FeedIngest`] drives the incremental parsers of
-//! `classilink-rdf` ([`NTriplesStreamer`] / [`TurtleStreamer`]) chunk by
-//! chunk and hands every triple to a [`ShardedStoreBuilder`] as it is
-//! parsed — a new subject opens the next record
+//! [`FeedIngest`] drives the incremental parsers of `classilink-rdf`
+//! ([`NTriplesStreamer`] / [`TurtleStreamer`]) chunk by chunk and hands
+//! every triple to a [`ShardedStoreBuilder`] as it is parsed — a new
+//! subject opens the next record
 //! ([`begin_record`](ShardedStoreBuilder::begin_record)), a literal
 //! object lands in its property's column
 //! ([`push_value`](ShardedStoreBuilder::push_value)) — opening a fresh
 //! shard every `records_per_shard` records. Nothing sits between the
 //! parser and the columns, so a multi-GB feed columnarises into shards as
-//! it arrives while the transient state is bounded by one statement. The
-//! graph-walk constructors (`from_graph*`, the builders' `push_subject` /
-//! `push_graph`) go through the same two builder calls.
+//! it arrives while the transient state is bounded by one statement.
 //!
 //! ```
 //! use classilink_linking::ingest::FeedIngest;
@@ -58,12 +54,12 @@ enum FeedStreamer {
 /// statements are parsed and pushed into shard builders immediately,
 /// with a fresh shard opened every `records_per_shard` records.
 /// [`try_finish`](Self::try_finish) parses the tail and freezes the shards
-/// (their columns are already filled). At no point does a full-document
-/// `Graph` — or any other input-sized intermediate — exist; transient
-/// state is one incomplete statement plus the store under construction.
+/// (their columns are already filled). At no point does an input-sized
+/// intermediate exist; transient state is one incomplete statement plus
+/// the store under construction.
 ///
-/// The feed is assumed **subject-grouped** (the natural shape of dumps
-/// and graph walks): a triple whose subject differs from the record
+/// The feed is assumed **subject-grouped** (the natural shape of
+/// dumps): a triple whose subject differs from the record
 /// opened last opens the next record, so a subject that re-appears
 /// later starts a *second* record; dedup is the feeder's job. Only
 /// IRI-predicate, literal-object triples contribute a value
@@ -243,40 +239,69 @@ mod tests {
         doc
     }
 
-    #[test]
-    fn feed_matches_batch_graph_path() {
-        let doc = feed_doc(10);
-        let graph = classilink_rdf::ntriples::parse(&doc).unwrap();
-        let batch = ShardedStore::from_graph_with_schema(&graph, 4, SchemaInterner::new());
-
-        let mut ingest = FeedIngest::ntriples(SchemaInterner::new(), 3);
-        // Awkward chunk size on purpose: boundaries land mid-line.
-        for chunk in doc.as_bytes().chunks(7) {
-            ingest.feed(chunk).unwrap();
+    fn record(id: Term, facts: &[(&str, &str)]) -> Record {
+        let mut record = Record::new(id);
+        for (property, value) in facts {
+            record.add(*property, *value);
         }
-        let streamed = ingest.try_finish().unwrap();
-        assert_eq!(streamed.len(), batch.len());
-        assert_eq!(streamed.shard_count(), 4); // ceil(10 / 3)
-                                               // Same records, same global order (the feed is subject-grouped
-                                               // in first-appearance order, which is the graph's subject order).
-        for i in 0..batch.len() {
-            assert_eq!(streamed.id(i), batch.id(i));
-        }
-        let records = |store: &ShardedStore| -> Vec<Record> {
-            let shards = store.shards().iter();
-            shards.flat_map(|shard| shard.to_records()).collect()
-        };
-        assert_eq!(records(&streamed), records(&batch));
+        record
     }
 
+    fn records(store: &ShardedStore) -> Vec<Record> {
+        let shards = store.shards().iter();
+        shards.flat_map(|shard| shard.to_records()).collect()
+    }
+
+    /// Rotating shards moves no record: the feed in shards of two holds
+    /// the ids and records of the same feed in one shard, in order.
     #[test]
     fn shards_rotate_on_record_boundaries() {
         let doc = feed_doc(7);
-        let mut ingest = FeedIngest::ntriples(SchemaInterner::new(), 2);
-        ingest.feed(doc.as_bytes()).unwrap();
-        let store = ingest.try_finish().unwrap();
+        let fed = |records_per_shard| {
+            let mut ingest = FeedIngest::ntriples(SchemaInterner::new(), records_per_shard);
+            ingest.feed(doc.as_bytes()).unwrap();
+            ingest.try_finish().unwrap()
+        };
+        let (store, single) = (fed(2), fed(7));
         let sizes: Vec<usize> = store.shards().iter().map(|s| s.len()).collect();
         assert_eq!(sizes, vec![2, 2, 2, 1]);
+        assert_eq!(single.shard_count(), 1);
+        for global in 0..single.len() {
+            assert_eq!(store.id(global), single.id(global));
+        }
+        assert_eq!(records(&store), single.shard(0).to_records());
+    }
+
+    /// A record holds exactly what `Triple::literal_fact` keeps: literal
+    /// values of any form, under IRI and blank subjects alike. An IRI
+    /// object adds no value, and a subject whose only triple has one is
+    /// an attribute-less record.
+    #[test]
+    fn a_record_holds_the_literal_values_of_its_subject() {
+        let integer = classilink_rdf::namespace::vocab::XSD_INTEGER;
+        let doc = format!(
+            "<http://e.org/p1> <{PN}> \"CRCW0805-10K\" .\n\
+             <http://e.org/p1> <{MFR}> <http://e.org/org#Vishay> .\n\
+             <http://e.org/p1> <{PN}> \"10000\"^^<{integer}> .\n\
+             <http://e.org/p1> <{MFR}> \"Vishay Intertech\"@en .\n\
+             _:b0 <{PN}> \"T83A225\" .\n\
+             <http://e.org/p2> <http://e.org/v#cls> <http://e.org/c#R> .\n"
+        );
+        let mut ingest = FeedIngest::ntriples(SchemaInterner::new(), 8);
+        ingest.feed(doc.as_bytes()).unwrap();
+        let expected = vec![
+            record(
+                Term::iri("http://e.org/p1"),
+                &[
+                    (PN, "CRCW0805-10K"),
+                    (PN, "10000"),
+                    (MFR, "Vishay Intertech"),
+                ],
+            ),
+            record(Term::blank("b0"), &[(PN, "T83A225")]),
+            record(Term::iri("http://e.org/p2"), &[]),
+        ];
+        assert_eq!(records(&ingest.try_finish().unwrap()), expected);
     }
 
     #[test]
@@ -341,17 +366,13 @@ mod tests {
              <http://e.org/a> v:mfr \"Vishay\" ; v:pn \"X-1\" , \"X-1b\" .\n\
              <http://e.org/b> v:cls <http://e.org/c#R> .\n\
              <http://e.org/a> v:pn \"X-1 again\" .\n";
-        let record = |id: &str, facts: &[(&str, &str)]| {
-            let mut record = Record::new(Term::iri(format!("http://e.org/{id}")));
-            for (property, value) in facts {
-                record.add(*property, *value);
-            }
-            record
+        let item = |id: &str, facts: &[(&str, &str)]| {
+            record(Term::iri(format!("http://e.org/{id}")), facts)
         };
         let records = [
-            record("a", &[(MFR, "Vishay"), (PN, "X-1"), (PN, "X-1b")]),
-            record("b", &[]),
-            record("a", &[(PN, "X-1 again")]),
+            item("a", &[(MFR, "Vishay"), (PN, "X-1"), (PN, "X-1b")]),
+            item("b", &[]),
+            item("a", &[(PN, "X-1 again")]),
         ];
         // `begin_shard`, then `push` per record: shards of 2 and 1.
         let expected = ShardedStore::from_records(&records, 2);

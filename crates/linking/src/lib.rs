@@ -48,8 +48,8 @@
 //! * [`ingest`] — streaming ingestion: every triple the incremental RDF
 //!   parsers emit goes straight into a shard builder's columns
 //!   (`begin_record` on a new subject, `push_value` per literal), with
-//!   transient memory bounded by one statement; every `from_graph`
-//!   constructor loops over the same two calls.
+//!   transient memory bounded by one statement; the builders' `push`
+//!   and `push_from` loop over the same two calls.
 //! * [`shard`] — the sharded catalog: per-shard stores on a shared
 //!   [`intern::SchemaInterner`], shard-local ids offsetting to global
 //!   record ids and back.

@@ -50,7 +50,7 @@ use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
 use crate::store::{RecordStore, RecordStoreBuilder};
-use classilink_rdf::{Graph, Term};
+use classilink_rdf::Term;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -113,39 +113,39 @@ impl ShardedStore {
         shard_count: usize,
         schema: SchemaInterner,
     ) -> Self {
-        Self::split(records, shard_count, schema, ShardedStoreBuilder::push)
+        Self::split(records.len(), shard_count, schema, |builder, i| {
+            builder.push(&records[i])
+        })
     }
 
-    /// Shard every subject of an RDF graph on an existing shared schema,
-    /// one record per subject (the sharded equivalent of
-    /// [`RecordStore::from_graph`]; subject order — and therefore global
-    /// ids — match the single-store constructor).
-    pub fn from_graph_with_schema(
-        graph: &Graph,
+    /// Re-shard the records of `store`, in order, on an existing shared
+    /// schema (see [`RecordStoreBuilder::push_from`]): record `i` of
+    /// `store` keeps global id `i`.
+    pub fn from_store_with_schema(
+        store: &RecordStore,
         shard_count: usize,
         schema: SchemaInterner,
     ) -> Self {
-        let push = |builder: &mut ShardedStoreBuilder, subject: &Term| {
-            builder.push_subject(graph, subject)
-        };
-        Self::split(&graph.subjects(), shard_count, schema, push)
+        Self::split(store.len(), shard_count, schema, |builder, i| {
+            builder.push_from(store, i)
+        })
     }
 
-    /// The contiguous split behind every `from_*` constructor: `items`
-    /// go, in order and through `push`, into `shard_count` shards of
-    /// `⌈items / shard_count⌉` records, padded with empty shards.
-    fn split<T>(
-        items: &[T],
+    /// The contiguous split behind every `from_*` constructor: items
+    /// `0..len` go, in order and through `push`, into `shard_count` shards
+    /// of `⌈len / shard_count⌉` records, padded with empty shards.
+    fn split(
+        len: usize,
         shard_count: usize,
         schema: SchemaInterner,
-        mut push: impl FnMut(&mut ShardedStoreBuilder, &T) -> usize,
+        mut push: impl FnMut(&mut ShardedStoreBuilder, usize) -> usize,
     ) -> Self {
         let shard_count = shard_count.max(1);
-        let chunk = items.len().div_ceil(shard_count).max(1);
+        let chunk = len.div_ceil(shard_count).max(1);
         let mut builder = Self::builder_with_schema(schema);
-        for shard in items.chunks(chunk) {
+        for start in (0..len).step_by(chunk) {
             builder.begin_shard();
-            for item in shard {
+            for item in start..len.min(start + chunk) {
                 push(&mut builder, item);
             }
         }
@@ -483,9 +483,10 @@ impl ShardedStoreBuilder {
         self.record_count - 1
     }
 
-    /// Append the record of one graph subject; returns its global id.
-    pub fn push_subject(&mut self, graph: &Graph, subject: &Term) -> usize {
-        self.current().push_subject(graph, subject);
+    /// Append record `record` of `store` to the current shard (see
+    /// [`RecordStoreBuilder::push_from`]); returns its global id.
+    pub(crate) fn push_from(&mut self, store: &RecordStore, record: usize) -> usize {
+        self.current().push_from(store, record);
         self.record_count += 1;
         self.record_count - 1
     }
@@ -628,26 +629,6 @@ mod tests {
             assert_eq!(sharded.index_of(&record.id), Some(i));
         }
         assert_eq!(sharded.index_of(&Term::iri("http://e.org/nowhere")), None);
-    }
-
-    #[test]
-    fn from_graph_matches_single_store_order() {
-        let mut g = Graph::new();
-        for i in 0..5 {
-            g.insert(classilink_rdf::Triple::literal(
-                format!("http://e.org/item/{i}"),
-                PN,
-                format!("PN-{i}"),
-            ));
-        }
-        let sharded = ShardedStore::from_graph_with_schema(&g, 2, SchemaInterner::new());
-        let single = RecordStore::from_graph(&g);
-        assert_eq!(sharded.len(), single.len());
-        for global in 0..single.len() {
-            assert_eq!(sharded.id(global), single.id(global));
-        }
-        let sharded_records = sharded.shards().iter().flat_map(|s| s.to_records());
-        assert_eq!(sharded_records.collect::<Vec<_>>(), single.to_records());
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!   compiled rule compares.
 //!
 //! Stores are immutable once built. Build one with
-//! [`RecordStore::from_records`], or directly from an RDF graph with
-//! [`RecordStore::from_graph`]. Stores built
+//! [`RecordStore::from_records`], or record by record with a
+//! [`RecordStoreBuilder`] (the streaming feed of [`crate::ingest`] and the
+//! data generator both do). Stores built
 //! standalone intern independently: resolve an IRI against each store
 //! (once, at construction of a blocker or comparator) with
 //! [`RecordStore::property`], and never reuse an id across stores.
@@ -41,7 +42,7 @@ use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
 use crate::similarity::symbols::Signature;
 use crate::token_index::{KeyIndex, TokenTable};
-use classilink_rdf::{Graph, Term};
+use classilink_rdf::Term;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
@@ -266,15 +267,6 @@ impl RecordStore {
         for record in records {
             builder.push(record);
         }
-        builder.build()
-    }
-
-    /// Build the store of every subject of `graph`, in subject order, one
-    /// record per subject holding its literal-valued triples
-    /// ([`Triple::literal_fact`](classilink_rdf::Triple::literal_fact)).
-    pub fn from_graph(graph: &Graph) -> Self {
-        let mut builder = Self::builder();
-        builder.push_graph(graph);
         builder.build()
     }
 
@@ -827,24 +819,16 @@ impl RecordStoreBuilder {
         index
     }
 
-    /// Append the record of one graph subject: its IRI-predicate,
-    /// literal-object triples become the record's values (a subject
-    /// without any is an attribute-less record).
-    pub fn push_subject(&mut self, graph: &Graph, subject: &Term) -> usize {
-        let index = self.begin_record(subject.clone());
-        for triple in graph.triples_matching(Some(subject), None, None) {
-            if let Some((property, value)) = triple.literal_fact() {
-                self.push_value(property, value);
-            }
+    /// Append record `record` of `store`: its id, then its values in
+    /// `store`'s interning order ([`RecordStore::facts`]), so re-pushing a
+    /// whole store in record order interns its properties in the order
+    /// `store` did.
+    pub fn push_from(&mut self, store: &RecordStore, record: usize) -> usize {
+        let index = self.begin_record(store.id(record).clone());
+        for (property, value) in store.facts(record) {
+            self.push_value(property, value);
         }
         index
-    }
-
-    /// Append one record per subject of `graph`, in subject order.
-    pub fn push_graph(&mut self, graph: &Graph) {
-        for subject in graph.subjects() {
-            self.push_subject(graph, &subject);
-        }
     }
 
     /// Number of records pushed so far.
@@ -892,7 +876,6 @@ impl RecordStoreBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use classilink_rdf::Triple;
 
     const PN: &str = "http://e.org/v#pn";
     const MFR: &str = "http://e.org/v#mfr";
@@ -959,57 +942,6 @@ mod tests {
         let records = sample_records();
         let store = RecordStore::from_records(&records);
         assert_eq!(store.to_records(), records);
-    }
-
-    /// The graph walk keeps exactly what `Triple::literal_fact` keeps, in
-    /// subject order: literal values of any form, IRI and blank subjects
-    /// alike, and an attribute-less record for a subject whose only triple
-    /// has an IRI object.
-    #[test]
-    fn from_graph_extracts_literal_facts_per_subject() {
-        use classilink_rdf::Literal;
-        let p1 = Term::iri("http://e.org/p1");
-        let mut g = Graph::new();
-        g.insert(Triple::literal("http://e.org/p1", PN, "CRCW0805-10K"));
-        g.insert(Triple::iris(
-            "http://e.org/p1",
-            MFR,
-            "http://e.org/org#Vishay",
-        ));
-        let typed = Literal::typed("10000", classilink_rdf::namespace::vocab::XSD_INTEGER);
-        g.insert(Triple::new(p1.clone(), Term::iri(PN), typed.into()));
-        let tagged = Literal::lang("Vishay Intertech", "en");
-        g.insert(Triple::new(p1, Term::iri(MFR), tagged.into()));
-        g.insert(Triple::new(
-            Term::blank("b0"),
-            Term::iri(PN),
-            Term::literal("T83A225"),
-        ));
-        g.insert(Triple::iris(
-            "http://e.org/p2",
-            "http://e.org/v#cls",
-            "http://e.org/c#R",
-        ));
-        let record = |id: Term, facts: &[(&str, &str)]| {
-            let mut record = Record::new(id);
-            for (property, value) in facts {
-                record.add(*property, *value);
-            }
-            record
-        };
-        let expected = vec![
-            record(
-                Term::iri("http://e.org/p1"),
-                &[
-                    (MFR, "Vishay Intertech"),
-                    (PN, "CRCW0805-10K"),
-                    (PN, "10000"),
-                ],
-            ),
-            record(Term::blank("b0"), &[(PN, "T83A225")]),
-            record(Term::iri("http://e.org/p2"), &[]),
-        ];
-        assert_eq!(RecordStore::from_graph(&g).to_records(), expected);
     }
 
     #[test]
@@ -1136,18 +1068,6 @@ mod tests {
         assert!(late.index() >= store.interner().len());
         assert_eq!(store.values(0, late).count(), 0);
         assert_eq!(store.first(0, late), None);
-    }
-
-    #[test]
-    fn graph_push_helpers_match_from_graph() {
-        let mut g = Graph::new();
-        g.insert(Triple::literal("http://e.org/p1", PN, "CRCW0805-10K"));
-        g.insert(Triple::literal("http://e.org/p2", PN, "T83A225"));
-        let mut builder = RecordStore::builder();
-        builder.push_graph(&g);
-        assert_eq!(builder.len(), 2);
-        assert!(!builder.is_empty());
-        assert_eq!(builder.build(), RecordStore::from_graph(&g));
     }
 
     #[test]
@@ -1293,11 +1213,24 @@ mod tests {
             LOCAL_MANUFACTURER, LOCAL_PART_NUMBER, PROVIDER_MANUFACTURER, PROVIDER_PART_NUMBER,
         };
         let scenario = generate(&ScenarioConfig::small());
+        // The generator links its own build of this crate: carry its
+        // records over by value.
+        let stores = [scenario.external_store(), scenario.local_store()];
+        let [external, local] = stores.map(|store| {
+            let records = store.to_records().into_iter();
+            let records = records.map(|r| Record {
+                id: r.id,
+                attributes: r.attributes,
+            });
+            records.collect::<Vec<_>>()
+        });
         let schema = SchemaInterner::new();
-        let mut external = RecordStore::builder_with_schema(schema.clone());
-        external.push_graph(scenario.dataset.external());
-        let external = external.build();
-        let local = ShardedStore::from_graph_with_schema(scenario.dataset.local(), 3, schema);
+        let mut builder = RecordStore::builder_with_schema(schema.clone());
+        for record in &external {
+            builder.push(record);
+        }
+        let external = builder.build();
+        let local = ShardedStore::from_records_with_schema(&local, 3, schema);
         let rule = |left: &str, right: &str, measure, weight| AttributeRule {
             left_property: left.to_string(),
             right_property: right.to_string(),

@@ -44,12 +44,6 @@ impl InstanceStore {
             .unwrap_or_default()
     }
 
-    /// The most specific asserted classes of `item` according to `ontology`.
-    pub fn most_specific_types(&self, item: &Term, ontology: &Ontology) -> Vec<ClassId> {
-        let direct = self.types_of(item);
-        ontology.most_specific(&direct)
-    }
-
     /// Instances of `class` including those of its subclasses, **borrowed**:
     /// sorted in `Term` order, each item once however many of the classes it
     /// is asserted in. The one body that unions a class's extent with its
@@ -82,42 +76,12 @@ impl InstanceStore {
             .cloned()
             .collect()
     }
-
-    /// Iterate over `(class, direct extent size)` pairs.
-    pub fn class_frequencies(&self) -> impl Iterator<Item = (ClassId, usize)> + '_ {
-        self.extent.iter().map(|(c, items)| (*c, items.len()))
-    }
-
-    /// Populate the store from the `rdf:type` triples of a graph, resolving
-    /// class IRIs against `ontology`. Unknown classes are skipped and
-    /// returned in the second component.
-    pub fn from_graph(graph: &classilink_rdf::Graph, ontology: &Ontology) -> (Self, Vec<String>) {
-        use classilink_rdf::namespace::vocab;
-        let mut store = InstanceStore::new();
-        let mut unknown = Vec::new();
-        let rdf_type = Term::iri(vocab::RDF_TYPE);
-        for triple in graph.triples_matching(None, Some(&rdf_type), None) {
-            let Some(class_iri) = triple.object.as_iri() else {
-                continue;
-            };
-            match ontology.class(class_iri) {
-                Some(class) => {
-                    store.assert_type(&triple.subject, class);
-                }
-                None => unknown.push(class_iri.to_string()),
-            }
-        }
-        unknown.sort();
-        unknown.dedup();
-        (store, unknown)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::OntologyBuilder;
-    use classilink_rdf::{Graph, Triple};
 
     fn setup() -> (Ontology, [ClassId; 4]) {
         let mut b = OntologyBuilder::new("http://e.org/c#");
@@ -134,14 +98,13 @@ mod tests {
 
     #[test]
     fn assert_and_query_types() {
-        let (onto, [component, _, fixed, _]) = setup();
+        let (_, [component, _, fixed, _]) = setup();
         let mut store = InstanceStore::new();
         assert!(store.assert_type(&item(1), fixed));
         assert!(!store.assert_type(&item(1), fixed));
         store.assert_type(&item(1), component);
         assert_eq!(store.types_of(&item(1)).len(), 2);
         assert_eq!(store.types_of(&item(9)).len(), 0);
-        assert_eq!(store.most_specific_types(&item(1), &onto), vec![fixed]);
     }
 
     #[test]
@@ -229,43 +192,6 @@ mod tests {
         assert!(store.extent_refs(resistor, &onto).is_empty());
         assert!(store.extent_refs(fixed, &onto).is_empty());
         assert_eq!(store.extent_refs(component, &onto), vec![&item(1)]);
-    }
-
-    #[test]
-    fn class_frequencies_are_direct_counts() {
-        let (_, [_, resistor, fixed, _]) = setup();
-        let mut store = InstanceStore::new();
-        store.assert_type(&item(1), fixed);
-        store.assert_type(&item(2), fixed);
-        store.assert_type(&item(3), resistor);
-        let freqs: std::collections::BTreeMap<ClassId, usize> = store.class_frequencies().collect();
-        assert_eq!(freqs[&fixed], 2);
-        assert_eq!(freqs[&resistor], 1);
-    }
-
-    #[test]
-    fn from_graph_reads_rdf_type_triples() {
-        let (onto, [_, _, fixed, _]) = setup();
-        let mut g = Graph::new();
-        g.insert(Triple::iris(
-            "http://e.org/prod/1",
-            classilink_rdf::namespace::vocab::RDF_TYPE,
-            "http://e.org/c#FixedFilmResistor",
-        ));
-        g.insert(Triple::iris(
-            "http://e.org/prod/2",
-            classilink_rdf::namespace::vocab::RDF_TYPE,
-            "http://e.org/c#UnknownClass",
-        ));
-        g.insert(Triple::literal(
-            "http://e.org/prod/1",
-            "http://e.org/v#pn",
-            "CRCW0805",
-        ));
-        let (store, unknown) = InstanceStore::from_graph(&g, &onto);
-        assert_eq!(store.types_of(&item(1)), vec![fixed]);
-        assert!(store.types_of(&item(2)).is_empty());
-        assert_eq!(unknown, vec!["http://e.org/c#UnknownClass".to_string()]);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!
 //! * [`model`] — classes and their ids.
 //! * [`ontology`] — the ontology itself: subsumption hierarchy with
-//!   ancestor/descendant closure, leaves, depth and declared disjointness
-//!   axioms.
-//! * [`instances`] — class-membership assertions for data items, extents
-//!   under subsumption, most-specific-class computation.
+//!   ancestor/descendant closure, leaves, depth, most-specific-class
+//!   filtering and declared disjointness axioms.
+//! * [`instances`] — class-membership assertions for data items and
+//!   extents under subsumption.
 //! * [`builder`] — ergonomic construction.
 //! * [`stats`] — summary statistics (class counts, leaf counts, depth
 //!   histograms) matching the numbers the paper reports about its ontology

@@ -6,42 +6,39 @@
 //!
 //! The paper operates on two RDF data sources: a **local** source `SL`
 //! described by an OWL ontology, and an **external** source `SE` whose schema
-//! is unknown. This crate provides everything the rest of the workspace needs
-//! to represent and query such sources:
+//! is unknown. This crate reads such sources as a stream of triples; it
+//! stores none of them (the record stores of `classilink-linking` do):
 //!
 //! * [`term`] — IRIs, blank nodes, plain/typed/language-tagged literals.
-//! * [`dictionary`] — string interning so that triples are stored as compact
-//!   integer ids.
-//! * [`graph`] — an indexed in-memory triple store with SPO and POS indexes
-//!   and triple-pattern iteration.
-//! * [`dataset`] — a provenance-aware collection of graphs (the paper stores
-//!   linked pairs "with their provenance information (external or local)").
+//! * [`triple`] — a statement, and the one rule
+//!   ([`Triple::literal_fact`]) that turns it into an attribute value.
 //! * [`ntriples`] / [`turtle`] — streaming readers for N-Triples and a
 //!   pragmatic Turtle subset (a [`Triple`]'s `Display` is its N-Triples
 //!   line).
+//! * [`namespace`] — well-known IRIs and the Turtle prefix table.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use classilink_rdf::{Graph, Term, Triple};
+//! use classilink_rdf::{ntriples, Term, Triple};
 //!
-//! let mut g = Graph::new();
-//! let s = Term::iri("http://example.org/prod/1");
-//! let p = Term::iri("http://example.org/vocab#partNumber");
-//! let o = Term::literal("CRCW0805-10K");
-//! g.insert(Triple::new(s.clone(), p.clone(), o.clone()));
-//!
-//! assert_eq!(g.len(), 1);
-//! let found: Vec<_> = g.triples_matching(Some(&s), None, None).collect();
-//! assert_eq!(found.len(), 1);
+//! let fact = Triple::literal(
+//!     "http://example.org/prod/1",
+//!     "http://example.org/vocab#partNumber",
+//!     "CRCW0805-10K",
+//! );
+//! let triples = ntriples::parse(&format!("{fact}\n")).unwrap();
+//! assert_eq!(triples, vec![fact]);
+//! assert_eq!(
+//!     triples[0].literal_fact(),
+//!     Some(("http://example.org/vocab#partNumber", "CRCW0805-10K"))
+//! );
+//! assert_eq!(triples[0].subject, Term::iri("http://example.org/prod/1"));
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod dataset;
-pub mod dictionary;
 pub mod error;
-pub mod graph;
 mod lex;
 pub mod namespace;
 pub mod ntriples;
@@ -49,10 +46,7 @@ pub mod term;
 pub mod triple;
 pub mod turtle;
 
-pub use dataset::{Dataset, Source};
-pub use dictionary::{Dictionary, TermId};
 pub use error::{RdfError, Result};
-pub use graph::Graph;
 pub use namespace::Namespaces;
 pub use ntriples::NTriplesStreamer;
 pub use term::{Literal, Term};

@@ -7,8 +7,6 @@ use std::collections::BTreeMap;
 pub mod vocab {
     /// `rdf:type`.
     pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
-    /// `owl:sameAs` — the link predicate the paper's training set is made of.
-    pub const OWL_SAME_AS: &str = "http://www.w3.org/2002/07/owl#sameAs";
     /// `xsd:integer`.
     pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
     /// `xsd:decimal`.

@@ -12,23 +12,19 @@
 //! means the same in both syntaxes.
 
 use crate::error::Result;
-use crate::graph::Graph;
 use crate::lex::{ChunkBuffer, Lexer};
 use crate::triple::Triple;
 
-/// Parse a complete N-Triples document into a [`Graph`].
+/// Parse a complete N-Triples document into its triples, in document
+/// order.
 ///
 /// Thin wrapper over [`NTriplesStreamer`]: the whole input is fed as one
-/// chunk and the emitted triples are collected into a graph.
-pub fn parse(input: &str) -> Result<Graph> {
+/// chunk and the emitted triples are collected.
+pub fn parse(input: &str) -> Result<Vec<Triple>> {
     let mut streamer = NTriplesStreamer::new();
     streamer.feed(input.as_bytes());
     streamer.finish();
-    let mut graph = Graph::new();
-    while let Some(triple) = streamer.next_triple() {
-        graph.insert(triple?);
-    }
-    Ok(graph)
+    std::iter::from_fn(|| streamer.next_triple()).collect()
 }
 
 /// An incremental N-Triples reader: push byte chunks in, pull [`Triple`]s out.
@@ -205,31 +201,30 @@ _:b0 <http://e.org/v#note> "blank subject" .
 
     #[test]
     fn display_then_parse_roundtrip() {
-        let mut g = Graph::new();
-        g.insert(Triple::literal("http://e.org/a", "http://e.org/p", "plain"));
-        g.insert(Triple::new(
-            Term::iri("http://e.org/a"),
-            Term::iri("http://e.org/q"),
-            crate::term::Literal::lang("étiquette", "fr").into(),
-        ));
-        g.insert(Triple::new(
-            Term::iri("http://e.org/a"),
-            Term::iri("http://e.org/r"),
-            crate::term::Literal::typed("3.5", crate::namespace::vocab::XSD_DECIMAL).into(),
-        ));
-        g.insert(Triple::new(
-            Term::blank("b1"),
-            Term::iri("http://e.org/p"),
-            Term::literal("with \"quotes\" and \\slashes\\"),
-        ));
-        let doc: String = g.iter().map(|t| format!("{t}\n")).collect();
-        let g2 = parse(&doc).unwrap();
-        let triples = |g: &Graph| g.iter().collect::<std::collections::BTreeSet<_>>();
-        assert_eq!(triples(&g2), triples(&g));
+        let triples = vec![
+            Triple::literal("http://e.org/a", "http://e.org/p", "plain"),
+            Triple::new(
+                Term::iri("http://e.org/a"),
+                Term::iri("http://e.org/q"),
+                crate::term::Literal::lang("étiquette", "fr").into(),
+            ),
+            Triple::new(
+                Term::iri("http://e.org/a"),
+                Term::iri("http://e.org/r"),
+                crate::term::Literal::typed("3.5", crate::namespace::vocab::XSD_DECIMAL).into(),
+            ),
+            Triple::new(
+                Term::blank("b1"),
+                Term::iri("http://e.org/p"),
+                Term::literal("with \"quotes\" and \\slashes\\"),
+            ),
+        ];
+        let doc: String = triples.iter().map(|t| format!("{t}\n")).collect();
+        assert_eq!(parse(&doc).unwrap(), triples);
     }
 
     #[test]
-    fn empty_document_is_an_empty_graph() {
+    fn empty_document_has_no_triples() {
         assert_eq!(parse("").unwrap().len(), 0);
     }
 

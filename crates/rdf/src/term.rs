@@ -1,9 +1,9 @@
 //! RDF terms: IRIs, blank nodes and literals.
 //!
 //! Terms are the building blocks of triples. The representation here is
-//! deliberately simple (owned `String`s); the [`crate::dictionary`] module is
-//! responsible for interning them into compact ids when large graphs are
-//! stored.
+//! deliberately simple (owned `String`s): a reader hands each triple on as
+//! it is parsed, and whoever stores it (the record stores of
+//! `classilink-linking`) interns what it keeps.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;

@@ -43,15 +43,6 @@ impl Triple {
         )
     }
 
-    /// Convenience constructor from three IRI strings.
-    pub fn iris(
-        subject: impl Into<String>,
-        predicate: impl Into<String>,
-        object: impl Into<String>,
-    ) -> Self {
-        Triple::new(Term::iri(subject), Term::iri(predicate), Term::iri(object))
-    }
-
     /// The attribute value this triple gives its subject's record: an IRI
     /// predicate with a literal object is `(predicate IRI, lexical form)`
     /// (datatype and language tag dropped); any other triple gives none.

@@ -21,25 +21,22 @@
 use std::collections::VecDeque;
 
 use crate::error::{RdfError, Result};
-use crate::graph::Graph;
 use crate::lex::{ChunkBuffer, Lexer};
 use crate::namespace::Namespaces;
 use crate::term::Term;
 use crate::triple::Triple;
 
-/// Parse a Turtle document (subset, see module docs) into a graph.
+/// Parse a Turtle document (subset, see module docs) into its triples, in
+/// document order, and its prefix declarations.
 ///
 /// Thin wrapper over [`TurtleStreamer`]: the whole input is fed as one chunk
-/// and the emitted triples are collected into a graph.
-pub fn parse(input: &str) -> Result<(Graph, Namespaces)> {
+/// and the emitted triples are collected.
+pub fn parse(input: &str) -> Result<(Vec<Triple>, Namespaces)> {
     let mut streamer = TurtleStreamer::new();
     streamer.feed(input.as_bytes());
     streamer.finish();
-    let mut graph = Graph::new();
-    while let Some(triple) = streamer.next_triple() {
-        graph.insert(triple?);
-    }
-    Ok((graph, streamer.into_namespaces()))
+    let triples = std::iter::from_fn(|| streamer.next_triple()).collect::<Result<_>>()?;
+    Ok((triples, streamer.into_namespaces()))
 }
 
 /// An incremental Turtle reader: push byte chunks in, pull [`Triple`]s out.
@@ -352,6 +349,13 @@ mod tests {
 <http://example.org/prod/2> a cls:TantalumCapacitor ; ex:partNumber "T83A225K" .
 "#;
 
+    /// The triples of `g` with the given subject and predicate IRIs.
+    fn matching<'a>(g: &'a [Triple], subject: &str, predicate: &str) -> Vec<&'a Triple> {
+        let (subject, predicate) = (Term::iri(subject), Term::iri(predicate));
+        let bound = |t: &&Triple| t.subject == subject && t.predicate == predicate;
+        g.iter().filter(bound).collect()
+    }
+
     #[test]
     fn parse_full_document() {
         let (g, ns) = parse(DOC).unwrap();
@@ -362,13 +366,7 @@ mod tests {
         assert_eq!(ns, declared);
         // 6 triples for prod/1 (two manufacturers) + 2 for prod/2
         assert_eq!(g.len(), 8);
-        let type_triples: Vec<_> = g
-            .triples_matching(
-                Some(&Term::iri("http://example.org/prod/1")),
-                Some(&Term::iri(vocab::RDF_TYPE)),
-                None,
-            )
-            .collect();
+        let type_triples = matching(&g, "http://example.org/prod/1", vocab::RDF_TYPE);
         assert_eq!(type_triples.len(), 1);
         assert_eq!(
             type_triples[0].object.as_iri(),
@@ -380,10 +378,10 @@ mod tests {
     fn typed_and_lang_literals_parse() {
         let (g, _) = parse(DOC).unwrap();
         let object = |property: &str| {
-            let item = Term::iri("http://example.org/prod/1");
-            let property = Term::iri(format!("http://example.org/vocab#{property}"));
-            let mut found = g.triples_matching(Some(&item), Some(&property), None);
-            found.next().unwrap().object
+            let property = format!("http://example.org/vocab#{property}");
+            matching(&g, "http://example.org/prod/1", &property)[0]
+                .object
+                .clone()
         };
         assert_eq!(
             object("resistance"),
@@ -398,12 +396,12 @@ mod tests {
     #[test]
     fn object_lists_expand() {
         let (g, _) = parse(DOC).unwrap();
-        let mfrs = g.triples_matching(
-            Some(&Term::iri("http://example.org/prod/1")),
-            Some(&Term::iri("http://example.org/vocab#manufacturer")),
-            None,
+        let mfrs = matching(
+            &g,
+            "http://example.org/prod/1",
+            "http://example.org/vocab#manufacturer",
         );
-        assert_eq!(mfrs.count(), 2);
+        assert_eq!(mfrs.len(), 2);
     }
 
     #[test]
@@ -444,27 +442,22 @@ mod tests {
         let doc = "@prefix ex: <http://e.org/> .\n_:b0 ex:p \"v\" .";
         let (g, _) = parse(doc).unwrap();
         assert_eq!(g.len(), 1);
-        assert!(matches!(g.iter().next().unwrap().subject, Term::Blank(_)));
+        assert!(matches!(g[0].subject, Term::Blank(_)));
     }
 
     #[test]
     fn streamed_parse_matches_batch_at_every_byte_split() {
         let bytes = DOC.as_bytes();
         let (batch, batch_ns) = parse(DOC).unwrap();
-        let mut batch_triples: Vec<Triple> = batch.iter().collect();
-        batch_triples.sort();
         for split in 0..=bytes.len() {
             let mut streamer = TurtleStreamer::new();
             streamer.feed(&bytes[..split]);
             streamer.feed(&bytes[split..]);
             streamer.finish();
-            let mut g = Graph::new();
-            while let Some(t) = streamer.next_triple() {
-                g.insert(t.unwrap());
-            }
-            let mut triples: Vec<Triple> = g.iter().collect();
-            triples.sort();
-            assert_eq!(triples, batch_triples, "split at byte {split}");
+            let triples: Vec<Triple> = std::iter::from_fn(|| streamer.next_triple())
+                .map(Result::unwrap)
+                .collect();
+            assert_eq!(triples, batch, "split at byte {split}");
             assert_eq!(
                 streamer.into_namespaces(),
                 batch_ns,

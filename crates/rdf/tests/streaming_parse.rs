@@ -84,12 +84,6 @@ fn stream_turtle(
     Ok((triples, streamer.into_namespaces()))
 }
 
-fn sorted(mut triples: Vec<Triple>) -> Vec<Triple> {
-    triples.sort();
-    triples.dedup();
-    triples
-}
-
 /// Truncate at an arbitrary *byte* (not char) position; the result may
 /// be invalid UTF-8 at the tail, which batch parse never sees (it takes
 /// `&str`) — so damaged-document agreement is checked on char cuts only.
@@ -100,31 +94,27 @@ fn char_truncated(doc: &str, cut: usize) -> String {
 
 proptest! {
     /// Any chunking of a valid N-Triples document yields exactly the
-    /// batch triple set.
+    /// batch triples, in order.
     #[test]
     fn ntriples_chunked_equals_batch(cuts in proptest::collection::vec(0usize..4096, 0..6)) {
-        let batch: Vec<Triple> = {
-            let g = ntriples::parse(NTRIPLES_DOC).unwrap();
-            sorted(g.iter().collect())
-        };
+        let batch = ntriples::parse(NTRIPLES_DOC).unwrap();
         let streamed = stream_ntriples(&chunks(NTRIPLES_DOC.as_bytes(), &cuts)).unwrap();
-        prop_assert_eq!(sorted(streamed), batch);
+        prop_assert_eq!(streamed, batch);
     }
 
     /// Any chunking of a valid Turtle document yields exactly the batch
-    /// triple set and prefix table.
+    /// triples, in order, and prefix table.
     #[test]
     fn turtle_chunked_equals_batch(cuts in proptest::collection::vec(0usize..4096, 0..6)) {
-        let (batch_graph, batch_ns) = turtle::parse(TURTLE_DOC).unwrap();
-        let batch = sorted(batch_graph.iter().collect());
+        let (batch, batch_ns) = turtle::parse(TURTLE_DOC).unwrap();
         let (streamed, ns) = stream_turtle(&chunks(TURTLE_DOC.as_bytes(), &cuts)).unwrap();
-        prop_assert_eq!(sorted(streamed), batch);
+        prop_assert_eq!(streamed, batch);
         prop_assert_eq!(ns, batch_ns);
     }
 
     /// On damaged documents (char-boundary truncation, so batch parse
     /// can see the same bytes) streamed and batch must agree on
-    /// validity, and on the triple set when both accept.
+    /// validity, and on the triples when both accept.
     #[test]
     fn chunked_and_batch_agree_on_truncated_documents(
         cut in 0usize..4096,
@@ -134,7 +124,7 @@ proptest! {
         let batch = ntriples::parse(&nt);
         let streamed = stream_ntriples(&chunks(nt.as_bytes(), &cuts));
         match (batch, streamed) {
-            (Ok(g), Ok(ts)) => prop_assert_eq!(sorted(g.iter().collect()), sorted(ts)),
+            (Ok(g), Ok(ts)) => prop_assert_eq!(g, ts),
             (Err(_), Err(_)) => {}
             (b, s) => prop_assert!(false, "batch {:?} vs streamed {:?}", b.is_ok(), s.is_ok()),
         }
@@ -144,7 +134,7 @@ proptest! {
         let streamed = stream_turtle(&chunks(ttl.as_bytes(), &cuts));
         match (batch, streamed) {
             (Ok((g, ns)), Ok((ts, sns))) => {
-                prop_assert_eq!(sorted(g.iter().collect()), sorted(ts));
+                prop_assert_eq!(g, ts);
                 prop_assert_eq!(ns, sns);
             }
             (Err(_), Err(_)) => {}

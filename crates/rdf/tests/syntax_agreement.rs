@@ -69,12 +69,6 @@ fn statement(seed: u64, text: &str) -> (Triple, String) {
     (triple, line)
 }
 
-fn sorted(mut triples: Vec<Triple>) -> Vec<Triple> {
-    triples.sort();
-    triples.dedup();
-    triples
-}
-
 proptest! {
     #[test]
     fn both_readers_make_the_same_graph_of_an_ntriples_document(
@@ -97,11 +91,8 @@ proptest! {
         let from_ntriples = ntriples::parse(&doc).unwrap();
         let (from_turtle, namespaces) = turtle::parse(&doc).unwrap();
         prop_assert_eq!(namespaces, Namespaces::new());
-        prop_assert_eq!(sorted(from_ntriples.iter().collect()), sorted(expected));
-        prop_assert_eq!(
-            sorted(from_turtle.iter().collect()),
-            sorted(from_ntriples.iter().collect())
-        );
+        prop_assert_eq!(&from_ntriples, &expected);
+        prop_assert_eq!(from_turtle, from_ntriples);
     }
 }
 

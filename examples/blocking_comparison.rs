@@ -21,10 +21,8 @@ fn main() {
     println!(
         "Scenario: |SL| = {} products, |SE| = {} provider items, {} expert links\n",
         scenario.catalog_size(),
-        scenario
-            .dataset
-            .item_count(classilink::rdf::Source::External),
-        scenario.dataset.link_count()
+        scenario.gold_classes.len(),
+        scenario.training.len()
     );
 
     let learner = LearnerConfig::default()

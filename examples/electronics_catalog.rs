@@ -44,7 +44,7 @@ fn main() {
     );
     println!(
         "  naive linking space |SE|×|SL| = {} pairs\n",
-        scenario.dataset.naive_linking_space()
+        scenario.gold_classes.len() * scenario.catalog_size()
     );
 
     // The expert's choices, as in the paper: the part-number property only,
@@ -98,12 +98,7 @@ fn main() {
     // E3/E4: how many catalog products an external item is still compared
     // with once it has been classified, per rule-confidence threshold.
     let external = scenario.external_store();
-    let training_items: Vec<usize> = scenario
-        .training
-        .examples()
-        .iter()
-        .filter_map(|e| external.index_of(&e.external_item))
-        .collect();
+    let training_items = scenario.training_records();
     let reduction = reduction_sweep(
         &RuleClassifier::from_outcome(&outcome, &learner),
         &scenario.instances,

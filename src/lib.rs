@@ -8,7 +8,7 @@
 //! names so that downstream users (and the `examples/`) need a single
 //! dependency:
 //!
-//! * [`rdf`] — RDF substrate (graphs, datasets, N-Triples/Turtle).
+//! * [`rdf`] — RDF substrate (terms, triples, streaming N-Triples/Turtle readers).
 //! * [`ontology`] — OWL-lite ontology model with subsumption and instances.
 //! * [`segment`] — property-value segmentation (separators, n-grams).
 //! * [`core`] — the paper's contribution: classification rule learning,

@@ -57,21 +57,14 @@ fn learn_classify_and_reduce_on_a_small_scenario() {
     // The linking subspace of classified items is much smaller than the
     // catalog.
     let external = scenario.external_store();
-    let items: Vec<usize> = scenario
-        .training
-        .examples()
-        .iter()
-        .take(200)
-        .filter_map(|e| external.index_of(&e.external_item))
-        .collect();
-    assert_eq!(items.len(), 200);
+    let items = &scenario.training_records()[..200];
     let strict = &reduction_sweep(
         &classifier,
         &scenario.instances,
         &scenario.ontology,
         &external,
         &scenario.local_store(),
-        &items,
+        items,
         &[1.0],
     )[0];
     assert!(strict.classified_fraction > 0.0);
