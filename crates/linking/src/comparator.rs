@@ -52,7 +52,7 @@
 //!   bounds the four string kernels from above (Jaro ≤ `(m/|a| + m/|b| +
 //!   1)/3`, Jaro-Winkler its own prefix boost on that, edit similarities
 //!   ≤ `m / max(|a|, |b|)`; see [`crate::similarity::symbols`]), and `m` is
-//!   had in two tiers. *Signatures*: 24 bytes per value cap `m` and give
+//!   had in two tiers. *Signatures*: 32 bytes per value cap `m` and give
 //!   the common prefix from a few word operations and no value byte. For
 //!   the first rule that can fire in a block `S = W = 0`, so every local
 //!   needs the same similarity of it, and the run prefilter turns "bound ×
@@ -234,6 +234,7 @@ impl RecordComparator {
             kernels,
             fallback_kernel,
             filter,
+            popcnt: Popcnt::detect(),
         }
     }
 
@@ -348,6 +349,8 @@ pub struct CompiledComparator<'a> {
     /// non-match filter; `None` when no pair can be a `NonMatch` (a zero
     /// threshold) or the weights are not all positive and finite.
     filter: Option<NonMatchFilter>,
+    /// Whether [`survivors`](Self::survivors) may run its `popcnt` loop.
+    popcnt: Option<Popcnt>,
 }
 
 /// What the non-match filter of
@@ -528,32 +531,130 @@ struct RunFilter<'h, 's> {
 impl RunFilter<'_, '_> {
     /// `false` when the value pair of these signatures is one
     /// `score_hoisted` would skip on its bound; `a` is bounded.
-    #[inline]
+    #[inline(always)]
     fn passes(&mut self, a: &Signature, b: &Signature) -> bool {
         if !b.is_bounded() {
             return true;
         }
         let prefix = a.common_prefix(b);
-        let (a_len, b_len) = (a.len as usize, b.len as usize);
-        let row = (a_len * LeastShared::PREFIXES + prefix as usize) * LeastShared::LENGTHS;
-        let entry = &mut self.least[row + b_len];
-        if *entry == 0 {
-            // Bisect for the least count at which the test fails (the
-            // bound grows with the count); `most + 1` if it never does.
-            let (bound, weight, needed) = (self.bound, self.weight, self.needed);
-            let most = a.len.min(b.len);
-            let (mut least, mut end) = (0, most + 1);
-            while least < end {
-                let shared = (least + end) / 2;
-                if bound(shared, a_len, b_len, prefix) * weight < needed {
-                    least = shared + 1;
-                } else {
-                    end = shared;
+        let row = (a.len as usize * LeastShared::PREFIXES + prefix as usize) * LeastShared::LENGTHS;
+        let index = row + b.len as usize;
+        let mut entry = self.least[index];
+        if entry == 0 {
+            entry = self.find_least(a.len, b.len, prefix, index);
+        }
+        a.shared_upper(b) + 1 >= u32::from(entry)
+    }
+
+    /// Fill the memo's entry `index`, for values of `a_len` and `b_len`
+    /// bytes sharing a `prefix`, and return it: bisect for the least
+    /// count at which the test fails (the bound grows with the count),
+    /// one past the shorter length if it never does. Out of the sift loop:
+    /// a block fills a handful of entries, a run reads them millions of
+    /// times.
+    #[cold]
+    #[inline(never)]
+    fn find_least(&mut self, a_len: u32, b_len: u32, prefix: u32, index: usize) -> u8 {
+        let (bound, weight, needed) = (self.bound, self.weight, self.needed);
+        let (mut least, mut end) = (0, a_len.min(b_len) + 1);
+        while least < end {
+            let shared = (least + end) / 2;
+            if bound(shared, a_len as usize, b_len as usize, prefix) * weight < needed {
+                least = shared + 1;
+            } else {
+                end = shared;
+            }
+        }
+        self.least[index] = 1 + least as u8;
+        self.least[index]
+    }
+
+    /// Sift `run` into `out` (at least `run.len()` long): every local is
+    /// written, the cursor moves past the survivors only (branch-free
+    /// compaction). Returns the survivors' count and the value pairs of
+    /// the dropped locals.
+    ///
+    /// Compiled twice, into [`sift`](Self::sift)'s portable loop and into
+    /// `sift_run_popcnt`: plain loops, every callee inlined but the memo's
+    /// cold fill, so that the `count_ones` of [`Signature::shared_upper`]
+    /// becomes the `popcnt` instruction where the second copy runs. (A
+    /// closure here would be a function of its own, compiled without the
+    /// feature.)
+    #[inline(always)]
+    fn sift_run(&mut self, run: LocalRun<'_>, out: &mut [u32]) -> (usize, u64) {
+        let mut counts = (0, 0);
+        match run {
+            LocalRun::Span { start, len } => {
+                for l in start..start + len {
+                    self.sift_one(as_local(l), out, &mut counts);
                 }
             }
-            *entry = 1 + least as u8;
+            LocalRun::Keyed(ids) | LocalRun::Explicit(ids) => {
+                for &l in ids {
+                    self.sift_one(l, out, &mut counts);
+                }
+            }
         }
-        a.shared_upper(b) + 1 >= u32::from(*entry)
+        counts
+    }
+
+    /// One local of [`sift_run`](Self::sift_run): write `l` at the cursor
+    /// `kept`, move it when some value pairing passes (or `l` has no value),
+    /// else add its value pairs to `exits`.
+    #[inline(always)]
+    fn sift_one(&mut self, l: u32, out: &mut [u32], (kept, exits): &mut (usize, u64)) {
+        let values = self.rights.of(l as usize);
+        let mut survives = values.is_empty();
+        for a in self.lefts {
+            for b in values {
+                survives |= self.passes(a, b);
+            }
+        }
+        out[*kept] = l;
+        *kept += usize::from(survives);
+        *exits += u64::from(!survives) * (self.lefts.len() * values.len()) as u64;
+    }
+
+    /// [`sift_run`](Self::sift_run) with the `popcnt` instruction enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn sift_run_popcnt(&mut self, run: LocalRun<'_>, out: &mut [u32]) -> (usize, u64) {
+        self.sift_run(run, out)
+    }
+
+    /// [`sift_run`](Self::sift_run) in its `popcnt` copy when `popcnt`
+    /// proves the instruction is there, in its portable one otherwise.
+    #[allow(unsafe_code)]
+    fn sift(&mut self, run: LocalRun<'_>, out: &mut [u32], popcnt: Option<Popcnt>) -> (usize, u64) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(Popcnt(())) = popcnt {
+            // SAFETY: a `Popcnt` is only made by `Popcnt::detect`, after
+            // `is_x86_feature_detected!("popcnt")` found the instruction on
+            // this CPU — the one feature `sift_run_popcnt` enables.
+            return unsafe { self.sift_run_popcnt(run, out) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = popcnt;
+        self.sift_run(run, out)
+    }
+}
+
+/// Proof that the CPU running this process has the `popcnt` instruction:
+/// made only by [`Popcnt::detect`]. A [`CompiledComparator`] holds one
+/// where it was found, and its run prefilter then takes the sift loop
+/// compiled for it.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Popcnt(());
+
+impl Popcnt {
+    /// `Some` when the running CPU has `popcnt` (never off `x86_64`).
+    fn detect() -> Option<Popcnt> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            return Some(Popcnt(()));
+        }
+        None
     }
 }
 
@@ -683,6 +784,12 @@ impl CompiledComparator<'_> {
     /// when one of its left values has no signature, or when the comparator
     /// filters nothing.
     ///
+    /// The sift loop is compiled twice, portable and with the `popcnt`
+    /// instruction (the two popcounts of [`Signature::shared_upper`] are
+    /// most of a value pair's work); which one runs was decided once, when
+    /// the comparator was compiled, by asking the CPU. The two are one
+    /// source and keep the same locals.
+    ///
     /// Counts each value pair of a dropped local in `scratch`'s
     /// `signature_exits` and, being bound exits, in `bound_exits`.
     pub fn survivors(
@@ -698,27 +805,8 @@ impl CompiledComparator<'_> {
             out.extend(run.iter().map(as_local));
             return;
         };
-        // Branch-free compaction: every local is written, the cursor moves
-        // past the survivors only.
         out.resize(run.len(), 0);
-        let (mut kept, mut exits) = (0usize, 0u64);
-        let (lefts, rights) = (filter.lefts, filter.rights);
-        let sift = |l: u32| {
-            let values = rights.of(l as usize);
-            let mut survives = values.is_empty();
-            for a in lefts {
-                for b in values {
-                    survives |= filter.passes(a, b);
-                }
-            }
-            out[kept] = l;
-            kept += usize::from(survives);
-            exits += u64::from(!survives) * (lefts.len() * values.len()) as u64;
-        };
-        match run {
-            LocalRun::Span { start, len } => (start..start + len).map(as_local).for_each(sift),
-            LocalRun::Keyed(ids) | LocalRun::Explicit(ids) => ids.iter().copied().for_each(sift),
-        }
+        let (kept, exits) = filter.sift(run, out, self.popcnt);
         out.truncate(kept);
         scratch.signature_exits += exits;
         scratch.bound_exits += exits;
@@ -1476,6 +1564,68 @@ mod tests {
         compiled.hoist_left(&e, 1, &mut hoist);
         compiled.survivors(&mut hoist, &l, span, &mut scratch, &mut survivors);
         assert_eq!(survivors, [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11]);
+    }
+
+    /// The run prefilter's two compilations of one sift loop keep the same
+    /// locals and count the same exits, from a cold memo and from the warm
+    /// one they leave, and fill the memo alike: over spans, keyed and
+    /// explicit runs of the fixture's single- and multi-valued locals, the
+    /// valueless one, and right values that are poisoned (non-ASCII) or
+    /// unbounded (over 64 bytes). The `popcnt` loop runs only where the
+    /// CPU has the instruction; the portable one always — on `x86_64` this
+    /// is the only test that reaches it.
+    #[test]
+    fn both_sift_loops_agree() {
+        let (e, l) = filter_fixture();
+        let reversed: Vec<u32> = (0..l.len() as u32).rev().collect();
+        let keyed = [1, 6, 7, 8, 9, 10, 11];
+        let runs = [
+            LocalRun::Span {
+                start: 0,
+                len: l.len(),
+            },
+            LocalRun::Span { start: 5, len: 7 },
+            LocalRun::Span { start: 3, len: 0 },
+            LocalRun::Keyed(&keyed),
+            LocalRun::Explicit(&reversed),
+        ];
+        let popcnt = Popcnt::detect();
+        let jw = SimilarityMeasure::JaroWinkler;
+        let mut dropped = 0;
+        for cmp in [
+            RecordComparator::single(EXT_PN, LOC_PN, jw).with_thresholds(0.95, 0.9),
+            RecordComparator::single(EXT_PN, LOC_PN, jw).with_thresholds(0.95, 0.4),
+            RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::Levenshtein)
+                .with_thresholds(0.95, 0.4),
+            two_rules(jw, (8.0, 0.5)).with_thresholds(0.95, 0.9),
+        ] {
+            let compiled = cmp.compile(&e, &l);
+            for run in runs {
+                let sift = |hoist: &mut LeftHoist<'_>, popcnt| {
+                    let mut filter = compiled.run_filter(hoist, &l).expect("left 1 filters");
+                    let mut out = vec![u32::MAX; run.len()];
+                    let (kept, exits) = filter.sift(run, &mut out, popcnt);
+                    out.truncate(kept);
+                    (out, kept, exits)
+                };
+                let (mut portable, mut hardware) = (LeftHoist::new(), LeftHoist::new());
+                compiled.hoist_left(&e, 1, &mut portable);
+                compiled.hoist_left(&e, 1, &mut hardware);
+                for memo in ["cold", "warm"] {
+                    let want = sift(&mut portable, None);
+                    if popcnt.is_some() {
+                        assert_eq!(sift(&mut hardware, popcnt), want, "{memo} memo, {cmp:?}");
+                        let memos = [&portable, &hardware].map(|h| &h.least_shared.entries);
+                        assert_eq!(memos[0], memos[1], "{memo} memo, {cmp:?}");
+                    }
+                    dropped += run.len() - want.1;
+                }
+            }
+        }
+        assert!(
+            dropped > 0,
+            "the sift loops dropped nothing: the guard would be vacuous"
+        );
     }
 
     #[test]

@@ -91,7 +91,10 @@
 //! assert_eq!(result.matches.len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block, in the comparator's run prefilter: the call of the
+// sift loop compiled with `popcnt`, after the CPU was asked for it.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod blocking;

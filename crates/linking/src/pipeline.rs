@@ -556,7 +556,9 @@ pub(crate) fn score_shard<'e>(
 /// prefilter ([`CompiledComparator::survivors`]) then reads the part
 /// straight off the span or id-slice encoding and keeps the locals two
 /// signatures cannot reject — about one in ten of a standard block under
-/// `jw95` — and only those reach the detail-free
+/// `jw95`, in the sift loop compiled with `popcnt` where the comparator
+/// found the instruction, the portable one elsewhere — and only those
+/// reach the detail-free
 /// [`CompiledComparator::score_hoisted`], which decides every pair it is
 /// given exactly. No id is bounds-checked against the stores on the way:
 /// the sink asserted every id against the stores it was reset for, and the

@@ -10,13 +10,15 @@
 //! [`jaro_winkler_bound`](super::jaro::jaro_winkler_bound)). It is
 //! obtained in two tiers, the cheaper one first:
 //!
-//! 1. **Signature** ([`Signature`]): 24 bytes per value — which of 64
-//!    symbol classes occur, which occur at least twice, the length and the
-//!    first four bytes — computed once per value (the local side's as a
-//!    derived column of the store, the external side's by
+//! 1. **Signature** ([`Signature`]): 32 bytes per value — which of 64
+//!    symbol classes occur, which occur at least twice, the length, the
+//!    length's *excess* over those two counts and the first four bytes —
+//!    computed once per value (the local side's as a derived column of the
+//!    store, the external side's by
 //!    [`CompiledComparator::hoist_left`](crate::comparator::CompiledComparator::hoist_left)).
 //!    Two signatures give an **upper bound on `m`**
-//!    ([`Signature::shared_upper`]) and the exact Winkler prefix
+//!    ([`Signature::shared_upper`]: two popcounts of the classes both hold,
+//!    on top of the smaller excess) and the exact Winkler prefix
 //!    ([`Signature::common_prefix`]) from a handful of word operations and
 //!    no value byte; the comparator's run prefilter rejects most pairs of a
 //!    candidate block on them alone.
@@ -82,7 +84,8 @@ pub fn shared_symbols(table: &SymbolTable, b: &str) -> Option<u32> {
 /// without reading it. Byte `c` belongs to class `c & 63`, so the 128 ASCII
 /// symbols fold onto 64 classes (`'0'` and `'p'` share one); a value that
 /// is not ASCII is **poisoned** and bounds nothing, as [`symbol_masks`]
-/// returning `None`.
+/// returning `None`. 32 bytes: two words, three `u32`s and the padding
+/// that aligns the next signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Signature {
     /// Bit `k` set iff some byte of class `k` occurs.
@@ -94,6 +97,10 @@ pub struct Signature {
     /// Byte length; [`Self::POISON`] for a value that is not ASCII (or
     /// whose length does not fit).
     pub(crate) len: u32,
+    /// `len − popcnt(present) − popcnt(repeated)`: the bytes no class
+    /// bit accounts for. It never underflows — a class present takes one
+    /// byte, a class repeated at least one more. 0 when poisoned.
+    excess: u32,
 }
 
 impl Signature {
@@ -105,6 +112,7 @@ impl Signature {
         repeated: 0,
         prefix: 0,
         len: Self::POISON,
+        excess: 0,
     };
 
     /// `value`'s signature: one pass over its bytes.
@@ -127,6 +135,7 @@ impl Signature {
                 repeated,
                 prefix,
                 len,
+                excess: len - present.count_ones() - repeated.count_ones(),
             },
             _ => Self::POISONED,
         }
@@ -139,6 +148,7 @@ impl Signature {
 
     /// `true` when the signature is of an ASCII value of at most
     /// [`SIGNATURE_MAX_LEN`] bytes — what the prefilter's table covers.
+    #[inline(always)]
     pub fn is_bounded(&self) -> bool {
         self.len as usize <= SIGNATURE_MAX_LEN
     }
@@ -154,19 +164,23 @@ impl Signature {
     /// the intersection is at most the smaller. Folding symbols onto classes
     /// and saturating counts at two only ever pairs *more* — the bound
     /// loosens, it never breaks.
-    #[inline]
+    ///
+    /// Computed in two popcounts: since `popcnt(x & !y) = popcnt(x) −
+    /// popcnt(x & y)`, each side's count is its `excess` plus the classes
+    /// both sides hold once and twice, a term the two sides share — so the
+    /// smaller side is the one of smaller excess.
+    #[inline(always)]
     pub fn shared_upper(&self, other: &Signature) -> u32 {
-        let unpaired = |a: &Signature, b: &Signature| {
-            (a.present & !b.present).count_ones() + (a.repeated & !b.repeated).count_ones()
-        };
-        (self.len - unpaired(self, other)).min(other.len - unpaired(other, self))
+        self.excess.min(other.excess)
+            + (self.present & other.present).count_ones()
+            + (self.repeated & other.repeated).count_ones()
     }
 
     /// The number of leading symbols the two values share, at most 4 — the
     /// prefix Winkler's boost counts
     /// ([`common_prefix`](super::jaro::common_prefix)). Neither side may be
     /// poisoned.
-    #[inline]
+    #[inline(always)]
     pub fn common_prefix(&self, other: &Signature) -> u32 {
         // Equal zero padding is not a shared symbol: cap by both lengths.
         ((self.prefix ^ other.prefix).trailing_zeros() / 8)

@@ -225,18 +225,50 @@ fn signature_bound(a: &str, b: &str) -> Option<(u32, u32)> {
     both.then(|| (sa.shared_upper(&sb), sa.common_prefix(&sb)))
 }
 
+/// The signature's cap in its four-popcount form, from the two ASCII
+/// values' bytes: per side, its length less the classes it holds that the
+/// other lacks and the classes it repeats that the other does not; the
+/// smaller side. `Signature::shared_upper` computes it in two popcounts
+/// from each side's excess, `len − popcnt(present) − popcnt(repeated)`;
+/// this asserts on the way that the excess never underflows.
+fn four_popcount_upper(a: &str, b: &str) -> u32 {
+    let classes = |s: &str| {
+        let (mut present, mut repeated) = (0u64, 0u64);
+        for c in s.bytes() {
+            let class = 1u64 << (c & 63);
+            repeated |= present & class;
+            present |= class;
+        }
+        let len = u32::try_from(s.len()).expect("a test value fits a u32");
+        let excess = len.checked_sub(present.count_ones() + repeated.count_ones());
+        assert!(excess.is_some(), "the excess of {s:?} underflows");
+        (present, repeated, len)
+    };
+    let ((pa, ra, la), (pb, rb, lb)) = (classes(a), classes(b));
+    let unpaired = |p: u64, r: u64, q: u64, t: u64| (p & !q).count_ones() + (r & !t).count_ones();
+    (la - unpaired(pa, ra, pb, rb)).min(lb - unpaired(pb, rb, pa, ra))
+}
+
+/// Assert that the two-popcount cap of two ASCII values is the
+/// four-popcount one, bit for bit.
+fn assert_two_popcount_form(a: &str, b: &str) {
+    let cap = Signature::of(a).shared_upper(&Signature::of(b));
+    assert_eq!(cap, four_popcount_upper(a, b), "({a:?}, {b:?})");
+}
+
 /// Assert that the signature tier never undercuts the exact count: its cap
-/// is at least the multiset intersection (and what `shared_symbols`
-/// counts, where that has a table), at most the shorter length, the same
-/// from either side; its prefix is the one Winkler boosts; and fed to the
-/// bound formulas it still bounds every kernel. Returns whether the pair
-/// has signatures.
+/// is the four-popcount form's, at least the multiset intersection (and
+/// what `shared_symbols` counts, where that has a table), at most the
+/// shorter length, the same from either side; its prefix is the one
+/// Winkler boosts; and fed to the bound formulas it still bounds every
+/// kernel. Returns whether the pair has signatures.
 fn assert_signature_never_undercuts(scratch: &mut SimScratch, a: &str, b: &str) -> bool {
     let Some((cap, prefix)) = signature_bound(a, b) else {
         assert!(!a.is_ascii() || !b.is_ascii(), "({a:?}, {b:?})");
         return false;
     };
     assert!(a.is_ascii() && b.is_ascii(), "({a:?}, {b:?})");
+    assert_two_popcount_form(a, b);
     assert!(
         cap as usize >= multiset_intersection(a, b),
         "cap {cap} undercuts the count on ({a:?}, {b:?})"
@@ -529,6 +561,35 @@ fn ascii_and_unicode_paths_agree_on_the_boundary() {
     ] {
         assert_kernels_match(&mut scratch, a, b);
         assert_score_matches_naive(&mut scratch, a, b);
+    }
+}
+
+/// The two-popcount cap equals the four-popcount one on every pair of
+/// three-letter strings of at most five letters, at the lengths around the
+/// table's edge and past a byte's range, and on values whose symbols all
+/// fold onto one or two classes (`'0'` / `'p'`, `'-'` / `'m'`).
+#[test]
+fn the_two_popcount_cap_is_the_four_popcount_one() {
+    let strings = three_letter_strings(5);
+    for a in &strings {
+        for b in &strings {
+            assert_two_popcount_form(a, b);
+        }
+    }
+    let ascii: String = (' '..='~').cycle().take(300).collect();
+    let mut values = Vec::new();
+    for len in [0usize, 1, 63, 64, 65, 300] {
+        values.push(ascii[..len].to_string());
+        values.push(ascii[300 - len..].to_string());
+        values.push("x".repeat(len));
+        values.push("0p".repeat(len).split_off(len));
+        values.push("0p-m".repeat(len).split_off(3 * len));
+        values.push(format!("CRCW{}", "0805".repeat(len))[..len].to_string());
+    }
+    for a in &values {
+        for b in &values {
+            assert_two_popcount_form(a, b);
+        }
     }
 }
 
