@@ -10,11 +10,12 @@ use crate::config::LearnerConfig;
 use crate::learner::LearnOutcome;
 use crate::rule::ClassificationRule;
 use classilink_ontology::ClassId;
-use classilink_segment::{Normalizer, SegmenterKind};
+use classilink_segment::{Normalizer, Segmenter, SegmenterKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// A predicted class for one external item, with the evidence behind it.
+/// A predicted class for one external item, scored by the best rule that
+/// concluded it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Prediction {
     /// The predicted class.
@@ -25,9 +26,6 @@ pub struct Prediction {
     pub confidence: f64,
     /// Lift of the best rule that fired for this class.
     pub lift: f64,
-    /// The segments (with their property) that triggered rules for this
-    /// class, as `(property IRI, segment)` pairs.
-    pub evidence: Vec<(String, String)>,
 }
 
 /// A classifier built from learnt rules.
@@ -89,8 +87,9 @@ impl RuleClassifier {
     }
 
     /// Classify an external item given as borrowed `(property IRI, value)`
-    /// facts — what a columnar record store's `facts(e)` yields: no property
-    /// or value is cloned unless a rule actually fires (evidence strings).
+    /// facts — what a columnar record store's `facts(e)` yields. Each value
+    /// is normalised into one buffer and its segments are looked up as
+    /// borrowed slices: nothing is allocated per segment.
     ///
     /// Returns one prediction per class that at least one rule concluded,
     /// ranked by confidence then lift (the paper's subspace ordering).
@@ -98,45 +97,38 @@ impl RuleClassifier {
         &self,
         facts: impl IntoIterator<Item = (&'f str, &'f str)>,
     ) -> Vec<Prediction> {
-        // Segment each value exactly as the learner did; the segmenter is
-        // built once per call, not once per fact.
-        let segmenter = self.segmenter.build();
-        let segments_of = |value: &str| segmenter.split_distinct(&Normalizer.apply(value));
-        // class → (best rule index, evidence)
-        let mut per_class: HashMap<ClassId, (usize, Vec<(String, String)>)> = HashMap::new();
+        // class → best rule index. A segment repeated in a value re-fires
+        // rules whose best is already kept, so segments need no dedup.
+        let mut best_of: HashMap<ClassId, usize> = HashMap::new();
+        let segmenter = &self.segmenter;
+        let mut normalised = String::new();
         for (property, value) in facts {
             let Some(segment_index) = self.index.get(property) else {
                 continue;
             };
-            for segment in segments_of(value) {
-                let Some(rule_indexes) = segment_index.get(segment.as_str()) else {
-                    continue;
+            Normalizer.apply_into(value, &mut normalised);
+            segmenter.for_each_segment(&normalised, &mut |segment| {
+                let Some(rule_indexes) = segment_index.get(segment) else {
+                    return;
                 };
                 for &ri in rule_indexes {
-                    let rule = &self.rules[ri];
-                    let entry = per_class
-                        .entry(rule.class)
-                        .or_insert_with(|| (ri, Vec::new()));
+                    let best = best_of.entry(self.rules[ri].class).or_insert(ri);
                     // Keep the best-ranked rule as the representative.
-                    if self.rules[entry.0].ranking_cmp(rule).is_gt() {
-                        entry.0 = ri;
+                    if self.rules[*best].ranking_cmp(&self.rules[ri]).is_gt() {
+                        *best = ri;
                     }
-                    entry.1.push((property.to_string(), segment.clone()));
                 }
-            }
+            });
         }
-        let mut predictions: Vec<Prediction> = per_class
+        let mut predictions: Vec<Prediction> = best_of
             .into_iter()
-            .map(|(class, (best, mut evidence))| {
-                evidence.sort();
-                evidence.dedup();
+            .map(|(class, best)| {
                 let rule = &self.rules[best];
                 Prediction {
                     class,
                     class_iri: rule.class_iri.clone(),
                     confidence: rule.confidence(),
                     lift: rule.lift(),
-                    evidence,
                 }
             })
             .collect();
@@ -211,8 +203,6 @@ mod tests {
         assert_eq!(preds[0].confidence, 1.0);
         assert_eq!(preds[1].class, ClassId(2));
         assert!((preds[1].confidence - 0.6).abs() < 1e-12);
-        // Class 1 evidence contains both the "ohm" and "63v" segments.
-        assert_eq!(preds[0].evidence.len(), 2);
     }
 
     #[test]

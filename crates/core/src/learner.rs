@@ -118,13 +118,14 @@ pub(crate) struct CountTable {
 
 impl CountTable {
     /// Segment every considered value of `training` once and fill the
-    /// premise columns and class rows.
+    /// premise columns and class rows. Each value is normalised into one
+    /// buffer and its segments are interned as borrowed slices.
     pub(crate) fn build(training: &TrainingSet, config: &LearnerConfig) -> Result<Self> {
         config.validate()?;
         if training.is_empty() {
             return Err(CoreError::EmptyTrainingSet);
         }
-        let segmenter = config.segmenter.build();
+        let segmenter = &config.segmenter;
         let mut table = CountTable {
             examples: training.len(),
             properties: Vec::new(),
@@ -133,6 +134,7 @@ impl CountTable {
             rows: Vec::new(),
         };
         let mut premise_of: HashMap<(u32, SegmentId), usize> = HashMap::new();
+        let mut normalised = String::new();
         for (id, example) in (0u32..).zip(training.examples()) {
             for (prop, value) in &example.facts {
                 if !config.properties.includes(prop) {
@@ -146,8 +148,9 @@ impl CountTable {
                         properties.push(prop.clone());
                         properties.len() - 1
                     }) as u32;
-                for segment in segmenter.split(&Normalizer.apply(value)) {
-                    let key = (property, table.segments.intern(&segment));
+                Normalizer.apply_into(value, &mut normalised);
+                segmenter.for_each_segment(&normalised, &mut |segment| {
+                    let key = (property, table.segments.intern(segment));
                     let index = *premise_of.entry(key).or_insert(table.premises.len());
                     if index == table.premises.len() {
                         table.premises.push((key, Vec::new()));
@@ -158,7 +161,7 @@ impl CountTable {
                     if column.last() != Some(&id) {
                         column.push(id);
                     }
-                }
+                });
             }
             for class in &example.classes {
                 table.row_mut(class.index())[id as usize / 64] |= 1 << (id % 64);

@@ -330,6 +330,7 @@ pub fn generate(config: &ScenarioConfig) -> GeneratedScenario {
 mod tests {
     use super::*;
     use classilink_core::{CoreError, LearnerConfig, RuleLearner};
+    use std::hash::Hasher;
 
     /// A digest of what `generate` writes: both stores' records in order
     /// (facts in interning order, so the property ids are pinned too), the
@@ -338,16 +339,8 @@ mod tests {
     /// form, a class as its index — so the digest moves only when the
     /// generator's output does, never with a `Debug` rendering.
     fn fingerprint(scenario: &GeneratedScenario) -> u64 {
-        use std::hash::Hasher;
         let mut hasher = twox_hash::XxHash64::with_seed(0);
-        // 0xFF and 0xFE never occur in UTF-8: they end a field and a line.
-        let mut line = |fields: &[String]| {
-            for field in fields {
-                hasher.write(field.as_bytes());
-                hasher.write(&[0xFF]);
-            }
-            hasher.write(&[0xFE]);
-        };
+        let mut line = |fields: &[String]| hash_line(&mut hasher, fields);
         let classes = |classes: &[ClassId]| -> Vec<String> {
             classes.iter().map(|c| c.index().to_string()).collect()
         };
@@ -380,6 +373,16 @@ mod tests {
         hasher.finish()
     }
 
+    /// Hash one line of fields into `hasher`, each field as its own bytes.
+    /// 0xFF and 0xFE never occur in UTF-8: they end a field and a line.
+    fn hash_line(hasher: &mut twox_hash::XxHash64, fields: &[String]) {
+        for field in fields {
+            hasher.write(field.as_bytes());
+            hasher.write(&[0xFF]);
+        }
+        hasher.write(&[0xFE]);
+    }
+
     /// The presets are what every recorded figure of the workspace was
     /// measured on: a change to the generator must leave them unmoved.
     #[test]
@@ -388,6 +391,115 @@ mod tests {
         assert_eq!(tiny, 0x8f1a_571b_f086_8a14, "{tiny:#018x}");
         let small = fingerprint(&generate(&ScenarioConfig::small()));
         assert_eq!(small, 0xc1c7_ab05_bcdf_87f5, "{small:#018x}");
+    }
+
+    /// A digest of what the learner makes of a scenario under `config` and
+    /// of what the classifier built from it predicts: every rule's
+    /// property, segment, class and four counts, every `LearnStats` field,
+    /// then every external item's predicted classes with their confidence
+    /// bits, in record order. Hashed field by field, like [`fingerprint`].
+    fn learned(scenario: &GeneratedScenario, config: &LearnerConfig) -> u64 {
+        use classilink_core::RuleClassifier;
+        let outcome = RuleLearner::new(config.clone())
+            .learn(&scenario.training, &scenario.ontology)
+            .unwrap();
+        let mut hasher = twox_hash::XxHash64::with_seed(0);
+        let mut line = |fields: &[String]| hash_line(&mut hasher, fields);
+        for rule in &outcome.rules {
+            let c = rule.quality.counts;
+            line(&[rule.property.clone(), rule.segment.clone()]);
+            line(
+                &[
+                    rule.class.index() as u64,
+                    c.n,
+                    c.premise,
+                    c.conclusion,
+                    c.both,
+                ]
+                .map(|x| x.to_string()),
+            );
+        }
+        let s = &outcome.stats;
+        line(
+            &[
+                s.examples,
+                s.properties,
+                s.distinct_segments,
+                s.segment_occurrences as usize,
+                s.selected_segment_occurrences as usize,
+                s.frequent_pairs,
+                s.frequent_classes,
+                s.observed_classes,
+                s.rules,
+                s.classes_with_rules,
+            ]
+            .map(|x| x.to_string()),
+        );
+        let classifier = RuleClassifier::from_outcome(&outcome, config);
+        let external = scenario.external_store();
+        for record in 0..external.len() {
+            let predictions = classifier.classify_fact_refs(external.facts(record));
+            let fields: Vec<String> = predictions
+                .iter()
+                .flat_map(|p| [p.class.index() as u64, p.confidence.to_bits()])
+                .map(|x| x.to_string())
+                .collect();
+            line(&fields);
+        }
+        hasher.finish()
+    }
+
+    /// Every recorded learner and classifier figure rests on what the
+    /// presets learn: a change to the segmenters, the normalisation, the
+    /// learner or the classifier must leave these digests unmoved. Six
+    /// segmenters on the part number alone, then the separator on every
+    /// property.
+    #[test]
+    fn the_learner_learns_what_it_always_has() {
+        use classilink_core::PropertySelection;
+        use classilink_segment::SegmenterKind;
+        let part_number = LearnerConfig::paper()
+            .with_properties(PropertySelection::single(vocab::PROVIDER_PART_NUMBER));
+        let configs: Vec<LearnerConfig> = [
+            SegmenterKind::Separator,
+            SegmenterKind::Whitespace,
+            SegmenterKind::AlphaNumTransition,
+            SegmenterKind::CharNGram(3),
+            SegmenterKind::PaddedBigram,
+            SegmenterKind::WordNGram(2),
+        ]
+        .into_iter()
+        .map(|kind| part_number.clone().with_segmenter(kind))
+        .chain([LearnerConfig::paper().with_properties(PropertySelection::All)])
+        .collect();
+        let digests: Vec<Vec<u64>> = [ScenarioConfig::tiny(), ScenarioConfig::small()]
+            .iter()
+            .map(|preset| {
+                let scenario = generate(preset);
+                configs.iter().map(|c| learned(&scenario, c)).collect()
+            })
+            .collect();
+        let expected: [[u64; 7]; 2] = [
+            [
+                0xa42e_1838_0cc7_0d27,
+                0x671c_6af6_4ebf_1fac,
+                0x0790_6642_7e14_c496,
+                0xaf86_ce80_3689_896b,
+                0xd9ce_e7c9_33a8_a1cc,
+                0x9a37_0e12_c6cd_dd27,
+                0x8a9f_31c7_f585_e019,
+            ],
+            [
+                0x44ff_90cb_ff9c_abe2,
+                0x17c6_8af3_5b49_42ab,
+                0xbc4c_4f98_f751_572e,
+                0xe258_db50_0353_7087,
+                0x9914_61af_6e2d_b49c,
+                0xe9d9_1012_0752_5315,
+                0x66ed_a397_86a1_5381,
+            ],
+        ];
+        assert_eq!(digests, expected, "{digests:#018x?}");
     }
 
     /// The two front doors agree: the catalog, written out one N-Triples

@@ -55,7 +55,9 @@ pub enum SimilarityMeasure {
     Jaro,
     /// Jaro-Winkler similarity (prefix-boosted Jaro).
     JaroWinkler,
-    /// Jaccard similarity over whitespace tokens.
+    /// Jaccard similarity over alphanumeric tokens: the value normalised
+    /// (lowercased, accents folded) and split on non-alphanumerics, the
+    /// learner's segmentation.
     JaccardTokens,
     /// Jaccard similarity over character bigrams.
     JaccardChars,

@@ -8,6 +8,7 @@
 //! part of the supported API surface and are hidden from the docs; use
 //! the public functions in [`crate::similarity`] instead.
 
+use classilink_segment::{Normalizer, Segmenter, SeparatorSegmenter};
 use std::collections::HashSet;
 
 /// Reference Levenshtein distance: full char decode, fresh DP rows.
@@ -142,11 +143,17 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     base + prefix * 0.1 * (1.0 - base)
 }
 
-/// Reference Jaccard over lower-cased alphanumeric tokens, built with
+/// The token measures' tokens, owned: the normalised value's separator
+/// segments in order, duplicates kept.
+fn tokens(s: &str) -> Vec<String> {
+    SeparatorSegmenter::non_alphanumeric().split(&Normalizer.apply(s))
+}
+
+/// Reference Jaccard over normalised alphanumeric tokens, built with
 /// per-pair `HashSet<String>`s.
 pub fn jaccard_tokens(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = super::token::tokens(a).into_iter().collect();
-    let sb: HashSet<String> = super::token::tokens(b).into_iter().collect();
+    let sa: HashSet<String> = tokens(a).into_iter().collect();
+    let sb: HashSet<String> = tokens(b).into_iter().collect();
     if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }
@@ -194,8 +201,8 @@ pub fn dice_bigrams(a: &str, b: &str) -> f64 {
 /// Reference Monge-Elkan: fresh token vectors, naive Jaro-Winkler per
 /// token pair.
 pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    let ta = super::token::tokens(a);
-    let tb = super::token::tokens(b);
+    let ta = tokens(a);
+    let tb = tokens(b);
     if ta.is_empty() && tb.is_empty() {
         return 1.0;
     }

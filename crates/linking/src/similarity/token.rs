@@ -2,8 +2,11 @@
 //!
 //! # Tokenisation and bigram conventions
 //!
-//! All token measures share one tokenisation: split on non-alphanumeric
-//! characters, drop empty fragments, lowercase each token.
+//! All token measures share one tokenisation, the learner's: the value is
+//! normalised by `classilink_segment::Normalizer` (lowercased, accents
+//! folded, whitespace collapsed) and split by its `SeparatorSegmenter` on
+//! non-alphanumeric characters, empty fragments dropped — so `"Würth"`
+//! and `"wurth"` are one token.
 //!
 //! All character-bigram measures share one **short-string convention**:
 //! bigrams are adjacent pairs of the *lowercased*
@@ -24,15 +27,6 @@ use crate::token_index::{
     dice_bigrams_kernel, jaccard_bigrams_kernel, jaccard_tokens_kernel, monge_elkan_kernel,
     TokenTable, ValueTokens,
 };
-
-/// The shared tokenisation: lowercased alphanumeric runs, in order of
-/// appearance (duplicates preserved).
-pub(crate) fn tokens(s: &str) -> Vec<String> {
-    s.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(|t| t.to_lowercase())
-        .collect()
-}
 
 /// Adjacent scalar-value pairs of the lowercased string — the shared
 /// bigram alphabet of [`char_bigrams`] and the token-index kernels.
@@ -76,7 +70,8 @@ fn pair_kernel(
     kernel(&table.value_tokens(0, a), &table.value_tokens(1, b))
 }
 
-/// Jaccard similarity over lower-cased alphanumeric tokens.
+/// Jaccard similarity over normalised alphanumeric tokens (see the
+/// [module docs](self)).
 pub fn jaccard_tokens(a: &str, b: &str) -> f64 {
     pair_kernel(a, b, jaccard_tokens_kernel)
 }
@@ -116,6 +111,12 @@ mod tests {
         assert!((jaccard_tokens("fixed film resistor", "film capacitor") - 0.25).abs() < 1e-12);
         assert_eq!(jaccard_tokens("", ""), 1.0);
         assert_eq!(jaccard_tokens("abc", ""), 0.0);
+        // Accents fold the way the learner folds them.
+        assert_eq!(jaccard_tokens("Würth", "wurth"), 1.0);
+        assert_eq!(
+            jaccard_tokens("Résistance à couche", "resistance-a-couche"),
+            1.0
+        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! processed once, yielding
 //!
 //! * its tokens as dense ids into the table's own token arena, in
-//!   appearance order (Monge-Elkan walks these),
+//!   appearance order (Monge-Elkan walks these): the learner's split,
+//!   `Normalizer` into one buffer then the `SeparatorSegmenter`'s borrowed
+//!   slices, so accents fold and a token is owned only once per table,
 //! * the same ids **sorted by token text and deduplicated** (the set
 //!   measures intersect these with a branch-light sorted merge), and
 //! * its character bigrams packed into `u64`s (two scalar values), sorted
@@ -23,9 +25,10 @@
 //! resolution. Tokenisation and the bigram short-string convention are
 //! shared verbatim with the per-pair `HashSet` references of
 //! `similarity::naive` (see [`crate::similarity::token`]), which keeps the
-//! kernels bit-identical to them. The public one-pair functions of
-//! [`crate::similarity::token`] run these same kernels on a two-value
-//! table.
+//! kernels bit-identical to them. Bigrams are not segments: they are read
+//! off the raw value, lowercased scalar by scalar, accents kept. The
+//! public one-pair functions of [`crate::similarity::token`] run these
+//! same kernels on a two-value table.
 //!
 //! A linkage rule names the properties it compares, so a store tokenises
 //! only those: a column's table is built on its first use by the store's
@@ -45,8 +48,9 @@
 use crate::blocking::KeySide;
 use crate::similarity::jaro::jaro_winkler_with;
 use crate::similarity::scratch::SimScratch;
-use crate::similarity::token::{bigram_pairs, lowercase_eq, tokens};
+use crate::similarity::token::{bigram_pairs, lowercase_eq};
 use crate::store::RecordStore;
+use classilink_segment::{Normalizer, Segmenter, SeparatorSegmenter};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -61,7 +65,7 @@ pub(crate) fn pack_bigram(a: char, b: char) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
-/// Distinct lowercased tokens of one table, concatenated.
+/// Distinct normalised tokens of one table, concatenated.
 #[derive(Debug, Clone)]
 struct TokenArena {
     text: String,
@@ -127,20 +131,25 @@ impl TokenTable {
             bigrams: Vec::new(),
             bigram_offsets: vec![0],
         };
-        // The interning map lives only as long as the build.
+        // The interning map lives only as long as the build; a token is
+        // owned by it only the first time it is seen.
         let mut ids: HashMap<String, u32> = HashMap::new();
+        let mut normalised = String::new();
         let mut scratch_ids: Vec<u32> = Vec::new();
         for value in values {
             let start = table.appear.len();
-            for token in tokens(value) {
-                let arena = &mut table.arena;
-                let id = *ids.entry(token).or_insert_with_key(|token| {
+            Normalizer.apply_into(value, &mut normalised);
+            SeparatorSegmenter::non_alphanumeric().for_each_segment(&normalised, &mut |token| {
+                let id = ids.get(token).copied().unwrap_or_else(|| {
+                    let arena = &mut table.arena;
                     arena.text.push_str(token);
                     arena.bounds.push(offset(arena.text.len()));
-                    offset(arena.bounds.len() - 2)
+                    let id = offset(arena.bounds.len() - 2);
+                    ids.insert(token.to_string(), id);
+                    id
                 });
                 table.appear.push(id);
-            }
+            });
             table.appear_offsets.push(offset(table.appear.len()));
 
             // Sorted-unique view: order by token text so merges against
@@ -912,6 +921,36 @@ mod tests {
         assert_eq!(first, second);
         let tokens = sa.token_table(pn).unwrap().value_tokens(0, "");
         assert_eq!((tokens.appear.len(), tokens.sorted.len()), (4, 3));
+    }
+
+    #[test]
+    fn table_tokens_are_the_segments_of_the_normalised_value() {
+        // One split: a table tokenises exactly as the learner segments.
+        let values = [
+            ("CRCW0805-10K 5% 63V", &["crcw0805", "10k", "5", "63v"][..]),
+            ("  Vishay\tfixed--film ", &["vishay", "fixed", "film"]),
+            ("", &[]),
+            ("-- .", &[]),
+            ("café", &["cafe"]),
+            ("Würth", &["wurth"]),
+            ("STRASSE", &["strasse"]),
+            ("straße", &["straße"]),
+            ("İstanbul", &["i", "stanbul"]),
+            ("ΟΔΟΣ.Α", &["οδοσ", "α"]),
+            ("ΟΔΟΣ Α", &["οδος", "α"]),
+        ];
+        let table = TokenTable::build(values.iter().map(|(value, _)| *value));
+        let splitter = SeparatorSegmenter::non_alphanumeric();
+        for (i, (value, expected)) in values.into_iter().enumerate() {
+            let view = table.value_tokens(i, value);
+            let tokens: Vec<&str> = view.appear.iter().map(|&t| view.arena.token(t)).collect();
+            assert_eq!(
+                tokens,
+                splitter.split(&Normalizer.apply(value)),
+                "{value:?}"
+            );
+            assert_eq!(tokens, expected, "{value:?}");
+        }
     }
 
     #[test]

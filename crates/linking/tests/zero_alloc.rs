@@ -353,6 +353,41 @@ fn rule_blocker_resolves_a_shared_extent_once_per_call() {
     );
 }
 
+/// What one warm `classify_fact_refs` call allocates on `part_number`,
+/// which must fire exactly one class.
+fn classification_allocations(classifier: &RuleClassifier, part_number: &str) -> u64 {
+    let facts = [(EXT_PN, part_number)];
+    classifier.classify_fact_refs(facts);
+    let before = allocations();
+    let predictions = classifier.classify_fact_refs(facts);
+    let allocated = allocations() - before;
+    assert_eq!(predictions.len(), 1, "{part_number:?}");
+    allocated
+}
+
+#[test]
+fn classification_allocations_do_not_scale_with_segments() {
+    // The value is split into borrowed segments: the eight segments that
+    // fire no rule cost nothing beyond the one the rule needs.
+    let classifier = RuleClassifier::new(
+        vec![ClassificationRule {
+            property: EXT_PN.to_string(),
+            segment: "crcw0805".to_string(),
+            class: classilink_ontology::ClassId(0),
+            class_iri: "http://e.org/c#FixedFilmResistor".to_string(),
+            class_label: "FixedFilmResistor".to_string(),
+            quality: Contingency::new(100, 10, 20, 10).quality(),
+        }],
+        SegmenterKind::Separator,
+    );
+    let one = classification_allocations(&classifier, "CRCW0805");
+    let nine = classification_allocations(&classifier, "CRCW0805-10K 1% 63V-T1.A2/B3_X9:Z7");
+    assert_eq!(
+        one, nine,
+        "classifying a 1-segment part number allocated {one} times, a 9-segment one {nine}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // The serving layer: warm `Linker::probe_with` calls.
 // ---------------------------------------------------------------------

@@ -23,52 +23,30 @@ impl AlphaNumSegmenter {
     pub fn new() -> Self {
         AlphaNumSegmenter
     }
-
-    fn split_token(&self, token: &str, out: &mut Vec<String>) {
-        out.push(token.to_string());
-        let mut current = String::new();
-        let mut current_is_digit: Option<bool> = None;
-        let mut pieces = Vec::new();
-        for c in token.chars() {
-            let is_digit = c.is_numeric();
-            match current_is_digit {
-                Some(prev) if prev == is_digit => current.push(c),
-                Some(_) => {
-                    pieces.push(std::mem::take(&mut current));
-                    current.push(c);
-                    current_is_digit = Some(is_digit);
-                }
-                None => {
-                    current.push(c);
-                    current_is_digit = Some(is_digit);
-                }
-            }
-        }
-        if !current.is_empty() {
-            pieces.push(current);
-        }
-        // If the token did not actually contain a transition, the single
-        // piece equals the compound token — avoid emitting it twice.
-        if pieces.len() > 1 {
-            out.extend(pieces);
-        }
-    }
 }
 
 impl Segmenter for AlphaNumSegmenter {
-    fn split(&self, value: &str) -> Vec<String> {
-        let mut out = Vec::new();
+    fn for_each_segment(&self, value: &str, visit: &mut dyn FnMut(&str)) {
         for token in value.split(|c: char| !c.is_alphanumeric()) {
-            if token.is_empty() {
+            let mut chars = token.char_indices();
+            let Some((_, first)) = chars.next() else {
                 continue;
+            };
+            visit(token);
+            // The pieces between digit/non-digit transitions, each a slice
+            // of the token. A token without a transition is one piece equal
+            // to itself: it is not emitted twice.
+            let (mut start, mut digit) = (0, first.is_numeric());
+            for (i, c) in chars {
+                if c.is_numeric() != digit {
+                    visit(&token[start..i]);
+                    (start, digit) = (i, !digit);
+                }
             }
-            self.split_token(token, &mut out);
+            if start > 0 {
+                visit(&token[start..]);
+            }
         }
-        out
-    }
-
-    fn name(&self) -> &'static str {
-        "alphanum-transition"
     }
 }
 
@@ -112,11 +90,6 @@ mod tests {
         let s = AlphaNumSegmenter::new();
         assert!(s.split("").is_empty());
         assert!(s.split("-- . --").is_empty());
-    }
-
-    #[test]
-    fn segmenter_name() {
-        assert_eq!(AlphaNumSegmenter::new().name(), "alphanum-transition");
     }
 
     proptest! {

@@ -10,7 +10,15 @@
 //! split into segments "is specified by a domain expert. One can use
 //! separation characters (e.g., ':', '-', ';', ' ') or n-grams."
 //!
-//! This crate provides those splitters plus supporting machinery:
+//! This crate owns the workspace's only split of a value: [`Normalizer`]
+//! folds it (into a reused buffer, [`Normalizer::apply_into`]), then a
+//! [`Segmenter`] lends its segments one by one to
+//! [`Segmenter::for_each_segment`] — slices of the value wherever they are
+//! one. The rule learner and the rule classifier (`classilink-core`) split
+//! through their configured [`SegmenterKind`]; the comparator's token
+//! tables (`classilink-linking`) tokenise with the [`SeparatorSegmenter`],
+//! so a token and a learnt segment are the same string. `split` and
+//! `split_distinct` return owned segments, for reports and tests.
 //!
 //! * [`separator`] — split on separator characters (the paper's evaluation
 //!   splits part numbers "using non-alphabetical and non-numerical
@@ -21,7 +29,7 @@
 //! * [`normalize`] — the one normalization applied before segmentation:
 //!   case folding, accent stripping, whitespace collapsing.
 //! * [`pipeline`] — the [`Segmenter`] trait and the serialisable
-//!   [`SegmenterKind`] configuration.
+//!   [`SegmenterKind`] configuration, itself a segmenter.
 //! * [`dictionary`] — segment interning (the paper reports 7 842 distinct
 //!   segments for its data set).
 //!

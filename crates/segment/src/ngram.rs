@@ -35,32 +35,21 @@ impl CharNGramSegmenter {
 }
 
 impl Segmenter for CharNGramSegmenter {
-    fn split(&self, value: &str) -> Vec<String> {
-        let mut chars: Vec<char> = Vec::new();
-        if self.padded {
-            chars.extend(std::iter::repeat_n('#', self.n - 1));
-        }
-        chars.extend(value.chars());
-        if self.padded {
-            chars.extend(std::iter::repeat_n('#', self.n - 1));
-        }
-        if chars.len() < self.n {
-            // A value shorter than n yields itself (if non-empty) so that no
-            // information is silently lost.
-            return if value.is_empty() {
-                Vec::new()
-            } else {
-                vec![value.to_string()]
-            };
-        }
-        chars
-            .windows(self.n)
-            .map(|w| w.iter().collect::<String>())
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "char-ngram"
+    fn for_each_segment(&self, value: &str, visit: &mut dyn FnMut(&str)) {
+        let padded;
+        let text = if self.padded {
+            let pad = "#".repeat(self.n - 1);
+            padded = format!("{pad}{value}{pad}");
+            &padded
+        } else {
+            value
+        };
+        // Gram `i` runs from the start of scalar `i` to the start of scalar
+        // `i + n` (or the end). A text shorter than `n` has one end and so
+        // yields itself, if non-empty: no information is silently lost.
+        let bounds = || text.char_indices().map(|(i, _)| i);
+        let ends = bounds().skip(self.n).chain([text.len()]);
+        bounds().zip(ends).for_each(|(a, b)| visit(&text[a..b]));
     }
 }
 
@@ -80,19 +69,18 @@ impl WordNGramSegmenter {
 }
 
 impl Segmenter for WordNGramSegmenter {
-    fn split(&self, value: &str) -> Vec<String> {
+    fn for_each_segment(&self, value: &str, visit: &mut dyn FnMut(&str)) {
         let words: Vec<&str> = value.split_whitespace().collect();
-        if words.is_empty() {
-            return Vec::new();
+        // Fewer words than `n`: the one gram is all of them (none if none).
+        let mut gram = String::new();
+        for window in words.windows(self.n.min(words.len()).max(1)) {
+            gram.clear();
+            for word in window {
+                gram.push_str(word);
+                gram.push(' ');
+            }
+            visit(&gram[..gram.len() - 1]);
         }
-        if words.len() < self.n {
-            return vec![words.join(" ")];
-        }
-        words.windows(self.n).map(|w| w.join(" ")).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "word-ngram"
     }
 }
 
@@ -163,12 +151,6 @@ mod tests {
         assert_eq!(w3.split("Copacabana Beach"), vec!["Copacabana Beach"]);
         assert!(w3.split("   ").is_empty());
         assert!(w3.split("").is_empty());
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(CharNGramSegmenter::new(2).name(), "char-ngram");
-        assert_eq!(WordNGramSegmenter::new(1).name(), "word-ngram");
     }
 
     proptest! {

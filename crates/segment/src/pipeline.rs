@@ -1,4 +1,4 @@
-//! The [`Segmenter`] trait and composition helpers.
+//! The [`Segmenter`] trait and the [`SegmenterKind`] configuration.
 //!
 //! The paper leaves the choice of the `split` function to a domain expert:
 //! "The way a value is split into segments is specified by a domain expert.
@@ -14,15 +14,22 @@ use serde::{Deserialize, Serialize};
 
 /// Splits a property value into segments.
 pub trait Segmenter: Send + Sync {
-    /// Split `value` into segments. Segments may repeat; the caller decides
-    /// whether occurrences or distinct segments matter.
-    fn split(&self, value: &str) -> Vec<String>;
+    /// Hand every segment of `value` to `visit`, in order; segments may
+    /// repeat. A segment is borrowed for the one call — a slice of `value`
+    /// wherever it is one — so a caller that looks segments up or interns
+    /// them allocates nothing per segment.
+    fn for_each_segment(&self, value: &str, visit: &mut dyn FnMut(&str));
 
-    /// A short, stable name for reports and benchmarks.
-    fn name(&self) -> &'static str;
+    /// The segments of `value` as owned strings, in order; segments may
+    /// repeat. The caller decides whether occurrences or distinct segments
+    /// matter.
+    fn split(&self, value: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        self.for_each_segment(value, &mut |segment| out.push(segment.to_string()));
+        out
+    }
 
-    /// Split and deduplicate, preserving first-occurrence order. This is the
-    /// operation used when building the `subsegment(Y, a)` facts: the paper's
+    /// Split and deduplicate, preserving first-occurrence order. The paper's
     /// `subsegment` predicate only expresses that a segment "occurs at least
     /// one time in the value".
     fn split_distinct(&self, value: &str) -> Vec<String> {
@@ -34,7 +41,8 @@ pub trait Segmenter: Send + Sync {
     }
 }
 
-/// A serialisable choice of segmentation strategy.
+/// A serialisable choice of segmentation strategy. It segments by itself:
+/// the learner and the classifier split through their configured kind.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SegmenterKind {
     /// Split on non-alphanumeric separators (the paper's default).
@@ -53,16 +61,9 @@ pub enum SegmenterKind {
 }
 
 impl SegmenterKind {
-    /// Instantiate the segmenter described by this configuration.
+    /// This configuration as a boxed segmenter.
     pub fn build(&self) -> Box<dyn Segmenter> {
-        match self {
-            SegmenterKind::Separator => Box::new(SeparatorSegmenter::non_alphanumeric()),
-            SegmenterKind::Whitespace => Box::new(SeparatorSegmenter::whitespace()),
-            SegmenterKind::AlphaNumTransition => Box::new(AlphaNumSegmenter::new()),
-            SegmenterKind::CharNGram(n) => Box::new(CharNGramSegmenter::new(*n)),
-            SegmenterKind::PaddedBigram => Box::new(CharNGramSegmenter::padded_bigrams()),
-            SegmenterKind::WordNGram(n) => Box::new(WordNGramSegmenter::new(*n)),
-        }
+        Box::new(self.clone())
     }
 
     /// A short, stable name for reports.
@@ -78,13 +79,17 @@ impl SegmenterKind {
     }
 }
 
-impl Segmenter for Box<dyn Segmenter> {
-    fn split(&self, value: &str) -> Vec<String> {
-        self.as_ref().split(value)
-    }
-
-    fn name(&self) -> &'static str {
-        self.as_ref().name()
+impl Segmenter for SegmenterKind {
+    fn for_each_segment(&self, value: &str, visit: &mut dyn FnMut(&str)) {
+        let segmenter: &dyn Segmenter = match self {
+            SegmenterKind::Separator => &SeparatorSegmenter::non_alphanumeric(),
+            SegmenterKind::Whitespace => &SeparatorSegmenter::whitespace(),
+            SegmenterKind::AlphaNumTransition => &AlphaNumSegmenter,
+            SegmenterKind::CharNGram(n) => &CharNGramSegmenter::new(*n),
+            SegmenterKind::PaddedBigram => &CharNGramSegmenter::padded_bigrams(),
+            SegmenterKind::WordNGram(n) => &WordNGramSegmenter::new(*n),
+        };
+        segmenter.for_each_segment(value, visit)
     }
 }
 
@@ -144,7 +149,6 @@ mod tests {
     fn boxed_segmenter_delegates() {
         let boxed: Box<dyn Segmenter> = SegmenterKind::Separator.build();
         assert_eq!(boxed.split("a-b"), vec!["a", "b"]);
-        assert_eq!(boxed.name(), "separator");
         assert_eq!(boxed.split_distinct("a-a"), vec!["a"]);
     }
 }

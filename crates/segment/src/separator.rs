@@ -6,7 +6,8 @@
 //! > (e.g. space, '-', '.', ...)."
 //!
 //! [`SeparatorSegmenter`] splits a value on a class of separator characters
-//! and discards empty pieces.
+//! and discards empty pieces; every segment is a slice of the value. On a
+//! normalised value it is also the comparator's tokenisation.
 
 use crate::pipeline::Segmenter;
 use serde::{Deserialize, Serialize};
@@ -61,16 +62,11 @@ impl Default for SeparatorSegmenter {
 }
 
 impl Segmenter for SeparatorSegmenter {
-    fn split(&self, value: &str) -> Vec<String> {
+    fn for_each_segment(&self, value: &str, visit: &mut dyn FnMut(&str)) {
         value
             .split(|c| self.class.is_separator(c))
             .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "separator"
+            .for_each(visit);
     }
 }
 
@@ -114,11 +110,6 @@ mod tests {
             s.split("résistance—à_couche"),
             vec!["résistance", "à", "couche"]
         );
-    }
-
-    #[test]
-    fn segmenter_name() {
-        assert_eq!(SeparatorSegmenter::default().name(), "separator");
     }
 
     proptest! {
