@@ -12,6 +12,18 @@
 //! parser and the columns, so a multi-GB feed columnarises into shards as
 //! it arrives while the transient state is bounded by one statement.
 //!
+//! The readers lend each triple's terms from the statement text
+//! ([`TripleRef`]), so the ingest copies only what a store keeps: a
+//! subject is compared with the open record's id in place and becomes a
+//! [`Term`](classilink_rdf::Term) only when it opens a record, and a
+//! value is copied straight into its column. A fed record therefore costs
+//! **one allocation**, its id, beyond the amortised growth of the id list
+//! and the columns. What else allocates: an escaped literal's unescaped
+//! copy, one string per Turtle prefixed name expanded, and a property's
+//! first sight in a shard (see
+//! [`RecordStoreBuilder::push_value`](crate::store::RecordStoreBuilder::push_value)).
+//! `tests/zero_alloc.rs` holds the budget.
+//!
 //! ```
 //! use classilink_linking::ingest::FeedIngest;
 //! use classilink_linking::intern::SchemaInterner;
@@ -30,7 +42,7 @@
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::SchemaInterner;
 use crate::shard::{ShardedStore, ShardedStoreBuilder};
-use classilink_rdf::{NTriplesStreamer, Term, TurtleStreamer};
+use classilink_rdf::{NTriplesStreamer, TripleRef, TurtleStreamer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Which syntax a byte feed is in.
@@ -63,13 +75,16 @@ enum FeedStreamer {
 /// opened last opens the next record, so a subject that re-appears
 /// later starts a *second* record; dedup is the feeder's job. Only
 /// IRI-predicate, literal-object triples contribute a value
-/// ([`Triple::literal_fact`](classilink_rdf::Triple::literal_fact)); any
+/// ([`TripleRef::literal_fact`], the rule of
+/// [`Triple::literal_fact`](classilink_rdf::Triple::literal_fact)); any
 /// other triple still opens its subject's record.
 ///
 /// A parse error or an ingest-site panic poisons the ingest: the error
 /// is reported, further feeding is rejected, and `try_finish` refuses to
 /// publish a store built from a partial feed — a faulted feed therefore
-/// never half-publishes a shard.
+/// never half-publishes a shard. (The values a failing Turtle statement
+/// listed before its error may have reached the columns; they are never
+/// published.)
 #[derive(Debug)]
 pub struct FeedIngest {
     streamer: FeedStreamer,
@@ -130,38 +145,33 @@ impl FeedIngest {
         self.settle(outcome)
     }
 
-    /// Drain the triples parsed so far into the shard builders.
+    /// Drain the triples parsed so far into the shard builders. The
+    /// readers lend each triple's terms: a subject is compared with the
+    /// open record's id in place and copied only when it opens a record,
+    /// and a value is copied only into its column.
     fn drain_parsed(&mut self) -> LinkResult<()> {
-        loop {
-            let parsed = match &mut self.streamer {
-                FeedStreamer::NTriples(s) => s.next_triple(),
-                FeedStreamer::Turtle(s) => s.next_triple(),
-            };
-            let mut triple = match parsed {
-                Some(Ok(triple)) => triple,
-                Some(Err(error)) => {
-                    return Err(LinkError::IngestFailed {
-                        payload: error.to_string(),
-                    })
-                }
-                None => return Ok(()),
-            };
-            if self.builder.last_id() != Some(&triple.subject) {
-                let filled = self.builder.len();
-                if filled > 0 && filled.is_multiple_of(self.records_per_shard) {
+        let (builder, records_per_shard) = (&mut self.builder, self.records_per_shard);
+        let visit = |triple: TripleRef<'_>| {
+            if builder.last_id().is_none_or(|id| triple.subject != *id) {
+                let filled = builder.len();
+                if filled > 0 && filled.is_multiple_of(records_per_shard) {
                     // The previous record filled the current shard; this
                     // one starts the next.
-                    self.builder.begin_shard();
+                    builder.begin_shard();
                 }
-                // The subject moves into the record's id; the predicate and
-                // object stay for the fact below.
-                let subject = std::mem::replace(&mut triple.subject, Term::Blank(String::new()));
-                self.builder.begin_record(subject);
+                builder.begin_record(triple.subject.reborrow().into_owned());
             }
             if let Some((property, value)) = triple.literal_fact() {
-                self.builder.push_value(property, value);
+                builder.push_value(property, value);
             }
-        }
+        };
+        let drained = match &mut self.streamer {
+            FeedStreamer::NTriples(s) => s.drain(visit),
+            FeedStreamer::Turtle(s) => s.drain(visit),
+        };
+        drained.map_err(|error| LinkError::IngestFailed {
+            payload: error.to_string(),
+        })
     }
 
     /// Map a `catch_unwind` outcome to the ingest's fault contract:
@@ -224,6 +234,7 @@ impl FeedIngest {
 mod tests {
     use super::*;
     use crate::record::Record;
+    use classilink_rdf::Term;
 
     const PN: &str = "http://e.org/v#pn";
     const MFR: &str = "http://e.org/v#mfr";

@@ -257,6 +257,8 @@ impl RecordStore {
             schema,
             ids: Vec::new(),
             columns: Vec::new(),
+            known: Vec::new(),
+            next_known: 0,
         }
     }
 
@@ -783,7 +785,18 @@ pub struct RecordStoreBuilder {
     /// One column per property seen so far, sealed up to the last record
     /// that has a value in it.
     columns: Vec<Column>,
+    /// The first [`KNOWN_PROPERTIES`] properties this builder interned,
+    /// with their ids: a feed repeats a handful of properties, and a hit
+    /// here skips the shared schema's lock and hash. The schema never
+    /// reassigns an id, so an entry cannot go stale.
+    known: Vec<(Box<str>, PropertyId)>,
+    /// Where in `known` the next lookup starts: one past the last hit, as
+    /// a feed's records list their properties in one order.
+    next_known: usize,
 }
+
+/// How many properties a [`RecordStoreBuilder`] remembers.
+const KNOWN_PROPERTIES: usize = 32;
 
 impl RecordStoreBuilder {
     /// Open the next record; the values pushed until the next call are
@@ -797,10 +810,33 @@ impl RecordStoreBuilder {
 
     /// Append one value of `property` to the record opened last, straight
     /// into its column. Panics when no record has been opened.
+    ///
+    /// The property is resolved through the ids this builder has already
+    /// interned before the shared schema is asked, so for the first
+    /// `KNOWN_PROPERTIES` (32) properties a builder sees, only a
+    /// property's first sight locks the schema or allocates.
     pub fn push_value(&mut self, property: &str, value: &str) {
         let record = self.ids.len().checked_sub(1).expect("no record is open");
-        let pid = self.schema.intern(property);
+        let pid = self.property_id(property);
         column_mut(&mut self.columns, pid).push(record, value);
+    }
+
+    /// The id of `property`: from `known` if it is there, else interned
+    /// into the shared schema (and remembered while there is room).
+    fn property_id(&mut self, property: &str) -> PropertyId {
+        let (wrapped, from_cursor) = self.known.split_at(self.next_known);
+        let hit = (from_cursor.iter().chain(wrapped))
+            .position(|(known, _)| **known == *property)
+            .map(|i| (self.next_known + i) % self.known.len());
+        if let Some(i) = hit {
+            self.next_known = (i + 1) % self.known.len();
+            return self.known[i].1;
+        }
+        let pid = self.schema.intern(property);
+        if self.known.len() < KNOWN_PROPERTIES {
+            self.known.push((property.into(), pid));
+        }
+        pid
     }
 
     /// The id of the record opened last.
@@ -1054,6 +1090,37 @@ mod tests {
         // full_text joins only this store's own values (sorted by IRI:
         // #other before #pn).
         assert_eq!(b.full_text(0), "x T83A225");
+    }
+
+    /// Past the builder's memo of known properties, in shifting orders
+    /// and interleaved with a sibling builder, every value still lands in
+    /// the column of its property's schema id.
+    #[test]
+    fn pushed_values_land_in_their_schema_columns() {
+        let schema = SchemaInterner::new();
+        let mut a = RecordStore::builder_with_schema(schema.clone());
+        let mut b = RecordStore::builder_with_schema(schema.clone());
+        let iri = |p: usize| format!("http://e.org/v#p{p}");
+        let properties = KNOWN_PROPERTIES + 9;
+        for record in 0..6 {
+            for builder in [&mut a, &mut b] {
+                builder.begin_record(Term::iri(format!("http://e.org/r{record}")));
+                for k in 0..properties {
+                    let p = (k * (record + 1) + record) % properties;
+                    builder.push_value(&iri(p), &format!("{record}:{p}"));
+                }
+            }
+        }
+        for store in [a.build(), b.build()] {
+            for p in 0..properties {
+                let id = store.property(&iri(p)).unwrap();
+                assert_eq!(Some(id), schema.get(&iri(p)));
+                for record in 0..6 {
+                    let expected = format!("{record}:{p}");
+                    assert_eq!(store.first(record, id), Some(expected.as_str()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,12 +9,17 @@
 //! is unknown. This crate reads such sources as a stream of triples; it
 //! stores none of them (the record stores of `classilink-linking` do):
 //!
-//! * [`term`] — IRIs, blank nodes, plain/typed/language-tagged literals.
-//! * [`triple`] — a statement, and the one rule
-//!   ([`Triple::literal_fact`]) that turns it into an attribute value.
+//! * [`term`] — IRIs, blank nodes, plain/typed/language-tagged literals,
+//!   owned ([`Term`]) or lent by the text they were read from
+//!   ([`TermRef`]).
+//! * [`triple`] — a statement, owned ([`Triple`]) or lent
+//!   ([`TripleRef`]), and the one rule ([`Triple::literal_fact`]) that
+//!   turns either into an attribute value.
 //! * [`ntriples`] / [`turtle`] — streaming readers for N-Triples and a
 //!   pragmatic Turtle subset (a [`Triple`]'s `Display` is its N-Triples
-//!   line).
+//!   line). Each has one path: its `drain` lends every triple of the
+//!   statements buffered so far, and `next_triple` is that path with the
+//!   terms copied out.
 //! * [`namespace`] — well-known IRIs and the Turtle prefix table.
 //!
 //! ## Quick example
@@ -49,6 +54,6 @@ pub mod turtle;
 pub use error::{RdfError, Result};
 pub use namespace::Namespaces;
 pub use ntriples::NTriplesStreamer;
-pub use term::{Literal, Term};
-pub use triple::Triple;
+pub use term::{Literal, LiteralRef, Term, TermRef};
+pub use triple::{Triple, TripleRef};
 pub use turtle::TurtleStreamer;

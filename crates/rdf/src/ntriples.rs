@@ -4,16 +4,19 @@
 //! terms written in full — exactly what a [`Triple`]'s `Display` prints, so
 //! a document written that way must read back unchanged.
 //!
-//! Two reading modes share one code path: [`NTriplesStreamer`] consumes the
-//! input as byte chunks (a multi-GB feed is parsed with memory bounded by
-//! one line plus one chunk), and the batch [`parse`] is a thin wrapper that
-//! feeds the whole document through the same streamer. The terms of a line
-//! are read by the lexer the Turtle reader uses too (`lex.rs`), so a term
-//! means the same in both syntaxes.
+//! Every reading mode shares one code path: [`NTriplesStreamer`] consumes
+//! the input as byte chunks (a multi-GB feed is parsed with memory bounded
+//! by one line plus one chunk) and lends each line's triple from its
+//! buffer ([`NTriplesStreamer::drain`]); [`NTriplesStreamer::next_triple`]
+//! copies the terms out of the same path, and the batch [`parse`] is a
+//! thin wrapper that feeds the whole document through it. The terms of a
+//! line are read by the lexer the Turtle reader uses too (`lex.rs`), so a
+//! term means the same in both syntaxes.
 
 use crate::error::Result;
-use crate::lex::{ChunkBuffer, Lexer};
-use crate::triple::Triple;
+use crate::lex::{is_blank_or_comment, line_len, ChunkBuffer, Lexer};
+use crate::term::TermRef;
+use crate::triple::{Triple, TripleRef};
 
 /// Parse a complete N-Triples document into its triples, in document
 /// order.
@@ -84,20 +87,38 @@ impl NTriplesStreamer {
         self.buf.pending().len()
     }
 
-    /// Pull the next parsed triple.
+    /// Hand every triple of the lines buffered so far to `visit`, its
+    /// terms lent by the line (see [`TripleRef`]). Stops at the first
+    /// error, which poisons the streamer: later drains hand out nothing.
+    pub fn drain(&mut self, mut visit: impl FnMut(TripleRef<'_>)) -> Result<()> {
+        while let Some(parsed) = self.next_triple_ref() {
+            visit(parsed?);
+        }
+        Ok(())
+    }
+
+    /// Pull the next parsed triple: [`drain`](Self::drain)'s path, one
+    /// triple at a time, its terms copied out.
     ///
     /// Returns `None` when every complete line fed so far has been consumed
     /// (feed more chunks, or [`finish`](Self::finish) to flush the tail).
     /// After the first `Err` the streamer is poisoned and yields `None`.
     pub fn next_triple(&mut self) -> Option<Result<Triple>> {
+        let parsed = self.next_triple_ref()?;
+        Some(parsed.map(TripleRef::into_owned))
+    }
+
+    /// The next line's triple, lent by the buffer. Blank and comment lines
+    /// are skipped on the pending bytes, before the line is taken, so the
+    /// one borrow handed out is the last thing the call does.
+    fn next_triple_ref(&mut self) -> Option<Result<TripleRef<'_>>> {
         if self.failed {
             return None;
         }
-        loop {
+        let line = loop {
             let pending = self.buf.pending();
-            let newline = pending[self.scanned..].iter().position(|&b| b == b'\n');
-            let line = match newline {
-                Some(i) => self.scanned + i + 1,
+            let line = match line_len(&pending[self.scanned..]) {
+                Some(len) => self.scanned + len,
                 None if self.buf.finished && !pending.is_empty() => pending.len(),
                 None => {
                     self.scanned = pending.len();
@@ -106,29 +127,38 @@ impl NTriplesStreamer {
             };
             self.scanned = 0;
             self.line_no += 1;
-            let parsed = match self.buf.take(line, self.line_no).map(str::trim) {
-                Ok(line) if line.is_empty() || line.starts_with('#') => continue,
-                Ok(line) => parse_line(line, self.line_no),
-                Err(error) => Err(error),
-            };
-            self.failed = parsed.is_err();
-            return Some(parsed);
-        }
+            if !is_blank_or_comment(&pending[..line]) {
+                break line;
+            }
+            self.buf.skip(line);
+        };
+        let line_no = self.line_no;
+        let parsed = self
+            .buf
+            .take(line, line_no)
+            .and_then(|line| parse_line(line.trim(), line_no));
+        self.failed = parsed.is_err();
+        Some(parsed)
     }
 }
 
-/// Parse a single N-Triples statement (without the trailing newline).
-pub fn parse_line(line: &str, line_no: usize) -> Result<Triple> {
-    let mut lex = Lexer::new(line, line_no);
-    let term = |lex: &mut Lexer| {
+/// Parse a single N-Triples statement (without the trailing newline). A
+/// comment may follow its `.`.
+pub fn parse_line(line: &str, line_no: usize) -> Result<TripleRef<'_>> {
+    fn term<'a>(lex: &mut Lexer<'a>) -> Result<TermRef<'a>> {
         lex.skip_whitespace();
         lex.term(&mut |lex| Err(lex.err("N-Triples writes every IRI in angle brackets")))
+    }
+    let mut lex = Lexer::new(line, line_no);
+    let triple = TripleRef {
+        subject: term(&mut lex)?,
+        predicate: term(&mut lex)?,
+        object: term(&mut lex)?,
     };
-    let triple = Triple::new(term(&mut lex)?, term(&mut lex)?, term(&mut lex)?);
     lex.skip_whitespace();
     lex.expect('.')?;
     lex.skip_whitespace();
-    if !lex.rest().is_empty() {
+    if !lex.rest().is_empty() && !lex.rest().starts_with('#') {
         return Err(lex.err(format!("trailing content after '.': {}", lex.rest())));
     }
     Ok(triple)
@@ -160,7 +190,7 @@ _:b0 <http://e.org/v#note> "blank subject" .
     #[test]
     fn parse_literal_with_escapes() {
         let line = r#"<http://e.org/a> <http://e.org/p> "line1\nline2 \"quoted\"" ."#;
-        let t = parse_line(line, 1).unwrap();
+        let t = parse_line(line, 1).unwrap().into_owned();
         assert_eq!(t.object.value_str(), "line1\nline2 \"quoted\"");
     }
 
@@ -182,6 +212,37 @@ _:b0 <http://e.org/v#note> "blank subject" .
     #[test]
     fn trailing_garbage_is_an_error() {
         assert!(parse_line("<http://a> <http://p> \"v\" . junk", 1).is_err());
+        assert!(parse_line("<http://a> <http://p> \"v\" . . # x", 1).is_err());
+    }
+
+    #[test]
+    fn a_comment_may_follow_the_dot() {
+        let plain = parse_line("<http://a> <http://p> \"v\" .", 1).unwrap();
+        for line in [
+            "<http://a> <http://p> \"v\" . # note",
+            "<http://a> <http://p> \"v\" .# note \"with a quote.",
+            "<http://a> <http://p> \"v\"\t.\t#",
+        ] {
+            assert_eq!(parse_line(line, 1), Ok(plain.clone()), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_malformed_unicode_escape_is_an_error_at_its_line() {
+        for literal in [
+            r#""\uZZZZx""#,
+            r#""\u12""#,
+            r#""\uDC00""#,
+            r#""\U00110000""#,
+        ] {
+            let doc = format!("<http://a> <http://p> \"v\" .\n<http://a> <http://p> {literal} .\n");
+            match parse(&doc) {
+                Err(RdfError::Parse { line: 2, .. }) => {}
+                other => panic!("{literal}: {other:?}"),
+            }
+        }
+        let t = parse_line(r#"<http://a> <http://p> "\U0001F600\b\f\'" ."#, 1).unwrap();
+        assert_eq!(t.into_owned().object.value_str(), "😀\u{8}\u{c}'");
     }
 
     #[test]
@@ -308,7 +369,7 @@ _:b0 <http://e.org/v#note> "blank subject" .
                 Term::literal(value.clone()),
             );
             let line = t.to_string();
-            let back = parse_line(&line, 1).unwrap();
+            let back = parse_line(&line, 1).unwrap().into_owned();
             prop_assert_eq!(back, t);
         }
 
@@ -317,7 +378,7 @@ _:b0 <http://e.org/v#note> "blank subject" .
         fn prop_escape_roundtrip(value in "\\PC{0,60}") {
             let escaped = escape_literal(&value);
             let back = unescape_literal(&escaped);
-            prop_assert_eq!(back, value);
+            prop_assert_eq!(back, Ok(value));
         }
     }
 }

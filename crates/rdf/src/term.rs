@@ -1,9 +1,12 @@
 //! RDF terms: IRIs, blank nodes and literals.
 //!
-//! Terms are the building blocks of triples. The representation here is
-//! deliberately simple (owned `String`s): a reader hands each triple on as
-//! it is parsed, and whoever stores it (the record stores of
-//! `classilink-linking`) interns what it keeps.
+//! Terms are the building blocks of triples, in two forms. A [`Term`]
+//! owns its strings: it is what a stored record id or a batch-parsed
+//! [`Triple`](crate::Triple) holds. A [`TermRef`] lends them from the
+//! statement text a reader is looking at; only an unescaped literal or an
+//! expanded Turtle prefixed name owns its string (a [`Cow`]). The readers
+//! lex into `TermRef`s, and whoever stores a term (the record stores of
+//! `classilink-linking`) copies what it keeps, once.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -88,37 +91,48 @@ pub fn escape_literal(s: &str) -> Cow<'_, str> {
     Cow::Owned(out)
 }
 
-/// Unescape a literal's lexical form read from N-Triples/Turtle input.
-pub fn unescape_literal(s: &str) -> String {
+/// Unescape a literal's lexical form read from N-Triples/Turtle input:
+/// `\t \b \n \r \f \" \' \\`, `\uXXXX` and `\UXXXXXXXX`. Any other
+/// escaped character is kept as written, backslash included.
+///
+/// A `\u` or `\U` without all its hex digits, or naming a surrogate or a
+/// code point past U+10FFFF, is malformed: `Err` carries the byte offset
+/// in `s` of its backslash.
+pub fn unescape_literal(s: &str) -> std::result::Result<String, usize> {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Ok(cp) = u32::from_str_radix(&hex, 16) {
-                    if let Some(ch) = char::from_u32(cp) {
-                        out.push(ch);
-                    }
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let escape = &rest[at + 1..];
+        let (decoded, len) = match escape.chars().next() {
+            Some('t') => ('\t', 1),
+            Some('b') => ('\u{8}', 1),
+            Some('n') => ('\n', 1),
+            Some('r') => ('\r', 1),
+            Some('f') => ('\u{c}', 1),
+            Some(c @ ('"' | '\'' | '\\')) => (c, 1),
+            Some(u @ ('u' | 'U')) => {
+                let digits = if u == 'u' { 4 } else { 8 };
+                let hex = escape
+                    .get(1..=digits)
+                    .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()));
+                let code = hex.and_then(|hex| u32::from_str_radix(hex, 16).ok());
+                match code.and_then(char::from_u32) {
+                    Some(c) => (c, 1 + digits),
+                    None => return Err(s.len() - rest.len() + at),
                 }
             }
             Some(other) => {
                 out.push('\\');
-                out.push(other);
+                (other, other.len_utf8())
             }
-            None => out.push('\\'),
-        }
+            None => ('\\', 0),
+        };
+        out.push(decoded);
+        rest = &escape[len..];
     }
-    out
+    out.push_str(rest);
+    Ok(out)
 }
 
 /// An RDF term: IRI, blank node or literal.
@@ -156,6 +170,14 @@ impl Term {
         }
     }
 
+    /// The lexical form if this term is a literal.
+    pub(crate) fn literal_value(&self) -> Option<&str> {
+        match self {
+            Term::Literal(l) => Some(&l.value),
+            _ => None,
+        }
+    }
+
     /// The lexical value for literals, the IRI for IRIs, the label for blanks.
     pub fn value_str(&self) -> &str {
         match self {
@@ -179,6 +201,94 @@ impl fmt::Display for Term {
 impl From<Literal> for Term {
     fn from(l: Literal) -> Self {
         Term::Literal(l)
+    }
+}
+
+/// A literal whose strings are lent by the text it was read from (see
+/// [`TermRef`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiteralRef<'a> {
+    /// The lexical form: owned only when it held an escape.
+    pub value: Cow<'a, str>,
+    /// Optional language tag (mutually exclusive with `datatype`).
+    pub language: Option<&'a str>,
+    /// Optional datatype IRI: owned only when written as a Turtle
+    /// prefixed name.
+    pub datatype: Option<Cow<'a, str>>,
+}
+
+/// A [`Term`] whose strings are lent by the statement text it was read
+/// from: what the readers lex, and what a
+/// [`TripleRef`](crate::TripleRef) holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TermRef<'a> {
+    /// An IRI, without angle brackets: owned only when expanded from a
+    /// Turtle prefixed name.
+    Iri(Cow<'a, str>),
+    /// A blank node label, without the leading `_:`.
+    Blank(&'a str),
+    /// A literal value.
+    Literal(LiteralRef<'a>),
+}
+
+impl TermRef<'_> {
+    /// The owned term: copies what is lent, moves what is owned.
+    pub fn into_owned(self) -> Term {
+        match self {
+            TermRef::Iri(iri) => Term::Iri(iri.into_owned()),
+            TermRef::Blank(label) => Term::Blank(label.to_string()),
+            TermRef::Literal(literal) => Term::Literal(Literal {
+                value: literal.value.into_owned(),
+                language: literal.language.map(str::to_string),
+                datatype: literal.datatype.map(Cow::into_owned),
+            }),
+        }
+    }
+
+    /// The same term, lending what this one owns (no copy).
+    pub fn reborrow(&self) -> TermRef<'_> {
+        match self {
+            TermRef::Iri(iri) => TermRef::Iri(Cow::Borrowed(iri)),
+            TermRef::Blank(label) => TermRef::Blank(label),
+            TermRef::Literal(literal) => TermRef::Literal(LiteralRef {
+                value: Cow::Borrowed(&literal.value),
+                language: literal.language,
+                datatype: literal.datatype.as_deref().map(Cow::Borrowed),
+            }),
+        }
+    }
+
+    /// The IRI string if this term is an IRI.
+    pub fn as_iri(&self) -> Option<&str> {
+        match self {
+            TermRef::Iri(iri) => Some(iri),
+            _ => None,
+        }
+    }
+
+    /// The lexical form if this term is a literal.
+    pub(crate) fn literal_value(&self) -> Option<&str> {
+        match self {
+            TermRef::Literal(literal) => Some(&literal.value),
+            _ => None,
+        }
+    }
+}
+
+/// Equal when [`into_owned`](TermRef::into_owned) would give `other`,
+/// compared in place.
+impl PartialEq<Term> for TermRef<'_> {
+    fn eq(&self, other: &Term) -> bool {
+        match (self, other) {
+            (TermRef::Iri(a), Term::Iri(b)) => a == b,
+            (TermRef::Blank(a), Term::Blank(b)) => a == b,
+            (TermRef::Literal(a), Term::Literal(b)) => {
+                a.value == b.value
+                    && a.language == b.language.as_deref()
+                    && a.datatype.as_deref() == b.datatype.as_deref()
+            }
+            _ => false,
+        }
     }
 }
 
@@ -213,7 +323,7 @@ mod tests {
         let escaped = escape_literal(original);
         assert!(!escaped.contains('\n'));
         let back = unescape_literal(&escaped);
-        assert_eq!(back, original);
+        assert_eq!(back.as_deref(), Ok(original));
     }
 
     #[test]
@@ -226,12 +336,59 @@ mod tests {
 
     #[test]
     fn unescape_unicode_escape() {
-        assert_eq!(unescape_literal("caf\\u00e9"), "café");
+        assert_eq!(unescape_literal("caf\\u00e9").as_deref(), Ok("café"));
+        assert_eq!(unescape_literal("\\U0001F600!").as_deref(), Ok("😀!"));
     }
 
     #[test]
-    fn unescape_trailing_backslash_is_kept() {
-        assert_eq!(unescape_literal("x\\"), "x\\");
+    fn every_escape_of_the_grammar_decodes() {
+        let decoded = unescape_literal(r#"\t\b\n\r\f\"\'\\"#);
+        assert_eq!(decoded.as_deref(), Ok("\t\u{8}\n\r\u{c}\"'\\"));
+    }
+
+    #[test]
+    fn unescape_keeps_what_the_grammar_does_not_name() {
+        assert_eq!(unescape_literal("x\\").as_deref(), Ok("x\\"));
+        assert_eq!(unescape_literal("\\x\\Ω").as_deref(), Ok("\\x\\Ω"));
+    }
+
+    #[test]
+    fn a_malformed_unicode_escape_is_refused_where_it_starts() {
+        for (escaped, at) in [
+            ("ab\\uZZZZx", 2),
+            ("\\u12", 0),
+            ("é\\u+123", 2),
+            ("\\uD800", 0),
+            ("\\U00110000", 0),
+            ("\\U0041", 0),
+            ("\\n\\u00é9", 2),
+        ] {
+            assert_eq!(unescape_literal(escaped), Err(at), "{escaped}");
+        }
+    }
+
+    #[test]
+    fn a_term_ref_equals_the_term_it_owns_into() {
+        let lent = [
+            TermRef::Iri(Cow::Borrowed("http://e.org/a")),
+            TermRef::Blank("b0"),
+            TermRef::Literal(LiteralRef {
+                value: Cow::Owned("v".to_string()),
+                language: Some("en"),
+                datatype: None,
+            }),
+            TermRef::Literal(LiteralRef {
+                value: Cow::Borrowed("42"),
+                language: None,
+                datatype: Some(Cow::Borrowed("http://e.org/int")),
+            }),
+        ];
+        for (i, a) in lent.iter().enumerate() {
+            assert_eq!(a.reborrow(), *a);
+            for (j, b) in lent.iter().enumerate() {
+                assert_eq!(*a == b.clone().into_owned(), i == j, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

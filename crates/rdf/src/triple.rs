@@ -1,6 +1,6 @@
 //! Triples: the atomic statements of an RDF graph.
 
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -49,11 +49,45 @@ impl Triple {
     /// Every reader that turns triples into records or facts goes through
     /// this one rule.
     pub fn literal_fact(&self) -> Option<(&str, &str)> {
-        match (&self.predicate, &self.object) {
-            (Term::Iri(predicate), Term::Literal(literal)) => Some((predicate, &literal.value)),
-            _ => None,
-        }
+        literal_fact(self.predicate.as_iri(), self.object.literal_value())
     }
+}
+
+/// A [`Triple`] whose terms are lent by the statement text it was read
+/// from: what the readers' borrowed drains hand out.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TripleRef<'a> {
+    /// The subject of the statement.
+    pub subject: TermRef<'a>,
+    /// The predicate (property) of the statement.
+    pub predicate: TermRef<'a>,
+    /// The object (value) of the statement.
+    pub object: TermRef<'a>,
+}
+
+impl TripleRef<'_> {
+    /// The owned triple (see [`TermRef::into_owned`]).
+    pub fn into_owned(self) -> Triple {
+        Triple::new(
+            self.subject.into_owned(),
+            self.predicate.into_owned(),
+            self.object.into_owned(),
+        )
+    }
+
+    /// [`Triple::literal_fact`] of the owned triple, read in place.
+    pub fn literal_fact(&self) -> Option<(&str, &str)> {
+        literal_fact(self.predicate.as_iri(), self.object.literal_value())
+    }
+}
+
+/// The rule both triple forms go through: an IRI predicate and a literal
+/// object make a fact.
+fn literal_fact<'t>(
+    predicate_iri: Option<&'t str>,
+    literal_value: Option<&'t str>,
+) -> Option<(&'t str, &'t str)> {
+    predicate_iri.zip(literal_value)
 }
 
 impl fmt::Display for Triple {
@@ -106,6 +140,32 @@ mod tests {
             Term::literal("10K"),
         );
         assert_eq!(blank_predicate.literal_fact(), None);
+    }
+
+    #[test]
+    fn a_lent_triple_has_the_fact_of_the_triple_it_owns_into() {
+        let doc = "<http://e.org/a> <http://e.org/p> \"10\\tK\"@en .\n\
+                   <http://e.org/a> <http://e.org/p> <http://e.org/o> .\n\
+                   _:b <http://e.org/p> \"42\"^^<http://e.org/int> .\n";
+        let mut streamer = crate::NTriplesStreamer::new();
+        streamer.feed(doc.as_bytes());
+        streamer.finish();
+        let mut facts = Vec::new();
+        streamer
+            .drain(|triple| {
+                let fact = triple
+                    .literal_fact()
+                    .map(|(p, v)| (p.to_string(), v.to_string()));
+                let owned = triple.into_owned();
+                let owned_fact = owned
+                    .literal_fact()
+                    .map(|(p, v)| (p.to_string(), v.to_string()));
+                assert_eq!(fact, owned_fact);
+                facts.push(fact);
+            })
+            .unwrap();
+        let fact = |v: &str| Some(("http://e.org/p".to_string(), v.to_string()));
+        assert_eq!(facts, vec![fact("10\tK"), None, fact("42")]);
     }
 
     #[test]

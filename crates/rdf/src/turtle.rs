@@ -13,18 +13,21 @@
 //! blank node property lists `[...]`, RDF collections `(...)`, numeric or
 //! boolean literal shorthand, `@base`.
 //!
-//! Two reading modes share one code path, as in [`crate::ntriples`]: the
-//! batch [`parse`] feeds the whole document through [`TurtleStreamer`]. IRI
-//! refs, blank nodes and literals are read by the lexer the N-Triples reader
-//! uses too (`lex.rs`); this module adds what only Turtle has.
+//! Every reading mode shares one code path, as in [`crate::ntriples`]:
+//! [`TurtleStreamer::drain`] lends each statement's triples to a visitor
+//! as they are read, [`TurtleStreamer::next_triple`] copies them out of the
+//! same path, and the batch [`parse`] feeds the whole document through it.
+//! IRI refs, blank nodes and literals are read by the lexer the N-Triples
+//! reader uses too (`lex.rs`); this module adds what only Turtle has.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use crate::error::{RdfError, Result};
 use crate::lex::{ChunkBuffer, Lexer};
 use crate::namespace::Namespaces;
-use crate::term::Term;
-use crate::triple::Triple;
+use crate::term::TermRef;
+use crate::triple::{Triple, TripleRef};
 
 /// Parse a Turtle document (subset, see module docs) into its triples, in
 /// document order, and its prefix declarations.
@@ -75,6 +78,8 @@ pub struct TurtleStreamer {
     /// 1-based line of the first unconsumed byte (for error reporting).
     line: usize,
     namespaces: Namespaces,
+    /// What `next_triple` has copied out of a statement and not yet
+    /// returned.
     pending: VecDeque<Triple>,
     failed: bool,
 }
@@ -122,7 +127,21 @@ impl TurtleStreamer {
         self.namespaces
     }
 
-    /// Pull the next parsed triple.
+    /// Hand every triple of the statements buffered so far to `visit`,
+    /// its terms lent by the statement text (see [`TripleRef`]). Stops at
+    /// the first error, which poisons the streamer: later drains hand out
+    /// nothing. The triples of the failed statement read before its error
+    /// have been handed out.
+    pub fn drain(&mut self, mut visit: impl FnMut(TripleRef<'_>)) -> Result<()> {
+        while let Some(parsed) = self.next_statement_with(&mut visit) {
+            parsed?;
+        }
+        Ok(())
+    }
+
+    /// Pull the next parsed triple: [`drain`](Self::drain)'s path, one
+    /// statement at a time, its triples copied out and queued. Nothing of
+    /// a statement that fails is emitted.
     ///
     /// Returns `None` when every complete statement fed so far has been
     /// consumed (feed more chunks, or [`finish`](Self::finish) to flush the
@@ -133,29 +152,42 @@ impl TurtleStreamer {
             if let Some(triple) = self.pending.pop_front() {
                 return Some(Ok(triple));
             }
-            if self.failed {
-                return None;
-            }
-            let statement = self.next_statement()?;
-            self.scanned = 0;
-            let parsed = self.buf.take(statement, self.line).and_then(|text| {
-                let parser = Parser {
-                    lex: Lexer::new(text, self.line),
-                    namespaces: &mut self.namespaces,
-                    triples: &mut self.pending,
-                };
-                parser.parse_single()
-            });
-            match parsed {
-                Ok(line) => self.line = line,
-                Err(error) => {
-                    // Nothing of a statement that failed is emitted.
-                    self.pending.clear();
-                    self.failed = true;
-                    return Some(Err(error));
-                }
+            let mut pending = std::mem::take(&mut self.pending);
+            let parsed = self.next_statement_with(&mut |t| pending.push_back(t.into_owned()));
+            self.pending = pending;
+            if let Err(error) = parsed? {
+                self.pending.clear();
+                return Some(Err(error));
             }
         }
+    }
+
+    /// Parse the next complete statement, handing its triples to `visit`
+    /// as they are read; `None` when no complete statement is buffered or
+    /// the streamer is poisoned.
+    fn next_statement_with(&mut self, visit: &mut impl FnMut(TripleRef<'_>)) -> Option<Result<()>> {
+        if self.failed {
+            return None;
+        }
+        let statement = self.next_statement()?;
+        self.scanned = 0;
+        let parsed = self.buf.take(statement, self.line).and_then(|text| {
+            let parser = Parser {
+                lex: Lexer::new(text, self.line),
+                namespaces: &mut self.namespaces,
+            };
+            parser.parse_single(visit)
+        });
+        Some(match parsed {
+            Ok(line) => {
+                self.line = line;
+                Ok(())
+            }
+            Err(error) => {
+                self.failed = true;
+                Err(error)
+            }
+        })
     }
 
     /// Length of the next statement, if all of it is buffered. It ends
@@ -211,24 +243,24 @@ impl TurtleStreamer {
 }
 
 /// Parses one directive or triple statement: what Turtle adds to the shared
-/// terminals, read into the streamer's prefix table and triple queue.
-struct Parser<'a> {
+/// terminals, read into the streamer's prefix table and handed triple by
+/// triple to a visitor.
+struct Parser<'a, 'n> {
     lex: Lexer<'a>,
-    namespaces: &'a mut Namespaces,
-    triples: &'a mut VecDeque<Triple>,
+    namespaces: &'n mut Namespaces,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a, '_> {
     /// Parse at most one statement (or `@prefix` directive) and require the
     /// input to hold nothing else. Whitespace/comment-only input is fine.
     /// Returns the line the input ends on.
-    fn parse_single(mut self) -> Result<usize> {
+    fn parse_single(mut self, visit: &mut impl FnMut(TripleRef<'_>)) -> Result<usize> {
         self.skip_ws_and_comments();
         if !self.lex.rest().is_empty() {
             if self.keyword("@prefix") {
                 self.parse_prefix()?;
             } else {
-                self.parse_statement()?;
+                self.parse_statement(visit)?;
             }
             self.skip_ws_and_comments();
             if !self.lex.rest().is_empty() {
@@ -269,21 +301,26 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn parse_statement(&mut self) -> Result<()> {
+    /// The subject and each predicate are read once; every triple of the
+    /// statement lends them to the visitor.
+    fn parse_statement(&mut self, visit: &mut impl FnMut(TripleRef<'_>)) -> Result<()> {
         let subject = self.parse_term()?;
         loop {
             self.skip_ws_and_comments();
             // `a` is only the rdf:type keyword as a word of its own.
             let predicate = if self.keyword("a") {
-                Term::iri(crate::namespace::vocab::RDF_TYPE)
+                TermRef::Iri(Cow::Borrowed(crate::namespace::vocab::RDF_TYPE))
             } else {
                 self.parse_term()?
             };
             loop {
                 self.skip_ws_and_comments();
                 let object = self.parse_term()?;
-                self.triples
-                    .push_back(Triple::new(subject.clone(), predicate.clone(), object));
+                visit(TripleRef {
+                    subject: subject.reborrow(),
+                    predicate: predicate.reborrow(),
+                    object,
+                });
                 self.skip_ws_and_comments();
                 if !self.lex.eat(',') {
                     break;
@@ -306,14 +343,15 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_term(&mut self) -> Result<Term> {
+    fn parse_term(&mut self) -> Result<TermRef<'a>> {
         let namespaces = &*self.namespaces;
         self.lex.term(&mut |lex| prefixed_name(lex, namespaces))
     }
 }
 
-/// `prefix:local`, expanded through `namespaces`.
-fn prefixed_name(lex: &mut Lexer, namespaces: &Namespaces) -> Result<String> {
+/// `prefix:local`, expanded through `namespaces` into the one string a
+/// prefixed name costs.
+fn prefixed_name<'a>(lex: &mut Lexer<'a>, namespaces: &Namespaces) -> Result<Cow<'a, str>> {
     let name = lex.take_while(|c| c.is_alphanumeric() || matches!(c, ':' | '_' | '-' | '.'));
     // A trailing '.' belongs to the statement terminator, not the name.
     let trimmed = name.trim_end_matches('.');
@@ -322,7 +360,7 @@ fn prefixed_name(lex: &mut Lexer, namespaces: &Namespaces) -> Result<String> {
         .split_once(':')
         .ok_or_else(|| lex.err(format!("expected prefixed name, found '{trimmed}'")))?;
     match namespaces.get(prefix) {
-        Some(ns) => Ok(format!("{ns}{local}")),
+        Some(ns) => Ok(Cow::Owned([ns, local].concat())),
         None => Err(RdfError::UnknownPrefix(prefix.to_string())),
     }
 }
@@ -331,7 +369,7 @@ fn prefixed_name(lex: &mut Lexer, namespaces: &Namespaces) -> Result<String> {
 mod tests {
     use super::*;
     use crate::namespace::vocab;
-    use crate::term::Literal;
+    use crate::term::{Literal, Term};
 
     const DOC: &str = r#"
 @prefix ex: <http://example.org/vocab#> .

@@ -13,8 +13,8 @@ const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
 
 /// One statement, every choice taken from the bits of `seed`: the shape of
 /// subject and object, the characters `escape_literal` has an escape for,
-/// non-ASCII next to the quotes, the spacing, the line ending, and a
-/// comment or blank line in front.
+/// non-ASCII next to the quotes, the spacing, the line ending, a comment
+/// or blank line in front, and a comment after the `.`.
 fn statement(seed: u64, text: &str) -> (Triple, String) {
     let bit = |n: u32| seed >> n & 1 == 1;
     let iri = |n: u64| Term::iri(format!("http://e.org/Ω/{}", n % 50));
@@ -62,6 +62,11 @@ fn statement(seed: u64, text: &str) -> (Triple, String) {
             triple.object.to_string().as_str(),
             before_dot,
             ".",
+            match seed >> 48 & 3 {
+                0 => " # a comment. with \"a quote and <a bracket Ω",
+                1 => "#",
+                _ => "",
+            },
             if bit(46) { "\r\n" } else { "\n" },
         ]
         .concat(),
@@ -117,7 +122,7 @@ fn both_readers_refuse_the_same_malformed_lines() {
     // (what is wrong, the second and last line, whether the shared lexer
     // is what reports it — then the two errors are one: same line, same
     // message).
-    let table: [(&str, &[u8], bool); 10] = [
+    let table: [(&str, &[u8], bool); 14] = [
         ("unterminated IRI", b"<x:s> <x:p> <x:o .", true),
         ("unterminated literal", b"<x:s> <x:p> \"v .", true),
         ("dangling escape", b"<x:s> <x:p> \"v\\", true),
@@ -125,6 +130,10 @@ fn both_readers_refuse_the_same_malformed_lines() {
         ("empty datatype", b"<x:s> <x:p> \"v\"^^<> .", true),
         ("empty label", b"_: <x:p> \"v\" .", true),
         ("empty IRI", b"<> <x:p> \"v\" .", true),
+        ("\\u without hex", b"<x:s> <x:p> \"\\uZZZZx\" .", true),
+        ("short \\U", b"<x:s> <x:p> \"\\U0041\" .", true),
+        ("surrogate \\u", b"<x:s> <x:p> \"a\\uD800\" .", true),
+        ("\\U past U+10FFFF", b"<x:s> <x:p> \"\\U00110000\" .", true),
         ("missing dot", b"<x:s> <x:p> \"v\"", false),
         ("trailing content", b"<x:s> <x:p> \"v\" . junk", false),
         ("invalid UTF-8", b"<x:s> <x:p> \"\xff\" .", false),
