@@ -11,12 +11,11 @@ use crate::learner::LearnOutcome;
 use crate::rule::ClassificationRule;
 use classilink_ontology::ClassId;
 use classilink_segment::{Normalizer, Segmenter, SegmenterKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A predicted class for one external item, scored by the best rule that
 /// concluded it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
     /// The predicted class.
     pub class: ClassId,

@@ -1,14 +1,13 @@
 //! Configuration of the rule learner.
 
 use classilink_segment::SegmenterKind;
-use serde::{Deserialize, Serialize};
 
 /// Which properties of the external source the learner considers.
 ///
 /// The paper: "Let P be a set of properties that are selected by an expert"
 /// (Algorithm 1 also accepts "all if no selection"). In the evaluation, "the
 /// expert has chosen the property part-number to predict the class".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum PropertySelection {
     /// Use every data property observed in the training data.
     #[default]
@@ -38,7 +37,7 @@ impl PropertySelection {
 }
 
 /// Configuration of the learning algorithm (Algorithm 1 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LearnerConfig {
     /// The support threshold `th`: premise, class and conjunction frequencies
     /// must strictly exceed `th · |TS|` to be retained. The paper's

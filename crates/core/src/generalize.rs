@@ -21,7 +21,6 @@ use crate::learner::{CountTable, LearnOutcome};
 use crate::rule::ClassificationRule;
 use crate::training::TrainingSet;
 use classilink_ontology::{ClassId, Ontology};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// Minimum confidence a generalised rule must reach to be kept.
@@ -36,11 +35,11 @@ const MIN_CLASS_DEPTH: usize = 1;
 /// Configuration of the generalisation step. It has no settings: the
 /// thresholds are fixed (0.8 minimum confidence, no required improvement,
 /// no class above depth 1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GeneralizeConfig;
 
 /// The result of a generalisation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GeneralizeOutcome {
     /// The generalised rules (concluding on non-leaf classes), ranked.
     pub generalized_rules: Vec<ClassificationRule>,

@@ -24,13 +24,12 @@ use crate::rule::ClassificationRule;
 use crate::training::TrainingSet;
 use classilink_ontology::{ClassId, Ontology};
 use classilink_segment::{Normalizer, SegmentDictionary, SegmentId, Segmenter};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// Statistics reported by a learning run, mirroring the quantities the paper
 /// reports about its own run (7 842 distinct segments, 26 077 occurrences,
 /// 7 058 selected occurrences, 68 frequent classes, 144 rules, …).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LearnStats {
     /// `|TS|`: number of training examples.
     pub examples: usize,
@@ -62,7 +61,7 @@ pub struct LearnStats {
 }
 
 /// The outcome of a learning run: the rules plus run statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LearnOutcome {
     /// The learnt classification rules, ranked by confidence then lift.
     pub rules: Vec<ClassificationRule>,

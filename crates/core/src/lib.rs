@@ -15,8 +15,7 @@
 //!
 //! * [`training`] — the training set `TS` (linked pairs with the external
 //!   item's property facts and the local item's classes).
-//! * [`measures`] — support, confidence, lift (plus coverage, specificity,
-//!   leverage, conviction) from contingency counts.
+//! * [`measures`] — support, confidence and lift from contingency counts.
 //! * [`rule`] — the [`ClassificationRule`] type.
 //! * [`config`] — learner configuration (support threshold `th`, property
 //!   selection, segmentation).
@@ -27,7 +26,7 @@
 //!   subspace the predicted classes determine is resolved in one place,
 //!   `classilink-linking`'s `RuleBasedBlocker`; `classilink-eval` measures
 //!   the reduction (E3/E4) off the candidates it streams.
-//! * [`pruning`] — redundancy and quality-based pruning.
+//! * [`pruning`] — hierarchy-redundancy pruning.
 //! * [`mod@generalize`] — subsumption-based rule generalisation (the paper's
 //!   future-work extension): class rows OR-ed up the hierarchy.
 //!
@@ -96,9 +95,7 @@ pub use generalize::{generalize, GeneralizeConfig, GeneralizeOutcome};
 pub use learner::{LearnOutcome, LearnStats, RuleLearner};
 pub use measures::{Contingency, RuleQuality};
 pub use ordering::group_by_confidence_tiers;
-pub use pruning::{
-    filter_by_quality, prune_hierarchy_redundant, top_k_per_class, HierarchyPreference,
-};
+pub use pruning::{prune_hierarchy_redundant, HierarchyPreference};
 pub use rule::ClassificationRule;
 pub use training::{TrainingExample, TrainingSet};
 

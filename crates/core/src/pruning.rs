@@ -6,63 +6,30 @@
 //! its conclusion) without changing which items can be classified.
 
 use crate::rule::ClassificationRule;
-use classilink_ontology::{ClassId, Ontology};
-use serde::{Deserialize, Serialize};
+use classilink_ontology::Ontology;
 use std::collections::HashMap;
 
 /// When two rules share the same premise `(property, segment)` and conclude
 /// on classes related by subsumption, which one should survive?
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+///
+/// One policy is left: the more specific class. The enum and the parameter
+/// of [`prune_hierarchy_redundant`] that takes it stay only because the
+/// benchmark's call names both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HierarchyPreference {
     /// Keep the rule concluding the more specific class (smaller linking
     /// subspace — the choice that maximises linking-space reduction).
     #[default]
     MoreSpecific,
-    /// Keep the rule concluding the more general class (higher recall).
-    MoreGeneral,
-    /// Keep the rule with the higher confidence, whatever its class.
-    HigherConfidence,
-}
-
-/// Drop rules below the given thresholds. Any of the thresholds can be set to
-/// `0.0` to disable it.
-pub fn filter_by_quality(
-    rules: &[ClassificationRule],
-    min_support: f64,
-    min_confidence: f64,
-    min_lift: f64,
-) -> Vec<ClassificationRule> {
-    rules
-        .iter()
-        .filter(|r| {
-            r.support() >= min_support && r.confidence() >= min_confidence && r.lift() >= min_lift
-        })
-        .cloned()
-        .collect()
-}
-
-/// Keep at most `k` rules per concluded class (the best-ranked ones).
-pub fn top_k_per_class(rules: &[ClassificationRule], k: usize) -> Vec<ClassificationRule> {
-    let mut by_class: HashMap<ClassId, Vec<&ClassificationRule>> = HashMap::new();
-    for r in rules {
-        by_class.entry(r.class).or_default().push(r);
-    }
-    let mut out = Vec::new();
-    for (_, mut class_rules) in by_class {
-        class_rules.sort_by(|a, b| a.ranking_cmp(b));
-        out.extend(class_rules.into_iter().take(k).cloned());
-    }
-    out.sort_by(|a, b| a.ranking_cmp(b));
-    out
 }
 
 /// Remove hierarchy-redundant rules: when two rules share the same
 /// `(property, segment)` premise and their concluded classes are related by
-/// subsumption, keep only one according to `preference`.
+/// subsumption, keep only the one concluding the more specific class.
 pub fn prune_hierarchy_redundant(
     rules: &[ClassificationRule],
     ontology: &Ontology,
-    preference: HierarchyPreference,
+    _preference: HierarchyPreference,
 ) -> Vec<ClassificationRule> {
     // Group rule indexes by premise.
     let mut by_premise: HashMap<(&str, &str), Vec<usize>> = HashMap::new();
@@ -89,21 +56,9 @@ pub fn prune_hierarchy_redundant(
                     }
                     continue;
                 }
-                let i_sub_j = ontology.is_subclass_of(ci, cj);
-                let j_sub_i = ontology.is_subclass_of(cj, ci);
-                if !i_sub_j && !j_sub_i {
-                    continue;
-                }
-                let drop_j = match preference {
-                    HierarchyPreference::MoreSpecific => i_sub_j,
-                    HierarchyPreference::MoreGeneral => j_sub_i,
-                    HierarchyPreference::HigherConfidence => {
-                        rules[i].confidence() >= rules[j].confidence()
-                    }
-                };
-                if drop_j {
+                if ontology.is_subclass_of(ci, cj) {
                     keep[j] = false;
-                } else {
+                } else if ontology.is_subclass_of(cj, ci) {
                     keep[i] = false;
                 }
             }
@@ -123,7 +78,7 @@ pub fn prune_hierarchy_redundant(
 mod tests {
     use super::*;
     use crate::measures::Contingency;
-    use classilink_ontology::OntologyBuilder;
+    use classilink_ontology::{ClassId, OntologyBuilder};
 
     fn ontology() -> (Ontology, ClassId, ClassId, ClassId) {
         let mut b = OntologyBuilder::new("http://e.org/c#");
@@ -145,38 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn quality_filter() {
-        let (_, _, resistor, fixed) = ontology();
-        let rules = vec![
-            rule("ohm", fixed, 100, 100),   // conf 1.0, sup 0.1, lift 5
-            rule("63v", resistor, 100, 30), // conf 0.3, sup 0.03, lift 1.5
-        ];
-        assert_eq!(filter_by_quality(&rules, 0.0, 0.5, 0.0).len(), 1);
-        assert_eq!(filter_by_quality(&rules, 0.05, 0.0, 0.0).len(), 1);
-        assert_eq!(filter_by_quality(&rules, 0.0, 0.0, 2.0).len(), 1);
-        assert_eq!(filter_by_quality(&rules, 0.0, 0.0, 0.0).len(), 2);
-        assert!(filter_by_quality(&rules, 1.0, 1.0, 100.0).is_empty());
-    }
-
-    #[test]
-    fn top_k_keeps_best_per_class() {
-        let (_, _, resistor, fixed) = ontology();
-        let rules = vec![
-            rule("a", fixed, 100, 100),
-            rule("b", fixed, 100, 80),
-            rule("c", fixed, 100, 60),
-            rule("d", resistor, 100, 90),
-        ];
-        let pruned = top_k_per_class(&rules, 2);
-        assert_eq!(pruned.len(), 3);
-        let fixed_rules: Vec<_> = pruned.iter().filter(|r| r.class == fixed).collect();
-        assert_eq!(fixed_rules.len(), 2);
-        assert!(fixed_rules.iter().any(|r| r.segment == "a"));
-        assert!(fixed_rules.iter().any(|r| r.segment == "b"));
-        assert_eq!(top_k_per_class(&rules, 0).len(), 0);
-    }
-
-    #[test]
     fn hierarchy_pruning_prefers_specific_by_default() {
         let (onto, _, resistor, fixed) = ontology();
         let rules = vec![
@@ -186,15 +109,6 @@ mod tests {
         let specific = prune_hierarchy_redundant(&rules, &onto, HierarchyPreference::MoreSpecific);
         assert_eq!(specific.len(), 1);
         assert_eq!(specific[0].class, fixed);
-
-        let general = prune_hierarchy_redundant(&rules, &onto, HierarchyPreference::MoreGeneral);
-        assert_eq!(general.len(), 1);
-        assert_eq!(general[0].class, resistor);
-
-        let confident =
-            prune_hierarchy_redundant(&rules, &onto, HierarchyPreference::HigherConfidence);
-        assert_eq!(confident.len(), 1);
-        assert_eq!(confident[0].class, resistor);
     }
 
     #[test]
@@ -223,8 +137,6 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let (onto, ..) = ontology();
-        assert!(filter_by_quality(&[], 0.1, 0.1, 0.1).is_empty());
-        assert!(top_k_per_class(&[], 3).is_empty());
         assert!(prune_hierarchy_redundant(&[], &onto, HierarchyPreference::default()).is_empty());
     }
 }

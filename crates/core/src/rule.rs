@@ -12,12 +12,11 @@
 
 use crate::measures::RuleQuality;
 use classilink_ontology::ClassId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A value-based classification rule with its quality measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassificationRule {
     /// The IRI of the data-type property `p` of the premise.
     pub property: String,

@@ -12,10 +12,9 @@
 
 use classilink_ontology::ClassId;
 use classilink_rdf::Term;
-use serde::{Deserialize, Serialize};
 
 /// One validated `same-as` link, with the features the learner needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingExample {
     /// The external data item (subject of the `owl:sameAs` link).
     pub external_item: Term,
@@ -46,7 +45,7 @@ impl TrainingExample {
 }
 
 /// The training set `TS`: a list of validated linked pairs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainingSet {
     examples: Vec<TrainingExample>,
 }

@@ -18,10 +18,9 @@
 use crate::taxonomy::LeafProfile;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Probabilities controlling which segments a part number contains.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartNumberConfig {
     /// Probability that the part number contains one of the class's strong
     /// (class-unique) segments. Drives the recall of the confidence-1 rules

@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Probabilities of each perturbation applied to a provider-side value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerturbationConfig {
     /// Probability of swapping the separator characters (`-` ↔ `.` / `_`).
     pub separator_swap: f64,

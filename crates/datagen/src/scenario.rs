@@ -16,7 +16,7 @@
 
 use crate::partnumber::{PartNumberConfig, PartNumberGenerator};
 use crate::perturb::PerturbationConfig;
-use crate::taxonomy::{generate_taxonomy, LeafProfile, TaxonomyConfig};
+use crate::taxonomy::{generate_taxonomy, TaxonomyConfig};
 use crate::vocab;
 use classilink_core::{TrainingExample, TrainingSet};
 use classilink_linking::{RecordStore, SchemaInterner, ShardedStore};
@@ -24,7 +24,6 @@ use classilink_ontology::{ClassId, InstanceStore, Ontology};
 use classilink_rdf::Term;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Manufacturers shared across all classes (the paper notes the manufacturer
@@ -46,7 +45,7 @@ pub const MANUFACTURERS: &[&str] = &[
 ];
 
 /// Configuration of a full scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Shape of the catalog ontology.
     pub taxonomy: TaxonomyConfig,
@@ -149,8 +148,6 @@ pub struct GeneratedScenario {
     pub config: ScenarioConfig,
     /// The catalog ontology `OL`.
     pub ontology: Ontology,
-    /// Per-leaf part-number profiles.
-    pub profiles: Vec<LeafProfile>,
     /// The two sources and the `same-as` links between them.
     pub dataset: LinkedSources,
     /// Class assertions of the local catalog.
@@ -313,7 +310,6 @@ pub fn generate(config: &ScenarioConfig) -> GeneratedScenario {
             ..config.clone()
         },
         ontology,
-        profiles,
         dataset: LinkedSources {
             local: local.build(),
             external: external.build(),
@@ -631,7 +627,7 @@ mod tests {
             "distribution not skewed: max {max}, min {min}"
         );
         // Not every leaf class necessarily appears, but many do.
-        assert!(freqs.len() > scenario.profiles.len() / 3);
+        assert!(freqs.len() > scenario.ontology.leaves().len() / 3);
     }
 
     #[test]

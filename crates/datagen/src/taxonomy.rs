@@ -12,7 +12,6 @@
 
 use crate::vocab::CLASS_NS;
 use classilink_ontology::{ClassId, Ontology};
-use serde::{Deserialize, Serialize};
 
 /// A top-level component family used to name classes and build part-number
 /// grammars.
@@ -114,7 +113,7 @@ pub fn families() -> Vec<Family> {
 }
 
 /// The part-number profile of one leaf class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafProfile {
     /// The leaf class in the generated ontology.
     pub class: ClassId,
@@ -135,7 +134,7 @@ pub struct LeafProfile {
 }
 
 /// Configuration of taxonomy generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaxonomyConfig {
     /// Total number of classes (internal + leaves), root included.
     pub total_classes: usize,
@@ -243,19 +242,6 @@ pub fn generate_taxonomy(config: &TaxonomyConfig) -> (Ontology, Vec<LeafProfile>
         }
     }
 
-    // Declare pairwise disjointness between the top families (the schema
-    // knowledge the related work exploits).
-    let family_ids: Vec<ClassId> = onto
-        .classes()
-        .filter(|c| c.parents == vec![root])
-        .map(|c| c.id)
-        .collect();
-    for (i, a) in family_ids.iter().enumerate() {
-        for b in &family_ids[i + 1..] {
-            onto.add_disjoint_axiom(*a, *b).expect("distinct families");
-        }
-    }
-
     // Pad with intermediate "series" classes until the total class count is
     // reached: each filler is inserted between a leaf and its current parent,
     // keeping the leaf count unchanged.
@@ -299,7 +285,6 @@ mod tests {
         assert_eq!(profiles.len(), 226);
         assert_eq!(stats.root_count, 1);
         assert!(stats.max_depth >= 3);
-        assert!(stats.disjoint_axiom_count >= 45); // C(10, 2)
     }
 
     #[test]

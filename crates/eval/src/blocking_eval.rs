@@ -18,11 +18,10 @@ use classilink_linking::blocking::{
     RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
 };
 use classilink_linking::RecordStore;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// The result of one blocking strategy on one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockingComparisonRow {
     /// Name of the strategy.
     pub method: String,

@@ -7,11 +7,10 @@
 //! [`ClassificationOutcome`] accumulates those counts.
 
 use classilink_ontology::ClassId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregated outcome of classifying a set of items with known gold classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClassificationOutcome {
     /// Total number of items presented to the classifier.
     pub total_items: usize,

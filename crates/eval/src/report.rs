@@ -80,11 +80,11 @@ impl Table {
         out
     }
 
-    /// Render as CSV (RFC-4180-style quoting for cells containing commas or
-    /// quotes).
+    /// Render as CSV (RFC-4180-style quoting for cells containing commas,
+    /// quotes or line breaks).
     pub fn to_csv(&self) -> String {
         let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
+            if cell.contains([',', '"', '\n', '\r']) {
                 format!("\"{}\"", cell.replace('"', "\"\""))
             } else {
                 cell.to_string()
@@ -147,11 +147,15 @@ mod tests {
         let mut t = Table::new("", &["name", "value"]);
         t.row(&["plain".to_string(), "1".to_string()]);
         t.row(&["with, comma".to_string(), "quote \" inside".to_string()]);
+        t.row(&["carriage\rreturn".to_string(), "line\nfeed".to_string()]);
         let csv = t.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "name,value");
         assert_eq!(lines[1], "plain,1");
         assert_eq!(lines[2], "\"with, comma\",\"quote \"\" inside\"");
+        // A bare CR is a line break to a CSV reader, so it is quoted too.
+        assert_eq!(lines[3], "\"carriage\rreturn\",\"line");
+        assert_eq!(lines[4], "feed\"");
     }
 
     #[test]

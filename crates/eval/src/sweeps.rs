@@ -23,10 +23,9 @@ use classilink_linking::blocking::{Blocker, CandidateRuns, RuleBasedBlocker};
 use classilink_linking::{LocalShards, RecordStore};
 use classilink_ontology::{InstanceStore, Ontology};
 use classilink_segment::SegmenterKind;
-use serde::{Deserialize, Serialize};
 
 /// One point of the reduction sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReductionPoint {
     /// Minimum rule confidence used for classification.
     pub confidence_threshold: f64,
@@ -159,7 +158,7 @@ pub fn reduction_table(points: &[ReductionPoint]) -> Table {
 }
 
 /// One point of the support-threshold sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SupportPoint {
     /// The support threshold `th`.
     pub support_threshold: f64,
@@ -220,7 +219,7 @@ pub fn support_table(points: &[SupportPoint]) -> Table {
 }
 
 /// One row of the segmenter ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmenterPoint {
     /// Name of the segmenter.
     pub segmenter: String,
@@ -281,7 +280,7 @@ pub fn segmenter_table(points: &[SegmenterPoint]) -> Table {
 }
 
 /// The result of the generalisation ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneralizationPoint {
     /// Decisions / precision / recall with the base (leaf-level) rules only.
     pub base: (usize, f64, f64),

@@ -23,11 +23,10 @@ use classilink_core::{
 };
 use classilink_ontology::ClassId;
 use classilink_ontology::Ontology;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// The confidence threshold of the tier.
     pub confidence: f64,
@@ -46,7 +45,7 @@ pub struct Table1Row {
 }
 
 /// The full Table 1 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table1Report {
     /// One row per confidence threshold, in the order given.
     pub rows: Vec<Table1Row>,

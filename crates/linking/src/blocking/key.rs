@@ -8,8 +8,8 @@
 //! the interned [`crate::intern::PropertyId`] so that key
 //! extraction in the blocking loop never hashes an IRI string.
 //!
-//! Normalisation — lowercase, optionally keep only alphanumerics, count
-//! the prefix in output characters — is one loop over the value's chars
+//! Normalisation — lowercase, keep only alphanumerics, count the prefix in
+//! output characters — is one loop over the value's chars
 //! that treats an ASCII char as the byte it is (`to_ascii_lowercase`,
 //! `is_ascii_alphanumeric`: what `char::to_lowercase` and
 //! `char::is_alphanumeric` answer for it); only the other chars take the
@@ -19,10 +19,9 @@
 
 use crate::intern::{PropertyId, PropertyInterner};
 use crate::store::RecordStore;
-use serde::{Deserialize, Serialize};
 
 /// A recipe for turning a record into a blocking/sorting key string.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockingKey {
     /// Property IRI used on external records.
     pub external_property: String,
@@ -30,10 +29,9 @@ pub struct BlockingKey {
     /// may use different property names for the same information).
     pub local_property: String,
     /// Keep only the first `prefix_length` characters of the normalised
-    /// value; `0` keeps the whole value.
+    /// value; `0` keeps the whole value. Every non-alphanumeric character
+    /// is stripped before truncating.
     pub prefix_length: usize,
-    /// Strip every non-alphanumeric character before truncating.
-    pub alphanumeric_only: bool,
 }
 
 impl BlockingKey {
@@ -44,7 +42,6 @@ impl BlockingKey {
             external_property: p.clone(),
             local_property: p,
             prefix_length,
-            alphanumeric_only: true,
         }
     }
 
@@ -58,7 +55,6 @@ impl BlockingKey {
             external_property: external_property.into(),
             local_property: local_property.into(),
             prefix_length,
-            alphanumeric_only: true,
         }
     }
 
@@ -82,7 +78,6 @@ impl BlockingKey {
         KeySide {
             property: schema.get(&self.external_property),
             prefix_length: self.prefix_length,
-            alphanumeric_only: self.alphanumeric_only,
         }
     }
 
@@ -92,7 +87,6 @@ impl BlockingKey {
         KeySide {
             property: schema.get(&self.local_property),
             prefix_length: self.prefix_length,
-            alphanumeric_only: self.alphanumeric_only,
         }
     }
 }
@@ -110,7 +104,6 @@ pub struct KeySide {
     /// The interned property, `None` when no record of the store has it.
     property: Option<PropertyId>,
     prefix_length: usize,
-    alphanumeric_only: bool,
 }
 
 impl KeySide {
@@ -155,12 +148,12 @@ impl KeySide {
         for c in value.chars() {
             if c.is_ascii() {
                 let c = c.to_ascii_lowercase();
-                if !self.alphanumeric_only || c.is_ascii_alphanumeric() {
+                if c.is_ascii_alphanumeric() {
                     keep(c, out);
                 }
             } else {
                 for c in c.to_lowercase() {
-                    if !self.alphanumeric_only || c.is_alphanumeric() {
+                    if c.is_alphanumeric() {
                         keep(c, out);
                     }
                 }
@@ -242,18 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn non_alphanumeric_preserved_when_configured() {
-        let mut recipe = BlockingKey::shared(EXT_PN, 0);
-        recipe.alphanumeric_only = false;
-        let store = ext_store("CRCW-0805 10K");
-        assert_eq!(recipe.external_side(&store).key(&store, 0), "crcw-0805 10k");
-    }
-
-    #[test]
     fn prefix_counts_characters_not_bytes() {
         let store = ext_store("ÉÀÇ-1234");
-        let mut recipe = BlockingKey::shared(EXT_PN, 4);
-        recipe.alphanumeric_only = true;
+        let recipe = BlockingKey::shared(EXT_PN, 4);
         assert_eq!(recipe.external_side(&store).key(&store, 0), "éàç1");
     }
 
@@ -263,15 +247,11 @@ mod tests {
         // truncated key, the whole write is the sort value.
         let store = ext_store("CRCW-0805 10K");
         for prefix in [0, 3, 5, 40] {
-            for alnum in [true, false] {
-                let mut recipe = BlockingKey::shared(EXT_PN, prefix);
-                recipe.alphanumeric_only = alnum;
-                let side = recipe.external_side(&store);
-                let mut out = String::new();
-                let end = side.write_normalised("CRCW-0805 10K", &mut out);
-                assert_eq!(out[..end], side.key(&store, 0), "prefix {prefix}");
-                assert_eq!(out, side.sort_value(&store, 0), "prefix {prefix}");
-            }
+            let side = BlockingKey::shared(EXT_PN, prefix).external_side(&store);
+            let mut out = String::new();
+            let end = side.write_normalised("CRCW-0805 10K", &mut out);
+            assert_eq!(out[..end], side.key(&store, 0), "prefix {prefix}");
+            assert_eq!(out, side.sort_value(&store, 0), "prefix {prefix}");
         }
     }
 
@@ -287,7 +267,7 @@ mod tests {
         let mut out = String::new();
         let (mut kept, mut key_end) = (0, None);
         for c in value.chars().flat_map(char::to_lowercase) {
-            if side.alphanumeric_only && !c.is_alphanumeric() {
+            if !c.is_alphanumeric() {
                 continue;
             }
             out.push(c);
@@ -301,25 +281,22 @@ mod tests {
     }
 
     /// The byte path for ASCII chars writes what the char-wise loop
-    /// writes, and ends the key at the same byte, at every prefix length
-    /// either way of the filter — appended after earlier output.
+    /// writes, and ends the key at the same byte, at every prefix length —
+    /// appended after earlier output.
     fn assert_normalised_char_wise(value: &str) {
         for prefix_length in [0, 1, 4, 8, 40] {
-            for alphanumeric_only in [true, false] {
-                let side = KeySide {
-                    property: None,
-                    prefix_length,
-                    alphanumeric_only,
-                };
-                let mut out = String::from("earlier");
-                let end = side.write_normalised(value, &mut out);
-                let (expected, expected_end) = char_wise_normalised(&side, value);
-                assert_eq!(
-                    (&out["earlier".len()..], end),
-                    (expected.as_str(), expected_end),
-                    "{value:?}, prefix {prefix_length}, alphanumeric only: {alphanumeric_only}"
-                );
-            }
+            let side = KeySide {
+                property: None,
+                prefix_length,
+            };
+            let mut out = String::from("earlier");
+            let end = side.write_normalised(value, &mut out);
+            let (expected, expected_end) = char_wise_normalised(&side, value);
+            assert_eq!(
+                (&out["earlier".len()..], end),
+                (expected.as_str(), expected_end),
+                "{value:?}, prefix {prefix_length}"
+            );
         }
     }
 

@@ -743,7 +743,7 @@ impl Blocker for CartesianBlocker {
 
 /// Summary statistics of one blocking run, evaluated against a gold standard
 /// of true pairs.
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BlockingStats {
     /// Number of candidate pairs produced.
     pub candidate_pairs: u64,

@@ -97,10 +97,9 @@ use crate::token_index::{
     dice_bigrams_kernel, jaccard_bigrams_kernel, jaccard_tokens_kernel, monge_elkan_kernel,
     ValueTokens,
 };
-use serde::{Deserialize, Serialize};
 
 /// How one attribute pair contributes to the overall record similarity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeRule {
     /// Property IRI on the left (external) record.
     pub left_property: String,
@@ -113,7 +112,7 @@ pub struct AttributeRule {
 }
 
 /// The outcome of comparing one candidate pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchDecision {
     /// The similarity exceeds the match threshold.
     Match,
@@ -124,7 +123,7 @@ pub enum MatchDecision {
 }
 
 /// The detailed result of one comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// The aggregated weighted similarity in `[0, 1]`.
     pub score: f64,
@@ -136,7 +135,7 @@ pub struct Comparison {
 }
 
 /// Compares two records attribute by attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordComparator {
     /// The attribute comparison rules.
     pub rules: Vec<AttributeRule>,

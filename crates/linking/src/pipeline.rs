@@ -43,13 +43,12 @@ use crate::shard::LocalShards;
 use crate::similarity::SimScratch;
 use crate::store::RecordStore;
 use classilink_rdf::Term;
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One discovered link (or possible link) between an external and a local
 /// record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// The external item.
     pub external: Term,
@@ -60,7 +59,7 @@ pub struct Link {
 }
 
 /// The outcome of running the pipeline on a pair of record sets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinkageResult {
     /// Pairs decided as matches, sorted by (external, local) record index.
     pub matches: Vec<Link>,

@@ -13,11 +13,10 @@
 //! and see [`crate::store`] for the layout.
 
 use classilink_rdf::Term;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A flat record: an item identifier and its literal attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// The item this record describes.
     pub id: Term,

@@ -40,10 +40,8 @@ pub use jaro::{
 pub use scratch::SimScratch;
 pub use token::{dice_bigrams, jaccard_chars, jaccard_tokens, monge_elkan};
 
-use serde::{Deserialize, Serialize};
-
 /// A serialisable choice of string similarity measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimilarityMeasure {
     /// Normalised Levenshtein similarity.
     #[default]

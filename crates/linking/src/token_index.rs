@@ -324,8 +324,8 @@ pub(crate) fn monge_elkan_kernel(
 /// Store-level blocking-key precomputation: the blocking analogue of the
 /// `TokenTable`.
 ///
-/// For one key *recipe* (property × prefix length × alphanumeric filter,
-/// see [`BlockingKey`](crate::blocking::BlockingKey)) every record's
+/// For one key *recipe* (property × prefix length, see
+/// [`BlockingKey`](crate::blocking::BlockingKey)) every record's
 /// normalised value is computed **once** into a text arena, together with
 ///
 /// * the byte boundary of the truncated blocking key (the key is always a

@@ -17,8 +17,6 @@ pub enum OntologyError {
         /// The superclass side of the offending edge.
         sup: String,
     },
-    /// A class was declared disjoint with itself.
-    ConflictingDeclaration(String),
 }
 
 impl fmt::Display for OntologyError {
@@ -27,9 +25,6 @@ impl fmt::Display for OntologyError {
             OntologyError::UnknownClassId(id) => write!(f, "unknown class id: {id}"),
             OntologyError::SubsumptionCycle { sub, sup } => {
                 write!(f, "adding {sub} rdfs:subClassOf {sup} would create a cycle")
-            }
-            OntologyError::ConflictingDeclaration(iri) => {
-                write!(f, "conflicting declaration for {iri}")
             }
         }
     }
@@ -49,8 +44,5 @@ mod tests {
             sup: "B".into(),
         };
         assert!(cycle.to_string().contains("cycle"));
-        assert!(OntologyError::ConflictingDeclaration("x".into())
-            .to_string()
-            .contains("conflicting"));
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! * [`model`] — classes and their ids.
 //! * [`ontology`] — the ontology itself: subsumption hierarchy with
-//!   ancestor/descendant closure, leaves, depth, most-specific-class
-//!   filtering and declared disjointness axioms.
+//!   ancestor/descendant closure, leaves, depth and most-specific-class
+//!   filtering.
 //! * [`instances`] — class-membership assertions for data items and
 //!   extents under subsumption.
 //! * [`builder`] — ergonomic construction.
@@ -32,12 +32,11 @@
 //! let resistor = b.class("Resistor", Some(component));
 //! let fixed_film = b.class("FixedFilmResistor", Some(resistor));
 //! let capacitor = b.class("Capacitor", Some(component));
-//! let mut onto = b.build();
-//! onto.add_disjoint_axiom(resistor, capacitor).unwrap();
+//! let onto = b.build();
 //!
 //! assert!(onto.is_subclass_of(fixed_film, component));
 //! assert!(!onto.is_subclass_of(capacitor, resistor));
-//! assert_eq!(onto.disjoint_axiom_count(), 1);
+//! assert_eq!(onto.most_specific(&[component, fixed_film]), vec![fixed_film]);
 //! assert_eq!(onto.leaves().len(), 2);
 //! ```
 

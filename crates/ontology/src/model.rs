@@ -1,15 +1,12 @@
 //! Core ontology entities: classes and their ids.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A compact identifier for a class within one [`crate::Ontology`].
 ///
 /// Ids are dense (assignable as vector indexes) and stable for the lifetime
 /// of the ontology.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ClassId(pub u32);
 
 impl ClassId {
@@ -26,7 +23,7 @@ impl fmt::Display for ClassId {
 }
 
 /// An ontology class (`owl:Class`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OntClass {
     /// The class id within its ontology.
     pub id: ClassId,

@@ -1,13 +1,12 @@
-//! The ontology: classes, subsumption hierarchy and disjointness.
+//! The ontology: classes and their subsumption hierarchy.
 
 use crate::error::{OntologyError, Result};
 use crate::model::{ClassId, OntClass};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-/// An OWL-lite ontology: a class hierarchy (`rdfs:subClassOf`) and
-/// disjointness axioms (`owl:disjointWith`). The paper's rules conclude on
-/// its classes; their premises read properties of the external source,
-/// whose schema the ontology does not describe.
+/// An OWL-lite ontology: a class hierarchy (`rdfs:subClassOf`). The paper's
+/// rules conclude on its classes; their premises read properties of the
+/// external source, whose schema the ontology does not describe.
 ///
 /// The hierarchy is a DAG (multiple inheritance is allowed, cycles are
 /// rejected). All hierarchy queries (`ancestors`, `descendants`,
@@ -18,10 +17,6 @@ pub struct Ontology {
     classes: Vec<OntClass>,
     class_by_iri: HashMap<String, ClassId>,
     children: Vec<Vec<ClassId>>,
-    /// Declared disjointness axioms, stored as ordered pairs (lo, hi); the
-    /// generator declares them between top-level families and
-    /// [`OntologyStats`](crate::OntologyStats) counts them.
-    disjoint: HashSet<(ClassId, ClassId)>,
 }
 
 impl Ontology {
@@ -252,29 +247,6 @@ impl Ontology {
             })
             .collect()
     }
-
-    // ------------------------------------------------------------------
-    // Disjointness
-    // ------------------------------------------------------------------
-
-    /// Declare `a owl:disjointWith b`.
-    pub fn add_disjoint_axiom(&mut self, a: ClassId, b: ClassId) -> Result<()> {
-        self.check_id(a)?;
-        self.check_id(b)?;
-        if a == b {
-            return Err(OntologyError::ConflictingDeclaration(
-                self.iri(a).to_string(),
-            ));
-        }
-        let pair = if a < b { (a, b) } else { (b, a) };
-        self.disjoint.insert(pair);
-        Ok(())
-    }
-
-    /// Number of declared disjointness axioms.
-    pub fn disjoint_axiom_count(&self) -> usize {
-        self.disjoint.len()
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +270,6 @@ mod tests {
         o.add_subclass_axiom(wire, resistor).unwrap();
         o.add_subclass_axiom(capacitor, component).unwrap();
         o.add_subclass_axiom(tantalum, capacitor).unwrap();
-        o.add_disjoint_axiom(resistor, capacitor).unwrap();
         (o, [component, resistor, fixed, wire, capacitor, tantalum])
     }
 
@@ -377,21 +348,7 @@ mod tests {
     fn unknown_ids_are_rejected() {
         let (mut o, [component, ..]) = sample();
         assert!(o.add_subclass_axiom(ClassId(99), component).is_err());
-        assert!(o.add_disjoint_axiom(component, ClassId(99)).is_err());
-    }
-
-    #[test]
-    fn a_disjointness_axiom_is_stored_once_whichever_way_round() {
-        let (mut o, [_, resistor, _, _, capacitor, _]) = sample();
-        assert_eq!(o.disjoint_axiom_count(), 1);
-        o.add_disjoint_axiom(capacitor, resistor).unwrap();
-        assert_eq!(o.disjoint_axiom_count(), 1);
-    }
-
-    #[test]
-    fn self_disjointness_is_rejected() {
-        let (mut o, [component, ..]) = sample();
-        assert!(o.add_disjoint_axiom(component, component).is_err());
+        assert!(o.add_subclass_axiom(component, ClassId(99)).is_err());
     }
 
     #[test]

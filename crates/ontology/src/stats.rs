@@ -6,11 +6,10 @@
 //! ontology reproduces that shape.
 
 use crate::ontology::Ontology;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregate statistics describing the shape of an ontology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OntologyStats {
     /// Total number of classes.
     pub class_count: usize,
@@ -24,8 +23,6 @@ pub struct OntologyStats {
     pub mean_depth: f64,
     /// Mean number of direct children over non-leaf classes.
     pub mean_branching: f64,
-    /// Number of declared disjointness axioms.
-    pub disjoint_axiom_count: usize,
     /// Histogram of class counts per depth (index = depth).
     pub depth_histogram: Vec<usize>,
 }
@@ -69,7 +66,6 @@ impl OntologyStats {
             max_depth,
             mean_depth,
             mean_branching,
-            disjoint_axiom_count: ontology.disjoint_axiom_count(),
             depth_histogram,
         }
     }
@@ -82,8 +78,7 @@ impl fmt::Display for OntologyStats {
         writeln!(f, "  roots:            {}", self.root_count)?;
         writeln!(f, "  max depth:        {}", self.max_depth)?;
         writeln!(f, "  mean depth:       {:.2}", self.mean_depth)?;
-        writeln!(f, "  mean branching:   {:.2}", self.mean_branching)?;
-        write!(f, "disjoint axioms:    {}", self.disjoint_axiom_count)
+        write!(f, "  mean branching:   {:.2}", self.mean_branching)
     }
 }
 
@@ -99,15 +94,13 @@ mod tests {
         let r = b.class("Resistor", Some(root));
         let _f = b.class("FixedFilmResistor", Some(r));
         let _w = b.class("WirewoundResistor", Some(r));
-        let c = b.class("Capacitor", Some(root));
-        let mut onto = b.build();
-        onto.add_disjoint_axiom(r, c).unwrap();
+        let _c = b.class("Capacitor", Some(root));
+        let onto = b.build();
         let stats = OntologyStats::compute(&onto);
         assert_eq!(stats.class_count, 5);
         assert_eq!(stats.leaf_count, 3);
         assert_eq!(stats.root_count, 1);
         assert_eq!(stats.max_depth, 2);
-        assert_eq!(stats.disjoint_axiom_count, 1);
         assert_eq!(stats.depth_histogram, vec![1, 2, 2]);
         // depths: component 0, resistor 1, capacitor 1, fixed 2, wirewound 2 → mean 6/5
         assert!((stats.mean_depth - 6.0 / 5.0).abs() < 1e-9);

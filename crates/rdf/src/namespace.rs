@@ -1,6 +1,5 @@
 //! Namespace / prefix management and well-known vocabularies.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Well-known term IRIs used across the workspace.
@@ -22,7 +21,7 @@ pub mod vocab {
 /// ns.declare("ex", "http://example.org/vocab#");
 /// assert_eq!(ns.get("ex"), Some("http://example.org/vocab#"));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Namespaces {
     prefixes: BTreeMap<String, String>,
 }

@@ -8,7 +8,6 @@
 //! lex into `TermRef`s, and whoever stores a term (the record stores of
 //! `classilink-linking`) copies what it keeps, once.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -18,7 +17,7 @@ use std::fmt;
 /// * a plain string value (implicitly `xsd:string`),
 /// * a language-tagged string value,
 /// * a typed value with an explicit datatype IRI.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Literal {
     /// The lexical form of the literal.
     pub value: String,
@@ -136,7 +135,7 @@ pub fn unescape_literal(s: &str) -> std::result::Result<String, usize> {
 }
 
 /// An RDF term: IRI, blank node or literal.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
     /// An IRI reference, stored without surrounding angle brackets.
     Iri(String),

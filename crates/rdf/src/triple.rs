@@ -1,7 +1,6 @@
 //! Triples: the atomic statements of an RDF graph.
 
 use crate::term::{Term, TermRef};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An RDF triple `(subject, predicate, object)`.
@@ -10,7 +9,7 @@ use std::fmt;
 /// IRIs or that literals may only appear in object position — the data the
 /// paper works with never violates these, and keeping `Term` uniform makes
 /// pattern matching simpler.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Triple {
     /// The subject of the statement.
     pub subject: Term,

@@ -9,13 +9,12 @@
 //! `classilink-eval` crate docs).
 
 use crate::pipeline::Segmenter;
-use serde::{Deserialize, Serialize};
 
 /// Splits on non-alphanumeric characters *and* at letter/digit transitions,
 /// keeping the undivided separator-level tokens too (both `crcw0805` and
 /// `crcw` / `0805`): more candidate segments, more recall of the learnt
 /// rules.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AlphaNumSegmenter;
 
 impl AlphaNumSegmenter {

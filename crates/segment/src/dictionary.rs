@@ -7,13 +7,10 @@
 //! those counts are keyed by integers; its size is the paper's "7 842
 //! distinct segments".
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A compact identifier for an interned segment string.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SegmentId(pub u32);
 
 impl SegmentId {

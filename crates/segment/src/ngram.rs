@@ -6,10 +6,9 @@
 //! (optionally padded, as used by bi-gram indexing) and word n-grams.
 
 use crate::pipeline::Segmenter;
-use serde::{Deserialize, Serialize};
 
 /// Character n-gram segmenter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CharNGramSegmenter {
     /// The n-gram size (≥ 1).
     pub n: usize,
@@ -55,7 +54,7 @@ impl Segmenter for CharNGramSegmenter {
 
 /// Word n-gram segmenter: n-grams over whitespace-separated tokens, the
 /// words of one gram joined by a single space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WordNGramSegmenter {
     /// The n-gram size (≥ 1). `n = 1` is plain word tokenisation.
     pub n: usize,

@@ -8,10 +8,8 @@
 //! The learner, the classifier and the comparator's token tables all apply
 //! it to every value.
 
-use serde::{Deserialize, Serialize};
-
 /// The one normalization every segmented value goes through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Normalizer;
 
 impl Normalizer {

@@ -10,7 +10,6 @@
 use crate::alphanum::AlphaNumSegmenter;
 use crate::ngram::{CharNGramSegmenter, WordNGramSegmenter};
 use crate::separator::SeparatorSegmenter;
-use serde::{Deserialize, Serialize};
 
 /// Splits a property value into segments.
 pub trait Segmenter: Send + Sync {
@@ -43,7 +42,7 @@ pub trait Segmenter: Send + Sync {
 
 /// A serialisable choice of segmentation strategy. It segments by itself:
 /// the learner and the classifier split through their configured kind.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SegmenterKind {
     /// Split on non-alphanumeric separators (the paper's default).
     #[default]

@@ -10,10 +10,9 @@
 //! normalised value it is also the comparator's tokenisation.
 
 use crate::pipeline::Segmenter;
-use serde::{Deserialize, Serialize};
 
 /// Which characters act as separators.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeparatorClass {
     /// Any character that is neither alphabetic nor numeric (the paper's
     /// choice for part numbers).
@@ -32,7 +31,7 @@ impl SeparatorClass {
 }
 
 /// Splits values on separator characters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeparatorSegmenter {
     /// The class of characters treated as separators.
     pub class: SeparatorClass,

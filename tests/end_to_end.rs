@@ -165,3 +165,66 @@ fn scenario_determinism_extends_to_learning() {
         .unwrap();
     assert_eq!(oa, ob);
 }
+
+/// Hierarchy pruning on learned rules: the base rules plus their
+/// subsumption generalisations (the A3 extension, which adds rules on
+/// ancestor classes under the premises of the base rules) keep, per
+/// premise, only rules on unrelated classes, and each dropped rule gives
+/// way to a kept one on a class it subsumes.
+#[test]
+fn hierarchy_pruning_keeps_the_most_specific_rule_of_each_premise() {
+    use classilink::core::{
+        generalize, prune_hierarchy_redundant, ClassificationRule, GeneralizeConfig,
+        HierarchyPreference,
+    };
+    let config = learner_config();
+    for preset in [ScenarioConfig::tiny(), ScenarioConfig::small()] {
+        let scenario = generate(&preset);
+        let onto = &scenario.ontology;
+        let outcome = RuleLearner::new(config.clone())
+            .learn(&scenario.training, onto)
+            .expect("learning succeeds");
+        let lifted = generalize(
+            &scenario.training,
+            onto,
+            &config,
+            &outcome,
+            &GeneralizeConfig,
+        )
+        .expect("generalisation succeeds");
+        let rules: Vec<ClassificationRule> = (outcome.rules.iter())
+            .chain(&lifted.generalized_rules)
+            .cloned()
+            .collect();
+        let kept = prune_hierarchy_redundant(&rules, onto, HierarchyPreference::MoreSpecific);
+        let premise = |r: &ClassificationRule| (r.property.clone(), r.segment.clone());
+        let related = |a: &ClassificationRule, b: &ClassificationRule| {
+            onto.is_subclass_of(a.class, b.class) || onto.is_subclass_of(b.class, a.class)
+        };
+        for (i, a) in kept.iter().enumerate() {
+            for b in &kept[i + 1..] {
+                assert!(
+                    premise(a) != premise(b) || !related(a, b),
+                    "kept {:?} ⇒ {} and ⇒ {}",
+                    premise(a),
+                    a.class_label,
+                    b.class_label
+                );
+            }
+        }
+        // Every input rule is kept (the output is a subset) or gave way.
+        let mut dropped = 0;
+        for r in rules.iter().filter(|r| !kept.contains(r)) {
+            dropped += 1;
+            assert!(
+                kept.iter()
+                    .any(|k| premise(k) == premise(r) && onto.is_subclass_of(k.class, r.class)),
+                "dropped {:?} ⇒ {} without a more specific kept rule",
+                premise(r),
+                r.class_label
+            );
+        }
+        assert_eq!(kept.len() + dropped, rules.len());
+        assert!(dropped > 0, "no rule shared a premise with a related class");
+    }
+}
