@@ -346,10 +346,6 @@ pub(crate) struct RunScratch {
     /// absent from the shard), rebuilt per shard by a sorted merge of
     /// the two gram tables.
     pub gram_map: Vec<u32>,
-    /// The sorted-neighbourhood walk's per-shard ladder handles and
-    /// cursors, filled per streaming call and emptied before it returns
-    /// (so no key index outlives the call in here).
-    pub ladders: Vec<sorted_neighborhood::LadderCursor>,
     epoch: u32,
 }
 

@@ -4,19 +4,21 @@
 //! data items using a sorting key. A window of a given size is moved on the
 //! list of sorted data items and those belonging to the window are compared."
 //!
-//! The locals are sorted by the sorting key into one **ladder** (the
-//! cached per-shard ladders of each shard's [`KeyIndex`], merged on the
-//! fly across shard boundaries); each external record is then *inserted*
-//! into that ladder at its own sort position and windows against the
-//! `window − 1` nearest locals on either side.
+//! The locals are sorted by the sorting key into one **ladder**, ordered
+//! by (sort value, global id): a single store's is its [`KeyIndex`]'s own,
+//! a sharded catalog's is merged once from its shards' ladders and cached
+//! on the catalog (a `CatalogLadder`). Each external record is then
+//! *inserted* into that ladder at its own sort position and windows
+//! against the `window − 1` nearest locals on either side — two slices of
+//! the ladder.
 //!
 //! Every ladder slot carries its sort value's first eight bytes as one
 //! big-endian, zero-padded `u64` — a word that is monotone in the byte
-//! order of the values — so the insertion search and the k-way walk
-//! compare integers, and fall back to the arena strings, then to the
-//! global id, only when two words are equal (values sharing eight bytes,
-//! or one a prefix of the other). The order is exactly (sort value,
-//! global id); the words only decide most comparisons sooner.
+//! order of the values — so the insertion search and the merge compare
+//! integers, and fall back to the arena strings, then to the global id,
+//! only when two words are equal (values sharing eight bytes, or one a
+//! prefix of the other). The order is exactly (sort value, global id); the
+//! words only decide most comparisons sooner.
 //!
 //! This per-external formulation has three properties the engine leans
 //! on:
@@ -25,17 +27,14 @@
 //!   external's candidates depend only on its sort value and the local
 //!   ladder — other externals never consume window slots. A
 //!   single-record probe (see [`crate::serve`]) therefore produces
-//!   exactly the candidates the same record gets inside a bulk run,
-//!   and a singleton external side windows against every shard's
-//!   ladder like any other record.
-//! * **No dedup is needed.** The below/above walks cover disjoint
-//!   ladder positions and each local occurs once in the ladder, so
-//!   every (external, local) pair is emitted at most once; all pushes
-//!   of one external are consecutive per shard, so the sink coalesces
-//!   them into one explicit block per (shard, external).
-//! * **Shard counts are invisible.** The walk merges the per-shard
-//!   ladders by (sort value, global id) with one cursor per shard, so
-//!   the candidate set over a
+//!   exactly the candidates the same record gets inside a bulk run.
+//! * **No dedup is needed.** The two slices are disjoint and each local
+//!   occurs once in the ladder, so every (external, local) pair is
+//!   emitted at most once; all pushes of one external are consecutive
+//!   per shard, so the sink coalesces them into one explicit block per
+//!   (shard, external).
+//! * **Shard counts are invisible.** The merged ladder holds every shard's
+//!   locals by (sort value, global id), so the candidate set over a
 //!   [`ShardedStore`](crate::shard::ShardedStore) is byte-identical to
 //!   the single-store run even when a window straddles shards.
 //!
@@ -44,12 +43,11 @@
 //! `≤ v` (locals sort before externals on equal keys), and equal-valued
 //! locals order by global id.
 
-use super::key::BlockingKey;
+use super::key::{BlockingKey, KeySide};
 use super::{Blocker, CandidateRuns};
 use crate::shard::LocalShards;
 use crate::store::RecordStore;
 use crate::token_index::{sort_word, KeyIndex, Rung};
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Sorted-neighbourhood blocking over the key-sorted local ladder.
@@ -78,16 +76,14 @@ impl Blocker for SortedNeighborhoodBlocker {
         "sorted-neighborhood"
     }
 
-    /// Native streaming. Per external record: a binary search per shard
-    /// locates its insertion position in every shard's cached sort ladder,
-    /// then one k-way cursor walk, run once downward and once upward,
-    /// emits the `window − 1` globally-nearest locals on each side —
-    /// `O(shards · (log n + window))` per external. Both compare the
-    /// ladder's integer words and read a sort value (an arena borrow) only
-    /// where two words tie. Each external's pushes are consecutive per
-    /// shard, so the sink coalesces them into one explicit block per
-    /// (shard, external). The per-shard cursors live in the sink's
-    /// scratch: a warm call allocates nothing.
+    /// Native streaming. Per external record: one insertion search in the
+    /// local side's ladder, then the `window − 1` rungs below it, nearest
+    /// first, and the `window − 1` above — `O(log n + window)` per
+    /// external. The search compares the ladder's integer words and reads
+    /// a sort value (an arena borrow) only where two words tie. Each
+    /// external's pushes are consecutive per shard, so the sink coalesces
+    /// them into one explicit block per (shard, external). Once the ladder
+    /// is built (see [`warm`](Blocker::warm)), a call allocates nothing.
     fn stream_candidates(
         &self,
         external: &RecordStore,
@@ -98,122 +94,162 @@ impl Blocker for SortedNeighborhoodBlocker {
         fail::fail_point!("blocking::sorted_neighborhood");
         if self.window < 2 || external.is_empty() || local.is_empty() {
             // `new()` clamps, but the field is public: a window of 0 or
-            // 1 holds no cross-source pair (and would invert the walk).
+            // 1 holds no cross-source pair.
             return;
         }
         let reach = self.window - 1;
         let external_keys = external.key_index(&self.key.external_side(external));
-        let local_side = self.key.local_side_of(local.schema());
         // No shard_active skip here: the sliding window is global, so
-        // the walk must see every shard's ladder to decide which
-        // new-shard records fall inside an external's window; pushes
-        // into restricted shards are dropped by the sink itself.
-        let mut cursors = std::mem::take(&mut out.scratch.ladders);
-        cursors.extend(local.iter().map(|shard| LadderCursor {
-            keys: shard.key_index(&local_side),
-            below: 0,
-            above: 0,
-        }));
+        // every external is placed in the whole catalog's ladder to decide
+        // which new-shard records fall inside its window; pushes into
+        // restricted shards are dropped by the sink itself.
+        let ladder = local.sort_ladder(&self.key.local_side_of(local.schema()));
+        let rungs = ladder.rungs();
         for e in 0..external.len() {
-            let value = external_keys.sort_value(e);
-            let word = sort_word(value);
-            for cursor in &mut cursors {
-                cursor.below = cursor.insertion(word, value);
-                cursor.above = cursor.below;
-            }
-            // The two walks cover disjoint ladder positions, so no pair
-            // is emitted twice.
-            for direction in [Ordering::Greater, Ordering::Less] {
-                for _ in 0..reach {
-                    let Some((s, record)) = step(&mut cursors, local, direction) else {
-                        break;
-                    };
-                    out.push(s, e, record);
-                }
+            let p = ladder.insertion(external_keys.sort_value(e));
+            let below = &rungs[p.saturating_sub(reach)..p];
+            let above = &rungs[p..rungs.len().min(p.saturating_add(reach))];
+            for rung in below.iter().rev().chain(above) {
+                out.push(rung.shard as usize, e, rung.record as usize);
             }
         }
-        cursors.clear();
-        out.scratch.ladders = cursors;
     }
 
-    /// Build each shard's key index **and** its sort ladder (the two
-    /// local-side artifacts the window walk reads).
+    /// Build the ladder the windows slice: each shard's key index and
+    /// sort ladder and, over a sharded catalog, the merged catalog ladder.
     fn warm(&self, local: LocalShards<'_>) {
-        let local_side = self.key.local_side_of(local.schema());
-        for shard in local.iter() {
-            shard.key_index(&local_side).ladder();
+        let side = self.key.local_side_of(local.schema());
+        local.sort_ladder(&side).rungs();
+    }
+}
+
+/// The ladder one stream windows over: a single store's own (its shard
+/// is 0), or a sharded catalog's merged one.
+pub(crate) enum Ladder {
+    /// The store's key index, whose own ladder is the whole ladder.
+    Store(Arc<KeyIndex>),
+    /// The catalog's cached merged ladder.
+    Catalog(Arc<CatalogLadder>),
+}
+
+impl Ladder {
+    /// Each shard's key index, where a rung's sort value is read.
+    fn keys(&self) -> &[Arc<KeyIndex>] {
+        match self {
+            Ladder::Store(keys) => std::slice::from_ref(keys),
+            Ladder::Catalog(ladder) => &ladder.keys,
         }
     }
-}
 
-/// One shard's place in a window walk: its key index (whose sort ladder
-/// the walk reads) and the two cursors around the external's insertion
-/// position — `below` is one past the next ladder slot downward, `above`
-/// the next one upward.
-#[derive(Debug)]
-pub(crate) struct LadderCursor {
-    keys: Arc<KeyIndex>,
-    below: usize,
-    above: usize,
-}
-
-impl LadderCursor {
-    /// The number of ladder slots that sort at or before an external of
-    /// sort value `value` (word `word`): every slot of a smaller word,
-    /// then, among the slots sharing its word, those whose sort value is
-    /// not greater — locals sort before an external on equal values.
-    fn insertion(&self, word: u64, value: &str) -> usize {
-        let ladder = self.keys.ladder();
-        let start = ladder.partition_point(|rung| rung.word < word);
-        let ties = ladder[start..].partition_point(|rung| rung.word == word);
-        let tied = &ladder[start..start + ties];
-        start + tied.partition_point(|rung| self.keys.sort_value(rung.record as usize) <= value)
-    }
-}
-
-/// One step of the window walk: among the shards' next slots in
-/// `direction` — the slot below each `below` cursor when walking down
-/// (`Greater`: the largest wins), the slot at each `above` cursor when
-/// walking up (`Less`: the smallest wins) — take the winner by (word,
-/// sort value, global id), move its shard's cursor past it and return
-/// `(shard, record)`; `None` when no shard has a slot left that way.
-fn step(
-    cursors: &mut [LadderCursor],
-    local: LocalShards<'_>,
-    direction: Ordering,
-) -> Option<(usize, usize)> {
-    // The winner so far: its shard and rung.
-    let mut best: Option<(usize, Rung)> = None;
-    // A rung's order past its word: the sort value, then the global id
-    // (equal values in different shards).
-    let tail = |s: usize, rung: Rung| {
-        let record = rung.record as usize;
-        (cursors[s].keys.sort_value(record), local.offset(s) + record)
-    };
-    for (s, cursor) in cursors.iter().enumerate() {
-        let ladder = cursor.keys.ladder();
-        let position = match direction {
-            Ordering::Greater => cursor.below.checked_sub(1),
-            _ => Some(cursor.above).filter(|&p| p < ladder.len()),
-        };
-        let Some(rung) = position.map(|p| ladder[p]) else {
-            continue;
-        };
-        let wins = best.is_none_or(|(bs, b)| {
-            let order = rung.word.cmp(&b.word);
-            order.then_with(|| tail(s, rung).cmp(&tail(bs, b))) == direction
-        });
-        if wins {
-            best = Some((s, rung));
+    /// Every local, ordered by (sort value, global id).
+    fn rungs(&self) -> &[Rung] {
+        match self {
+            Ladder::Store(keys) => keys.ladder(),
+            Ladder::Catalog(ladder) => &ladder.rungs,
         }
     }
-    let (s, rung) = best?;
-    let cursor = &mut cursors[s];
-    match direction {
-        Ordering::Greater => cursor.below -= 1,
-        _ => cursor.above += 1,
+
+    /// The number of rungs that sort at or before an external of sort
+    /// value `value`: those of a smaller word, and those of its word whose
+    /// sort value is not greater — locals sort before an external on
+    /// equal values. One bisection; it reads a sort value only where it
+    /// lands on a rung of the external's word.
+    fn insertion(&self, value: &str) -> usize {
+        let (keys, word) = (self.keys(), sort_word(value));
+        (self.rungs()).partition_point(|rung| at_or_before(keys, rung, word, value))
     }
-    Some((s, rung.record as usize))
+}
+
+/// A rung's sort value, read from its shard's key index.
+fn sort_value<'a>(keys: &'a [Arc<KeyIndex>], rung: &Rung) -> &'a str {
+    keys[rung.shard as usize].sort_value(rung.record as usize)
+}
+
+/// Whether `rung` sorts at or before the sort value `value`, of word
+/// `word`: the ladder's order short of its global-id tie-break, deciding
+/// on the words and reading the rung's sort value only when they tie.
+fn at_or_before(keys: &[Arc<KeyIndex>], rung: &Rung, word: u64, value: &str) -> bool {
+    rung.word < word || (rung.word == word && sort_value(keys, rung) <= value)
+}
+
+/// A sharded catalog's sort ladder for one key side: every local of the
+/// leading shards it covers, as (word, shard, record) rungs ordered by
+/// (sort value, global id). Derived from the shards' own ladders and
+/// cached on the catalog, never persisted (see
+/// [`ShardedStore::sort_ladder`](crate::shard::ShardedStore::sort_ladder));
+/// an appended catalog starts from its parent's and merges in only the
+/// new shards.
+#[derive(Debug, Default)]
+pub(crate) struct CatalogLadder {
+    /// Each covered shard's key index, in catalog order.
+    keys: Vec<Arc<KeyIndex>>,
+    /// The merged rungs.
+    rungs: Vec<Rung>,
+}
+
+impl CatalogLadder {
+    /// Number of leading catalog shards the ladder covers.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// This ladder with `shards` — the catalog shards that follow the
+    /// ones it covers — merged in, one after the other. Each merge is two
+    /// ways and gallops, so a small delta costs its own rungs' searches
+    /// plus one copy of this ladder.
+    pub(crate) fn extended<'a>(
+        &self,
+        shards: impl IntoIterator<Item = &'a RecordStore>,
+        side: &KeySide,
+    ) -> CatalogLadder {
+        let mut keys = self.keys.clone();
+        let mut rungs = None;
+        for store in shards {
+            fail::fail_point!("blocking::sorted_neighborhood::ladder");
+            let shard = u32::try_from(keys.len()).expect("shard count exceeds u32::MAX");
+            keys.push(store.key_index(side));
+            let below: &[Rung] = rungs.as_deref().unwrap_or(&self.rungs);
+            let mut merged = Vec::with_capacity(below.len() + store.len());
+            merge(below, shard, &keys, &mut merged);
+            rungs = Some(merged);
+        }
+        let rungs = rungs.unwrap_or_else(|| self.rungs.clone());
+        CatalogLadder { keys, rungs }
+    }
+}
+
+/// Merge the own ladder of shard `shard` (the last of `keys`) into
+/// `below`, whose rungs all lie in earlier shards, onto `out`. Each of the
+/// shard's rungs gallops forward through `below` to the first rung it
+/// precedes, and the rungs passed over are copied in one go.
+fn merge(below: &[Rung], shard: u32, keys: &[Arc<KeyIndex>], out: &mut Vec<Rung>) {
+    let index = &keys[shard as usize];
+    let mut rest = below;
+    for &rung in index.ladder() {
+        let rung = Rung { shard, ..rung };
+        let value = index.sort_value(rung.record as usize);
+        // Every rung of `below` has a smaller global id, so it goes first
+        // unless its sort value is greater.
+        let taken = gallop(rest, |r| at_or_before(keys, r, rung.word, value));
+        out.extend_from_slice(&rest[..taken]);
+        out.push(rung);
+        rest = &rest[taken..];
+    }
+    out.extend_from_slice(rest);
+}
+
+/// The length of the prefix of `rungs` that `holds` holds on (it must hold
+/// on a prefix): probe at doubling distances from the front, then bisect
+/// the last one — `O(log answer)` comparisons, so runs of `below` that
+/// interleave finely cost about one comparison a rung.
+fn gallop(rungs: &[Rung], holds: impl Fn(&Rung) -> bool) -> usize {
+    let (mut known, mut step) = (0, 1);
+    while known + step <= rungs.len() && holds(&rungs[known + step - 1]) {
+        known += step;
+        step *= 2;
+    }
+    let limit = rungs.len().min(known + step - 1);
+    known + rungs[known..limit].partition_point(holds)
 }
 
 #[cfg(test)]
@@ -221,6 +257,8 @@ mod tests {
     use super::*;
     use crate::blocking::test_support::*;
     use crate::blocking::{collect_pairs, BlockingStats, CandidatePair, CartesianBlocker};
+    use crate::record::Record;
+    use crate::shard::ShardedStore;
     use crate::store::RecordStore;
     use std::collections::HashSet;
 
@@ -323,10 +361,11 @@ mod tests {
         }
     }
 
-    /// The naive per-external reference, on strings: insert each external
-    /// into the (sort value, id)-ordered local list and take `window − 1`
-    /// on each side — every pair, sorted, duplicates kept.
-    fn reference(
+    /// The naive per-external reference, on strings, in emission order:
+    /// insert each external into the (sort value, id)-ordered local list
+    /// and take `window − 1` on each side, nearest first — every pair,
+    /// duplicates kept.
+    fn emission_reference(
         key: &BlockingKey,
         external: &RecordStore,
         local: &RecordStore,
@@ -338,17 +377,29 @@ mod tests {
             .map(|l| (side_l.sort_value(local, l), l))
             .collect();
         ladder.sort();
+        let reach = window - 1;
         let mut expected: Vec<CandidatePair> = Vec::new();
         for e in 0..external.len() {
             let value = side_e.sort_value(external, e);
             let position = ladder.partition_point(|(v, _)| *v <= value);
-            for (_, l) in &ladder[position.saturating_sub(window - 1)..position] {
-                expected.push((e, *l));
-            }
-            for (_, l) in ladder[position..].iter().take(window - 1) {
+            let below = ladder[position.saturating_sub(reach)..position]
+                .iter()
+                .rev();
+            for (_, l) in below.chain(ladder[position..].iter().take(reach)) {
                 expected.push((e, *l));
             }
         }
+        expected
+    }
+
+    /// [`emission_reference`], sorted.
+    fn reference(
+        key: &BlockingKey,
+        external: &RecordStore,
+        local: &RecordStore,
+        window: usize,
+    ) -> Vec<CandidatePair> {
+        let mut expected = emission_reference(key, external, local, window);
         expected.sort_unstable();
         expected
     }
@@ -373,56 +424,65 @@ mod tests {
         }
     }
 
-    /// The ladder's words decide most comparisons, never the order: on sort
-    /// values built to tie, straddle and undercut the first eight bytes,
-    /// the walk windows exactly as the string reference at any sharding.
-    #[test]
-    fn words_never_reorder_the_ladder() {
-        let locals = [
-            "abcdefghX1", // 8+ shared bytes, differing at byte 9 …
-            "abcdefghA2",
-            "abcdefghij",
-            "abcdefghii",
-            "abcdefg", // … 7 / 8 / 9 bytes, one a prefix of the next …
-            "abcdefgh",
-            "abcdefgh0",
-            "abcdefgz",
-            "abc\0def", // … NUL and '-', which the key strips into ties …
-            "abc-def",
-            "abc\0",
-            "abc-",
-            "abc",
-            "abcdefgh\0",
-            "abcdefgh-",
-            "abcdefgé", // … a multi-byte char across byte 8 …
-            "abcdefgéz",
-            "abcdefg€x",
-            "abcdefgh", // … equal values, in different shards at most counts
-            "ABCDEFGH0",
-            "",
-            "abcdefgh",
-        ];
-        let externals = [
-            "abcdefgh", // equal to locals: they sort first
-            "abcdefgh0",
-            "ABCDEFGHA",
-            "abcdefg",
-            "abcdefgé",
-            "abc-def",
-            "abc\0",
-            "abc",
-            "",
-            "zzzz",
-            "abcdefgh\0",
-            "abcdefgi",
-        ];
-        let local_records: Vec<_> = (locals.iter().enumerate())
-            .map(|(i, pn)| loc_record(i, pn))
-            .collect();
-        let external_records: Vec<_> = (externals.iter().enumerate())
+    /// Local part numbers built to tie, straddle and undercut the first
+    /// eight bytes of their sort values.
+    const TIED_LOCALS: [&str; 22] = [
+        "abcdefghX1", // 8+ shared bytes, differing at byte 9 …
+        "abcdefghA2",
+        "abcdefghij",
+        "abcdefghii",
+        "abcdefg", // … 7 / 8 / 9 bytes, one a prefix of the next …
+        "abcdefgh",
+        "abcdefgh0",
+        "abcdefgz",
+        "abc\0def", // … NUL and '-', which the key strips into ties …
+        "abc-def",
+        "abc\0",
+        "abc-",
+        "abc",
+        "abcdefgh\0",
+        "abcdefgh-",
+        "abcdefgé", // … a multi-byte char across byte 8 …
+        "abcdefgéz",
+        "abcdefg€x",
+        "abcdefgh", // … equal values, in different shards at most counts
+        "ABCDEFGH0",
+        "",
+        "abcdefgh",
+    ];
+
+    /// External part numbers to insert among [`TIED_LOCALS`].
+    const TIED_EXTERNALS: [&str; 12] = [
+        "abcdefgh", // equal to locals: they sort first
+        "abcdefgh0",
+        "ABCDEFGHA",
+        "abcdefg",
+        "abcdefgé",
+        "abc-def",
+        "abc\0",
+        "abc",
+        "",
+        "zzzz",
+        "abcdefgh\0",
+        "abcdefgi",
+    ];
+
+    fn tied_stores() -> (RecordStore, Vec<Record>) {
+        let external_records: Vec<_> = (TIED_EXTERNALS.iter().enumerate())
             .map(|(i, pn)| ext_record(i, pn))
             .collect();
-        let external = RecordStore::from_records(&external_records);
+        let local_records = (TIED_LOCALS.iter().enumerate())
+            .map(|(i, pn)| loc_record(i, pn))
+            .collect();
+        (RecordStore::from_records(&external_records), local_records)
+    }
+
+    /// The ladder's words decide most comparisons, never the order: on sort
+    /// values built to tie, straddle and undercut the first eight bytes,
+    /// the windows are exactly the string reference's at any sharding.
+    #[test]
+    fn words_never_reorder_the_ladder() {
+        let (external, local_records) = tied_stores();
         let local = RecordStore::from_records(&local_records);
         for window in [2, 3, 10] {
             let expected = reference(&key(), &external, &local, window);
@@ -505,5 +565,116 @@ mod tests {
                 "{shard_count} shards, window 3"
             );
         }
+    }
+
+    /// A window set through the public field to the catalog's size, one
+    /// more, or `usize::MAX` cannot overflow the reach: each external pairs
+    /// with each local at most once, and from one past the catalog's size
+    /// on, with every local exactly once, at any sharding.
+    #[test]
+    fn windows_as_wide_as_the_catalog_emit_every_local_once() {
+        let (external, local_records) = tied_stores();
+        let local = RecordStore::from_records(&local_records);
+        let n = local_records.len();
+        let every: Vec<CandidatePair> = (0..external.len())
+            .flat_map(|e| (0..n).map(move |l| (e, l)))
+            .collect();
+        for window in [n, n + 1, usize::MAX] {
+            let blocker = SortedNeighborhoodBlocker { key: key(), window };
+            let expected = reference(&key(), &external, &local, window);
+            if window > n {
+                assert_eq!(expected, every, "window {window}");
+            }
+            for shard_count in [1, 3, n, n + 4] {
+                let sharded = ShardedStore::from_records(&local_records, shard_count);
+                let pairs = collect_pairs(&blocker, &external, &sharded);
+                assert_eq!(pairs, expected, "window {window}, {shard_count} shards");
+                assert!(pairs.windows(2).all(|w| w[0] < w[1]), "window {window}");
+            }
+        }
+    }
+
+    /// Equal sort values, and values tying on their 8-byte word, that lie
+    /// in different shards come out in global-id order: the catalog's
+    /// ladder is ordered by (sort value, global id), and every (shard,
+    /// external) block holds that shard's share of the reference's
+    /// emission sequence, in that sequence's order.
+    #[test]
+    fn ties_across_shards_come_out_in_global_id_order() {
+        let (external, local_records) = tied_stores();
+        let local = RecordStore::from_records(&local_records);
+        let mut order: Vec<(String, usize)> = (local_records.iter().enumerate())
+            .map(|(l, _)| (key().local_side(&local).sort_value(&local, l), l))
+            .collect();
+        order.sort();
+        for shard_count in [2, 5, 13] {
+            let sharded = ShardedStore::from_records(&local_records, shard_count);
+            let ladder = sharded.sort_ladder(&key().local_side_of(sharded.schema()));
+            let slots: Vec<(String, usize)> = (ladder.rungs.iter())
+                .map(|rung| {
+                    let value = sort_value(&ladder.keys, rung).to_string();
+                    (
+                        value,
+                        sharded.global(rung.shard as usize, rung.record as usize),
+                    )
+                })
+                .collect();
+            assert_eq!(slots, order, "{shard_count} shards");
+            for window in [2, 4, 10, usize::MAX] {
+                let expected = emission_reference(&key(), &external, &local, window);
+                let blocker = SortedNeighborhoodBlocker { key: key(), window };
+                let mut runs = CandidateRuns::new();
+                blocker.stream_candidates(&external, (&sharded).into(), &mut runs);
+                for s in 0..shard_count {
+                    let ids = sharded.offset(s)..sharded.offset(s) + sharded.shard(s).len();
+                    let share = expected.iter().filter(|(_, l)| ids.contains(l));
+                    let emitted = runs.pairs(s).map(|(e, l)| (e, sharded.global(s, l)));
+                    assert!(
+                        emitted.eq(share.copied()),
+                        "window {window}, shard {s}/{shard_count}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An appended catalog is handed its parent's ladder and merges only
+    /// its new shards into it: the result equals a fresh merge of all its
+    /// shards rung for rung, is cached, and is shared by clones.
+    #[test]
+    fn an_appended_catalog_merges_its_new_shards_into_the_parent_ladder() {
+        let (_, local_records) = tied_stores();
+        let (base_records, delta_records) = local_records.split_at(13);
+        let base = ShardedStore::from_records(base_records, 3);
+        let unstreamed = base.clone();
+        let side = key().local_side_of(base.schema());
+        let parent = base.sort_ladder(&side);
+        let delta = || {
+            let mut delta = base.delta_builder();
+            for (i, record) in delta_records.iter().enumerate() {
+                if i % 5 == 0 {
+                    delta.begin_shard();
+                }
+                delta.push(record);
+            }
+            delta
+        };
+        let seeded = base.append_shards(delta());
+        let fresh = unstreamed.append_shards(delta());
+        assert_eq!(seeded.shard_count(), 5);
+        let seed = seeded.cached_ladder(&side).expect("the parent's ladder");
+        assert!(Arc::ptr_eq(&seed, &parent));
+        assert!(fresh.cached_ladder(&side).is_none());
+
+        let grown = seeded.sort_ladder(&side);
+        let merged = fresh.sort_ladder(&side);
+        assert_eq!(grown.shard_count(), 5);
+        assert_eq!(grown.rungs, merged.rungs);
+        assert_eq!(parent.shard_count(), 3, "the parent's ladder is untouched");
+        for (a, b) in grown.keys.iter().zip(&parent.keys) {
+            assert!(Arc::ptr_eq(a, b), "the base shards' key indexes are shared");
+        }
+        assert!(Arc::ptr_eq(&grown, &seeded.sort_ladder(&side)));
+        assert!(Arc::ptr_eq(&grown, &seeded.clone().sort_ladder(&side)));
     }
 }

@@ -204,11 +204,13 @@ impl<'a> LinkagePipeline<'a> {
     /// `naive_pairs` counting only the delta work (so `reduction_ratio`
     /// is the delta's own reduction). Per-shard-independent blockers
     /// skip old shards outright (their probe loops never run); the
-    /// sorted-neighbourhood window still walks every shard's ladder — its
-    /// windows span the shard boundary — but that walk is an insertion
-    /// search and a few integer compares per shard and external, and
-    /// old-shard candidates are dropped at the sink, so only new-shard
-    /// pairs are ever scored.
+    /// sorted-neighbourhood window still places every external in the
+    /// whole catalog's ladder — its windows span the shard boundary — but
+    /// that is one insertion search and two slices per external (the
+    /// merged ladder is cached on the catalog, and an appended catalog
+    /// merges only its new shards into its parent's), and old-shard
+    /// candidates are dropped at the sink, so only new-shard pairs are
+    /// ever scored.
     ///
     /// Panics on a contained fault — the fault-tolerant entry point is
     /// [`try_run_sharded_delta`](Self::try_run_sharded_delta).

@@ -290,7 +290,9 @@ impl<'a> Linker<'a> {
     /// surviving shards — their key indexes, sort ladders, bigram
     /// counters, token tables and signature columns carry over already
     /// warm — and only the **appended** shards are built and warmed.
-    /// Republishing therefore costs O(delta), not O(catalog). In-flight
+    /// Republishing therefore costs O(delta), not O(catalog), but for a
+    /// sorted-neighbourhood blocker's catalog ladder: the base epoch's is
+    /// copied once with the new shards merged in. In-flight
     /// probes finish on the epoch they started with, exactly as for a swap.
     ///
     /// Concurrent appends are last-publish-wins over the same loaded
@@ -320,14 +322,11 @@ impl<'a> Linker<'a> {
             // in the shared `Arc`s; only the appended shards build here.
             compiled.warm(LocalShards::from(&appended).iter().skip(first_new));
             fail::fail_point!("serve::warm_append");
-            // Warm each appended shard as a single-shard view: every
-            // built-in warm only reads the schema (each shard's own
-            // interner) and builds per-shard indexes, so this is
-            // equivalent to warming the whole catalog — minus the
-            // old-shard probes, which are already warm.
-            for s in first_new..appended.shard_count() {
-                self.blocker.warm(appended.shard(s).into());
-            }
+            // The old shards' blocker indexes are cached in the shared
+            // `Arc`s, so warming the whole catalog builds the appended
+            // shards' — and the sorted-neighbourhood catalog ladder, which
+            // spans both and starts from the base epoch's.
+            self.blocker.warm((&appended).into());
             Ok(CatalogEpoch {
                 sequence: 0, // provisional; `publish` assigns the real one
                 store: appended,

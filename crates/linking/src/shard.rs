@@ -16,7 +16,7 @@
 //!   ids; results stay byte-identical to the single-store run.
 //! * **One schema, one compile.** Because every shard shares the schema,
 //!   a [`CompiledComparator`](crate::comparator::CompiledComparator) or a
-//!   resolved [`KeySide`](crate::blocking::KeySide) is compiled **once**
+//!   resolved [`KeySide`] is compiled **once**
 //!   and is valid against every shard (and against sibling stores of the
 //!   same scenario batch).
 //! * **No routing on the hot path.** Blockers **stream** per-shard runs
@@ -46,13 +46,16 @@
 //!  a link on it reports global id  (e, offsets[1] + 2) = (e, 7)
 //! ```
 
+use crate::blocking::sorted_neighborhood::{CatalogLadder, Ladder};
+use crate::blocking::KeySide;
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
 use crate::store::{RecordStore, RecordStoreBuilder};
 use classilink_rdf::Term;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An immutable catalog split into contiguous per-shard [`RecordStore`]s
 /// sharing one property schema. See the [module docs](self).
@@ -61,7 +64,10 @@ use std::sync::Arc;
 /// **appending** to it ([`append_shards`](Self::append_shards)) —
 /// shares the surviving shards instead of copying them, so their
 /// lazily-built artifacts (token tables, key indexes, bigram counters)
-/// ride along warm. An append therefore costs O(delta), not O(catalog).
+/// ride along warm. An append therefore costs O(delta), not O(catalog) —
+/// bar the sorted-neighbourhood catalog ladder, which an append hands on
+/// for the grown catalog to merge its new shards into (one copy of the
+/// ladder, O(delta) searches).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedStore {
     /// The per-shard stores, in catalog order.
@@ -71,6 +77,36 @@ pub struct ShardedStore {
     offsets: Vec<usize>,
     /// The schema every shard was frozen with.
     schema: Arc<PropertyInterner>,
+    /// The merged sort ladders built so far (see
+    /// [`sort_ladder`](Self::sort_ladder)).
+    ladders: LadderCache,
+}
+
+/// A catalog's merged sort ladders, one per key side — derived like a
+/// store's key indexes: built on first use, never persisted, ignored by
+/// `==`; a clone shares the ladders built so far.
+#[derive(Debug, Default)]
+struct LadderCache(Mutex<HashMap<KeySide, Arc<CatalogLadder>>>);
+
+impl LadderCache {
+    /// The map. Poison recovery: an entry is inserted only once its
+    /// ladder is complete, so the map is sound whatever panicked.
+    fn lock(&self) -> MutexGuard<'_, HashMap<KeySide, Arc<CatalogLadder>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for LadderCache {
+    fn clone(&self) -> Self {
+        LadderCache(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl PartialEq for LadderCache {
+    /// Equal shards are equal catalogs, whatever each has built.
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl Default for ShardedStore {
@@ -222,6 +258,33 @@ impl ShardedStore {
         self.shards[shard].id(local)
     }
 
+    /// The sorted-neighbourhood ladder of the whole catalog for `side`
+    /// (resolved against the catalog's schema): every shard's locals
+    /// merged by (sort value, global id), built on first use and cached
+    /// per side. A catalog grown by [`append_shards`](Self::append_shards)
+    /// starts from its parent's ladder and merges in only the new shards.
+    /// The build runs outside the cache's lock and is inserted whole, so a
+    /// panic inside it leaves the cache as it was.
+    pub(crate) fn sort_ladder(&self, side: &KeySide) -> Arc<CatalogLadder> {
+        let cached = self.ladders.lock().get(side).cloned();
+        let shards = self.shard_count();
+        if let Some(ladder) = cached.as_ref().filter(|l| l.shard_count() == shards) {
+            return ladder.clone();
+        }
+        let empty = CatalogLadder::default();
+        let seed = cached.as_deref().unwrap_or(&empty);
+        let new_shards = self.shards[seed.shard_count()..].iter().map(|s| &**s);
+        let ladder = Arc::new(seed.extended(new_shards, side));
+        self.ladders.lock().insert(*side, ladder.clone());
+        ladder
+    }
+
+    /// The ladder cached for `side`, if any, without building one.
+    #[cfg(test)]
+    pub(crate) fn cached_ladder(&self, side: &KeySide) -> Option<Arc<CatalogLadder>> {
+        self.ladders.lock().get(side).cloned()
+    }
+
     /// The global id of item `id`, if any shard holds it — of its **last**
     /// record when the id repeats, as [`RecordStore::index_of`] answers.
     pub fn index_of(&self, id: &Term) -> Option<usize> {
@@ -253,6 +316,7 @@ impl ShardedStore {
             shards,
             offsets,
             schema,
+            ladders: LadderCache::default(),
         }
     }
 
@@ -269,7 +333,9 @@ impl ShardedStore {
     ///
     /// The surviving shards are **`Arc`-shared**, not rebuilt: their
     /// warmed token/key/bigram artifacts carry over, so the append costs
-    /// O(delta records), however large the catalog. Records of the delta
+    /// O(delta records), however large the catalog. The catalog's sort
+    /// ladders are handed on too, for the grown catalog's first
+    /// sorted-neighbourhood use to merge the new shards into. Records of the delta
     /// get the global ids `self.len()..`; the result is equal to a full
     /// rebuild over the concatenated record sequence with the same shard
     /// boundaries. `delta` must come from [`delta_builder`](Self::delta_builder)
@@ -320,6 +386,7 @@ impl ShardedStore {
             // post-append property simply resolves to empty columns on
             // an old shard.
             schema: delta.schema,
+            ladders: self.ladders.clone(),
         })
     }
 }
@@ -396,6 +463,16 @@ impl<'a> LocalShards<'a> {
         match self.0 {
             ShardsInner::Single(store) => store.interner(),
             ShardsInner::Sharded(s) => s.schema(),
+        }
+    }
+
+    /// The sorted-neighbourhood ladder of this view for `side`: a single
+    /// store's — or a one-shard catalog's — own, a sharded catalog's
+    /// merged one (see [`ShardedStore::sort_ladder`]).
+    pub(crate) fn sort_ladder(&self, side: &KeySide) -> Ladder {
+        match self.0 {
+            ShardsInner::Sharded(s) if s.shard_count() > 1 => Ladder::Catalog(s.sort_ladder(side)),
+            _ => Ladder::Store(self.shard(0).key_index(side)),
         }
     }
 

@@ -29,10 +29,19 @@ use crate::token_index::{
 };
 
 /// Adjacent scalar-value pairs of the lowercased string — the shared
-/// bigram alphabet of [`char_bigrams`] and the token-index kernels.
-pub(crate) fn bigram_pairs(s: &str) -> impl Iterator<Item = (char, char)> {
-    let lowered: Vec<char> = s.to_lowercase().chars().collect();
-    (1..lowered.len()).map(move |i| (lowered[i - 1], lowered[i]))
+/// bigram alphabet of [`char_bigrams`] and the token-index kernels. An
+/// ASCII value is lowercased byte by byte, allocating nothing (what
+/// `str::to_lowercase` answers for it); any other takes `to_lowercase`,
+/// whose final-sigma rule depends on the whole value.
+pub(crate) fn bigram_pairs(s: &str) -> impl Iterator<Item = (char, char)> + '_ {
+    let (ascii, lowered): (&[u8], Vec<char>) = if s.is_ascii() {
+        (s.as_bytes(), Vec::new())
+    } else {
+        (&[], s.to_lowercase().chars().collect())
+    };
+    let lower = |b: u8| char::from(b.to_ascii_lowercase());
+    let ascii = ascii.windows(2).map(move |w| (lower(w[0]), lower(w[1])));
+    ascii.chain((1..lowered.len()).map(move |i| (lowered[i - 1], lowered[i])))
 }
 
 /// The character bigrams of the lowercased string. A string with fewer
@@ -100,6 +109,44 @@ pub fn monge_elkan(a: &str, b: &str) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// [`bigram_pairs`] through `str::to_lowercase` alone, for any value.
+    fn lowercased_pairs(s: &str) -> Vec<(char, char)> {
+        let lowered: Vec<char> = s.to_lowercase().chars().collect();
+        lowered.windows(2).map(|w| (w[0], w[1])).collect()
+    }
+
+    proptest! {
+        /// The ASCII byte path yields what `to_lowercase` yields.
+        #[test]
+        fn ascii_bigram_pairs_agree_with_to_lowercase(s in "[\\x00-\\x7f]{0,24}") {
+            prop_assert!(s.is_ascii());
+            prop_assert_eq!(bigram_pairs(&s).collect::<Vec<_>>(), lowercased_pairs(&s));
+        }
+    }
+
+    #[test]
+    fn bigram_pairs_keep_to_lowercase_beyond_ascii() {
+        for s in [
+            "",
+            "A",
+            "AB",
+            "CRCW0805-10K",
+            "ΟΔΟΣ",
+            "Σ",
+            "İx",
+            "Straße",
+            "aÉb",
+        ] {
+            assert_eq!(
+                bigram_pairs(s).collect::<Vec<_>>(),
+                lowercased_pairs(s),
+                "{s:?}"
+            );
+        }
+        // The final sigma is a property of the whole value.
+        assert_eq!(bigram_pairs("ΟΣ").last(), Some(('ο', 'ς')));
+    }
 
     #[test]
     fn jaccard_tokens_basic() {

@@ -42,8 +42,8 @@
 //! once per recipe, the records sorted by key, and — for sorted
 //! neighbourhood — a sort ladder that orders the records by sort value
 //! and carries each slot's first eight bytes as one big-endian word, so
-//! the window walk compares integers and reads a string only when two
-//! words tie.
+//! the catalog ladder's merge and every insertion search compare integers
+//! and read a string only when two words tie.
 
 use crate::blocking::KeySide;
 use crate::similarity::jaro::jaro_winkler_with;
@@ -366,16 +366,20 @@ pub struct KeyIndex {
     bigrams: OnceLock<KeyBigramIndex>,
 }
 
-/// One slot of a [`KeyIndex`]'s sorted-neighbourhood ladder: a record
-/// and the **word** of its sort value — the first eight bytes,
-/// big-endian, zero-padded. Byte order on strings is lexicographic, so
-/// the word is monotone in it: a smaller word is a smaller sort value, and
-/// only equal words need the strings (a value that is a prefix of
-/// another, or two that share eight bytes) to decide.
-#[derive(Debug, Clone, Copy)]
+/// One slot of a sorted-neighbourhood ladder: a record, its shard, and
+/// the **word** of its sort value — the first eight bytes, big-endian,
+/// zero-padded. Byte order on strings is lexicographic, so the word is
+/// monotone in it: a smaller word is a smaller sort value, and only equal
+/// words need the strings (a value that is a prefix of another, or two
+/// that share eight bytes) to decide. A [`KeyIndex`]'s own ladder is one
+/// store's, so its shard is always 0; a catalog's merged ladder (see
+/// [`crate::blocking::sorted_neighborhood`]) names each slot's shard.
+/// The shard fills what was padding: a rung is 16 bytes either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Rung {
     pub(crate) word: u64,
     pub(crate) record: u32,
+    pub(crate) shard: u32,
 }
 
 /// The word of a sort value: its first eight bytes as a big-endian
@@ -399,6 +403,7 @@ fn fill_rungs<'a>(
     rungs.extend(records.map(|record| Rung {
         word: sort_word(value(record)),
         record,
+        shard: 0,
     }));
     rungs.sort_unstable_by(|a, b| {
         (a.word.cmp(&b.word))

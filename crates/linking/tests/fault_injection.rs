@@ -15,7 +15,9 @@
 //!    baseline.
 #![cfg(feature = "failpoints")]
 
-use classilink_linking::blocking::{BigramBlocker, Blocker, BlockingKey, StandardBlocker};
+use classilink_linking::blocking::{
+    BigramBlocker, Blocker, BlockingKey, SortedNeighborhoodBlocker, StandardBlocker,
+};
 use classilink_linking::pipeline::{Link, LinkagePipeline, LinkageResult};
 use classilink_linking::record::Record;
 use classilink_linking::{
@@ -676,6 +678,110 @@ fn failed_append_keeps_serving_last_good_epoch() {
             .iter()
             .any(|l| l.local == Term::iri("http://catalog.example.org/prod/55")),
         "probe must see the appended record"
+    );
+}
+
+/// The sorted-neighbourhood catalog ladder: a panic inside its merge — on
+/// a fresh catalog, on an appended one whose ladder starts from its
+/// parent's, and while a serving append warms it — surfaces as the
+/// domain's structured error, leaves the cache as it was (nothing
+/// half-merged is ever served, no lock stays poisoned), and a clean retry
+/// is bit-identical to a never-faulted run.
+#[test]
+fn a_panicked_ladder_build_leaves_no_cache_behind() {
+    const LADDER: &str = "blocking::sorted_neighborhood::ladder";
+    let _serial = serial();
+    quiet_injected_panics();
+    fail::teardown();
+    let (external, _) = dataset();
+    let locals: Vec<Record> = (0..LOCALS).map(local_record).collect();
+    let catalog = || ShardedStore::from_records(&locals, SHARDS);
+    let delta = |builder: &mut ShardedStoreBuilder| {
+        builder.begin_shard();
+        for i in LOCALS..LOCALS + 8 {
+            builder.push(&local_record(i));
+        }
+    };
+    let grow = |base: &ShardedStore| {
+        let mut builder = base.delta_builder();
+        delta(&mut builder);
+        base.append_shards(builder)
+    };
+    let sn = SortedNeighborhoodBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 4);
+    let cmp = comparator();
+    let pipeline = LinkagePipeline::new(&sn, &cmp);
+    let run = |local: &ShardedStore, first_new: usize| {
+        pipeline.try_run_sharded_delta(&external, local, first_new)
+    };
+    let baseline = run(&catalog(), 0).expect("baseline");
+    let grown_baseline = run(&grow(&catalog()), 0).expect("baseline");
+    let delta_baseline = run(&grow(&catalog()), SHARDS).expect("baseline");
+    assert!(delta_baseline.comparisons > 0, "the delta must be linked");
+    let assert_ladder_panic = |error: LinkError, context: &str| match error {
+        LinkError::BlockingPanicked { payload, .. } => {
+            assert!(
+                payload.contains("chaos in the ladder"),
+                "{context}: {payload}"
+            )
+        }
+        other => panic!("{context}: wrong error {other:?}"),
+    };
+
+    // A fresh catalog, faulted as its second shard merges in.
+    let fresh = catalog();
+    let armed = Armed::new(LADDER, "1*off->panic(chaos in the ladder)");
+    assert_ladder_panic(run(&fresh, 0).unwrap_err(), "fresh catalog");
+    drop(armed);
+    let healed = run(&fresh, 0).expect("clean retry");
+    assert_bit_identical(&healed, &baseline, "fresh catalog after a ladder fault");
+
+    // An appended catalog, seeded with the ladder the retry built.
+    let appended = grow(&fresh);
+    let armed = Armed::new(LADDER, "panic(chaos in the ladder)");
+    assert_ladder_panic(run(&appended, SHARDS).unwrap_err(), "appended catalog");
+    drop(armed);
+    let healed = run(&appended, SHARDS).expect("clean retry");
+    assert_bit_identical(&healed, &delta_baseline, "delta after a ladder fault");
+    let healed = run(&appended, 0).expect("clean retry");
+    assert_bit_identical(
+        &healed,
+        &grown_baseline,
+        "appended catalog after a ladder fault",
+    );
+
+    // Serving: the append's warm faults, the last good epoch keeps
+    // serving, and the clean append probes like the batch run.
+    let linker = Linker::new(&sn, &cmp, catalog());
+    let mut scratch = ProbeScratch::new();
+    let probe = external_record(7);
+    let before = clone_hits(linker.probe_with(&probe, &mut scratch));
+    let armed = Armed::new(LADDER, "panic(chaos warm ladder)");
+    let mut builder = linker.delta_builder();
+    delta(&mut builder);
+    match linker.try_append(builder).unwrap_err() {
+        LinkError::EpochBuildPanicked { payload } => {
+            assert!(payload.contains("chaos warm ladder"), "{payload}")
+        }
+        other => panic!("serving append: wrong error {other:?}"),
+    }
+    drop(armed);
+    let after = linker.probe_with(&probe, &mut scratch);
+    assert_hits_bit_identical(after, &before, "serving across a failed ladder warm");
+    let mut builder = linker.delta_builder();
+    delta(&mut builder);
+    assert_eq!(linker.try_append(builder).expect("clean append"), 2);
+    let hits = linker.probe_with(&probe, &mut scratch);
+    let expected = grown_baseline
+        .matches
+        .iter()
+        .filter(|l| l.external == probe.id);
+    // Local 55 (55 % 8 == 7) ties the probe's part number and, having the
+    // highest id of its value, is the nearest local below it.
+    let appended_match = Term::iri("http://catalog.example.org/prod/55");
+    assert!(hits.matches.iter().any(|l| l.local == appended_match));
+    assert!(
+        hits.matches.iter().eq(expected),
+        "probe behind the healed append"
     );
 }
 

@@ -463,46 +463,63 @@ fn bigram_counter_matches_count_all_reference_at_paper_scale() {
 /// Paper scale (`linkbench`'s feed link: the 30 000-record catalog as 4
 /// shards, window 10) plus every hundredth catalog record appended again as
 /// a fifth shard — equal sort values in different shards, and a delta whose
-/// windows reach across the whole catalog. The full stream and the
-/// delta-restricted one each equal the string-sorted per-external
-/// reference, as multisets; both counts are pinned. CI runs it in release.
+/// windows reach across the whole catalog. The 5-shard catalog is streamed
+/// twice: once after its parent was streamed, so that its ladder starts
+/// from the parent's, and once as a fresh catalog whose ladder merges all
+/// five shards. Each full stream and each delta-restricted one equals the
+/// string-sorted per-external reference, as multisets; the counts are
+/// pinned. CI runs it in release.
 #[test]
 #[ignore = "paper scale: run with --release -- --ignored"]
 fn sorted_neighbourhood_matches_the_reference_at_paper_scale() {
     const WINDOW: usize = 10;
     let scenario = generate(&ScenarioConfig::paper());
     let (external, base) = scenario.sharded_stores(4);
+    let unstreamed = base.clone();
     let catalog = scenario.local_store();
     let mut delta = base.delta_builder();
     for l in (0..catalog.len()).step_by(100) {
         delta.push(&catalog.record(l));
     }
-    let local = base.append_shards(delta);
-    assert_eq!(local.shard_count(), 5);
-    let first_new = local.offset(4);
+    let blocker = SortedNeighborhoodBlocker::new(key(0), WINDOW);
+    let mut runs = CandidateRuns::new();
+    blocker.stream_candidates(&external, (&base).into(), &mut runs);
+    let seeded = base.append_shards(delta.clone());
+    let fresh = unstreamed.append_shards(delta);
+    assert_eq!(seeded.shard_count(), 5);
+    let first_new = seeded.offset(4);
 
     // The reference over the appended catalog as one store: global ids.
     let mut records = catalog.to_records();
     records.extend((0..catalog.len()).step_by(100).map(|l| catalog.record(l)));
     let all = RecordStore::from_records(&records);
     let reference = oracle::sorted_neighborhood(&key(0), WINDOW, &external, &all);
-    let streamed = |runs: &CandidateRuns| {
-        let global = |s| {
-            let base = local.offset(s);
-            runs.pairs(s).map(move |(e, l)| (e, base + l))
-        };
-        let mut pairs: Vec<(usize, usize)> = (0..runs.shard_count()).flat_map(global).collect();
-        pairs.sort_unstable();
-        pairs
-    };
-    let blocker = SortedNeighborhoodBlocker::new(key(0), WINDOW);
-    let mut runs = CandidateRuns::new();
-    blocker.stream_candidates(&external, (&local).into(), &mut runs);
-    assert_eq!(streamed(&runs), reference);
-    let mut delta_runs = CandidateRuns::new();
-    delta_runs.restrict_to_shards_from(4);
-    blocker.stream_candidates(&external, (&local).into(), &mut delta_runs);
     let delta: Vec<_> = reference.iter().filter(|&&(_, l)| l >= first_new).collect();
-    assert!(streamed(&delta_runs).iter().eq(delta));
-    assert_eq!((runs.total(), delta_runs.total()), (184_615, 1_692));
+    for (name, local) in [("seeded", &seeded), ("fresh", &fresh)] {
+        let streamed = |runs: &CandidateRuns| {
+            let global = |s| {
+                let base = local.offset(s);
+                runs.pairs(s).map(move |(e, l)| (e, base + l))
+            };
+            let mut pairs: Vec<(usize, usize)> = (0..runs.shard_count()).flat_map(global).collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        // The delta stream first: on the seeded catalog, it is what
+        // merges the new shard into the parent's ladder.
+        let mut delta_runs = CandidateRuns::new();
+        delta_runs.restrict_to_shards_from(4);
+        blocker.stream_candidates(&external, local.into(), &mut delta_runs);
+        assert!(
+            streamed(&delta_runs).iter().eq(delta.iter().copied()),
+            "{name}"
+        );
+        blocker.stream_candidates(&external, local.into(), &mut runs);
+        assert_eq!(streamed(&runs), reference, "{name}");
+        assert_eq!(
+            (runs.total(), delta_runs.total()),
+            (184_615, 1_692),
+            "{name}"
+        );
+    }
 }

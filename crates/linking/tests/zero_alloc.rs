@@ -467,38 +467,45 @@ fn measure_probe_sweep(
     (after - before, links)
 }
 
-/// Append a shard whose one block (100 locals) outgrows every buffer so
-/// far: the sweep that meets it first grows the sink and the survivor
+/// Append two shards whose blocks (100 locals each) outgrow every buffer
+/// so far: the sweep that meets them first grows the sink and the survivor
 /// buffer, the next one reuses them. Then swap `catalog` back and append
-/// the same shard anew — it is cold, the scratch is not: probes right
-/// behind the publish allocate nothing, because the writer built the
-/// shard's signature column (and key index), not the probe.
+/// the same shards anew — they are cold, the scratch is not: probes right
+/// behind the second publish allocate nothing, because the writer built
+/// the shards' signature columns and key indexes, and the catalog's sort
+/// ladder (the second append's from the first's), not the probe.
 fn assert_appended_shards_are_probed_warm(
     linker: &Linker<'_>,
     scratch: &mut ProbeScratch,
     probes: &[Record],
     catalog: &ShardedStore,
 ) {
-    let append = || {
+    let append = |round: usize| {
         let mut delta = linker.delta_builder();
         for i in 0..100 {
-            let mut r = Record::new(Term::iri(format!("http://local.e.org/delta/{i}")));
-            r.add(LOC_PN, format!("CRCW0805-{:05}-{}", 7 * i + 3, i % 5));
+            let id = format!("http://local.e.org/delta/{round}/{i}");
+            let mut r = Record::new(Term::iri(id));
+            r.add(
+                LOC_PN,
+                format!("CRCW0805-{:05}-{}", 7 * i + 3 + round, i % 5),
+            );
             delta.push(&r);
         }
         linker.try_append(delta).unwrap();
     };
-    append();
+    append(0);
+    append(1);
     let (grown, _) = measure_probe_sweep(linker, scratch, probes);
-    assert_eq!(grown, 0, "a warm sweep over the grown block allocated");
+    assert_eq!(grown, 0, "a warm sweep over the grown blocks allocated");
     linker.swap(catalog.clone());
-    append();
+    append(0);
+    append(1);
     let before = allocations();
     let mut comparisons = 0;
     for probe in probes {
         comparisons += linker.probe_with(probe, scratch).comparisons;
     }
-    assert!(comparisons >= 100, "the appended block was not probed");
+    assert!(comparisons >= 100, "the appended blocks were not probed");
     assert_eq!(
         allocations() - before,
         0,
@@ -541,7 +548,7 @@ fn warm_probe_never_allocates() {
     let standard = StandardBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 4));
     let bigram = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.3);
     // Windows wider than the 24-record catalog, so that the probes behind
-    // an append reach into its 100-record shard.
+    // an append reach into its 100-record shards.
     let sorted = SortedNeighborhoodBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 32);
     for shard_count in [1, 3] {
         let catalog = catalog(shard_count);
