@@ -346,6 +346,10 @@ pub(crate) struct RunScratch {
     /// absent from the shard), rebuilt per shard by a sorted merge of
     /// the two gram tables.
     pub gram_map: Vec<u32>,
+    /// Sorted neighbourhood's insertion point of each external, indexed
+    /// by external id: how many rungs of the local ladder sort at or
+    /// before it. Rewritten per streaming call.
+    pub places: Vec<u32>,
     epoch: u32,
 }
 

@@ -10,15 +10,17 @@
 //! on the catalog (a `CatalogLadder`). Each external record is then
 //! *inserted* into that ladder at its own sort position and windows
 //! against the `window − 1` nearest locals on either side — two slices of
-//! the ladder.
+//! the ladder. The externals have a ladder of their own, so their
+//! insertion points are found by one merge walk of the two ladders, each
+//! external galloping on from the one sorted before it.
 //!
 //! Every ladder slot carries its sort value's first eight bytes as one
 //! big-endian, zero-padded `u64` — a word that is monotone in the byte
-//! order of the values — so the insertion search and the merge compare
-//! integers, and fall back to the arena strings, then to the global id,
-//! only when two words are equal (values sharing eight bytes, or one a
-//! prefix of the other). The order is exactly (sort value, global id); the
-//! words only decide most comparisons sooner.
+//! order of the values — so the placement walk and the catalog merge
+//! compare integers, and fall back to the arena strings, then to the
+//! global id, only when two words are equal (values sharing eight bytes,
+//! or one a prefix of the other). The order is exactly (sort value, global
+//! id); the words only decide most comparisons sooner.
 //!
 //! This per-external formulation has three properties the engine leans
 //! on:
@@ -47,7 +49,7 @@ use super::key::{BlockingKey, KeySide};
 use super::{Blocker, CandidateRuns};
 use crate::shard::LocalShards;
 use crate::store::RecordStore;
-use crate::token_index::{sort_word, KeyIndex, Rung};
+use crate::token_index::{KeyIndex, Rung};
 use std::sync::Arc;
 
 /// Sorted-neighbourhood blocking over the key-sorted local ladder.
@@ -76,14 +78,20 @@ impl Blocker for SortedNeighborhoodBlocker {
         "sorted-neighborhood"
     }
 
-    /// Native streaming. Per external record: one insertion search in the
-    /// local side's ladder, then the `window − 1` rungs below it, nearest
-    /// first, and the `window − 1` above — `O(log n + window)` per
-    /// external. The search compares the ladder's integer words and reads
-    /// a sort value (an arena borrow) only where two words tie. Each
-    /// external's pushes are consecutive per shard, so the sink coalesces
-    /// them into one explicit block per (shard, external). Once the ladder
-    /// is built (see [`warm`](Blocker::warm)), a call allocates nothing.
+    /// Native streaming, in two passes. Placement: the externals in their
+    /// own ladder's order — (sort value, id), cached on their key index —
+    /// are one sorted list, so each one's insertion point in the local
+    /// side's ladder is found by galloping forward from the previous
+    /// one's: one merge walk, `O(E · log(n / E))` compares for E externals
+    /// over n locals (`O(log n)` for a one-record probe). The walk
+    /// compares the ladders' integer words and reads a sort value (an
+    /// arena borrow) only where two words tie. Emission, in external-id
+    /// order: the `window − 1` rungs below each external's point, nearest
+    /// first, then the `window − 1` above. Each external's pushes are
+    /// consecutive per shard, so the sink coalesces them into one explicit
+    /// block per (shard, external). Once both ladders are built (the local
+    /// one by [`warm`](Blocker::warm), the external one by the first
+    /// call), a call allocates nothing.
     fn stream_candidates(
         &self,
         external: &RecordStore,
@@ -99,20 +107,38 @@ impl Blocker for SortedNeighborhoodBlocker {
         }
         let reach = self.window - 1;
         let external_keys = external.key_index(&self.key.external_side(external));
-        // No shard_active skip here: the sliding window is global, so
-        // every external is placed in the whole catalog's ladder to decide
-        // which new-shard records fall inside its window; pushes into
-        // restricted shards are dropped by the sink itself.
+        // No shard_active skip of the placement: the sliding window is
+        // global, so every external is placed in the whole catalog's
+        // ladder to decide which new-shard records fall inside its window.
         let ladder = local.sort_ladder(&self.key.local_side_of(local.schema()));
-        let rungs = ladder.rungs();
-        for e in 0..external.len() {
-            let p = ladder.insertion(external_keys.sort_value(e));
+        let (keys, rungs) = (ladder.keys(), ladder.rungs());
+        // Placement: the externals in (sort value, id) order, each
+        // galloping on from the one before.
+        let mut places = std::mem::take(&mut out.scratch.places);
+        places.clear();
+        places.resize(external.len(), 0);
+        let mut placed = 0;
+        for rung in external_keys.ladder() {
+            let value = external_keys.sort_value(rung.record as usize);
+            let sorts_first = |r: &Rung| at_or_before(keys, r, rung.word, value);
+            placed += gallop(&rungs[placed..], sorts_first);
+            places[rung.record as usize] =
+                u32::try_from(placed).expect("sort ladder exceeds u32::MAX rungs");
+        }
+        // Emission, in external-id order.
+        for (e, &p) in places.iter().enumerate() {
+            let p = p as usize;
             let below = &rungs[p.saturating_sub(reach)..p];
             let above = &rungs[p..rungs.len().min(p.saturating_add(reach))];
             for rung in below.iter().rev().chain(above) {
-                out.push(rung.shard as usize, e, rung.record as usize);
+                // Under a delta restriction most rungs lie in old shards:
+                // a compare here, not a call into the sink.
+                if out.shard_active(rung.shard as usize) {
+                    out.push(rung.shard as usize, e, rung.record as usize);
+                }
             }
         }
+        out.scratch.places = places;
     }
 
     /// Build the ladder the windows slice: each shard's key index and
@@ -147,16 +173,6 @@ impl Ladder {
             Ladder::Store(keys) => keys.ladder(),
             Ladder::Catalog(ladder) => &ladder.rungs,
         }
-    }
-
-    /// The number of rungs that sort at or before an external of sort
-    /// value `value`: those of a smaller word, and those of its word whose
-    /// sort value is not greater — locals sort before an external on
-    /// equal values. One bisection; it reads a sort value only where it
-    /// lands on a rung of the external's word.
-    fn insertion(&self, value: &str) -> usize {
-        let (keys, word) = (self.keys(), sort_word(value));
-        (self.rungs()).partition_point(|rung| at_or_before(keys, rung, word, value))
     }
 }
 
@@ -635,6 +651,74 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Sort values drawn to tie: runs of `a` (an `A` lowercases into one)
+    /// with a short tail, so values share their 8-byte word, repeat, are
+    /// prefixes of each other or are empty (`-` is stripped), and an `é`
+    /// can straddle byte 8.
+    const TIED_VALUES: &str = "[aA]{0,9}[abé-]{0,3}";
+
+    /// The streamed windows against [`emission_reference`] over 1, 3 and n
+    /// shards at windows 2, 3, n + 1 and `usize::MAX`, through sinks
+    /// restricted to shards `first..` for a few `first`: every active
+    /// shard holds its share of the reference's emission sequence, in
+    /// that order, and every inactive shard nothing.
+    fn assert_windows_match(externals: &[String], locals: &[String]) {
+        let external_records: Vec<_> = (externals.iter().enumerate())
+            .map(|(i, pn)| ext_record(i, pn))
+            .collect();
+        let local_records: Vec<_> = (locals.iter().enumerate())
+            .map(|(i, pn)| loc_record(i, pn))
+            .collect();
+        let external = RecordStore::from_records(&external_records);
+        let local = RecordStore::from_records(&local_records);
+        let n = locals.len();
+        let mut runs = CandidateRuns::new();
+        for window in [2, 3, n + 1, usize::MAX] {
+            let expected = emission_reference(&key(), &external, &local, window);
+            let blocker = SortedNeighborhoodBlocker { key: key(), window };
+            for shard_count in [1, 3, n] {
+                let sharded = ShardedStore::from_records(&local_records, shard_count);
+                let shards = sharded.shard_count();
+                for first in [0, 1, shards - 1] {
+                    runs.restrict_to_shards_from(first);
+                    blocker.stream_candidates(&external, (&sharded).into(), &mut runs);
+                    for s in 0..shards {
+                        let ids = sharded.offset(s)..sharded.offset(s) + sharded.shard(s).len();
+                        let share =
+                            (expected.iter()).filter(|(_, l)| s >= first && ids.contains(l));
+                        let emitted = runs.pairs(s).map(|(e, l)| (e, sharded.global(s, l)));
+                        assert!(
+                            emitted.eq(share.copied()),
+                            "window {window}, shard {s}/{shards} from {first}: \
+                             externals {externals:?}, locals {locals:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// One external — the probe's shape — placed among many locals.
+        #[test]
+        fn a_lone_external_is_placed_like_the_reference(
+            externals in proptest::collection::vec(TIED_VALUES, 1..2),
+            locals in proptest::collection::vec(TIED_VALUES, 1..40),
+        ) {
+            assert_windows_match(&externals, &locals);
+        }
+
+        /// Many more externals than locals: most gallop zero steps, and
+        /// equal externals share their insertion point.
+        #[test]
+        fn many_externals_are_placed_like_the_reference(
+            externals in proptest::collection::vec(TIED_VALUES, 20..160),
+            locals in proptest::collection::vec(TIED_VALUES, 1..8),
+        ) {
+            assert_windows_match(&externals, &locals);
         }
     }
 

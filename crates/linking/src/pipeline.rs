@@ -206,11 +206,11 @@ impl<'a> LinkagePipeline<'a> {
     /// skip old shards outright (their probe loops never run); the
     /// sorted-neighbourhood window still places every external in the
     /// whole catalog's ladder — its windows span the shard boundary — but
-    /// that is one insertion search and two slices per external (the
-    /// merged ladder is cached on the catalog, and an appended catalog
-    /// merges only its new shards into its parent's), and old-shard
-    /// candidates are dropped at the sink, so only new-shard pairs are
-    /// ever scored.
+    /// that is one merge walk of the externals' own ladder over it and two
+    /// slices per external (the merged ladder is cached on the catalog,
+    /// and an appended catalog merges only its new shards into its
+    /// parent's), and old-shard candidates are skipped before the sink,
+    /// so only new-shard pairs are ever scored.
     ///
     /// Panics on a contained fault — the fault-tolerant entry point is
     /// [`try_run_sharded_delta`](Self::try_run_sharded_delta).

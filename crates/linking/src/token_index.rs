@@ -42,8 +42,8 @@
 //! once per recipe, the records sorted by key, and — for sorted
 //! neighbourhood — a sort ladder that orders the records by sort value
 //! and carries each slot's first eight bytes as one big-endian word, so
-//! the catalog ladder's merge and every insertion search compare integers
-//! and read a string only when two words tie.
+//! the catalog ladder's merge and the walk that places the externals
+//! compare integers and read a string only when two words tie.
 
 use crate::blocking::KeySide;
 use crate::similarity::jaro::jaro_winkler_with;

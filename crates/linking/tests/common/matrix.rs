@@ -10,11 +10,14 @@
 //! are the oracle's, unrestricted and delta-restricted. Per cell
 //! (blocker × comparator × layout):
 //! * full runs at 1 and 4 threads over the single store, the sharded
-//!   catalog and the snapshot-restored catalog are the oracle's result,
-//!   scores compared bit for bit;
-//! * the delta run is the new-shard slice of that result, accounting
-//!   included; a first new shard past the end links nothing and shard 0
-//!   is the full run;
+//!   catalog, the same catalog appended to a base whose
+//!   sorted-neighbourhood ladder was built first (*seeded*: the grown
+//!   catalog merges only its new shards into the base's ladder) and the
+//!   snapshot-restored catalog are the oracle's result, scores compared
+//!   bit for bit;
+//! * each catalog's delta run is the new-shard slice of that result,
+//!   accounting included; a first new shard past the end links nothing
+//!   and shard 0 is the full run;
 //! * every external's [`Linker`] probe over the catalog restored by
 //!   `Linker::snapshot` and `Linker::open` is its slice of the result,
 //!   the probes' comparison counts sum to the batch count, and a `swap`
@@ -45,6 +48,7 @@
 //! | run prefilter | table entry one too high; `>` for `>=`; `least = shared + 2` | matrix, streaming |
 //! | sort ladder | little-endian word; `0xFF` padding; ASCII keeps its case | matrix, paper |
 //! | sort ladder | the walk orders equal words by id before string | matrix, paper, lib |
+//! | sort ladder | a grown catalog served its parent's ladder, the new shards never merged in | matrix, paper, lib |
 //! | rule blocker | no union dedup | streaming (`overlapping_…`), prop |
 //! | rule blocker | `push` extends a shared block | lib only: no blocker pushes there |
 //! | Jaro pass | the bound fed the match count | paper (the funnel) |
@@ -109,8 +113,10 @@ pub fn fill(mut builder: ShardedStoreBuilder, shards: &[Vec<Record>]) -> Sharded
 struct Stores {
     /// Base and delta records as one store: the oracle's local side.
     single: RecordStore,
-    /// The base built and the delta appended, then, when the check
-    /// restores, that catalog snapshotted and opened again.
+    /// The base built and the delta appended; the same with the base's
+    /// sorted-neighbourhood ladder built first, so the grown catalog
+    /// starts from it and merges in only the delta shards; then, when the
+    /// check restores, the first catalog snapshotted and opened again.
     catalogs: Vec<(&'static str, ShardedStore)>,
     /// The first appended shard.
     first_new: usize,
@@ -126,7 +132,16 @@ impl Stores {
         let all = [&layout.base[..], &layout.delta[..]].concat();
         let rebuilt = fill(ShardedStore::builder(), &all).build();
         assert_same_catalog(&catalog, &rebuilt, "append against a from-scratch build");
-        let mut catalogs = vec![("catalog", catalog)];
+        // The ladder does not depend on the window.
+        let seeded = fill(ShardedStore::builder(), &layout.base).build();
+        SortedNeighborhoodBlocker::new(super::key(0), 2).warm((&seeded).into());
+        let seeded = seeded.append_shards(fill(seeded.delta_builder(), &layout.delta));
+        assert_same_catalog(
+            &seeded,
+            &rebuilt,
+            "seeded append against a from-scratch build",
+        );
+        let mut catalogs = vec![("catalog", catalog), ("seeded", seeded)];
         if restore {
             // Through the serving layer's own snapshot and restart.
             let (dir, cmp) = (fresh_dir("matrix"), super::jw95());
@@ -396,9 +411,12 @@ fn check_runs(
             let context = format!("{context}: {side} / {threads} threads");
             assert_same_result(&result, expected, &context);
         }
+        for (side, store) in &st.catalogs {
+            let context = format!("{context}: {side} delta / {threads} threads");
+            let delta = pipeline.run_sharded_delta(external, store, st.first_new);
+            assert_same_result(&delta, expected_delta, &context);
+        }
         let context = format!("{context}: delta / {threads} threads");
-        let delta = pipeline.run_sharded_delta(external, catalog, st.first_new);
-        assert_same_result(&delta, expected_delta, &context);
         // The other degenerate bound: past the end is an empty delta.
         let empty = pipeline.run_sharded_delta(external, catalog, catalog.shard_count());
         let nothing =
