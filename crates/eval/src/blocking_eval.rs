@@ -7,8 +7,9 @@
 //! of candidate pairs, the reduction ratio, and the pairs completeness
 //! (whether the true `same-as` pairs survive the reduction).
 //!
-//! All strategies run on the columnar [`RecordStore`] — build it once per
-//! side with [`stores_and_truth`] and hand the same pair to every blocker.
+//! All strategies run on the columnar stores — build the external
+//! [`RecordStore`] and the one-shard catalog once with [`stores_and_truth`]
+//! and hand the same pair to every blocker.
 
 use classilink_core::{LearnerConfig, RuleClassifier, RuleLearner};
 use classilink_datagen::vocab;
@@ -17,7 +18,7 @@ use classilink_linking::blocking::{
     collect_pairs, BigramBlocker, Blocker, BlockingKey, BlockingStats, CartesianBlocker,
     RuleBasedBlocker, SortedNeighborhoodBlocker, StandardBlocker,
 };
-use classilink_linking::RecordStore;
+use classilink_linking::{RecordStore, ShardedStore};
 use std::collections::HashSet;
 
 /// The result of one blocking strategy on one scenario.
@@ -29,13 +30,12 @@ pub struct BlockingComparisonRow {
     pub stats: BlockingStats,
 }
 
-/// Build the external/local record stores and the gold pair set (as store
-/// indices) from a scenario.
+/// Build the external store, the local catalog as one shard and the gold
+/// pair set (as store indices) from a scenario.
 pub fn stores_and_truth(
     scenario: &GeneratedScenario,
-) -> (RecordStore, RecordStore, HashSet<(usize, usize)>) {
-    let external = scenario.external_store();
-    let local = scenario.local_store();
+) -> (RecordStore, ShardedStore, HashSet<(usize, usize)>) {
+    let (external, local) = scenario.sharded_stores(1);
     let truth: HashSet<(usize, usize)> = scenario
         .dataset
         .link_pairs()

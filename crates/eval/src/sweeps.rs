@@ -20,7 +20,7 @@ use classilink_core::{
     generalize, GeneralizeConfig, LearnerConfig, RuleClassifier, RuleLearner, TrainingSet,
 };
 use classilink_linking::blocking::{Blocker, CandidateRuns, RuleBasedBlocker};
-use classilink_linking::{LocalShards, RecordStore};
+use classilink_linking::{RecordStore, ShardedStore};
 use classilink_ontology::{InstanceStore, Ontology};
 use classilink_segment::SegmenterKind;
 
@@ -51,16 +51,15 @@ pub struct ReductionPoint {
 /// engine would compare, at any sharding of the catalog. An item no rule
 /// fires for keeps the whole catalog; a classified item whose classes have
 /// no instance in `local` keeps nothing and counts a factor of `|SL|`.
-pub fn reduction_sweep<'s>(
+pub fn reduction_sweep(
     classifier: &RuleClassifier,
     instances: &InstanceStore,
     ontology: &Ontology,
     external: &RecordStore,
-    local: impl Into<LocalShards<'s>>,
+    local: &ShardedStore,
     items: &[usize],
     thresholds: &[f64],
 ) -> Vec<ReductionPoint> {
-    let local = local.into();
     let local_size = local.len();
     let naive_pairs = items.len() as u64 * local_size as u64;
     let mut runs = CandidateRuns::new();
@@ -379,13 +378,13 @@ mod tests {
         let outcome = RuleLearner::new(config.clone())
             .learn(&scenario.training, &scenario.ontology)
             .unwrap();
-        let (external, items) = (scenario.external_store(), scenario.training_records());
+        let ((external, local), items) = (scenario.sharded_stores(1), scenario.training_records());
         let points = reduction_sweep(
             &RuleClassifier::from_outcome(&outcome, &config),
             &scenario.instances,
             &scenario.ontology,
             &external,
-            &scenario.local_store(),
+            &local,
             &items,
             &[1.0, 0.8, 0.5, 0.0],
         );

@@ -41,7 +41,7 @@
 
 use super::key::BlockingKey;
 use super::{Blocker, CandidateRuns};
-use crate::shard::LocalShards;
+use crate::shard::ShardedStore;
 use crate::store::RecordStore;
 use crate::token_index::GramPositions;
 
@@ -203,7 +203,7 @@ impl Blocker for BigramBlocker {
     fn stream_candidates(
         &self,
         external: &RecordStore,
-        local: LocalShards<'_>,
+        local: &ShardedStore,
         out: &mut CandidateRuns,
     ) {
         out.reset(external.len(), local);
@@ -216,7 +216,7 @@ impl Blocker for BigramBlocker {
         // the probe loop pushes into it.
         let mut counts = std::mem::take(&mut out.scratch.planes);
         let local_side = self.key.local_side_of(local.schema());
-        for (s, shard) in local.iter().enumerate() {
+        for (s, shard) in local.shards().iter().enumerate() {
             // An inactive (delta-restricted) shard skips its whole probe
             // loop — including the gram-map rebuild and the counter
             // build, which is what makes a delta run O(new shards).
@@ -286,9 +286,9 @@ impl Blocker for BigramBlocker {
 
     /// Build each shard's key index, bigram gram table and counter
     /// (everything a probe of the shard reads).
-    fn warm(&self, local: LocalShards<'_>) {
+    fn warm(&self, local: &ShardedStore) {
         let local_side = self.key.local_side_of(local.schema());
-        for shard in local.iter() {
+        for shard in local.shards() {
             shard.key_index(&local_side).bigram_index().counter();
         }
     }
@@ -330,10 +330,10 @@ mod tests {
     #[test]
     fn typo_in_part_number_still_blocks_together() {
         let external = RecordStore::from_records(&[ext_record(0, "CRCW0805-10J")]); // one char off
-        let local = RecordStore::from_records(&[
-            loc_record(0, "CRCW0805-10K"),
-            loc_record(1, "LM317-TO220"),
-        ]);
+        let local = ShardedStore::from_records(
+            &[loc_record(0, "CRCW0805-10K"), loc_record(1, "LM317-TO220")],
+            1,
+        );
         let pairs = collect_pairs(&BigramBlocker::new(key(), 0.6), &external, &local);
         let set: HashSet<_> = pairs.into_iter().collect();
         assert!(set.contains(&(0, 0)));
@@ -351,12 +351,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_candidates_equal_single_store() {
+    fn sharded_candidates_equal_one_shard() {
         // The sharing threshold depends only on the candidate pair's own
         // bigram sets, so the per-shard union equals the global set.
         let (external_records, local_records) = small_dataset();
         let external = RecordStore::from_records(&external_records);
-        let local = RecordStore::from_records(&local_records);
+        let local = ShardedStore::from_records(&local_records, 1);
         let blocker = BigramBlocker::new(key(), 0.6);
         let single = collect_pairs(&blocker, &external, &local);
         for shard_count in [2, 3, 9] {

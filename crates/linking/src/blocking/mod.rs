@@ -37,7 +37,7 @@ pub use rule_based::RuleBasedBlocker;
 pub use sorted_neighborhood::SortedNeighborhoodBlocker;
 pub use standard::StandardBlocker;
 
-use crate::shard::LocalShards;
+use crate::shard::ShardedStore;
 use crate::store::RecordStore;
 use crate::token_index::KeyIndex;
 use std::ops::Range;
@@ -412,11 +412,13 @@ impl CandidateRuns {
     /// respect: external ids below `externals`, shard-local ids below
     /// their shard's record count. What every
     /// [`stream_candidates`](Blocker::stream_candidates) runs first, as
-    /// `out.reset(external.len(), local)`.
-    pub fn reset(&mut self, externals: usize, local: LocalShards<'_>) {
+    /// `out.reset(external.len(), local)`. Kept out of line: inlined into
+    /// the bigram probe, it slows that stream by a tenth.
+    #[inline(never)]
+    pub fn reset(&mut self, externals: usize, local: &ShardedStore) {
         self.per_shard
             .resize_with(local.shard_count(), ShardRun::default);
-        for (run, shard) in self.per_shard.iter_mut().zip(local.iter()) {
+        for (run, shard) in self.per_shard.iter_mut().zip(local.shards()) {
             run.clear(shard.len());
         }
         self.externals = externals;
@@ -668,7 +670,7 @@ pub trait Blocker {
     fn stream_candidates(
         &self,
         external: &RecordStore,
-        local: LocalShards<'_>,
+        local: &ShardedStore,
         out: &mut CandidateRuns,
     );
 
@@ -680,22 +682,21 @@ pub trait Blocker {
     /// batch callers never need it (the same builds happen lazily on
     /// first stream). The default does nothing (cartesian keeps no
     /// local-side state).
-    fn warm(&self, local: LocalShards<'_>) {
+    fn warm(&self, local: &ShardedStore) {
         let _ = local;
     }
 }
 
 /// Run `blocker` and decode the sink into one flat pair list: every
 /// candidate as `(external id, **global** local id)`, sorted ascending
-/// by that pair — the same list for a [`RecordStore`] and for any
-/// sharding of it. For tests, evaluation and reports; the pipeline
-/// consumes the sink directly and never builds this vector.
-pub fn collect_pairs<'a>(
+/// by that pair — the same list for any sharding of the catalog. For
+/// tests, evaluation and reports; the pipeline consumes the sink
+/// directly and never builds this vector.
+pub fn collect_pairs(
     blocker: &dyn Blocker,
     external: &RecordStore,
-    local: impl Into<LocalShards<'a>>,
+    local: &ShardedStore,
 ) -> Vec<CandidatePair> {
-    let local = local.into();
     let mut runs = CandidateRuns::new();
     blocker.stream_candidates(external, local, &mut runs);
     let mut pairs = Vec::with_capacity(runs.total() as usize);
@@ -725,12 +726,12 @@ impl Blocker for CartesianBlocker {
     fn stream_candidates(
         &self,
         external: &RecordStore,
-        local: LocalShards<'_>,
+        local: &ShardedStore,
         out: &mut CandidateRuns,
     ) {
         out.reset(external.len(), local);
         fail::fail_point!("blocking::cartesian");
-        for (s, shard) in local.iter().enumerate() {
+        for (s, shard) in local.shards().iter().enumerate() {
             if !out.shard_active(s) {
                 continue;
             }
@@ -838,21 +839,18 @@ pub(crate) mod test_support {
         (external, local)
     }
 
-    /// The small dataset, columnarised.
-    pub fn small_stores() -> (RecordStore, RecordStore) {
+    /// The small dataset, columnarised: the local side as one shard.
+    pub fn small_stores() -> (RecordStore, ShardedStore) {
         let (external, local) = small_dataset();
         (
             RecordStore::from_records(&external),
-            RecordStore::from_records(&local),
+            ShardedStore::from_records(&local, 1),
         )
     }
 
-    /// An empty pair of stores.
-    pub fn empty_stores() -> (RecordStore, RecordStore) {
-        (
-            RecordStore::from_records(&[]),
-            RecordStore::from_records(&[]),
-        )
+    /// An empty external store and an empty one-shard catalog.
+    pub fn empty_stores() -> (RecordStore, ShardedStore) {
+        (RecordStore::from_records(&[]), ShardedStore::default())
     }
 }
 
@@ -874,12 +872,10 @@ mod tests {
 
     #[test]
     fn cartesian_with_empty_sides() {
-        let (external, empty) = {
-            let (e, _) = small_stores();
-            (e, RecordStore::from_records(&[]))
-        };
-        assert!(collect_pairs(&CartesianBlocker, &external, &empty).is_empty());
-        assert!(collect_pairs(&CartesianBlocker, &empty, &external).is_empty());
+        let (external, local) = small_stores();
+        let (no_external, no_local) = empty_stores();
+        assert!(collect_pairs(&CartesianBlocker, &external, &no_local).is_empty());
+        assert!(collect_pairs(&CartesianBlocker, &no_external, &local).is_empty());
     }
 
     #[test]
@@ -927,7 +923,7 @@ mod tests {
     #[test]
     fn candidate_runs_push_reset_and_totals() {
         let mut runs = CandidateRuns::new();
-        runs.reset(10, (&catalog(3, 10)).into());
+        runs.reset(10, &catalog(3, 10));
         assert_eq!(runs.shard_count(), 3);
         runs.push(0, 1, 2);
         runs.push(2, 0, 0);
@@ -939,7 +935,7 @@ mod tests {
         assert_eq!(runs.shard_total(2), 2);
         // Reset re-sizes (down and up) and clears.
         runs.push(1, 9, 9);
-        runs.reset(10, (&catalog(1, 10)).into());
+        runs.reset(10, &catalog(1, 10));
         assert_eq!(runs.shard_count(), 1);
         assert_eq!(runs.total(), 0);
         assert!(shard_pairs(&runs, 0).is_empty());
@@ -948,7 +944,7 @@ mod tests {
     #[test]
     fn consecutive_pushes_coalesce_into_one_explicit_block() {
         let mut runs = CandidateRuns::new();
-        runs.reset(10, (&catalog(2, 10)).into());
+        runs.reset(10, &catalog(2, 10));
         // Same (shard, external) back to back — one block; interleaving
         // another shard does not break the coalescing (per-shard arenas).
         runs.push(0, 7, 1);
@@ -966,7 +962,7 @@ mod tests {
     #[test]
     fn written_blocks_share_their_slice_and_push_never_extends_one() {
         let mut runs = CandidateRuns::new();
-        runs.reset(10, (&catalog(2, 10)).into());
+        runs.reset(10, &catalog(2, 10));
         let written = runs.write_locals(0, [4, 2, 7]);
         assert_eq!(written, 0..3);
         // Nothing is a candidate until a block reads the slice.
@@ -997,7 +993,7 @@ mod tests {
     #[test]
     fn span_blocks_decode_to_contiguous_pairs() {
         let mut runs = CandidateRuns::new();
-        runs.reset(10, (&catalog(1, 10)).into());
+        runs.reset(10, &catalog(1, 10));
         runs.push_span(0, 3, 2, 4);
         runs.push_span(0, 5, 0, 0); // empty span is skipped
         assert_eq!(runs.total(), 4);
@@ -1010,7 +1006,7 @@ mod tests {
         // Queue memory is per block, not per pair: a dense span's byte
         // ratio is ~len × the pair encoding.
         let mut dense = CandidateRuns::new();
-        dense.reset(1, (&catalog(1, 1000)).into());
+        dense.reset(1, &catalog(1, 1000));
         dense.push_span(0, 0, 0, 1000);
         assert!(dense.queue_bytes() * 10 < dense.pair_bytes());
     }
@@ -1018,12 +1014,12 @@ mod tests {
     #[test]
     fn keyed_blocks_decode_through_the_key_table() {
         let (_, local) = small_stores();
-        let side = BlockingKey::per_side(EXT_PN, LOC_PN, 4).local_side(&local);
-        let index = local.key_index(&side);
+        let side = BlockingKey::per_side(EXT_PN, LOC_PN, 4).local_side(local.shard(0));
+        let index = local.shard(0).key_index(&side);
         let range = index.key_range("crcw");
         assert_eq!(range.len(), 2);
         let mut runs = CandidateRuns::new();
-        runs.reset(10, (&local).into());
+        runs.reset(10, &local);
         runs.set_key_table(0, index.clone());
         runs.push_keyed(0, 9, range.start, range.len());
         runs.push_keyed(0, 9, 0, 0); // empty range skipped
@@ -1047,7 +1043,7 @@ mod tests {
         let local_records: Vec<_> = (0..5).map(|i| loc_record(i, "PN")).collect();
         let sharded = crate::shard::ShardedStore::from_records(&local_records, 2);
         let mut runs = CandidateRuns::new();
-        CartesianBlocker.stream_candidates(&external, (&sharded).into(), &mut runs);
+        CartesianBlocker.stream_candidates(&external, &sharded, &mut runs);
         assert_eq!(runs.total(), 20);
         // `collect_pairs` offsets shard-local ids to global ids and
         // sorts: one list, however the local side is sharded.
@@ -1058,7 +1054,7 @@ mod tests {
             collect_pairs(&CartesianBlocker, &external, &sharded),
             expected
         );
-        let local = RecordStore::from_records(&local_records);
+        let local = crate::shard::ShardedStore::from_records(&local_records, 1);
         assert_eq!(
             collect_pairs(&CartesianBlocker, &external, &local),
             expected

@@ -9,7 +9,7 @@
 //! subspace in the sink, each as one block per shard over it.
 
 use super::{Blocker, CandidateRuns};
-use crate::shard::LocalShards;
+use crate::shard::ShardedStore;
 use crate::store::RecordStore;
 use classilink_core::RuleClassifier;
 use classilink_ontology::{ClassId, InstanceStore, Ontology};
@@ -59,7 +59,7 @@ impl<'a> RuleBasedBlocker<'a> {
     fn write_subspace(
         &self,
         classes: &[ClassId],
-        local: LocalShards<'_>,
+        local: &ShardedStore,
         out: &mut CandidateRuns,
     ) -> Vec<Range<usize>> {
         let extents: Vec<_> = (classes.iter())
@@ -68,7 +68,7 @@ impl<'a> RuleBasedBlocker<'a> {
         let epoch = out.scratch.next_epoch(local.len());
         // Out of the sink while the writes below borrow it.
         let mut marks = mem::take(&mut out.scratch.marks);
-        let written = (local.iter().enumerate())
+        let written = (local.shards().iter().enumerate())
             .map(|(s, shard)| {
                 let offset = local.offset(s);
                 let ids = extents.iter().flatten();
@@ -102,7 +102,7 @@ impl Blocker for RuleBasedBlocker<'_> {
     fn stream_candidates(
         &self,
         external: &RecordStore,
-        local: LocalShards<'_>,
+        local: &ShardedStore,
         out: &mut CandidateRuns,
     ) {
         out.reset(external.len(), local);
@@ -115,7 +115,7 @@ impl Blocker for RuleBasedBlocker<'_> {
             let predictions = self.classifier.classify_fact_refs(external.facts(e));
             if predictions.is_empty() {
                 if self.fallback_to_all {
-                    for (s, shard) in local.iter().enumerate() {
+                    for (s, shard) in local.shards().iter().enumerate() {
                         if !out.shard_active(s) {
                             continue;
                         }
@@ -139,8 +139,8 @@ impl Blocker for RuleBasedBlocker<'_> {
 
     /// Build each shard's id index (the only local-side artifact extent
     /// resolution reads).
-    fn warm(&self, local: LocalShards<'_>) {
-        for shard in local.iter() {
+    fn warm(&self, local: &ShardedStore) {
+        for shard in local.shards() {
             shard.id_index();
         }
     }
@@ -271,14 +271,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_candidates_equal_single_store() {
+    fn sharded_candidates_equal_one_shard() {
         // Extent lookups go through each shard's id index and are
         // offset back to global ids; the union must equal the
-        // single-store set (with and without the fallback).
+        // one-shard set (with and without the fallback).
         let (onto, store, classifier) = setup();
         let (external_records, local_records) = small_dataset();
         let external = crate::store::RecordStore::from_records(&external_records);
-        let local = crate::store::RecordStore::from_records(&local_records);
+        let local = crate::shard::ShardedStore::from_records(&local_records, 1);
         for fallback in [false, true] {
             let blocker = RuleBasedBlocker::new(&classifier, &store, &onto).with_fallback(fallback);
             let single = collect_pairs(&blocker, &external, &local);

@@ -5,14 +5,14 @@
 //! list of sorted data items and those belonging to the window are compared."
 //!
 //! The locals are sorted by the sorting key into one **ladder**, ordered
-//! by (sort value, global id): a single store's is its [`KeyIndex`]'s own,
-//! a sharded catalog's is merged once from its shards' ladders and cached
-//! on the catalog (a `CatalogLadder`). Each external record is then
-//! *inserted* into that ladder at its own sort position and windows
-//! against the `window − 1` nearest locals on either side — two slices of
-//! the ladder. The externals have a ladder of their own, so their
-//! insertion points are found by one merge walk of the two ladders, each
-//! external galloping on from the one sorted before it.
+//! by (sort value, global id), merged once from the catalog's shards'
+//! [`KeyIndex`] ladders and cached on the catalog (a `CatalogLadder`).
+//! Each external record is then *inserted* into that ladder at its own
+//! sort position and windows against the `window − 1` nearest locals on
+//! either side — two slices of the ladder. The externals have a ladder of
+//! their own, so their insertion points are found by one merge walk of
+//! the two ladders, each external galloping on from the one sorted before
+//! it.
 //!
 //! Every ladder slot carries its sort value's first eight bytes as one
 //! big-endian, zero-padded `u64` — a word that is monotone in the byte
@@ -37,8 +37,8 @@
 //!   (shard, external).
 //! * **Shard counts are invisible.** The merged ladder holds every shard's
 //!   locals by (sort value, global id), so the candidate set over a
-//!   [`ShardedStore`](crate::shard::ShardedStore) is byte-identical to
-//!   the single-store run even when a window straddles shards.
+//!   [`ShardedStore`] is byte-identical to the one-shard catalog's even
+//!   when a window straddles shards.
 //!
 //! Ties replicate the classic merged-list convention: an external with
 //! sort value `v` inserts **after** every local whose sort value is
@@ -47,7 +47,7 @@
 
 use super::key::{BlockingKey, KeySide};
 use super::{Blocker, CandidateRuns};
-use crate::shard::LocalShards;
+use crate::shard::ShardedStore;
 use crate::store::RecordStore;
 use crate::token_index::{KeyIndex, Rung};
 use std::sync::Arc;
@@ -95,7 +95,7 @@ impl Blocker for SortedNeighborhoodBlocker {
     fn stream_candidates(
         &self,
         external: &RecordStore,
-        local: LocalShards<'_>,
+        local: &ShardedStore,
         out: &mut CandidateRuns,
     ) {
         out.reset(external.len(), local);
@@ -111,7 +111,7 @@ impl Blocker for SortedNeighborhoodBlocker {
         // global, so every external is placed in the whole catalog's
         // ladder to decide which new-shard records fall inside its window.
         let ladder = local.sort_ladder(&self.key.local_side_of(local.schema()));
-        let (keys, rungs) = (ladder.keys(), ladder.rungs());
+        let (keys, rungs) = (&ladder.keys[..], &ladder.rungs[..]);
         // Placement: the externals in (sort value, id) order, each
         // galloping on from the one before.
         let mut places = std::mem::take(&mut out.scratch.places);
@@ -142,37 +142,9 @@ impl Blocker for SortedNeighborhoodBlocker {
     }
 
     /// Build the ladder the windows slice: each shard's key index and
-    /// sort ladder and, over a sharded catalog, the merged catalog ladder.
-    fn warm(&self, local: LocalShards<'_>) {
-        let side = self.key.local_side_of(local.schema());
-        local.sort_ladder(&side).rungs();
-    }
-}
-
-/// The ladder one stream windows over: a single store's own (its shard
-/// is 0), or a sharded catalog's merged one.
-pub(crate) enum Ladder {
-    /// The store's key index, whose own ladder is the whole ladder.
-    Store(Arc<KeyIndex>),
-    /// The catalog's cached merged ladder.
-    Catalog(Arc<CatalogLadder>),
-}
-
-impl Ladder {
-    /// Each shard's key index, where a rung's sort value is read.
-    fn keys(&self) -> &[Arc<KeyIndex>] {
-        match self {
-            Ladder::Store(keys) => std::slice::from_ref(keys),
-            Ladder::Catalog(ladder) => &ladder.keys,
-        }
-    }
-
-    /// Every local, ordered by (sort value, global id).
-    fn rungs(&self) -> &[Rung] {
-        match self {
-            Ladder::Store(keys) => keys.ladder(),
-            Ladder::Catalog(ladder) => &ladder.rungs,
-        }
+    /// sort ladder, and the catalog ladder merged from them.
+    fn warm(&self, local: &ShardedStore) {
+        local.sort_ladder(&self.key.local_side_of(local.schema()));
     }
 }
 
@@ -188,7 +160,7 @@ fn at_or_before(keys: &[Arc<KeyIndex>], rung: &Rung, word: u64, value: &str) -> 
     rung.word < word || (rung.word == word && sort_value(keys, rung) <= value)
 }
 
-/// A sharded catalog's sort ladder for one key side: every local of the
+/// A catalog's sort ladder for one key side: every local of the
 /// leading shards it covers, as (word, shard, record) rungs ordered by
 /// (sort value, global id). Derived from the shards' own ladders and
 /// cached on the catalog, never persisted (see
@@ -434,7 +406,7 @@ mod tests {
             );
             assert_eq!(
                 pairs,
-                reference(&key(), &external, &local, window),
+                reference(&key(), &external, local.shard(0), window),
                 "window {window}"
             );
         }
@@ -515,10 +487,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_candidates_equal_single_store() {
+    fn sharded_candidates_equal_one_shard() {
         // The walk merges per-shard ladders by (sort value, global id),
-        // so the sharded set must be byte-identical to the single-store
-        // set even for windows that straddle two shards.
+        // so the sharded set must be byte-identical to the one-shard set
+        // even for windows that straddle two shards.
         let (external_records, local_records) = {
             let external: Vec<_> = (0..12)
                 .map(|i| ext_record(i, &format!("PN-{:03}", i * 3)))
@@ -529,17 +501,44 @@ mod tests {
             (external, local)
         };
         let external = crate::store::RecordStore::from_records(&external_records);
-        let local = crate::store::RecordStore::from_records(&local_records);
+        let local = ShardedStore::from_records(&local_records, 1);
         for window in [2, 4, 9] {
             let blocker = SortedNeighborhoodBlocker::new(key(), window);
             let single = collect_pairs(&blocker, &external, &local);
-            for shard_count in [1, 2, 5, 13] {
+            for shard_count in [2, 5, 13] {
                 let sharded_store =
                     crate::shard::ShardedStore::from_records(&local_records, shard_count);
                 let sharded = collect_pairs(&blocker, &external, &sharded_store);
                 assert_eq!(sharded, single, "window {window}, {shard_count} shards");
             }
         }
+    }
+
+    /// A one-shard catalog windows over a catalog ladder like any other:
+    /// its shard's own ladder rung for rung, copied by the first stream
+    /// and served from the catalog's cache to every later one.
+    #[test]
+    fn a_one_shard_catalog_windows_over_its_cached_ladder() {
+        let (external, local_records) = tied_stores();
+        let local = RecordStore::from_records(&local_records);
+        let catalog = ShardedStore::from_records(&local_records, 1);
+        let side = key().local_side_of(catalog.schema());
+        assert!(catalog.cached_ladder(&side).is_none());
+        let n = local_records.len();
+        let mut runs = CandidateRuns::new();
+        let mut ladders = Vec::new();
+        for window in [2, 3, n + 1, usize::MAX] {
+            let blocker = SortedNeighborhoodBlocker { key: key(), window };
+            blocker.stream_candidates(&external, &catalog, &mut runs);
+            let expected = emission_reference(&key(), &external, &local, window);
+            assert!(runs.pairs(0).eq(expected), "window {window}");
+            ladders.push(catalog.cached_ladder(&side).expect("cached by the stream"));
+        }
+        let ladder = &ladders[0];
+        assert!(ladders.iter().all(|l| Arc::ptr_eq(l, ladder)));
+        assert_eq!(ladder.shard_count(), 1);
+        assert_eq!(ladder.rungs, catalog.shard(0).key_index(&side).ladder());
+        assert!(ladder.rungs.iter().all(|rung| rung.shard == 0));
     }
 
     /// Regression for the 1-record-external edge: a singleton external
@@ -640,7 +639,7 @@ mod tests {
                 let expected = emission_reference(&key(), &external, &local, window);
                 let blocker = SortedNeighborhoodBlocker { key: key(), window };
                 let mut runs = CandidateRuns::new();
-                blocker.stream_candidates(&external, (&sharded).into(), &mut runs);
+                blocker.stream_candidates(&external, &sharded, &mut runs);
                 for s in 0..shard_count {
                     let ids = sharded.offset(s)..sharded.offset(s) + sharded.shard(s).len();
                     let share = expected.iter().filter(|(_, l)| ids.contains(l));
@@ -684,7 +683,7 @@ mod tests {
                 let shards = sharded.shard_count();
                 for first in [0, 1, shards - 1] {
                     runs.restrict_to_shards_from(first);
-                    blocker.stream_candidates(&external, (&sharded).into(), &mut runs);
+                    blocker.stream_candidates(&external, &sharded, &mut runs);
                     for s in 0..shards {
                         let ids = sharded.offset(s)..sharded.offset(s) + sharded.shard(s).len();
                         let share =

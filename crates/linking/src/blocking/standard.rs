@@ -8,7 +8,7 @@
 
 use super::key::BlockingKey;
 use super::{Blocker, CandidateRuns};
-use crate::shard::LocalShards;
+use crate::shard::ShardedStore;
 use crate::store::RecordStore;
 
 /// Key-equality blocking.
@@ -46,13 +46,13 @@ impl Blocker for StandardBlocker {
     fn stream_candidates(
         &self,
         external: &RecordStore,
-        local: LocalShards<'_>,
+        local: &ShardedStore,
         out: &mut CandidateRuns,
     ) {
         out.reset(external.len(), local);
         let external_index = external.key_index(&self.key.external_side(external));
         let local_side = self.key.local_side_of(local.schema());
-        for (s, shard) in local.iter().enumerate() {
+        for (s, shard) in local.shards().iter().enumerate() {
             if !out.shard_active(s) {
                 continue;
             }
@@ -74,9 +74,9 @@ impl Blocker for StandardBlocker {
 
     /// Build each shard's key index (the only local-side artifact
     /// standard blocking reads).
-    fn warm(&self, local: LocalShards<'_>) {
+    fn warm(&self, local: &ShardedStore) {
         let local_side = self.key.local_side_of(local.schema());
-        for shard in local.iter() {
+        for shard in local.shards() {
             shard.key_index(&local_side);
         }
     }
@@ -132,7 +132,7 @@ mod tests {
             "http://provider.e.org/item/99",
         )));
         let external = crate::store::RecordStore::from_records(&external);
-        let local = crate::store::RecordStore::from_records(&local);
+        let local = crate::shard::ShardedStore::from_records(&local, 1);
         let pairs = collect_pairs(&StandardBlocker::new(key(4)), &external, &local);
         assert!(pairs.iter().all(|(e, _)| *e != 4));
     }
@@ -145,15 +145,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_candidates_equal_single_store() {
+    fn sharded_candidates_equal_one_shard() {
         // Key equality is a per-record predicate, so every sharding must
-        // reproduce the single-store list exactly.
+        // reproduce the one-shard list exactly.
         let (external_records, local_records) = small_dataset();
         let external = crate::store::RecordStore::from_records(&external_records);
-        let local = crate::store::RecordStore::from_records(&local_records);
+        let local = crate::shard::ShardedStore::from_records(&local_records, 1);
         let blocker = StandardBlocker::new(key(4));
         let single = collect_pairs(&blocker, &external, &local);
-        for shard_count in [1, 2, 3, 7] {
+        for shard_count in [2, 3, 7] {
             let sharded_store =
                 crate::shard::ShardedStore::from_records(&local_records, shard_count);
             let sharded = collect_pairs(&blocker, &external, &sharded_store);

@@ -97,6 +97,7 @@ use crate::token_index::{
     dice_bigrams_kernel, jaccard_bigrams_kernel, jaccard_tokens_kernel, monge_elkan_kernel,
     ValueTokens,
 };
+use std::sync::Arc;
 
 /// How one attribute pair contributes to the overall record similarity.
 #[derive(Debug, Clone, PartialEq)]
@@ -684,7 +685,7 @@ impl CompiledComparator<'_> {
     /// run before the scoring loop can reach a cold shard. The external
     /// side's token tables are built by [`hoist_left`](Self::hoist_left),
     /// the full-text one only when a set-measure fallback fires.
-    pub(crate) fn warm<'s>(&self, shards: impl IntoIterator<Item = &'s RecordStore>) {
+    pub(crate) fn warm(&self, shards: &[Arc<RecordStore>]) {
         for shard in shards {
             for (properties, kernel) in self.properties.iter().zip(&self.kernels) {
                 // A rule with either side unresolved never fires.

@@ -44,19 +44,19 @@
 //!   ([`blocking::Blocker::stream_candidates`]) into the sink the
 //!   pipeline scores from;
 //!   [`blocking::collect_pairs`] decodes them into one sorted
-//!   global-id pair list for tests and reports.
+//!   global-id pair list, the same for any sharding of the catalog, for
+//!   tests and reports.
 //! * [`ingest`] — streaming ingestion: every triple the incremental RDF
 //!   parsers emit goes straight into a shard builder's columns
 //!   (`begin_record` on a new subject, `push_value` per literal), with
 //!   transient memory bounded by one statement; the builders' `push`
 //!   and `push_from` loop over the same two calls.
-//! * [`shard`] — the sharded catalog: per-shard stores on a shared
-//!   [`intern::SchemaInterner`], shard-local ids offsetting to global
-//!   record ids and back.
+//! * [`shard`] — the catalog, the local side of every run: per-shard
+//!   stores on a shared [`intern::SchemaInterner`], shard-local ids
+//!   offsetting to global record ids and back.
 //! * [`pipeline`] — blocking → comparison → links, with comparison
 //!   accounting; the comparison phase runs serially, or on a
-//!   work-stealing block scheduler over all shards (a single store is
-//!   one shard).
+//!   work-stealing block scheduler over all shards.
 //! * [`serve`] — link-as-a-service: a pre-warmed [`serve::Linker`]
 //!   handle answering single-record probes through the batch code path
 //!   (bit-identical links), over a catalog swapped atomically by epoch
@@ -73,6 +73,7 @@
 //! use classilink_linking::comparator::RecordComparator;
 //! use classilink_linking::pipeline::LinkagePipeline;
 //! use classilink_linking::record::Record;
+//! use classilink_linking::shard::ShardedStore;
 //! use classilink_linking::similarity::SimilarityMeasure;
 //! use classilink_linking::store::RecordStore;
 //! use classilink_rdf::Term;
@@ -86,7 +87,7 @@
 //! let blocker = StandardBlocker::new(BlockingKey::shared(pn, 4));
 //! let comparator = RecordComparator::single(pn, pn, SimilarityMeasure::JaroWinkler);
 //! let external = RecordStore::from_records(&[external]);
-//! let local = RecordStore::from_records(&[local]);
+//! let local = ShardedStore::from_records(&[local], 1);
 //! let result = LinkagePipeline::new(&blocker, &comparator).run_sharded(&external, &local);
 //! assert_eq!(result.matches.len(), 1);
 //! ```
@@ -126,7 +127,7 @@ pub use persist::{CatalogSnapshot, PersistError, RecoveryReport, SnapshotReceipt
 pub use pipeline::{Link, LinkagePipeline, LinkageResult};
 pub use record::Record;
 pub use serve::{CatalogEpoch, Linker, LinkerCatalog, ProbeHits, ProbeScratch};
-pub use shard::{LocalShards, ShardedStore, ShardedStoreBuilder};
+pub use shard::{ShardedStore, ShardedStoreBuilder};
 pub use similarity::{SimScratch, SimilarityMeasure};
 pub use store::{RecordStore, RecordStoreBuilder, ValueList};
 pub use token_index::KeyIndex;

@@ -10,11 +10,11 @@
 //! comparator is compiled once (property IRIs → interned ids), and the
 //! candidates are scored **where the blocker left them**. Blocking
 //! streams per-shard run-length blocks of shard-local candidates
-//! ([`Blocker::stream_candidates`] into a [`CandidateRuns`] sink; a
-//! single store is one shard, see [`LinkagePipeline::run_sharded`]), and
-//! those blocks *are* the work list — the pipeline never materialises a
-//! global candidate vector (or even a per-pair vector), never sorts
-//! candidates, and never routes a global id back to a shard.
+//! ([`Blocker::stream_candidates`] into a [`CandidateRuns`] sink, see
+//! [`LinkagePipeline::run_sharded`]), and those blocks *are* the work
+//! list — the pipeline never materialises a global candidate vector (or
+//! even a per-pair vector), never sorts candidates, and never routes a
+//! global id back to a shard.
 //!
 //! One function, `score_block`, scores a block: it hoists the block's
 //! constant external record once ([`CompiledComparator::hoist_left`]),
@@ -39,7 +39,7 @@
 use crate::blocking::{Blocker, CandidateRuns, LocalRun};
 use crate::comparator::{CompiledComparator, LeftHoist, MatchDecision, RecordComparator};
 use crate::error::{panic_payload, LinkError, LinkResult};
-use crate::shard::LocalShards;
+use crate::shard::ShardedStore;
 use crate::similarity::SimScratch;
 use crate::store::RecordStore;
 use classilink_rdf::Term;
@@ -151,10 +151,8 @@ impl<'a> LinkagePipeline<'a> {
         self
     }
 
-    /// Run blocking and comparison against a catalog — a
-    /// [`ShardedStore`](crate::shard::ShardedStore), or a single
-    /// [`RecordStore`] viewed as one shard (both convert into
-    /// [`LocalShards`]).
+    /// Run blocking and comparison against a catalog of one or more
+    /// shards.
     ///
     /// Blocking **streams per-shard candidate runs** (shard-local ids,
     /// see [`Blocker::stream_candidates`]) into the sink the comparison
@@ -168,11 +166,7 @@ impl<'a> LinkagePipeline<'a> {
     ///
     /// Panics on a contained fault — the fault-tolerant entry point is
     /// [`try_run_sharded`](Self::try_run_sharded).
-    pub fn run_sharded<'s>(
-        &self,
-        external: &RecordStore,
-        local: impl Into<LocalShards<'s>>,
-    ) -> LinkageResult {
+    pub fn run_sharded(&self, external: &RecordStore, local: &ShardedStore) -> LinkageResult {
         self.try_run_sharded(external, local)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -182,10 +176,10 @@ impl<'a> LinkagePipeline<'a> {
     /// returned as a [`LinkError`] instead of unwinding into the caller.
     /// The stores and their lazily built indexes stay valid — a clean
     /// retry is bit-identical to a never-faulted run.
-    pub fn try_run_sharded<'s>(
+    pub fn try_run_sharded(
         &self,
         external: &RecordStore,
-        local: impl Into<LocalShards<'s>>,
+        local: &ShardedStore,
     ) -> LinkResult<LinkageResult> {
         self.try_run_sharded_delta(external, local, 0)
     }
@@ -214,10 +208,10 @@ impl<'a> LinkagePipeline<'a> {
     ///
     /// Panics on a contained fault — the fault-tolerant entry point is
     /// [`try_run_sharded_delta`](Self::try_run_sharded_delta).
-    pub fn run_sharded_delta<'s>(
+    pub fn run_sharded_delta(
         &self,
         external: &RecordStore,
-        local: impl Into<LocalShards<'s>>,
+        local: &ShardedStore,
         first_new_shard: usize,
     ) -> LinkageResult {
         self.try_run_sharded_delta(external, local, first_new_shard)
@@ -229,13 +223,12 @@ impl<'a> LinkagePipeline<'a> {
     /// contract. A `first_new_shard` of 0 is the full run; one at or
     /// past the shard count is an empty delta (zero comparisons), not an
     /// error.
-    pub fn try_run_sharded_delta<'s>(
+    pub fn try_run_sharded_delta(
         &self,
         external: &RecordStore,
-        local: impl Into<LocalShards<'s>>,
+        local: &ShardedStore,
         first_new_shard: usize,
     ) -> LinkResult<LinkageResult> {
-        let local = local.into();
         let first = first_new_shard.min(local.shard_count());
         let mut runs = CandidateRuns::new();
         runs.restrict_to_shards_from(first);
@@ -254,7 +247,7 @@ impl<'a> LinkagePipeline<'a> {
         // the shards from `first` on can be cold; an old shard's were built
         // by the full run (or a previous delta). The external side's tables
         // are built by the first hoist that reads them.
-        compiled.warm(local.iter().skip(first));
+        compiled.warm(&local.shards()[first..]);
         let (matches, possible) = self.score(&compiled, external, local, &runs, first)?;
         Ok(self.finish(
             matches,
@@ -274,7 +267,7 @@ impl<'a> LinkagePipeline<'a> {
     fn stream_blocking(
         &self,
         external: &RecordStore,
-        local: LocalShards<'_>,
+        local: &ShardedStore,
         runs: &mut CandidateRuns,
     ) -> LinkResult<()> {
         catch_unwind(AssertUnwindSafe(|| {
@@ -295,7 +288,7 @@ impl<'a> LinkagePipeline<'a> {
         &self,
         compiled: &CompiledComparator<'_>,
         external: &RecordStore,
-        local: LocalShards<'_>,
+        local: &ShardedStore,
         runs: &CandidateRuns,
         first: usize,
     ) -> LinkResult<(Vec<ScoredPair>, Vec<ScoredPair>)> {
@@ -330,7 +323,7 @@ impl<'a> LinkagePipeline<'a> {
         comparisons: u64,
         naive_pairs: u64,
         external: &RecordStore,
-        local: LocalShards<'_>,
+        local: &ShardedStore,
     ) -> LinkageResult {
         // Deterministic output regardless of blocker emission order or
         // steal interleaving: sort by index pair, not by cloned terms.
@@ -364,7 +357,7 @@ const STEAL_BLOCK: u64 = 1024;
 /// block — a single giant cartesian span still splits across steals.
 struct TaskQueue<'a> {
     runs: &'a CandidateRuns,
-    local: LocalShards<'a>,
+    local: &'a ShardedStore,
     shard: usize,
     /// `prefix[i]` = comparisons in the shard's blocks `..i`; the last
     /// entry is the shard's total. O(runs) memory, built once per run.
@@ -377,7 +370,7 @@ impl<'a> TaskQueue<'a> {
     fn new(
         runs: &'a CandidateRuns,
         external: &RecordStore,
-        local: LocalShards<'a>,
+        local: &'a ShardedStore,
         shard: usize,
     ) -> Self {
         runs.assert_reset_for(external.len(), shard, local.shard(shard).len());
@@ -454,7 +447,7 @@ impl<'a> TaskQueue<'a> {
 fn score_stealing(
     compiled: &CompiledComparator<'_>,
     external: &RecordStore,
-    local: LocalShards<'_>,
+    local: &ShardedStore,
     runs: &CandidateRuns,
     first: usize,
     threads: usize,
@@ -529,7 +522,7 @@ pub(crate) fn score_shard<'e>(
     compiled: &CompiledComparator<'_>,
     runs: &CandidateRuns,
     external: &'e RecordStore,
-    local: LocalShards<'_>,
+    local: &ShardedStore,
     shard: usize,
     scorer: &mut Scorer<'e>,
 ) {
@@ -570,7 +563,7 @@ pub(crate) fn score_shard<'e>(
 fn score_block<'e>(
     compiled: &CompiledComparator<'_>,
     external: &'e RecordStore,
-    local: LocalShards<'_>,
+    local: &ShardedStore,
     shard: usize,
     (e, run): (usize, LocalRun<'_>),
     part: std::ops::Range<usize>,
@@ -603,7 +596,7 @@ pub(crate) fn materialise_into(
     out: &mut Vec<Link>,
     pairs: &[ScoredPair],
     external: &RecordStore,
-    local: LocalShards<'_>,
+    local: &ShardedStore,
 ) {
     out.clear();
     out.extend(pairs.iter().map(|&(e, l, score)| Link {
@@ -628,11 +621,11 @@ mod tests {
             .with_thresholds(0.95, 0.7)
     }
 
-    /// Columnarise both sides and link them as one shard.
+    /// Columnarise both sides and link them, the local side as one shard.
     fn run(pipeline: &LinkagePipeline<'_>, external: &[Record], local: &[Record]) -> LinkageResult {
         pipeline.run_sharded(
             &RecordStore::from_records(external),
-            &RecordStore::from_records(local),
+            &ShardedStore::from_records(local, 1),
         )
     }
 
@@ -727,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_byte_identical_to_single_store() {
+    fn sharded_run_is_byte_identical_to_one_shard() {
         let external: Vec<Record> = (0..40)
             .map(|i| ext_record(i, &format!("PN-{i:04}")))
             .collect();
@@ -737,23 +730,16 @@ mod tests {
         let cmp = RecordComparator::single(EXT_PN, LOC_PN, SimilarityMeasure::Levenshtein)
             .with_thresholds(0.99, 0.5);
         let external_store = RecordStore::from_records(&external);
-        let local_store = RecordStore::from_records(&local);
         let serial = LinkagePipeline::new(&CartesianBlocker, &cmp)
-            .run_sharded(&external_store, &local_store);
+            .run_sharded(&external_store, &ShardedStore::from_records(&local, 1));
         assert_eq!(serial.comparisons, 1600);
         assert_eq!(serial.matches.len(), 40);
         for threads in [1, 4] {
             let pipeline = LinkagePipeline::new(&CartesianBlocker, &cmp).with_threads(threads);
-            // A single store is a one-shard view through the same entry
-            // point, serial or work-stealing.
-            assert_eq!(
-                serial,
-                pipeline.run_sharded(&external_store, &local_store),
-                "single store, {threads} threads mismatch"
-            );
-            // Shard counts chosen to cover even, uneven and empty shards.
+            // Serial or work-stealing, one shard or many. Shard counts
+            // chosen to cover even, uneven and empty shards.
             for shard_count in [1, 3, 7, 41] {
-                let sharded = crate::shard::ShardedStore::from_records(&local, shard_count);
+                let sharded = ShardedStore::from_records(&local, shard_count);
                 assert_eq!(
                     serial,
                     pipeline.run_sharded(&external_store, &sharded),
@@ -785,7 +771,7 @@ mod tests {
         fn stream_candidates(
             &self,
             external: &RecordStore,
-            local: LocalShards<'_>,
+            local: &ShardedStore,
             out: &mut CandidateRuns,
         ) {
             out.reset(external.len(), local);

@@ -20,10 +20,12 @@
 //!   probes keep the `Arc` of the epoch they started on, so a probe is
 //!   never torn across a swap and a swap never waits for probes.
 //! * **Incremental appends.** [`Linker::try_append`] publishes a successor
-//!   epoch that `Arc`-shares the surviving shards of the current one —
-//!   their warmed artifacts carry over — and builds/warms only the
-//!   delta's appended shards, so growing the catalog costs O(delta)
-//!   where [`Linker::swap`] costs O(catalog).
+//!   epoch that `Arc`-shares the surviving shards of the current one:
+//!   their warmed artifacts carry over, so warming the grown catalog
+//!   builds only the appended shards' — bar a sorted-neighbourhood
+//!   blocker's catalog ladder, which the append copies once with the new
+//!   shards merged in (O(catalog) bytes). [`Linker::swap`] builds every
+//!   shard's.
 //! * **Fault-contained republish.** [`Linker::try_swap`] catches a panic
 //!   anywhere in the epoch build/warm *before* the lock is touched: a
 //!   failed republish returns [`LinkError::EpochBuildPanicked`], the old
@@ -53,7 +55,7 @@ use crate::intern::SchemaInterner;
 use crate::persist::{CatalogSnapshot, RecoveryReport, SnapshotReceipt};
 use crate::pipeline::{materialise_into, score_shard, Link, Scorer};
 use crate::record::Record;
-use crate::shard::{LocalShards, ShardedStore, ShardedStoreBuilder};
+use crate::shard::{ShardedStore, ShardedStoreBuilder};
 use crate::store::RecordStore;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -253,24 +255,34 @@ impl<'a> Linker<'a> {
     /// the sequence number does not advance — the next successful swap
     /// continues the strictly monotonic sequence.
     pub fn try_swap(&self, catalog: ShardedStore) -> LinkResult<u64> {
-        // The sequence is provisional here; `publish` assigns the real
-        // one under the write lock.
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            try_build_epoch(
-                self.blocker,
-                self.comparator,
-                &self.probe_schema,
-                catalog,
-                0,
-            )
-        }));
-        match built {
+        self.try_publish(|| self.build_epoch(catalog))
+    }
+
+    /// Run `build` — an epoch build, the failure domain of a republish —
+    /// and publish what it returns. A panic inside it surfaces as
+    /// [`LinkError::EpochBuildPanicked`]; on any `Err` the lock is never
+    /// taken and the sequence does not advance.
+    fn try_publish(&self, build: impl FnOnce() -> LinkResult<CatalogEpoch<'a>>) -> LinkResult<u64> {
+        match catch_unwind(AssertUnwindSafe(build)) {
             Ok(Ok(epoch)) => Ok(self.catalog.publish(epoch)),
             Ok(Err(error)) => Err(error),
             Err(payload) => Err(LinkError::EpochBuildPanicked {
                 payload: panic_payload(payload),
             }),
         }
+    }
+
+    /// [`try_build_epoch`] with this linker's blocker, comparator and
+    /// probe schema. The sequence is provisional; `publish` assigns the
+    /// real one under the write lock.
+    fn build_epoch(&self, catalog: ShardedStore) -> LinkResult<CatalogEpoch<'a>> {
+        try_build_epoch(
+            self.blocker,
+            self.comparator,
+            &self.probe_schema,
+            catalog,
+            0,
+        )
     }
 
     /// An empty shard builder whose schema continues the currently
@@ -285,15 +297,15 @@ impl<'a> Linker<'a> {
     /// appended to the current epoch's store, and publish the successor
     /// epoch. Returns the new epoch's sequence number.
     ///
-    /// Unlike [`swap`](Self::swap), which warms every shard of the
-    /// replacement catalog, the successor epoch `Arc`-shares the
-    /// surviving shards — their key indexes, sort ladders, bigram
-    /// counters, token tables and signature columns carry over already
-    /// warm — and only the **appended** shards are built and warmed.
-    /// Republishing therefore costs O(delta), not O(catalog), but for a
-    /// sorted-neighbourhood blocker's catalog ladder: the base epoch's is
-    /// copied once with the new shards merged in. In-flight
-    /// probes finish on the epoch they started with, exactly as for a swap.
+    /// The grown catalog goes through the same epoch build as a
+    /// [`swap`](Self::swap), but it `Arc`-shares the surviving shards —
+    /// their key indexes, sort ladders, bigram counters, token tables and
+    /// signature columns carry over already warm — so only the
+    /// **appended** shards are built. Republishing therefore costs
+    /// O(delta), not O(catalog), but for a sorted-neighbourhood blocker's
+    /// catalog ladder: the base epoch's is copied once with the new shards
+    /// merged in. In-flight probes finish on the epoch they started with,
+    /// exactly as for a swap.
     ///
     /// Concurrent appends are last-publish-wins over the same loaded
     /// base (like any load-build-publish update); serialise appends on
@@ -305,41 +317,17 @@ impl<'a> Linker<'a> {
     /// keeps serving — nothing is partially appended, and the sequence
     /// does not advance.
     pub fn try_append(&self, delta: ShardedStoreBuilder) -> LinkResult<u64> {
-        let built = catch_unwind(AssertUnwindSafe(|| {
+        self.try_publish(|| {
             // Models a fault at the append boundary, before the delta
             // columnarises or the base epoch is even loaded.
             fail::fail_point!("serve::append", |arg: Option<String>| Err(
                 LinkError::injected("serve::append", arg)
             ));
-            let current = self.catalog.load();
-            let base = current.store();
-            let first_new = base.shard_count();
-            let appended = base.try_append_shards(delta)?;
-            let compiled = self
-                .comparator
-                .compile_schemas(&self.probe_schema.snapshot(), appended.schema());
-            // Old shards' token tables and signature columns are cached
-            // in the shared `Arc`s; only the appended shards build here.
-            compiled.warm(LocalShards::from(&appended).iter().skip(first_new));
+            let appended = self.catalog.load().store().try_append_shards(delta)?;
+            // Models a fault as the grown catalog starts warming.
             fail::fail_point!("serve::warm_append");
-            // The old shards' blocker indexes are cached in the shared
-            // `Arc`s, so warming the whole catalog builds the appended
-            // shards' — and the sorted-neighbourhood catalog ladder, which
-            // spans both and starts from the base epoch's.
-            self.blocker.warm((&appended).into());
-            Ok(CatalogEpoch {
-                sequence: 0, // provisional; `publish` assigns the real one
-                store: appended,
-                compiled,
-            })
-        }));
-        match built {
-            Ok(Ok(epoch)) => Ok(self.catalog.publish(epoch)),
-            Ok(Err(error)) => Err(error),
-            Err(payload) => Err(LinkError::EpochBuildPanicked {
-                payload: panic_payload(payload),
-            }),
-        }
+            self.build_epoch(appended)
+        })
     }
 
     /// Probe with a caller-owned scratch — the allocation-free path: a
@@ -388,7 +376,7 @@ impl<'a> Linker<'a> {
         // One consistent epoch end-to-end: blocking, scoring and link
         // materialisation all read this Arc, regardless of swaps.
         let epoch = self.catalog.load();
-        let store = LocalShards::from(epoch.store());
+        let store = epoch.store();
         self.blocker
             .stream_candidates(&scratch.store, store, &mut scratch.runs);
         let mut scorer = std::mem::take(&mut scratch.scorer).recycle();
@@ -433,10 +421,10 @@ impl<'a> Linker<'a> {
     }
 }
 
-/// The epoch-build failure domain body (shared by [`Linker::new`] and
-/// [`Linker::try_swap`]; always outside the catalog lock): compile the
-/// comparator, build every token table and signature column its rules
-/// read, warm the blocker's artifacts.
+/// The epoch-build failure domain body (shared by [`Linker::new`],
+/// [`Linker::try_swap`] and [`Linker::try_append`]; always outside the
+/// catalog lock): compile the comparator, build every token table and
+/// signature column its rules read, warm the blocker's artifacts.
 /// The `serve::build_epoch` failpoint can inject a structured error
 /// (`return` action) or a panic at the domain entry; `serve::warm`
 /// covers a fault inside the blocker's own warm-up.
@@ -451,9 +439,9 @@ fn try_build_epoch<'a>(
         LinkError::injected("serve::build_epoch", arg)
     ));
     let compiled = comparator.compile_schemas(&probe_schema.snapshot(), store.schema());
-    compiled.warm(LocalShards::from(&store).iter());
+    compiled.warm(store.shards());
     fail::fail_point!("serve::warm");
-    blocker.warm((&store).into());
+    blocker.warm(&store);
     Ok(CatalogEpoch {
         sequence,
         store,

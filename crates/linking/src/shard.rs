@@ -11,9 +11,9 @@
 //! * **Global ids are stable.** Shard `s` holds the records
 //!   `offsets[s] .. offsets[s + 1]` of the logical catalog, so the global
 //!   id of shard-local record `i` is simply `offsets[s] + i` — the same
-//!   index the record would have in the equivalent single store.
+//!   index the record has in a one-shard catalog of the same records.
 //!   Blockers emit shard-local ids and links are offset back to global
-//!   ids; results stay byte-identical to the single-store run.
+//!   ids; results stay byte-identical to the one-shard catalog's run.
 //! * **One schema, one compile.** Because every shard shares the schema,
 //!   a [`CompiledComparator`](crate::comparator::CompiledComparator) or a
 //!   resolved [`KeySide`] is compiled **once**
@@ -46,7 +46,7 @@
 //!  a link on it reports global id  (e, offsets[1] + 2) = (e, 7)
 //! ```
 
-use crate::blocking::sorted_neighborhood::{CatalogLadder, Ladder};
+use crate::blocking::sorted_neighborhood::CatalogLadder;
 use crate::blocking::KeySide;
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
@@ -261,8 +261,10 @@ impl ShardedStore {
     /// The sorted-neighbourhood ladder of the whole catalog for `side`
     /// (resolved against the catalog's schema): every shard's locals
     /// merged by (sort value, global id), built on first use and cached
-    /// per side. A catalog grown by [`append_shards`](Self::append_shards)
-    /// starts from its parent's ladder and merges in only the new shards.
+    /// per side — every sorted-neighbourhood stream windows over it, a
+    /// one-shard catalog's being its shard's own ladder, copied once. A
+    /// catalog grown by [`append_shards`](Self::append_shards) starts from
+    /// its parent's ladder and merges in only the new shards.
     /// The build runs outside the cache's lock and is inserted whole, so a
     /// panic inside it leaves the cache as it was.
     pub(crate) fn sort_ladder(&self, side: &KeySide) -> Arc<CatalogLadder> {
@@ -388,113 +390,6 @@ impl ShardedStore {
             schema: delta.schema,
             ladders: self.ladders.clone(),
         })
-    }
-}
-
-/// A borrowed view of the local side of a blocking run as one or more
-/// contiguous shards — the input of the streaming
-/// [`Blocker::stream_candidates`](crate::blocking::Blocker::stream_candidates)
-/// API.
-///
-/// A monolithic [`RecordStore`] is *one* shard at offset 0
-/// (`From<&RecordStore>`), and a [`ShardedStore`] contributes its shard
-/// list, offset table and shared schema (`From<&ShardedStore>`).
-/// Blockers iterate [`iter`](Self::iter) and emit **shard-local**
-/// ids; [`offset`](Self::offset) recovers global ids when a blocker
-/// (sorted neighbourhood) needs the global ordering during blocking.
-#[derive(Debug, Clone, Copy)]
-pub struct LocalShards<'a>(ShardsInner<'a>);
-
-#[derive(Debug, Clone, Copy)]
-enum ShardsInner<'a> {
-    Single(&'a RecordStore),
-    Sharded(&'a ShardedStore),
-}
-
-impl<'a> LocalShards<'a> {
-    /// Number of shards (≥ 1).
-    pub fn shard_count(&self) -> usize {
-        match self.0 {
-            ShardsInner::Single(_) => 1,
-            ShardsInner::Sharded(s) => s.shard_count(),
-        }
-    }
-
-    /// The per-shard stores, in catalog order.
-    pub fn iter(self) -> impl Iterator<Item = &'a RecordStore> {
-        (0..self.shard_count()).map(move |s| self.shard(s))
-    }
-
-    /// One shard's store.
-    pub fn shard(&self, shard: usize) -> &'a RecordStore {
-        match self.0 {
-            ShardsInner::Single(store) => {
-                assert_eq!(shard, 0, "single-store view has exactly one shard");
-                store
-            }
-            ShardsInner::Sharded(s) => s.shard(shard),
-        }
-    }
-
-    /// Global id of `shard`'s first record.
-    pub fn offset(&self, shard: usize) -> usize {
-        match self.0 {
-            ShardsInner::Single(_) => 0,
-            ShardsInner::Sharded(s) => s.offset(shard),
-        }
-    }
-
-    /// Total number of records across all shards.
-    pub fn len(&self) -> usize {
-        match self.0 {
-            ShardsInner::Single(store) => store.len(),
-            ShardsInner::Sharded(s) => s.len(),
-        }
-    }
-
-    /// `true` when no shard holds any record.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The schema the local side resolves property IRIs against (shared
-    /// by every shard of a sharded catalog).
-    pub fn schema(&self) -> &'a PropertyInterner {
-        match self.0 {
-            ShardsInner::Single(store) => store.interner(),
-            ShardsInner::Sharded(s) => s.schema(),
-        }
-    }
-
-    /// The sorted-neighbourhood ladder of this view for `side`: a single
-    /// store's — or a one-shard catalog's — own, a sharded catalog's
-    /// merged one (see [`ShardedStore::sort_ladder`]).
-    pub(crate) fn sort_ladder(&self, side: &KeySide) -> Ladder {
-        match self.0 {
-            ShardsInner::Sharded(s) if s.shard_count() > 1 => Ladder::Catalog(s.sort_ladder(side)),
-            _ => Ladder::Store(self.shard(0).key_index(side)),
-        }
-    }
-
-    /// The item identifier of the record with this global id.
-    pub(crate) fn id(&self, global: usize) -> &'a Term {
-        match self.0 {
-            ShardsInner::Single(store) => store.id(global),
-            ShardsInner::Sharded(s) => s.id(global),
-        }
-    }
-}
-
-impl<'a> From<&'a RecordStore> for LocalShards<'a> {
-    /// View a monolithic store as a single shard at offset 0.
-    fn from(store: &'a RecordStore) -> Self {
-        LocalShards(ShardsInner::Single(store))
-    }
-}
-
-impl<'a> From<&'a ShardedStore> for LocalShards<'a> {
-    fn from(store: &'a ShardedStore) -> Self {
-        LocalShards(ShardsInner::Sharded(store))
     }
 }
 
@@ -723,33 +618,6 @@ mod tests {
         assert_eq!(store.shard_count(), 2);
         assert_eq!(store.len(), 2);
         assert_eq!(store.locate(1), (1, 0));
-    }
-
-    #[test]
-    fn local_shards_views_agree_with_their_backing() {
-        let records = records(7);
-        let single_store = RecordStore::from_records(&records);
-        let single = LocalShards::from(&single_store);
-        assert_eq!(single.shard_count(), 1);
-        assert_eq!(single.len(), 7);
-        assert!(!single.is_empty());
-        assert_eq!(single.offset(0), 0);
-        assert!(std::ptr::eq(single.shard(0), &single_store));
-        assert!(std::ptr::eq(single.schema(), single_store.interner()));
-
-        let sharded_store = ShardedStore::from_records(&records, 3);
-        let sharded = LocalShards::from(&sharded_store);
-        assert_eq!(sharded.shard_count(), 3);
-        assert_eq!(sharded.len(), 7);
-        assert_eq!(sharded.iter().count(), 3);
-        for s in 0..3 {
-            assert_eq!(sharded.offset(s), sharded_store.offset(s));
-            assert!(std::ptr::eq(sharded.shard(s), sharded_store.shard(s)));
-        }
-        assert!(std::ptr::eq(sharded.schema(), sharded_store.schema()));
-
-        let empty_store = RecordStore::from_records(&[]);
-        assert!(LocalShards::from(&empty_store).is_empty());
     }
 
     #[test]

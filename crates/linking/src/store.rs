@@ -1341,17 +1341,15 @@ mod tests {
         use crate::blocking::CartesianBlocker;
         use crate::comparator::RecordComparator;
         use crate::pipeline::LinkagePipeline;
+        use crate::shard::ShardedStore;
         use crate::similarity::SimilarityMeasure;
         // Every record has a maker: a rule on it fires on every pair.
         let mut other = Record::new(Term::iri("http://e.org/p4"));
         other.add(PN, "T83A225").add(MFR, "Kemet");
         let records = [sample_records().swap_remove(0), other];
-        let (external, local) = (
-            RecordStore::from_records(&records),
-            RecordStore::from_records(&records),
-        );
+        let external = RecordStore::from_records(&records);
         let nowhere = "http://nowhere.org/v#x";
-        let mfr = local.property(MFR).unwrap().index();
+        let mfr = external.property(MFR).unwrap().index();
         for (rule, property, measure, built) in [
             (
                 "set rule",
@@ -1372,14 +1370,14 @@ mod tests {
                 (vec![], true),
             ),
         ] {
-            let (external, local) = (external.clone(), local.clone());
+            let (external, local) = (external.clone(), ShardedStore::from_records(&records, 1));
             // The default fallback is Monge-Elkan, a set measure.
             let cmp = RecordComparator::single(property, MFR, measure);
             assert!(cmp.fallback.is_some());
             let result =
                 LinkagePipeline::new(&CartesianBlocker, &cmp).run_sharded(&external, &local);
             assert_eq!(result.comparisons, 4, "{rule}");
-            assert_eq!(token_tables(&local), built, "{rule}: local");
+            assert_eq!(token_tables(local.shard(0)), built, "{rule}: local");
             assert_eq!(token_tables(&external), built, "{rule}: external");
         }
     }

@@ -5,7 +5,7 @@
 //! ubiquitous grams" to "every gram is rare" — the bit-sliced counter
 //! emits **exactly** the candidate set of an independent string-based
 //! exhaustive reference, per `(external, shard)` pair, across thresholds
-//! spanning the whole `[0, 1]` range and both the single-store and
+//! spanning the whole `[0, 1]` range and both the one-shard and
 //! sharded probe paths. Pinned cases sit on the counter's own edges:
 //! shards ending on, before and after a word boundary, keys needing nine
 //! planes, all-empty keys, and grams on either side of the dense
@@ -99,7 +99,7 @@ fn assert_probe_matches_reference(
         let sharded = ShardedStore::from_records(&local_records, shards);
         for (&threshold, expected) in thresholds.iter().zip(&expected) {
             let blocker = BigramBlocker::new(key.clone(), threshold);
-            blocker.stream_candidates(&external, (&sharded).into(), &mut runs);
+            blocker.stream_candidates(&external, &sharded, &mut runs);
             for s in 0..shards {
                 let (offset, len) = (sharded.offset(s), sharded.shard(s).len());
                 let mut streamed: Vec<(usize, usize)> =
@@ -190,7 +190,7 @@ fn all_empty_keys_pair_everything() {
     let mut runs = CandidateRuns::new();
     BigramBlocker::new(key(0), 1.0).stream_candidates(
         &RecordStore::from_records(&records_of(PROVIDER_PART_NUMBER, &external)),
-        (&RecordStore::from_records(&records_of(LOCAL_PART_NUMBER, &local))).into(),
+        &ShardedStore::from_records(&records_of(LOCAL_PART_NUMBER, &local), 1),
         &mut runs,
     );
     assert_eq!(runs.total(), 5 * 70);

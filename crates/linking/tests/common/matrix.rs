@@ -9,7 +9,8 @@
 //! representation, and the rule blocker's per-shard emission sequences
 //! are the oracle's, unrestricted and delta-restricted. Per cell
 //! (blocker × comparator × layout):
-//! * full runs at 1 and 4 threads over the single store, the sharded
+//! * full runs at 1 and 4 threads over a one-shard catalog of the same
+//!   records (the one layout with no shard boundary), the sharded
 //!   catalog, the same catalog appended to a base whose
 //!   sorted-neighbourhood ladder was built first (*seeded*: the grown
 //!   catalog merges only its new shards into the base's ladder) and the
@@ -113,6 +114,8 @@ pub fn fill(mut builder: ShardedStoreBuilder, shards: &[Vec<Record>]) -> Sharded
 struct Stores {
     /// Base and delta records as one store: the oracle's local side.
     single: RecordStore,
+    /// The same records as a one-shard catalog.
+    one_shard: ShardedStore,
     /// The base built and the delta appended; the same with the base's
     /// sorted-neighbourhood ladder built first, so the grown catalog
     /// starts from it and merges in only the delta shards; then, when the
@@ -127,14 +130,14 @@ impl Stores {
         let base = fill(ShardedStore::builder(), &layout.base).build();
         let catalog = base.append_shards(fill(base.delta_builder(), &layout.delta));
         // The appended catalog IS a from-scratch catalog with the same
-        // boundaries (the single store is an honest reference), and the
+        // boundaries (the oracle's store is an honest reference), and the
         // restored one is the appended one.
         let all = [&layout.base[..], &layout.delta[..]].concat();
         let rebuilt = fill(ShardedStore::builder(), &all).build();
         assert_same_catalog(&catalog, &rebuilt, "append against a from-scratch build");
         // The ladder does not depend on the window.
         let seeded = fill(ShardedStore::builder(), &layout.base).build();
-        SortedNeighborhoodBlocker::new(super::key(0), 2).warm((&seeded).into());
+        SortedNeighborhoodBlocker::new(super::key(0), 2).warm(&seeded);
         let seeded = seeded.append_shards(fill(seeded.delta_builder(), &layout.delta));
         assert_same_catalog(
             &seeded,
@@ -154,8 +157,10 @@ impl Stores {
             assert_same_catalog(&restored, &rebuilt, "restored against appended");
             catalogs.push(("restored", restored));
         }
+        let all = all.concat();
         Stores {
-            single: RecordStore::from_records(&all.concat()),
+            single: RecordStore::from_records(&all),
+            one_shard: ShardedStore::from_records(&all, 1),
             catalogs,
             first_new: base.shard_count(),
         }
@@ -236,7 +241,7 @@ impl Kind {
             }
             Kind::Rules(fallback) => {
                 // The one-shard emission sequence, order forgotten.
-                let mut sequence = oracle::rule_sequences(rules, fallback, external, local.into());
+                let mut sequence = oracle::rule_sequences(rules, fallback, external, &[local]);
                 oracle::sorted(sequence.swap_remove(0).0)
             }
         }
@@ -328,11 +333,11 @@ pub fn check(
                     let context = format!("{context} / {} + {new} shards", st.first_new);
                     let expected = expected.clone();
                     scope.spawn(move || {
-                        // The single store is every layout's: run it once.
+                        // The one-shard catalog is every layout's: run it once.
                         for &threads in threads.iter().filter(|_| i == 0) {
                             let pipeline = LinkagePipeline::new(blocker, cmp).with_threads(threads);
-                            let result = pipeline.run_sharded(external, single);
-                            let context = format!("{context}: single store / {threads} threads");
+                            let result = pipeline.run_sharded(external, &st.one_shard);
+                            let context = format!("{context}: one shard / {threads} threads");
                             assert_same_result(&result, &expected.0, &context);
                         }
                         check_runs(blocker, cmp, external, st, &expected, threads, &context);
@@ -347,7 +352,7 @@ pub fn check(
     }
 }
 
-/// Streamed candidates, single store and every catalog, are the oracle's;
+/// Streamed candidates, one-shard and every catalog, are the oracle's;
 /// the rule blocker's emission sequences are the oracle's per shard.
 fn check_candidates(
     kind: Kind,
@@ -360,11 +365,11 @@ fn check_candidates(
 ) {
     let name = blocker.name();
     let mut runs = CandidateRuns::new();
-    blocker.stream_candidates(external, (&st.single).into(), &mut runs);
+    blocker.stream_candidates(external, &st.one_shard, &mut runs);
     assert_block_invariants(&runs, name);
     let mut streamed: Pairs = runs.pairs(0).collect();
     streamed.sort_unstable();
-    assert!(streamed == *candidates, "{name}: single-store candidates");
+    assert!(streamed == *candidates, "{name}: one-shard candidates");
     // Key-driven blockers coalesce one block per (shard, external): while
     // runs hold several records (the tiny scenario's do), blocks never
     // outweigh the flat encoding.
@@ -374,7 +379,7 @@ fn check_candidates(
     }
     for (side, catalog) in &st.catalogs {
         let context = format!("{name}: {side} of {} shards", catalog.shard_count());
-        blocker.stream_candidates(external, catalog.into(), &mut runs);
+        blocker.stream_candidates(external, catalog, &mut runs);
         assert_eq!(runs.total() as usize, candidates.len(), "{context}");
         assert_block_invariants(&runs, &context);
         // `collect_pairs` is sorted and duplicate-free, like the oracle.
@@ -538,11 +543,12 @@ pub fn assert_rule_sequences_match(
 ) -> u64 {
     let blocker = RuleBasedBlocker::new(rules.classifier, rules.instances, rules.ontology)
         .with_fallback(fallback);
-    let reference = oracle::rule_sequences(rules, fallback, external, local.into());
+    let shards: Vec<&RecordStore> = local.shards().iter().map(|s| &**s).collect();
+    let reference = oracle::rule_sequences(rules, fallback, external, &shards);
     let mut runs = CandidateRuns::new();
     for &first_active in first_actives {
         runs.restrict_to_shards_from(first_active);
-        blocker.stream_candidates(external, local.into(), &mut runs);
+        blocker.stream_candidates(external, local, &mut runs);
         let shards = local.shard_count();
         let context = format!("{shards} shards from {first_active}, fallback {fallback}");
         for (s, (pairs, blocks)) in reference.iter().enumerate() {

@@ -12,9 +12,7 @@ use classilink_datagen::scenario::GeneratedScenario;
 use classilink_linking::blocking::BlockingKey;
 use classilink_linking::pipeline::{Link, LinkageResult};
 use classilink_linking::similarity::naive;
-use classilink_linking::{
-    AttributeRule, LocalShards, MatchDecision, RecordComparator, RecordStore,
-};
+use classilink_linking::{AttributeRule, MatchDecision, RecordComparator, RecordStore};
 use classilink_ontology::{InstanceStore, Ontology};
 use classilink_segment::{CharNGramSegmenter, Segmenter};
 use std::collections::{HashMap, HashSet};
@@ -156,15 +154,15 @@ impl<'a> Rules<'a> {
 /// order, prediction-major, each predicted extent as owned terms in
 /// `Term` order looked up in every shard, the first occurrence of a local
 /// winning; an unclassified external under the fallback pairs with each
-/// whole shard. Per shard: its shard-local pairs in order and its block
-/// count (one block per external with any pair in the shard).
+/// whole shard. Per shard of `local`: its shard-local pairs in order and
+/// its block count (one block per external with any pair in the shard).
 pub fn rule_sequences(
     rules: Rules<'_>,
     fallback: bool,
     external: &RecordStore,
-    local: LocalShards<'_>,
+    local: &[&RecordStore],
 ) -> Vec<(Pairs, usize)> {
-    let shard_count = local.shard_count();
+    let shard_count = local.len();
     let mut shards = vec![(Vec::new(), 0usize); shard_count];
     for e in 0..external.len() {
         let predictions = rules.classifier.classify_fact_refs(external.facts(e));
@@ -172,14 +170,14 @@ pub fn rule_sequences(
         let mut emitted = vec![false; shard_count];
         if predictions.is_empty() && fallback {
             for (s, (pairs, _)) in shards.iter_mut().enumerate() {
-                pairs.extend((0..local.shard(s).len()).map(|l| (e, l)));
-                emitted[s] = !local.shard(s).is_empty();
+                pairs.extend((0..local[s].len()).map(|l| (e, l)));
+                emitted[s] = !local[s].is_empty();
             }
         }
         for prediction in &predictions {
             for item in rules.instances.extent(prediction.class, rules.ontology) {
                 for (s, (pairs, _)) in shards.iter_mut().enumerate() {
-                    if let Some(l) = local.shard(s).index_of(&item) {
+                    if let Some(l) = local[s].index_of(&item) {
                         if seen.insert((s, l)) {
                             pairs.push((e, l));
                             emitted[s] = true;

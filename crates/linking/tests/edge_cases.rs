@@ -40,15 +40,15 @@ fn labelled_locals(n: usize) -> Vec<Record> {
 #[test]
 fn pipeline_on_empty_stores_is_empty() {
     let (cmp, external) = (comparator(), tiny().external_store());
-    let empty = RecordStore::from_records(&[]);
+    let (empty, no_catalog) = (RecordStore::from_records(&[]), ShardedStore::default());
     for threads in [1, 4] {
         let pipeline = LinkagePipeline::new(&CartesianBlocker, &cmp).with_threads(threads);
-        let result = pipeline.run_sharded(&empty, &empty);
+        let result = pipeline.run_sharded(&empty, &no_catalog);
         assert_eq!((result.comparisons, result.naive_pairs), (0, 0));
         assert_eq!(result.reduction_ratio, 0.0);
         assert!(result.matches.is_empty() && result.possible.is_empty());
-        // An empty catalog at any sharding is the empty single store.
-        let serial = pipeline.run_sharded(&external, &empty);
+        // An empty catalog at any sharding is the default catalog.
+        let serial = pipeline.run_sharded(&external, &no_catalog);
         for shards in [1, 4] {
             let catalog = ShardedStore::from_records(&[], shards);
             let sharded = pipeline.run_sharded(&external, &catalog);

@@ -115,7 +115,7 @@ fn watchdog_run(kind: BlockerKind, threads: usize) -> Result<LinkageResult, Link
         let cmp = comparator();
         let result = LinkagePipeline::new(blocker.as_ref(), &cmp)
             .with_threads(threads)
-            .try_run_sharded(&external, &*local);
+            .try_run_sharded(&external, &local);
         let _ = tx.send(result);
     });
     rx.recv_timeout(WATCHDOG)
@@ -206,15 +206,14 @@ fn batch_sites_contain_panics_and_heal() {
     }
 }
 
-/// A single store linked as a one-shard view: same containment contract
-/// as a sharded catalog.
+/// A one-shard catalog: same containment contract as a sharded one.
 #[test]
-fn single_store_runs_contain_panics_and_heal() {
+fn one_shard_catalog_runs_contain_panics_and_heal() {
     let _serial = serial();
     quiet_injected_panics();
     fail::teardown();
     let locals: Vec<Record> = (0..LOCALS).map(local_record).collect();
-    let local = RecordStore::from_records(&locals);
+    let local = ShardedStore::from_records(&locals, 1);
     let (external, _) = dataset();
     let blocker = BlockerKind::Standard.build();
     let cmp = comparator();
@@ -232,7 +231,7 @@ fn single_store_runs_contain_panics_and_heal() {
     let healed = pipeline
         .try_run_sharded(&external, &local)
         .expect("clean re-run");
-    assert_bit_identical(&healed, &baseline, "single store after score fault");
+    assert_bit_identical(&healed, &baseline, "one shard after score fault");
 }
 
 /// Work-stealing diagnostics: with one counted panic, exactly one worker
@@ -447,7 +446,7 @@ fn infallible_wrappers_panic_with_structured_messages() {
     let cmp = comparator();
     let _armed = Armed::new("blocking::standard", "panic(chaos wrapper)");
     let wrapped = catch_unwind(AssertUnwindSafe(|| {
-        LinkagePipeline::new(blocker.as_ref(), &cmp).run_sharded(&external, &*local)
+        LinkagePipeline::new(blocker.as_ref(), &cmp).run_sharded(&external, &local)
     }))
     .unwrap_err();
     let message = wrapped
@@ -483,18 +482,16 @@ fn remaining_sites_all_contain() {
     for (site, blocker) in blockers {
         let pipeline = LinkagePipeline::new(blocker, &cmp);
         let baseline = pipeline
-            .try_run_sharded(&external, &*local)
+            .try_run_sharded(&external, &local)
             .expect("baseline");
         let armed = Armed::new(site, "panic(chaos sweep)");
-        let error = pipeline.try_run_sharded(&external, &*local).unwrap_err();
+        let error = pipeline.try_run_sharded(&external, &local).unwrap_err();
         assert!(
             matches!(error, LinkError::BlockingPanicked { .. }),
             "{site}: {error:?}"
         );
         drop(armed);
-        let healed = pipeline
-            .try_run_sharded(&external, &*local)
-            .expect("healed");
+        let healed = pipeline.try_run_sharded(&external, &local).expect("healed");
         assert_bit_identical(&healed, &baseline, site);
     }
 }

@@ -127,14 +127,15 @@ fn non_match_threshold_on_an_achieved_score_keeps_the_pair() {
 #[test]
 fn bound_exits_outnumber_kernel_calls_and_cover_every_value_pair() {
     let scenario = tiny();
-    let (external, local) = (scenario.external_store(), scenario.local_store());
+    let (external, catalog) = scenario.sharded_stores(1);
+    let local = catalog.shard(0);
     let blocker = StandardBlocker::new(key(4));
     let cmp = jw95();
-    let compiled = cmp.compile(&external, &local);
+    let compiled = cmp.compile(&external, local);
     let left = external.property(vocab::PROVIDER_PART_NUMBER).unwrap();
     let right = local.property(vocab::LOCAL_PART_NUMBER).unwrap();
     let mut runs = CandidateRuns::new();
-    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    blocker.stream_candidates(&external, &catalog, &mut runs);
     let (mut scratch, mut exact) = (SimScratch::new(), SimScratch::new());
     let mut hoist = LeftHoist::new();
     let (mut value_pairs, mut links) = (0u64, 0u64);
@@ -145,8 +146,8 @@ fn bound_exits_outnumber_kernel_calls_and_cover_every_value_pair() {
             value_pairs +=
                 (external.values(e, left).count() * local.values(l, right).count()) as u64;
             let (score, decision) =
-                compiled.score_hoisted(&hoist, &external, &local, l, &mut scratch);
-            let (exact_score, exact_decision) = compiled.score(&external, e, &local, l, &mut exact);
+                compiled.score_hoisted(&hoist, &external, local, l, &mut scratch);
+            let (exact_score, exact_decision) = compiled.score(&external, e, local, l, &mut exact);
             assert_eq!(decision, exact_decision, "pair ({e}, {l})");
             if decision == MatchDecision::NonMatch {
                 assert!(score < cmp.non_match_threshold, "pair ({e}, {l})");
@@ -168,7 +169,7 @@ fn bound_exits_outnumber_kernel_calls_and_cover_every_value_pair() {
     assert_eq!((exact.kernel_calls, exact.bound_exits), (0, 0));
 
     // The block path: the same account, most of it settled on signatures.
-    let (blocked, block_links) = score_blocks(&compiled, &runs, &external, &local);
+    let (blocked, block_links) = score_blocks(&compiled, &runs, &external, local);
     assert_eq!(
         (blocked.kernel_calls, blocked.bound_exits, block_links),
         (scratch.kernel_calls, scratch.bound_exits, links)
@@ -178,7 +179,7 @@ fn bound_exits_outnumber_kernel_calls_and_cover_every_value_pair() {
         signatures <= bounds && signatures > kernels,
         "{signatures} signature exits"
     );
-    let result = LinkagePipeline::new(&blocker, &cmp).run_sharded(&external, &local);
+    let result = LinkagePipeline::new(&blocker, &cmp).run_sharded(&external, &catalog);
     assert_eq!(result.comparisons, runs.total());
     assert_eq!((result.matches.len() + result.possible.len()) as u64, links);
 }
@@ -250,7 +251,7 @@ mod local_run_decode {
                 .map(|i| Record::new(Term::iri(format!("http://e.org/i/{i}"))))
                 .collect();
             let mut runs = CandidateRuns::new();
-            runs.reset(24, (&ShardedStore::from_records(&locals, shards)).into());
+            runs.reset(24, &ShardedStore::from_records(&locals, shards));
             let mut expected: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
             for &seed in &seeds {
                 let (shard, e, start, span) = decode_op(seed, shards);
@@ -293,11 +294,11 @@ mod local_run_decode {
                     r
                 })
                 .collect();
-            let store = RecordStore::from_records(&records);
-            let side = key(0).local_side(&store);
-            let index = store.key_index(&side);
+            let catalog = ShardedStore::from_records(&records, 1);
+            let side = key(0).local_side(catalog.shard(0));
+            let index = catalog.shard(0).key_index(&side);
             let mut runs = CandidateRuns::new();
-            runs.reset(probes.len(), (&store).into());
+            runs.reset(probes.len(), &catalog);
             runs.set_key_table(0, index.clone());
             let mut expected: Vec<(usize, usize)> = Vec::new();
             for (e, probe) in probes.iter().enumerate() {
@@ -381,14 +382,14 @@ fn filtered_scoring_matches_the_oracle_at_paper_scale() {
 #[ignore = "paper scale: run with --release -- --ignored"]
 fn comparison_funnel_at_paper_scale() {
     let scenario = generate(&ScenarioConfig::paper());
-    let (external, local) = (scenario.external_store(), scenario.local_store());
+    let (external, catalog) = scenario.sharded_stores(1);
     let blocker = StandardBlocker::new(key(4));
     let cmp = jw95();
     let mut runs = CandidateRuns::new();
-    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    blocker.stream_candidates(&external, &catalog, &mut runs);
     assert_eq!(runs.total(), 5_034_378);
-    let compiled = cmp.compile(&external, &local);
-    let (funnel, links) = score_blocks(&compiled, &runs, &external, &local);
+    let compiled = cmp.compile(&external, catalog.shard(0));
+    let (funnel, links) = score_blocks(&compiled, &runs, &external, catalog.shard(0));
     assert_eq!(
         (funnel.kernel_calls, funnel.bound_exits, links),
         (286_244, 4_748_134, 6_784 + 58_063)
@@ -396,7 +397,7 @@ fn comparison_funnel_at_paper_scale() {
     // Of the bound exits, those the signatures settle: pinned too, so that a
     // tier gone one notch looser shows here and not only on a stopwatch.
     assert_eq!(funnel.signature_exits, 4_574_727);
-    let result = LinkagePipeline::new(&blocker, &cmp).run_sharded(&external, &local);
+    let result = LinkagePipeline::new(&blocker, &cmp).run_sharded(&external, &catalog);
     assert_eq!(result.comparisons, 5_034_378);
     assert_eq!(
         (result.matches.len(), result.possible.len()),
@@ -425,7 +426,7 @@ fn rule_based_emission_sequence_matches_at_paper_scale() {
     // arena id per candidate against 109.5 MB.
     let blocker = RuleBasedBlocker::new(&classifier, &scenario.instances, &scenario.ontology);
     let mut runs = CandidateRuns::new();
-    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    blocker.stream_candidates(&external, &local, &mut runs);
     let (queue, flat) = (runs.queue_bytes(), runs.pair_bytes());
     assert!(
         queue * 100 <= flat,
@@ -448,7 +449,7 @@ fn bigram_counter_matches_count_all_reference_at_paper_scale() {
     for shard_count in [1, 4] {
         let (external, local) = scenario.sharded_stores(shard_count);
         let mut runs = CandidateRuns::new();
-        blocker.stream_candidates(&external, (&local).into(), &mut runs);
+        blocker.stream_candidates(&external, &local, &mut runs);
         assert_eq!(runs.total(), 84_255, "{shard_count} shards");
         for s in 0..shard_count {
             let mut streamed: Vec<(usize, usize)> = runs.pairs(s).collect();
@@ -483,7 +484,7 @@ fn sorted_neighbourhood_matches_the_reference_at_paper_scale() {
     }
     let blocker = SortedNeighborhoodBlocker::new(key(0), WINDOW);
     let mut runs = CandidateRuns::new();
-    blocker.stream_candidates(&external, (&base).into(), &mut runs);
+    blocker.stream_candidates(&external, &base, &mut runs);
     let seeded = base.append_shards(delta.clone());
     let fresh = unstreamed.append_shards(delta);
     assert_eq!(seeded.shard_count(), 5);
@@ -509,12 +510,12 @@ fn sorted_neighbourhood_matches_the_reference_at_paper_scale() {
         // merges the new shard into the parent's ladder.
         let mut delta_runs = CandidateRuns::new();
         delta_runs.restrict_to_shards_from(4);
-        blocker.stream_candidates(&external, local.into(), &mut delta_runs);
+        blocker.stream_candidates(&external, local, &mut delta_runs);
         assert!(
             streamed(&delta_runs).iter().eq(delta.iter().copied()),
             "{name}"
         );
-        blocker.stream_candidates(&external, local.into(), &mut runs);
+        blocker.stream_candidates(&external, local, &mut runs);
         assert_eq!(streamed(&runs), reference, "{name}");
         assert_eq!(
             (runs.total(), delta_runs.total()),

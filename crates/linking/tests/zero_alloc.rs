@@ -35,8 +35,8 @@ use classilink_linking::ingest::{FeedFormat, FeedIngest};
 use classilink_linking::intern::SchemaInterner;
 use classilink_linking::record::Record;
 use classilink_linking::{
-    CandidateRuns, Linker, LocalShards, ProbeScratch, RecordComparator, RecordStore, ShardedStore,
-    SimScratch, SimilarityMeasure,
+    CandidateRuns, Linker, ProbeScratch, RecordComparator, RecordStore, ShardedStore, SimScratch,
+    SimilarityMeasure,
 };
 use classilink_ontology::{InstanceStore, OntologyBuilder};
 use classilink_rdf::Term;
@@ -87,7 +87,7 @@ const EXT_MFR: &str = "http://provider.e.org/v#maker";
 const LOC_PN: &str = "http://local.e.org/v#partNumber";
 const LOC_MFR: &str = "http://local.e.org/v#manufacturer";
 
-fn stores() -> (RecordStore, RecordStore) {
+fn stores() -> (RecordStore, ShardedStore) {
     let series = ["CRCW0805", "ERJ6", "T83A225", "LM317", "GRM188", "1N4148"];
     let external: Vec<Record> = (0..24)
         .map(|i| {
@@ -113,13 +113,14 @@ fn stores() -> (RecordStore, RecordStore) {
         .collect();
     (
         RecordStore::from_records(&external),
-        RecordStore::from_records(&local),
+        ShardedStore::from_records(&local, 1),
     )
 }
 
 #[test]
 fn steady_state_score_never_allocates() {
-    let (external, local) = stores();
+    let (external, catalog) = stores();
+    let local = catalog.shard(0);
     let mut scratch = SimScratch::new();
     for &measure in SimilarityMeasure::all() {
         let comparator = RecordComparator::new(vec![classilink_linking::AttributeRule {
@@ -128,13 +129,13 @@ fn steady_state_score_never_allocates() {
             measure,
             weight: 1.0,
         }]);
-        let compiled = comparator.compile(&external, &local);
+        let compiled = comparator.compile(&external, local);
         // Warmup: grow the scratch buffers to the longest inputs and
         // fault in every lazily-built structure.
         let mut warmup = 0.0;
         for e in 0..external.len() {
             for l in 0..local.len() {
-                warmup += compiled.score(&external, e, &local, l, &mut scratch).0;
+                warmup += compiled.score(&external, e, local, l, &mut scratch).0;
             }
         }
         assert!(warmup.is_finite());
@@ -144,7 +145,7 @@ fn steady_state_score_never_allocates() {
         let mut total = 0.0;
         for e in 0..external.len() {
             for l in 0..local.len() {
-                total += compiled.score(&external, e, &local, l, &mut scratch).0;
+                total += compiled.score(&external, e, local, l, &mut scratch).0;
             }
         }
         let after = allocations();
@@ -164,17 +165,18 @@ fn steady_state_score_never_allocates() {
 fn steady_state_fallback_score_never_allocates() {
     // A rule whose property exists on neither store forces the
     // full-text fallback (Monge-Elkan — a set kernel) on every pair.
-    let (external, local) = stores();
+    let (external, catalog) = stores();
+    let local = catalog.shard(0);
     let mut scratch = SimScratch::new();
     let comparator = RecordComparator::single(
         "http://nowhere.org/v#x",
         "http://nowhere.org/v#y",
         SimilarityMeasure::Jaro,
     );
-    let compiled = comparator.compile(&external, &local);
+    let compiled = comparator.compile(&external, local);
     let mut warmup = 0.0;
     for e in 0..external.len() {
-        warmup += compiled.score(&external, e, &local, e, &mut scratch).0;
+        warmup += compiled.score(&external, e, local, e, &mut scratch).0;
     }
     assert!(
         warmup > 0.0,
@@ -183,7 +185,7 @@ fn steady_state_fallback_score_never_allocates() {
 
     let before = allocations();
     for e in 0..external.len() {
-        compiled.score(&external, e, &local, e, &mut scratch);
+        compiled.score(&external, e, local, e, &mut scratch);
     }
     let after = allocations();
     assert_eq!(after - before, 0, "fallback path allocated in steady state");
@@ -197,7 +199,7 @@ fn steady_state_fallback_score_never_allocates() {
 fn assert_blocking_steady_state(
     blocker: &dyn Blocker,
     external: &RecordStore,
-    local: LocalShards<'_>,
+    local: &ShardedStore,
     runs: &mut CandidateRuns,
 ) {
     blocker.stream_candidates(external, local, runs);
@@ -237,17 +239,17 @@ fn steady_state_blocking_never_allocates() {
     let bigram_high = BigramBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 0.7);
     let sorted = SortedNeighborhoodBlocker::new(BlockingKey::per_side(EXT_PN, LOC_PN, 0), 4);
     let mut runs = CandidateRuns::new();
-    // Single-store (one-shard) view. Standard emits
+    // One-shard catalog. Standard emits
     // keyed blocks, bigram and sorted neighbourhood explicit runs,
     // cartesian span blocks — all three encodings of the block sink stay
     // allocation-free warm.
-    assert_blocking_steady_state(&standard, &external, (&local).into(), &mut runs);
-    assert_blocking_steady_state(&bigram, &external, (&local).into(), &mut runs);
-    assert_blocking_steady_state(&bigram_high, &external, (&local).into(), &mut runs);
-    assert_blocking_steady_state(&sorted, &external, (&local).into(), &mut runs);
-    assert_blocking_steady_state(&CartesianBlocker, &external, (&local).into(), &mut runs);
-    // Sharded view: the run_sharded blocking path (per-shard key
-    // indexes, external-side artifacts shared across shards).
+    assert_blocking_steady_state(&standard, &external, &local, &mut runs);
+    assert_blocking_steady_state(&bigram, &external, &local, &mut runs);
+    assert_blocking_steady_state(&bigram_high, &external, &local, &mut runs);
+    assert_blocking_steady_state(&sorted, &external, &local, &mut runs);
+    assert_blocking_steady_state(&CartesianBlocker, &external, &local, &mut runs);
+    // Three shards: per-shard key indexes, external-side artifacts
+    // shared across shards.
     let sharded = ShardedStore::from_records(
         &(0..24)
             .map(|i| {
@@ -258,11 +260,11 @@ fn steady_state_blocking_never_allocates() {
             .collect::<Vec<_>>(),
         3,
     );
-    assert_blocking_steady_state(&standard, &external, (&sharded).into(), &mut runs);
-    assert_blocking_steady_state(&bigram, &external, (&sharded).into(), &mut runs);
-    assert_blocking_steady_state(&bigram_high, &external, (&sharded).into(), &mut runs);
-    assert_blocking_steady_state(&sorted, &external, (&sharded).into(), &mut runs);
-    assert_blocking_steady_state(&CartesianBlocker, &external, (&sharded).into(), &mut runs);
+    assert_blocking_steady_state(&standard, &external, &sharded, &mut runs);
+    assert_blocking_steady_state(&bigram, &external, &sharded, &mut runs);
+    assert_blocking_steady_state(&bigram_high, &external, &sharded, &mut runs);
+    assert_blocking_steady_state(&sorted, &external, &sharded, &mut runs);
+    assert_blocking_steady_state(&CartesianBlocker, &external, &sharded, &mut runs);
     // Consecutive externals of 7, 8 and 16 padded bigrams count in 3, 4
     // and 5 planes: the plane count grows from probe to probe inside
     // the warm sink, past what the externals above (under 16 bigrams
@@ -278,8 +280,8 @@ fn steady_state_blocking_never_allocates() {
             })
             .collect::<Vec<_>>(),
     );
-    assert_blocking_steady_state(&bigram, &growing, (&local).into(), &mut runs);
-    assert_blocking_steady_state(&bigram_high, &growing, (&sharded).into(), &mut runs);
+    assert_blocking_steady_state(&bigram, &growing, &local, &mut runs);
+    assert_blocking_steady_state(&bigram_high, &growing, &sharded, &mut runs);
 }
 
 /// What one warm rule-blocker streaming call allocates **beyond**
@@ -324,11 +326,11 @@ fn rule_stream_allocations_beyond_classification(externals: usize) -> u64 {
     let blocker = RuleBasedBlocker::new(&classifier, &instances, &ontology);
     let mut runs = CandidateRuns::new();
     // Warm-up: the sink grows its blocks, arenas and marks once.
-    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    blocker.stream_candidates(&external, &local, &mut runs);
     assert_eq!(runs.total(), (externals * EXTENT) as u64);
 
     let before = allocations();
-    blocker.stream_candidates(&external, (&local).into(), &mut runs);
+    blocker.stream_candidates(&external, &local, &mut runs);
     let streamed = allocations() - before;
     assert_eq!(runs.total(), (externals * EXTENT) as u64);
 
@@ -518,7 +520,7 @@ fn warm_probe_never_allocates() {
     // Thresholds no score can reach: every candidate is scored but no
     // link materialises, so a warm probe must be *fully* allocation-free
     // — refill, blocking, queueing, scoring and the cleared result
-    // buffers included — for every streaming blocker, single-store and
+    // buffers included — for every streaming blocker, one-shard and
     // sharded.
     let (external, _) = stores();
     let probes: Vec<Record> = (0..6).map(|e| external.record(e)).collect();

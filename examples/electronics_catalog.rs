@@ -97,14 +97,14 @@ fn main() {
 
     // E3/E4: how many catalog products an external item is still compared
     // with once it has been classified, per rule-confidence threshold.
-    let external = scenario.external_store();
+    let (external, local) = scenario.sharded_stores(1);
     let training_items = scenario.training_records();
     let reduction = reduction_sweep(
         &RuleClassifier::from_outcome(&outcome, &learner),
         &scenario.instances,
         &scenario.ontology,
         &external,
-        &scenario.local_store(),
+        &local,
         &training_items,
         &[1.0, 0.8, 0.6, 0.4, 0.2],
     );

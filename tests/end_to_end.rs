@@ -56,14 +56,14 @@ fn learn_classify_and_reduce_on_a_small_scenario() {
 
     // The linking subspace of classified items is much smaller than the
     // catalog.
-    let external = scenario.external_store();
+    let (external, local) = scenario.sharded_stores(1);
     let items = &scenario.training_records()[..200];
     let strict = &reduction_sweep(
         &classifier,
         &scenario.instances,
         &scenario.ontology,
         &external,
-        &scenario.local_store(),
+        &local,
         items,
         &[1.0],
     )[0];
