@@ -61,9 +61,9 @@
 //!   handle answering single-record probes through the batch code path
 //!   (bit-identical links), over a catalog swapped atomically by epoch
 //!   so updates never block in-flight probes.
-//! * [`persist`] — crash-safe catalog persistence: checksummed
-//!   content-addressed shard snapshots committed by an atomic manifest
-//!   rename, with a restart path that verifies every checksum and falls
+//! * [`persist`] — crash-safe catalog persistence: shard snapshots named
+//!   by their content hash, committed by an atomic manifest rename, with
+//!   a restart path that verifies every file against its name and falls
 //!   back to the previous manifest generation on corruption.
 //!
 //! ## Quick example

@@ -1,5 +1,5 @@
-//! Crash-safe catalog persistence: checksummed shard snapshots, atomic
-//! manifests, and corruption-recovering restart.
+//! Crash-safe catalog persistence: content-addressed shard snapshots,
+//! sealed manifests, and corruption-recovering restart.
 //!
 //! A [`ShardedStore`] is already flat — per-property text arenas plus
 //! `u32` offset arrays — so the on-disk format is a direct dump of those
@@ -15,17 +15,19 @@
 //!    shard-a90b….clshard        ← shard 0 (ids + columns)
 //!    shard-77de….clshard        ← shard 1
 //!
-//!  shard/schema file:  magic ─ version ─ section count ─ sections…
-//!  section:            tag ─ length ─ payload ─ XXH64(payload, seed=tag)
-//!  manifest (text):    header ─ generation ─ schema line ─ shard lines
+//!  data file name:     <kind>-<XXH64 of the file, 16 lowercase hex>.<ext>
+//!  shard file:         magic ─ version ─ ids ─ columns
+//!  schema file:        magic ─ version ─ property names
+//!  manifest (text):    header ─ generation ─ "schema <file>" ─ "shard <file>"…
 //!                      ─ "seal <XXH64 of everything above>"
 //! ```
 //!
-//! **Data files are content-addressed**: the file name embeds the XXH64
-//! of the file's bytes (the same hash the manifest records), so a shard
-//! that already exists on disk is never rewritten. Snapshotting an
-//! appended catalog therefore spills only the new shards — the commit
-//! cost of an incremental snapshot is O(delta), like the append itself.
+//! **A data file's name is its checksum.** The name embeds the XXH64 of
+//! the file's bytes and the sealed manifest lists the names, so one hash
+//! covers every byte of a data file and the seal covers every name. A
+//! shard that already exists on disk is never rewritten: snapshotting an
+//! appended catalog spills only the new shards — the commit cost of an
+//! incremental snapshot is O(delta), like the append itself.
 //!
 //! **The manifest rename is the commit point.** A snapshot writes every
 //! data file (temp file, fsync, rename), then the manifest the same way:
@@ -34,16 +36,18 @@
 //! manifest — and every file it references — untouched; the leftover
 //! temp/orphan files are swept by the next [`CatalogSnapshot::open`].
 //!
-//! **`open` trusts nothing.** Every referenced file is re-hashed against
-//! the manifest, every section checksum is verified, and every decoded
-//! structure is bounds-checked before a [`ShardedStore`] is assembled —
-//! a snapshot that fails any check is *discarded as a whole* and the
-//! loader falls back to the previous manifest generation, reporting what
-//! it skipped through a [`RecoveryReport`]. Corrupt manifests, temp
-//! files and unreferenced data files are deleted on the way out, and the
-//! two newest valid generations are retained so the *next* crash also
-//! has a fallback. The loader never panics on corrupt input and never
-//! returns a partially-loaded catalog.
+//! **`open` trusts nothing.** Every referenced file is hashed once and
+//! compared with its name, and every decoded structure is bounds-checked
+//! before a [`ShardedStore`] is assembled — a generation that fails any
+//! check, or references a file that is gone, is *discarded as a whole*
+//! and the loader falls back to the previous manifest generation,
+//! reporting what it skipped through a [`RecoveryReport`]. A generation
+//! whose files exist but cannot be read is skipped and reported the same
+//! way, yet left on disk: an I/O error is no proof of corruption.
+//! Discarded manifests, temp files and unreferenced data files are
+//! deleted on the way out, and the two newest valid generations are
+//! retained so the *next* crash also has a fallback. The loader never
+//! panics on corrupt input and never returns a partially-loaded catalog.
 
 use crate::intern::PropertyInterner;
 use crate::shard::ShardedStore;
@@ -57,25 +61,71 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use twox_hash::XxHash64;
 
-const SHARD_MAGIC: &[u8; 8] = b"CLSHRD01";
-const SCHEMA_MAGIC: &[u8; 8] = b"CLSCHM01";
-const FORMAT_VERSION: u32 = 2;
-const MANIFEST_HEADER: &str = "classilink-manifest v1";
+/// The data-file layout version: a file of any other version is corrupt
+/// to this reader, and its generation is discarded.
+const FORMAT_VERSION: u32 = 3;
+const MANIFEST_HEADER: &str = "classilink-manifest v";
+const MANIFEST_VERSION: &str = "2";
 const MANIFEST_PREFIX: &str = "MANIFEST-";
 const TMP_SUFFIX: &str = ".tmp";
-const SHARD_EXT: &str = "clshard";
-const SCHEMA_EXT: &str = "clschema";
 /// Valid manifest generations retained by the sweep: the newest (the
 /// restart point) plus one predecessor (the fallback if the newest is
 /// torn by the next crash).
 const RETAINED_GENERATIONS: usize = 2;
 
-const SECTION_IDS: u32 = 1;
-const SECTION_COLUMNS: u32 = 2;
-const SECTION_SCHEMA: u32 = 4;
+/// One kind of content-addressed data file: how it is named, listed in
+/// a manifest and framed.
+struct FileKind {
+    /// The file-name prefix, also the manifest line's keyword.
+    tag: &'static str,
+    ext: &'static str,
+    magic: &'static [u8; 8],
+}
 
-fn xxh64(seed: u64, bytes: &[u8]) -> u64 {
-    XxHash64::oneshot(seed, bytes)
+const SHARD: FileKind = FileKind {
+    tag: "shard",
+    ext: "clshard",
+    magic: b"CLSHRD01",
+};
+const SCHEMA: FileKind = FileKind {
+    tag: "schema",
+    ext: "clschema",
+    magic: b"CLSCHM01",
+};
+
+impl FileKind {
+    fn file_name(&self, hash: u64) -> String {
+        format!("{}-{hash:016x}.{}", self.tag, self.ext)
+    }
+
+    /// The content hash `name` carries, if it is exactly
+    /// `<tag>-<16 lowercase hex digits>.<ext>` — a name this module
+    /// writes, never a path that escapes the snapshot directory.
+    fn named_hash(&self, name: &str) -> Option<u64> {
+        let hex = name
+            .strip_prefix(self.tag)?
+            .strip_prefix('-')?
+            .strip_suffix(self.ext)?
+            .strip_suffix('.')?;
+        let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        if hex.len() != 16 || !hex.bytes().all(lower_hex) {
+            return None;
+        }
+        u64::from_str_radix(hex, 16).ok()
+    }
+
+    /// A buffer holding the file header (magic, version), ready for the
+    /// body.
+    fn header(&self, body_capacity: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(12 + body_capacity);
+        out.extend_from_slice(self.magic);
+        put_u32(&mut out, FORMAT_VERSION);
+        out
+    }
+}
+
+fn xxh64(bytes: &[u8]) -> u64 {
+    XxHash64::oneshot(0, bytes)
 }
 
 /// A persistence failure. Every variant names the file (or directory)
@@ -92,7 +142,7 @@ pub enum PersistError {
         /// cloneable; exposed through [`std::error::Error::source`]).
         source: Arc<io::Error>,
     },
-    /// A snapshot file failed checksum or structural validation.
+    /// A snapshot file failed its content-hash or structural validation.
     Corrupt {
         /// The corrupt file.
         path: PathBuf,
@@ -240,11 +290,11 @@ pub struct SnapshotReceipt {
 pub struct RecoveryReport {
     /// The manifest generation the catalog was restored from.
     pub generation: u64,
-    /// `true` when the newest manifest failed validation and the loader
-    /// fell back to an earlier generation.
+    /// `true` when the newest generation failed to load and the loader
+    /// fell back to an earlier one.
     pub recovered_from_fallback: bool,
     /// `(manifest file, reason)` for every generation that was tried and
-    /// discarded, newest first.
+    /// not served, newest first.
     pub discarded: Vec<(String, String)>,
     /// Orphaned files deleted on open: temp files, discarded or
     /// out-of-retention manifests, and data files no retained manifest
@@ -272,13 +322,9 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
+    put_u64(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
 }
 
 fn put_u32_slice(out: &mut Vec<u8>, values: &[u32]) {
@@ -286,16 +332,6 @@ fn put_u32_slice(out: &mut Vec<u8>, values: &[u32]) {
     for &v in values {
         put_u32(out, v);
     }
-}
-
-/// Append one checksummed section: tag, payload length, payload, then
-/// the payload's XXH64 **seeded with the tag** — a section of one kind
-/// can never masquerade as another even if lengths happen to line up.
-fn put_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
-    put_u32(out, tag);
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    put_u64(out, xxh64(u64::from(tag), payload));
 }
 
 fn put_term(out: &mut Vec<u8>, term: &Term) {
@@ -336,45 +372,35 @@ fn serialize_shard(store: &RecordStore) -> Vec<u8> {
     frame_shard(store.persist_ids(), &columns)
 }
 
-/// Frame a shard file: magic, version, then the two checksummed sections
-/// — the ids, and each column's `(text, bounds, offsets)`.
+/// Frame a shard file: the header, then the ids and each column's
+/// `(text, bounds, offsets)`, each list behind its length.
 fn frame_shard(ids: &[Term], columns: &[(&str, &[u32], &[u32])]) -> Vec<u8> {
-    let mut id_section = Vec::new();
-    put_u64(&mut id_section, ids.len() as u64);
+    let column_bytes: usize = columns
+        .iter()
+        .map(|(text, bounds, offsets)| 24 + text.len() + 4 * (bounds.len() + offsets.len()))
+        .sum();
+    let mut out = SHARD.header(16 + column_bytes);
+    put_u64(&mut out, ids.len() as u64);
     for term in ids {
-        put_term(&mut id_section, term);
+        put_term(&mut out, term);
     }
-
-    let mut column_section = Vec::new();
-    put_u64(&mut column_section, columns.len() as u64);
+    put_u64(&mut out, columns.len() as u64);
     for (text, bounds, offsets) in columns {
-        put_str(&mut column_section, text);
-        put_u32_slice(&mut column_section, bounds);
-        put_u32_slice(&mut column_section, offsets);
+        put_str(&mut out, text);
+        put_u32_slice(&mut out, bounds);
+        put_u32_slice(&mut out, offsets);
     }
-
-    let mut out = Vec::with_capacity(id_section.len() + column_section.len() + 56);
-    out.extend_from_slice(SHARD_MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, 2);
-    put_section(&mut out, SECTION_IDS, &id_section);
-    put_section(&mut out, SECTION_COLUMNS, &column_section);
     out
 }
 
 /// Serialize the schema: the interned property IRIs in id order (the
 /// loader reproduces identical ids by re-interning them in order).
 fn serialize_schema(schema: &PropertyInterner) -> Vec<u8> {
-    let mut names = Vec::new();
-    put_u64(&mut names, schema.len() as u64);
+    let mut out = SCHEMA.header(8);
+    put_u64(&mut out, schema.len() as u64);
     for (_, name) in schema.iter() {
-        put_str(&mut names, name);
+        put_str(&mut out, name);
     }
-    let mut out = Vec::with_capacity(names.len() + 40);
-    out.extend_from_slice(SCHEMA_MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, 1);
-    put_section(&mut out, SECTION_SCHEMA, &names);
     out
 }
 
@@ -390,8 +416,20 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], path: &'a Path) -> Self {
-        Reader { buf, pos: 0, path }
+    /// A cursor over the body of a data file of `kind`, past its checked
+    /// header.
+    fn body(kind: &FileKind, buf: &'a [u8], path: &'a Path) -> Result<Self, PersistError> {
+        let mut reader = Reader { buf, pos: 0, path };
+        if reader.take(8)? != kind.magic {
+            return Err(reader.corrupt("bad magic (not a classilink snapshot file)"));
+        }
+        let version = reader.u32()?;
+        if version != FORMAT_VERSION {
+            return Err(reader.corrupt(format!(
+                "unsupported format version {version} (this build reads {FORMAT_VERSION})"
+            )));
+        }
+        Ok(reader)
     }
 
     fn corrupt(&self, detail: impl Into<String>) -> PersistError {
@@ -444,13 +482,9 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    fn bytes(&mut self) -> Result<&'a [u8], PersistError> {
-        let n = self.count(1)?;
-        self.take(n)
-    }
-
     fn str(&mut self) -> Result<&'a str, PersistError> {
-        let bytes = self.bytes()?;
+        let n = self.count(1)?;
+        let bytes = self.take(n)?;
         std::str::from_utf8(bytes).map_err(|_| self.corrupt("string is not valid UTF-8"))
     }
 
@@ -497,51 +531,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Read the file header and return the checksum-verified section
-/// payloads, in order.
-fn read_sections<'a>(
-    reader: &mut Reader<'a>,
-    magic: &[u8; 8],
-    expected: &[u32],
-) -> Result<Vec<&'a [u8]>, PersistError> {
-    if reader.take(8)? != magic {
-        return Err(reader.corrupt("bad magic (not a classilink snapshot file)"));
-    }
-    let version = reader.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(reader.corrupt(format!(
-            "unsupported format version {version} (this build reads {FORMAT_VERSION})"
-        )));
-    }
-    let count = reader.u32()? as usize;
-    if count != expected.len() {
-        return Err(reader.corrupt(format!(
-            "expected {} sections, file declares {count}",
-            expected.len()
-        )));
-    }
-    let mut sections = Vec::with_capacity(count);
-    for &tag in expected {
-        let actual = reader.u32()?;
-        if actual != tag {
-            return Err(reader.corrupt(format!("expected section {tag}, found {actual}")));
-        }
-        let len = reader.u64()?;
-        let len = usize::try_from(len).map_err(|_| reader.corrupt("section length overflow"))?;
-        let payload = reader.take(len)?;
-        let checksum = reader.u64()?;
-        let computed = xxh64(u64::from(tag), payload);
-        if checksum != computed {
-            return Err(reader.corrupt(format!(
-                "section {tag} checksum mismatch (stored {checksum:016x}, computed {computed:016x})"
-            )));
-        }
-        sections.push(payload);
-    }
-    reader.expect_done()?;
-    Ok(sections)
-}
-
 /// Decode one shard file into a [`RecordStore`] on the shared schema.
 fn decode_shard(
     path: &Path,
@@ -549,8 +538,8 @@ fn decode_shard(
     schema: &Arc<PropertyInterner>,
 ) -> Result<RecordStore, PersistError> {
     // Models a corrupt-on-read shard (e.g. a latent media error the
-    // checksum catches in production): the whole generation is discarded
-    // and the loader falls back, exactly like real corruption.
+    // content hash catches in production): the whole generation is
+    // discarded and the loader falls back, exactly like real corruption.
     fail::fail_point!("persist::load_shard", |arg: Option<String>| {
         Err(PersistError::corrupt(
             path,
@@ -560,42 +549,34 @@ fn decode_shard(
             ),
         ))
     });
-    let mut reader = Reader::new(bytes, path);
-    let sections = read_sections(&mut reader, SHARD_MAGIC, &[SECTION_IDS, SECTION_COLUMNS])?;
-
-    let mut ids_reader = Reader::new(sections[0], path);
-    let record_count = ids_reader.count(2)?;
+    let mut reader = Reader::body(&SHARD, bytes, path)?;
+    let record_count = reader.count(2)?;
     let mut ids = Vec::with_capacity(record_count);
     for _ in 0..record_count {
-        ids.push(ids_reader.term()?);
+        ids.push(reader.term()?);
     }
-    ids_reader.expect_done()?;
-
-    let mut columns_reader = Reader::new(sections[1], path);
-    let column_count = columns_reader.count(24)?;
+    let column_count = reader.count(24)?;
     let mut columns = Vec::with_capacity(column_count);
     for _ in 0..column_count {
-        let text = columns_reader.string()?;
-        let bounds = columns_reader.u32_vec()?;
-        let offsets = columns_reader.u32_vec()?;
+        let text = reader.string()?;
+        let bounds = reader.u32_vec()?;
+        let offsets = reader.u32_vec()?;
         columns.push((text, bounds, offsets));
     }
-    columns_reader.expect_done()?;
+    reader.expect_done()?;
 
     RecordStore::from_persisted_parts(Arc::clone(schema), ids, columns)
         .map_err(|detail| PersistError::corrupt(path, detail))
 }
 
 fn decode_schema(path: &Path, bytes: &[u8]) -> Result<PropertyInterner, PersistError> {
-    let mut reader = Reader::new(bytes, path);
-    let sections = read_sections(&mut reader, SCHEMA_MAGIC, &[SECTION_SCHEMA])?;
-    let mut names_reader = Reader::new(sections[0], path);
-    let count = names_reader.count(8)?;
+    let mut reader = Reader::body(&SCHEMA, bytes, path)?;
+    let count = reader.count(8)?;
     let mut names = Vec::with_capacity(count);
     for _ in 0..count {
-        names.push(names_reader.string()?);
+        names.push(reader.string()?);
     }
-    names_reader.expect_done()?;
+    reader.expect_done()?;
     PropertyInterner::from_names(names).map_err(|detail| PersistError::corrupt(path, detail))
 }
 
@@ -603,19 +584,13 @@ fn decode_schema(path: &Path, bytes: &[u8]) -> Result<PropertyInterner, PersistE
 // Manifest
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct ManifestEntry {
-    file: String,
-    len: u64,
-    hash: u64,
-    records: u64,
-}
-
+/// One generation: the data file names it references, each carrying
+/// its file's content hash.
 #[derive(Debug, Clone)]
 struct Manifest {
     generation: u64,
-    schema: ManifestEntry,
-    shards: Vec<ManifestEntry>,
+    schema: String,
+    shards: Vec<String>,
 }
 
 fn manifest_name(generation: u64) -> String {
@@ -632,40 +607,22 @@ fn manifest_generation(name: &str) -> Option<u64> {
 }
 
 fn render_manifest(manifest: &Manifest) -> String {
-    let mut out = String::new();
-    out.push_str(MANIFEST_HEADER);
-    out.push('\n');
-    out.push_str(&format!("generation {}\n", manifest.generation));
-    let entry = &manifest.schema;
-    out.push_str(&format!(
-        "schema {} {} {:016x}\n",
-        entry.file, entry.len, entry.hash
-    ));
-    for entry in &manifest.shards {
-        out.push_str(&format!(
-            "shard {} {} {:016x} {}\n",
-            entry.file, entry.len, entry.hash, entry.records
-        ));
+    let mut out = format!(
+        "{MANIFEST_HEADER}{MANIFEST_VERSION}\ngeneration {}\n{} {}\n",
+        manifest.generation, SCHEMA.tag, manifest.schema
+    );
+    for file in &manifest.shards {
+        out.push_str(&format!("{} {file}\n", SHARD.tag));
     }
-    let seal = xxh64(0, out.as_bytes());
+    let seal = xxh64(out.as_bytes());
     out.push_str(&format!("seal {seal:016x}\n"));
     out
 }
 
-/// A file name a manifest may legitimately reference: something this
-/// module itself would generate, never a path that escapes the snapshot
-/// directory.
-fn safe_file_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'.')
-        && !name.starts_with('.')
-}
-
 /// Parse and seal-verify a manifest. Any deviation — bad header, missing
 /// or wrong seal (truncation, bit flip), malformed line, generation not
-/// matching the file name, unsafe file name, zero shards — is `Corrupt`.
+/// matching the file name, a file name this module would not write,
+/// zero shards — is `Corrupt`.
 fn parse_manifest(
     path: &Path,
     generation_from_name: u64,
@@ -685,7 +642,7 @@ fn parse_manifest(
         .filter(|hex| hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit()))
         .ok_or_else(|| corrupt("malformed seal line".to_string()))?;
     let stored_seal = u64::from_str_radix(seal_hex, 16).expect("validated hex");
-    let computed_seal = xxh64(0, &bytes[..seal_start]);
+    let computed_seal = xxh64(&bytes[..seal_start]);
     if stored_seal != computed_seal {
         return Err(corrupt(format!(
             "seal mismatch (stored {stored_seal:016x}, computed {computed_seal:016x}) — \
@@ -693,39 +650,30 @@ fn parse_manifest(
         )));
     }
 
-    let parse_entry =
-        |line: &str, kind: &str, fields: usize| -> Result<ManifestEntry, PersistError> {
-            let parts: Vec<&str> = line.split(' ').collect();
-            if parts.len() != fields || parts[0] != kind {
-                return Err(corrupt(format!("malformed {kind} line: {line:?}")));
-            }
-            let file = parts[1].to_string();
-            if !safe_file_name(&file) {
-                return Err(corrupt(format!("unsafe file name in manifest: {file:?}")));
-            }
-            let len = parts[2]
-                .parse()
-                .map_err(|_| corrupt(format!("bad length in {kind} line: {line:?}")))?;
-            let hash = u64::from_str_radix(parts[3], 16)
-                .map_err(|_| corrupt(format!("bad hash in {kind} line: {line:?}")))?;
-            let records = if fields == 5 {
-                parts[4]
-                    .parse()
-                    .map_err(|_| corrupt(format!("bad record count in {kind} line: {line:?}")))?
-            } else {
-                0
-            };
-            Ok(ManifestEntry {
-                file,
-                len,
-                hash,
-                records,
-            })
-        };
+    let file = |line: &str, kind: &FileKind| -> Result<String, PersistError> {
+        let file = line
+            .strip_prefix(kind.tag)
+            .and_then(|rest| rest.strip_prefix(' '))
+            .ok_or_else(|| corrupt(format!("malformed {} line: {line:?}", kind.tag)))?;
+        if kind.named_hash(file).is_none() {
+            return Err(corrupt(format!("not a {} file name: {file:?}", kind.tag)));
+        }
+        Ok(file.to_string())
+    };
 
     let mut lines = text[..seal_start].lines();
-    if lines.next() != Some(MANIFEST_HEADER) {
-        return Err(corrupt("missing manifest header".to_string()));
+    match lines
+        .next()
+        .and_then(|line| line.strip_prefix(MANIFEST_HEADER))
+    {
+        Some(MANIFEST_VERSION) => {}
+        Some(version) => {
+            return Err(corrupt(format!(
+                "unsupported manifest format version {version} (this build reads \
+                 {MANIFEST_VERSION}): re-take the snapshot"
+            )))
+        }
+        None => return Err(corrupt("missing manifest header".to_string())),
     }
     let generation = lines
         .next()
@@ -737,17 +685,13 @@ fn parse_manifest(
             "generation line says {generation} but the file name says {generation_from_name}"
         )));
     }
-    let schema = parse_entry(
-        lines
-            .next()
-            .ok_or_else(|| corrupt("missing schema line".to_string()))?,
-        "schema",
-        4,
-    )?;
-    let mut shards = Vec::new();
-    for line in lines {
-        shards.push(parse_entry(line, "shard", 5)?);
-    }
+    let schema = lines
+        .next()
+        .ok_or_else(|| corrupt("missing schema line".to_string()));
+    let schema = file(schema?, &SCHEMA)?;
+    let shards = lines
+        .map(|line| file(line, &SHARD))
+        .collect::<Result<Vec<_>, _>>()?;
     if shards.is_empty() {
         return Err(corrupt("manifest references no shards".to_string()));
     }
@@ -778,17 +722,15 @@ fn sync_dir(dir: &Path) -> Result<(), PersistError> {
         .map_err(|e| PersistError::io("fsync directory", dir, e))
 }
 
-/// Spill one content-addressed data file (`<prefix>-<hash16>.<ext>`)
-/// durably, unless a file of that name — and therefore that content —
-/// already exists. Returns the manifest entry and whether bytes hit disk.
+/// Spill one content-addressed data file durably, unless a file of that
+/// name — and therefore that content — already exists. Returns the file
+/// name and whether bytes hit disk.
 fn write_data_file(
     dir: &Path,
-    prefix: &str,
-    ext: &str,
+    kind: &FileKind,
     bytes: &[u8],
-) -> Result<(ManifestEntry, bool), PersistError> {
-    let hash = xxh64(0, bytes);
-    let file = format!("{prefix}-{hash:016x}.{ext}");
+) -> Result<(String, bool), PersistError> {
+    let file = kind.file_name(xxh64(bytes));
     let path = dir.join(&file);
     // Models a full disk / permission fault on one data file: the write
     // fails cleanly before the manifest commit point.
@@ -799,25 +741,35 @@ fn write_data_file(
             io::Error::other(arg.unwrap_or_default()),
         ))
     });
-    let entry = ManifestEntry {
-        file: file.clone(),
-        len: bytes.len() as u64,
-        hash,
-        records: 0,
-    };
     match fs::metadata(&path) {
         // Same name ⇒ same XXH64 ⇒ same content: skip the write. The
         // length check guards the (already astronomically unlikely)
         // hash-collision case at zero cost.
         Ok(meta) if meta.is_file() && meta.len() == bytes.len() as u64 => {
-            return Ok((entry, false));
+            return Ok((file, false));
         }
         _ => {}
     }
     let tmp = dir.join(format!("{file}{TMP_SUFFIX}"));
     write_file_sync(&tmp, bytes)?;
     fs::rename(&tmp, &path).map_err(|e| PersistError::io("rename data file", &path, e))?;
-    Ok((entry, true))
+    Ok((file, true))
+}
+
+/// Read the data file `name` of `kind` and check that its bytes hash to
+/// the hash its name carries — the one integrity check a data file gets.
+fn read_verified(dir: &Path, kind: &FileKind, name: &str) -> Result<Vec<u8>, PersistError> {
+    let path = dir.join(name);
+    let named = kind
+        .named_hash(name)
+        .ok_or_else(|| PersistError::corrupt(&path, format!("not a {} file name", kind.tag)))?;
+    let bytes = fs::read(&path).map_err(|e| PersistError::io("read snapshot file", &path, e))?;
+    let hash = xxh64(&bytes);
+    if hash != named {
+        let detail = format!("content hash mismatch: the file hashes to {hash:016x}");
+        return Err(PersistError::corrupt(&path, detail));
+    }
+    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -851,14 +803,18 @@ fn manifest_files(names: &[String]) -> Vec<(u64, String)> {
 /// Delete everything no retained manifest justifies: temp files,
 /// manifests that are corrupt / in `discard` / beyond the retention
 /// horizon, and data files no retained manifest references. Files this
-/// module did not name (no recognised suffix) are left alone. Deletion
-/// is best-effort — a sweep failure must never fail a committed snapshot
-/// or a successful restore — and returns the names actually deleted.
+/// module did not name (no recognised suffix) are left alone, and so is
+/// everything but temp files when a manifest the sweep would weigh cannot
+/// be read: its generation may be sound, and what it references is then
+/// unknown. Deletion is best-effort — a sweep failure must never fail a
+/// committed snapshot or a successful restore — and returns the names
+/// actually deleted.
 fn sweep(dir: &Path, discard: &HashSet<u64>) -> Vec<String> {
     let Ok(names) = list_file_names(dir) else {
         return Vec::new();
     };
     let mut retained = 0usize;
+    let mut unreadable = false;
     let mut keep_manifests: HashSet<String> = HashSet::new();
     let mut referenced: HashSet<String> = HashSet::new();
     for (generation, name) in manifest_files(&names) {
@@ -867,28 +823,29 @@ fn sweep(dir: &Path, discard: &HashSet<u64>) -> Vec<String> {
         }
         let path = dir.join(&name);
         let Ok(bytes) = fs::read(&path) else {
-            continue;
+            unreadable = true;
+            break;
         };
-        // Seal-verified parse only: deep (per-file hash) validation is
-        // `open`'s job; retention just needs to know the manifest is
-        // internally consistent enough to be worth keeping.
+        // Seal-verified parse only: whether the files hash to their
+        // names is `open`'s job; retention just needs to know the
+        // manifest is internally consistent enough to be worth keeping.
         let Ok(manifest) = parse_manifest(&path, generation, &bytes) else {
             continue;
         };
         retained += 1;
         keep_manifests.insert(name);
-        referenced.insert(manifest.schema.file.clone());
-        referenced.extend(manifest.shards.iter().map(|s| s.file.clone()));
+        referenced.insert(manifest.schema);
+        referenced.extend(manifest.shards);
     }
     let mut swept = Vec::new();
     for name in names {
         let delete = if name.ends_with(TMP_SUFFIX) {
             true
+        } else if unreadable {
+            false
         } else if manifest_generation(&name).is_some() {
             !keep_manifests.contains(&name)
-        } else if name.ends_with(&format!(".{SHARD_EXT}"))
-            || name.ends_with(&format!(".{SCHEMA_EXT}"))
-        {
+        } else if SHARD.named_hash(&name).is_some() || SCHEMA.named_hash(&name).is_some() {
             !referenced.contains(&name)
         } else {
             false
@@ -933,35 +890,27 @@ impl CatalogSnapshot {
             })?,
         };
 
-        let mut bytes_written = 0u64;
-        let mut total_bytes = 0u64;
         let schema_bytes = serialize_schema(store.schema());
-        let (schema_entry, wrote) = write_data_file(dir, "schema", SCHEMA_EXT, &schema_bytes)?;
-        total_bytes += schema_entry.len;
-        if wrote {
-            bytes_written += schema_entry.len;
-        }
+        let (schema, wrote) = write_data_file(dir, &SCHEMA, &schema_bytes)?;
+        let mut total_bytes = schema_bytes.len() as u64;
+        let mut bytes_written = if wrote { total_bytes } else { 0 };
 
         let mut shards = Vec::with_capacity(store.shard_count());
         let mut shards_written = 0usize;
-        let mut shards_reused = 0usize;
         for shard in store.shards() {
             let shard_bytes = serialize_shard(shard);
-            let (mut entry, wrote) = write_data_file(dir, "shard", SHARD_EXT, &shard_bytes)?;
-            entry.records = shard.len() as u64;
-            total_bytes += entry.len;
+            let (file, wrote) = write_data_file(dir, &SHARD, &shard_bytes)?;
+            total_bytes += shard_bytes.len() as u64;
             if wrote {
-                bytes_written += entry.len;
+                bytes_written += shard_bytes.len() as u64;
                 shards_written += 1;
-            } else {
-                shards_reused += 1;
             }
-            shards.push(entry);
+            shards.push(file);
         }
 
         let manifest = Manifest {
             generation,
-            schema: schema_entry,
+            schema,
             shards,
         };
         let text = render_manifest(&manifest);
@@ -991,7 +940,7 @@ impl CatalogSnapshot {
             generation,
             manifest: manifest_path,
             shards_written,
-            shards_reused,
+            shards_reused: store.shard_count() - shards_written,
             bytes_written,
             total_bytes,
             swept,
@@ -999,18 +948,20 @@ impl CatalogSnapshot {
     }
 
     /// Restore a catalog from `dir`, trying manifest generations newest
-    /// first and falling back past any generation that fails validation
+    /// first and falling back past any generation that fails to load
     /// (truncated or bit-flipped manifest, missing / corrupt / malformed
-    /// data file). Returns the restored catalog and a [`RecoveryReport`]
-    /// saying which generation was loaded, what was discarded, and which
-    /// orphaned files were swept.
+    /// / unreadable data file). Returns the restored catalog and a
+    /// [`RecoveryReport`] saying which generation was loaded, what was
+    /// passed over, and which orphaned files were swept.
     ///
     /// Never panics on corrupt input and never returns a half-loaded
-    /// catalog: a generation is returned only after every checksum and
-    /// every structural invariant of every referenced file has been
-    /// verified. Errs with [`PersistError::NoSnapshot`] when the
-    /// directory holds no manifest, [`PersistError::NoUsableGeneration`]
-    /// when every generation is corrupt.
+    /// catalog: a generation is returned only after every referenced
+    /// file has hashed to its name and every structural invariant has
+    /// been verified. A generation passed over for corruption or a
+    /// missing file is swept; one passed over for any other I/O error
+    /// stays on disk for the next open. Errs with
+    /// [`PersistError::NoSnapshot`] when the directory holds no manifest,
+    /// [`PersistError::NoUsableGeneration`] when no generation loads.
     pub fn open(dir: impl AsRef<Path>) -> Result<(ShardedStore, RecoveryReport), PersistError> {
         let dir = dir.as_ref();
         let names = match list_file_names(dir) {
@@ -1039,8 +990,14 @@ impl CatalogSnapshot {
                     break;
                 }
                 Err(error) => {
+                    // Only proof of damage condemns a generation: a file
+                    // that exists but could not be read may read next time.
+                    if !matches!(&error, PersistError::Io { source, .. }
+                        if source.kind() != io::ErrorKind::NotFound)
+                    {
+                        failed_generations.insert(*generation);
+                    }
                     discarded.push((name.clone(), error.to_string()));
-                    failed_generations.insert(*generation);
                 }
             }
         }
@@ -1079,61 +1036,20 @@ impl CatalogSnapshot {
             .map_err(|e| PersistError::io("read manifest", &manifest_path, e))?;
         let manifest = parse_manifest(&manifest_path, generation, &bytes)?;
 
-        let read_verified = |entry: &ManifestEntry| -> Result<(PathBuf, Vec<u8>), PersistError> {
-            let path = dir.join(&entry.file);
-            let bytes =
-                fs::read(&path).map_err(|e| PersistError::io("read snapshot file", &path, e))?;
-            if bytes.len() as u64 != entry.len {
-                return Err(PersistError::corrupt(
-                    &path,
-                    format!(
-                        "length mismatch (manifest says {}, file has {} — truncated?)",
-                        entry.len,
-                        bytes.len()
-                    ),
-                ));
-            }
-            let hash = xxh64(0, &bytes);
-            if hash != entry.hash {
-                return Err(PersistError::corrupt(
-                    &path,
-                    format!(
-                        "content hash mismatch (manifest says {:016x}, file hashes to {hash:016x})",
-                        entry.hash
-                    ),
-                ));
-            }
-            Ok((path, bytes))
-        };
-
-        let (schema_path, schema_bytes) = read_verified(&manifest.schema)?;
-        let schema = Arc::new(decode_schema(&schema_path, &schema_bytes)?);
+        let schema_bytes = read_verified(dir, &SCHEMA, &manifest.schema)?;
+        let schema = Arc::new(decode_schema(&dir.join(&manifest.schema), &schema_bytes)?);
 
         // Identical shards share one file (content addressing); decode
         // each distinct file once and share the store Arc.
-        let mut decoded: HashMap<String, Arc<RecordStore>> = HashMap::new();
+        let mut decoded: HashMap<&str, Arc<RecordStore>> = HashMap::new();
         let mut shards = Vec::with_capacity(manifest.shards.len());
-        for entry in &manifest.shards {
-            let store = match decoded.get(&entry.file) {
-                Some(store) => Arc::clone(store),
-                None => {
-                    let (path, bytes) = read_verified(entry)?;
-                    let store = Arc::new(decode_shard(&path, &bytes, &schema)?);
-                    if store.len() as u64 != entry.records {
-                        return Err(PersistError::corrupt(
-                            &path,
-                            format!(
-                                "record count mismatch (manifest says {}, shard holds {})",
-                                entry.records,
-                                store.len()
-                            ),
-                        ));
-                    }
-                    decoded.insert(entry.file.clone(), Arc::clone(&store));
-                    store
-                }
-            };
-            shards.push(store);
+        for file in &manifest.shards {
+            if !decoded.contains_key(file.as_str()) {
+                let bytes = read_verified(dir, &SHARD, file)?;
+                let store = decode_shard(&dir.join(file), &bytes, &schema)?;
+                decoded.insert(file, Arc::new(store));
+            }
+            shards.push(Arc::clone(&decoded[file.as_str()]));
         }
         Ok(ShardedStore::from_shards(shards, schema))
     }
@@ -1164,6 +1080,49 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Every file of `dir`, with its bytes.
+    fn save(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let names = list_file_names(dir).unwrap();
+        names
+            .into_iter()
+            .map(|name| (name.clone(), fs::read(dir.join(&name)).unwrap()))
+            .collect()
+    }
+
+    /// A data file in the retired version-2 layout: magic, version, the
+    /// section count, then each section's tag, length, payload and XXH64
+    /// seeded with the tag.
+    fn sectioned_v2(kind: &FileKind, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+        let mut out = kind.magic.to_vec();
+        put_u32(&mut out, 2);
+        put_u32(&mut out, sections.len() as u32);
+        for (tag, payload) in sections {
+            put_u32(&mut out, *tag);
+            put_u64(&mut out, payload.len() as u64);
+            out.extend_from_slice(payload);
+            put_u64(&mut out, XxHash64::oneshot(u64::from(*tag), payload));
+        }
+        out
+    }
+
+    /// A version-2 shard file: an ids section (tag 1) and a columns
+    /// section (tag 2).
+    fn shard_v2(store: &RecordStore) -> Vec<u8> {
+        let (mut ids, mut columns) = (Vec::new(), Vec::new());
+        put_u64(&mut ids, store.len() as u64);
+        for term in store.persist_ids() {
+            put_term(&mut ids, term);
+        }
+        put_u64(&mut columns, store.column_count() as u64);
+        for c in 0..store.column_count() {
+            let (text, bounds, offsets) = store.persist_column(c);
+            put_str(&mut columns, text);
+            put_u32_slice(&mut columns, bounds);
+            put_u32_slice(&mut columns, offsets);
+        }
+        sectioned_v2(&SHARD, &[(1, ids), (2, columns)])
     }
 
     #[test]
@@ -1199,32 +1158,11 @@ mod tests {
         }
     }
 
+    /// A file whose name matches its hash can still be malformed (written
+    /// by another program, or by a bug); each case lands on the
+    /// structural check it names.
     #[test]
-    fn every_single_bit_flip_in_a_shard_file_is_detected() {
-        let store = catalog();
-        let schema = Arc::new(store.schema().clone());
-        let bytes = serialize_shard(store.shard(0));
-        let original = decode_shard(Path::new("b.clshard"), &bytes, &schema).expect("clean");
-        for byte in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[byte] ^= 1;
-            // Either the decoder rejects it (checksum / structure), or —
-            // never — silently yields a different store. No panics.
-            if let Ok(decoded) = decode_shard(Path::new("b.clshard"), &corrupt, &schema) {
-                assert_eq!(
-                    decoded, original,
-                    "bit flip at byte {byte} silently changed the decoded store"
-                );
-                panic!("bit flip at byte {byte} was not detected");
-            }
-        }
-    }
-
-    /// The bit-flip and truncation sweeps above never get past the
-    /// section checksums; these files carry valid ones, so each case
-    /// lands on the structural check it names.
-    #[test]
-    fn malformed_structure_behind_valid_checksums_is_corrupt_not_a_panic() {
+    fn malformed_structure_behind_a_valid_hash_is_corrupt_not_a_panic() {
         let schema = Arc::new(PropertyInterner::from_names(vec!["p".to_string()]).unwrap());
         let ids = [Term::iri("http://e.org/a"), Term::iri("http://e.org/b")];
         let decode = |columns: &[(&str, &[u32], &[u32])]| {
@@ -1263,24 +1201,14 @@ mod tests {
     fn manifest_round_trips_and_rejects_tampering() {
         let manifest = Manifest {
             generation: 7,
-            schema: ManifestEntry {
-                file: "schema-00ff.clschema".into(),
-                len: 10,
-                hash: 0xabcd,
-                records: 0,
-            },
-            shards: vec![ManifestEntry {
-                file: "shard-1234.clshard".into(),
-                len: 99,
-                hash: 0x1234,
-                records: 5,
-            }],
+            schema: SCHEMA.file_name(0xabcd),
+            shards: vec![SHARD.file_name(0x1234), SHARD.file_name(u64::MAX)],
         };
         let text = render_manifest(&manifest);
         let parsed = parse_manifest(Path::new("MANIFEST-00000007"), 7, text.as_bytes()).unwrap();
         assert_eq!(parsed.generation, 7);
-        assert_eq!(parsed.shards.len(), 1);
-        assert_eq!(parsed.shards[0].records, 5);
+        assert_eq!(parsed.schema, manifest.schema);
+        assert_eq!(parsed.shards, manifest.shards);
         // Truncation drops the seal.
         for len in 0..text.len() {
             assert!(
@@ -1313,10 +1241,41 @@ mod tests {
 
     #[test]
     fn unsafe_manifest_file_names_are_rejected() {
-        for name in ["../evil", "a/b", "", ".hidden", "a\\b"] {
-            assert!(!safe_file_name(name), "{name:?} accepted");
+        for name in [
+            "../evil",
+            "a/b",
+            "",
+            ".hidden",
+            "a\\b",
+            "shard-00ff.clshard",
+            "shard-00000000DEADBEEF.clshard",
+            "shard-00000000deadbeef0.clshard",
+            "shard-00000000deadbeef.clshard.tmp",
+            "shard-00000000deadbeef.clschema",
+            "../shard-00000000deadbeef.clshard",
+        ] {
+            assert_eq!(SHARD.named_hash(name), None, "{name:?} accepted");
         }
-        assert!(safe_file_name("shard-00ff.clshard"));
+        let shard = SHARD.file_name(0xdead_beef);
+        assert_eq!(shard, "shard-00000000deadbeef.clshard");
+        assert_eq!(SHARD.named_hash(&shard), Some(0xdead_beef));
+        assert_eq!(SCHEMA.named_hash(&shard), None);
+        // A shard name on the schema line, a schema name on a shard line.
+        let schema = SCHEMA.file_name(1);
+        for (schema, shards) in [(&shard, &shard), (&schema, &schema)] {
+            let manifest = Manifest {
+                generation: 1,
+                schema: schema.clone(),
+                shards: vec![shards.clone()],
+            };
+            let text = render_manifest(&manifest);
+            match parse_manifest(Path::new("m"), 1, text.as_bytes()) {
+                Err(PersistError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("file name"), "{detail}")
+                }
+                other => panic!("{text:?} was accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1368,27 +1327,16 @@ mod tests {
     }
 
     #[test]
-    fn a_v1_layout_shard_is_discarded_for_the_previous_generation() {
-        let dir = temp_dir("v1_layout");
+    fn a_v2_layout_shard_is_discarded_for_the_previous_generation() {
+        let dir = temp_dir("v2_layout");
         let store = catalog();
         CatalogSnapshot::write(&dir, &store).expect("write");
         let gen1_path = dir.join(manifest_name(1));
         let gen1 = parse_manifest(&gen1_path, 1, &fs::read(&gen1_path).unwrap()).unwrap();
 
-        // Generation 2, by hand: an (empty) shard in the retired layout —
-        // version 1, three sections, the third the full-text arena.
-        let (mut ids, mut columns, mut full_text) = (Vec::new(), Vec::new(), Vec::new());
-        put_u64(&mut ids, 0);
-        put_u64(&mut columns, 0);
-        put_str(&mut full_text, "");
-        put_u32_slice(&mut full_text, &[0]);
-        let mut v1 = SHARD_MAGIC.to_vec();
-        put_u32(&mut v1, 1);
-        put_u32(&mut v1, 3);
-        put_section(&mut v1, SECTION_IDS, &ids);
-        put_section(&mut v1, SECTION_COLUMNS, &columns);
-        put_section(&mut v1, 3, &full_text);
-        let (shard, _) = write_data_file(&dir, "shard", SHARD_EXT, &v1).unwrap();
+        // Generation 2, by hand: a current manifest naming a shard file in
+        // the retired sectioned layout.
+        let (shard, _) = write_data_file(&dir, &SHARD, &shard_v2(store.shard(0))).unwrap();
         let gen2 = Manifest {
             generation: 2,
             schema: gen1.schema,
@@ -1402,7 +1350,66 @@ mod tests {
         assert!(report.recovered_from_fallback);
         let (name, reason) = &report.discarded[0];
         assert_eq!(name, &manifest_name(2));
-        assert!(reason.contains("unsupported format version 1"), "{reason}");
+        assert!(reason.contains("unsupported format version 2"), "{reason}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A directory written before the current layout — a version-1
+    /// manifest listing lengths, hashes and record counts, and sectioned
+    /// version-2 data files — is not read, and `open` says which format
+    /// it met rather than deleting anything.
+    #[test]
+    fn a_directory_of_retired_generations_fails_to_restore_naming_the_format() {
+        use crate::blocking::CartesianBlocker;
+        use crate::comparator::{AttributeRule, RecordComparator};
+        use crate::error::LinkError;
+        use crate::serve::Linker;
+        use crate::similarity::SimilarityMeasure;
+
+        let dir = temp_dir("retired");
+        fs::create_dir_all(&dir).unwrap();
+        let store = catalog();
+        let mut names = Vec::new();
+        put_u64(&mut names, store.schema().len() as u64);
+        for (_, name) in store.schema().iter() {
+            put_str(&mut names, name);
+        }
+        let mut text = "classilink-manifest v1\ngeneration 1\n".to_string();
+        let schema_bytes = sectioned_v2(&SCHEMA, &[(4, names)]);
+        let (file, _) = write_data_file(&dir, &SCHEMA, &schema_bytes).unwrap();
+        let hash = xxh64(&schema_bytes);
+        text.push_str(&format!(
+            "schema {file} {} {hash:016x}\n",
+            schema_bytes.len()
+        ));
+        for shard in store.shards() {
+            let bytes = shard_v2(shard);
+            let (file, _) = write_data_file(&dir, &SHARD, &bytes).unwrap();
+            let (len, hash) = (bytes.len(), xxh64(&bytes));
+            text.push_str(&format!("shard {file} {len} {hash:016x} {}\n", shard.len()));
+        }
+        text.push_str(&format!("seal {:016x}\n", xxh64(text.as_bytes())));
+        fs::write(dir.join(manifest_name(1)), &text).unwrap();
+        let before = save(&dir);
+
+        let blocker = CartesianBlocker;
+        let comparator = RecordComparator::new(vec![AttributeRule {
+            left_property: "http://e.org/v#pn".to_string(),
+            right_property: "http://e.org/v#pn".to_string(),
+            measure: SimilarityMeasure::JaroWinkler,
+            weight: 1.0,
+        }]);
+        match Linker::open(&dir, &blocker, &comparator) {
+            Err(LinkError::RestoreFailed {
+                source: PersistError::NoUsableGeneration { detail, .. },
+            }) => assert!(
+                detail.contains("unsupported manifest format version 1"),
+                "{detail}"
+            ),
+            Err(other) => panic!("expected NoUsableGeneration, got {other:?}"),
+            Ok(_) => panic!("a retired layout was served"),
+        }
+        assert!(save(&dir) == before, "the retired generation was touched");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -217,10 +217,10 @@ impl<'a> Linker<'a> {
 
     /// Restore a catalog from a snapshot directory and build a serving
     /// handle over it (epoch 1, fully warmed — see [`Linker::new`]).
-    /// The loader verifies every checksum and falls back to the previous
-    /// manifest generation when the newest is truncated or corrupt; the
-    /// returned [`RecoveryReport`] says which generation was loaded and
-    /// what was discarded or swept. Probes over the restored catalog are
+    /// The loader verifies every file against its content hash and falls
+    /// back to the previous manifest generation when the newest is
+    /// truncated or corrupt; the returned [`RecoveryReport`] says which
+    /// generation was loaded and what was discarded or swept. Probes over the restored catalog are
     /// bit-identical to probes over the catalog that was snapshotted.
     ///
     /// Errs with [`LinkError::RestoreFailed`] when the directory holds

@@ -51,11 +51,10 @@ use crate::blocking::KeySide;
 use crate::error::{panic_payload, LinkError, LinkResult};
 use crate::intern::{PropertyId, PropertyInterner, SchemaInterner};
 use crate::record::Record;
-use crate::store::{RecordStore, RecordStoreBuilder};
+use crate::store::{RecordStore, RecordStoreBuilder, SideMemo};
 use classilink_rdf::Term;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// An immutable catalog split into contiguous per-shard [`RecordStore`]s
 /// sharing one property schema. See the [module docs](self).
@@ -79,34 +78,7 @@ pub struct ShardedStore {
     schema: Arc<PropertyInterner>,
     /// The merged sort ladders built so far (see
     /// [`sort_ladder`](Self::sort_ladder)).
-    ladders: LadderCache,
-}
-
-/// A catalog's merged sort ladders, one per key side — derived like a
-/// store's key indexes: built on first use, never persisted, ignored by
-/// `==`; a clone shares the ladders built so far.
-#[derive(Debug, Default)]
-struct LadderCache(Mutex<HashMap<KeySide, Arc<CatalogLadder>>>);
-
-impl LadderCache {
-    /// The map. Poison recovery: an entry is inserted only once its
-    /// ladder is complete, so the map is sound whatever panicked.
-    fn lock(&self) -> MutexGuard<'_, HashMap<KeySide, Arc<CatalogLadder>>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Clone for LadderCache {
-    fn clone(&self) -> Self {
-        LadderCache(Mutex::new(self.lock().clone()))
-    }
-}
-
-impl PartialEq for LadderCache {
-    /// Equal shards are equal catalogs, whatever each has built.
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
+    ladders: SideMemo<CatalogLadder>,
 }
 
 impl Default for ShardedStore {
@@ -318,7 +290,7 @@ impl ShardedStore {
             shards,
             offsets,
             schema,
-            ladders: LadderCache::default(),
+            ladders: SideMemo::default(),
         }
     }
 

@@ -143,11 +143,48 @@ impl IdIndex {
     }
 }
 
+/// A memo of what is derived per [`KeySide`] — a store's key indexes, a
+/// catalog's merged sort ladders: built on first use, never persisted,
+/// ignored by `==`; a clone shares the values built so far.
+#[derive(Debug)]
+pub(crate) struct SideMemo<T>(Mutex<HashMap<KeySide, Arc<T>>>);
+
+impl<T> SideMemo<T> {
+    /// The map. Poison recovery: an entry is inserted only once its value
+    /// is complete, so the map is sound whatever panicked — keep serving
+    /// and rebuild on demand instead of cascading.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, HashMap<KeySide, Arc<T>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T> Default for SideMemo<T> {
+    fn default() -> Self {
+        SideMemo(Mutex::default())
+    }
+}
+
+impl<T> Clone for SideMemo<T> {
+    fn clone(&self) -> Self {
+        SideMemo(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl<T> PartialEq for SideMemo<T> {
+    /// Equal contents make equal stores and catalogs, whatever each has
+    /// built.
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// Everything a store can re-derive from its ids and columns. Each slot
 /// is built on first use — the per-column ones only for the columns
 /// somebody asks for — and lives until the contents change, which only
 /// [`RecordStore::refill_single`] does — through [`Derived::reset`].
-#[derive(Debug, Default)]
+/// A clone keeps what was built; key indexes are immutable, so it shares
+/// them by `Arc`.
+#[derive(Debug, Clone, Default)]
 struct Derived {
     /// Every record's [`RecordStore::full_text`], concatenated, and the
     /// byte bounds: record `r` owns `text[bounds[r] .. bounds[r + 1]]`.
@@ -158,7 +195,7 @@ struct Derived {
     id_index: OnceLock<IdIndex>,
     /// One [`KeyIndex`] per resolved key side (see
     /// [`RecordStore::key_index`]).
-    key_indexes: Mutex<HashMap<KeySide, Arc<KeyIndex>>>,
+    key_indexes: SideMemo<KeyIndex>,
     /// One slot per column, filled for the columns a compiled rule
     /// compares on this side.
     columns: OnceLock<Box<[ColumnSlot]>>,
@@ -175,31 +212,21 @@ struct ColumnSlot {
 }
 
 impl Derived {
-    /// The key-index map. Poison recovery: the map is a reconstructible
-    /// memo. If a build panicked under the lock (`or_insert_with`
-    /// inserts only on success), it still holds only completed indexes —
-    /// keep serving and rebuild on demand instead of cascading.
-    fn key_indexes(&self) -> MutexGuard<'_, HashMap<KeySide, Arc<KeyIndex>>> {
-        self.key_indexes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Follow `store`'s new contents: every slot goes back to unbuilt
     /// except the key indexes, each rebuilt **in place**, so a warm probe
     /// refill allocates nothing (`Arc::get_mut` succeeds because blockers
     /// drop their external-side handle when streaming returns; a handle
     /// held across refills forces a fresh build instead).
     fn reset(&mut self, store: &RecordStore) {
-        let mut key_indexes = std::mem::take(&mut *self.key_indexes());
-        for (side, index) in &mut key_indexes {
+        let key_indexes = std::mem::take(&mut self.key_indexes);
+        for (side, index) in key_indexes.lock().iter_mut() {
             match Arc::get_mut(index) {
                 Some(index) => index.rebuild(store, side),
                 None => *index = Arc::new(KeyIndex::build(store, side)),
             }
         }
         *self = Derived {
-            key_indexes: Mutex::new(key_indexes),
+            key_indexes,
             ..Derived::default()
         };
     }
@@ -209,20 +236,6 @@ impl PartialEq for Derived {
     /// Equal ids and columns are equal stores, whatever each has built.
     fn eq(&self, _: &Self) -> bool {
         true
-    }
-}
-
-impl Clone for Derived {
-    /// A clone keeps what was built; key indexes are immutable, so it
-    /// shares them by `Arc`.
-    fn clone(&self) -> Self {
-        Derived {
-            full_text: self.full_text.clone(),
-            full_text_tokens: self.full_text_tokens.clone(),
-            id_index: self.id_index.clone(),
-            key_indexes: Mutex::new(self.key_indexes().clone()),
-            columns: self.columns.clone(),
-        }
     }
 }
 
@@ -390,7 +403,8 @@ impl RecordStore {
     /// recipe costs `O(store)`; later calls are a map lookup.
     pub fn key_index(&self, side: &KeySide) -> Arc<KeyIndex> {
         self.derived
-            .key_indexes()
+            .key_indexes
+            .lock()
             .entry(*side)
             .or_insert_with(|| Arc::new(KeyIndex::build(self, side)))
             .clone()
@@ -442,7 +456,7 @@ impl RecordStore {
 
     /// Reassemble a store from persisted parts, validating every
     /// structural invariant the accessors above rely on — a snapshot
-    /// file that passed its checksums can still be adversarially
+    /// file that matches its content hash can still be adversarially
     /// malformed, and indexing must never panic on it. Errors are
     /// human-readable descriptions of the violated invariant; the caller
     /// wraps them into a [`PersistError`](crate::persist::PersistError).

@@ -13,10 +13,13 @@
 //!   are cells of the identity matrix, `identity_matrix.rs`.)
 //! * **Corruption recovery.** A chaos sweep over
 //!   {truncate, bit-flip, delete} × {newest manifest, newest-only shard
-//!   file} asserts the loader never panics, never returns a half-loaded
-//!   catalog, and always falls back to the previous durable generation;
-//!   when *every* generation is corrupt it fails with a structured
-//!   [`PersistError::NoUsableGeneration`].
+//!   file}, every byte of the newest generation's own files flipped, and
+//!   a valid shard file copied over another: the loader never panics,
+//!   never returns a half-loaded catalog, and always falls back to the
+//!   previous durable generation; when *every* generation is corrupt it
+//!   fails with a structured [`PersistError::NoUsableGeneration`]. A file
+//!   that cannot be read is no proof of damage: its generation is passed
+//!   over but never deleted.
 //! * **Hygiene.** Orphaned temp/data files are swept on open (unknown
 //!   files are left alone), incremental snapshots reuse the previous
 //!   generation's shard files, and retention keeps exactly the two
@@ -43,14 +46,11 @@ const LOC_PN: &str = "http://catalog.example.org/vocab#partNumber";
 
 /// `(file name, bytes)` for every file in `dir`, sorted by name.
 fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
-        .expect("snapshot directory")
-        .map(|entry| {
-            let entry = entry.expect("dir entry");
-            (
-                entry.file_name().into_string().expect("utf-8 file name"),
-                fs::read(entry.path()).expect("file bytes"),
-            )
+    let mut files: Vec<(String, Vec<u8>)> = file_names(dir)
+        .into_iter()
+        .map(|name| {
+            let bytes = fs::read(dir.join(&name)).expect("file bytes");
+            (name, bytes)
         })
         .collect();
     files.sort();
@@ -58,7 +58,22 @@ fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 }
 
 fn file_names(dir: &Path) -> HashSet<String> {
-    dir_files(dir).into_iter().map(|(name, _)| name).collect()
+    fs::read_dir(dir)
+        .expect("snapshot directory")
+        .map(|entry| {
+            let name = entry.expect("dir entry").file_name();
+            name.into_string().expect("utf-8 file name")
+        })
+        .collect()
+}
+
+/// Put `dir` back to `files` (`open` sweeps what it discards).
+fn restore(dir: &Path, files: &[(String, Vec<u8>)]) {
+    let _ = fs::remove_dir_all(dir);
+    fs::create_dir_all(dir).expect("snapshot directory");
+    for (name, bytes) in files {
+        fs::write(dir.join(name), bytes).expect("restore file");
+    }
 }
 
 // --- fault injectors (filesystem-level corruption) -------------------
@@ -103,6 +118,49 @@ fn base_and_appended() -> (ShardedStore, ShardedStore) {
         delta.push(record);
     }
     (base.clone(), base.append_shards(delta))
+}
+
+/// Generation 1 holds a base catalog; generation 2 appends a shard whose
+/// records bring a new property, so its shard file and its schema file
+/// belong to generation 2 alone (an unchanged schema file would be
+/// shared). Returns the base, generation 2's catalog as restored (`==`
+/// compares schemas, and a restored shard shares the grown one) and
+/// those two file names.
+fn two_generations(dir: &Path) -> (ShardedStore, ShardedStore, Vec<String>) {
+    let base = ShardedStore::from_records(&local_records(0..12), 3);
+    let mut delta = base.delta_builder();
+    delta.begin_shard();
+    for i in 0..2 {
+        let mut record = Record::new(Term::iri(format!("http://catalog.example.org/late/{i}")));
+        record.add("http://catalog.example.org/vocab#colour", "red");
+        delta.push(&record);
+    }
+    CatalogSnapshot::write(dir, &base).expect("generation 1");
+    let before = file_names(dir);
+    CatalogSnapshot::write(dir, &base.append_shards(delta)).expect("generation 2");
+    let mut only_second: Vec<String> = file_names(dir)
+        .into_iter()
+        .filter(|name| !before.contains(name) && name != "MANIFEST-00000002")
+        .collect();
+    only_second.sort();
+    assert_eq!(only_second.len(), 2, "{only_second:?}");
+    let (second, _) = CatalogSnapshot::open(dir).expect("generation 2");
+    (base, second, only_second)
+}
+
+/// `open` serves `base`, generation 1, as a fallback; returns why
+/// generation 2 was passed over.
+fn assert_falls_back(dir: &Path, base: &ShardedStore, context: &str) -> String {
+    let outcome = catch_unwind(AssertUnwindSafe(|| CatalogSnapshot::open(dir)))
+        .unwrap_or_else(|_| panic!("{context}: the loader panicked"));
+    let (loaded, report) =
+        outcome.unwrap_or_else(|e| panic!("{context}: no fallback to generation 1: {e}"));
+    assert_eq!(&loaded, base, "{context}: wrong catalog restored");
+    assert_eq!(report.generation, 1, "{context}");
+    assert!(report.recovered_from_fallback, "{context}");
+    let (name, reason) = &report.discarded[0];
+    assert_eq!(name, "MANIFEST-00000002", "{context}");
+    reason.clone()
 }
 
 // =====================================================================
@@ -273,6 +331,113 @@ fn corrupting_the_newest_generation_falls_back_to_the_previous() {
             let _ = fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// Each byte of the files generation 2 alone owns — its new shard, its
+/// schema, its manifest — flipped in turn: the file's name (or the
+/// manifest's seal) no longer matches, and generation 1 is served.
+#[test]
+fn every_single_bit_flip_in_the_newest_generation_falls_back() {
+    let dir = fresh_dir("bit_flips");
+    let (base, second, mut targets) = two_generations(&dir);
+    targets.push("MANIFEST-00000002".to_string());
+    let files = dir_files(&dir);
+    for target in &targets {
+        let clean = fs::read(dir.join(target)).expect("read target");
+        for byte in 0..clean.len() {
+            let mut flipped = clean.clone();
+            flipped[byte] ^= 1;
+            fs::write(dir.join(target), flipped).expect("flip target");
+            let reason = assert_falls_back(&dir, &base, &format!("{target}, byte {byte}"));
+            assert!(!reason.is_empty());
+            restore(&dir, &files);
+        }
+    }
+    let (loaded, report) = CatalogSnapshot::open(&dir).expect("clean open");
+    assert_eq!((loaded, report.generation), (second, 2));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A structurally valid shard file under another shard's name fails the
+/// name's hash: copying one spilled shard over another is corruption.
+#[test]
+fn a_shard_file_holding_another_shards_bytes_is_discarded() {
+    let dir = fresh_dir("swapped");
+    let (base, _, only_second) = two_generations(&dir);
+    let new_shard = only_second.iter().find(|name| name.ends_with(".clshard"));
+    let old_shard = file_names(&dir)
+        .into_iter()
+        .find(|name| name.ends_with(".clshard") && !only_second.contains(name))
+        .expect("a generation-1 shard");
+    fs::copy(
+        dir.join(old_shard),
+        dir.join(new_shard.expect("a new shard")),
+    )
+    .unwrap();
+    let reason = assert_falls_back(&dir, &base, "swapped shard");
+    assert!(reason.contains("content hash mismatch"), "{reason}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A file that exists but cannot be read (here a directory under a shard
+/// file's name: `EISDIR` even as root) is no proof of damage: `open`
+/// serves the previous generation and reports the newest, but keeps it —
+/// once the file reads again, so does the generation.
+#[test]
+fn an_unreadable_file_skips_its_generation_but_never_deletes_it() {
+    let dir = fresh_dir("unreadable");
+    let (base, second, only_second) = two_generations(&dir);
+    let files = dir_files(&dir);
+    let names: Vec<String> = files.iter().map(|(name, _)| name.clone()).collect();
+    let shard = only_second.iter().find(|name| name.ends_with(".clshard"));
+    let shard = dir.join(shard.expect("a new shard"));
+    fs::remove_file(&shard).unwrap();
+    fs::create_dir(&shard).unwrap();
+
+    let reason = assert_falls_back(&dir, &base, "unreadable shard");
+    assert!(reason.contains("read snapshot file"), "{reason}");
+    let mut left: Vec<String> = file_names(&dir).into_iter().collect();
+    left.sort();
+    assert_eq!(left, names, "open deleted part of a sound generation");
+
+    restore(&dir, &files);
+    let (loaded, report) = CatalogSnapshot::open(&dir).expect("open");
+    assert_eq!((loaded, report.generation), (second, 2));
+    assert!(!report.recovered_from_fallback);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A sweep that cannot read a manifest it would weigh does not know what
+/// that generation references, so it deletes temp files only.
+#[test]
+fn a_sweep_that_cannot_read_a_manifest_deletes_only_temp_files() {
+    let dir = fresh_dir("unreadable_manifest");
+    let base = ShardedStore::from_records(&local_records(0..12), 2);
+    CatalogSnapshot::write(&dir, &base).expect("generation 1");
+    let manifest = dir.join("MANIFEST-00000001");
+    let manifest_bytes = fs::read(&manifest).unwrap();
+    fs::remove_file(&manifest).unwrap();
+    fs::create_dir(&manifest).unwrap();
+    let torn = "shard-00000000deadbeef.clshard.tmp";
+    fs::write(dir.join(torn), b"torn spill").unwrap();
+    let before = file_names(&dir);
+
+    // A catalog sharing no data file with generation 1.
+    let other = ShardedStore::from_records(&local_records(100..101), 1);
+    let receipt = CatalogSnapshot::write(&dir, &other).expect("generation 2");
+    assert_eq!(receipt.generation, 2);
+    assert_eq!(receipt.swept, vec![torn.to_string()]);
+    let after = file_names(&dir);
+    for name in before.iter().filter(|name| *name != torn) {
+        assert!(after.contains(name), "{name} was swept");
+    }
+
+    fs::remove_dir(&manifest).unwrap();
+    fs::write(&manifest, manifest_bytes).unwrap();
+    fs::remove_file(&receipt.manifest).unwrap();
+    let (loaded, report) = CatalogSnapshot::open(&dir).expect("open");
+    assert_eq!((loaded, report.generation), (base, 1));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! hash, nothing else.
 //!
 //! The persistence layer (`classilink-linking`'s `persist` module)
-//! checksums every snapshot section with XXH64 because it is fast,
-//! seedable, and has a fixed 8-byte digest that detects the torn
+//! names every snapshot file by its XXH64 because it is fast, seedable,
+//! and has a fixed 8-byte digest that detects the torn
 //! writes and bit flips the chaos suite injects. This shim implements
 //! the real XXH64 algorithm (Yann Collet's specification) so digests
 //! written today remain verifiable byte-for-byte after swapping in the
