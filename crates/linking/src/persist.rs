@@ -45,14 +45,16 @@
 //! whose files exist but cannot be read is skipped and reported the same
 //! way, yet left on disk: an I/O error is no proof of corruption.
 //! Discarded manifests, temp files and unreferenced data files are
-//! deleted on the way out, and the two newest valid generations are
-//! retained so the *next* crash also has a fallback. The loader never
-//! panics on corrupt input and never returns a partially-loaded catalog.
+//! deleted on the way out; the served generation and one valid
+//! predecessor are retained so the *next* crash also has a fallback.
+//! The loader never panics on corrupt input and never returns a
+//! partially-loaded catalog.
 
 use crate::intern::PropertyInterner;
 use crate::shard::ShardedStore;
 use crate::store::RecordStore;
 use classilink_rdf::{Literal, Term};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
@@ -116,9 +118,8 @@ impl FileKind {
 
     /// A buffer holding the file header (magic, version), ready for the
     /// body.
-    fn header(&self, body_capacity: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + body_capacity);
-        out.extend_from_slice(self.magic);
+    fn header(&self) -> Vec<u8> {
+        let mut out = self.magic.to_vec();
         put_u32(&mut out, FORMAT_VERSION);
         out
     }
@@ -375,11 +376,7 @@ fn serialize_shard(store: &RecordStore) -> Vec<u8> {
 /// Frame a shard file: the header, then the ids and each column's
 /// `(text, bounds, offsets)`, each list behind its length.
 fn frame_shard(ids: &[Term], columns: &[(&str, &[u32], &[u32])]) -> Vec<u8> {
-    let column_bytes: usize = columns
-        .iter()
-        .map(|(text, bounds, offsets)| 24 + text.len() + 4 * (bounds.len() + offsets.len()))
-        .sum();
-    let mut out = SHARD.header(16 + column_bytes);
+    let mut out = SHARD.header();
     put_u64(&mut out, ids.len() as u64);
     for term in ids {
         put_term(&mut out, term);
@@ -396,7 +393,7 @@ fn frame_shard(ids: &[Term], columns: &[(&str, &[u32], &[u32])]) -> Vec<u8> {
 /// Serialize the schema: the interned property IRIs in id order (the
 /// loader reproduces identical ids by re-interning them in order).
 fn serialize_schema(schema: &PropertyInterner) -> Vec<u8> {
-    let mut out = SCHEMA.header(8);
+    let mut out = SCHEMA.header();
     put_u64(&mut out, schema.len() as u64);
     for (_, name) in schema.iter() {
         put_str(&mut out, name);
@@ -584,13 +581,13 @@ fn decode_schema(path: &Path, bytes: &[u8]) -> Result<PropertyInterner, PersistE
 // Manifest
 // ---------------------------------------------------------------------
 
-/// One generation: the data file names it references, each carrying
-/// its file's content hash.
+/// One generation: the content hashes of the data files it references,
+/// which name them ([`FileKind::file_name`]).
 #[derive(Debug, Clone)]
 struct Manifest {
     generation: u64,
-    schema: String,
-    shards: Vec<String>,
+    schema: u64,
+    shards: Vec<u64>,
 }
 
 fn manifest_name(generation: u64) -> String {
@@ -609,10 +606,12 @@ fn manifest_generation(name: &str) -> Option<u64> {
 fn render_manifest(manifest: &Manifest) -> String {
     let mut out = format!(
         "{MANIFEST_HEADER}{MANIFEST_VERSION}\ngeneration {}\n{} {}\n",
-        manifest.generation, SCHEMA.tag, manifest.schema
+        manifest.generation,
+        SCHEMA.tag,
+        SCHEMA.file_name(manifest.schema)
     );
-    for file in &manifest.shards {
-        out.push_str(&format!("{} {file}\n", SHARD.tag));
+    for &hash in &manifest.shards {
+        out.push_str(&format!("{} {}\n", SHARD.tag, SHARD.file_name(hash)));
     }
     let seal = xxh64(out.as_bytes());
     out.push_str(&format!("seal {seal:016x}\n"));
@@ -650,15 +649,13 @@ fn parse_manifest(
         )));
     }
 
-    let file = |line: &str, kind: &FileKind| -> Result<String, PersistError> {
+    let file = |line: &str, kind: &FileKind| -> Result<u64, PersistError> {
         let file = line
             .strip_prefix(kind.tag)
             .and_then(|rest| rest.strip_prefix(' '))
             .ok_or_else(|| corrupt(format!("malformed {} line: {line:?}", kind.tag)))?;
-        if kind.named_hash(file).is_none() {
-            return Err(corrupt(format!("not a {} file name: {file:?}", kind.tag)));
-        }
-        Ok(file.to_string())
+        kind.named_hash(file)
+            .ok_or_else(|| corrupt(format!("not a {} file name: {file:?}", kind.tag)))
     };
 
     let mut lines = text[..seal_start].lines();
@@ -723,14 +720,11 @@ fn sync_dir(dir: &Path) -> Result<(), PersistError> {
 }
 
 /// Spill one content-addressed data file durably, unless a file of that
-/// name — and therefore that content — already exists. Returns the file
-/// name and whether bytes hit disk.
-fn write_data_file(
-    dir: &Path,
-    kind: &FileKind,
-    bytes: &[u8],
-) -> Result<(String, bool), PersistError> {
-    let file = kind.file_name(xxh64(bytes));
+/// name — and therefore that content — already exists. Returns the
+/// content hash that names the file and whether bytes hit disk.
+fn write_data_file(dir: &Path, kind: &FileKind, bytes: &[u8]) -> Result<(u64, bool), PersistError> {
+    let hash = xxh64(bytes);
+    let file = kind.file_name(hash);
     let path = dir.join(&file);
     // Models a full disk / permission fault on one data file: the write
     // fails cleanly before the manifest commit point.
@@ -746,30 +740,32 @@ fn write_data_file(
         // length check guards the (already astronomically unlikely)
         // hash-collision case at zero cost.
         Ok(meta) if meta.is_file() && meta.len() == bytes.len() as u64 => {
-            return Ok((file, false));
+            return Ok((hash, false));
         }
         _ => {}
     }
     let tmp = dir.join(format!("{file}{TMP_SUFFIX}"));
     write_file_sync(&tmp, bytes)?;
     fs::rename(&tmp, &path).map_err(|e| PersistError::io("rename data file", &path, e))?;
-    Ok((file, true))
+    Ok((hash, true))
 }
 
-/// Read the data file `name` of `kind` and check that its bytes hash to
-/// the hash its name carries — the one integrity check a data file gets.
-fn read_verified(dir: &Path, kind: &FileKind, name: &str) -> Result<Vec<u8>, PersistError> {
-    let path = dir.join(name);
-    let named = kind
-        .named_hash(name)
-        .ok_or_else(|| PersistError::corrupt(&path, format!("not a {} file name", kind.tag)))?;
+/// Read the data file of `kind` that `named` names and check that its
+/// bytes hash to it — the one integrity check a data file gets. Returns
+/// the file's path and bytes.
+fn read_verified(
+    dir: &Path,
+    kind: &FileKind,
+    named: u64,
+) -> Result<(PathBuf, Vec<u8>), PersistError> {
+    let path = dir.join(kind.file_name(named));
     let bytes = fs::read(&path).map_err(|e| PersistError::io("read snapshot file", &path, e))?;
     let hash = xxh64(&bytes);
     if hash != named {
         let detail = format!("content hash mismatch: the file hashes to {hash:016x}");
         return Err(PersistError::corrupt(&path, detail));
     }
-    Ok(bytes)
+    Ok((path, bytes))
 }
 
 // ---------------------------------------------------------------------
@@ -802,14 +798,17 @@ fn manifest_files(names: &[String]) -> Vec<(u64, String)> {
 
 /// Delete everything no retained manifest justifies: temp files,
 /// manifests that are corrupt / in `discard` / beyond the retention
-/// horizon, and data files no retained manifest references. Files this
-/// module did not name (no recognised suffix) are left alone, and so is
-/// everything but temp files when a manifest the sweep would weigh cannot
-/// be read: its generation may be sound, and what it references is then
-/// unknown. Deletion is best-effort — a sweep failure must never fail a
-/// committed snapshot or a successful restore — and returns the names
-/// actually deleted.
-fn sweep(dir: &Path, discard: &HashSet<u64>) -> Vec<String> {
+/// horizon, and data files no retained manifest references. `served` —
+/// the generation just committed or restored — counts towards the
+/// horizon, and so does each sound generation before it; a newer one not
+/// in `discard` (skipped by `open` for an I/O error) is kept uncounted.
+/// Files this module did not name (no recognised suffix) are left alone,
+/// and so is everything but temp files when a manifest the sweep would
+/// weigh cannot be read: its generation may be sound, and what it
+/// references is then unknown. Deletion is best-effort — a sweep failure
+/// must never fail a committed snapshot or a successful restore — and
+/// returns the names actually deleted.
+fn sweep(dir: &Path, served: u64, discard: &HashSet<u64>) -> Vec<String> {
     let Ok(names) = list_file_names(dir) else {
         return Vec::new();
     };
@@ -818,7 +817,9 @@ fn sweep(dir: &Path, discard: &HashSet<u64>) -> Vec<String> {
     let mut keep_manifests: HashSet<String> = HashSet::new();
     let mut referenced: HashSet<String> = HashSet::new();
     for (generation, name) in manifest_files(&names) {
-        if retained >= RETAINED_GENERATIONS || discard.contains(&generation) {
+        if discard.contains(&generation)
+            || (generation < served && retained >= RETAINED_GENERATIONS)
+        {
             continue;
         }
         let path = dir.join(&name);
@@ -832,10 +833,12 @@ fn sweep(dir: &Path, discard: &HashSet<u64>) -> Vec<String> {
         let Ok(manifest) = parse_manifest(&path, generation, &bytes) else {
             continue;
         };
-        retained += 1;
+        if generation <= served {
+            retained += 1;
+        }
         keep_manifests.insert(name);
-        referenced.insert(manifest.schema);
-        referenced.extend(manifest.shards);
+        referenced.insert(SCHEMA.file_name(manifest.schema));
+        referenced.extend(manifest.shards.iter().map(|&hash| SHARD.file_name(hash)));
     }
     let mut swept = Vec::new();
     for name in names {
@@ -899,13 +902,13 @@ impl CatalogSnapshot {
         let mut shards_written = 0usize;
         for shard in store.shards() {
             let shard_bytes = serialize_shard(shard);
-            let (file, wrote) = write_data_file(dir, &SHARD, &shard_bytes)?;
+            let (hash, wrote) = write_data_file(dir, &SHARD, &shard_bytes)?;
             total_bytes += shard_bytes.len() as u64;
             if wrote {
                 bytes_written += shard_bytes.len() as u64;
                 shards_written += 1;
             }
-            shards.push(file);
+            shards.push(hash);
         }
 
         let manifest = Manifest {
@@ -935,7 +938,7 @@ impl CatalogSnapshot {
         bytes_written += text.len() as u64;
         total_bytes += text.len() as u64;
 
-        let swept = sweep(dir, &HashSet::new());
+        let swept = sweep(dir, generation, &HashSet::new());
         Ok(SnapshotReceipt {
             generation,
             manifest: manifest_path,
@@ -959,7 +962,8 @@ impl CatalogSnapshot {
     /// file has hashed to its name and every structural invariant has
     /// been verified. A generation passed over for corruption or a
     /// missing file is swept; one passed over for any other I/O error
-    /// stays on disk for the next open. Errs with
+    /// stays on disk for the next open, uncounted by the retention that
+    /// keeps the served generation. Errs with
     /// [`PersistError::NoSnapshot`] when the directory holds no manifest,
     /// [`PersistError::NoUsableGeneration`] when no generation loads.
     pub fn open(dir: impl AsRef<Path>) -> Result<(ShardedStore, RecoveryReport), PersistError> {
@@ -1013,7 +1017,7 @@ impl CatalogSnapshot {
             });
         };
 
-        let swept = sweep(dir, &failed_generations);
+        let swept = sweep(dir, generation, &failed_generations);
         let report = RecoveryReport {
             generation,
             recovered_from_fallback: !discarded.is_empty(),
@@ -1036,20 +1040,19 @@ impl CatalogSnapshot {
             .map_err(|e| PersistError::io("read manifest", &manifest_path, e))?;
         let manifest = parse_manifest(&manifest_path, generation, &bytes)?;
 
-        let schema_bytes = read_verified(dir, &SCHEMA, &manifest.schema)?;
-        let schema = Arc::new(decode_schema(&dir.join(&manifest.schema), &schema_bytes)?);
+        let (schema_path, schema_bytes) = read_verified(dir, &SCHEMA, manifest.schema)?;
+        let schema = Arc::new(decode_schema(&schema_path, &schema_bytes)?);
 
         // Identical shards share one file (content addressing); decode
         // each distinct file once and share the store Arc.
-        let mut decoded: HashMap<&str, Arc<RecordStore>> = HashMap::new();
+        let mut decoded: HashMap<u64, Arc<RecordStore>> = HashMap::new();
         let mut shards = Vec::with_capacity(manifest.shards.len());
-        for file in &manifest.shards {
-            if !decoded.contains_key(file.as_str()) {
-                let bytes = read_verified(dir, &SHARD, file)?;
-                let store = decode_shard(&dir.join(file), &bytes, &schema)?;
-                decoded.insert(file, Arc::new(store));
+        for &hash in &manifest.shards {
+            if let Entry::Vacant(slot) = decoded.entry(hash) {
+                let (path, bytes) = read_verified(dir, &SHARD, hash)?;
+                slot.insert(Arc::new(decode_shard(&path, &bytes, &schema)?));
             }
-            shards.push(Arc::clone(&decoded[file.as_str()]));
+            shards.push(Arc::clone(&decoded[&hash]));
         }
         Ok(ShardedStore::from_shards(shards, schema))
     }
@@ -1201,8 +1204,8 @@ mod tests {
     fn manifest_round_trips_and_rejects_tampering() {
         let manifest = Manifest {
             generation: 7,
-            schema: SCHEMA.file_name(0xabcd),
-            shards: vec![SHARD.file_name(0x1234), SHARD.file_name(u64::MAX)],
+            schema: 0xabcd,
+            shards: vec![0x1234, u64::MAX],
         };
         let text = render_manifest(&manifest);
         let parsed = parse_manifest(Path::new("MANIFEST-00000007"), 7, text.as_bytes()).unwrap();
@@ -1262,13 +1265,10 @@ mod tests {
         assert_eq!(SCHEMA.named_hash(&shard), None);
         // A shard name on the schema line, a schema name on a shard line.
         let schema = SCHEMA.file_name(1);
-        for (schema, shards) in [(&shard, &shard), (&schema, &schema)] {
-            let manifest = Manifest {
-                generation: 1,
-                schema: schema.clone(),
-                shards: vec![shards.clone()],
-            };
-            let text = render_manifest(&manifest);
+        for (schema, shard) in [(&shard, &shard), (&schema, &schema)] {
+            let mut text = format!("{MANIFEST_HEADER}{MANIFEST_VERSION}\ngeneration 1\n");
+            text.push_str(&format!("schema {schema}\nshard {shard}\n"));
+            text.push_str(&format!("seal {:016x}\n", xxh64(text.as_bytes())));
             match parse_manifest(Path::new("m"), 1, text.as_bytes()) {
                 Err(PersistError::Corrupt { detail, .. }) => {
                     assert!(detail.contains("file name"), "{detail}")
@@ -1376,16 +1376,13 @@ mod tests {
         }
         let mut text = "classilink-manifest v1\ngeneration 1\n".to_string();
         let schema_bytes = sectioned_v2(&SCHEMA, &[(4, names)]);
-        let (file, _) = write_data_file(&dir, &SCHEMA, &schema_bytes).unwrap();
-        let hash = xxh64(&schema_bytes);
-        text.push_str(&format!(
-            "schema {file} {} {hash:016x}\n",
-            schema_bytes.len()
-        ));
+        let (hash, _) = write_data_file(&dir, &SCHEMA, &schema_bytes).unwrap();
+        let (file, len) = (SCHEMA.file_name(hash), schema_bytes.len());
+        text.push_str(&format!("schema {file} {len} {hash:016x}\n"));
         for shard in store.shards() {
             let bytes = shard_v2(shard);
-            let (file, _) = write_data_file(&dir, &SHARD, &bytes).unwrap();
-            let (len, hash) = (bytes.len(), xxh64(&bytes));
+            let (hash, _) = write_data_file(&dir, &SHARD, &bytes).unwrap();
+            let (file, len) = (SHARD.file_name(hash), bytes.len());
             text.push_str(&format!("shard {file} {len} {hash:016x} {}\n", shard.len()));
         }
         text.push_str(&format!("seal {:016x}\n", xxh64(text.as_bytes())));

@@ -19,7 +19,8 @@
 //!   previous durable generation; when *every* generation is corrupt it
 //!   fails with a structured [`PersistError::NoUsableGeneration`]. A file
 //!   that cannot be read is no proof of damage: its generation is passed
-//!   over but never deleted.
+//!   over but never deleted, and never pushes the served one out of
+//!   retention.
 //! * **Hygiene.** Orphaned temp/data files are swept on open (unknown
 //!   files are left alone), incremental snapshots reuse the previous
 //!   generation's shard files, and retention keeps exactly the two
@@ -404,6 +405,62 @@ fn an_unreadable_file_skips_its_generation_but_never_deletes_it() {
     let (loaded, report) = CatalogSnapshot::open(&dir).expect("open");
     assert_eq!((loaded, report.generation), (second, 2));
     assert!(!report.recovered_from_fallback);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Two generations skipped for one unreadable file they share do not
+/// count towards retention: the sweep keeps the generation `open`
+/// served, and the next `open` serves it again.
+#[test]
+fn generations_skipped_for_an_unreadable_file_never_push_out_the_served_one() {
+    let dir = fresh_dir("unreadable_shared");
+    let grow = |store: &ShardedStore, range: std::ops::Range<usize>| {
+        let mut delta = store.delta_builder();
+        delta.begin_shard();
+        for record in local_records(range) {
+            delta.push(&record);
+        }
+        store.append_shards(delta)
+    };
+    let first = ShardedStore::from_records(&local_records(0..12), 3);
+    let second = grow(&first, 12..14);
+    let third = grow(&second, 14..16);
+    CatalogSnapshot::write(&dir, &first).expect("generation 1");
+    let before = file_names(&dir);
+    CatalogSnapshot::write(&dir, &second).expect("generation 2");
+    let shared = file_names(&dir)
+        .into_iter()
+        .find(|name| name.ends_with(".clshard") && !before.contains(name))
+        .expect("generation 2's new shard");
+    let two = dir_files(&dir);
+    CatalogSnapshot::write(&dir, &third).expect("generation 3");
+    // Generation 3's sweep deleted generation 1; put it back, as a crash
+    // between that commit and its sweep would have left it.
+    for (name, bytes) in &two {
+        if !dir.join(name).exists() {
+            fs::write(dir.join(name), bytes).unwrap();
+        }
+    }
+    let files = dir_files(&dir);
+    let shared = dir.join(shared);
+    fs::remove_file(&shared).unwrap();
+    fs::create_dir(&shared).unwrap();
+
+    for context in ["first open", "second open"] {
+        let (loaded, report) = CatalogSnapshot::open(&dir).expect(context);
+        assert_eq!((&loaded, report.generation), (&first, 1), "{context}");
+        let skipped: Vec<&str> = report.discarded.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            skipped,
+            ["MANIFEST-00000003", "MANIFEST-00000002"],
+            "{context}"
+        );
+        assert!(dir.join("MANIFEST-00000001").exists(), "{context}");
+    }
+
+    restore(&dir, &files);
+    let (loaded, report) = CatalogSnapshot::open(&dir).expect("open");
+    assert_eq!((loaded, report.generation), (third, 3));
     let _ = fs::remove_dir_all(&dir);
 }
 
