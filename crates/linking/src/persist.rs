@@ -10,7 +10,7 @@
 //! ```text
 //!  <dir>/
 //!    MANIFEST-00000002          ← commit point (newest generation)
-//!    MANIFEST-00000001          ← previous generation (retained for fallback)
+//!    MANIFEST-00000001          ← previous generation (kept for fallback)
 //!    schema-4f1c….clschema      ← interner snapshot (property IRIs in id order)
 //!    shard-a90b….clshard        ← shard 0 (ids + columns)
 //!    shard-77de….clshard        ← shard 1
@@ -25,28 +25,26 @@
 //! **A data file's name is its checksum.** The name embeds the XXH64 of
 //! the file's bytes and the sealed manifest lists the names, so one hash
 //! covers every byte of a data file and the seal covers every name. A
-//! shard that already exists on disk is never rewritten: snapshotting an
-//! appended catalog spills only the new shards — the commit cost of an
-//! incremental snapshot is O(delta), like the append itself.
+//! file already on disk is reused once it is read back holding the same
+//! bytes (one that holds others is rewritten): snapshotting an appended
+//! catalog writes only the new shards, O(delta) like the append itself,
+//! and reads the reused ones once (~4.4 MB at paper scale).
 //!
 //! **The manifest rename is the commit point.** A snapshot writes every
 //! data file (temp file, fsync, rename), then the manifest the same way:
 //! `MANIFEST-<gen>.tmp` → fsync → rename to `MANIFEST-<gen>` → fsync the
 //! directory. A crash anywhere before the rename leaves the previous
 //! manifest — and every file it references — untouched; the leftover
-//! temp/orphan files are swept by the next [`CatalogSnapshot::open`].
+//! temp/orphan files are swept by the next `write` or `open`.
 //!
-//! **`open` trusts nothing.** Every referenced file is hashed once and
-//! compared with its name, and every decoded structure is bounds-checked
-//! before a [`ShardedStore`] is assembled — a generation that fails any
-//! check, or references a file that is gone, is *discarded as a whole*
-//! and the loader falls back to the previous manifest generation,
-//! reporting what it skipped through a [`RecoveryReport`]. A generation
-//! whose files exist but cannot be read is skipped and reported the same
-//! way, yet left on disk: an I/O error is no proof of corruption.
-//! Discarded manifests, temp files and unreferenced data files are
-//! deleted on the way out; the served generation and one valid
-//! predecessor are retained so the *next* crash also has a fallback.
+//! **Retention keeps what verifies.** `write` and `open` share one walk
+//! over the generations, newest first. A generation is *sound* when its
+//! seal holds and every file hashes to its name, *damaged* when a check
+//! fails or a file is gone, and *unknown* on any other I/O error: no proof
+//! either way. The walk keeps the two newest sound generations and every
+//! unknown one, and deletes everything else this module names. `open`
+//! serves the first sound generation, reporting what it passed over in a
+//! [`RecoveryReport`]; `write` starts from the one it has just committed.
 //! The loader never panics on corrupt input and never returns a
 //! partially-loaded catalog.
 
@@ -70,10 +68,6 @@ const MANIFEST_HEADER: &str = "classilink-manifest v";
 const MANIFEST_VERSION: &str = "2";
 const MANIFEST_PREFIX: &str = "MANIFEST-";
 const TMP_SUFFIX: &str = ".tmp";
-/// Valid manifest generations retained by the sweep: the newest (the
-/// restart point) plus one predecessor (the fallback if the newest is
-/// torn by the next crash).
-const RETAINED_GENERATIONS: usize = 2;
 
 /// One kind of content-addressed data file: how it is named, listed in
 /// a manifest and framed.
@@ -282,7 +276,7 @@ pub struct SnapshotReceipt {
     /// Total bytes the committed generation references on disk
     /// (schema + every shard + manifest), whether written now or reused.
     pub total_bytes: u64,
-    /// Files deleted by the post-commit retention sweep.
+    /// Files deleted by the retention sweep after the commit.
     pub swept: Vec<String>,
 }
 
@@ -297,9 +291,8 @@ pub struct RecoveryReport {
     /// `(manifest file, reason)` for every generation that was tried and
     /// not served, newest first.
     pub discarded: Vec<(String, String)>,
-    /// Orphaned files deleted on open: temp files, discarded or
-    /// out-of-retention manifests, and data files no retained manifest
-    /// references.
+    /// Files deleted by the retention sweep: temp files and whatever no
+    /// kept generation names.
     pub swept: Vec<String>,
     /// Shards in the restored catalog.
     pub shards: usize,
@@ -590,6 +583,14 @@ struct Manifest {
     shards: Vec<u64>,
 }
 
+impl Manifest {
+    /// Each data file the generation names: the schema, then the shards.
+    fn files(&self) -> impl Iterator<Item = (&'static FileKind, u64)> + '_ {
+        let shards = self.shards.iter().map(|&hash| (&SHARD, hash));
+        std::iter::once((&SCHEMA, self.schema)).chain(shards)
+    }
+}
+
 fn manifest_name(generation: u64) -> String {
     format!("{MANIFEST_PREFIX}{generation:08}")
 }
@@ -605,13 +606,11 @@ fn manifest_generation(name: &str) -> Option<u64> {
 
 fn render_manifest(manifest: &Manifest) -> String {
     let mut out = format!(
-        "{MANIFEST_HEADER}{MANIFEST_VERSION}\ngeneration {}\n{} {}\n",
-        manifest.generation,
-        SCHEMA.tag,
-        SCHEMA.file_name(manifest.schema)
+        "{MANIFEST_HEADER}{MANIFEST_VERSION}\ngeneration {}\n",
+        manifest.generation
     );
-    for &hash in &manifest.shards {
-        out.push_str(&format!("{} {}\n", SHARD.tag, SHARD.file_name(hash)));
+    for (kind, hash) in manifest.files() {
+        out.push_str(&format!("{} {}\n", kind.tag, kind.file_name(hash)));
     }
     let seal = xxh64(out.as_bytes());
     out.push_str(&format!("seal {seal:016x}\n"));
@@ -703,50 +702,56 @@ fn parse_manifest(
 // Durable file primitives
 // ---------------------------------------------------------------------
 
-/// Write `bytes` to `path` and fsync the file (create-or-truncate).
-fn write_file_sync(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let mut file = fs::File::create(path).map_err(|e| PersistError::io("create file", path, e))?;
-    file.write_all(bytes)
-        .map_err(|e| PersistError::io("write file", path, e))?;
-    file.sync_all()
-        .map_err(|e| PersistError::io("fsync file", path, e))
+/// Run `call` on `path`: every call of this module that changes the
+/// disk goes through here, its error naming `op` and the path.
+fn on_disk<'p, T>(
+    op: &'static str,
+    path: &'p Path,
+    call: impl FnOnce(&'p Path) -> io::Result<T>,
+) -> Result<T, PersistError> {
+    // Models a crash: armed to fail from the k-th disk change on, it
+    // leaves the directory as a power cut at that point would.
+    fail::fail_point!("persist::fs", |arg| Err(injected(op, path, arg)));
+    call(path).map_err(|e| PersistError::io(op, path, e))
 }
 
-/// fsync the directory itself, making a completed rename durable.
-fn sync_dir(dir: &Path) -> Result<(), PersistError> {
-    fs::File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| PersistError::io("fsync directory", dir, e))
+/// The I/O error an armed failpoint injects, its argument the message.
+#[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
+fn injected(op: &'static str, path: &Path, arg: Option<String>) -> PersistError {
+    PersistError::io(op, path, io::Error::other(arg.unwrap_or_default()))
+}
+
+/// Write `bytes` to `path` and fsync the file (create-or-truncate).
+fn write_file_sync(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    let mut file = on_disk("create file", path, fs::File::create)?;
+    on_disk("write file", path, |_| file.write_all(bytes))?;
+    on_disk("fsync file", path, |_| file.sync_all())
 }
 
 /// Spill one content-addressed data file durably, unless a file of that
-/// name — and therefore that content — already exists. Returns the
-/// content hash that names the file and whether bytes hit disk.
+/// name already holds exactly these bytes. One that holds anything else
+/// is damaged and is rewritten, which also mends every older generation
+/// naming it. Returns the content hash that names the file and whether
+/// bytes hit disk.
 fn write_data_file(dir: &Path, kind: &FileKind, bytes: &[u8]) -> Result<(u64, bool), PersistError> {
     let hash = xxh64(bytes);
     let file = kind.file_name(hash);
     let path = dir.join(&file);
     // Models a full disk / permission fault on one data file: the write
     // fails cleanly before the manifest commit point.
-    fail::fail_point!("persist::write_shard", |arg: Option<String>| {
-        Err(PersistError::io(
-            "write data file (injected)",
-            &path,
-            io::Error::other(arg.unwrap_or_default()),
-        ))
+    fail::fail_point!("persist::write_shard", |arg| {
+        Err(injected("write data file (injected)", &path, arg))
     });
-    match fs::metadata(&path) {
-        // Same name ⇒ same XXH64 ⇒ same content: skip the write. The
-        // length check guards the (already astronomically unlikely)
-        // hash-collision case at zero cost.
-        Ok(meta) if meta.is_file() && meta.len() == bytes.len() as u64 => {
-            return Ok((hash, false));
+    match fs::read(&path) {
+        Ok(existing) if existing == bytes => return Ok((hash, false)),
+        Err(e) if e.kind() != io::ErrorKind::NotFound => {
+            return Err(PersistError::io("read data file", &path, e))
         }
         _ => {}
     }
     let tmp = dir.join(format!("{file}{TMP_SUFFIX}"));
     write_file_sync(&tmp, bytes)?;
-    fs::rename(&tmp, &path).map_err(|e| PersistError::io("rename data file", &path, e))?;
+    on_disk("rename data file", &path, |path| fs::rename(&tmp, path))?;
     Ok((hash, true))
 }
 
@@ -767,10 +772,6 @@ fn read_verified(
     }
     Ok((path, bytes))
 }
-
-// ---------------------------------------------------------------------
-// Directory listing & sweep
-// ---------------------------------------------------------------------
 
 /// UTF-8 file names in `dir`, sorted (deterministic sweep order).
 fn list_file_names(dir: &Path) -> Result<Vec<String>, PersistError> {
@@ -796,68 +797,131 @@ fn manifest_files(names: &[String]) -> Vec<(u64, String)> {
     manifests
 }
 
-/// Delete everything no retained manifest justifies: temp files,
-/// manifests that are corrupt / in `discard` / beyond the retention
-/// horizon, and data files no retained manifest references. `served` —
-/// the generation just committed or restored — counts towards the
-/// horizon, and so does each sound generation before it; a newer one not
-/// in `discard` (skipped by `open` for an I/O error) is kept uncounted.
-/// Files this module did not name (no recognised suffix) are left alone,
-/// and so is everything but temp files when a manifest the sweep would
-/// weigh cannot be read: its generation may be sound, and what it
-/// references is then unknown. Deletion is best-effort — a sweep failure
-/// must never fail a committed snapshot or a successful restore — and
-/// returns the names actually deleted.
-fn sweep(dir: &Path, served: u64, discard: &HashSet<u64>) -> Vec<String> {
-    let Ok(names) = list_file_names(dir) else {
-        return Vec::new();
-    };
-    let mut retained = 0usize;
-    let mut unreadable = false;
-    let mut keep_manifests: HashSet<String> = HashSet::new();
-    let mut referenced: HashSet<String> = HashSet::new();
-    for (generation, name) in manifest_files(&names) {
-        if discard.contains(&generation)
-            || (generation < served && retained >= RETAINED_GENERATIONS)
-        {
-            continue;
-        }
+// ---------------------------------------------------------------------
+// Retention: the walk `write` and `open` share
+// ---------------------------------------------------------------------
+
+/// Whether `error` proves its generation lost — a failed check, or a file
+/// that is gone. Any other I/O error proves nothing either way.
+fn is_damage(error: &PersistError) -> bool {
+    !matches!(error, PersistError::Io { source, .. } if source.kind() != io::ErrorKind::NotFound)
+}
+
+/// What one walk over a directory's generations decided.
+#[derive(Default)]
+struct Retention {
+    /// The generation `open` serves, decoded.
+    served: Option<(u64, ShardedStore)>,
+    /// `(manifest, reason)` for each generation `open` passed over.
+    passed_over: Vec<(String, String)>,
+    /// The kept generations' manifests and data files.
+    keep: HashSet<String>,
+    /// A kept manifest could not be read, so every data file stays.
+    keep_data: bool,
+}
+
+/// The retention walk of the [module docs](self). A data file is hashed
+/// once a walk: never if `written` (the generation `write` just committed)
+/// names it, again if a load after a failed one reads it. With `serve`,
+/// generations are loaded (a decode failure damages one) until one loads.
+fn retain(dir: &Path, names: &[String], written: Option<&Manifest>, serve: bool) -> Retention {
+    let mut checked: HashMap<_, _> = written.into_iter().flat_map(sound_files).collect();
+    let mut retention = Retention::default();
+    let mut sound = 0;
+    for (generation, name) in manifest_files(names) {
+        let decode = serve && retention.served.is_none();
         let path = dir.join(&name);
-        let Ok(bytes) = fs::read(&path) else {
-            unreadable = true;
-            break;
-        };
-        // Seal-verified parse only: whether the files hash to their
-        // names is `open`'s job; retention just needs to know the
-        // manifest is internally consistent enough to be worth keeping.
-        let Ok(manifest) = parse_manifest(&path, generation, &bytes) else {
-            continue;
-        };
-        if generation <= served {
-            retained += 1;
+        let manifest = fs::read(&path)
+            .map_err(|e| PersistError::io("read manifest", &path, e))
+            .and_then(|bytes| parse_manifest(&path, generation, &bytes));
+        let mut errors: Vec<PersistError> = manifest.as_ref().err().into_iter().cloned().collect();
+        let mut files = Vec::new();
+        if let Ok(manifest) = &manifest {
+            match decode.then(|| load(dir, manifest)) {
+                Some(Ok(store)) => {
+                    checked.extend(sound_files(manifest));
+                    retention.served = Some((generation, store));
+                }
+                Some(Err(e)) => errors.push(e),
+                None => {}
+            }
+            for (kind, hash) in manifest.files() {
+                let file = checked
+                    .entry(kind.file_name(hash))
+                    .or_insert_with(|| read_verified(dir, kind, hash).map(drop));
+                errors.extend(file.as_ref().err().cloned());
+                files.push(kind.file_name(hash));
+            }
         }
-        keep_manifests.insert(name);
-        referenced.insert(SCHEMA.file_name(manifest.schema));
-        referenced.extend(manifest.shards.iter().map(|&hash| SHARD.file_name(hash)));
-    }
-    let mut swept = Vec::new();
-    for name in names {
-        let delete = if name.ends_with(TMP_SUFFIX) {
-            true
-        } else if unreadable {
-            false
-        } else if manifest_generation(&name).is_some() {
-            !keep_manifests.contains(&name)
-        } else if SHARD.named_hash(&name).is_some() || SCHEMA.named_hash(&name).is_some() {
-            !referenced.contains(&name)
-        } else {
-            false
+        // What decides a generation: damage before doubt.
+        let kept = match errors.iter().find(|e| is_damage(e)).or(errors.first()) {
+            None => {
+                sound += 1;
+                sound <= 2
+            }
+            Some(error) => {
+                let reason = (name.clone(), error.to_string());
+                retention.passed_over.extend(decode.then_some(reason));
+                retention.keep_data |= !is_damage(error) && manifest.is_err();
+                !is_damage(error)
+            }
         };
-        if delete && fs::remove_file(dir.join(&name)).is_ok() {
-            swept.push(name);
+        if kept {
+            retention.keep.extend(files);
+            retention.keep.insert(name);
         }
     }
-    swept
+    retention
+}
+
+/// Each data file `manifest` names, found sound.
+fn sound_files(
+    manifest: &Manifest,
+) -> impl Iterator<Item = (String, Result<(), PersistError>)> + '_ {
+    manifest
+        .files()
+        .map(|(kind, hash)| (kind.file_name(hash), Ok(())))
+}
+
+/// Load the generation `manifest` names, verifying every file it names.
+fn load(dir: &Path, manifest: &Manifest) -> Result<ShardedStore, PersistError> {
+    let (schema_path, schema_bytes) = read_verified(dir, &SCHEMA, manifest.schema)?;
+    let schema = Arc::new(decode_schema(&schema_path, &schema_bytes)?);
+    // Identical shards share one file (content addressing); decode each
+    // distinct file once and share the store Arc.
+    let mut decoded: HashMap<u64, Arc<RecordStore>> = HashMap::new();
+    let mut shards = Vec::with_capacity(manifest.shards.len());
+    for &hash in &manifest.shards {
+        if let Entry::Vacant(slot) = decoded.entry(hash) {
+            let (path, bytes) = read_verified(dir, &SHARD, hash)?;
+            slot.insert(Arc::new(decode_shard(&path, &bytes, &schema)?));
+        }
+        shards.push(Arc::clone(&decoded[&hash]));
+    }
+    Ok(ShardedStore::from_shards(shards, schema))
+}
+
+impl Retention {
+    /// Delete what the walk did not keep, of the names this module gives:
+    /// manifests first, so that a crash mid-sweep never leaves a manifest
+    /// naming a deleted file, then data files and temp files. Deletion is
+    /// best-effort — a sweep failure must never fail a committed snapshot
+    /// or a successful restore — and returns the names actually deleted.
+    fn sweep(&self, dir: &Path, names: &[String]) -> Vec<String> {
+        let data = |name: &String| SHARD.named_hash(name).or(SCHEMA.named_hash(name)).is_some();
+        let manifests = names
+            .iter()
+            .filter(|name| manifest_generation(name).is_some());
+        let rest = names
+            .iter()
+            .filter(|name| name.ends_with(TMP_SUFFIX) || (!self.keep_data && data(name)));
+        manifests
+            .chain(rest)
+            .filter(|name| !self.keep.contains(*name))
+            .filter(|name| on_disk("delete file", &dir.join(name), fs::remove_file).is_ok())
+            .cloned()
+            .collect()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -867,25 +931,22 @@ fn sweep(dir: &Path, served: u64, discard: &HashSet<u64>) -> Vec<String> {
 impl CatalogSnapshot {
     /// Spill `store` into `dir` as a new manifest generation.
     ///
-    /// Data files are written first (durably, content-addressed — shards
-    /// already on disk from a previous generation are reused, so
-    /// snapshotting an appended catalog costs O(new shards)); the
+    /// Data files are written first (durably, content-addressed — a file
+    /// already on disk is reused once its bytes are checked, so
+    /// snapshotting an appended catalog costs O(new shards) writes); the
     /// manifest is then committed via temp file, fsync, atomic rename
     /// and directory fsync. A crash or error anywhere before the rename
-    /// leaves the directory's previous restart point fully intact.
-    /// After the commit, generations beyond the retention horizon (the
-    /// new one plus one fallback) and the files only they referenced are
-    /// swept.
+    /// leaves the directory's previous restart point fully intact. Then
+    /// the retention walk runs, starting from the new generation.
     pub fn write(
         dir: impl AsRef<Path>,
         store: &ShardedStore,
     ) -> Result<SnapshotReceipt, PersistError> {
         let dir = dir.as_ref();
-        fs::create_dir_all(dir)
-            .map_err(|e| PersistError::io("create snapshot directory", dir, e))?;
+        on_disk("create snapshot directory", dir, fs::create_dir_all)?;
         let names = list_file_names(dir)?;
         // Before any data file is written: a wrapped counter would commit
-        // a generation the sweep below, keeping the largest, deletes.
+        // a generation older than every other one.
         let generation = match manifest_files(&names).first() {
             None => 1,
             Some((newest, name)) => newest.checked_add(1).ok_or_else(|| {
@@ -893,21 +954,19 @@ impl CatalogSnapshot {
             })?,
         };
 
-        let schema_bytes = serialize_schema(store.schema());
-        let (schema, wrote) = write_data_file(dir, &SCHEMA, &schema_bytes)?;
-        let mut total_bytes = schema_bytes.len() as u64;
-        let mut bytes_written = if wrote { total_bytes } else { 0 };
-
+        let (mut total_bytes, mut bytes_written) = (0, 0);
+        let mut spill = |kind: &FileKind, bytes: Vec<u8>| {
+            let (hash, wrote) = write_data_file(dir, kind, &bytes)?;
+            total_bytes += bytes.len() as u64;
+            bytes_written += if wrote { bytes.len() as u64 } else { 0 };
+            Ok::<_, PersistError>((hash, wrote))
+        };
+        let (schema, _) = spill(&SCHEMA, serialize_schema(store.schema()))?;
         let mut shards = Vec::with_capacity(store.shard_count());
         let mut shards_written = 0usize;
         for shard in store.shards() {
-            let shard_bytes = serialize_shard(shard);
-            let (hash, wrote) = write_data_file(dir, &SHARD, &shard_bytes)?;
-            total_bytes += shard_bytes.len() as u64;
-            if wrote {
-                bytes_written += shard_bytes.len() as u64;
-                shards_written += 1;
-            }
+            let (hash, wrote) = spill(&SHARD, serialize_shard(shard))?;
+            shards_written += usize::from(wrote);
             shards.push(hash);
         }
 
@@ -925,20 +984,21 @@ impl CatalogSnapshot {
         // manifest exists but was never renamed, so the snapshot did NOT
         // commit — the previous generation is still the restart point
         // and the temp file is swept on the next open.
-        fail::fail_point!("persist::commit_manifest", |arg: Option<String>| {
-            Err(PersistError::io(
-                "commit manifest (injected)",
-                &tmp_path,
-                io::Error::other(arg.unwrap_or_default()),
-            ))
+        fail::fail_point!("persist::commit_manifest", |arg| {
+            Err(injected("commit manifest (injected)", &tmp_path, arg))
         });
-        fs::rename(&tmp_path, &manifest_path)
-            .map_err(|e| PersistError::io("commit manifest", &manifest_path, e))?;
-        sync_dir(dir)?;
+        on_disk("commit manifest", &manifest_path, |path| {
+            fs::rename(&tmp_path, path)
+        })?;
+        on_disk("fsync directory", dir, |dir| {
+            fs::File::open(dir)?.sync_all()
+        })?;
         bytes_written += text.len() as u64;
         total_bytes += text.len() as u64;
 
-        let swept = sweep(dir, generation, &HashSet::new());
+        let swept = list_file_names(dir)
+            .map(|names| retain(dir, &names, Some(&manifest), false).sweep(dir, &names))
+            .unwrap_or_default();
         Ok(SnapshotReceipt {
             generation,
             manifest: manifest_path,
@@ -950,63 +1010,32 @@ impl CatalogSnapshot {
         })
     }
 
-    /// Restore a catalog from `dir`, trying manifest generations newest
-    /// first and falling back past any generation that fails to load
+    /// Restore a catalog from `dir`: the retention walk serves the newest
+    /// sound generation, passing over any newer one that fails to load
     /// (truncated or bit-flipped manifest, missing / corrupt / malformed
-    /// / unreadable data file). Returns the restored catalog and a
-    /// [`RecoveryReport`] saying which generation was loaded, what was
-    /// passed over, and which orphaned files were swept.
-    ///
-    /// Never panics on corrupt input and never returns a half-loaded
-    /// catalog: a generation is returned only after every referenced
-    /// file has hashed to its name and every structural invariant has
-    /// been verified. A generation passed over for corruption or a
-    /// missing file is swept; one passed over for any other I/O error
-    /// stays on disk for the next open, uncounted by the retention that
-    /// keeps the served generation. Errs with
+    /// / unreadable data file), and reports it all in a
+    /// [`RecoveryReport`]. Never panics on corrupt input and never
+    /// returns a half-loaded catalog. Errs with
     /// [`PersistError::NoSnapshot`] when the directory holds no manifest,
-    /// [`PersistError::NoUsableGeneration`] when no generation loads.
+    /// [`PersistError::NoUsableGeneration`] when no generation loads —
+    /// and then deletes nothing.
     pub fn open(dir: impl AsRef<Path>) -> Result<(ShardedStore, RecoveryReport), PersistError> {
         let dir = dir.as_ref();
         let names = match list_file_names(dir) {
-            Ok(names) => names,
             Err(PersistError::Io { source, .. }) if source.kind() == io::ErrorKind::NotFound => {
-                return Err(PersistError::NoSnapshot {
-                    dir: dir.to_path_buf(),
-                })
+                Vec::new()
             }
-            Err(e) => return Err(e),
+            names => names?,
         };
-        let manifests = manifest_files(&names);
-        if manifests.is_empty() {
+        if manifest_files(&names).is_empty() {
             return Err(PersistError::NoSnapshot {
                 dir: dir.to_path_buf(),
             });
         }
-
-        let mut discarded: Vec<(String, String)> = Vec::new();
-        let mut failed_generations: HashSet<u64> = HashSet::new();
-        let mut loaded: Option<(u64, ShardedStore)> = None;
-        for (generation, name) in &manifests {
-            match Self::load_generation(dir, *generation, name) {
-                Ok(store) => {
-                    loaded = Some((*generation, store));
-                    break;
-                }
-                Err(error) => {
-                    // Only proof of damage condemns a generation: a file
-                    // that exists but could not be read may read next time.
-                    if !matches!(&error, PersistError::Io { source, .. }
-                        if source.kind() != io::ErrorKind::NotFound)
-                    {
-                        failed_generations.insert(*generation);
-                    }
-                    discarded.push((name.clone(), error.to_string()));
-                }
-            }
-        }
-        let Some((generation, store)) = loaded else {
-            let detail = discarded
+        let mut retention = retain(dir, &names, None, true);
+        let Some((generation, store)) = retention.served.take() else {
+            let detail = retention
+                .passed_over
                 .iter()
                 .map(|(name, reason)| format!("{name}: {reason}"))
                 .collect::<Vec<_>>()
@@ -1016,45 +1045,15 @@ impl CatalogSnapshot {
                 detail,
             });
         };
-
-        let swept = sweep(dir, generation, &failed_generations);
         let report = RecoveryReport {
             generation,
-            recovered_from_fallback: !discarded.is_empty(),
-            discarded,
-            swept,
+            recovered_from_fallback: !retention.passed_over.is_empty(),
+            swept: retention.sweep(dir, &names),
+            discarded: retention.passed_over,
             shards: store.shard_count(),
             records: store.len(),
         };
         Ok((store, report))
-    }
-
-    /// Load one manifest generation end to end, verifying everything.
-    fn load_generation(
-        dir: &Path,
-        generation: u64,
-        name: &str,
-    ) -> Result<ShardedStore, PersistError> {
-        let manifest_path = dir.join(name);
-        let bytes = fs::read(&manifest_path)
-            .map_err(|e| PersistError::io("read manifest", &manifest_path, e))?;
-        let manifest = parse_manifest(&manifest_path, generation, &bytes)?;
-
-        let (schema_path, schema_bytes) = read_verified(dir, &SCHEMA, manifest.schema)?;
-        let schema = Arc::new(decode_schema(&schema_path, &schema_bytes)?);
-
-        // Identical shards share one file (content addressing); decode
-        // each distinct file once and share the store Arc.
-        let mut decoded: HashMap<u64, Arc<RecordStore>> = HashMap::new();
-        let mut shards = Vec::with_capacity(manifest.shards.len());
-        for &hash in &manifest.shards {
-            if let Entry::Vacant(slot) = decoded.entry(hash) {
-                let (path, bytes) = read_verified(dir, &SHARD, hash)?;
-                slot.insert(Arc::new(decode_shard(&path, &bytes, &schema)?));
-            }
-            shards.push(Arc::clone(&decoded[&hash]));
-        }
-        Ok(ShardedStore::from_shards(shards, schema))
     }
 }
 

@@ -19,12 +19,14 @@
 //!   previous durable generation; when *every* generation is corrupt it
 //!   fails with a structured [`PersistError::NoUsableGeneration`]. A file
 //!   that cannot be read is no proof of damage: its generation is passed
-//!   over but never deleted, and never pushes the served one out of
-//!   retention.
+//!   over but never deleted, and never pushes a sound one out of
+//!   retention — neither on `open` nor on the next `write`.
 //! * **Hygiene.** Orphaned temp/data files are swept on open (unknown
 //!   files are left alone), incremental snapshots reuse the previous
-//!   generation's shard files, and retention keeps exactly the two
-//!   newest generations.
+//!   generation's shard files once they read back intact (a damaged one
+//!   is rewritten), and retention keeps the two newest sound generations.
+//!   Every sequence of up to four writes, opens, damages, repairs and
+//!   crashes is checked by `persist_explorer.rs`.
 
 use classilink_linking::blocking::{BlockingKey, StandardBlocker};
 use classilink_linking::record::Record;
@@ -461,6 +463,53 @@ fn generations_skipped_for_an_unreadable_file_never_push_out_the_served_one() {
     restore(&dir, &files);
     let (loaded, report) = CatalogSnapshot::open(&dir).expect("open");
     assert_eq!((loaded, report.generation), (third, 3));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `open` serves generation 1 past generation 2, which holds an
+/// unreadable file; a `write` of the served catalog then keeps generation
+/// 1 — the newest sound generation before its own — so that damage to
+/// the new generation still leaves one to serve.
+#[test]
+fn a_write_after_an_io_skipped_open_keeps_the_served_generation() {
+    let dir = fresh_dir("write_after_skip");
+    let (base, _, only_second) = two_generations(&dir);
+    let shard = only_second.iter().find(|name| name.ends_with(".clshard"));
+    let shard = dir.join(shard.expect("a new shard"));
+    fs::remove_file(&shard).unwrap();
+    fs::create_dir(&shard).unwrap();
+    let (served, _) = CatalogSnapshot::open(&dir).expect("open");
+    assert_eq!(served, base);
+
+    let receipt = CatalogSnapshot::write(&dir, &served).expect("generation 3");
+    assert_eq!(receipt.generation, 3);
+    bit_flip(&receipt.manifest);
+    let (loaded, report) = CatalogSnapshot::open(&dir).expect("generation 1 still serves");
+    assert_eq!((loaded, report.generation), (base, 1));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A file a `write` would reuse is checked first: generation 2's own
+/// shard, bit-flipped, is rewritten by the write of generation 3 — which
+/// mends generation 2 too — rather than reused and counted sound.
+#[test]
+fn a_damaged_file_is_rewritten_not_reused() {
+    let dir = fresh_dir("rewritten");
+    let (_, second, only_second) = two_generations(&dir);
+    let shard = only_second.iter().find(|name| name.ends_with(".clshard"));
+    bit_flip(&dir.join(shard.expect("a new shard")));
+    let mut delta = second.delta_builder();
+    delta.begin_shard();
+    delta.push(&local_record(12));
+    let grown = second.append_shards(delta);
+
+    let receipt = CatalogSnapshot::write(&dir, &grown).expect("generation 3");
+    assert_eq!(receipt.shards_written, 2, "the damaged shard was reused");
+    let (loaded, report) = CatalogSnapshot::open(&dir).expect("open");
+    assert_eq!((loaded, report.generation), (grown, 3));
+    fs::remove_file(&receipt.manifest).unwrap();
+    let (loaded, report) = CatalogSnapshot::open(&dir).expect("open");
+    assert_eq!((loaded, report.generation), (second, 2));
     let _ = fs::remove_dir_all(&dir);
 }
 
