@@ -11,8 +11,8 @@
 //!
 //! * [`similarity`] — string similarity measures (Levenshtein,
 //!   Damerau-Levenshtein, Jaro, Jaro-Winkler, Jaccard, Dice,
-//!   Monge-Elkan). The four string measures have an allocation-free
-//!   scratch-buffer variant (`*_with(scratch, a, b)`, see
+//!   Monge-Elkan). The four string measures are allocation-free
+//!   scratch-buffer kernels (`*_with(scratch, a, b)`, see
 //!   [`similarity::SimScratch`]); the four set measures
 //!   (`jaccard_tokens`, `jaccard_chars`, `dice_bigrams`, `monge_elkan`)
 //!   have none: they run the `TokenTable` kernels the comparator runs, on

@@ -1,10 +1,9 @@
 //! Edit-distance based similarities (Levenshtein, Damerau-Levenshtein).
 //!
-//! Each measure comes in two forms: the classic allocating entry points
-//! (`levenshtein(a, b)`, …) and the scratch-buffer kernels
-//! (`levenshtein_with(scratch, a, b)`, …) the comparison hot path uses.
-//! The kernels borrow their DP rows and char buffers from a
-//! [`SimScratch`], take an ASCII byte-slice fast path when both inputs
+//! Each measure is a scratch-buffer kernel
+//! (`levenshtein_with(scratch, a, b)`, …); a one-off call passes a fresh
+//! [`SimScratch`]. The kernels borrow their DP rows and char buffers from
+//! it, take an ASCII byte-slice fast path when both inputs
 //! are ASCII (no char decode), trim common prefixes/suffixes, and
 //! early-exit on equal or empty inputs — while staying **bit-identical**
 //! to the naive reference implementations (asserted by the equivalence
@@ -202,73 +201,64 @@ pub fn edit_similarity_bound(shared: u32, a: &str, b: &str) -> f64 {
     edit_similarity_bound_at(shared, a.len(), b.len(), 0)
 }
 
-/// The Levenshtein edit distance between two strings (insertions, deletions,
-/// substitutions each cost 1), computed over Unicode scalar values.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    levenshtein_with(&mut SimScratch::new(), a, b)
-}
-
-/// Levenshtein distance normalised into a similarity in `[0, 1]`:
-/// `1 − distance / max(|a|, |b|)`. Two empty strings are fully similar.
-pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    levenshtein_similarity_with(&mut SimScratch::new(), a, b)
-}
-
-/// The Damerau-Levenshtein distance (restricted / "optimal string alignment"
-/// variant): like Levenshtein but a transposition of two adjacent characters
-/// counts as a single edit.
-pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
-    damerau_levenshtein_with(&mut SimScratch::new(), a, b)
-}
-
-/// Damerau-Levenshtein distance normalised into a similarity in `[0, 1]`.
-pub fn damerau_levenshtein_similarity(a: &str, b: &str) -> f64 {
-    damerau_levenshtein_similarity_with(&mut SimScratch::new(), a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn lev(a: &str, b: &str) -> usize {
+        levenshtein_with(&mut SimScratch::new(), a, b)
+    }
+
+    fn lev_sim(a: &str, b: &str) -> f64 {
+        levenshtein_similarity_with(&mut SimScratch::new(), a, b)
+    }
+
+    fn dl(a: &str, b: &str) -> usize {
+        damerau_levenshtein_with(&mut SimScratch::new(), a, b)
+    }
+
     #[test]
     fn classic_levenshtein_cases() {
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(levenshtein("flaw", "lawn"), 2);
-        assert_eq!(levenshtein("", ""), 0);
-        assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(levenshtein("", "abc"), 3);
-        assert_eq!(levenshtein("same", "same"), 0);
+        assert_eq!(lev("kitten", "sitting"), 3);
+        assert_eq!(lev("flaw", "lawn"), 2);
+        assert_eq!(lev("", ""), 0);
+        assert_eq!(lev("abc", ""), 3);
+        assert_eq!(lev("", "abc"), 3);
+        assert_eq!(lev("same", "same"), 0);
     }
 
     #[test]
     fn part_number_typo_distance() {
-        assert_eq!(levenshtein("CRCW0805", "CRCW0806"), 1);
-        assert_eq!(levenshtein("T83A225K", "T83A225"), 1);
-        assert!(levenshtein_similarity("CRCW0805", "CRCW0806") > 0.85);
+        assert_eq!(lev("CRCW0805", "CRCW0806"), 1);
+        assert_eq!(lev("T83A225K", "T83A225"), 1);
+        assert!(lev_sim("CRCW0805", "CRCW0806") > 0.85);
     }
 
     #[test]
     fn similarity_bounds() {
-        assert_eq!(levenshtein_similarity("", ""), 1.0);
-        assert_eq!(levenshtein_similarity("abc", "abc"), 1.0);
-        assert_eq!(levenshtein_similarity("abc", "xyz"), 0.0);
-        assert_eq!(damerau_levenshtein_similarity("", ""), 1.0);
+        assert_eq!(lev_sim("", ""), 1.0);
+        assert_eq!(lev_sim("abc", "abc"), 1.0);
+        assert_eq!(lev_sim("abc", "xyz"), 0.0);
+        assert_eq!(
+            damerau_levenshtein_similarity_with(&mut SimScratch::new(), "", ""),
+            1.0
+        );
     }
 
     #[test]
     fn damerau_counts_transposition_as_one() {
-        assert_eq!(levenshtein("ca", "ac"), 2);
-        assert_eq!(damerau_levenshtein("ca", "ac"), 1);
-        assert_eq!(damerau_levenshtein("CRCW0850", "CRCW0805"), 1);
-        assert_eq!(damerau_levenshtein("abc", "abc"), 0);
-        assert_eq!(damerau_levenshtein("", "ab"), 2);
+        assert_eq!(lev("ca", "ac"), 2);
+        assert_eq!(dl("ca", "ac"), 1);
+        assert_eq!(dl("CRCW0850", "CRCW0805"), 1);
+        assert_eq!(dl("abc", "abc"), 0);
+        assert_eq!(dl("", "ab"), 2);
     }
 
     #[test]
     fn unicode_is_counted_per_scalar() {
-        assert_eq!(levenshtein("café", "cafe"), 1);
-        assert_eq!(levenshtein("résistance", "resistance"), 1);
+        assert_eq!(lev("café", "cafe"), 1);
+        assert_eq!(lev("résistance", "resistance"), 1);
     }
 
     #[test]
@@ -293,16 +283,16 @@ mod tests {
         /// inequality, and the Damerau distance never exceeds Levenshtein.
         #[test]
         fn prop_distance_axioms(a in "[a-z]{0,12}", b in "[a-z]{0,12}", c in "[a-z]{0,12}") {
-            prop_assert_eq!(levenshtein(&a, &a), 0);
-            prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
-            prop_assert!(levenshtein(&a, &c) <= levenshtein(&a, &b) + levenshtein(&b, &c));
-            prop_assert!(damerau_levenshtein(&a, &b) <= levenshtein(&a, &b));
+            prop_assert_eq!(lev(&a, &a), 0);
+            prop_assert_eq!(lev(&a, &b), lev(&b, &a));
+            prop_assert!(lev(&a, &c) <= lev(&a, &b) + lev(&b, &c));
+            prop_assert!(dl(&a, &b) <= lev(&a, &b));
         }
 
         /// The distance is bounded by the length of the longer string.
         #[test]
         fn prop_distance_bounded(a in "[a-z]{0,15}", b in "[a-z]{0,15}") {
-            let d = levenshtein(&a, &b);
+            let d = lev(&a, &b);
             prop_assert!(d <= a.len().max(b.len()));
             prop_assert!(d >= a.len().abs_diff(b.len()));
         }

@@ -254,21 +254,18 @@ pub fn jaro_winkler_bound(shared: u32, a: &str, b: &str) -> f64 {
     jaro_winkler_bound_at(shared, a.len(), b.len(), common_prefix(a, b))
 }
 
-/// The Jaro similarity between two strings, in `[0, 1]`.
-pub fn jaro(a: &str, b: &str) -> f64 {
-    jaro_with(&mut SimScratch::new(), a, b)
-}
-
-/// The Jaro-Winkler similarity: Jaro boosted by the length of the common
-/// prefix (up to 4 characters) with the standard scaling factor 0.1.
-pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    jaro_winkler_with(&mut SimScratch::new(), a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn j(a: &str, b: &str) -> f64 {
+        jaro_with(&mut SimScratch::new(), a, b)
+    }
+
+    fn jw(a: &str, b: &str) -> f64 {
+        jaro_winkler_with(&mut SimScratch::new(), a, b)
+    }
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-3
@@ -277,35 +274,33 @@ mod tests {
     #[test]
     fn textbook_values() {
         // Classic examples from the record-linkage literature.
-        assert!(close(jaro("MARTHA", "MARHTA"), 0.944));
-        assert!(close(jaro("DIXON", "DICKSONX"), 0.767));
-        assert!(close(jaro("JELLYFISH", "SMELLYFISH"), 0.896));
-        assert!(close(jaro_winkler("MARTHA", "MARHTA"), 0.961));
-        assert!(close(jaro_winkler("DIXON", "DICKSONX"), 0.813));
+        assert!(close(j("MARTHA", "MARHTA"), 0.944));
+        assert!(close(j("DIXON", "DICKSONX"), 0.767));
+        assert!(close(j("JELLYFISH", "SMELLYFISH"), 0.896));
+        assert!(close(jw("MARTHA", "MARHTA"), 0.961));
+        assert!(close(jw("DIXON", "DICKSONX"), 0.813));
     }
 
     #[test]
     fn identity_and_disjoint() {
-        assert_eq!(jaro("CRCW0805", "CRCW0805"), 1.0);
-        assert_eq!(jaro("abc", "xyz"), 0.0);
-        assert_eq!(jaro("", ""), 1.0);
-        assert_eq!(jaro("abc", ""), 0.0);
-        assert_eq!(jaro_winkler("", ""), 1.0);
+        assert_eq!(j("CRCW0805", "CRCW0805"), 1.0);
+        assert_eq!(j("abc", "xyz"), 0.0);
+        assert_eq!(j("", ""), 1.0);
+        assert_eq!(j("abc", ""), 0.0);
+        assert_eq!(jw("", ""), 1.0);
     }
 
     #[test]
     fn winkler_boosts_shared_prefix() {
-        let j = jaro("CRCW0805", "CRCW0812");
-        let jw = jaro_winkler("CRCW0805", "CRCW0812");
-        assert!(jw > j);
+        assert!(jw("CRCW0805", "CRCW0812") > j("CRCW0805", "CRCW0812"));
         // No shared prefix → no boost.
-        assert_eq!(jaro("XDELTA", "DELTAX"), jaro_winkler("XDELTA", "DELTAX"));
+        assert_eq!(j("XDELTA", "DELTAX"), jw("XDELTA", "DELTAX"));
     }
 
     #[test]
     fn single_char_strings() {
-        assert_eq!(jaro("a", "a"), 1.0);
-        assert_eq!(jaro("a", "b"), 0.0);
+        assert_eq!(j("a", "a"), 1.0);
+        assert_eq!(j("a", "b"), 0.0);
     }
 
     #[test]
@@ -328,15 +323,15 @@ mod tests {
             // A three-letter alphabet makes repeats and transpositions the rule.
             let folded: String = b.bytes().map(|x| char::from(b'a' + x % 3)).collect();
             for b in [b.as_str(), &folded] {
-                let j_ab = jaro(&a, b);
+                let j_ab = j(&a, b);
                 prop_assert!((0.0..=1.0).contains(&j_ab));
-                prop_assert_eq!(j_ab.to_bits(), jaro(b, &a).to_bits());
-                let jw = jaro_winkler(&a, b);
-                prop_assert_eq!(jw.to_bits(), jaro_winkler(b, &a).to_bits());
-                prop_assert!((0.0..=1.0 + 1e-9).contains(&jw));
-                prop_assert!(jw + 1e-9 >= j_ab);
+                prop_assert_eq!(j_ab.to_bits(), j(b, &a).to_bits());
+                let jw_ab = jw(&a, b);
+                prop_assert_eq!(jw_ab.to_bits(), jw(b, &a).to_bits());
+                prop_assert!((0.0..=1.0 + 1e-9).contains(&jw_ab));
+                prop_assert!(jw_ab + 1e-9 >= j_ab);
             }
-            prop_assert!((jaro(&a, &a) - 1.0).abs() < 1e-9 || a.is_empty());
+            prop_assert!((j(&a, &a) - 1.0).abs() < 1e-9 || a.is_empty());
         }
     }
 }

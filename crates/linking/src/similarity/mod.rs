@@ -14,11 +14,9 @@
 //! symbols the two strings share, their lengths and their common prefix —
 //! see [`symbols`] for the two ways that count is had), which lets the
 //! comparator skip a kernel that cannot lift its pair over the non-match
-//! threshold.
-//! The plain functions
-//! re-exported here keep the classic one-call API (each allocates a
-//! fresh scratch); [`naive`] holds the reference implementations the
-//! kernels are equivalence-tested against.
+//! threshold. [`SimilarityMeasure::compare`] is the one-call form (a
+//! fresh scratch per call); [`naive`] holds the reference implementations
+//! the kernels are equivalence-tested against.
 
 pub mod edit;
 pub mod jaro;
@@ -29,13 +27,12 @@ pub mod symbols;
 pub mod token;
 
 pub use edit::{
-    damerau_levenshtein, damerau_levenshtein_similarity, damerau_levenshtein_similarity_with,
-    damerau_levenshtein_with, edit_similarity_bound, edit_similarity_bound_at, levenshtein,
-    levenshtein_similarity, levenshtein_similarity_with, levenshtein_with,
+    damerau_levenshtein_similarity_with, damerau_levenshtein_with, edit_similarity_bound,
+    edit_similarity_bound_at, levenshtein_similarity_with, levenshtein_with,
 };
 pub use jaro::{
-    common_prefix, jaro, jaro_bound, jaro_bound_at, jaro_winkler, jaro_winkler_bound,
-    jaro_winkler_bound_at, jaro_winkler_with, jaro_with,
+    common_prefix, jaro_bound, jaro_bound_at, jaro_winkler_bound, jaro_winkler_bound_at,
+    jaro_winkler_with, jaro_with,
 };
 pub use scratch::SimScratch;
 pub use token::{dice_bigrams, jaccard_chars, jaccard_tokens, monge_elkan};
@@ -66,18 +63,10 @@ pub enum SimilarityMeasure {
 }
 
 impl SimilarityMeasure {
-    /// Compute the similarity between two strings with this measure.
+    /// Compute the similarity between two strings with this measure: a
+    /// [`Self::compare_with`] on a fresh scratch.
     pub fn compare(&self, a: &str, b: &str) -> f64 {
-        match self {
-            SimilarityMeasure::Levenshtein => levenshtein_similarity(a, b),
-            SimilarityMeasure::DamerauLevenshtein => damerau_levenshtein_similarity(a, b),
-            SimilarityMeasure::Jaro => jaro(a, b),
-            SimilarityMeasure::JaroWinkler => jaro_winkler(a, b),
-            SimilarityMeasure::JaccardTokens => jaccard_tokens(a, b),
-            SimilarityMeasure::JaccardChars => jaccard_chars(a, b),
-            SimilarityMeasure::DiceBigrams => dice_bigrams(a, b),
-            SimilarityMeasure::MongeElkan => monge_elkan(a, b),
-        }
+        self.compare_with(&mut SimScratch::new(), a, b)
     }
 
     /// Compute the similarity using `scratch` for working memory.
@@ -87,8 +76,7 @@ impl SimilarityMeasure {
     /// two-value token table (the allocation-free path for those is the
     /// stores' per-column token tables used by
     /// [`CompiledComparator::score`](crate::comparator::CompiledComparator::score)).
-    /// Results are bit-identical to [`Self::compare`].
-    pub fn compare_with(&self, scratch: &mut scratch::SimScratch, a: &str, b: &str) -> f64 {
+    pub fn compare_with(&self, scratch: &mut SimScratch, a: &str, b: &str) -> f64 {
         match self {
             SimilarityMeasure::Levenshtein => levenshtein_similarity_with(scratch, a, b),
             SimilarityMeasure::DamerauLevenshtein => {

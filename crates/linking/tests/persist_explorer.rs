@@ -1,6 +1,6 @@
 //! An exhaustive explorer of snapshot retention ([`CatalogSnapshot`]):
-//! it runs every sequence of up to four operations on one snapshot
-//! directory —
+//! it runs every sequence of up to four operations (five, in an ignored
+//! test that never crashes) on one snapshot directory —
 //!
 //! * a `write` of a 2-shard catalog, of that catalog grown by a third
 //!   shard, or of an append to the catalog in memory, so that
@@ -11,8 +11,8 @@
 //!   generation names, the schema): a bit flip, a truncation, a deletion,
 //!   or a directory put under its name, which no read gets past; or the
 //!   repair of a damaged file;
-//! * with `--features failpoints`, a crash after the k-th change a
-//!   `write` or an `open` makes to the disk, for every k: the
+//! * with `--features failpoints` (depth four only), a crash after the
+//!   k-th change a `write` or an `open` makes to the disk, for every k: the
 //!   `persist::fs` failpoint armed `"{k}*off->return(crash)"` fails that
 //!   change and every later one.
 //!
@@ -50,10 +50,7 @@ use std::time::Instant;
 use twox_hash::XxHash64;
 
 mod common;
-use common::fresh_dir;
-
-/// Operations in the longest sequence.
-const DEPTH: usize = 4;
+use common::{fresh_dir, serial};
 
 /// Whether the `persist::fs` failpoint is compiled in, so that `write`
 /// and `open` can crash.
@@ -157,7 +154,9 @@ fn named_files(manifest: &[u8]) -> Vec<String> {
         .collect()
 }
 
-fn catalogs() -> Vec<ShardedStore> {
+/// The 2-shard catalog, its 3-shard growth, and one append after another
+/// for each operation of a `depth`-long sequence.
+fn catalogs(depth: usize) -> Vec<ShardedStore> {
     let record = |i: usize| {
         let mut record = Record::new(Term::iri(format!("http://catalog.example.org/prod/{i}")));
         record.add("http://catalog.example.org/vocab#pn", format!("PN-{i}"));
@@ -165,7 +164,7 @@ fn catalogs() -> Vec<ShardedStore> {
     };
     let base: Vec<Record> = (0..4).map(record).collect();
     let mut catalogs = vec![ShardedStore::from_records(&base, 2)];
-    for i in 4..4 + DEPTH {
+    for i in 4..4 + depth {
         let mut delta = catalogs[i - 4].delta_builder();
         delta.begin_shard();
         delta.push(&record(i));
@@ -648,11 +647,28 @@ fn key(state: &State) -> (u64, u64) {
 
 #[test]
 fn every_sequence_of_up_to_four_operations_keeps_the_retention_invariants() {
+    explore(4, CRASHES);
+}
+
+/// Five operations reach what four cannot: three generations plus damage
+/// plus an `open`. Crash points stay off even with `failpoints` compiled
+/// in, which keeps it to ~5 k runs; CI runs it in its release step.
+#[test]
+#[ignore = "~5 s in debug: run with --release -- --include-ignored"]
+fn every_sequence_of_up_to_five_operations_keeps_the_retention_invariants() {
+    explore(5, false);
+}
+
+/// BFS over every sequence of up to `depth` operations, each `write` and
+/// `open` also crashed at every disk change when `crashes` is set.
+fn explore(depth: usize, crashes: bool) {
+    // Another test's armed `persist::fs` would crash this one's writes.
+    let _serial = serial();
     let started = Instant::now();
     let mut explorer = Explorer {
         dir: fresh_dir("explorer"),
         on_disk: None,
-        catalogs: catalogs(),
+        catalogs: catalogs(depth),
         library: HashMap::new(),
         ops_run: 0,
     };
@@ -668,7 +684,7 @@ fn every_sequence_of_up_to_four_operations_keeps_the_retention_invariants() {
     // first reached at a shallower depth is not explored again.
     let mut frontier: Vec<(State, u64)> = vec![(initial, 1)];
     let mut sequences = 0u64;
-    for depth in 1..=DEPTH {
+    for step in 1..=depth {
         let mut next: HashMap<(u64, u64), (State, u64)> = HashMap::new();
         for (state, reaching) in &frontier {
             for op in explorer.ops(state) {
@@ -676,12 +692,12 @@ fn every_sequence_of_up_to_four_operations_keeps_the_retention_invariants() {
                 match &op {
                     Op::Damage(..) | Op::Repair(_) => {
                         sequences += reaching;
-                        if depth < DEPTH {
+                        if step < depth {
                             reached.push(explorer.transform(state, &op));
                         }
                     }
                     _ => {
-                        let mut crash = CRASHES.then_some(0);
+                        let mut crash = crashes.then_some(0);
                         loop {
                             let context = format!("{} → {op:?} (crash {crash:?})", state.path);
                             let (after, fired) = explorer.run(state, &op, crash, &context);
@@ -694,7 +710,7 @@ fn every_sequence_of_up_to_four_operations_keeps_the_retention_invariants() {
                         }
                     }
                 }
-                if depth == DEPTH {
+                if step == depth {
                     continue;
                 }
                 for after in reached {
@@ -711,7 +727,7 @@ fn every_sequence_of_up_to_four_operations_keeps_the_retention_invariants() {
     }
     let _ = fs::remove_dir_all(&explorer.dir);
     println!(
-        "persist explorer: {sequences} sequences of up to {DEPTH} operations, {} run, {} distinct states, {:.1} s",
+        "persist explorer: {sequences} sequences of up to {depth} operations, {} run, {} distinct states, {:.1} s",
         explorer.ops_run,
         seen.len(),
         started.elapsed().as_secs_f64()
