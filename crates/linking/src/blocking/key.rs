@@ -106,6 +106,22 @@ pub struct KeySide {
     prefix_length: usize,
 }
 
+/// What an ASCII byte keeps in a key: itself lowercased when that is
+/// alphanumeric, else 0 (what `to_lowercase` and `is_alphanumeric`
+/// answer for it).
+const ASCII_KEY_BYTES: [u8; 128] = {
+    let mut map = [0u8; 128];
+    let mut b = 0;
+    while b < 128 {
+        let c = (b as u8).to_ascii_lowercase();
+        if c.is_ascii_alphanumeric() {
+            map[b] = c;
+        }
+        b += 1;
+    }
+    map
+};
+
 impl KeySide {
     /// The resolved property id, if the store knows the IRI.
     pub fn property(&self) -> Option<PropertyId> {
@@ -132,10 +148,19 @@ impl KeySide {
         // keeps key extraction allocation-free — the serving layer
         // re-keys its one-record probe store on every call — forgoing
         // only the final-sigma special case of the `str` version. An ASCII
-        // char is lowercased and classified as the byte it is (what
-        // `to_lowercase` and `is_alphanumeric` answer for it); only the
-        // others take the `to_lowercase` expansion.
+        // char is looked up as the byte it is; only the others take the
+        // `to_lowercase` expansion. An ASCII value keeps one byte a char,
+        // so its key ends `take` bytes in.
         let start = out.len();
+        if value.is_ascii() {
+            for &b in value.as_bytes() {
+                let c = ASCII_KEY_BYTES[usize::from(b)];
+                if c != 0 {
+                    out.push(char::from(c));
+                }
+            }
+            return (out.len() - start).min(take);
+        }
         let mut kept = 0;
         let mut key_end = None;
         let mut keep = |c: char, out: &mut String| {
@@ -147,9 +172,9 @@ impl KeySide {
         };
         for c in value.chars() {
             if c.is_ascii() {
-                let c = c.to_ascii_lowercase();
-                if c.is_ascii_alphanumeric() {
-                    keep(c, out);
+                let c = ASCII_KEY_BYTES[c as usize];
+                if c != 0 {
+                    keep(char::from(c), out);
                 }
             } else {
                 for c in c.to_lowercase() {

@@ -482,13 +482,15 @@ impl<'a> Reader<'a> {
         Ok(self.str()?.to_string())
     }
 
+    /// A length-prefixed list of `u32`s, decoded in one pass over its
+    /// bytes (`count` has checked that they are all there).
     fn u32_vec(&mut self) -> Result<Vec<u32>, PersistError> {
         let n = self.count(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        let bytes = self.take(n * 4)?;
+        let words = bytes.chunks_exact(4);
+        Ok(words
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect())
     }
 
     fn term(&mut self) -> Result<Term, PersistError> {
@@ -540,7 +542,8 @@ fn decode_shard(
         ))
     });
     let mut reader = Reader::body(&SHARD, bytes, path)?;
-    let record_count = reader.count(2)?;
+    // An id is at least its kind byte and its value's `u64` length.
+    let record_count = reader.count(9)?;
     let mut ids = Vec::with_capacity(record_count);
     for _ in 0..record_count {
         ids.push(reader.term()?);
@@ -1197,6 +1200,26 @@ mod tests {
             assert_corrupt(&[("xé", bounds, offsets)], expected);
         }
         assert_corrupt(&[good, good], "2 columns but the schema has only 1");
+    }
+
+    /// An id is at least nine bytes (its kind and its value's length), so
+    /// an id count is refused before any allocation when the bytes left
+    /// cannot hold that many ids, or when its byte size overflows.
+    #[test]
+    fn a_lying_id_count_is_refused_before_it_allocates() {
+        let schema = Arc::new(PropertyInterner::from_names(Vec::new()).unwrap());
+        for (count, body) in [(10, 20), (3, 26), (u64::MAX, 64)] {
+            let mut bytes = SHARD.header();
+            put_u64(&mut bytes, count);
+            bytes.resize(bytes.len() + body, 0);
+            match decode_shard(Path::new("c.clshard"), &bytes, &schema) {
+                Err(PersistError::Corrupt { detail, .. }) => assert!(
+                    detail.contains(&format!("claimed {count} elements")),
+                    "{count}: got {detail:?}"
+                ),
+                other => panic!("{count}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

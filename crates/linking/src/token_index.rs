@@ -393,7 +393,12 @@ pub(crate) fn sort_word(value: &str) -> u64 {
 }
 
 /// Fill `rungs` with `records` and their words, ordered by (`value`,
-/// record): words decide, and a string is read only where two tie.
+/// record): an integer sort by (word, record), then, within each run of
+/// equal words, a string sort only where the values can differ — some
+/// value is longer than its eight-byte word, or two lengths differ.
+/// Equal words over equal lengths of at most eight bytes are equal
+/// values, so (word, record) order is already (value, record) order there.
+/// Both sorts are in place: a warm re-key allocates nothing.
 fn fill_rungs<'a>(
     rungs: &mut Vec<Rung>,
     records: impl Iterator<Item = u32>,
@@ -405,11 +410,16 @@ fn fill_rungs<'a>(
         record,
         shard: 0,
     }));
-    rungs.sort_unstable_by(|a, b| {
-        (a.word.cmp(&b.word))
-            .then_with(|| value(a.record).cmp(value(b.record)))
-            .then(a.record.cmp(&b.record))
-    });
+    rungs.sort_unstable_by_key(|r| (r.word, r.record));
+    let ties = rungs.chunk_by_mut(|a, b| a.word == b.word);
+    for run in ties.filter(|run| run.len() > 1) {
+        let len = value(run[0].record).len();
+        if len > 8 || run.iter().any(|r| value(r.record).len() != len) {
+            run.sort_unstable_by(|a, b| {
+                (value(a.record).cmp(value(b.record))).then(a.record.cmp(&b.record))
+            });
+        }
+    }
 }
 
 impl KeyIndex {
@@ -520,9 +530,15 @@ impl KeyIndex {
         })
     }
 
-    /// Fill `ladder` from the key table's order: a key is a prefix of its
-    /// sort value, so at prefix 0 the sort only confirms one sorted run.
+    /// Fill `ladder`: where every key is its whole sort value (prefix 0),
+    /// the key table's rungs are the ladder, words and order; otherwise
+    /// the records are sorted again by sort value.
     fn fill_ladder(&self, ladder: &mut Vec<Rung>) {
+        if self.key_ends[..] == self.bounds[1..] {
+            ladder.clear();
+            ladder.extend_from_slice(&self.key_rungs);
+            return;
+        }
         let value = |record: u32| self.sort_value(record as usize);
         fill_rungs(ladder, self.sorted.iter().copied(), value);
     }
@@ -1075,6 +1091,66 @@ mod tests {
                 "a built ladder is rebuilt, not dropped"
             );
             check(&index);
+        }
+
+        /// Values every order case draws alongside its random ones: keys
+        /// over eight bytes that share their first eight, a key that is a
+        /// prefix of another (within one word, and across), non-ASCII
+        /// four-char keys over eight bytes, empty keys and duplicates.
+        const TIES: &[&str] = &[
+            "abababab",
+            "abababab-b",
+            "ABABABABA",
+            "ababababab",
+            "ab",
+            "ab",
+            "",
+            "-",
+            "漢漢漢漢",
+            "漢漢漢é",
+            "漢漢漢漢漢",
+            "éééé",
+            "éééée",
+            "aé漢a",
+        ];
+
+        /// `index`'s key table and ladder against the naive sorts of the
+        /// key side's own strings, by (key, id) and (sort value, id).
+        fn assert_naive_order(index: &KeyIndex, store: &RecordStore, side: &KeySide) {
+            let naive = |value: &dyn Fn(usize) -> String| {
+                let mut records: Vec<u32> = (0..store.len() as u32).collect();
+                records.sort_by_cached_key(|&r| (value(r as usize), r));
+                records
+            };
+            let keyed = naive(&|r| side.key(store, r));
+            assert_eq!(index.sorted_records(), keyed, "key table");
+            let ladder: Vec<u32> = index.ladder().iter().map(|rung| rung.record).collect();
+            assert_eq!(ladder, naive(&|r| side.sort_value(store, r)), "ladder");
+        }
+
+        proptest! {
+            /// The integer sort with its string tie-breaks orders the key
+            /// table and the ladder like the naive (value, id) sorts, at a
+            /// full and a truncated key, as built and through a warm
+            /// rebuild over other contents.
+            #[test]
+            fn key_tables_and_ladders_match_the_naive_sort(
+                first in proptest::collection::vec("[abAé漢-]{0,12}", 0..40),
+                then in proptest::collection::vec("[abAé漢-]{0,12}", 0..40),
+            ) {
+                let store = |drawn: &[String]| {
+                    let drawn = drawn.iter().map(String::as_str);
+                    store_of(&TIES.iter().copied().chain(drawn).collect::<Vec<_>>())
+                };
+                let (first, then) = (store(&first), store(&then));
+                for prefix in [0, 4] {
+                    let side = |store: &RecordStore| BlockingKey::shared(PN, prefix).external_side(store);
+                    let mut index = KeyIndex::build(&first, &side(&first));
+                    assert_naive_order(&index, &first, &side(&first));
+                    index.rebuild(&then, &side(&then));
+                    assert_naive_order(&index, &then, &side(&then));
+                }
+            }
         }
 
         #[test]

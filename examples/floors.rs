@@ -9,6 +9,7 @@
 //! cargo run --release --example floors -- prefilter      # the run prefilter, key- and id-ordered
 //! cargo run --release --example floors -- ingest         # FeedIngest against a counting drain
 //! cargo run --release --example floors -- open           # CatalogSnapshot::open against read + XXH64
+//! cargo run --release --example floors -- restart        # Linker::open's split, key builds against their floor
 //! cargo run --release --example floors -- open tiny      # any mode at tiny(), one repetition
 //! ```
 //!
@@ -20,13 +21,14 @@
 
 use classilink::datagen::scenario::{generate, GeneratedScenario, ScenarioConfig};
 use classilink::datagen::vocab::{self, LOCAL_PART_NUMBER, PROVIDER_PART_NUMBER};
+use classilink::linking::blocking::{BigramBlocker, SortedNeighborhoodBlocker, StandardBlocker};
 use classilink::linking::blocking::{Blocker, BlockingKey, KeySide};
-use classilink::linking::blocking::{SortedNeighborhoodBlocker, StandardBlocker};
 use classilink::linking::similarity::symbols::{self, Signature, SIGNATURE_MAX_LEN};
 use classilink::linking::similarity::{common_prefix, jaro_winkler_bound_at, jaro_winkler_with};
+use classilink::linking::Record;
 use classilink::linking::SimilarityMeasure::JaroWinkler;
 use classilink::linking::{CandidateRuns, CatalogSnapshot, FeedFormat, FeedIngest, KeyIndex};
-use classilink::linking::{LeftHoist, LocalRun, MatchDecision, PropertyId, Record};
+use classilink::linking::{LeftHoist, Linker, LocalRun, MatchDecision, ProbeScratch, PropertyId};
 use classilink::linking::{
     RecordComparator, RecordStore, SchemaInterner, ShardedStore, SimScratch,
 };
@@ -65,6 +67,7 @@ fn main() {
         "prefilter" => |scenario, paper, clock| standard_link(scenario, paper, clock, false),
         "ingest" => ingest,
         "open" => open,
+        "restart" => restart,
         _ => usage(),
     };
     let (config, scale, reps) = match tiny {
@@ -84,7 +87,7 @@ fn main() {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: floors <stream|serial-split|prefilter|ingest|open> [tiny]");
+    eprintln!("usage: floors <stream|serial-split|prefilter|ingest|open|restart> [tiny]");
     std::process::exit(2)
 }
 
@@ -699,4 +702,84 @@ fn open(scenario: &GeneratedScenario, _paper: bool, clock: &mut Clock) {
     let files = files.len();
     println!("checked: {records} records in {shards} shards, {files} data files of {bytes} B, restored equal, each hashing to its name");
     std::fs::remove_dir_all(&dir).expect("the snapshot directory is removed");
+}
+
+// restart: `Linker::open` of the restored catalog, step by step, to its first probe.
+
+fn restart(scenario: &GeneratedScenario, paper: bool, clock: &mut Clock) {
+    const OPEN: &str = "snapshot open, 4 shards";
+    const SORTS: &str = "  the floor's integer (word, record) sorts alone";
+    const ROWS: [&str; 6] = [
+        "standard warm: 4 key builds (floor: copy + sort)",
+        "  standard Linker::new: comparator warm",
+        "  standard first probe",
+        "bigram warm: 4 key builds + gram counters",
+        "  bigram Linker::new: comparator warm",
+        "  bigram first probe",
+    ];
+    let (ext, catalog) = scenario.sharded_stores(SHARDS);
+    let dir = std::env::temp_dir().join(format!("classilink-floors-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    CatalogSnapshot::write(&dir, &catalog).expect("the snapshot writes");
+    let cmp = RecordComparator::single(PROVIDER_PART_NUMBER, LOCAL_PART_NUMBER, JaroWinkler);
+    let cmp = cmp.with_thresholds(MATCH, POSSIBLE);
+    let standard = StandardBlocker::new(key(4));
+    let bigram = BigramBlocker::new(key(0), 0.7);
+    let blockers: [&(dyn Blocker + Sync); 2] = [&standard, &bigram];
+    let (probe, mut scratch, mut links) = (ext.record(0), ProbeScratch::new(), Vec::new());
+    let side = key(4).local_side_of(catalog.schema());
+    for _ in 0..clock.0 {
+        for (rows, blocker) in ROWS.chunks(3).zip(blockers) {
+            let restore = || CatalogSnapshot::open(&dir).expect("the snapshot opens").0;
+            let restored = clock.time(OPEN, restore);
+            clock.time(rows[0], || blocker.warm(&restored));
+            if rows[0] == ROWS[0] {
+                let tables: Vec<_> = (restored.shards().iter())
+                    .map(|shard| shard.key_index(&side))
+                    .collect();
+                let floor = || (copied_values(&restored), integer_sorts(&tables));
+                clock.floor(rows[0], floor);
+                let sorted = clock.floor(SORTS, || integer_sorts(&tables));
+                let keyed = tables.iter().map(|table| table.sorted_records());
+                assert!(sorted.iter().eq(keyed), "the sorts are the key tables");
+            }
+            let linker = clock.time(rows[1], || Linker::new(blocker, &cmp, restored));
+            let hits = clock.time(rows[2], || linker.probe_with(&probe, &mut scratch));
+            links.push(hits.matches.len() + hits.possible.len());
+        }
+    }
+    let links = &links[links.len() - 2..];
+    if paper {
+        assert_eq!(links, [1, 1], "each first probe's links");
+    }
+    let (records, shards) = (catalog.len(), catalog.shard_count());
+    println!("checked: {records} records in {shards} shards restored, key tables = integer sorts, first probes {links:?} links");
+    std::fs::remove_dir_all(&dir).expect("the snapshot directory is removed");
+}
+
+/// The key build's floor for normalising: each record's first part number,
+/// its bytes copied into one arena a shard.
+fn copied_values(catalog: &ShardedStore) -> Vec<(String, Vec<u32>)> {
+    let p = property(catalog.shard(0), LOCAL_PART_NUMBER);
+    let copy = |shard: &Arc<RecordStore>| {
+        let (mut text, mut ends) = (String::new(), Vec::with_capacity(shard.len()));
+        for r in 0..shard.len() {
+            text.push_str(shard.first(r, p).unwrap_or_default());
+            ends.push(text.len() as u32);
+        }
+        (text, ends)
+    };
+    catalog.shards().iter().map(copy).collect()
+}
+
+/// The key build's floor for sorting: each shard's records by their keys'
+/// words, as one integer sort of (word, record).
+fn integer_sorts(tables: &[Arc<KeyIndex>]) -> Vec<Vec<u32>> {
+    let sort = |table: &Arc<KeyIndex>| {
+        let words = (0..table.len()).map(|r| (word(table.key(r)), r as u32));
+        let mut rungs: Vec<_> = words.collect();
+        rungs.sort_unstable();
+        rungs.into_iter().map(|(_, r)| r).collect()
+    };
+    tables.iter().map(sort).collect()
 }
